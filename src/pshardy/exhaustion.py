@@ -27,7 +27,9 @@ from .geometry import (
 )
 from .potential import (
     JordanDiskMap,
+    LensPowerDensity,
     RieszMeasure,
+    _chord_green_point,
     green_function,
     green_potential,
     periodic_interpolant,
@@ -68,93 +70,6 @@ class UnsupportedRegion(RuntimeError):
     """The sublevel region is not a single star-shaped Jordan domain."""
 
 
-# ---------------------------------------------------------------------------
-# Closed-form chord integrals for the power examples.
-#
-# The y-integral of log(A^2 + (y - eta)^2) over a vertical chord has the
-# elementary antiderivative below, so the potential of any x-slice density
-# reduces to a single adaptive integral in x.
-# ---------------------------------------------------------------------------
-
-
-def _antiderivative_log_quadratic(s, A):
-    """Antiderivative of log(A^2 + s^2): s log(A^2+s^2) - 2s + 2A atan(s/A).
-
-    Even in A, odd in s, and finite at s = A = 0 where the integrand's
-    singularity is removable for the integrals we build from differences.
-    """
-    s = np.asarray(s, dtype=float)
-    A = np.asarray(A, dtype=float)
-    tot = A * A + s * s
-    zero = tot == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = s * np.log(np.where(zero, 1.0, tot)) - 2.0 * s
-        nz = np.abs(A) > 0.0
-        out = out + np.where(
-            nz, 2.0 * A * np.arctan(s / np.where(nz, A, 1.0)), 0.0
-        )
-    return out
-
-
-def _chord_log_integral(xi, eta, x, Y):
-    """Integral of log|z - (x+iy)| over y in (-Y, Y) for z = xi + i eta."""
-    A = xi - x
-    return 0.5 * (
-        _antiderivative_log_quadratic(Y - eta, A)
-        - _antiderivative_log_quadratic(-Y - eta, A)
-    )
-
-
-def _strip_potential_point(z, m, chord, x_lo, x_hi, tol):
-    """Green potential at one point of the density m(1-m)(1-x)^(m-2) dA.
-
-    The density is supported on the region between the graphs y = +-chord(x)
-    for x in (x_lo, x_hi); the chord integral is exact, leaving one adaptive
-    integral in x with integrable endpoint singularities.
-    """
-    z = complex(z)
-    xi, eta = z.real, z.imag
-    r = abs(z)
-    pref = m * (1.0 - m) / (2.0 * math.pi)
-    if pref == 0.0 or r >= 1.0 - 1e-15:
-        return 0.0
-    if r < 1e-12:
-        def f(x):
-            Y = chord(x)
-            return (1.0 - x) ** (m - 2.0) * _antiderivative_log_quadratic(Y, x)
-
-        res = integrate_interval(
-            f, x_lo, x_hi, singular_left=True, singular_right=True,
-            tol_abs=tol, tol_rel=tol,
-        )
-        return pref * res.value
-    xi2 = xi / r**2
-    eta2 = eta / r**2
-    logr = math.log(r)
-
-    def f(x):
-        Y = chord(x)
-        return (1.0 - x) ** (m - 2.0) * (
-            _chord_log_integral(xi, eta, x, Y)
-            - 2.0 * Y * logr
-            - _chord_log_integral(xi2, eta2, x, Y)
-        )
-
-    interior = [xi] if x_lo + 1e-9 < xi < x_hi - 1e-9 else []
-    res = integrate_interval(
-        f, x_lo, x_hi, singular_left=True, singular_right=True,
-        interior_singularities=interior, tol_abs=tol, tol_rel=tol,
-    )
-    return pref * res.value
-
-
-def _um_point(z, m, tol=1e-12):
-    """High-accuracy evaluation of the lens-supported power potential."""
-    return _strip_potential_point(
-        z, m, lambda x: np.sqrt(np.maximum(x * (1.0 - x), 0.0)), 0.0, 1.0, tol
-    )
-
-
 def phim_green_potential(z, m, tol=1e-12):
     """Green potential of the full Riesz mass of -(1 - Re z)^m on the disk.
 
@@ -163,101 +78,10 @@ def phim_green_potential(z, m, tol=1e-12):
     """
     if not 0.0 < m <= 1.0:
         raise InvalidParameter("power parameter must lie in (0, 1]")
-    return _strip_potential_point(
+    return _chord_green_point(
         z, m, lambda x: np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0)),
         -1.0, 1.0, tol,
     )
-
-
-# Fixed composite Gauss grid for batch evaluation of the power potentials.
-# Left half uses x = sigma^2 to absorb the sqrt chord at x = 0, the right
-# half uses 1 - x = exp(-lam) so the (1-x)^(m-2) weight and the shrinking
-# chord are resolved uniformly for every power in (0, 1].
-
-
-def _build_power_grid(m, n_left=40, gl_order=14):
-    glx, glw = np.polynomial.legendre.leggauss(gl_order)
-    xs, omxs, ws = [], [], []
-    edges = np.linspace(0.0, 1.0 / math.sqrt(2.0), n_left + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        sig = mid + half * glx
-        x = sig * sig
-        xs.append(x)
-        omxs.append(1.0 - x)
-        ws.append(glw * half * 2.0 * sig * (1.0 - x) ** (m - 2.0))
-    lam_edges = [math.log(2.0)]
-    size = 0.18
-    while lam_edges[-1] < 40.0:
-        lam_edges.append(min(lam_edges[-1] + size, 40.0))
-        size *= 1.16
-    for a, b in zip(lam_edges[:-1], lam_edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        lam = mid + half * glx
-        omx = np.exp(-lam)
-        xs.append(1.0 - omx)
-        omxs.append(omx)
-        ws.append(glw * half * omx * omx ** (m - 2.0))
-    x = np.concatenate(xs)
-    omx = np.concatenate(omxs)
-    w = np.concatenate(ws)
-    Y = np.sqrt(x * omx)
-    # Nodes with a very short chord switch to 2*Y*g(z, x) with the stable
-    # log1p form of the Green kernel; the antiderivative difference would
-    # cancel catastrophically there.
-    small = Y < 1e-4
-    return {
-        "x_wide": x[~small], "Y_wide": Y[~small], "w_wide": w[~small],
-        "x_thin": x[small], "omx_thin": omx[small],
-        "Y_thin": Y[small], "w_thin": w[small],
-    }
-
-
-def _um_batch(z, m, grid, chunk=1024):
-    """Vectorized power-potential evaluation on the fixed grid.
-
-    Absolute accuracy is ~1e-7 away from the support tip and a few times
-    1e-6 for points inside the lens close to x = 1, which is ample for the
-    area integrals this feeds; curve tracing polishes with the adaptive
-    point evaluator instead.
-    """
-    pref = m * (1.0 - m) / (2.0 * math.pi)
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    zf = z.ravel()
-    out = np.zeros(zf.size)
-    if pref == 0.0:
-        return out.reshape(shape)
-    xw, Yw, ww = grid["x_wide"], grid["Y_wide"], grid["w_wide"]
-    xt, omxt = grid["x_thin"], grid["omx_thin"]
-    Yt, wt = grid["Y_thin"], grid["w_thin"]
-    one_minus_w2 = omxt * (1.0 + xt)
-    for i0 in range(0, zf.size, chunk):
-        zz = zf[i0:i0 + chunk]
-        xi = zz.real[:, None]
-        eta = zz.imag[:, None]
-        r2 = (zz.real**2 + zz.imag**2)[:, None]
-        r = np.sqrt(r2)
-        inside = (r < 1.0 - 1e-15).ravel()
-        tiny = r < 1e-9
-        rsafe = np.where(tiny, 0.5, np.where(inside[:, None], r, 0.5))
-        logr = np.log(rsafe)
-        r2safe = np.where(tiny, 1.0, r2)
-        xi2 = xi / r2safe
-        eta2 = eta / r2safe
-        f1 = _chord_log_integral(xi, eta, xw, Yw)
-        f2 = _chord_log_integral(xi2, eta2, xw, Yw)
-        inner = f1 - 2.0 * Yw * logr - f2
-        origin_form = _antiderivative_log_quadratic(Yw, xw)
-        inner = np.where(tiny, origin_form[None, :], inner)
-        acc = inner @ ww
-        if xt.size:
-            denom = np.abs(1.0 - zz[:, None] * xt) ** 2
-            g = 0.5 * np.log1p(-((1.0 - r2) * one_minus_w2) / denom)
-            acc = acc + (2.0 * Yt * g) @ wt
-        vals = pref * acc
-        out[i0:i0 + chunk] = np.where(inside, vals, 0.0)
-    return out.reshape(shape)
 
 
 def _lens_measure(m):
@@ -377,24 +201,32 @@ class ExhaustionSpec:
     frozen-value checks need full accuracy.  ``min_value``/``min_point``
     locate the minimum (min_value may be -inf for atomic mass), and the
     minimum point doubles as the star center for sublevel tracing.
+
+    Derived exhaustions keep what they were built from: ``inner`` with
+    ``scale`` for a * inner, ``inner`` with ``automorphism`` for inner
+    composed with a disk automorphism.  The lens example carries its Riesz
+    density as ``lens_density``.  Boundary weights are built from these.
     """
 
-    def __init__(self, kind, label, evaluate, measure, *, evaluate_precise=None,
-                 min_value, min_point, params=None, is_exhaustion=True,
-                 batch_accuracy=1e-9, radial_value=None):
-        self.kind = kind
+    def __init__(self, label, evaluate, measure, *, evaluate_precise=None,
+                 min_value, min_point, is_exhaustion=True,
+                 batch_accuracy=1e-9, radial_value=None, inner=None,
+                 scale=None, automorphism=None, lens_density=None):
         self.label = label
         self._evaluate = evaluate
         self.measure = measure
         self._evaluate_precise = evaluate_precise
         self.min_value = float(min_value)
         self.min_point = complex(min_point)
-        self.params = dict(params or {})
         self.is_exhaustion = bool(is_exhaustion)
         self.batch_accuracy = float(batch_accuracy)
         # For rotation-invariant exhaustions about min_point=0 this maps a
         # radius array to u; level radii then come from one scalar solve.
         self.radial_value = radial_value
+        self.inner = inner
+        self.scale = scale
+        self.automorphism = automorphism
+        self.lens_density = lens_density
         self._levels = {}
         self._demailly = {}
 
@@ -436,7 +268,7 @@ def radial_log():
             return np.where(r >= 1.0, 0.0, np.log(np.where(r > 0, r, 1e-300)))
 
     return ExhaustionSpec(
-        "radial-log", "log", ev, measure,
+        "log", ev, measure,
         min_value=-math.inf, min_point=0.0,
         batch_accuracy=0.0,
         radial_value=lambda r: np.log(np.maximum(r, 1e-300)),
@@ -495,9 +327,8 @@ def radial_smooth(profile, label, *, n_panels=400, gl_order=12):
         label=label,
     )
     return ExhaustionSpec(
-        "radial-smooth", label, ev, measure,
+        label, ev, measure,
         min_value=float(T_edges[0]), min_point=0.0,
-        params={"total_mass": total},
         batch_accuracy=1e-10,
         radial_value=u_r,
     )
@@ -553,7 +384,7 @@ def green_exhaustion(measure, label=None):
             mass = measure.total_mass()
             center = moment / mass.value if mass.value > 0 else 0.0
     return ExhaustionSpec(
-        "green-potential", label, ev, measure,
+        label, ev, measure,
         evaluate_precise=precise,
         min_value=-math.inf,
         min_point=center,
@@ -579,14 +410,13 @@ def scaled_exhaustion(a, inner):
     if inner.radial_value is not None:
         radial = lambda r: a * inner.radial_value(r)
     return ExhaustionSpec(
-        f"scaled:{inner.kind}", f"scaled:{a:g}:{inner.label}", ev,
-        inner.measure.scaled(a),
+        f"scaled:{a:g}:{inner.label}", ev, inner.measure.scaled(a),
         evaluate_precise=precise,
         min_value=a * inner.min_value, min_point=inner.min_point,
-        params={"scale": a, "inner": inner.label, "inner_spec": inner},
         is_exhaustion=inner.is_exhaustion,
         batch_accuracy=a * inner.batch_accuracy,
         radial_value=radial,
+        inner=inner, scale=a,
     )
 
 
@@ -633,16 +463,14 @@ def pullback_exhaustion(automorphism, inner):
         label=f"pullback:{inner.measure.label}",
     )
     return ExhaustionSpec(
-        f"pullback:{inner.kind}",
         f"pullback:{mob.a.real:g}{mob.a.imag:+g}i:{inner.label}",
         ev, measure,
         evaluate_precise=precise,
         min_value=inner.min_value,
         min_point=complex(mob.inverse(inner.min_point)),
-        params={"automorphism": (mob.a, mob.rot), "inner": inner.label,
-                "inner_spec": inner, "mob": mob},
         is_exhaustion=inner.is_exhaustion,
         batch_accuracy=inner.batch_accuracy,
+        inner=inner, automorphism=mob,
     )
 
 
@@ -650,19 +478,20 @@ _POWER_CACHE = {}
 
 
 def _power_state(m):
+    """The lens density of u_m with the minimum value and point of u_m."""
     key = round(float(m), 12)
     if key not in _POWER_CACHE:
-        grid = _build_power_grid(m)
+        density = LensPowerDensity(m)
         if m == 1.0:
             minval, minpt = 0.0, 0.0
         else:
             res = minimize_scalar(
-                lambda x: _um_point(x + 0.0j, m, tol=1e-11),
+                lambda x: density.green_potential_at(x + 0.0j, tol=1e-11),
                 bounds=(1e-6, 1.0 - 1e-9), method="bounded",
                 options={"xatol": 1e-11},
             )
             minval, minpt = float(res.fun), float(res.x)
-        _POWER_CACHE[key] = {"grid": grid, "min_value": minval, "min_point": minpt}
+        _POWER_CACHE[key] = (density, minval, minpt)
     return _POWER_CACHE[key]
 
 
@@ -690,9 +519,8 @@ def make_example(kind, m):
             return -np.maximum(1.0 - z.real, 0.0) ** m
 
         return ExhaustionSpec(
-            "power-profile", f"phim:{m:g}", ev, _phim_measure(m),
+            f"phim:{m:g}", ev, _phim_measure(m),
             min_value=-(2.0 ** m), min_point=-1.0,
-            params={"m": m},
             is_exhaustion=False,
             batch_accuracy=0.0,
         )
@@ -715,24 +543,19 @@ def make_example(kind, m):
             support_disk=lens.support_disk,
         )
         return ExhaustionSpec(
-            "glued-power", f"vm:{m:g}", ev, measure,
+            f"vm:{m:g}", ev, measure,
             evaluate_precise=lambda z: _vm_point(z, m),
             min_value=-1.0, min_point=0.0,
-            params={"m": m},
             batch_accuracy=1e-10,
         )
 
-    state = _power_state(m)
-
-    def ev(z):
-        return _um_batch(z, m, state["grid"])
-
+    density, min_value, min_point = _power_state(m)
     return ExhaustionSpec(
-        "lens-potential", f"um:{m:g}", ev, _lens_measure(m),
-        evaluate_precise=lambda z: _um_point(z, m),
-        min_value=state["min_value"], min_point=state["min_point"],
-        params={"m": m},
+        f"um:{m:g}", density.green_potential, _lens_measure(m),
+        evaluate_precise=density.green_potential_at,
+        min_value=min_value, min_point=min_point,
         batch_accuracy=6e-6,
+        lens_density=density,
     )
 
 
@@ -1216,12 +1039,12 @@ def demailly_measure(spec, c, *, samples=512, n_theta=2048, k_max=256):
     area quadrature of the mass over B_c, independently of the moment
     route, so mass_balance_residual is a genuine consistency check.
     """
-    level = spec.sublevel(c, samples=samples)
     if not spec.measure.complete:
         raise InvalidParameter(
             f"the Riesz measure of {spec.label} is incomplete; the swept "
             "boundary measure would be missing mass (INCOMPLETE_RIESZ_MEASURE)"
         )
+    level = spec.sublevel(c, samples=samples)
     try:
         if level.is_circle:
             radius_fn = lambda t: np.full(np.shape(t), level.radii[0])

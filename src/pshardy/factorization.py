@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from . import hardy
 from .potential import DIVERGENT, integrate_interval
 
 
@@ -444,8 +445,6 @@ def divide_by_blaschke(f, p, u, *, n_samples=8192):
     it is zero-free by construction.  The report compares the two weighted
     norms, which the factorization is supposed to preserve.
     """
-    from . import hardy
-
     zero_list = []
     for loc, mult in f.zeros:
         zero_list.extend([loc] * int(mult))
@@ -514,8 +513,6 @@ def u_inner(u, *, samples=2048, exclusion=1e-3):
     own sample grid, excluding arcs of half-width ``exclusion`` (radians)
     around the declared singular angles of V.
     """
-    from . import hardy
-
     weight = hardy.boundary_weight(u, samples=samples)
     if not weight.log_integrable:
         raise NotLogIntegrable(
@@ -549,8 +546,6 @@ def beurling_isometry_check(candidate, u, test_fns=None):
     the ideal value 1 before the DFT so the diagnostics probe only the
     trustworthy samples.
     """
-    from . import hardy
-
     if test_fns is None:
         rng = np.random.default_rng(5)
         test_fns = [

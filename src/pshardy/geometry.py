@@ -374,15 +374,6 @@ def integrate_interval(
     # panel records: [lo, hi, value, gk_error, depth, attractor_index]
     panels: list[list] = []
 
-    def _attractor_for(lo: float, hi: float) -> int:
-        for idx, att in enumerate(attractors):
-            if att.panel_key is not None:
-                continue
-            if att.anchor == lo or att.anchor == hi:
-                att.panel_key = (lo, hi)
-                return idx
-        return -1
-
     # assign attractor ownership: each attractor adopts the unique panel it
     # anchors; interior anchors own one panel on each side
     seeds = []

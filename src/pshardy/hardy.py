@@ -91,108 +91,24 @@ def _json_real(x):
     return x
 
 
-# ---------------------------------------------------------------------------
-# Closed-form Poisson balayage of the power densities.
-#
-# The worked density family is const * (1 - x)^(m-2) dA, supported either on
-# the lens disk |z - 1/2| < 1/2 or on the whole unit disk.  Both supports are
-# x-simple: at abscissa x the support is the vertical chord |y| < Y(x), so
-#
-#   V(e^{it}) = pref * int (1 - x)^(m-2) [ int_{-Y}^{Y} P(x + iy, e^{it}) dy ] dx
-#
-# and the inner integral has an elementary antiderivative.  The x-integral is
-# discretized once per (m, support): a sqrt substitution absorbs the chord
-# root at x = 0 (and x = -1), and fixed-width panels in lambda = -log(1 - x)
-# resolve the blowup of (1 - x)^(m-2) at x = 1 down to 1 - x = e^-80.
-# ---------------------------------------------------------------------------
+_N_DENSE = 8192  # spline nodes of a windowed weight
+_WINDOW = 0.05  # radians around a singular angle evaluated exactly
 
 
-def _poisson_strip_grid(m, *, full=False, n_left=40, gl_order=14,
-                        lam_width=0.5, lam_max=80.0):
-    """Quadrature grid in x for the chord-reduced balayage integral.
-
-    Returns nodes keyed by omx = 1 - x (the stable variable near x = 1),
-    the chord half-width Y, and weights that already contain the x-measure
-    (1 - x)^(m-2) dx, so evaluating V is a single dot product per angle.
-    """
-    glx, glw = np.polynomial.legendre.leggauss(gl_order)
-    omxs, Ys, ws = [], [], []
-    lo = -1.0 if full else 0.0
-    s_hi = math.sqrt(0.5 - lo)
-    edges = np.linspace(0.0, s_hi, n_left + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        sig = mid + half * glx
-        x = lo + sig * sig
-        omx = 1.0 - x
-        omxs.append(omx)
-        Ys.append(np.sqrt(omx * (1.0 + x) if full else omx * x))
-        ws.append(glw * half * 2.0 * sig * omx ** (m - 2.0))
-    n_lam = int(math.ceil((lam_max - math.log(2.0)) / lam_width))
-    lam_edges = np.linspace(math.log(2.0), lam_max, n_lam + 1)
-    for a, b in zip(lam_edges[:-1], lam_edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        omx = np.exp(-(mid + half * glx))
-        x = 1.0 - omx
-        omxs.append(omx)
-        Ys.append(np.sqrt(omx * (1.0 + x) if full else omx * x))
-        ws.append(glw * half * omx * omx ** (m - 2.0))
-    omx = np.concatenate(omxs)
-    Y = np.concatenate(Ys)
-    w = np.concatenate(ws)
-    return {"omx": omx, "Y": Y, "w": w, "pref": m * (1.0 - m) / TWO_PI}
-
-
-def _strip_profile_values(grid, t, far=3e4):
-    """Balayage V(e^{it}) on the prepared grid, vectorized over angles.
-
-    The chord integral of the Poisson kernel at e^{it} = ct + i*b is
-
-        F(Y) - F(-Y),   F(y) = 2 ct atan((y-b)/A) - (y-b) - b log(A^2+(y-b)^2)
-
-    with A = (ct - x) written as A = ct1 + omx, ct1 = -2 sin^2(t/2), so the
-    cancellation ct - x near t = 0, x = 1 happens in exact arithmetic.  Far
-    chords (d^2 beyond (far*Y)^2) switch to the midpoint value of the
-    kernel, whose numerator 1 - x^2 = omx(2 - omx) is equally safe.
-    """
-    t = np.asarray(t, dtype=float)
-    shape = t.shape
-    tf = t.ravel()[:, None]
-    b = np.sin(tf)
-    ct1 = -2.0 * np.sin(0.5 * tf) ** 2
-    ct = 1.0 + ct1
-    omx = grid["omx"][None, :]
-    Y = grid["Y"][None, :]
-    A = ct1 + omx
-    d2 = A * A + b * b
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        def F(y):
-            s = y - b
-            return 2.0 * ct * np.arctan(s / A) - s - b * np.log(A * A + s * s)
-
-        I = np.where(d2 > (far * Y) ** 2,
-                     2.0 * Y * omx * (2.0 - omx) / d2,
-                     F(Y) - F(-Y))
-    return (grid["pref"] * (I @ grid["w"])).reshape(shape)
-
-
-def _windowed_evaluator(base, singular_thetas, *, n_dense=8192, window=0.05):
+def _windowed_evaluator(base, singular_thetas):
     """Hybrid weight evaluator: spline away from singular angles, exact near.
 
     ``base`` is the exact (but per-point expensive) evaluator.  It is
     sampled once on a half-step-offset dense grid (so no node collides with
     a singular angle) and interpolated with a periodic cubic spline; inside
-    ``window`` radians of a singular angle the exact evaluator is used, and
+    the window around a singular angle the exact evaluator is used, and
     the angle itself returns inf.
     """
     from scipy.interpolate import CubicSpline
 
-    step = TWO_PI / n_dense
-    t_dense = (np.arange(n_dense) + 0.5) * step
-    vals = np.empty(n_dense)
-    for lo in range(0, n_dense, 1024):
-        hi = min(lo + 1024, n_dense)
-        vals[lo:hi] = base(t_dense[lo:hi])
+    step = TWO_PI / _N_DENSE
+    t_dense = (np.arange(_N_DENSE) + 0.5) * step
+    vals = base(t_dense)
     if not np.all(np.isfinite(vals)):
         raise UnsupportedRegion(
             "boundary weight is non-finite away from its declared "
@@ -211,7 +127,7 @@ def _windowed_evaluator(base, singular_thetas, *, n_dense=8192, window=0.05):
         out = spline(tm)
         for t0 in t0s:
             d = _gap(tt, t0)
-            near = d < window
+            near = d < _WINDOW
             if np.any(near):
                 out[near] = base(np.atleast_1d(tt[near]))
             hit = d < 1e-12
@@ -344,15 +260,22 @@ def _fubini_residual(ev, mass, singular_thetas):
 def boundary_weight(u, samples=2048):
     """Sample the boundary weight V of an exhaustion on a uniform grid.
 
-    Dispatches on the exhaustion family: scaling and disk-automorphism
-    pullbacks reduce to the inner weight, atomic masses and rotation
-    invariant profiles have closed forms, the power-density families go
-    through the chord-reduced balayage integral, and anything else falls
-    back to the Fourier moments of its Riesz mass.  Pointwise divergence of
-    V at isolated angles is recorded in ``singular_thetas``, not fatal.
+    Dispatches on what the exhaustion is built from: scaled exhaustions and
+    disk-automorphism pullbacks reduce to the weight of their ``inner``
+    exhaustion, atomic masses and rotation-invariant profiles have closed
+    forms, the lens example sweeps its ``lens_density`` with the
+    chord-reduced balayage, and anything else falls back to the Fourier
+    moments of its Riesz mass.  Pointwise divergence of V at isolated angles
+    is recorded in ``singular_thetas``, not fatal.  Functions that are not
+    exhaustions and incomplete Riesz measures raise InvalidParameter.
     """
     if not isinstance(u, ExhaustionSpec):
         raise InvalidParameter("boundary_weight expects an ExhaustionSpec")
+    if not u.is_exhaustion:
+        raise InvalidParameter(
+            f"{u.label} is not an exhaustion; its weight and norm identities "
+            "do not hold"
+        )
     if not u.measure.complete:
         raise InvalidParameter(
             f"the Riesz measure of {u.label} is incomplete; its boundary "
@@ -376,9 +299,9 @@ def _build_weight(u, samples):
     thetas = np.arange(samples) * (TWO_PI / samples)
     label = u.label
 
-    if u.kind.startswith("scaled:") and "inner_spec" in u.params:
-        a = float(u.params["scale"])
-        inner = boundary_weight(u.params["inner_spec"], samples=samples)
+    if u.scale is not None:
+        a = u.scale
+        inner = boundary_weight(u.inner, samples=samples)
         ev = lambda t: a * np.asarray(inner.at(t), dtype=float)
         resid = inner.fubini_residual
         return BoundaryWeight(
@@ -390,9 +313,9 @@ def _build_weight(u, samples):
             fubini_residual=resid, label=label,
         )
 
-    if u.kind.startswith("pullback:") and "mob" in u.params:
-        mob = u.params["mob"]
-        inner = boundary_weight(u.params["inner_spec"], samples=samples)
+    if u.automorphism is not None:
+        mob = u.automorphism
+        inner = boundary_weight(u.inner, samples=samples)
 
         def ev(t):
             t = np.asarray(t, dtype=float)
@@ -444,7 +367,7 @@ def _build_weight(u, samples):
             label=label,
         )
 
-    if u.radial_value is not None or u.kind in ("radial-log", "radial-smooth"):
+    if u.radial_value is not None:
         hint = measure.total_mass_hint
         if hint is not None:
             mass = float(hint)
@@ -468,12 +391,9 @@ def _build_weight(u, samples):
             label=label,
         )
 
-    if u.kind in ("lens-potential", "power-profile"):
-        m = float(u.params["m"])
-        grid = _poisson_strip_grid(m, full=(u.kind == "power-profile"))
-        base = lambda t: _strip_profile_values(grid, t)
+    if u.lens_density is not None:
         singular = (0.0,)
-        ev = _windowed_evaluator(base, singular)
+        ev = _windowed_evaluator(u.lens_density.balayage, singular)
         vals = ev(thetas)
         vals = np.where(_gap(thetas, 0.0) < 1e-12, math.inf, vals)
         hint = measure.total_mass_hint
@@ -866,10 +786,6 @@ def hardy_norm(f, p, u, *, samples=2048, level_samples=512):
         raise InvalidParameter("the exponent p must be positive")
     if not isinstance(u, ExhaustionSpec):
         raise InvalidParameter("hardy_norm expects an ExhaustionSpec")
-    if not u.is_exhaustion:
-        raise InvalidParameter(
-            f"{u.label} is not an exhaustion; its norm identities do not hold"
-        )
     weight = boundary_weight(u, samples=samples)
     notes = []
 

@@ -43,6 +43,7 @@ __all__ = [
     "poisson_extension",
     "poisson_integral",
     "periodic_interpolant",
+    "LensPowerDensity",
     "JordanDiskMap",
     "harmonic_extension_via_map",
     "laplacian_probe",
@@ -368,6 +369,251 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
     if res.status == DIVERGENT:
         return -math.inf
     return total + res.value
+
+
+# ---------------------------------------------------------------------------
+# The worked power density, reduced to vertical chords.
+#
+# The density m(1-m)/(2 pi) (1 - x)^(m-2) dA is x-simple on the lens
+# |z - 1/2| < 1/2 and on the whole disk: at abscissa x its support is the
+# chord |y| < Y(x), and the y-integrals of the Green and the Poisson kernel
+# over a chord are elementary.  Its potential and its balayage therefore
+# reduce to one integral in x.  On the lens the batch evaluators discretize
+# that integral once per m: a sqrt substitution absorbs the chord root at
+# x = 0, and Gauss panels in lambda = -log(1 - x) resolve the blowup of
+# (1 - x)^(m-2) at x = 1.
+# ---------------------------------------------------------------------------
+
+CHUNK = 1024  # points per block of a batch evaluation
+_GL_ORDER = 14
+_N_LEFT = 40  # sqrt-substituted panels on 0 < x < 1/2
+_FAR = 3e4  # chords beyond _FAR * Y from e^{it} take the midpoint kernel
+
+
+def _geometric_lam_edges():
+    edges = [math.log(2.0)]
+    size = 0.18
+    while edges[-1] < 40.0:
+        edges.append(min(edges[-1] + size, 40.0))
+        size *= 1.16
+    return edges
+
+
+# Panel edges of each kernel: in sigma = sqrt(x) on 0 < x < 1/2, then in
+# lambda = -log(1 - x) on 1/2 < x < 1.  The potential kernel is smooth in x
+# up to the tip, so its panels widen geometrically to lambda = 40.  The
+# Poisson kernel at e^{it} peaks where 1 - x ~ t^2, at any depth as t -> 0,
+# so the balayage keeps uniform 0.5-wide panels to lambda = 80.  The two
+# roundings of the edge 1/sqrt(2) lie one ulp apart, and the cancellation in
+# the first sigma panel turns that ulp into dozens in the weights; each
+# layout keeps its own, so both grids stay bit for bit what they were.
+_POTENTIAL_PANELS = (
+    np.linspace(0.0, 1.0 / math.sqrt(2.0), _N_LEFT + 1), _geometric_lam_edges()
+)
+_BALAYAGE_PANELS = (
+    np.linspace(0.0, math.sqrt(0.5), _N_LEFT + 1),
+    np.linspace(math.log(2.0), 80.0,
+                int(math.ceil((80.0 - math.log(2.0)) / 0.5)) + 1),
+)
+
+
+def _antiderivative_log_quadratic(s, A):
+    """Antiderivative of log(A^2 + s^2): s log(A^2+s^2) - 2s + 2A atan(s/A).
+
+    Even in A, odd in s, and finite at s = A = 0 where the integrand's
+    singularity is removable for the integrals we build from differences.
+    """
+    s = np.asarray(s, dtype=float)
+    A = np.asarray(A, dtype=float)
+    tot = A * A + s * s
+    zero = tot == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = s * np.log(np.where(zero, 1.0, tot)) - 2.0 * s
+        nz = np.abs(A) > 0.0
+        out = out + np.where(
+            nz, 2.0 * A * np.arctan(s / np.where(nz, A, 1.0)), 0.0
+        )
+    return out
+
+
+def _chord_log_integral(xi, eta, x, Y):
+    """Integral of log|z - (x+iy)| over y in (-Y, Y) for z = xi + i eta."""
+    A = xi - x
+    return 0.5 * (
+        _antiderivative_log_quadratic(Y - eta, A)
+        - _antiderivative_log_quadratic(-Y - eta, A)
+    )
+
+
+def _chord_green_point(z, m, chord, x_lo, x_hi, tol):
+    """Green potential at one point of the density m(1-m)(1-x)^(m-2) dA.
+
+    The density is supported on the region between the graphs y = +-chord(x)
+    for x in (x_lo, x_hi); the chord integral is exact, leaving one adaptive
+    integral in x with integrable endpoint singularities.
+    """
+    z = complex(z)
+    xi, eta = z.real, z.imag
+    r = abs(z)
+    pref = m * (1.0 - m) / (2.0 * math.pi)
+    if pref == 0.0 or r >= 1.0 - 1e-15:
+        return 0.0
+    if r < 1e-12:
+        def f(x):
+            Y = chord(x)
+            return (1.0 - x) ** (m - 2.0) * _antiderivative_log_quadratic(Y, x)
+
+        res = integrate_interval(
+            f, x_lo, x_hi, singular_left=True, singular_right=True,
+            tol_abs=tol, tol_rel=tol,
+        )
+        return pref * res.value
+    xi2 = xi / r**2
+    eta2 = eta / r**2
+    logr = math.log(r)
+
+    def f(x):
+        Y = chord(x)
+        return (1.0 - x) ** (m - 2.0) * (
+            _chord_log_integral(xi, eta, x, Y)
+            - 2.0 * Y * logr
+            - _chord_log_integral(xi2, eta2, x, Y)
+        )
+
+    interior = [xi] if x_lo + 1e-9 < xi < x_hi - 1e-9 else []
+    res = integrate_interval(
+        f, x_lo, x_hi, singular_left=True, singular_right=True,
+        interior_singularities=interior, tol_abs=tol, tol_rel=tol,
+    )
+    return pref * res.value
+
+
+def _lens_grid(m, panels):
+    """Nodes x and 1 - x, chord half-widths Y and weights on the lens.
+
+    The weights already carry the x-measure (1 - x)^(m-2) dx, so a batch
+    evaluation is one dot product per point.
+    """
+    sigma_edges, lam_edges = panels
+    glx, glw = np.polynomial.legendre.leggauss(_GL_ORDER)
+    xs, omxs, ws = [], [], []
+    for a, b in zip(sigma_edges[:-1], sigma_edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        sig = mid + half * glx
+        x = sig * sig
+        xs.append(x)
+        omxs.append(1.0 - x)
+        ws.append(glw * half * 2.0 * sig * (1.0 - x) ** (m - 2.0))
+    for a, b in zip(lam_edges[:-1], lam_edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        omx = np.exp(-(mid + half * glx))
+        xs.append(1.0 - omx)
+        omxs.append(omx)
+        ws.append(glw * half * omx * omx ** (m - 2.0))
+    x = np.concatenate(xs)
+    omx = np.concatenate(omxs)
+    return x, omx, np.sqrt(x * omx), np.concatenate(ws)
+
+
+def _in_chunks(block, points):
+    """Apply a vectorized block evaluator to CHUNK points at a time."""
+    flat = points.ravel()
+    out = np.empty(flat.size)
+    for i0 in range(0, flat.size, CHUNK):
+        out[i0:i0 + CHUNK] = block(flat[i0:i0 + CHUNK])
+    return out.reshape(points.shape)
+
+
+class LensPowerDensity:
+    """The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on |z - 1/2| < 1/2.
+
+    This is the Riesz mass of the worked example u_m.  ``green_potential``
+    evaluates its Green potential at points of the disk and ``balayage``
+    its Poisson balayage V(e^{it}) at angles, both on fixed grids, which
+    keep about 1e-7 absolute accuracy for the potential away from the tip
+    x = 1 (a few times 1e-6 inside the lens near it).
+    ``green_potential_at`` integrates adaptively at one point, for curve
+    tracing and frozen values.
+    """
+
+    def __init__(self, m):
+        self.m = float(m)
+        self.pref = self.m * (1.0 - self.m) / (2.0 * math.pi)
+        x, omx, Y, w = _lens_grid(self.m, _POTENTIAL_PANELS)
+        # Nodes with a very short chord switch to 2*Y*g(z, x) with the stable
+        # log1p form of the Green kernel; the antiderivative difference would
+        # cancel catastrophically there.
+        thin = Y < 1e-4
+        self._wide = x[~thin], Y[~thin], w[~thin]
+        self._origin_form = _antiderivative_log_quadratic(Y[~thin], x[~thin])
+        self._thin = x[thin], omx[thin] * (1.0 + x[thin]), Y[thin], w[thin]
+        self._poisson = _lens_grid(self.m, _BALAYAGE_PANELS)[1:]
+
+    def green_potential_at(self, z, tol=1e-12):
+        return _chord_green_point(
+            z, self.m, lambda x: np.sqrt(np.maximum(x * (1.0 - x), 0.0)),
+            0.0, 1.0, tol,
+        )
+
+    def green_potential(self, z):
+        z = np.asarray(z, dtype=complex)
+        if self.pref == 0.0:
+            return np.zeros(z.shape)
+        return _in_chunks(self._green_block, z)
+
+    def balayage(self, t):
+        return _in_chunks(self._balayage_block, np.asarray(t, dtype=float))
+
+    def _green_block(self, zz):
+        xw, Yw, ww = self._wide
+        xt, one_minus_w2, Yt, wt = self._thin
+        xi = zz.real[:, None]
+        eta = zz.imag[:, None]
+        r2 = (zz.real**2 + zz.imag**2)[:, None]
+        r = np.sqrt(r2)
+        inside = (r < 1.0 - 1e-15).ravel()
+        tiny = r < 1e-9
+        rsafe = np.where(tiny, 0.5, np.where(inside[:, None], r, 0.5))
+        logr = np.log(rsafe)
+        r2safe = np.where(tiny, 1.0, r2)
+        f1 = _chord_log_integral(xi, eta, xw, Yw)
+        f2 = _chord_log_integral(xi / r2safe, eta / r2safe, xw, Yw)
+        inner = np.where(tiny, self._origin_form, f1 - 2.0 * Yw * logr - f2)
+        acc = inner @ ww
+        if xt.size:
+            denom = np.abs(1.0 - zz[:, None] * xt) ** 2
+            g = 0.5 * np.log1p(-((1.0 - r2) * one_minus_w2) / denom)
+            acc = acc + (2.0 * Yt * g) @ wt
+        return np.where(inside, self.pref * acc, 0.0)
+
+    def _balayage_block(self, t):
+        """V on one block of angles.
+
+        The chord integral of the Poisson kernel at e^{it} = ct + i*b is
+
+            F(Y) - F(-Y),   F(y) = 2 ct atan((y-b)/A) - (y-b) - b log(A^2+(y-b)^2)
+
+        with A = (ct - x) written as A = ct1 + omx, ct1 = -2 sin^2(t/2), so
+        the cancellation ct - x near t = 0, x = 1 happens in exact arithmetic.
+        Far chords (d^2 beyond (_FAR*Y)^2) switch to the midpoint value of
+        the kernel, whose numerator 1 - x^2 = omx(2 - omx) is equally safe.
+        """
+        omx, Y, w = self._poisson
+        tf = t[:, None]
+        b = np.sin(tf)
+        ct1 = -2.0 * np.sin(0.5 * tf) ** 2
+        ct = 1.0 + ct1
+        A = ct1 + omx
+        d2 = A * A + b * b
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            def F(y):
+                s = y - b
+                return 2.0 * ct * np.arctan(s / A) - s - b * np.log(A * A + s * s)
+
+            I = np.where(d2 > (_FAR * Y) ** 2,
+                         2.0 * Y * omx * (2.0 - omx) / d2,
+                         F(Y) - F(-Y))
+        return self.pref * (I @ w)
 
 
 # ---------------------------------------------------------------------------

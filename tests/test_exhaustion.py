@@ -272,6 +272,16 @@ def test_vm_rejected_by_swept_measure(um):
         X.demailly_measure(vm, -0.5)
 
 
+def test_demailly_measure_rejects_incomplete_measure_before_tracing(monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("the level was traced before the measure check")
+
+    monkeypatch.setattr(X, "sublevel_set", no_trace)
+    vm = X.make_example("vm", 0.75)
+    with pytest.raises(X.InvalidParameter, match="incomplete"):
+        X.demailly_measure(vm, -0.3)
+
+
 def test_power_family_sandwich(um, um_half):
     # pointwise: profile <= glued <= green potential of the lens part <= 0
     rng = np.random.default_rng(7)

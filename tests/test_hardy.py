@@ -109,6 +109,22 @@ def test_weight_cache_and_validation(ulog):
         H.boundary_weight(X.make_example("vm", 0.75))
 
 
+def test_weight_rejects_non_exhaustion():
+    # the sublevel sets of the power profile reach the circle
+    with pytest.raises(InvalidParameter, match="not an exhaustion"):
+        H.boundary_weight(X.make_example("phim", 0.75))
+
+
+def test_weight_near_spike_is_independent_of_batch_size(u075):
+    # more angles than two evaluation blocks, all inside the exact window
+    w = H.boundary_weight(u075)
+    t = np.linspace(-0.049, 0.049, 2600)
+    whole = w.at(t)
+    sliced = np.concatenate([w.at(t[i:i + 100]) for i in range(0, t.size, 100)])
+    assert np.all(np.isfinite(whole))
+    np.testing.assert_allclose(whole, sliced, rtol=1e-13, atol=0.0)
+
+
 def test_weight_csv_and_json(u075, tmp_path):
     w = H.boundary_weight(u075)
     path = tmp_path / "weight.csv"
