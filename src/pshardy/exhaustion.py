@@ -12,8 +12,10 @@ Jensen-Lelong bookkeeping checkable at desk scale.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import ndimage
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import beta as beta_function
@@ -84,23 +86,31 @@ def phim_green_potential(z, m, tol=1e-12):
     )
 
 
-def _lens_measure(m):
-    """Riesz measure of the lens power example in unit-mass normalization."""
+def _power_density(m, inside):
+    """(density, density_polar) of m(1-m)(1-x)^{m-2} dA/2pi on {inside(w)}.
+
+    The polar form takes shell coordinates about the boundary point 1,
+    where 1 - x = -rho cos(phi) exactly.
+    """
     pref = m * (1.0 - m) / (2.0 * math.pi)
 
     def dens(w):
         w = np.asarray(w, dtype=complex)
-        x = w.real
-        inlens = np.abs(w - 0.5) < 0.5
-        safe = np.where(inlens, 1.0 - x, 1.0)
-        return np.where(inlens, pref * safe ** (m - 2.0), 0.0)
+        good = inside(w)
+        safe = np.where(good, 1.0 - w.real, 1.0)
+        return np.where(good, pref * safe ** (m - 2.0), 0.0)
 
     def dens_polar(center, rho, phi):
-        # center is the boundary point 1; 1 - x = -rho cos(phi) exactly.
         omx = -rho * np.cos(phi)
         good = omx > 0.0
         return np.where(good, pref * np.where(good, omx, 1.0) ** (m - 2.0), 0.0)
 
+    return dens, dens_polar
+
+
+def _lens_measure(m):
+    """Riesz measure of the lens power example in unit-mass normalization."""
+    dens, dens_polar = _power_density(m, lambda w: np.abs(w - 0.5) < 0.5)
     hint = None
     if m > 0.5:
         hint = 2.0 * m * (1.0 - m) * beta_function(1.5, m - 0.5) / (2.0 * math.pi)
@@ -117,27 +127,14 @@ def _lens_measure(m):
 
 def _phim_measure(m):
     """Full-disk Riesz measure of the power profile -(1 - Re z)^m."""
-    pref = m * (1.0 - m) / (2.0 * math.pi)
-
-    def dens(w):
-        w = np.asarray(w, dtype=complex)
-        x = w.real
-        good = np.abs(w) < 1.0
-        safe = np.where(good, 1.0 - x, 1.0)
-        return np.where(good, pref * safe ** (m - 2.0), 0.0)
-
-    def dens_polar(center, rho, phi):
-        omx = -rho * np.cos(phi)
-        good = omx > 0.0
-        return np.where(good, pref * np.where(good, omx, 1.0) ** (m - 2.0), 0.0)
-
+    dens, dens_polar = _power_density(m, lambda w: np.abs(w) < 1.0)
     hint = None
     if m > 0.5:
         def chord_weighted(x):
             # (1-x)^(m-2) * sqrt(1-x^2) merged into one power of (1-x) so the
             # endpoint stays a plain integrable singularity without overflow.
             omx = np.maximum(1.0 - x, 1e-300)
-            return 2.0 * pref * omx ** (m - 1.5) * np.sqrt(np.maximum(1.0 + x, 0.0))
+            return m * (1.0 - m) / math.pi * omx ** (m - 1.5) * np.sqrt(np.maximum(1.0 + x, 0.0))
 
         res = integrate_interval(
             chord_weighted, -1.0, 1.0, singular_left=True, singular_right=True,
@@ -532,16 +529,8 @@ def make_example(kind, m):
             vals = np.array([_vm_point(zz, m) for zz in flat])
             return vals.reshape(z.shape)
 
-        lens = _lens_measure(m)
-        measure = RieszMeasure(
-            density=lens.density,
-            density_polar=lens.density_polar,
-            boundary_singularities=lens.boundary_singularities,
-            radial_cut=lens.radial_cut,
-            complete=False,
-            label=f"glued:{m:g}",
-            support_disk=lens.support_disk,
-        )
+        measure = replace(_lens_measure(m), complete=False,
+                          total_mass_hint=None, label=f"glued:{m:g}")
         return ExhaustionSpec(
             f"vm:{m:g}", ev, measure,
             evaluate_precise=lambda z: _vm_point(z, m),
@@ -661,11 +650,16 @@ class LevelSet:
                 x, y, uv = (float(p) for p in line.strip().split(","))
                 rows.append((x, y, uv))
         pts = np.array([complex(x, y) for x, y, _ in rows])
-        center = np.mean(pts)
-        ang = np.angle(pts - center)
+        # row j lies on the ray at angle 2 pi j/n from the star center z0:
+        # Im((v_j - z0) e^{-i theta_j}) = 0 fixes z0 by least squares
+        ang = 2.0 * math.pi * np.arange(pts.size) / pts.size
+        turn = np.exp(-1j * ang)
+        lhs = np.column_stack((turn.imag, turn.real))
+        (x0, y0), *_ = np.linalg.lstsq(lhs, (pts * turn).imag, rcond=None)
+        center = complex(x0, y0)
         return LevelSet(
             c=float(np.median([uv for _, _, uv in rows])),
-            center=center, angles=ang, radii=np.abs(pts - center),
+            center=center, angles=ang, radii=((pts - center) * turn).real,
             u_values=[uv for _, _, uv in rows], spec_label="from-csv",
         )
 
@@ -1078,13 +1072,8 @@ def demailly_measure(spec, c, *, samples=512, n_theta=2048, k_max=256):
     circle = np.exp(1j * t_grid)
     boundary_points = disk_map.forward(circle)
     f_prime_abs = np.abs(disk_map.derivative(circle))
-    k_arr = np.arange(1, mom.size)
-    w_vals = np.real(
-        mom[0] + 2.0 * np.sum(
-            mom[None, 1:] * np.exp(-1j * t_grid[:, None] * k_arr[None, :]),
-            axis=1,
-        )
-    )
+    series = np.concatenate((mom[:1], 2.0 * mom[1:]))
+    w_vals = np.real(polyval(np.exp(-1j * t_grid), series))
     seg = np.abs(np.roll(boundary_points, -1) - boundary_points)
     length = float(np.sum(seg))
     u_c_vals = length * w_vals / (2.0 * math.pi * f_prime_abs)

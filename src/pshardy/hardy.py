@@ -29,6 +29,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .geometry import (
     CONVERGED,
@@ -438,15 +439,11 @@ def _moment_weight(u, thetas, label):
         if run >= 3:
             break
     mom = np.asarray(moments, dtype=complex)
+    series = np.concatenate((mom[:1], 2.0 * mom[1:]))
 
     def ev(t):
-        t = np.asarray(t, dtype=float)
-        tt = np.atleast_1d(t)
-        k = np.arange(1, mom.size)
-        out = np.real(mom[0]) + 2.0 * np.real(
-            np.exp(-1j * tt[:, None] * k[None, :]) @ mom[1:]
-        )
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+        out = np.real(polyval(np.exp(-1j * np.asarray(t, dtype=float)), series))
+        return float(out) if out.ndim == 0 else out
 
     singular = tuple(
         float(np.angle(s)) % TWO_PI for s in measure.boundary_singularities
@@ -646,7 +643,7 @@ def _route_level(f, p, u, weight, *, samples=512):
         return None, info
 
     k_max = 20 if radial else 12
-    rungs, cs = [], []
+    rungs, cs, skipped = [], [], []
     for k in range(k_max + 1):
         c = -(2.0 ** (-k))
         if c <= u.min_value:
@@ -656,6 +653,12 @@ def _route_level(f, p, u, weight, *, samples=512):
         except EmptyLevel:
             continue
         except (UnsupportedRegion, ValueError) as exc:
+            # deep levels may not chart (several components, far from
+            # circular); past the first traced rung a failure ends the
+            # ladder so the rungs _ladder_estimate fits stay contiguous
+            if not rungs:
+                skipped.append(c)
+                continue
             info["note"] = f"ladder stopped at c={c:g}: {exc}"
             break
 
@@ -671,6 +674,9 @@ def _route_level(f, p, u, weight, *, samples=512):
         rungs.append(val)
         cs.append(c)
     info["ladder"] = tuple(zip(cs, rungs))
+    if skipped:
+        msg = "ladder skipped untraceable rungs c=" + ", ".join(f"{c:g}" for c in skipped)
+        info["note"] = msg if info["note"] is None else f"{msg}; {info['note']}"
     if not rungs:
         if info["note"] is None:
             info["note"] = "no traceable levels on the ladder"

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polyutils import trimseq
 
 from .geometry import (
     CONVERGED,
@@ -704,30 +706,43 @@ class BoundaryProfile:
         return cls(arr[:, 0], arr[:, 1], label=label)
 
 
+def _analytic_coefficients(values) -> np.ndarray:
+    """One-sided series [c_0, 2c_1, ..., 2c_{n/2-1}, c_{n/2}] of uniform samples.
+
+    c_k = (1/n) sum_j values_j e^{-2 pi i jk/n}, with the mean and the
+    Nyquist term taken real.  The series a is analytic in the disk and
+    Re sum_k a_k e^{ik theta} is the trigonometric interpolant of the
+    samples.  Trailing coefficients that are exactly zero are dropped (at
+    least one is kept), so Horner evaluation stops at the last nonzero
+    term: a constant costs one step.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    c = np.fft.rfft(values) / n
+    c[1 : (n + 1) // 2] *= 2.0
+    c[0] = c[0].real
+    if n % 2 == 0:
+        c[-1] = c[-1].real
+    return trimseq(c)
+
+
 def poisson_extension(profile: BoundaryProfile):
     """Spectral harmonic extension of a sampled boundary profile.
 
-    Returns a vectorized evaluator h(z) = c_0 + 2 Re sum_{k>=1} c_k z^k
-    (plus the real Nyquist term), the harmonic extension of the
-    trigonometric interpolant of the samples: exact for band-limited data
-    and matching the samples on the boundary grid.
+    Returns a vectorized evaluator h(z) = Re sum_k a_k z^k, the real part of
+    the analytic series of ``_analytic_coefficients`` (shared with
+    ``periodic_interpolant`` and ``JordanDiskMap``): the harmonic extension
+    of the trigonometric interpolant of the samples, exact for
+    band-limited data and matching the samples on the boundary grid.
     """
-    vals = np.asarray(profile.values, dtype=float)
-    n = vals.size
-    c = np.fft.rfft(vals) / n
-    half = n // 2
+    coeffs = _analytic_coefficients(profile.values)
 
     def h(z):
-        za = np.asarray(z, dtype=complex)
-        scalar = za.ndim == 0
-        zz = np.atleast_1d(za)
-        if np.any(np.abs(zz) > 1.0 + 1e-12):
+        z = np.asarray(z, dtype=complex)
+        if np.any(np.abs(z) > 1.0 + 1e-12):
             raise ValueError("harmonic extension evaluated outside the closed disk")
-        acc = np.zeros_like(zz)
-        for k in range(half - 1, 0, -1):
-            acc = (acc + c[k]) * zz
-        out = c[0].real + 2.0 * np.real(acc) + c[half].real * np.real(zz**half)
-        return float(out[0]) if scalar else out.reshape(za.shape)
+        out = np.real(polyval(z, coeffs))
+        return float(out) if out.ndim == 0 else out
 
     h.profile = profile
     return h
@@ -770,21 +785,11 @@ def periodic_interpolant(samples):
     theta_j = 2 pi j / n.  Turns traced level-curve radii into the smooth
     radius function the conformal mapping iteration needs.
     """
-    v = np.asarray(samples, dtype=float)
-    n = v.size
-    c = np.fft.rfft(v) / n
-    half = n // 2
+    coeffs = _analytic_coefficients(samples)
 
     def f(theta):
-        th = np.asarray(theta, dtype=float)
-        scalar = th.ndim == 0
-        tt = np.atleast_1d(th)
-        e = np.exp(1j * tt)
-        acc = np.zeros_like(e)
-        for k in range(half - 1, 0, -1):
-            acc = (acc + c[k]) * e
-        out = c[0].real + 2.0 * np.real(acc) + c[half].real * np.cos(half * tt)
-        return float(out[0]) if scalar else out.reshape(th.shape)
+        out = np.real(polyval(np.exp(1j * np.asarray(theta, dtype=float)), coeffs))
+        return float(out) if out.ndim == 0 else out
 
     return f
 
@@ -801,9 +806,11 @@ class JordanDiskMap:
     The target is described by a center and a smooth radius function
     R(theta) > 0: its boundary is the curve center + R(theta) e^{i theta}.
     The map is normalized by F(0) = center, F'(0) > 0 and represented as
-    F(z) = center + z exp(G(z)) with G a one-sided trigonometric
-    polynomial; G's boundary values satisfy Re G(e^{it}) = log R(theta(t))
-    where theta(t) is the boundary correspondence fixed point of
+    F(z) = center + z exp(G(z)) with G the analytic series that
+    ``_analytic_coefficients`` builds from the samples of log R(theta(t))
+    (the layout ``poisson_extension`` and ``periodic_interpolant`` share),
+    so Re G(e^{it}) = log R(theta(t)), where theta(t) is the boundary
+    correspondence fixed point of
 
         theta(t) = t + H[log R o theta](t),
 
@@ -852,15 +859,8 @@ class JordanDiskMap:
         self.iterations = it
         self.theta_of_t = theta
 
-        r_final = rho(theta)
-        c = np.fft.rfft(r_final) / n
-        half = n // 2
-        coeffs = np.empty(half + 1, dtype=complex)
-        coeffs[0] = c[0].real
-        coeffs[1:half] = 2.0 * c[1:half]
-        coeffs[half] = c[half].real
-        self._gcoeffs = coeffs
-        self._gprime = coeffs[1:] * np.arange(1, half + 1)
+        self._gcoeffs = _analytic_coefficients(rho(theta))
+        self._gprime = polyder(self._gcoeffs)
 
         dtheta = _spectral_derivative(theta - t) + 1.0
         self.univalent = bool(np.min(dtheta) > 0.0)
@@ -872,33 +872,17 @@ class JordanDiskMap:
 
     # -- evaluation -------------------------------------------------------
 
-    def _G(self, z):
-        acc = np.zeros_like(z)
-        for k in range(self._gcoeffs.size - 1, -1, -1):
-            acc = acc * z + self._gcoeffs[k]
-        return acc
-
-    def _G_deriv(self, z):
-        acc = np.zeros_like(z)
-        for k in range(self._gprime.size - 1, -1, -1):
-            acc = acc * z + self._gprime[k]
-        return acc
-
     def forward(self, z):
         """F(z) for z in the closed unit disk (vectorized)."""
-        za = np.asarray(z, dtype=complex)
-        scalar = za.ndim == 0
-        zz = np.atleast_1d(za)
-        out = self.center + zz * np.exp(self._G(zz))
-        return complex(out[0]) if scalar else out.reshape(za.shape)
+        z = np.asarray(z, dtype=complex)
+        out = self.center + z * np.exp(polyval(z, self._gcoeffs))
+        return complex(out) if out.ndim == 0 else out
 
     def derivative(self, z):
         """F'(z) = exp(G(z)) (1 + z G'(z)) (vectorized)."""
-        za = np.asarray(z, dtype=complex)
-        scalar = za.ndim == 0
-        zz = np.atleast_1d(za)
-        out = np.exp(self._G(zz)) * (1.0 + zz * self._G_deriv(zz))
-        return complex(out[0]) if scalar else out.reshape(za.shape)
+        z = np.asarray(z, dtype=complex)
+        out = np.exp(polyval(z, self._gcoeffs)) * (1.0 + z * polyval(z, self._gprime))
+        return complex(out) if out.ndim == 0 else out
 
     def boundary_point(self, t):
         """F(e^{it}), the parametrized image boundary."""
@@ -925,8 +909,7 @@ class JordanDiskMap:
         np.divide(z, mag, out=z, where=mag > 1.0 - 1e-15)
         z[mag > 1.0 - 1e-15] *= 1.0 - 1e-12
         for _ in range(maxiter):
-            fz = self.center + z * np.exp(self._G(z))
-            resid = fz - ww
+            resid = self.forward(z) - ww
             if np.max(np.abs(resid)) <= tol * max(scale, 1.0):
                 break
             dz = resid / self.derivative(z)

@@ -371,6 +371,12 @@ def test_levelset_csv_roundtrip(um, tmp_path):
     assert np.abs(back.vertices - lv.vertices).max() < 1e-12
     assert np.abs(np.asarray(back.u_values) - lv.u_values).max() == 0.0
     assert abs(back.c - lv.c) < 1e-9
+    # row j lies on the ray at angle 2 pi j/n from the star center
+    assert abs(back.center - lv.center) < 1e-12
+    assert np.abs(back.radius_at(lv.angles) - lv.radii).max() < 1e-9
+    grid = (np.linspace(-0.3, 1.0, 131)[:, None]
+            + 1j * np.linspace(-0.65, 0.65, 131)[None, :]).ravel()
+    assert np.array_equal(back.contains(grid), lv.contains(grid))
     with open(path) as fh:
         assert fh.readline().strip() == "x,y,u_value"
 

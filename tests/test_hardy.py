@@ -9,7 +9,8 @@ from pshardy import exhaustion as X
 from pshardy import hardy as H
 from pshardy.exhaustion import InvalidParameter
 from pshardy.factorization import AffinePower, Poly
-from pshardy.geometry import MoebiusAutomorphism
+from pshardy.geometry import CONVERGED, MoebiusAutomorphism
+from pshardy.potential import RieszMeasure, poisson_kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,6 +82,22 @@ def test_weight_scaled_and_pullback(ulog):
     assert np.max(np.abs(wp.values - expected)) < 1e-12
     assert abs(wp.mass_of_laplacian - 1.0) < 1e-12
     assert wp.fubini_residual < 1e-7
+
+
+def test_weight_from_moments_matches_poisson_balayage():
+    # an area mass with no worked family goes through the Fourier moments
+    def bump(w):
+        return np.exp(-np.abs(np.asarray(w) - 0.4) ** 2 / 0.02) / TWO_PI
+
+    measure = RieszMeasure(density=bump, label="bump")
+    w = H.boundary_weight(X.green_exhaustion(measure), samples=256)
+    for t in (0.0, 0.7, 2.0, math.pi):
+        zeta = np.exp(1j * t)
+        ref = measure.pair(lambda z: poisson_kernel(z, zeta),
+                           tol_abs=1e-12, tol_rel=1e-10)
+        assert ref.status == CONVERGED
+        assert abs(w.at(t) - ref.value) < 1e-9
+    assert w.fubini_residual < 1e-9
 
 
 def test_weight_arc_mass_additivity(u075):
@@ -187,6 +204,20 @@ def test_z_under_log_ladder_diagnostics(ulog):
     assert np.all(ratios > 1.0)
     assert np.all(np.diff(ratios) < 0.0)
     assert abs(ratios[-1] - 1.0) < 1e-5
+
+
+def test_ladder_skips_untraceable_deep_rungs():
+    # the deep levels of two equal atoms do not chart; the ladder starts
+    # at the first rung that does and climbs contiguously from there
+    u = X.green_exhaustion(RieszMeasure(atoms=((0.3, 0.5), (-0.3, 0.5))))
+    rep = H.hardy_norm(Poly([0.0, 1.0]), 2.0, u)
+    assert rep.verdict == "MEMBER"
+    assert abs(rep.value - 1.0) < 1e-6
+    assert rep.monotone
+    cs, _ = zip(*rep.ladder)
+    assert cs[0] > -1.0
+    assert np.allclose(np.diff(np.log2(-np.asarray(cs))), -1.0)
+    assert "c=-1" in " ".join(rep.notes)
 
 
 def test_um_triple_route_agreement(u075):

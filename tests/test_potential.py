@@ -178,6 +178,14 @@ def test_spectral_extension_matches_samples_on_boundary():
     assert np.max(np.abs(got - prof.values)) < 1e-11
 
 
+def test_spectral_extension_restricts_to_periodic_interpolant():
+    # both evaluate the one analytic series of the samples
+    prof = P.BoundaryProfile.from_function(lambda th: np.exp(np.cos(th)) + np.sin(5 * th), n=256)
+    t = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, 50)
+    on_circle = P.poisson_extension(prof)(np.exp(1j * t))
+    assert np.max(np.abs(on_circle - P.periodic_interpolant(prof.values)(t))) < 1e-14
+
+
 def test_periodic_interpolant():
     vals = np.cos(2 * math.pi * np.arange(512) / 512 * 3.0) + 0.25
     f = P.periodic_interpolant(vals)
@@ -305,6 +313,9 @@ def test_map_circle_is_affine():
     assert np.max(np.abs(m.forward(z) - (0.2 + 0.1j + 0.5 * z))) < 1e-13
     assert abs(m.derivative_at_center - 0.5) < 1e-13
     assert m.univalent
+    # log R is constant, so G is a one-term series
+    assert m._gcoeffs.size == 1
+    assert np.max(np.abs(m.derivative(z) - 0.5)) < 1e-13
 
 
 def test_map_offcenter_disk_matches_moebius():
