@@ -402,8 +402,11 @@ def integrate_interval(
         # A fitted geometric tail replaces the innermost (dyadic) panel of its
         # attractor, whether or not the fit already meets the local target;
         # dropping a fitted-but-slow tail would silently lose real mass.
-        tot = sum(p[2] for p in panels if p[5] == -1 or not attractors[p[5]].has_tail)
-        err = sum(p[3] for p in panels if p[5] == -1 or not attractors[p[5]].has_tail)
+        tot = err = 0.0
+        for p in panels:
+            if p[5] == -1 or not attractors[p[5]].has_tail:
+                tot += p[2]
+                err += p[3]
         for att in attractors:
             if att.has_tail:
                 tot += att.tail
@@ -450,7 +453,8 @@ def integrate_interval(
             return QuadratureResult(total, err_sum, status, max_depth)
 
         new_panels = []
-        kept = [p for i, p in enumerate(panels) if i not in set(to_split)]
+        split = set(to_split)
+        kept = [p for i, p in enumerate(panels) if i not in split]
         child_bounds = []
         child_meta = []  # (depth, attractor_index_for_child or -1, shell_owner or None)
         for i in to_split:

@@ -4,13 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pshardy import exhaustion as X
 from pshardy import hardy as H
 from pshardy.exhaustion import InvalidParameter
-from pshardy.factorization import AffinePower, Poly
+from pshardy.factorization import AffinePower, BlaschkeProduct, Poly, Product
 from pshardy.geometry import CONVERGED, MoebiusAutomorphism
-from pshardy.potential import RieszMeasure, poisson_kernel
+from pshardy.potential import LensPowerDensity, RieszMeasure, poisson_kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,7 +58,7 @@ def test_weight_mass_identity(u075):
     # integrating V over the circle recovers the Riesz mass
     w = H.boundary_weight(u075)
     assert w.fubini_residual is not None
-    assert w.fubini_residual < 1e-4
+    assert w.fubini_residual < 1e-6
 
 
 def test_weight_radial_density_is_constant():
@@ -103,7 +104,7 @@ def test_weight_from_moments_matches_poisson_balayage():
 def test_weight_arc_mass_additivity(u075):
     w = H.boundary_weight(u075)
     full = w.arc_mass(0.0, TWO_PI)
-    assert abs(full - w.mass_of_laplacian) < 1e-4
+    assert abs(full - w.mass_of_laplacian) < 1e-7
     left = w.arc_mass(0.0, math.pi)
     right = w.arc_mass(math.pi, TWO_PI)
     assert abs(left + right - full) < 1e-6
@@ -140,6 +141,62 @@ def test_weight_near_spike_is_independent_of_batch_size(u075):
     sliced = np.concatenate([w.at(t[i:i + 100]) for i in range(0, t.size, 100)])
     assert np.all(np.isfinite(whole))
     np.testing.assert_allclose(whole, sliced, rtol=1e-13, atol=0.0)
+
+
+def _lens_balayage_reference(t, m):
+    """V(e^{it}) of the lens density m(1-m)/(2 pi) (1-x)^(m-2) dA by quad.
+
+    The chord integral of the Poisson kernel is closed form; the x-integral
+    runs in sigma = sqrt(x) on x < 1/2 and in lambda = -log(1-x) beyond,
+    split at the crossing lambda* where the chord half-width passes |sin t|
+    and at lambda* -+ 10^-k, since the chord integral steps there over a
+    lambda-width of about t.  Past the crossing the integrand decays like
+    e^{-(m+1/2)(lambda - lambda*)}, and the closed form loses every digit to
+    cancellation beyond lambda* + 25, so the integral stops at lambda* + 20.
+    """
+    b, c = math.sin(t), math.cos(t)
+
+    def chord(omx):
+        x = 1.0 - omx
+        Y = math.sqrt(x * omx)
+        A = omx - 2.0 * math.sin(0.5 * t) ** 2
+
+        def F(y):
+            s = y - b
+            return 2.0 * c * math.atan(s / A) - s - b * math.log(A * A + s * s)
+
+        return F(Y) - F(-Y)
+
+    star = -math.log(2.0 * b * b / (1.0 + math.sqrt(1.0 - 4.0 * b * b)))
+    # the lambda-integrand is about 2 pi e^{(1-m) lambda} below the crossing,
+    # so its integral is about 25 e^{(1-m) lambda*}
+    kw = dict(epsabs=1e-12 * math.exp((1.0 - m) * star), epsrel=1e-12, limit=200)
+    total = quad(lambda g: chord(1.0 - g * g) * (1.0 - g * g) ** (m - 2.0) * 2.0 * g,
+                 0.0, math.sqrt(0.5), points=[abs(b)], **kw)[0]
+    edges = {math.log(2.0), star, star + 5.0, star + 12.0, star + 20.0}
+    edges.update(star + s * 10.0 ** -k for k in range(11) for s in (-1.0, 1.0))
+    edges = sorted(e for e in edges if e >= math.log(2.0))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += quad(lambda lam: chord(math.exp(-lam)) * math.exp((1.0 - m) * lam),
+                      lo, hi, **kw)[0]
+    return m * (1.0 - m) / TWO_PI * total
+
+
+def test_lens_balayage_matches_adaptive_reference():
+    lens = LensPowerDensity(0.75)
+    for t in (1e-2, 1e-5, 1e-8):
+        ref = _lens_balayage_reference(t, 0.75)
+        got = float(lens.balayage(np.array([t]))[0])
+        assert abs(got - ref) <= 1e-9 * ref, (t, got, ref)
+
+
+def test_lens_balayage_is_continuous_near_its_singular_angle():
+    # V ~ t^(-1/2) at the tip, so V sqrt(t) varies slowly; a fixed lambda
+    # panel across the chord crossing makes it jump by up to 1e-2
+    t = np.geomspace(1e-9, 1e-3, 4001)
+    g = LensPowerDensity(0.75).balayage(t) * np.sqrt(t)
+    assert np.max(np.abs(np.diff(g))) < 1e-4
+    assert np.max(np.abs(np.diff(g, 2))) < 1e-6
 
 
 def test_weight_csv_and_json(u075, tmp_path):
@@ -238,6 +295,33 @@ def test_um_frozen_norm_value(u075):
     assert abs(rep.value - math.sqrt(truth)) / math.sqrt(truth) < 5e-3
     # the ladder extrapolation stays inside its own error bar
     assert abs(rep.route_level_sup - truth) <= 3.0 * rep.ladder_uncertainty
+
+
+def test_blaschke_factor_is_an_isometry_under_um(u075):
+    # |B| = 1 on the circle, so multiplying by B keeps every boundary norm
+    B = BlaschkeProduct([0.5, 0.3j])
+    for f in (Poly([1.0]), Poly([1.0, -1.0])):
+        direct = H.hardy_norm(f, 2.0, u075)
+        times_b = H.hardy_norm(Product(B, f), 2.0, u075)
+        assert direct.verdict == times_b.verdict == "MEMBER", f.label
+        assert abs(times_b.value - direct.value) <= 1e-5 * direct.value, f.label
+
+
+def test_level_measures_converge_weak_star_to_the_weight(u075):
+    # int Re w dmu_c -> int cos t V dnu = int Re z dLambda u, the first
+    # moment of the lens density: m(1-m)/pi * B(5/2, m - 1/2)
+    m = 0.75
+    beta = math.exp(math.lgamma(2.5) + math.lgamma(m - 0.5) - math.lgamma(m + 2.0))
+    first_moment = m * (1.0 - m) / math.pi * beta
+    assert abs(first_moment - 0.1788486089) < 1e-10
+    gaps = []
+    for k in (6, 8, 10):
+        c = -(2.0 ** -k)
+        mu = u075.demailly(c, samples=512)
+        pairing = mu.pair_spectral(lambda z: np.real(np.asarray(z, dtype=complex)))
+        gaps.append(abs(pairing - first_moment))
+        assert gaps[-1] / abs(c) ** (1.0 / 3.0) <= 0.4, (c, gaps[-1])
+    assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_membership_infinite_mass(u05):
