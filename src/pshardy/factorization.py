@@ -3,8 +3,9 @@
 The expression family covers polynomials, principal-branch affine powers
 [a(1-z)]^beta, finite Blaschke products, outer functions built from boundary
 log-modulus data, and products/quotients of these.  Every expression
-evaluates on complex arrays, knows its derivative in closed form, exposes a
-boundary trace, and reports the interior zeros that Blaschke division needs.
+evaluates on complex arrays, exposes a boundary trace with its singular
+angles, and reports the interior zeros that Blaschke division needs; the
+norm routes read nothing else.
 
 On top of the family sit the factorization routines: dividing out zeros by
 a Blaschke product without changing the weighted norm, reconstructing outer
@@ -45,9 +46,9 @@ TWO_PI = 2.0 * math.pi
 class AnalyticExpr:
     """An analytic function on the unit disk with closed-form pieces.
 
-    Subclasses implement ``_eval`` and ``_deriv_eval``; everything else
-    (boundary traces, the derivative object, the modulus-power density used
-    by the bulk norm route) derives from those two.
+    Subclasses implement ``_eval``; the boundary trace derives from it.
+    ``boundary_singularities`` lists the angles where |f*| vanishes or
+    blows up, which every route declares to its quadrature.
     """
 
     label = "expr"
@@ -59,45 +60,13 @@ class AnalyticExpr:
     def _eval(self, z):
         raise NotImplementedError
 
-    def _deriv_eval(self, z):
-        raise NotImplementedError
-
     def __call__(self, z):
         return self._eval(np.asarray(z, dtype=complex))
-
-    def derivative(self):
-        return _Derivative(self)
 
     def boundary_trace(self, theta):
         """Value of the boundary function at e^{i theta} (a.e.)."""
         theta = np.asarray(theta, dtype=float)
         return self._eval(np.exp(1j * theta))
-
-    def modulus_power_density(self, p):
-        """Area density of (1/2pi) Laplacian of |f|^p.
-
-        For analytic f this is (p^2/2pi) |f|^{p-2} |f'|^2; for p < 2 it
-        blows up at the zeros of f, which the caller must declare to the
-        quadrature engine (see ``density_singularities``).
-        """
-        p = float(p)
-        pref = p * p / TWO_PI
-
-        def dens(w):
-            w = np.asarray(w, dtype=complex)
-            fv = np.abs(self._eval(w))
-            dv = np.abs(self._deriv_eval(w))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = pref * fv ** (p - 2.0) * dv * dv
-            return np.where(np.isfinite(out), out, 0.0)
-
-        return dens
-
-    def density_singularities(self, p):
-        """Interior points where the |f|^p density is singular."""
-        if p >= 2.0:
-            return ()
-        return tuple(loc for loc, _ in self.zeros)
 
     def __mul__(self, other):
         if isinstance(other, AnalyticExpr):
@@ -111,20 +80,6 @@ class AnalyticExpr:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
-
-
-class _Derivative(AnalyticExpr):
-    """Wrapper exposing a parent expression's closed-form derivative."""
-
-    def __init__(self, parent):
-        self.parent = parent
-        self.label = f"d/dz {parent.label}"
-
-    def _eval(self, z):
-        return self.parent._deriv_eval(z)
-
-    def _deriv_eval(self, z):
-        raise UnsupportedExpression("second derivatives are not provided")
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +121,6 @@ class Poly(AnalyticExpr):
     def _eval(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
 
-    def _deriv_eval(self, z):
-        if self.coeffs.size == 1:
-            return np.zeros_like(z)
-        dcoef = self.coeffs[1:] * np.arange(1, self.coeffs.size)
-        return np.polynomial.polynomial.polyval(z, dcoef)
-
 
 class AffinePower(AnalyticExpr):
     """[a(1-z)]^beta with the principal branch.
@@ -208,15 +157,6 @@ class AffinePower(AnalyticExpr):
             out = np.where(w == 0, 0.0, out)
         return out
 
-    def _deriv_eval(self, z):
-        # d/dz [a(1-z)]^beta = -a beta [a(1-z)]^{beta-1}
-        w = self._base(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -self.a * self.beta * np.exp((self.beta - 1.0) * np.log(w))
-        if self.beta > 1:
-            out = np.where(w == 0, 0.0, out)
-        return out
-
 
 class BlaschkeProduct(AnalyticExpr):
     """Finite Blaschke product with the standard normalization.
@@ -247,28 +187,11 @@ class BlaschkeProduct(AnalyticExpr):
             return np.asarray(z, dtype=complex)
         return (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
 
-    def _factor_deriv(self, z, a):
-        if a == 0:
-            return np.ones_like(np.asarray(z, dtype=complex))
-        return (abs(a) / a) * (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * z) ** 2
-
     def _eval(self, z):
         out = np.ones_like(np.asarray(z, dtype=complex))
         for a in self.zero_list:
             out = out * self._factor(z, a)
         return out
-
-    def _deriv_eval(self, z):
-        z = np.asarray(z, dtype=complex)
-        factors = [self._factor(z, a) for a in self.zero_list]
-        total = np.zeros_like(z)
-        for k, a in enumerate(self.zero_list):
-            term = self._factor_deriv(z, a)
-            for j, f in enumerate(factors):
-                if j != k:
-                    term = term * f
-            total = total + term
-        return total
 
 
 class OuterFunction(AnalyticExpr):
@@ -365,18 +288,6 @@ class OuterFunction(AnalyticExpr):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.exp(self._log_series(z))
 
-    def _deriv_eval(self, z):
-        # (exp L)' = exp(L) L' with L'(z) = 2 sum_k k c_k z^{k-1} plus the
-        # analytic derivative of each fitted singular term
-        z = np.asarray(z, dtype=complex)
-        k = np.arange(1, self.log_coeffs.size + 1)
-        dcoef = 2.0 * self.log_coeffs * k
-        dlog = np.polynomial.polynomial.polyval(z, dcoef)
-        for t0, alpha in self._sing_terms:
-            w = np.exp(-1j * t0)
-            dlog = dlog - alpha * w / (1.0 - z * w)
-        return self._eval(z) * dlog
-
 
 class Product(AnalyticExpr):
     def __init__(self, f, g):
@@ -390,10 +301,6 @@ class Product(AnalyticExpr):
 
     def _eval(self, z):
         return self.f._eval(z) * self.g._eval(z)
-
-    def _deriv_eval(self, z):
-        return (self.f._deriv_eval(z) * self.g._eval(z)
-                + self.f._eval(z) * self.g._deriv_eval(z))
 
 
 class Quotient(AnalyticExpr):
@@ -414,11 +321,6 @@ class Quotient(AnalyticExpr):
 
     def _eval(self, z):
         return self.f._eval(z) / self.g._eval(z)
-
-    def _deriv_eval(self, z):
-        gv = self.g._eval(z)
-        return (self.f._deriv_eval(z) * gv
-                - self.f._eval(z) * self.g._deriv_eval(z)) / (gv * gv)
 
 
 # ---------------------------------------------------------------------------

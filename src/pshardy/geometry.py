@@ -48,11 +48,14 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # above DIVERGENCE_RATIO fails the Cauchy test (log-divergent integrands
 # give ratio -> 1, power divergences give ratio > 1), while any convergent
 # algebraic singularity in this package decays with ratio <= 2**-0.1 ~ 0.93.
+# The test reads only shells DIVERGENCE_DEPTH dyadic levels deep, where that
+# asymptotic ratio has set in (see _fails_cauchy_test).
 DEFAULT_TOL_ABS = 1e-6
 DEFAULT_TOL_REL = 1e-6
 DEFAULT_BUDGET = 2 ** 22
 DIVERGENCE_RATIO = 0.96
 DIVERGENCE_SHELLS = 6
+DIVERGENCE_DEPTH = 30
 BLOWUP_FACTOR = 1e9
 TAIL_RATIO_MAX = 0.94   # extrapolate a geometric tail only below this ratio
 MAX_DYADIC_DEPTH = 60
@@ -257,6 +260,26 @@ def _geometric_tail(shells) -> tuple[float, float] | None:
     return tail, err
 
 
+def _fails_cauchy_test(shells, floor):
+    """Whether a dyadic shell sequence diverges, per column for array shells.
+
+    ``shells`` lists shell values (scalars, or arrays over rays) from the
+    outside in; a column above ``floor`` in every recent shell, of one sign,
+    whose last DIVERGENCE_SHELLS ratios all reach DIVERGENCE_RATIO fails the
+    Cauchy test.  Nothing is read before DIVERGENCE_DEPTH shells: a
+    convergent integrand can grow over many shells before its asymptotic
+    ratio sets in (x^s/(x + d)^2 looks like x^(s-2) down to x ~ d), and a
+    depth of 20 still read such growth as divergence at d = 1e-5.
+    """
+    if len(shells) < DIVERGENCE_DEPTH:
+        return False
+    recent = np.asarray(shells[-(DIVERGENCE_SHELLS + 1):])
+    mags = np.abs(recent)
+    return (np.all(mags > floor, axis=0)
+            & (np.all(recent > 0, axis=0) | np.all(recent < 0, axis=0))
+            & np.all(mags[1:] >= DIVERGENCE_RATIO * mags[:-1], axis=0))
+
+
 class _Attractor:
     """Bookkeeping for one singular point being approached dyadically."""
 
@@ -278,18 +301,7 @@ class _Attractor:
         self.shells.append(value)
 
     def check_divergent(self, scale: float) -> bool:
-        s = self.shells
-        if len(s) < DIVERGENCE_SHELLS + 1:
-            return False
-        recent = s[-(DIVERGENCE_SHELLS + 1):]
-        floor = max(1e-13 * scale, 1e-280)
-        if any(abs(v) <= floor for v in recent):
-            return False
-        signs = {1 if v > 0 else -1 for v in recent}
-        if len(signs) > 1:
-            return False
-        ratios = [abs(recent[i + 1] / recent[i]) for i in range(DIVERGENCE_SHELLS)]
-        return all(r >= DIVERGENCE_RATIO for r in ratios)
+        return bool(_fails_cauchy_test(self.shells, max(1e-13 * scale, 1e-280)))
 
     def try_tail(self, target: float) -> None:
         fit = _geometric_tail(self.shells)
@@ -506,12 +518,16 @@ def integrate_boundary_arc(
     """Integral of density(theta) over the circle against normalized arclength.
 
     density takes angles in radians (ndarray) and returns floats; the result
-    is (1/2pi) * int_0^{2pi} density.  singular_points lists angles where the
-    density blows up; each gets dyadic treatment from both sides (the circle
-    is periodic, so an angle at 0 is graded from both 0+ and 2pi-).
+    is (1/2pi) * int_{-pi}^{pi} density.  singular_points lists angles where
+    the density blows up; each gets dyadic treatment from both sides (the
+    circle is periodic, so an angle at pi is graded from both -pi+ and pi-).
+    The circle runs from -pi so that an angle at 0, the usual singular
+    angle, is an interior point: nodes graded toward it keep full relative
+    precision, where next to 2pi they would carry ulp(2pi) ~ 9e-16 of
+    absolute rounding and deep shells would read noise.
     """
     two_pi = 2.0 * math.pi
-    sing = sorted({float(t) % two_pi for t in singular_points})
+    sing = sorted({(float(t) + math.pi) % two_pi - math.pi for t in singular_points})
 
     def wrapped(th):
         return np.asarray(density(th), dtype=float) / two_pi
@@ -519,14 +535,14 @@ def integrate_boundary_arc(
     singular_left = singular_right = False
     interior = []
     for t in sing:
-        if t < 1e-12 or two_pi - t < 1e-12:
+        if t + math.pi < 1e-12 or math.pi - t < 1e-12:
             singular_left = singular_right = True
         else:
             interior.append(t)
     return integrate_interval(
         wrapped,
-        0.0,
-        two_pi,
+        -math.pi,
+        math.pi,
         tol_abs=tol_abs,
         tol_rel=tol_rel,
         singular_left=singular_left,
@@ -609,16 +625,9 @@ def _radial_batch(gfun, n_nodes, singular_origin, tol_node, counter):
         total += np.where(resolved, 0.0, v)
         err += np.where(resolved, 0.0, e)
         hist.append(v)
-        if len(hist) >= DIVERGENCE_SHELLS + 1:
-            recent = np.stack(hist[-(DIVERGENCE_SHELLS + 1):])
-            mags = np.abs(recent)
-            floor = np.maximum(1e-13 * (np.abs(total) + tol_node), 1e-280)
-            sig = np.all(mags > floor[None, :], axis=0)
-            same_sign = np.all(recent > 0, axis=0) | np.all(recent < 0, axis=0)
-            ratios = mags[1:] / np.maximum(mags[:-1], 1e-300)
-            growing = np.all(ratios >= DIVERGENCE_RATIO, axis=0)
-            if np.any(sig & same_sign & growing & ~resolved):
-                raise _Divergent()
+        floor = np.maximum(1e-13 * (np.abs(total) + tol_node), 1e-280)
+        if np.any(_fails_cauchy_test(hist, floor) & ~resolved):
+            raise _Divergent()
         if len(hist) >= 3:
             mags = np.abs(np.stack(hist[-4:]))  # (3 or 4, n_nodes)
             recent = np.stack(hist[-3:])

@@ -419,6 +419,7 @@ _BALAYAGE_PANELS = (
                 int(math.ceil((80.0 - math.log(2.0)) / 0.5)) + 1),
 )
 _CROSSING_DEPTH = 30  # finest graded panel at 2^-30 of the way to lambda*
+_CROSSING_TAIL = 40.0  # a split past the grid's last edge reaches lambda* + this
 
 
 def _antiderivative_log_quadratic(s, A):
@@ -630,24 +631,29 @@ def _crossing_grid(b, ct1, m):
     In their place go Gauss panels with edges lambda* -+ d 2^-j,
     j = 0.._CROSSING_DEPTH (d the distance to the outer edge) and lambda*:
     the same count on every row, so the nodes 1 - x and weights
-    (1 - x)^(m-2) dx form one array per row.
+    (1 - x)^(m-2) dx form one array per row.  Where the dropped pair is the
+    grid's last, the graded panels run on to lambda* + _CROSSING_TAIL, so
+    lambda* may lie beyond the grid (|t| below about 1e-17) and V holds
+    down to the deepest dyadic shells of the quadrature engine.
     """
     edges = _BALAYAGE_PANELS[1]
     s2 = b * b
     rows = np.flatnonzero((ct1 > -1.0) & (s2 > 0.0) & (s2 < 0.25))
     s2 = s2[rows]
     star = -np.log(2.0 * s2 / (1.0 + np.sqrt(1.0 - 4.0 * s2)))
-    panel = np.searchsorted(edges, star, side="right") - 1
-    inside = panel < edges.size - 1
-    rows, star, panel = rows[inside], star[inside], panel[inside]
+    panel = np.minimum(np.searchsorted(edges, star, side="right") - 1,
+                       edges.size - 2)
     # the two panels that meet at the edge nearest lambda*
     first = panel - (2.0 * star < edges[panel] + edges[panel + 1])
     first = np.clip(first, 0, edges.size - 3)
     dropped = (_N_LEFT * _GL_ORDER + _GL_ORDER * first[:, None]
                + np.arange(2 * _GL_ORDER))
+    outer = edges[first + 2]
+    outer = np.where(first == edges.size - 3,
+                     np.maximum(outer, star + _CROSSING_TAIL), outer)
     frac = np.append(2.0 ** -np.arange(_CROSSING_DEPTH + 1.0), 0.0)
     left = star[:, None] - (star - edges[first])[:, None] * frac
-    right = star[:, None] + (edges[first + 2] - star)[:, None] * frac
+    right = star[:, None] + (outer - star)[:, None] * frac
     lo = np.concatenate([left[:, :-1], right[:, 1:]], axis=1)
     hi = np.concatenate([left[:, 1:], right[:, :-1]], axis=1)
     glx, glw = np.polynomial.legendre.leggauss(_GL_ORDER)

@@ -43,26 +43,6 @@ def test_poly_rejects_zero_function():
         Poly([0.0])
 
 
-def test_derivative_battery():
-    rng = np.random.default_rng(11)
-    exprs = [
-        Poly([1.0, 2.0, -0.5, 0.25j]),
-        AffinePower(1.0, 0.5),
-        AffinePower(0.5 + 0.1j, -0.3),
-        BlaschkeProduct([0.3, -0.2 + 0.4j, 0.3]),
-        Product(Poly([0.0, 1.0]), AffinePower(1.0, 1.5)),
-        Quotient(Poly([1.0, 1.0]), Poly([2.0, 0.0, 0.5])),
-    ]
-    h = 1e-6
-    for f in exprs:
-        fp = f.derivative()
-        for _ in range(8):
-            z = (rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6))
-            num = (f(z + h) - f(z - h)) / (2.0 * h)
-            exact = fp(z)
-            assert abs(num - exact) <= 1e-7 * max(1.0, abs(exact)), f.label
-
-
 def test_affine_power_values_and_branch_guard():
     f = AffinePower(1.0, 0.5)
     z = 0.3 + 0.1j
@@ -102,15 +82,6 @@ def test_blaschke_rejects_boundary_zero():
 def test_quotient_needs_zero_free_denominator():
     with pytest.raises(UnsupportedExpression):
         Quotient(Poly([1.0]), Poly([0.0, 1.0]))
-
-
-def test_modulus_power_density_constant_for_z():
-    f = Poly([0.0, 1.0])
-    dens = f.modulus_power_density(2.0)
-    zs = np.array([0.1, 0.5j, -0.7 + 0.1j])
-    assert np.allclose(dens(zs), 2.0 / math.pi, atol=1e-14)
-    assert f.density_singularities(2.0) == ()
-    assert f.density_singularities(1.0) == ((0.0 + 0.0j),)
 
 
 # ---------------------------------------------------------------------------

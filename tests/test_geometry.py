@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -92,6 +93,27 @@ def test_linearity_and_additivity():
         left = G.integrate_interval(f, a, mid)
         right = G.integrate_interval(f, mid, b)
         assert abs(rf.value - (left.value + right.value)) < 1e-7
+
+
+@pytest.mark.parametrize("s, delta", [
+    *((s, d) for s in (-0.9, -0.7, -0.5) for d in (1e-2, 1e-3, 1e-5)),
+    *((s, d) for s in (0.0, 0.5) for d in (1e-3, 1e-5)),
+    (-1.0, 1e-3), (-1.2, 1e-3),
+])
+def test_pre_asymptotic_growth_is_not_divergence(s, delta):
+    # x^s/(x + delta)^2 grows like x^(s-2) down to x ~ delta and only then
+    # settles to x^s: six shell ratios >= 0.96 there are no divergence
+    res = G.integrate_interval(lambda x: x ** s / (x + delta) ** 2, 0.0, 1.0,
+                               singular_left=True)
+    if s <= -1.0:
+        assert res.status == "DIVERGENT"
+        return
+    # int_0^1 x^s (x + d)^-2 dx = d^-2/(s + 1) 2F1(2, s + 1; s + 2; -1/d)
+    mpmath.mp.dps = 30
+    ref = float(mpmath.hyp2f1(2, s + 1, s + 2, -1 / mpmath.mpf(delta))
+                / (delta ** 2 * (s + 1)))
+    assert res.status == "CONVERGED"
+    assert abs(res.value - ref) <= res.error
 
 
 def test_budget_exhaustion_is_inconclusive():

@@ -10,7 +10,7 @@ from pshardy import exhaustion as X
 from pshardy import hardy as H
 from pshardy.exhaustion import InvalidParameter
 from pshardy.factorization import AffinePower, BlaschkeProduct, Poly, Product
-from pshardy.geometry import CONVERGED, MoebiusAutomorphism
+from pshardy.geometry import CONVERGED, MoebiusAutomorphism, integrate_boundary_arc
 from pshardy.potential import LensPowerDensity, RieszMeasure, poisson_kernel
 
 TWO_PI = 2.0 * math.pi
@@ -52,6 +52,17 @@ def test_weight_um_half_diverges_at_one(u05):
     assert w.fubini_residual is None
     # V ~ 1/t near the singular angle: log V is still integrable
     assert w.log_integrable
+
+
+def test_weight_integrates_to_the_mass_at_tight_tolerance(u075):
+    # at tol_rel 1e-10 the quadrature grades to within 1e-20 of the
+    # singular angle, and V must stay the exact balayage down there
+    w = H.boundary_weight(u075)
+    assert math.isfinite(w.at(2.0 ** -40))
+    res = integrate_boundary_arc(w.at, tol_abs=1e-12, tol_rel=1e-10,
+                                 singular_points=(0.0,))
+    assert res.status == CONVERGED
+    assert abs(res.value - w.mass_of_laplacian) <= 1e-8 * w.mass_of_laplacian
 
 
 def test_weight_mass_identity(u075):
@@ -346,6 +357,48 @@ def test_membership_boundary_power(u075):
     assert math.isfinite(rep.classical_norm)
     assert rep.statuses["boundary"] == "DIVERGENT"
     assert rep.statuses["bulk"] == "DIVERGENT"
+
+
+def _chord_power_reference(s, m):
+    """int |1 - e^{it}|^s V dnu by scipy quad on the exact lens balayage."""
+    lens = LensPowerDensity(m)
+
+    def g(t):
+        return (2.0 * math.sin(0.5 * t)) ** s * float(lens.balayage(np.array([t]))[0])
+
+    edges = [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, math.pi]
+    return sum(quad(g, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:])) / math.pi
+
+
+@pytest.mark.parametrize("bp", [-0.8, -0.6, -0.3, -0.2, 0.2, 0.5, 0.9])
+def test_um_membership_rule_at_p_one(u075, bp):
+    # (1-z)^beta is in H^1_{u_m} exactly when beta > 1 - 2m = -1/2, and
+    # the bulk route's value must lie within its own error of the truth
+    f = AffinePower(1.0, bp)
+    rep = H.hardy_norm(f, 1.0, u075)
+    if bp < -0.5:
+        assert rep.verdict == "NOT_MEMBER"
+        return
+    ref = _chord_power_reference(bp, 0.75)
+    assert rep.verdict == "MEMBER"
+    assert abs(rep.value - ref) <= 1e-5 * ref
+    bulk = H._route_bulk(f, 1.0, u075, rep.weight)
+    assert bulk.status == CONVERGED
+    assert abs(bulk.value - ref) <= bulk.error
+
+
+def test_bulk_route_within_its_error_for_zeros_near_the_atom():
+    # two zeros of f close together, one next to the atom at 0.3; the
+    # reference is int |f*|^2 P(0.3, .) dnu on 65,536 nodes (exact here)
+    coeffs = np.poly([-1.328 + 1.224j, -0.042 + 0.034j, 0.321 - 0.014j])[::-1]
+    u = X.green_exhaustion(RieszMeasure(atoms=((0.3 + 0.0j, 1.0),)))
+    zeta = np.exp(1j * np.arange(65536) * (TWO_PI / 65536))
+    ref = float(np.mean(np.abs(np.polynomial.polynomial.polyval(zeta, coeffs)) ** 2
+                        * poisson_kernel(0.3, zeta)))
+    bulk = H._route_bulk(Poly(coeffs), 2.0, u, H.boundary_weight(u))
+    assert bulk.status == CONVERGED
+    assert abs(bulk.value - ref) <= bulk.error
 
 
 def test_small_p_skips_level_route(u075):
