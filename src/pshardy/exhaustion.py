@@ -193,9 +193,10 @@ def _vm_point(z, m, tol=1e-12):
 class ExhaustionSpec:
     """A subharmonic exhaustion with its Riesz measure and evaluators.
 
-    ``evaluate`` is vectorized and is allowed a documented batch accuracy;
-    ``evaluate_precise`` is a scalar evaluator used where curve tracing and
-    frozen-value checks need full accuracy.  ``min_value``/``min_point``
+    ``evaluate`` is vectorized and may differ from ``evaluate_precise``, the
+    scalar evaluator that curve tracing and frozen-value checks fall back
+    on, by at most ``batch_error(z)``: a constant, or for the lens example a
+    bound from the distance to the lens.  ``min_value``/``min_point``
     locate the minimum (min_value may be -inf for atomic mass), and the
     minimum point doubles as the star center for sublevel tracing.
 
@@ -207,7 +208,7 @@ class ExhaustionSpec:
 
     def __init__(self, label, evaluate, measure, *, evaluate_precise=None,
                  min_value, min_point, is_exhaustion=True,
-                 batch_accuracy=1e-9, radial_value=None, inner=None,
+                 batch_error=1e-9, radial_value=None, inner=None,
                  scale=None, automorphism=None, lens_density=None):
         self.label = label
         self._evaluate = evaluate
@@ -216,7 +217,7 @@ class ExhaustionSpec:
         self.min_value = float(min_value)
         self.min_point = complex(min_point)
         self.is_exhaustion = bool(is_exhaustion)
-        self.batch_accuracy = float(batch_accuracy)
+        self._batch_error = batch_error
         # For rotation-invariant exhaustions about min_point=0 this maps a
         # radius array to u; level radii then come from one scalar solve.
         self.radial_value = radial_value
@@ -235,6 +236,13 @@ class ExhaustionSpec:
             return float(self._evaluate_precise(complex(z)))
         val = self._evaluate(np.asarray([complex(z)], dtype=complex))
         return float(np.asarray(val).ravel()[0])
+
+    def batch_error(self, z):
+        """Bound on |self(z) - self.precise(z)| at each point of z."""
+        z = np.asarray(z, dtype=complex)
+        if callable(self._batch_error):
+            return np.asarray(self._batch_error(z), dtype=float)
+        return np.full(z.shape, float(self._batch_error))
 
     def __repr__(self):
         return f"ExhaustionSpec({self.label!r})"
@@ -267,7 +275,7 @@ def radial_log():
     return ExhaustionSpec(
         "log", ev, measure,
         min_value=-math.inf, min_point=0.0,
-        batch_accuracy=0.0,
+        batch_error=0.0,
         radial_value=lambda r: np.log(np.maximum(r, 1e-300)),
     )
 
@@ -326,7 +334,7 @@ def radial_smooth(profile, label, *, n_panels=400, gl_order=12):
     return ExhaustionSpec(
         label, ev, measure,
         min_value=float(T_edges[0]), min_point=0.0,
-        batch_accuracy=1e-10,
+        batch_error=1e-10,
         radial_value=u_r,
     )
 
@@ -386,7 +394,7 @@ def green_exhaustion(measure, label=None):
         min_value=-math.inf,
         min_point=center,
         is_exhaustion=True,
-        batch_accuracy=acc,
+        batch_error=acc,
         radial_value=radial,
     )
 
@@ -411,7 +419,7 @@ def scaled_exhaustion(a, inner):
         evaluate_precise=precise,
         min_value=a * inner.min_value, min_point=inner.min_point,
         is_exhaustion=inner.is_exhaustion,
-        batch_accuracy=a * inner.batch_accuracy,
+        batch_error=lambda z: a * inner.batch_error(z),
         radial_value=radial,
         inner=inner, scale=a,
     )
@@ -466,7 +474,7 @@ def pullback_exhaustion(automorphism, inner):
         min_value=inner.min_value,
         min_point=complex(mob.inverse(inner.min_point)),
         is_exhaustion=inner.is_exhaustion,
-        batch_accuracy=inner.batch_accuracy,
+        batch_error=lambda z: inner.batch_error(mob.forward(z)),
         inner=inner, automorphism=mob,
     )
 
@@ -519,7 +527,7 @@ def make_example(kind, m):
             f"phim:{m:g}", ev, _phim_measure(m),
             min_value=-(2.0 ** m), min_point=-1.0,
             is_exhaustion=False,
-            batch_accuracy=0.0,
+            batch_error=0.0,
         )
 
     if norm == "vm":
@@ -535,7 +543,7 @@ def make_example(kind, m):
             f"vm:{m:g}", ev, measure,
             evaluate_precise=lambda z: _vm_point(z, m),
             min_value=-1.0, min_point=0.0,
-            batch_accuracy=1e-10,
+            batch_error=1e-10,
         )
 
     density, min_value, min_point = _power_state(m)
@@ -543,7 +551,7 @@ def make_example(kind, m):
         f"um:{m:g}", density.green_potential, _lens_measure(m),
         evaluate_precise=density.green_potential_at,
         min_value=min_value, min_point=min_point,
-        batch_accuracy=6e-6,
+        batch_error=density.batch_error,
         lens_density=density,
     )
 
@@ -558,10 +566,15 @@ class LevelSet:
 
     Vertices sit on the curve to within level_tolerance in u-value; the
     radius function interpolates trigonometrically between rays.
+    ``u_values`` holds the value each vertex was accepted on: the batch
+    value, or the precise one for the ``scalar_rays`` rays that went to the
+    scalar polish.  ``achieved_tolerance`` is the largest |u_values - c|
+    plus, on batch vertices, the batch error bound there, so it bounds the
+    distance of the precise value from c.
     """
 
     def __init__(self, *, c, center, angles, radii, u_values, spec_label,
-                 is_circle=False, achieved_tolerance=0.0):
+                 is_circle=False, achieved_tolerance=0.0, scalar_rays=0):
         self.c = float(c)
         self.center = complex(center)
         self.angles = np.asarray(angles, dtype=float)
@@ -571,6 +584,7 @@ class LevelSet:
         self.is_circle = bool(is_circle)
         self.level_tolerance = 1e-4 * abs(self.c)
         self.achieved_tolerance = float(achieved_tolerance)
+        self.scalar_rays = int(scalar_rays)
         self.vertices = self.center + self.radii * np.exp(1j * self.angles)
         self._interp = None
 
@@ -679,8 +693,61 @@ def _connected_components_of_sublevel(spec, c, n_grid=96):
     return int(count)
 
 
+_BATCH_STEPS = 12  # most batch evaluations a ray gets in _illinois
+
+
+def _illinois(f, lo, f_lo, hi, f_hi, target):
+    """Roots on the brackets lo < t < hi, f_lo < 0 < f_hi, all rays at once.
+
+    Regula falsi with the Illinois step (Dowell and Jarratt, "A modified
+    regula falsi method", BIT 11, 1971): an end kept twice in a row has its
+    value halved, so both ends close in and the order is about 1.44.
+    ``f(idx, t)`` evaluates the rays idx at t in one batch; a ray stops
+    once |f| <= target, its bracket is down to rounding, or after
+    _BATCH_STEPS evaluations.  Returns the last iterate and its value on
+    each ray, and the slope of its last secant for a Newton step.
+    """
+    lo, hi, g_lo, g_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+    nearer_lo = -f_lo < f_hi
+    t = np.where(nearer_lo, lo, hi)
+    ft = np.where(nearer_lo, f_lo, f_hi)
+    slope = (f_hi - f_lo) / (hi - lo)
+    kept = np.zeros(lo.size)  # +1: the last step kept hi, -1: it kept lo
+    for _ in range(_BATCH_STEPS):
+        active = np.flatnonzero((np.abs(ft) > target)
+                                & (hi - lo > 4e-16 * hi))
+        if not active.size:
+            break
+        a, b, ga, gb = lo[active], hi[active], g_lo[active], g_hi[active]
+        x = (a * gb - b * ga) / (gb - ga)
+        fx = f(active, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sec = (fx - ft[active]) / (x - t[active])
+        good = np.isfinite(sec) & (sec > 0.0)
+        slope[active[good]] = sec[good]
+        t[active], ft[active] = x, fx
+        below = fx < 0.0
+        up, dn = active[below], active[~below]
+        lo[up], g_lo[up] = x[below], fx[below]
+        g_hi[up] *= np.where(kept[up] > 0, 0.5, 1.0)
+        kept[up] = 1.0
+        hi[dn], g_hi[dn] = x[~below], fx[~below]
+        g_lo[dn] *= np.where(kept[dn] < 0, 0.5, 1.0)
+        kept[dn] = -1.0
+    return t, ft, slope
+
+
 def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
     """Trace S_c = {u = c} as a star-shaped polyline about the minimum.
+
+    Rotation-invariant exhaustions solve one radius.  Otherwise every ray
+    from the minimum is bracketed and solved on the batch evaluator by
+    regula falsi with the Illinois step (``_illinois``).  A ray keeps its
+    batch root when |u - c| there plus ``spec.batch_error`` is within half
+    of tol_u = 1e-4 |c|; the rest (for u_m, the rays near the lens, where
+    the batch potential is least accurate) go to the scalar polish: a
+    Newton step with ``spec.precise`` from the batch root and slope, then
+    brentq if that still misses.  The count is ``LevelSet.scalar_rays``.
 
     Raises EmptyLevel when c is at or below the minimum of u, and
     UnsupportedRegion when the sublevel set is not a single star-shaped
@@ -718,50 +785,54 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
 
     z0 = spec.min_point
     ang = 2.0 * math.pi * np.arange(samples) / samples
+    ray = np.exp(1j * ang)
     full = _ray_lengths(z0, ang) * (1.0 - 1e-12)
 
-    # Vectorized bisection on the batch evaluator narrows each ray, then a
-    # single Newton step with the precise evaluator lands on the curve.
-    lo = np.full(samples, 1e-12 if not math.isfinite(spec.min_value) else 0.0)
-    lo = lo * full
     hi = full.copy()
-    u_lo = spec(z0 + lo * np.exp(1j * ang)) - c
-    u_hi = spec(z0 + hi * np.exp(1j * ang)) - c
+    if math.isfinite(spec.min_value):
+        # every ray starts at the minimum point: one evaluation serves all
+        lo = np.zeros(samples)
+        u_lo = np.full(samples, float(spec(np.array([z0]))[0]) - c)
+    else:
+        lo = 1e-12 * full
+        u_lo = spec(z0 + lo * ray) - c
+    u_hi = spec(z0 + hi * ray) - c
     # The batch evaluator can lose several digits right at the rim cap where
     # the measure's support touches the circle; a handful of flagged rays get
     # a scalar recheck before the bracket is declared broken.
     bad = np.where(u_hi <= 0.0)[0]
     if 0 < bad.size <= max(4, samples // 128):
         for j in bad:
-            u_hi[j] = spec.precise(z0 + hi[j] * np.exp(1j * ang[j])) - c
+            u_hi[j] = spec.precise(z0 + hi[j] * ray[j]) - c
     if np.any(u_lo >= 0.0) or np.any(u_hi <= 0.0):
         raise UnsupportedRegion(
             f"could not bracket the level {c:g} along every ray from the "
             f"minimum of {spec.label}"
         )
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        um = spec(z0 + mid * np.exp(1j * ang)) - c
-        below = um < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    t = 0.5 * (lo + hi)
-    slope = None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        du = spec(z0 + hi * np.exp(1j * ang)) - spec(z0 + lo * np.exp(1j * ang))
-        slope = du / np.maximum(hi - lo, 1e-300)
-    uvals = np.empty(samples)
-    radii = np.empty(samples)
-    worst = 0.0
-    for j in range(samples):
+
+    # Batch root finding on every ray, to 1e-6 tol_u where the steps allow:
+    # exact evaluators then place vertices as closely as 30 bisections did,
+    # and a ray left for the scalar polish starts where the precise value
+    # differs from c by little more than the batch error actually made.
+    t, ut, slope = _illinois(lambda idx, tt: spec(z0 + tt * ray[idx]) - c,
+                             lo, u_lo, hi, u_hi, 1e-6 * tol_u)
+    # A vertex is kept from the batch when its value plus the batch error
+    # bound there is within half of tol_u; achieved_tolerance keeps the sum.
+    dev = np.abs(ut) + spec.batch_error(z0 + t * ray)
+    radii = t
+    uvals = ut + c
+    scalar = np.flatnonzero(~(dev <= 0.5 * tol_u))
+    for j in scalar:
+        # the scalar polish: a Newton step with the precise evaluator from
+        # the batch root, then brentq if that still misses
         tj = t[j]
-        uj = spec.precise(z0 + tj * np.exp(1j * ang[j])) - c
+        uj = spec.precise(z0 + tj * ray[j]) - c
         if abs(uj) > 0.25 * tol_u and slope[j] > 0:
             tj = tj - uj / slope[j]
             tj = min(max(tj, 1e-15), full[j])
-            uj = spec.precise(z0 + tj * np.exp(1j * ang[j])) - c
+            uj = spec.precise(z0 + tj * ray[j]) - c
         if abs(uj) > 0.5 * tol_u:
-            f = lambda tt: spec.precise(z0 + tt * np.exp(1j * ang[j])) - c
+            f = lambda tt: spec.precise(z0 + tt * ray[j]) - c
             a_br = max(tj - 64.0 * abs(uj) / max(slope[j], 1e-12), 1e-15)
             b_br = min(tj + 64.0 * abs(uj) / max(slope[j], 1e-12), full[j])
             fa, fb = f(a_br), f(b_br)
@@ -772,7 +843,8 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
             uj = f(tj)
         radii[j] = tj
         uvals[j] = uj + c
-        worst = max(worst, abs(uj))
+        dev[j] = abs(uj)
+    worst = float(dev.max())
     if worst > 10.0 * tol_u:
         raise UnsupportedRegion(
             f"trace of the level {c:g} did not meet the value tolerance"
@@ -799,6 +871,7 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
     return LevelSet(
         c=c, center=z0, angles=ang, radii=radii, u_values=uvals,
         spec_label=spec.label, achieved_tolerance=worst,
+        scalar_rays=scalar.size,
     )
 
 
@@ -972,6 +1045,7 @@ class DemaillyMeasure:
             "n_harmonics": int(self.n_harmonics),
             "level_tolerance": self.level.level_tolerance,
             "achieved_tolerance": self.level.achieved_tolerance,
+            "scalar_rays": self.level.scalar_rays,
             "paper_refs": [
                 "demailly-monge-ampere-boundary-measure",
                 "jensen-lelong-two-sided-identity",

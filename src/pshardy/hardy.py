@@ -755,6 +755,8 @@ def _route_level(f, p, u, weight, *, samples=512):
 # ---------------------------------------------------------------------------
 
 ROUTE_NAMES = ("level-sup", "bulk", "boundary")
+# Relative gap within which two converged routes outvote a divergent ladder.
+_OUTVOTE_AGREEMENT = 1e-6
 
 
 class NormReport:
@@ -899,9 +901,19 @@ def hardy_norm(f, p, u, *, samples=2048, level_samples=512):
             for i, a in enumerate(vals) for b in vals[i + 1:]
         )
 
+    if (divergent == ["level-sup"] and agreement is not None
+            and agreement <= _OUTVOTE_AGREEMENT):
+        # the ladder extrapolates rungs that may still be rising at its
+        # deepest level; two converged routes that agree outvote it
+        divergent = []
+        notes.append(
+            "divergent level-sup ladder outvoted: the converged routes "
+            f"agree to {agreement:.1e}"
+        )
     if len(divergent) >= 2:
         verdict = "NOT_MEMBER"
-    elif len(divergent) == 1 and _matching_singularity(f, weight):
+    elif (len(divergent) == 1 and len(finite) < 2
+          and _matching_singularity(f, weight)):
         verdict = "NOT_MEMBER"
         notes.append(
             f"single divergent route ({divergent[0]}) accepted: f declares "
@@ -1102,7 +1114,8 @@ def comparison_checks(u, v, b, *, exclusion_radius=0.25, battery=None,
     of analytic test functions:
 
     - order: if b*v <= u outside the exclusion disk around v's minimum
-      (verified on a sample grid; failure is reported as
+      (verified on a sample grid, at each point to four times the sum of
+      the two batch error bounds there; failure is reported as
       HYPOTHESIS_FAILED, not raised), then each pairing satisfies
       ||phi||_u <= b*||phi||_v;
     - point bound: phi(w) <= s * ||phi||_v with s = sup P(w, .)/V_v;
@@ -1132,13 +1145,14 @@ def comparison_checks(u, v, b, *, exclusion_radius=0.25, battery=None,
     pts = pts[np.abs(pts - center) >= float(exclusion_radius)]
     uu = np.asarray(u(pts), dtype=float)
     vv = np.asarray(v(pts), dtype=float)
-    margin = float(np.min(uu - b * vv))
-    hyp_tol = max(1e-9, 4.0 * (u.batch_accuracy + v.batch_accuracy))
-    hyp_ok = margin >= -hyp_tol
+    gap = uu - b * vv
+    # each point is judged against the batch error bounds at that point
+    hyp_tol = np.maximum(1e-9, 4.0 * (u.batch_error(pts) + v.batch_error(pts)))
+    hyp_ok = bool(np.all(gap >= -hyp_tol))
     report = {
         "hypothesis": {
-            "margin": margin,
-            "tolerance": hyp_tol,
+            "margin": float(np.min(gap)),
+            "tolerance": float(np.max(hyp_tol)),
             "points": int(pts.size),
             "status": "OK" if hyp_ok else "HYPOTHESIS_FAILED",
         },

@@ -226,6 +226,54 @@ def test_um_level_trace(um):
     assert np.abs(sampled - lv.c).max() <= lv.level_tolerance
 
 
+def _lens_probe_points(rng):
+    """Inside the lens, 1e-6..1e-1 outside it, by z = 1, by the circle."""
+    inside = 0.5 + 0.5 * np.sqrt(rng.uniform(0.0, 1.0, 6)) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, 6))
+    outside = 0.5 + (0.5 + 10.0 ** rng.uniform(-6, -1, 12)) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, 12))
+    tip = 1.0 - 10.0 ** rng.uniform(-6, -1, 6) * np.exp(1j * rng.uniform(-1.5, 1.5, 6))
+    rim = (1.0 - 10.0 ** rng.uniform(-6, -2, 6)) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, 6))
+    z = np.concatenate([inside, outside, tip, rim])
+    return z[np.abs(z) < 1.0]
+
+
+def test_lens_batch_potential_within_declared_error(um, um_half):
+    rng = np.random.default_rng(2024)
+    for spec in (um, um_half):
+        z = _lens_probe_points(rng)
+        if spec is um_half:
+            # the batch grid is 1.8e-5 off here, above the old constant 6e-6
+            z = np.append(z, 0.99880 - 0.03655j)
+        gap = np.abs(spec(z) - np.array([spec.precise(zz) for zz in z]))
+        bound = spec.batch_error(z)
+        assert np.all(gap <= bound), (spec.label, z[np.argmax(gap / bound)])
+        # far from the lens the batch values are exact enough to trace on
+        far = np.abs(z - 0.5) - 0.5 > 2e-2
+        assert np.all(bound[far] <= 1e-7)
+
+
+def test_um_ladder_trace_contract(u075):
+    # the rungs of the level ladder at the default 512 rays, cached on the
+    # session exhaustion: each meets its tolerance by its own account, and
+    # the precise values at every 8th vertex agree
+    scalar = []
+    for k in range(13):
+        c = -(2.0 ** -k)
+        if c <= u075.min_value:
+            continue
+        lv = u075.sublevel(c)
+        assert lv.achieved_tolerance <= lv.level_tolerance, c
+        sampled = np.array([u075.precise(v) for v in lv.vertices[::8]])
+        assert np.abs(sampled - c).max() <= lv.level_tolerance, c
+        assert u075.demailly(c).to_json_dict()["scalar_rays"] == lv.scalar_rays
+        scalar.append(lv.scalar_rays)
+    assert len(scalar) == 9
+    # the rays near the lens go to the scalar polish, the rest stay batch
+    assert sum(scalar) < 0.5 * 9 * 512
+
+
 def test_um_swept_measure_balance(um):
     dm = um.demailly(-0.02)
     assert dm.mass_balance_residual() < 1e-3

@@ -359,6 +359,21 @@ def test_membership_boundary_power(u075):
     assert rep.statuses["bulk"] == "DIVERGENT"
 
 
+def test_divergent_ladder_outvoted_by_agreeing_routes(u075):
+    # (1-z)^{-0.1}, p = 2: beta p = -0.2 > 1 - 2m, so f is a member.  The
+    # ladder's rungs still rise at c = -2^-12 and it reads DIVERGENT; the
+    # bulk and boundary routes converge and agree, and they decide
+    rep = H.hardy_norm(AffinePower(1.0, -0.1), 2.0, u075)
+    assert rep.statuses["bulk"] == rep.statuses["boundary"] == CONVERGED
+    assert rep.verdict == "MEMBER"
+    ref = _chord_power_reference(-0.2, 0.75)
+    assert abs(rep.value ** 2 - ref) <= 1e-5 * ref
+    if rep.statuses["level-sup"] == "DIVERGENT":
+        assert "outvoted" in " ".join(rep.notes)
+        lo, hi = sorted((rep.route_bulk, rep.route_boundary))
+        assert lo * (1.0 - 1e-12) <= rep.value ** 2 <= hi * (1.0 + 1e-12)
+
+
 def _chord_power_reference(s, m):
     """int |1 - e^{it}|^s V dnu by scipy quad on the exact lens balayage."""
     lens = LensPowerDensity(m)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -385,3 +386,17 @@ def test_harmonic_extension_via_map():
     h2 = P.harmonic_extension_via_map(m2, lambda w: np.imag(w))
     pts = m2.forward(0.6 * np.exp(1j * np.linspace(0, 6, 17)))
     assert np.max(np.abs(h2(pts) - np.imag(pts))) < 1e-9
+
+
+def test_chord_green_point_has_no_overflow_at_the_tip():
+    # quadrature nodes graded toward x = 1 round onto it, where
+    # (1 - x)^(m - 2) overflowed and met a vanishing chord bracket
+    lens = P.LensPowerDensity(0.5)
+    rng = np.random.default_rng(0)
+    z = 1.0 - 10.0 ** rng.uniform(-6, -1, 40) * np.exp(
+        1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 40))
+    z = z[np.abs(z) < 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = [lens.green_potential_at(zz) for zz in z]
+    assert np.all(np.isfinite(vals))
