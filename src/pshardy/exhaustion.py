@@ -31,7 +31,6 @@ from .potential import (
     JordanDiskMap,
     LensPowerDensity,
     RieszMeasure,
-    _chord_green_point,
     green_function,
     green_potential,
     periodic_interpolant,
@@ -50,7 +49,6 @@ __all__ = [
     "scaled_exhaustion",
     "pullback_exhaustion",
     "make_example",
-    "phim_green_potential",
     "sublevel_set",
     "pair_over_sublevel",
     "area_integral_over_sublevel",
@@ -70,20 +68,6 @@ class EmptyLevel(ValueError):
 
 class UnsupportedRegion(RuntimeError):
     """The sublevel region is not a single star-shaped Jordan domain."""
-
-
-def phim_green_potential(z, m, tol=1e-12):
-    """Green potential of the full Riesz mass of -(1 - Re z)^m on the disk.
-
-    Used to exercise the ordering between the power profile, the potential
-    of its full Riesz mass, and the potential of the lens restriction.
-    """
-    if not 0.0 < m <= 1.0:
-        raise InvalidParameter("power parameter must lie in (0, 1]")
-    return _chord_green_point(
-        z, m, lambda x: np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0)),
-        -1.0, 1.0, tol,
-    )
 
 
 def _power_density(m, inside):
@@ -191,14 +175,15 @@ def _vm_point(z, m, tol=1e-12):
 
 
 class ExhaustionSpec:
-    """A subharmonic exhaustion with its Riesz measure and evaluators.
+    """A subharmonic exhaustion with its Riesz measure and its evaluator.
 
-    ``evaluate`` is vectorized and may differ from ``evaluate_precise``, the
-    scalar evaluator that curve tracing and frozen-value checks fall back
-    on, by at most ``batch_error(z)``: a constant, or for the lens example a
-    bound from the distance to the lens.  ``min_value``/``min_point``
-    locate the minimum (min_value may be -inf for atomic mass), and the
-    minimum point doubles as the star center for sublevel tracing.
+    ``evaluate`` is vectorized, and the one evaluator of u: curve tracing,
+    minimization and frozen-value checks all use it.  ``value_error``
+    bounds |evaluate(z) - u(z)| everywhere in the disk; it is measured
+    against a reference outside the package, or inf where nothing bounds
+    it.  ``min_value``/``min_point`` locate the minimum (min_value may be
+    -inf for atomic mass), and the minimum point doubles as the star center
+    for sublevel tracing.
 
     Derived exhaustions keep what they were built from: ``inner`` with
     ``scale`` for a * inner, ``inner`` with ``automorphism`` for inner
@@ -206,18 +191,16 @@ class ExhaustionSpec:
     density as ``lens_density``.  Boundary weights are built from these.
     """
 
-    def __init__(self, label, evaluate, measure, *, evaluate_precise=None,
-                 min_value, min_point, is_exhaustion=True,
-                 batch_error=1e-9, radial_value=None, inner=None,
-                 scale=None, automorphism=None, lens_density=None):
+    def __init__(self, label, evaluate, measure, *, min_value, min_point,
+                 value_error, is_exhaustion=True, radial_value=None,
+                 inner=None, scale=None, automorphism=None, lens_density=None):
         self.label = label
         self._evaluate = evaluate
         self.measure = measure
-        self._evaluate_precise = evaluate_precise
         self.min_value = float(min_value)
         self.min_point = complex(min_point)
         self.is_exhaustion = bool(is_exhaustion)
-        self._batch_error = batch_error
+        self.value_error = float(value_error)
         # For rotation-invariant exhaustions about min_point=0 this maps a
         # radius array to u; level radii then come from one scalar solve.
         self.radial_value = radial_value
@@ -230,19 +213,6 @@ class ExhaustionSpec:
 
     def __call__(self, z):
         return self._evaluate(np.asarray(z, dtype=complex))
-
-    def precise(self, z):
-        if self._evaluate_precise is not None:
-            return float(self._evaluate_precise(complex(z)))
-        val = self._evaluate(np.asarray([complex(z)], dtype=complex))
-        return float(np.asarray(val).ravel()[0])
-
-    def batch_error(self, z):
-        """Bound on |self(z) - self.precise(z)| at each point of z."""
-        z = np.asarray(z, dtype=complex)
-        if callable(self._batch_error):
-            return np.asarray(self._batch_error(z), dtype=float)
-        return np.full(z.shape, float(self._batch_error))
 
     def __repr__(self):
         return f"ExhaustionSpec({self.label!r})"
@@ -275,7 +245,7 @@ def radial_log():
     return ExhaustionSpec(
         "log", ev, measure,
         min_value=-math.inf, min_point=0.0,
-        batch_error=0.0,
+        value_error=0.0,
         radial_value=lambda r: np.log(np.maximum(r, 1e-300)),
     )
 
@@ -334,17 +304,25 @@ def radial_smooth(profile, label, *, n_panels=400, gl_order=12):
     return ExhaustionSpec(
         label, ev, measure,
         min_value=float(T_edges[0]), min_point=0.0,
-        batch_error=1e-10,
+        value_error=1e-10,
         radial_value=u_r,
     )
+
+
+# Four times the largest gap, 1.3e-10, between the adaptive Green potential
+# at tol_abs 1e-12, tol_rel 1e-10 and at 1e-14 on 12 seeded points of the
+# Gaussian bump exp(-|w - 0.4|^2/0.02)/(2 pi) (the measure of
+# test_weight_from_moments_matches_poisson_balayage).
+_AREA_VALUE_ERROR = 5.2e-10
 
 
 def green_exhaustion(measure, label=None):
     """Exhaustion u = Green potential of a finite Riesz measure.
 
     Atom-only measures evaluate in closed form; measures with an area part
-    fall back to per-point adaptive quadrature, which is accurate but slow
-    in batch settings.
+    fall back to per-point adaptive quadrature (tol_abs 1e-12, tol_rel
+    1e-10), which is accurate but slow in batch settings.  Its
+    ``value_error`` is _AREA_VALUE_ERROR.
     """
     if not isinstance(measure, RieszMeasure):
         raise InvalidParameter("green_exhaustion expects a RieszMeasure")
@@ -363,22 +341,20 @@ def green_exhaustion(measure, label=None):
                 out = out + mass * green_function(z, loc)
             return np.where(np.abs(z) >= 1.0, 0.0, out)
 
-        precise = None
         center = complex(locs[0])
         radial = None
         if locs.size == 1 and abs(locs[0]) < 1e-15:
             radial = lambda r: masses[0] * np.log(np.maximum(r, 1e-300))
-        acc = 0.0
+        err = 0.0
     else:
         def ev(z):
             z = np.asarray(z, dtype=complex)
-            flat = z.ravel()
-            vals = np.array([green_potential(measure, zz) for zz in flat])
-            return vals.reshape(z.shape)
+            vals = [green_potential(measure, zz, tol_abs=1e-12, tol_rel=1e-10)
+                    for zz in z.ravel()]
+            return np.array(vals).reshape(z.shape)
 
-        precise = lambda z: green_potential(measure, z, tol_abs=1e-12, tol_rel=1e-10)
         radial = None
-        acc = 1e-9
+        err = _AREA_VALUE_ERROR
         if measure.atoms:
             center = measure.atoms[0][0]
         else:
@@ -390,11 +366,10 @@ def green_exhaustion(measure, label=None):
             center = moment / mass.value if mass.value > 0 else 0.0
     return ExhaustionSpec(
         label, ev, measure,
-        evaluate_precise=precise,
         min_value=-math.inf,
         min_point=center,
         is_exhaustion=True,
-        batch_error=acc,
+        value_error=err,
         radial_value=radial,
     )
 
@@ -408,18 +383,14 @@ def scaled_exhaustion(a, inner):
     def ev(z):
         return a * inner._evaluate(np.asarray(z, dtype=complex))
 
-    precise = None
-    if inner._evaluate_precise is not None:
-        precise = lambda z: a * inner._evaluate_precise(z)
     radial = None
     if inner.radial_value is not None:
         radial = lambda r: a * inner.radial_value(r)
     return ExhaustionSpec(
         f"scaled:{a:g}:{inner.label}", ev, inner.measure.scaled(a),
-        evaluate_precise=precise,
         min_value=a * inner.min_value, min_point=inner.min_point,
         is_exhaustion=inner.is_exhaustion,
-        batch_error=lambda z: a * inner.batch_error(z),
+        value_error=a * inner.value_error,
         radial_value=radial,
         inner=inner, scale=a,
     )
@@ -439,9 +410,6 @@ def pullback_exhaustion(automorphism, inner):
     def ev(z):
         return inner._evaluate(mob.forward(np.asarray(z, dtype=complex)))
 
-    precise = None
-    if inner._evaluate_precise is not None:
-        precise = lambda z: inner._evaluate_precise(complex(mob.forward(z)))
     atoms = tuple(
         (complex(mob.inverse(loc)), mass) for loc, mass in inner.measure.atoms
     )
@@ -470,11 +438,10 @@ def pullback_exhaustion(automorphism, inner):
     return ExhaustionSpec(
         f"pullback:{mob.a.real:g}{mob.a.imag:+g}i:{inner.label}",
         ev, measure,
-        evaluate_precise=precise,
         min_value=inner.min_value,
         min_point=complex(mob.inverse(inner.min_point)),
         is_exhaustion=inner.is_exhaustion,
-        batch_error=lambda z: inner.batch_error(mob.forward(z)),
+        value_error=inner.value_error,
         inner=inner, automorphism=mob,
     )
 
@@ -491,7 +458,7 @@ def _power_state(m):
             minval, minpt = 0.0, 0.0
         else:
             res = minimize_scalar(
-                lambda x: density.green_potential_at(x + 0.0j, tol=1e-11),
+                lambda x: float(density.green_potential(np.array([x + 0j]))[0]),
                 bounds=(1e-6, 1.0 - 1e-9), method="bounded",
                 options={"xatol": 1e-11},
             )
@@ -527,7 +494,7 @@ def make_example(kind, m):
             f"phim:{m:g}", ev, _phim_measure(m),
             min_value=-(2.0 ** m), min_point=-1.0,
             is_exhaustion=False,
-            batch_error=0.0,
+            value_error=0.0,
         )
 
     if norm == "vm":
@@ -541,17 +508,15 @@ def make_example(kind, m):
                           total_mass_hint=None, label=f"glued:{m:g}")
         return ExhaustionSpec(
             f"vm:{m:g}", ev, measure,
-            evaluate_precise=lambda z: _vm_point(z, m),
             min_value=-1.0, min_point=0.0,
-            batch_error=1e-10,
+            value_error=1e-10,
         )
 
     density, min_value, min_point = _power_state(m)
     return ExhaustionSpec(
         f"um:{m:g}", density.green_potential, _lens_measure(m),
-        evaluate_precise=density.green_potential_at,
         min_value=min_value, min_point=min_point,
-        batch_error=density.batch_error,
+        value_error=density.value_error,
         lens_density=density,
     )
 
@@ -566,15 +531,14 @@ class LevelSet:
 
     Vertices sit on the curve to within level_tolerance in u-value; the
     radius function interpolates trigonometrically between rays.
-    ``u_values`` holds the value each vertex was accepted on: the batch
-    value, or the precise one for the ``scalar_rays`` rays that went to the
-    scalar polish.  ``achieved_tolerance`` is the largest |u_values - c|
-    plus, on batch vertices, the batch error bound there, so it bounds the
-    distance of the precise value from c.
+    ``u_values`` holds the value of the exhaustion's evaluator at each
+    vertex.  ``achieved_tolerance`` is the largest |u_values - c| plus the
+    evaluator's ``value_error``, so it bounds the distance of the true u
+    from c at every vertex.
     """
 
     def __init__(self, *, c, center, angles, radii, u_values, spec_label,
-                 is_circle=False, achieved_tolerance=0.0, scalar_rays=0):
+                 is_circle=False, achieved_tolerance=0.0):
         self.c = float(c)
         self.center = complex(center)
         self.angles = np.asarray(angles, dtype=float)
@@ -584,7 +548,6 @@ class LevelSet:
         self.is_circle = bool(is_circle)
         self.level_tolerance = 1e-4 * abs(self.c)
         self.achieved_tolerance = float(achieved_tolerance)
-        self.scalar_rays = int(scalar_rays)
         self.vertices = self.center + self.radii * np.exp(1j * self.angles)
         self._interp = None
 
@@ -693,38 +656,35 @@ def _connected_components_of_sublevel(spec, c, n_grid=96):
     return int(count)
 
 
-_BATCH_STEPS = 12  # most batch evaluations a ray gets in _illinois
+_BATCH_STEPS = 12  # evaluations a ray gets in _illinois toward its target
+_EXTRA_STEPS = 24  # further evaluations for a ray that still misses
 
 
-def _illinois(f, lo, f_lo, hi, f_hi, target):
+def _illinois(f, lo, f_lo, hi, f_hi, target, need):
     """Roots on the brackets lo < t < hi, f_lo < 0 < f_hi, all rays at once.
 
     Regula falsi with the Illinois step (Dowell and Jarratt, "A modified
     regula falsi method", BIT 11, 1971): an end kept twice in a row has its
     value halved, so both ends close in and the order is about 1.44.
     ``f(idx, t)`` evaluates the rays idx at t in one batch; a ray stops
-    once |f| <= target, its bracket is down to rounding, or after
-    _BATCH_STEPS evaluations.  Returns the last iterate and its value on
-    each ray, and the slope of its last secant for a Newton step.
+    once |f| <= target, or its bracket is down to rounding.  After
+    _BATCH_STEPS evaluations only the rays with |f| > need go on, for up
+    to _EXTRA_STEPS more.  Returns the last iterate and its value on each
+    ray.
     """
     lo, hi, g_lo, g_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
     nearer_lo = -f_lo < f_hi
     t = np.where(nearer_lo, lo, hi)
     ft = np.where(nearer_lo, f_lo, f_hi)
-    slope = (f_hi - f_lo) / (hi - lo)
     kept = np.zeros(lo.size)  # +1: the last step kept hi, -1: it kept lo
-    for _ in range(_BATCH_STEPS):
-        active = np.flatnonzero((np.abs(ft) > target)
-                                & (hi - lo > 4e-16 * hi))
+    for step in range(_BATCH_STEPS + _EXTRA_STEPS):
+        goal = target if step < _BATCH_STEPS else need
+        active = np.flatnonzero((np.abs(ft) > goal) & (hi - lo > 4e-16 * hi))
         if not active.size:
             break
         a, b, ga, gb = lo[active], hi[active], g_lo[active], g_hi[active]
         x = (a * gb - b * ga) / (gb - ga)
         fx = f(active, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sec = (fx - ft[active]) / (x - t[active])
-        good = np.isfinite(sec) & (sec > 0.0)
-        slope[active[good]] = sec[good]
         t[active], ft[active] = x, fx
         below = fx < 0.0
         up, dn = active[below], active[~below]
@@ -734,25 +694,24 @@ def _illinois(f, lo, f_lo, hi, f_hi, target):
         hi[dn], g_hi[dn] = x[~below], fx[~below]
         g_lo[dn] *= np.where(kept[dn] < 0, 0.5, 1.0)
         kept[dn] = -1.0
-    return t, ft, slope
+    return t, ft
 
 
 def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
     """Trace S_c = {u = c} as a star-shaped polyline about the minimum.
 
     Rotation-invariant exhaustions solve one radius.  Otherwise every ray
-    from the minimum is bracketed and solved on the batch evaluator by
-    regula falsi with the Illinois step (``_illinois``).  A ray keeps its
-    batch root when |u - c| there plus ``spec.batch_error`` is within half
-    of tol_u = 1e-4 |c|; the rest (for u_m, the rays near the lens, where
-    the batch potential is least accurate) go to the scalar polish: a
-    Newton step with ``spec.precise`` from the batch root and slope, then
-    brentq if that still misses.  The count is ``LevelSet.scalar_rays``.
+    from the minimum is bracketed and solved on the exhaustion's evaluator
+    by regula falsi with the Illinois step (``_illinois``), to 1e-6 of
+    tol_u = 1e-4 |c| where its steps allow; a ray whose |u - c| plus
+    ``spec.value_error`` is still above tol_u/2 gets further steps, and one
+    that misses after those fails the trace.
 
     Raises EmptyLevel when c is at or below the minimum of u, and
     UnsupportedRegion when the sublevel set is not a single star-shaped
     Jordan domain (several components, non-exhaustions whose sublevels
-    touch the circle, or a failed trace).
+    touch the circle, or a failed trace), or when the evaluator is not
+    accurate enough to place the level at all.
     """
     c = float(c)
     if not (math.isfinite(c) and c < 0.0):
@@ -768,6 +727,12 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
             "compactly contained in the disk"
         )
     tol_u = 1e-4 * abs(c)
+    need = 0.5 * tol_u - spec.value_error
+    if not need > 0.0:
+        raise UnsupportedRegion(
+            f"{spec.label} is evaluated to {spec.value_error:.3g}, not within "
+            f"half the value tolerance {tol_u:.3g} of the level {c:g}"
+        )
 
     if spec.radial_value is not None and abs(spec.min_point) < 1e-14:
         ur = spec.radial_value
@@ -780,7 +745,7 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
             radii=np.full(samples, rc),
             u_values=np.full(samples, uv),
             spec_label=spec.label, is_circle=True,
-            achieved_tolerance=abs(uv - c),
+            achieved_tolerance=abs(uv - c) + spec.value_error,
         )
 
     z0 = spec.min_point
@@ -797,55 +762,19 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
         lo = 1e-12 * full
         u_lo = spec(z0 + lo * ray) - c
     u_hi = spec(z0 + hi * ray) - c
-    # The batch evaluator can lose several digits right at the rim cap where
-    # the measure's support touches the circle; a handful of flagged rays get
-    # a scalar recheck before the bracket is declared broken.
-    bad = np.where(u_hi <= 0.0)[0]
-    if 0 < bad.size <= max(4, samples // 128):
-        for j in bad:
-            u_hi[j] = spec.precise(z0 + hi[j] * ray[j]) - c
     if np.any(u_lo >= 0.0) or np.any(u_hi <= 0.0):
         raise UnsupportedRegion(
             f"could not bracket the level {c:g} along every ray from the "
             f"minimum of {spec.label}"
         )
 
-    # Batch root finding on every ray, to 1e-6 tol_u where the steps allow:
-    # exact evaluators then place vertices as closely as 30 bisections did,
-    # and a ray left for the scalar polish starts where the precise value
-    # differs from c by little more than the batch error actually made.
-    t, ut, slope = _illinois(lambda idx, tt: spec(z0 + tt * ray[idx]) - c,
-                             lo, u_lo, hi, u_hi, 1e-6 * tol_u)
-    # A vertex is kept from the batch when its value plus the batch error
-    # bound there is within half of tol_u; achieved_tolerance keeps the sum.
-    dev = np.abs(ut) + spec.batch_error(z0 + t * ray)
-    radii = t
+    # Root finding on every ray, to 1e-6 tol_u where the steps allow:
+    # vertices then sit as closely as 30 bisections would place them.
+    radii, ut = _illinois(lambda idx, tt: spec(z0 + tt * ray[idx]) - c,
+                          lo, u_lo, hi, u_hi, 1e-6 * tol_u, need)
     uvals = ut + c
-    scalar = np.flatnonzero(~(dev <= 0.5 * tol_u))
-    for j in scalar:
-        # the scalar polish: a Newton step with the precise evaluator from
-        # the batch root, then brentq if that still misses
-        tj = t[j]
-        uj = spec.precise(z0 + tj * ray[j]) - c
-        if abs(uj) > 0.25 * tol_u and slope[j] > 0:
-            tj = tj - uj / slope[j]
-            tj = min(max(tj, 1e-15), full[j])
-            uj = spec.precise(z0 + tj * ray[j]) - c
-        if abs(uj) > 0.5 * tol_u:
-            f = lambda tt: spec.precise(z0 + tt * ray[j]) - c
-            a_br = max(tj - 64.0 * abs(uj) / max(slope[j], 1e-12), 1e-15)
-            b_br = min(tj + 64.0 * abs(uj) / max(slope[j], 1e-12), full[j])
-            fa, fb = f(a_br), f(b_br)
-            if fa < 0.0 < fb:
-                tj = brentq(f, a_br, b_br, xtol=1e-15, rtol=8.9e-16)
-            else:
-                tj = brentq(f, 1e-15, full[j], xtol=1e-15, rtol=8.9e-16)
-            uj = f(tj)
-        radii[j] = tj
-        uvals[j] = uj + c
-        dev[j] = abs(uj)
-    worst = float(dev.max())
-    if worst > 10.0 * tol_u:
+    worst = float(np.abs(ut).max()) + spec.value_error
+    if worst > 0.5 * tol_u:
         raise UnsupportedRegion(
             f"trace of the level {c:g} did not meet the value tolerance"
         )
@@ -871,7 +800,6 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
     return LevelSet(
         c=c, center=z0, angles=ang, radii=radii, u_values=uvals,
         spec_label=spec.label, achieved_tolerance=worst,
-        scalar_rays=scalar.size,
     )
 
 
@@ -1021,12 +949,6 @@ class DemaillyMeasure:
     def mass_balance_residual(self):
         return abs(self.mass_from_curve() - self.total_mass)
 
-    def pair_polyline(self, values):
-        """Integral of a boundary sampling against mu_c (polyline route)."""
-        values = np.asarray(values, dtype=float)
-        dens_plain = self.w_values / (2.0 * math.pi * self.f_prime_abs)
-        return float(np.sum(values * dens_plain * self._segment_weights()))
-
     def pair_spectral(self, fn):
         """Integral of fn against mu_c through the chart trapezoid rule."""
         vals = np.real(fn(self.boundary_points))
@@ -1045,7 +967,6 @@ class DemaillyMeasure:
             "n_harmonics": int(self.n_harmonics),
             "level_tolerance": self.level.level_tolerance,
             "achieved_tolerance": self.level.achieved_tolerance,
-            "scalar_rays": self.level.scalar_rays,
             "paper_refs": [
                 "demailly-monge-ampere-boundary-measure",
                 "jensen-lelong-two-sided-identity",
@@ -1174,16 +1095,15 @@ def djl_both_sides(spec, v, lap_v, c, *, samples=512, v_singularities=(),
                    tol_abs=1e-9, tol_rel=1e-7):
     """Evaluate both sides of the two-sided level identity at one level.
 
-    Left side: integral of v against mu_c, discretized on the traced curve
-    with polyline arclength weights.  Right side: the area bookkeeping
-    int_{B_c} (v dLambda u - u Lambda v dA) + c int_{B_c} Lambda v dA.
+    Left side: integral of v against mu_c, the trapezoid rule on the chart
+    grid (``DemaillyMeasure.pair_spectral``).  Right side: the area
+    bookkeeping int_{B_c} (v dLambda u - u Lambda v dA) + c int_{B_c} Lambda v dA.
     ``lap_v`` is the (1/2 pi)-normalized Laplacian of v.  Returns a dict
     with both sides, the pieces, and the residual.
     """
     dm = spec.demailly(c, samples=samples)
     level = dm.level
-    v_on_curve = np.real(v(dm.boundary_points))
-    lhs = dm.pair_polyline(v_on_curve)
+    lhs = dm.pair_spectral(v)
 
     v_mass = pair_over_sublevel(spec.measure, v, level,
                                 tol_abs=tol_abs, tol_rel=tol_rel)

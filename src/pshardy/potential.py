@@ -380,16 +380,28 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # |z - 1/2| < 1/2 and on the whole disk: at abscissa x its support is the
 # chord |y| < Y(x), and the y-integrals of the Green and the Poisson kernel
 # over a chord are elementary.  Its potential and its balayage therefore
-# reduce to one integral in x.  On the lens the batch evaluators discretize
-# that integral once per m: a sqrt substitution absorbs the chord root at
-# x = 0, and Gauss panels in lambda = -log(1 - x) resolve the blowup of
-# (1 - x)^(m-2) at x = 1.
+# reduce to one integral in x, which both evaluators discretize once per m:
+# a sqrt substitution absorbs the chord root at x = 0, and Gauss panels in
+# lambda = -log(1 - x) resolve the blowup of (1 - x)^(m-2) at x = 1.  Each
+# point or angle then swaps the fixed panels around the places where its
+# integrand has a kink or a sharp bend for panels graded toward them
+# (``_graded_panels``), so one evaluator serves every point.
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
-_GL_ORDER = 14
+_GL_ORDER = 14  # Gauss points per panel of the balayage grid
 _N_LEFT = 40  # sqrt-substituted panels on 0 < x < 1/2
 _FAR = 3e4  # chords beyond _FAR * Y from e^{it} take the midpoint kernel
+_POTENTIAL_ORDER = 8  # Gauss points per fixed panel of the potential grid
+_HALF_DEPTH = 8  # its panels grade toward x = 1/2 down to 2^-8 of a panel
+_KINK_DEPTH = 12  # graded panels of a potential row reach 2^-12 of the way
+_KINK_ORDER = 6  # Gauss points per graded panel of a potential row
+_KINK_REACH = 0.1  # potential rows this close to the lens are split
+# Bound on |green_potential - u_m| for m >= 1/2: four times the largest gap,
+# 2.2e-12, to a refined grid (fixed panels cut in four, 14 Gauss points on
+# every panel, grading to 2^-24) on 1,791 seeded points within 1e-8..1e-1
+# of the lens, by the tips and across the disk.
+_VALUE_ERROR = 1e-11
 
 
 def _geometric_lam_edges():
@@ -403,15 +415,22 @@ def _geometric_lam_edges():
 
 # Panel edges of each kernel: in sigma = sqrt(x) on 0 < x < 1/2, then in
 # lambda = -log(1 - x) on 1/2 < x < 1.  The potential kernel is smooth in x
-# up to the tip, so its panels widen geometrically to lambda = 40.  The
-# Poisson kernel at e^{it} peaks where 1 - x ~ t^2, at any depth as t -> 0,
-# so the balayage keeps uniform 0.5-wide panels to lambda = 80 (split near
-# t = 0 where the chords cross e^{it}, see _crossing_grid).  The two
-# roundings of the edge 1/sqrt(2) lie one ulp apart, and the cancellation in
-# the first sigma panel turns that ulp into dozens in the weights; each
-# layout keeps its own, so both grids stay bit for bit what they were.
+# up to the tip, so its panels widen geometrically to lambda = 40; they
+# grade toward x = 1/2 from both sides, so that a kink just across the
+# seam (split in the other layout) stays resolved.  The Poisson kernel at
+# e^{it} peaks where 1 - x ~ t^2, at any depth as t -> 0, so the balayage
+# keeps uniform 0.5-wide panels to lambda = 80 (split near t = 0 where the
+# chords cross e^{it}, see _crossing_grid).  The balayage's edge
+# sqrt(0.5) is one ulp from 1/sqrt(2), and the cancellation in the first
+# sigma panel turns that ulp into dozens in the weights; it is kept so V
+# stays bit for bit what it was.
+_HALF_GRADING = 2.0 ** -np.arange(_HALF_DEPTH, 0, -1)
 _POTENTIAL_PANELS = (
-    np.linspace(0.0, 1.0 / math.sqrt(2.0), _N_LEFT + 1), _geometric_lam_edges()
+    np.concatenate([np.linspace(0.0, 1.0 / math.sqrt(2.0), _N_LEFT + 1)[:-1],
+                    (1.0 - _HALF_GRADING[::-1] / _N_LEFT) / math.sqrt(2.0),
+                    [1.0 / math.sqrt(2.0)]]),
+    np.concatenate([[math.log(2.0)], math.log(2.0) + 0.18 * _HALF_GRADING,
+                    _geometric_lam_edges()[1:]]),
 )
 _BALAYAGE_PANELS = (
     np.linspace(0.0, math.sqrt(0.5), _N_LEFT + 1),
@@ -422,112 +441,125 @@ _CROSSING_DEPTH = 30  # finest graded panel at 2^-30 of the way to lambda*
 _CROSSING_TAIL = 40.0  # a split past the grid's last edge reaches lambda* + this
 
 
-def _antiderivative_log_quadratic(s, A):
-    """Antiderivative of log(A^2 + s^2): s log(A^2+s^2) - 2s + 2A atan(s/A).
+def _chord_log(A, B, C, D, Y):
+    """Integral of log|a + b y| over |y| < Y, with no O(1) - O(1) cancellation.
 
-    Even in A, odd in s, and finite at s = A = 0 where the integrand's
-    singularity is removable for the integrals we build from differences.
+    Here a = A + iB and c = bY = C + iD.  With q = c/a and
+    L = log((1 + q)/(1 - q)) = log((a + c)/(a - c)) it is
+    Y Re(L/q - 2) + Y log|a^2 - c^2|, every term O(Y).  Re L is
+    log1p(4 Re(a conj c)/|a - c|^2)/2 where that argument is small (there
+    log|a + c| - log|a - c| would cancel), and Im L is the angle of
+    (a + c) conj(a - c), whose imaginary part -2 Im(a conj c) is formed
+    directly; so neither loses digits for short chords or near their ends.
+    a = 0 gives 2Y (log|c| - 1) through L = i pi; c must not vanish.
     """
-    s = np.asarray(s, dtype=float)
-    A = np.asarray(A, dtype=float)
-    tot = A * A + s * s
-    zero = tot == 0.0
+    ac_re = A * C + B * D  # a conj(c)
+    ac_im = B * C - A * D
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = s * np.log(np.where(zero, 1.0, tot)) - 2.0 * s
-        nz = np.abs(A) > 0.0
-        out = out + np.where(
-            nz, 2.0 * A * np.arctan(s / np.where(nz, A, 1.0)), 0.0
-        )
-    return out
+        lp = np.log((A + C) ** 2 + (B + D) ** 2)
+        N2 = (A - C) ** 2 + (B - D) ** 2
+        ln = np.log(N2)
+        s = 4.0 * ac_re / N2
+        small = np.abs(s) < 0.5
+        two_re_L = np.log1p(s, where=small, out=np.empty_like(s))
+        np.subtract(lp, ln, where=~small, out=two_re_L)
+        im_L = np.arctan2(-2.0 * ac_im, (A + C) * (A - C) + (B + D) * (B - D))
+        return Y * ((0.5 * two_re_L * ac_re - im_L * ac_im) / (C * C + D * D)
+                    + 0.5 * (lp + ln) - 2.0)
 
 
-def _chord_log_integral(xi, eta, x, Y):
-    """Integral of log|z - (x+iy)| over y in (-Y, Y) for z = xi + i eta."""
-    A = xi - x
-    return 0.5 * (
-        _antiderivative_log_quadratic(Y - eta, A)
-        - _antiderivative_log_quadratic(-Y - eta, A)
-    )
+def _chord_green(z, x, omx, Y):
+    """Integral of g(z, x + iy) over |y| < Y, the Green kernel on one chord.
 
-
-def _tip_power(x, m):
-    """(1 - x)^(m - 2), set to 0 at x = 1 where every chord bracket vanishes.
-
-    Quadrature nodes graded toward x = 1 round onto it; the power would
-    overflow there and the product with the zero bracket would be nan.
+    g = log|z - w| - log|1 - conj(z) w| splits into two chord terms,
+    a = z - x, b = -i and a = 1 - conj(z) x, b = -i conj(z); the second
+    vanishes at z = 0, and both at the zero-width chords Y = 0 that empty
+    graded panels put at x = 0.  Near x = 1 the real parts Re z - x and
+    1 - Re(z) x are taken from 1 - x, which the lambda nodes carry to full
+    relative accuracy.
     """
-    omx = 1.0 - np.asarray(x, dtype=float)
-    return np.where(omx > 0.0, np.where(omx > 0.0, omx, 1.0) ** (m - 2.0), 0.0)
-
-
-def _chord_green_point(z, m, chord, x_lo, x_hi, tol):
-    """Green potential at one point of the density m(1-m)(1-x)^(m-2) dA.
-
-    The density is supported on the region between the graphs y = +-chord(x)
-    for x in (x_lo, x_hi); the chord integral is exact, leaving one adaptive
-    integral in x with integrable endpoint singularities.
-    """
-    z = complex(z)
     xi, eta = z.real, z.imag
-    r = abs(z)
-    pref = m * (1.0 - m) / (2.0 * math.pi)
-    if pref == 0.0 or r >= 1.0 - 1e-15:
-        return 0.0
-    if r < 1e-12:
-        def f(x):
-            Y = chord(x)
-            return _tip_power(x, m) * _antiderivative_log_quadratic(Y, x)
-
-        res = integrate_interval(
-            f, x_lo, x_hi, singular_left=True, singular_right=True,
-            tol_abs=tol, tol_rel=tol,
-        )
-        return pref * res.value
-    xi2 = xi / r**2
-    eta2 = eta / r**2
-    logr = math.log(r)
-
-    def f(x):
-        Y = chord(x)
-        return _tip_power(x, m) * (
-            _chord_log_integral(xi, eta, x, Y)
-            - 2.0 * Y * logr
-            - _chord_log_integral(xi2, eta2, x, Y)
-        )
-
-    interior = [xi] if x_lo + 1e-9 < xi < x_hi - 1e-9 else []
-    res = integrate_interval(
-        f, x_lo, x_hi, singular_left=True, singular_right=True,
-        interior_singularities=interior, tol_abs=tol, tol_rel=tol,
-    )
-    return pref * res.value
+    omxi = 1.0 - xi
+    dx = np.where(x < 0.5, xi - x, omx - omxi)
+    direct = _chord_log(dx, eta, 0.0, -Y, Y)
+    reflected = _chord_log(omxi + xi * omx, eta * x, -eta * Y, -xi * Y, Y)
+    reflected[np.broadcast_to(z == 0.0, reflected.shape)] = 0.0
+    return np.where(Y > 0.0, direct - reflected, 0.0)
 
 
-def _lens_grid(m, panels):
+def _sigma_nodes(sig, w, m):
+    """x, 1 - x and the weights (1 - x)^(m-2) dx of nodes sigma = sqrt(x)."""
+    x = sig * sig
+    return x, 1.0 - x, w * 2.0 * sig * (1.0 - x) ** (m - 2.0)
+
+
+def _lambda_nodes(lam, w, m):
+    """x, 1 - x and the weights (1 - x)^(m-2) dx of nodes -log(1 - x) = lam."""
+    omx = np.exp(-lam)
+    return 1.0 - omx, omx, w * omx * omx ** (m - 2.0)
+
+
+def _gauss(lo, hi, order):
+    """Nodes and weights of Gauss panels [lo, hi], flat along the last axis."""
+    glx, glw = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (lo + hi)[..., None], 0.5 * (hi - lo)[..., None]
+    shape = lo.shape[:-1] + (lo.shape[-1] * order,)
+    return (mid + half * glx).reshape(shape), (glw * half).reshape(shape)
+
+
+def _lens_grid(m, panels, order):
     """Nodes x and 1 - x, chord half-widths Y and weights on the lens.
 
     The weights already carry the x-measure (1 - x)^(m-2) dx, so a batch
     evaluation is one dot product per point.
     """
-    sigma_edges, lam_edges = panels
-    glx, glw = np.polynomial.legendre.leggauss(_GL_ORDER)
-    xs, omxs, ws = [], [], []
-    for a, b in zip(sigma_edges[:-1], sigma_edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        sig = mid + half * glx
-        x = sig * sig
-        xs.append(x)
-        omxs.append(1.0 - x)
-        ws.append(glw * half * 2.0 * sig * (1.0 - x) ** (m - 2.0))
-    for a, b in zip(lam_edges[:-1], lam_edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        omx = np.exp(-(mid + half * glx))
-        xs.append(1.0 - omx)
-        omxs.append(omx)
-        ws.append(glw * half * omx * omx ** (m - 2.0))
-    x = np.concatenate(xs)
-    omx = np.concatenate(omxs)
-    return x, omx, np.sqrt(x * omx), np.concatenate(ws)
+    sigma_edges, lam_edges = (np.asarray(e) for e in panels)
+    left = _sigma_nodes(*_gauss(sigma_edges[:-1], sigma_edges[1:], order), m)
+    right = _lambda_nodes(*_gauss(lam_edges[:-1], lam_edges[1:], order), m)
+    x, omx, w = (np.concatenate(p) for p in zip(left, right))
+    return x, omx, np.sqrt(x * omx), w
+
+
+def _graded_panels(edges, offset, star, tail, depth, order, grid_order):
+    """Gauss panels graded toward points of each row, and the columns they free.
+
+    ``star`` holds one point per row, or two.  For each point a row drops
+    the two fixed panels of ``edges`` (``grid_order`` nodes each, the first
+    at column ``offset``) that meet nearest it, so the point stays half a
+    panel from every fixed node (dropping only the panel holding it left
+    errors up to 6e-5 in V when the point sat by its edge).  In their place
+    go ``order``-point Gauss panels graded toward the point from both
+    sides, with edges s -+ d 2^-j, j = 0..depth (d the distance to the
+    window's edge) and s: the same count on every row, so the nodes and
+    weights form one array per row.  Two points whose windows overlap share
+    them, split at their midpoint.  A window that ends at the grid's last
+    edge runs on to its point + ``tail``.
+    """
+    edges = np.asarray(edges)
+    star = np.sort(star[:, None] if star.ndim == 1 else star, axis=1)
+    panel = np.minimum(np.searchsorted(edges, star, side="right") - 1,
+                       edges.size - 2)
+    # the two panels that meet at the edge nearest each point
+    first = panel - (2.0 * star < edges[panel] + edges[panel + 1])
+    first = np.clip(first, 0, edges.size - 3)
+    lo = edges[first]
+    hi = edges[first + 2]
+    hi = np.where(first == edges.size - 3, np.maximum(hi, star + tail), hi)
+    if star.shape[1] == 2:
+        shared = first[:, 1] - first[:, 0] <= 1
+        mid = 0.5 * (star[:, 0] + star[:, 1])
+        hi[:, 0] = np.where(shared, mid, hi[:, 0])
+        lo[:, 1] = np.where(shared, mid, lo[:, 1])
+    rows, k = star.shape
+    dropped = (offset + grid_order * first[:, :, None]
+               + np.arange(2 * grid_order)).reshape(rows, 2 * grid_order * k)
+    frac = np.append(2.0 ** -np.arange(depth + 1.0), 0.0)
+    left = star[:, :, None] - (star - lo)[:, :, None] * frac
+    right = star[:, :, None] + (hi - star)[:, :, None] * frac
+    shape = (rows, 2 * (depth + 1) * k)
+    a = np.concatenate([left[:, :, :-1], right[:, :, 1:]], 2).reshape(shape)
+    b = np.concatenate([left[:, :, 1:], right[:, :, :-1]], 2).reshape(shape)
+    return (dropped, *_gauss(a, b, order))
 
 
 def _in_chunks(block, points):
@@ -539,80 +571,37 @@ def _in_chunks(block, points):
     return out.reshape(points.shape)
 
 
-# Upper edges of the bands of distance to the closed lens, and per measured
-# m: (m, bound inside the lens, tip constant K with the bound inside + K/|1-z|,
-# one bound per band outside).  Each is four times the largest gap between
-# the batch and the adaptive potential on 2,041 seeded points per m: inside
-# the lens, 1e-7 to 0.3 outside it, and by the tip z = 1.
-_BATCH_BANDS = np.array([1e-4, 1e-3, 3e-3, 1e-2, 2e-2])
-_BATCH_ERROR = (
-    (0.75, 2e-5, 3e-11, (2.2e-5, 1.4e-5, 3.2e-6, 6e-7, 2e-10, 4e-12)),
-    (0.5, 6e-5, 7e-9, (1.6e-4, 6e-5, 9e-6, 1.2e-6, 2.5e-7, 8e-8)),
-)
-
-
 class LensPowerDensity:
     """The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on |z - 1/2| < 1/2.
 
-    This is the Riesz mass of the worked example u_m.  ``green_potential``
-    evaluates its Green potential at points of the disk on a fixed grid.
-    Its error is set by the distance d to the closed lens, where the chord
-    integral has a kink at x = Re z: against ``green_potential_at``, the
-    largest gaps on 2,041 seeded points for m = 3/4 were 4.2e-6 inside the
-    lens (growing like 7e-12/|1 - z| at the tip), 5.5e-6 for d <= 1e-4,
-    3.4e-6 up to 1e-3, 7.7e-7 up to 3e-3, 1.5e-7 up to 1e-2, 4.5e-11 up to
-    2e-2 and 8e-13 beyond; for m = 1/2 they were 1.3e-5 (growing like
-    1.6e-9/|1 - z|), 4e-5, 1.5e-5, 2.2e-6, 2.8e-7, 5.5e-8 and 1.8e-8, the
-    last near z = 0, where the grid refined 16 times agrees with the batch
-    value and ``green_potential_at`` is the one that is off.
-    ``batch_error`` turns those bands into a bound.  ``balayage`` evaluates
-    its Poisson balayage V(e^{it}) on a fixed grid that each angle near
-    t = 0 splits at the point where the chords cross e^{it} (see
-    ``_balayage_block``); V is within 4e-13 relative of a 30-digit
-    reference for 1e-9 <= |t| <= 0.5 and within 1e-11 at larger angles
-    (m = 3/4), and it is smooth in t.
-    ``green_potential_at`` integrates adaptively at one point, for curve
-    tracing and frozen values.
+    This is the Riesz mass of the worked example u_m, and
+    ``green_potential`` is the one evaluator of u_m: a fixed grid that each
+    point within _KINK_REACH of the lens splits at x = Re z and where the
+    lens boundary passes its height (see ``_green_block``), with each chord
+    term in a form free of float cancellation (``_chord_log``).  Against a
+    40-digit mpmath reference it is within 1.3e-14 (m = 3/4) and 1.9e-13
+    (m = 1/2) at 73 points inside the lens, 1e-6 to 1e-1 outside it, by the
+    tip z = 1, by the circle and within 1e-7 of z = 0, and within 1e-15 at
+    six points each for m = 0.6 and 0.9.  ``value_error`` bounds it for
+    m >= 1/2 (see _VALUE_ERROR).  Below m = 1/2 it is inf: the grid ends at
+    lambda = 40, and at z = 0.99999 + 3e-6i it was 3e-12 off for m = 0.4
+    and 1.1e-9 for m = 1/4 (60-digit reference), a gap that grows toward
+    the tip.
+
+    ``balayage`` evaluates its Poisson balayage V(e^{it}) on a fixed grid
+    that each angle near t = 0 splits at the point where the chords cross
+    e^{it} (see ``_balayage_block``); V is within 4e-13 relative of a
+    30-digit reference for 1e-9 <= |t| <= 0.5 and within 1e-11 at larger
+    angles (m = 3/4), and it is smooth in t.
     """
 
     def __init__(self, m):
         self.m = float(m)
         self.pref = self.m * (1.0 - self.m) / (2.0 * math.pi)
-        x, omx, Y, w = _lens_grid(self.m, _POTENTIAL_PANELS)
-        # Nodes with a very short chord switch to 2*Y*g(z, x) with the stable
-        # log1p form of the Green kernel; the antiderivative difference would
-        # cancel catastrophically there.
-        thin = Y < 1e-4
-        self._wide = x[~thin], Y[~thin], w[~thin]
-        self._origin_form = _antiderivative_log_quadratic(Y[~thin], x[~thin])
-        self._thin = x[thin], omx[thin] * (1.0 + x[thin]), Y[thin], w[thin]
-        self._poisson = _lens_grid(self.m, _BALAYAGE_PANELS)[1:]
-
-    def green_potential_at(self, z, tol=1e-12):
-        return _chord_green_point(
-            z, self.m, lambda x: np.sqrt(np.maximum(x * (1.0 - x), 0.0)),
-            0.0, 1.0, tol,
-        )
-
-    def batch_error(self, z):
-        """Bound on |green_potential(z) - green_potential_at(z)|, pointwise.
-
-        Four times the largest gap measured in each band of distance to the
-        closed lens (see the class docstring), from the table of the nearest
-        measured m at or below self.m; the gaps shrink as m grows.  Below
-        m = 1/2 the bound is inf: at m = 1/4 the grid was 1e-4 off even
-        far from the lens.
-        """
-        z = np.asarray(z, dtype=complex)
-        row = next((r for r in _BATCH_ERROR if self.m >= r[0]), None)
-        if row is None:
-            return np.full(z.shape, np.inf)
-        _, inside, tip, bands = row
-        d = np.abs(z - 0.5) - 0.5
-        with np.errstate(divide="ignore"):
-            at_tip = inside + tip / np.abs(1.0 - z)
-        outside = np.asarray(bands)[np.searchsorted(_BATCH_BANDS, d)]
-        return np.where(d <= 0.0, at_tip, outside)
+        self.value_error = _VALUE_ERROR if self.m >= 0.5 else math.inf
+        self._potential = _lens_grid(self.m, _POTENTIAL_PANELS,
+                                     _POTENTIAL_ORDER)
+        self._poisson = _lens_grid(self.m, _BALAYAGE_PANELS, _GL_ORDER)[1:]
 
     def green_potential(self, z):
         z = np.asarray(z, dtype=complex)
@@ -624,26 +613,34 @@ class LensPowerDensity:
         return _in_chunks(self._balayage_block, np.asarray(t, dtype=float))
 
     def _green_block(self, zz):
-        xw, Yw, ww = self._wide
-        xt, one_minus_w2, Yt, wt = self._thin
-        xi = zz.real[:, None]
-        eta = zz.imag[:, None]
-        r2 = (zz.real**2 + zz.imag**2)[:, None]
-        r = np.sqrt(r2)
-        inside = (r < 1.0 - 1e-15).ravel()
-        tiny = r < 1e-9
-        rsafe = np.where(tiny, 0.5, np.where(inside[:, None], r, 0.5))
-        logr = np.log(rsafe)
-        r2safe = np.where(tiny, 1.0, r2)
-        f1 = _chord_log_integral(xi, eta, xw, Yw)
-        f2 = _chord_log_integral(xi / r2safe, eta / r2safe, xw, Yw)
-        inner = np.where(tiny, self._origin_form, f1 - 2.0 * Yw * logr - f2)
-        acc = inner @ ww
-        if xt.size:
-            denom = np.abs(1.0 - zz[:, None] * xt) ** 2
-            g = 0.5 * np.log1p(-((1.0 - r2) * one_minus_w2) / denom)
-            acc = acc + (2.0 * Yt * g) @ wt
-        return np.where(inside, self.pref * acc, 0.0)
+        """u_m on one block of points.
+
+        The chord integral of g(z, .) has a kink at x = Re z (inside the
+        lens) or a bend as wide as the distance to the lens (outside it);
+        unsplit, points within 1e-3 of the lens were up to 1e-4 off
+        (m = 1/2).  Where the chord end
+        passes the height of z, at x_c with Y(x_c) = |Im z|, it bends as
+        sharply for z near the lens boundary (2e-6 off at
+        z = 0.99994 + 0.0043i, m = 1/2, without a split there).  Rows within
+        _KINK_REACH of the lens swap the fixed panels nearest both points,
+        in sigma below x = 1/2 and in lambda above, for panels graded
+        toward them (``_graded_panels``); rows left of the lens grade toward
+        the tip 0.  Farther rows were within 3e-16 of the refined grid
+        unsplit.
+        """
+        x, omx, Y, w = self._potential
+        inside = np.abs(zz) < 1.0 - 1e-15
+        zz = np.where(inside, zz, 0.0)
+        I = _chord_green(zz[:, None], x, omx, Y)
+        split = _kink_grid(zz, self.m)
+        for rows, dropped, _ in split:
+            I[rows[:, None], dropped] = 0.0
+        out = I @ w
+        for rows, _, (x_g, omx_g, w_g) in split:
+            Y_g = np.sqrt(x_g * omx_g)
+            I_g = _chord_green(zz[rows, None], x_g, omx_g, Y_g)
+            out[rows] += np.einsum("ij,ij->i", I_g, w_g)
+        return np.where(inside, self.pref * out, 0.0)
 
     def _balayage_block(self, t):
         """V on one block of angles.
@@ -673,45 +670,50 @@ class LensPowerDensity:
         return self.pref * out
 
 
+def _kink_grid(z, m):
+    """Potential rows split at their kink and crossing, in each layout.
+
+    Returns (rows, the grid columns they drop, their graded nodes) for the
+    rows split in sigma and for those split in lambda.  The crossing of a
+    real z is the tip x = 1 itself; its graded panels then sit at the end
+    of the grid.
+    """
+    sigma_edges, lam_edges = _POTENTIAL_PANELS
+    xi = z.real
+    near = np.abs(z - 0.5) < 0.5 + _KINK_REACH
+    left = np.flatnonzero(near & (xi < 0.5))
+    right = np.flatnonzero(near & (xi >= 0.5))
+    # x_c and 1 - x_c: where the lens boundary passes the height of z
+    s2 = np.minimum(z.imag ** 2, 0.25)
+    x_c = 2.0 * s2 / (1.0 + np.sqrt(1.0 - 4.0 * s2))
+    with np.errstate(divide="ignore"):
+        lam_c = np.minimum(-np.log(x_c[right]), lam_edges[-1])
+    sig = np.stack([np.sqrt(np.maximum(xi[left], 0.0)), np.sqrt(x_c[left])], 1)
+    lam = np.stack([-np.log1p(-xi[right]), lam_c], 1)
+    drop_l, sig, w_l = _graded_panels(sigma_edges, 0, sig, 0.0, _KINK_DEPTH,
+                                      _KINK_ORDER, _POTENTIAL_ORDER)
+    drop_r, lam, w_r = _graded_panels(
+        lam_edges, (sigma_edges.size - 1) * _POTENTIAL_ORDER, lam,
+        _CROSSING_TAIL, _KINK_DEPTH, _KINK_ORDER, _POTENTIAL_ORDER)
+    return [(left, drop_l, _sigma_nodes(sig, w_l, m)),
+            (right, drop_r, _lambda_nodes(lam, w_r, m))]
+
+
 def _crossing_grid(b, ct1, m):
     """Rows split at lambda*, the grid columns they drop, their graded nodes.
 
-    A row drops the two fixed lambda panels that meet nearest lambda*, so
-    lambda* stays half a panel from every fixed node (dropping only the
-    panel holding it left errors up to 6e-5 when lambda* sat by its edge).
-    In their place go Gauss panels with edges lambda* -+ d 2^-j,
-    j = 0.._CROSSING_DEPTH (d the distance to the outer edge) and lambda*:
-    the same count on every row, so the nodes 1 - x and weights
-    (1 - x)^(m-2) dx form one array per row.  Where the dropped pair is the
-    grid's last, the graded panels run on to lambda* + _CROSSING_TAIL, so
-    lambda* may lie beyond the grid (|t| below about 1e-17) and V holds
-    down to the deepest dyadic shells of the quadrature engine.
+    Where lambda* lies beyond the grid's last edge (|t| below about 1e-17)
+    the graded panels run on to lambda* + _CROSSING_TAIL, so V holds down
+    to the deepest dyadic shells of the quadrature engine.
     """
-    edges = _BALAYAGE_PANELS[1]
     s2 = b * b
     rows = np.flatnonzero((ct1 > -1.0) & (s2 > 0.0) & (s2 < 0.25))
     s2 = s2[rows]
     star = -np.log(2.0 * s2 / (1.0 + np.sqrt(1.0 - 4.0 * s2)))
-    panel = np.minimum(np.searchsorted(edges, star, side="right") - 1,
-                       edges.size - 2)
-    # the two panels that meet at the edge nearest lambda*
-    first = panel - (2.0 * star < edges[panel] + edges[panel + 1])
-    first = np.clip(first, 0, edges.size - 3)
-    dropped = (_N_LEFT * _GL_ORDER + _GL_ORDER * first[:, None]
-               + np.arange(2 * _GL_ORDER))
-    outer = edges[first + 2]
-    outer = np.where(first == edges.size - 3,
-                     np.maximum(outer, star + _CROSSING_TAIL), outer)
-    frac = np.append(2.0 ** -np.arange(_CROSSING_DEPTH + 1.0), 0.0)
-    left = star[:, None] - (star - edges[first])[:, None] * frac
-    right = star[:, None] + (outer - star)[:, None] * frac
-    lo = np.concatenate([left[:, :-1], right[:, 1:]], axis=1)
-    hi = np.concatenate([left[:, 1:], right[:, :-1]], axis=1)
-    glx, glw = np.polynomial.legendre.leggauss(_GL_ORDER)
-    mid, half = 0.5 * (lo + hi)[..., None], 0.5 * (hi - lo)[..., None]
-    shape = (rows.size, lo.shape[1] * _GL_ORDER)
-    omx_g = np.exp(-(mid + half * glx)).reshape(shape)
-    w_g = (glw * half).reshape(shape) * omx_g * omx_g ** (m - 2.0)
+    dropped, lam, w = _graded_panels(_BALAYAGE_PANELS[1], _N_LEFT * _GL_ORDER,
+                                     star, _CROSSING_TAIL, _CROSSING_DEPTH,
+                                     _GL_ORDER, _GL_ORDER)
+    _, omx_g, w_g = _lambda_nodes(lam, w, m)
     return rows, dropped, omx_g, w_g
 
 

@@ -388,15 +388,17 @@ def test_harmonic_extension_via_map():
     assert np.max(np.abs(h2(pts) - np.imag(pts))) < 1e-9
 
 
-def test_chord_green_point_has_no_overflow_at_the_tip():
-    # quadrature nodes graded toward x = 1 round onto it, where
-    # (1 - x)^(m - 2) overflowed and met a vanishing chord bracket
+def test_lens_potential_has_no_overflow_at_the_tip():
+    # (1 - x)^(m - 2) is huge at the nodes by x = 1, and the chord terms
+    # meet a vanishing chord there; points by the tip, on the axes and at
+    # the origin take no warning and stay finite
     lens = P.LensPowerDensity(0.5)
     rng = np.random.default_rng(0)
     z = 1.0 - 10.0 ** rng.uniform(-6, -1, 40) * np.exp(
         1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 40))
-    z = z[np.abs(z) < 1.0]
+    z = np.concatenate([z[np.abs(z) < 1.0], [0.0, 0.3j, -0.3, 0.5, 1.0 - 1e-12]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = [lens.green_potential_at(zz) for zz in z]
+        vals = lens.green_potential(z)
     assert np.all(np.isfinite(vals))
+    assert np.all(vals < 0.0)
