@@ -11,6 +11,7 @@ Riesz mass, which yields the boundary density and makes the two-sided
 Jensen-Lelong bookkeeping checkable at desk scale.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -28,12 +29,14 @@ from .geometry import (
     integrate_interval,
 )
 from .potential import (
+    InvalidParameter,
     JordanDiskMap,
     LensPowerDensity,
     RieszMeasure,
     green_function,
     green_potential,
     periodic_interpolant,
+    poisson_balayage,
 )
 
 __all__ = [
@@ -56,10 +59,6 @@ __all__ = [
     "density_uc",
     "djl_both_sides",
 ]
-
-
-class InvalidParameter(ValueError):
-    """A parameter is outside the range the operation supports."""
 
 
 class EmptyLevel(ValueError):
@@ -95,7 +94,7 @@ def _power_density(m, inside):
 def _lens_measure(m):
     """Riesz measure of the lens power example in unit-mass normalization."""
     dens, dens_polar = _power_density(m, lambda w: np.abs(w - 0.5) < 0.5)
-    hint = None
+    hint = math.inf  # the mass diverges at the tip for m <= 1/2
     if m > 0.5:
         hint = 2.0 * m * (1.0 - m) * beta_function(1.5, m - 0.5) / (2.0 * math.pi)
     return RieszMeasure(
@@ -185,15 +184,13 @@ class ExhaustionSpec:
     -inf for atomic mass), and the minimum point doubles as the star center
     for sublevel tracing.
 
-    Derived exhaustions keep what they were built from: ``inner`` with
-    ``scale`` for a * inner, ``inner`` with ``automorphism`` for inner
-    composed with a disk automorphism.  The lens example carries its Riesz
-    density as ``lens_density``.  Boundary weights are built from these.
+    The boundary weight reads ``measure`` alone: derived exhaustions (a * u,
+    u composed with a disk automorphism) and the lens example carry what
+    it needs on their Riesz measure (see ``potential.poisson_balayage``).
     """
 
     def __init__(self, label, evaluate, measure, *, min_value, min_point,
-                 value_error, is_exhaustion=True, radial_value=None,
-                 inner=None, scale=None, automorphism=None, lens_density=None):
+                 value_error, is_exhaustion=True, radial_value=None):
         self.label = label
         self._evaluate = evaluate
         self.measure = measure
@@ -204,10 +201,6 @@ class ExhaustionSpec:
         # For rotation-invariant exhaustions about min_point=0 this maps a
         # radius array to u; level radii then come from one scalar solve.
         self.radial_value = radial_value
-        self.inner = inner
-        self.scale = scale
-        self.automorphism = automorphism
-        self.lens_density = lens_density
         self._levels = {}
         self._demailly = {}
 
@@ -392,7 +385,6 @@ def scaled_exhaustion(a, inner):
         is_exhaustion=inner.is_exhaustion,
         value_error=a * inner.value_error,
         radial_value=radial,
-        inner=inner, scale=a,
     )
 
 
@@ -401,7 +393,9 @@ def pullback_exhaustion(automorphism, inner):
 
     The Riesz mass transforms with the Jacobian |phi'|^2 on densities and
     by preimages on atoms, so norms built on the pullback match the inner
-    exhaustion's norms composed with the map.
+    exhaustion's norms composed with the map.  A pulled area part carries
+    the transported balayage V(phi(e^{it})) |phi'(e^{it})| of the inner
+    measure, whose mass it keeps; atoms alone just move.
     """
     if not isinstance(automorphism, MoebiusAutomorphism):
         raise InvalidParameter("pullback needs a MoebiusAutomorphism")
@@ -426,6 +420,18 @@ def pullback_exhaustion(automorphism, inner):
     boundary = tuple(
         complex(mob.inverse(s)) for s in inner.measure.boundary_singularities
     )
+    swept = None
+    if inner.measure.has_area_part():
+        # the inner balayage is built on first use: its moments may be costly
+        inner_sweep = functools.cache(
+            lambda: poisson_balayage(inner.measure)[1])
+
+        def swept(t):
+            zeta = np.exp(1j * np.asarray(t, dtype=float))
+            return (np.asarray(inner_sweep()(np.angle(mob.forward(zeta))),
+                               dtype=float)
+                    * np.abs(mob.derivative(zeta)))
+
     measure = RieszMeasure(
         atoms=atoms,
         density=new_dens,
@@ -434,6 +440,7 @@ def pullback_exhaustion(automorphism, inner):
         total_mass_hint=inner.measure.total_mass_hint,
         complete=inner.measure.complete,
         label=f"pullback:{inner.measure.label}",
+        balayage=swept,
     )
     return ExhaustionSpec(
         f"pullback:{mob.a.real:g}{mob.a.imag:+g}i:{inner.label}",
@@ -442,7 +449,6 @@ def pullback_exhaustion(automorphism, inner):
         min_point=complex(mob.inverse(inner.min_point)),
         is_exhaustion=inner.is_exhaustion,
         value_error=inner.value_error,
-        inner=inner, automorphism=mob,
     )
 
 
@@ -514,10 +520,10 @@ def make_example(kind, m):
 
     density, min_value, min_point = _power_state(m)
     return ExhaustionSpec(
-        f"um:{m:g}", density.green_potential, _lens_measure(m),
+        f"um:{m:g}", density.green_potential,
+        replace(_lens_measure(m), balayage=density.balayage),
         min_value=min_value, min_point=min_point,
         value_error=density.value_error,
-        lens_density=density,
     )
 
 

@@ -131,12 +131,6 @@ class QuadratureResult:
 class DiskDomain:
     """The open unit disk with its boundary circle and sampling helpers."""
 
-    radius = 1.0
-
-    @staticmethod
-    def contains(z) -> np.ndarray:
-        return np.abs(np.asarray(z)) < 1.0
-
     @staticmethod
     def interior_grid(n: int, margin: float = 1e-3) -> np.ndarray:
         """Cartesian sample points strictly inside the disk."""
@@ -218,20 +212,27 @@ def _gk_batch(f, lows, highs, counter):
     bad = ~np.isfinite(vals)
     if bad.any():
         vals = np.where(bad, 0.0, vals)
-    k15 = half * (vals @ _W15)
-    g7 = half * (vals[:, _G7_IDX] @ _W7)
-    err = np.abs(k15 - g7)
+    k15, err = _kronrod(half, vals)
     if bad.any():
         err = np.where(bad.any(axis=1), np.inf, err)
     return k15, err
 
 
-def _geometric_tail(shells) -> tuple[float, float] | None:
-    """Best geometric-tail fit (tail, error) for a dyadic shell sequence.
+def _kronrod(half, vals):
+    """(k15, |k15 - g7|) from the 15 node values in each row of ``vals``."""
+    k15 = half * (vals @ _W15)
+    g7 = half * (vals[:, _G7_IDX] @ _W7)
+    return k15, np.abs(k15 - g7)
 
-    Returns None when the last shells do not decay cleanly.  The ratio is
-    Aitken-extrapolated when four shells are available, since dyadic shells
-    of an algebraic singularity have ratios r_j = r (1 + O(2^-j)).
+
+def _geometric_tail(shells) -> tuple[float, float] | None:
+    """Best geometric-tail fit (tail, error) for one dyadic shell sequence.
+
+    ``shells`` lists the shell values of one attractor, or of one ray of a
+    radial batch, from the outside in.  Returns None when the last shells
+    do not decay cleanly.  The ratio is Aitken-extrapolated when four
+    shells are available, since dyadic shells of an algebraic singularity
+    have ratios r_j = r (1 + O(2^-j)).
     """
     if len(shells) < 3:
         return None
@@ -579,11 +580,7 @@ def _radial_batch(gfun, n_nodes, singular_origin, tol_node, counter):
         ts = lo + (hi - lo) * t15
         counter.charge(n_nodes * ts.size)
         m = np.asarray(gfun(ts), dtype=float)
-        m = np.where(np.isfinite(m), m, 0.0)
-        half = 0.5 * (hi - lo)
-        k15 = half * (m @ _W15)
-        g7 = half * (m[:, _G7_IDX] @ _W7)
-        return k15, np.abs(k15 - g7)
+        return _kronrod(0.5 * (hi - lo), np.where(np.isfinite(m), m, 0.0))
 
     if not singular_origin:
         # composite doubling on (0,1)
@@ -629,31 +626,14 @@ def _radial_batch(gfun, n_nodes, singular_origin, tol_node, counter):
         if np.any(_fails_cauchy_test(hist, floor) & ~resolved):
             raise _Divergent()
         if len(hist) >= 3:
-            mags = np.abs(np.stack(hist[-4:]))  # (3 or 4, n_nodes)
-            recent = np.stack(hist[-3:])
-            same_sign = np.all(recent >= 0, axis=0) | np.all(recent <= 0, axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rr = mags[1:] / np.maximum(mags[:-1], 1e-300)
-            r_hat = rr[-1]
-            drift = np.abs(rr[-1] - rr[-2])
-            if rr.shape[0] >= 3:
-                d1, d2 = rr[-2] - rr[-3], rr[-1] - rr[-2]
-                den = d2 - d1
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r_ext = np.where(np.abs(den) > 1e-14, rr[-1] - d2 * d2 / den, r_hat)
-                use = (r_ext > 0.0) & (r_ext < TAIL_RATIO_MAX) & (np.abs(den) > 1e-14)
-                drift = np.where(use, np.abs(r_ext - r_hat), drift)
-                r_hat = np.where(use, r_ext, r_hat)
-            ok = (rr[-1] < TAIL_RATIO_MAX) & (rr[-2] < TAIL_RATIO_MAX) & same_sign
-            t_est = hist[-1] * r_hat / np.maximum(1.0 - r_hat, 1e-6)
-            t_err = np.abs(t_est) * (3.0 * drift / np.maximum(1.0 - r_hat, 1e-6) + 1e-6) \
-                + mags[-1] * 1e-12
-            # fresh fit each sweep for the still-active nodes (the remainder
+            # fresh fit each sweep for the still-active rays (the remainder
             # being extrapolated shrinks as shells are accumulated)
-            tails = np.where(resolved, tails, np.where(ok, t_est, 0.0))
-            tail_errs = np.where(resolved, tail_errs, np.where(ok, t_err, np.inf))
+            live = np.flatnonzero(~resolved)
+            for i, col in zip(live, np.stack(hist[-4:])[:, live].T.tolist()):
+                fit = _geometric_tail(col)
+                tails[i], tail_errs[i] = (0.0, np.inf) if fit is None else fit
             eff_tol = np.maximum(tol_node, 1e-9 * np.abs(total))
-            resolved = resolved | (ok & (t_err <= eff_tol))
+            resolved = resolved | (tail_errs <= eff_tol)
             if np.all(resolved):
                 break
         hi = lo

@@ -37,7 +37,6 @@ from .geometry import (
     CONVERGED,
     DIVERGENT,
     INCONCLUSIVE,
-    MoebiusAutomorphism,
     QuadratureResult,
     integrate_boundary_arc,
     integrate_interval,
@@ -45,6 +44,7 @@ from .geometry import (
 from .potential import (
     BoundaryProfile,
     _analytic_coefficients,
+    poisson_balayage,
     poisson_extension,
     poisson_kernel,
 )
@@ -273,13 +273,13 @@ def _fubini_residual(ev, mass, singular_thetas):
 def boundary_weight(u, samples=2048):
     """Sample the boundary weight V of an exhaustion on a uniform grid.
 
-    Dispatches on what the exhaustion is built from: scaled exhaustions and
-    disk-automorphism pullbacks reduce to the weight of their ``inner``
-    exhaustion, atomic masses and rotation-invariant profiles have closed
-    forms, the lens example sweeps its ``lens_density`` with the
-    chord-reduced balayage, and anything else falls back to the Fourier
-    moments of its Riesz mass.  Pointwise divergence of V at isolated angles
-    is recorded in ``singular_thetas``, not fatal.  Functions that are not
+    V is the Poisson balayage of the Riesz mass, so it is built from
+    ``u.measure`` alone (``potential.poisson_balayage``): the constant mass
+    for a rotation-invariant measure, sum m P(a, .) for atoms, the
+    measure's declared ``balayage`` (evaluated exactly near its singular
+    angles and through a spline elsewhere), and the Fourier moments of the
+    mass otherwise.  Pointwise divergence of V at isolated angles is
+    recorded in ``singular_thetas``, not fatal.  Functions that are not
     exhaustions and incomplete Riesz measures raise InvalidParameter.
     """
     if not isinstance(u, ExhaustionSpec):
@@ -309,164 +309,27 @@ def boundary_weight(u, samples=2048):
 
 def _build_weight(u, samples):
     measure = u.measure
-    thetas = np.arange(samples) * (TWO_PI / samples)
-    label = u.label
-
-    if u.scale is not None:
-        a = u.scale
-        inner = boundary_weight(u.inner, samples=samples)
-        ev = lambda t: a * np.asarray(inner.at(t), dtype=float)
-        resid = inner.fubini_residual
-        return BoundaryWeight(
-            thetas=inner.thetas, values=a * inner.values, evaluator=ev,
-            singular_thetas=inner.singular_thetas,
-            mass_of_laplacian=a * inner.mass_of_laplacian,
-            # log(a V) = log a + log V, so integrability is inherited
-            log_integrable=inner.log_integrable,
-            fubini_residual=resid, label=label,
-        )
-
-    if u.automorphism is not None:
-        mob = u.automorphism
-        inner = boundary_weight(u.inner, samples=samples)
-
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            zeta = np.exp(1j * t)
-            img = mob.forward(zeta)
-            return (np.asarray(inner.at(np.angle(img)), dtype=float)
-                    * np.abs(mob.derivative(zeta)))
-
-        singular = tuple(
-            float(np.angle(mob.inverse(np.exp(1j * t0)))) % TWO_PI
-            for t0 in inner.singular_thetas
-        )
-        vals = ev(thetas)
-        for t0 in singular:
-            vals = np.where(_gap(thetas, t0) < 1e-12, math.inf, vals)
-        # the sweep of the transported mass keeps the total: the Jacobian
-        # in Lambda(u o phi) is exactly the area substitution factor
-        mass = inner.mass_of_laplacian
-        return BoundaryWeight(
-            thetas=thetas, values=vals, evaluator=ev,
-            singular_thetas=singular, mass_of_laplacian=mass,
-            log_integrable=_log_abs_integrable(ev, singular),
-            fubini_residual=_fubini_residual(ev, mass, singular),
-            label=label,
-        )
-
-    if measure.atoms and not measure.has_area_part():
-        locs = np.array([a for a, _ in measure.atoms], dtype=complex)
-        masses = np.array([m for _, m in measure.atoms], dtype=float)
-        total = float(masses.sum())
-        if total <= 0.0:
-            raise InvalidParameter("the Riesz measure carries no mass")
-
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            zeta = np.exp(1j * np.atleast_1d(t))
-            out = np.zeros(zeta.shape)
-            for loc, m in zip(locs, masses):
-                out = out + m * poisson_kernel(loc, zeta)
-            return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-        return BoundaryWeight(
-            thetas=thetas, values=ev(thetas), evaluator=ev,
-            singular_thetas=(), mass_of_laplacian=total,
-            # V is a positive trigonometric-rational function, so log V is
-            # continuous on the circle
-            log_integrable=True,
-            fubini_residual=_fubini_residual(ev, total, ()),
-            label=label,
-        )
-
-    if u.radial_value is not None:
-        hint = measure.total_mass_hint
-        if hint is not None:
-            mass = float(hint)
-        else:
-            res = measure.total_mass(tol_abs=1e-11, tol_rel=1e-9)
-            mass = math.inf if res.status == DIVERGENT else float(res.value)
-        if mass == 0.0:
-            raise InvalidParameter("the Riesz measure carries no mass")
-
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            out = np.full(np.atleast_1d(t).shape, mass)
-            return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-        return BoundaryWeight(
-            thetas=thetas, values=np.full(samples, mass), evaluator=ev,
-            singular_thetas=(), mass_of_laplacian=mass,
-            log_integrable=math.isfinite(mass),
-            # a constant weight integrates to the mass identically
-            fubini_residual=0.0 if math.isfinite(mass) else None,
-            label=label,
-        )
-
-    if u.lens_density is not None:
-        singular = (0.0,)
-        ev = _windowed_evaluator(u.lens_density.balayage, singular)
-        vals = ev(thetas)
-        hint = measure.total_mass_hint
-        mass = float(hint) if hint is not None else math.inf
-        return BoundaryWeight(
-            thetas=thetas, values=vals, evaluator=ev,
-            singular_thetas=singular, mass_of_laplacian=mass,
-            log_integrable=_log_abs_integrable(ev, singular),
-            fubini_residual=_fubini_residual(ev, mass, singular),
-            label=label,
-        )
-
-    return _moment_weight(u, thetas, label)
-
-
-def _moment_weight(u, thetas, label):
-    """Generic fallback: V from the Fourier moments of the Riesz mass.
-
-    P(w, e^{it}) = 1 + 2 Re sum_k w^k e^{-ikt}, so V is determined by the
-    complex moments M_k = int w^k dLambda u.  Accurate when the mass stays
-    away from the circle (the tail then decays like r_max^k); the Fubini
-    residual reports the truncation honestly.
-    """
-    measure = u.measure
-    total = measure.total_mass(tol_abs=1e-10, tol_rel=1e-8)
-    if total.status == DIVERGENT:
-        raise InvalidParameter(
-            f"the boundary weight of {u.label} needs a finite Riesz mass "
-            "outside the worked density families"
-        )
-    moments = [complex(total.value)]
-    scale = max(abs(total.value), 1e-300)
-    run = 0
-    for k in range(1, 192):
-        mk, _, status = measure.pair_complex(
-            lambda w, _k=k: w ** _k, tol_abs=1e-10, tol_rel=1e-7,
-        )
-        moments.append(mk)
-        if status != CONVERGED:
-            break
-        run = run + 1 if abs(mk) < 1e-11 * scale else 0
-        if run >= 3:
-            break
-    mom = np.asarray(moments, dtype=complex)
-    series = np.concatenate((mom[:1], 2.0 * mom[1:]))
-
-    def ev(t):
-        out = np.real(polyval(np.exp(-1j * np.asarray(t, dtype=float)), series))
-        return float(out) if out.ndim == 0 else out
-
+    mass, ev, closed = poisson_balayage(measure)
     singular = tuple(
         float(np.angle(s)) % TWO_PI for s in measure.boundary_singularities
     )
-    vals = ev(thetas)
-    mass = float(total.value)
+    if closed:
+        # V is the constant mass or a positive trigonometric-rational
+        # function: it integrates to the mass identically, and log V is
+        # bounded on the circle
+        log_integrable = math.isfinite(mass)
+        resid = 0.0 if log_integrable else None
+    else:
+        if measure.balayage is not None:
+            # a declared balayage is exact but costly per angle
+            ev = _windowed_evaluator(ev, singular)
+        log_integrable = _log_abs_integrable(ev, singular)
+        resid = _fubini_residual(ev, mass, singular)
+    thetas = np.arange(samples) * (TWO_PI / samples)
     return BoundaryWeight(
-        thetas=thetas, values=vals, evaluator=ev,
+        thetas=thetas, values=ev(thetas), evaluator=ev,
         singular_thetas=singular, mass_of_laplacian=mass,
-        log_integrable=_log_abs_integrable(ev, singular),
-        fubini_residual=_fubini_residual(ev, mass, singular),
-        label=label,
+        log_integrable=log_integrable, fubini_residual=resid, label=u.label,
     )
 
 
@@ -590,7 +453,7 @@ def _route_bulk(f, p, u, weight, *, tol_abs=1e-9, tol_rel=1e-6):
     far = maj.profile.values * (1.0 - _cutoff(maj.profile.thetas, angles))
     coeffs = _analytic_coefficients(far)
     dropped = 0.0
-    if u.radial_value is not None:
+    if u.measure.is_rotation_invariant():
         # rotation-invariant mass: every circle mean of h_far is h_far(0)
         parts.append(QuadratureResult(coeffs[0].real * mass, 0.0, CONVERGED, 0))
     else:

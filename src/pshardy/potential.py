@@ -36,10 +36,12 @@ from .geometry import (
 )
 
 __all__ = [
+    "InvalidParameter",
     "SingularEvaluation",
     "green_function",
     "poisson_kernel",
     "RieszMeasure",
+    "poisson_balayage",
     "green_potential",
     "BoundaryProfile",
     "poisson_extension",
@@ -50,6 +52,10 @@ __all__ = [
     "harmonic_extension_via_map",
     "laplacian_probe",
 ]
+
+
+class InvalidParameter(ValueError):
+    """A parameter is outside the range the operation supports."""
 
 
 class SingularEvaluation(ValueError):
@@ -146,8 +152,14 @@ class RieszMeasure:
         reductions (total mass, Green potentials) that sidestep the cone
         point such densities put at the origin of the 2D integrals.
     total_mass_hint : float or None
-        Closed-form total mass when one is known; never substituted for a
-        computed value silently, but available to fast paths that state so.
+        Closed-form total mass when one is known (inf for a divergent
+        mass); never substituted for a computed value silently, but
+        available to fast paths that state so.
+    balayage : callable or None
+        For measures with a reduced form only: angles t -> the Poisson
+        balayage V(e^{it}) = int P(w, e^{it}) d(measure)(w) of the whole
+        measure, atoms included, exact but possibly costly per angle.
+        ``poisson_balayage`` reads it in place of the Fourier moments.
     complete : bool
         False when the object deliberately carries only part of the
         distributional Riesz mass (the glued example family does); any
@@ -167,9 +179,16 @@ class RieszMeasure:
     complete: bool = True
     label: str = ""
     support_disk: object = None
+    balayage: object = None
 
     def has_area_part(self) -> bool:
         return self.density is not None or self.density_polar is not None
+
+    def is_rotation_invariant(self) -> bool:
+        """Whether rotations about 0 fix the measure: every atom sits at 0,
+        and an area part declares its ``radial_profile``."""
+        return (all(loc == 0 for loc, _ in self.atoms)
+                and (self.radial_profile is not None or not self.has_area_part()))
 
     def total_mass(self, *, tol_abs: float = 1e-9, tol_rel: float = 1e-7) -> QuadratureResult:
         """Total mass, atoms plus the area integral of the density."""
@@ -286,6 +305,10 @@ class RieszMeasure:
         if self.radial_profile is not None:
             basel = self.radial_profile
             prof = lambda s, _f=basel: a * np.asarray(_f(s), dtype=float)
+        bal = None
+        if self.balayage is not None:
+            baseb = self.balayage
+            bal = lambda t, _f=baseb: a * np.asarray(_f(t), dtype=float)
         hint = None if self.total_mass_hint is None else a * float(self.total_mass_hint)
         label = f"scaled:{a:g}:{self.label}" if self.label else f"scaled:{a:g}"
         return replace(
@@ -295,8 +318,89 @@ class RieszMeasure:
             density_polar=dpol,
             radial_profile=prof,
             total_mass_hint=hint,
+            balayage=bal,
             label=label,
         )
+
+
+def poisson_balayage(measure: RieszMeasure):
+    """The total mass of a measure and its Poisson balayage onto the circle.
+
+    Returns (mass, V, closed) with V(t) = int P(w, e^{it}) d(measure)(w),
+    vectorized in t.  The mass is the measure's ``total_mass_hint`` when it
+    states one, else its quadrature (inf when that diverges).  V comes from
+    the first rule that applies:
+
+    - a rotation-invariant measure sweeps to the constant mass;
+    - atoms alone sweep to sum m P(a, .);
+    - a declared ``balayage`` is V as it stands;
+    - anything else goes through the complex moments M_k = int w^k dmeasure,
+      since P(w, e^{it}) = 1 + 2 Re sum_k w^k e^{-ikt}.  The series is
+      accurate when the mass stays away from the circle (the tail then
+      decays like r_max^k) and needs a finite mass.
+
+    ``closed`` is True for the first two rules: there V integrates to the
+    mass identically and log V is bounded.  A measure without mass, or a
+    moment series of an infinite mass, raises InvalidParameter.
+    """
+    hint = measure.total_mass_hint
+    if hint is not None:
+        mass = float(hint)
+    else:
+        res = measure.total_mass(tol_abs=1e-10, tol_rel=1e-8)
+        mass = math.inf if res.status == DIVERGENT else float(res.value)
+    if not mass > 0.0:
+        raise InvalidParameter("the Riesz measure carries no mass")
+
+    if measure.is_rotation_invariant():
+        def V(t):
+            out = np.full(np.shape(t), mass)
+            return float(out) if out.ndim == 0 else out
+
+        return mass, V, True
+
+    if not measure.has_area_part():
+        atoms = measure.atoms
+
+        def V(t):
+            t = np.asarray(t, dtype=float)
+            zeta = np.exp(1j * np.atleast_1d(t))
+            out = np.zeros(zeta.shape)
+            for loc, m in atoms:
+                out = out + m * poisson_kernel(loc, zeta)
+            return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+        return mass, V, True
+
+    if measure.balayage is not None:
+        return mass, measure.balayage, False
+
+    if not math.isfinite(mass):
+        raise InvalidParameter(
+            f"the Poisson balayage of {measure.label or 'the measure'} needs "
+            "a finite mass outside the declared families"
+        )
+    moments = [complex(mass)]
+    scale = max(mass, 1e-300)
+    run = 0
+    for k in range(1, 192):
+        mk, _, status = measure.pair_complex(
+            lambda w, _k=k: w ** _k, tol_abs=1e-10, tol_rel=1e-7,
+        )
+        moments.append(mk)
+        if status != CONVERGED:
+            break
+        run = run + 1 if abs(mk) < 1e-11 * scale else 0
+        if run >= 3:
+            break
+    mom = np.asarray(moments, dtype=complex)
+    series = np.concatenate((mom[:1], 2.0 * mom[1:]))
+
+    def V(t):
+        out = np.real(polyval(np.exp(-1j * np.asarray(t, dtype=float)), series))
+        return float(out) if out.ndim == 0 else out
+
+    return mass, V, False
 
 
 def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel: float = 1e-6) -> float:
@@ -305,72 +409,44 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 
     The Green kernel is <= 0 on the disk, so any divergence is one-sided:
     the return value is -inf when z sits on an atom or when the
-    superposition diverges.  Points on the unit circle give 0.
+    superposition diverges.  Points on the unit circle, and those within
+    1e-12 beyond it, give 0.
     """
     z = complex(z)
     r = abs(z)
     if r > 1.0 + 1e-12:
         raise ValueError("evaluation point must lie in the closed unit disk")
-    if abs(r - 1.0) <= 1e-15:
+    if r > 1.0 or abs(r - 1.0) <= 1e-15:
         return 0.0
 
-    total = 0.0
-    for loc, m in measure.atoms:
-        loc = complex(loc)
-        if z == loc:
-            return -math.inf
-        total += m * green_function(z, loc)
-    if not measure.has_area_part():
-        return total
+    if any(z == complex(loc) for loc, _ in measure.atoms):
+        return -math.inf
+    if measure.radial_profile is None:
+        res = measure.pair(lambda w: green_function(w, z), tol_abs=tol_abs,
+                           tol_rel=tol_rel, extra_interior=(z,))
+        return -math.inf if res.status == DIVERGENT else res.value
 
-    if measure.radial_profile is not None:
-        # exact reduction for rotation-invariant densities: the circular
-        # mean of g(z, .) over |w| = s is log max(|z|, s)
-        lam = measure.radial_profile
+    # exact reduction for rotation-invariant densities: the circular mean
+    # of g(z, .) over |w| = s is log max(|z|, s)
+    lam = measure.radial_profile
 
-        def ring(s):
-            return (
-                2.0
-                * math.pi
-                * np.asarray(lam(s), dtype=float)
-                * s
-                * np.log(np.maximum(s, r))
-            )
-
-        splits = (r,) if 0.0 < r < 1.0 else ()
-        res = integrate_interval(
-            ring, 0.0, 1.0, tol_abs=tol_abs, tol_rel=tol_rel,
-            singular_left=True, singular_right=True, split_points=splits,
+    def ring(s):
+        return (
+            2.0
+            * math.pi
+            * np.asarray(lam(s), dtype=float)
+            * s
+            * np.log(np.maximum(s, r))
         )
-        if res.status == DIVERGENT:
-            return -math.inf
-        return total + res.value
 
-    dens = measure.density
-
-    def prod(w):
-        return np.asarray(dens(w), dtype=float) * green_function(w, z)
-
-    prod_polar = None
-    if measure.density_polar is not None:
-        dpol = measure.density_polar
-
-        def prod_polar(c, rho, phi):
-            w = c + rho * np.exp(1j * phi)
-            return np.asarray(dpol(c, rho, phi), dtype=float) * green_function(w, z)
-
-    res = integrate_disk_area(
-        prod,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        interior_singularities=tuple(measure.interior_singularities) + (z,),
-        boundary_singularities=measure.boundary_singularities,
-        radial_cut=measure.radial_cut,
-        density_polar=prod_polar,
+    splits = (r,) if 0.0 < r < 1.0 else ()
+    res = integrate_interval(
+        ring, 0.0, 1.0, tol_abs=tol_abs, tol_rel=tol_rel,
+        singular_left=True, singular_right=True, split_points=splits,
     )
     if res.status == DIVERGENT:
         return -math.inf
-    return total + res.value
+    return sum(m * green_function(z, loc) for loc, m in measure.atoms) + res.value
 
 
 # ---------------------------------------------------------------------------

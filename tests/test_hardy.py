@@ -96,6 +96,29 @@ def test_weight_scaled_and_pullback(ulog):
     assert wp.fubini_residual < 1e-7
 
 
+def test_weight_pullback_of_area_mass():
+    # the rotation-invariant mass 2/3 swept through phi: (2/3) |phi'|
+    mob = MoebiusAutomorphism(a=0.3)
+    inner = X.radial_smooth(lambda s: 2.0 * s, "radial-cubic")
+    wp = H.boundary_weight(X.pullback_exhaustion(mob, inner))
+    t = np.concatenate([wp.thetas, np.linspace(-4.0, 4.0, 1001)])
+    expected = 2.0 / 3.0 * np.abs(mob.derivative(np.exp(1j * t)))
+    got = np.concatenate([wp.values, wp.at(t[wp.samples:])])
+    assert np.max(np.abs(got - expected)) < 1e-12
+    assert abs(wp.mass_of_laplacian - 2.0 / 3.0) < 1e-12
+    assert wp.fubini_residual < 1e-7
+
+
+def test_weight_scaled_green_atom_is_exactly_twice():
+    u = X.green_exhaustion(RieszMeasure(atoms=((0.3 + 0.0j, 1.0),)))
+    w = H.boundary_weight(u)
+    w2 = H.boundary_weight(X.scaled_exhaustion(2.0, u))
+    assert np.array_equal(w2.values, 2.0 * w.values)
+    t = np.linspace(-4.0, 4.0, 1001)
+    assert np.array_equal(w2.at(t), 2.0 * w.at(t))
+    assert w2.mass_of_laplacian == 2.0 * w.mass_of_laplacian
+
+
 def test_weight_from_moments_matches_poisson_balayage():
     # an area mass with no worked family goes through the Fourier moments
     def bump(w):

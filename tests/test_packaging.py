@@ -1,15 +1,49 @@
+import ast
 import importlib
 import pathlib
+import re
+import sys
 import tomllib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _metadata():
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())
 
 
 def test_declared_console_scripts_import():
     # every [project.scripts] entry must name a module and callable that exist
-    root = pathlib.Path(__file__).resolve().parents[1]
-    meta = tomllib.loads((root / "pyproject.toml").read_text())
+    meta = _metadata()
     for name, target in meta["project"].get("scripts", {}).items():
         module, _, attr = target.partition(":")
         func = importlib.import_module(module)
         for part in attr.split("."):
             func = getattr(func, part)
         assert callable(func), name
+
+
+def _top_level_imports(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_third_party_imports_are_declared():
+    # every third-party module imported by the package or its tests is a
+    # runtime dependency or in the test extra (import names here equal
+    # their distribution names)
+    project = _metadata()["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+                for req in requirements}
+    local = {"pshardy", "conftest"} | set(sys.stdlib_module_names) | {"__future__"}
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    missing = {
+        (name, path.relative_to(ROOT).as_posix())
+        for path in files for name in _top_level_imports(path)
+        if name not in local and name.lower() not in declared
+    }
+    assert not missing, sorted(missing)
