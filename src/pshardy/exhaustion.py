@@ -184,13 +184,16 @@ class ExhaustionSpec:
     -inf for atomic mass), and the minimum point doubles as the star center
     for sublevel tracing.
 
-    The boundary weight reads ``measure`` alone: derived exhaustions (a * u,
-    u composed with a disk automorphism) and the lens example carry what
-    it needs on their Riesz measure (see ``potential.poisson_balayage``).
+    Everything else reads ``measure``: the boundary weight (derived
+    exhaustions a * u and u composed with a disk automorphism, and the
+    lens example, carry what it needs on their Riesz measure; see
+    ``potential.poisson_balayage``), and rotation invariance, which the
+    measure states (``RieszMeasure.is_rotation_invariant``) and which turns
+    a level about min_point = 0 into one circle.
     """
 
     def __init__(self, label, evaluate, measure, *, min_value, min_point,
-                 value_error, is_exhaustion=True, radial_value=None):
+                 value_error, is_exhaustion=True):
         self.label = label
         self._evaluate = evaluate
         self.measure = measure
@@ -198,9 +201,6 @@ class ExhaustionSpec:
         self.min_point = complex(min_point)
         self.is_exhaustion = bool(is_exhaustion)
         self.value_error = float(value_error)
-        # For rotation-invariant exhaustions about min_point=0 this maps a
-        # radius array to u; level radii then come from one scalar solve.
-        self.radial_value = radial_value
         self._levels = {}
         self._demailly = {}
 
@@ -239,7 +239,6 @@ def radial_log():
         "log", ev, measure,
         min_value=-math.inf, min_point=0.0,
         value_error=0.0,
-        radial_value=lambda r: np.log(np.maximum(r, 1e-300)),
     )
 
 
@@ -298,7 +297,6 @@ def radial_smooth(profile, label, *, n_panels=400, gl_order=12):
         label, ev, measure,
         min_value=float(T_edges[0]), min_point=0.0,
         value_error=1e-10,
-        radial_value=u_r,
     )
 
 
@@ -335,9 +333,6 @@ def green_exhaustion(measure, label=None):
             return np.where(np.abs(z) >= 1.0, 0.0, out)
 
         center = complex(locs[0])
-        radial = None
-        if locs.size == 1 and abs(locs[0]) < 1e-15:
-            radial = lambda r: masses[0] * np.log(np.maximum(r, 1e-300))
         err = 0.0
     else:
         def ev(z):
@@ -346,7 +341,6 @@ def green_exhaustion(measure, label=None):
                     for zz in z.ravel()]
             return np.array(vals).reshape(z.shape)
 
-        radial = None
         err = _AREA_VALUE_ERROR
         if measure.atoms:
             center = measure.atoms[0][0]
@@ -363,7 +357,6 @@ def green_exhaustion(measure, label=None):
         min_point=center,
         is_exhaustion=True,
         value_error=err,
-        radial_value=radial,
     )
 
 
@@ -376,15 +369,11 @@ def scaled_exhaustion(a, inner):
     def ev(z):
         return a * inner._evaluate(np.asarray(z, dtype=complex))
 
-    radial = None
-    if inner.radial_value is not None:
-        radial = lambda r: a * inner.radial_value(r)
     return ExhaustionSpec(
         f"scaled:{a:g}:{inner.label}", ev, inner.measure.scaled(a),
         min_value=a * inner.min_value, min_point=inner.min_point,
         is_exhaustion=inner.is_exhaustion,
         value_error=a * inner.value_error,
-        radial_value=radial,
     )
 
 
@@ -587,8 +576,6 @@ class LevelSet:
         return self._interp
 
     def radius_at(self, phi):
-        if self.is_circle:
-            return np.full(np.shape(phi), self.radii[0])
         return self.radius_fn()(np.asarray(phi, dtype=float))
 
     def ray_fraction(self):
@@ -740,12 +727,13 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
             f"half the value tolerance {tol_u:.3g} of the level {c:g}"
         )
 
-    if spec.radial_value is not None and abs(spec.min_point) < 1e-14:
-        ur = spec.radial_value
-        rc = brentq(lambda r: float(np.asarray(ur(np.array([r])))[0]) - c,
+    if spec.measure.is_rotation_invariant() and abs(spec.min_point) < 1e-14:
+        # the level is a circle: one solve along the positive real axis
+        ur = lambda r: float(spec._evaluate(np.array([r + 0j]))[0])
+        rc = brentq(lambda r: ur(r) - c,
                     1e-14, 1.0 - 1e-14, xtol=1e-15, rtol=8.9e-16)
         ang = 2.0 * math.pi * np.arange(samples) / samples
-        uv = float(np.asarray(ur(np.array([rc])))[0])
+        uv = ur(rc)
         return LevelSet(
             c=c, center=0.0, angles=ang,
             radii=np.full(samples, rc),
@@ -1041,11 +1029,7 @@ def demailly_measure(spec, c, *, samples=512, n_theta=2048, k_max=256):
         )
     level = spec.sublevel(c, samples=samples)
     try:
-        if level.is_circle:
-            radius_fn = lambda t: np.full(np.shape(t), level.radii[0])
-        else:
-            radius_fn = level.radius_fn()
-        disk_map = JordanDiskMap(level.center, radius_fn, n=samples)
+        disk_map = JordanDiskMap(level.center, level.radius_fn(), n=samples)
     except ValueError as exc:
         raise UnsupportedRegion(
             f"conformal chart of the sublevel region failed: {exc}"

@@ -103,50 +103,22 @@ def _json_real(x):
     return x
 
 
-_N_DENSE = 8192  # spline nodes of a windowed weight
-_WINDOW = 0.05  # radians around a singular angle evaluated exactly
+def _on_singular(theta, singular_thetas):
+    """Mask of the angles that sit exactly on a declared singular angle."""
+    hit = np.zeros(np.shape(theta), dtype=bool)
+    for t0 in singular_thetas:
+        hit |= _gap(theta, t0) == 0.0
+    return hit
 
 
-def _windowed_evaluator(base, singular_thetas):
-    """Hybrid weight evaluator: spline away from singular angles, exact near.
-
-    ``base`` is the exact (but per-point expensive) evaluator.  It is
-    sampled once on a half-step-offset dense grid (so no node collides with
-    a singular angle) and interpolated with a periodic cubic spline; inside
-    the window around a singular angle the exact evaluator is used, down to
-    the deepest dyadic shells of the quadrature engine, and only the angle
-    itself returns inf.
-    """
-    from scipy.interpolate import CubicSpline
-
-    step = TWO_PI / _N_DENSE
-    t_dense = (np.arange(_N_DENSE) + 0.5) * step
-    vals = base(t_dense)
-    if not np.all(np.isfinite(vals)):
-        raise UnsupportedRegion(
-            "boundary weight is non-finite away from its declared "
-            "singular angles"
-        )
-    x = np.concatenate([t_dense, [t_dense[0] + TWO_PI]])
-    y = np.concatenate([vals, [vals[0]]])
-    spline = CubicSpline(x, y, bc_type="periodic")
-    t0s = tuple(float(t) for t in singular_thetas)
+def _inf_at(V, singular_thetas):
+    """V with inf exactly at the declared singular angles."""
 
     def at(theta):
         th = np.asarray(theta, dtype=float)
-        scalar = th.ndim == 0
-        tt = np.atleast_1d(th).astype(float)
-        tm = t_dense[0] + (tt - t_dense[0]) % TWO_PI
-        out = spline(tm)
-        for t0 in t0s:
-            d = _gap(tt, t0)
-            near = d < _WINDOW
-            if np.any(near):
-                out[near] = base(np.atleast_1d(tt[near]))
-            hit = d == 0.0
-            if np.any(hit):
-                out[hit] = math.inf
-        return float(out[0]) if scalar else out.reshape(th.shape)
+        out = np.array(V(th), dtype=float)
+        out[_on_singular(th, singular_thetas)] = math.inf
+        return float(out) if out.ndim == 0 else out
 
     return at
 
@@ -176,10 +148,11 @@ class BoundaryWeight:
 
     V is the Poisson sweep of the Riesz mass onto the circle; the weighted
     boundary measure of the exhaustion is V dnu plus nothing else for the
-    families handled here.  ``values`` carries V on the uniform sample grid
-    with inf exactly at the declared singular angles; ``profile`` is the
-    same data with those isolated nodes zero-filled so spectral routines
-    can consume it.
+    families handled here.  ``at`` is the one evaluator of V, the one
+    ``potential.poisson_balayage`` returns, with inf exactly at the declared
+    singular angles; ``values`` is ``at`` on the uniform sample grid, and
+    ``profile`` is the same data with those isolated nodes zero-filled so
+    spectral routines can consume it.
     """
 
     def __init__(self, *, thetas, values, evaluator, singular_thetas,
@@ -276,11 +249,13 @@ def boundary_weight(u, samples=2048):
     V is the Poisson balayage of the Riesz mass, so it is built from
     ``u.measure`` alone (``potential.poisson_balayage``): the constant mass
     for a rotation-invariant measure, sum m P(a, .) for atoms, the
-    measure's declared ``balayage`` (evaluated exactly near its singular
-    angles and through a spline elsewhere), and the Fourier moments of the
-    mass otherwise.  Pointwise divergence of V at isolated angles is
-    recorded in ``singular_thetas``, not fatal.  Functions that are not
-    exhaustions and incomplete Riesz measures raise InvalidParameter.
+    measure's declared ``balayage``, and the Fourier moments of the mass
+    otherwise.  The weight evaluates that V as it stands at every angle.
+    Outside the two closed forms V is inf exactly at the angles of the
+    measure's boundary singularities (recorded in ``singular_thetas``, not
+    fatal), and a sample that is non-finite anywhere else raises
+    UnsupportedRegion.  Functions that are not exhaustions and incomplete
+    Riesz measures raise InvalidParameter.
     """
     if not isinstance(u, ExhaustionSpec):
         raise InvalidParameter("boundary_weight expects an ExhaustionSpec")
@@ -313,21 +288,26 @@ def _build_weight(u, samples):
     singular = tuple(
         float(np.angle(s)) % TWO_PI for s in measure.boundary_singularities
     )
+    thetas = np.arange(samples) * (TWO_PI / samples)
     if closed:
         # V is the constant mass or a positive trigonometric-rational
         # function: it integrates to the mass identically, and log V is
         # bounded on the circle
+        values = ev(thetas)
         log_integrable = math.isfinite(mass)
         resid = 0.0 if log_integrable else None
     else:
-        if measure.balayage is not None:
-            # a declared balayage is exact but costly per angle
-            ev = _windowed_evaluator(ev, singular)
+        ev = _inf_at(ev, singular)
+        values = ev(thetas)
+        if not np.all(np.isfinite(values) | _on_singular(thetas, singular)):
+            raise UnsupportedRegion(
+                "boundary weight is non-finite away from its declared "
+                "singular angles"
+            )
         log_integrable = _log_abs_integrable(ev, singular)
         resid = _fubini_residual(ev, mass, singular)
-    thetas = np.arange(samples) * (TWO_PI / samples)
     return BoundaryWeight(
-        thetas=thetas, values=ev(thetas), evaluator=ev,
+        thetas=thetas, values=values, evaluator=ev,
         singular_thetas=singular, mass_of_laplacian=mass,
         log_integrable=log_integrable, fubini_residual=resid, label=u.label,
     )
@@ -542,7 +522,7 @@ def _route_level(f, p, u, weight, *, samples=512):
     """
     info = {"ladder": (), "uncertainty": None, "exponent": None,
             "monotone": None, "note": None}
-    radial = u.radial_value is not None
+    radial = u.measure.is_rotation_invariant()
     if p <= 1.0 and not radial:
         info["note"] = ("level route skipped: p <= 1 with a traced "
                         "(non-radial) level family")

@@ -158,8 +158,10 @@ class RieszMeasure:
     balayage : callable or None
         For measures with a reduced form only: angles t -> the Poisson
         balayage V(e^{it}) = int P(w, e^{it}) d(measure)(w) of the whole
-        measure, atoms included, exact but possibly costly per angle.
-        ``poisson_balayage`` reads it in place of the Fourier moments.
+        measure, atoms included, vectorized and accurate at every angle
+        off ``boundary_singularities``.  ``poisson_balayage`` reads it in
+        place of the Fourier moments, and the boundary weight evaluates it
+        as it stands, with no second evaluator in front.
     complete : bool
         False when the object deliberately carries only part of the
         distributional Riesz mass (the glued example family does); any
@@ -221,18 +223,14 @@ class RieszMeasure:
         self,
         h,
         *,
-        h_polar=None,
         tol_abs: float = 1e-9,
         tol_rel: float = 1e-6,
         extra_interior=(),
     ) -> QuadratureResult:
         """Integral of a real vectorized function h against the measure.
 
-        ``h_polar(center, rho, phi)`` optionally supplies h in shell
-        coordinates, for integrands whose accuracy near the quadrature
-        center matters; it is only consulted when the measure itself
-        carries a polar density.  ``extra_interior`` declares additional
-        singular points of h.
+        ``extra_interior`` declares additional singular points of h.  A
+        polar density is paired with h at center + rho e^{i phi}.
         """
         total = 0.0
         for loc, m in self.atoms:
@@ -249,20 +247,12 @@ class RieszMeasure:
         prod_polar = None
         if self.density_polar is not None:
             dpol = self.density_polar
-            if h_polar is not None:
 
-                def prod_polar(c, rho, phi):
-                    return np.asarray(dpol(c, rho, phi), dtype=float) * np.asarray(
-                        h_polar(c, rho, phi), dtype=float
-                    )
-
-            else:
-
-                def prod_polar(c, rho, phi):
-                    zv = c + rho * np.exp(1j * phi)
-                    return np.asarray(dpol(c, rho, phi), dtype=float) * np.asarray(
-                        h(zv), dtype=float
-                    )
+            def prod_polar(c, rho, phi):
+                zv = c + rho * np.exp(1j * phi)
+                return np.asarray(dpol(c, rho, phi), dtype=float) * np.asarray(
+                    h(zv), dtype=float
+                )
 
         res = integrate_disk_area(
             prod,
@@ -456,22 +446,23 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # |z - 1/2| < 1/2 and on the whole disk: at abscissa x its support is the
 # chord |y| < Y(x), and the y-integrals of the Green and the Poisson kernel
 # over a chord are elementary.  Its potential and its balayage therefore
-# reduce to one integral in x, which both evaluators discretize once per m:
-# a sqrt substitution absorbs the chord root at x = 0, and Gauss panels in
+# reduce to one integral in x, discretized once per m on one grid: a sqrt
+# substitution absorbs the chord root at x = 0, and Gauss panels in
 # lambda = -log(1 - x) resolve the blowup of (1 - x)^(m-2) at x = 1.  Each
 # point or angle then swaps the fixed panels around the places where its
 # integrand has a kink or a sharp bend for panels graded toward them
-# (``_graded_panels``), so one evaluator serves every point.
+# (``_graded_panels``), so one grid serves every point and every angle.
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
-_GL_ORDER = 14  # Gauss points per panel of the balayage grid
 _N_LEFT = 40  # sqrt-substituted panels on 0 < x < 1/2
-_FAR = 3e4  # chords beyond _FAR * Y from e^{it} take the midpoint kernel
-_POTENTIAL_ORDER = 8  # Gauss points per fixed panel of the potential grid
+_FAR = 1e6  # chords beyond _FAR * Y from e^{it} take the midpoint kernel
+_POTENTIAL_ORDER = 8  # Gauss points per fixed panel of the lens grid
 _HALF_DEPTH = 8  # its panels grade toward x = 1/2 down to 2^-8 of a panel
 _KINK_DEPTH = 12  # graded panels of a potential row reach 2^-12 of the way
 _KINK_ORDER = 6  # Gauss points per graded panel of a potential row
+_CROSSING_DEPTH = 30  # graded panels of a balayage row reach 2^-30 of the way
+_CROSSING_TAIL = 40.0  # a split past the last edge runs on to its point + this
 _KINK_REACH = 0.1  # potential rows this close to the lens are split
 # Bound on |green_potential - u_m| for m >= 1/2: four times the largest gap,
 # 2.2e-12, to a refined grid (fixed panels cut in four, 14 Gauss points on
@@ -489,17 +480,15 @@ def _geometric_lam_edges():
     return edges
 
 
-# Panel edges of each kernel: in sigma = sqrt(x) on 0 < x < 1/2, then in
-# lambda = -log(1 - x) on 1/2 < x < 1.  The potential kernel is smooth in x
-# up to the tip, so its panels widen geometrically to lambda = 40; they
-# grade toward x = 1/2 from both sides, so that a kink just across the
-# seam (split in the other layout) stays resolved.  The Poisson kernel at
-# e^{it} peaks where 1 - x ~ t^2, at any depth as t -> 0, so the balayage
-# keeps uniform 0.5-wide panels to lambda = 80 (split near t = 0 where the
-# chords cross e^{it}, see _crossing_grid).  The balayage's edge
-# sqrt(0.5) is one ulp from 1/sqrt(2), and the cancellation in the first
-# sigma panel turns that ulp into dozens in the weights; it is kept so V
-# stays bit for bit what it was.
+# Panel edges of the lens grid: in sigma = sqrt(x) on 0 < x < 1/2, then in
+# lambda = -log(1 - x) on 1/2 < x < 1.  Both kernels are smooth in x up to
+# the tip away from the points and angles that split them, so the panels
+# widen geometrically to lambda = 40; they grade toward x = 1/2 from both
+# sides, so that a kink just across the seam (split in the other layout)
+# stays resolved.  The Poisson kernel at e^{it} peaks where 1 - x ~ t^2, at
+# any depth as t -> 0; those angles split the grid where the chords cross
+# e^{it} (see ``_crossing_grid``), and past lambda = 40 their graded
+# panels run on to the crossing + _CROSSING_TAIL.
 _HALF_GRADING = 2.0 ** -np.arange(_HALF_DEPTH, 0, -1)
 _POTENTIAL_PANELS = (
     np.concatenate([np.linspace(0.0, 1.0 / math.sqrt(2.0), _N_LEFT + 1)[:-1],
@@ -508,13 +497,6 @@ _POTENTIAL_PANELS = (
     np.concatenate([[math.log(2.0)], math.log(2.0) + 0.18 * _HALF_GRADING,
                     _geometric_lam_edges()[1:]]),
 )
-_BALAYAGE_PANELS = (
-    np.linspace(0.0, math.sqrt(0.5), _N_LEFT + 1),
-    np.linspace(math.log(2.0), 80.0,
-                int(math.ceil((80.0 - math.log(2.0)) / 0.5)) + 1),
-)
-_CROSSING_DEPTH = 30  # finest graded panel at 2^-30 of the way to lambda*
-_CROSSING_TAIL = 40.0  # a split past the grid's last edge reaches lambda* + this
 
 
 def _chord_log(A, B, C, D, Y):
@@ -650,11 +632,14 @@ def _in_chunks(block, points):
 class LensPowerDensity:
     """The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on |z - 1/2| < 1/2.
 
-    This is the Riesz mass of the worked example u_m, and
-    ``green_potential`` is the one evaluator of u_m: a fixed grid that each
-    point within _KINK_REACH of the lens splits at x = Re z and where the
-    lens boundary passes its height (see ``_green_block``), with each chord
-    term in a form free of float cancellation (``_chord_log``).  Against a
+    This is the Riesz mass of the worked example u_m.  One grid of its
+    chords (``_lens_grid`` on _POTENTIAL_PANELS) carries both of its
+    evaluators, each chord term in closed form.
+
+    ``green_potential`` is the one evaluator of u_m: each point within
+    _KINK_REACH of the lens splits the grid at x = Re z and where the lens
+    boundary passes its height (see ``_green_block``), with each chord term
+    in a form free of float cancellation (``_chord_log``).  Against a
     40-digit mpmath reference it is within 1.3e-14 (m = 3/4) and 1.9e-13
     (m = 1/2) at 73 points inside the lens, 1e-6 to 1e-1 outside it, by the
     tip z = 1, by the circle and within 1e-7 of z = 0, and within 1e-15 at
@@ -664,20 +649,18 @@ class LensPowerDensity:
     and 1.1e-9 for m = 1/4 (60-digit reference), a gap that grows toward
     the tip.
 
-    ``balayage`` evaluates its Poisson balayage V(e^{it}) on a fixed grid
-    that each angle near t = 0 splits at the point where the chords cross
-    e^{it} (see ``_balayage_block``); V is within 4e-13 relative of a
-    30-digit reference for 1e-9 <= |t| <= 0.5 and within 1e-11 at larger
-    angles (m = 3/4), and it is smooth in t.
+    ``balayage`` is the one evaluator of its Poisson balayage V(e^{it}):
+    each angle near t = 0 splits the grid where the chords cross e^{it}
+    (see ``_balayage_block``).  Against a 30-digit mpmath reference at
+    t = 0.3, 1.0, 1.865, 2.5 and 4.109 it is within 3.1e-13 (m = 3/4) and
+    5.5e-11 (m = 1/2) relative, and it is smooth in t.
     """
 
     def __init__(self, m):
         self.m = float(m)
         self.pref = self.m * (1.0 - self.m) / (2.0 * math.pi)
         self.value_error = _VALUE_ERROR if self.m >= 0.5 else math.inf
-        self._potential = _lens_grid(self.m, _POTENTIAL_PANELS,
-                                     _POTENTIAL_ORDER)
-        self._poisson = _lens_grid(self.m, _BALAYAGE_PANELS, _GL_ORDER)[1:]
+        self._grid = _lens_grid(self.m, _POTENTIAL_PANELS, _POTENTIAL_ORDER)
 
     def green_potential(self, z):
         z = np.asarray(z, dtype=complex)
@@ -694,17 +677,16 @@ class LensPowerDensity:
         The chord integral of g(z, .) has a kink at x = Re z (inside the
         lens) or a bend as wide as the distance to the lens (outside it);
         unsplit, points within 1e-3 of the lens were up to 1e-4 off
-        (m = 1/2).  Where the chord end
-        passes the height of z, at x_c with Y(x_c) = |Im z|, it bends as
-        sharply for z near the lens boundary (2e-6 off at
-        z = 0.99994 + 0.0043i, m = 1/2, without a split there).  Rows within
-        _KINK_REACH of the lens swap the fixed panels nearest both points,
-        in sigma below x = 1/2 and in lambda above, for panels graded
-        toward them (``_graded_panels``); rows left of the lens grade toward
-        the tip 0.  Farther rows were within 3e-16 of the refined grid
-        unsplit.
+        (m = 1/2).  Where the chord end passes the height of z, at x_c with
+        Y(x_c) = |Im z|, it bends as sharply for z near the lens boundary
+        (2e-6 off at z = 0.99994 + 0.0043i, m = 1/2, without a split there).
+        Rows within _KINK_REACH of the lens swap the fixed panels nearest
+        both points, in sigma below x = 1/2 and in lambda above, for panels
+        graded toward them (``_graded_panels``); rows left of the lens grade
+        toward the tip 0.  Farther rows were within 3e-16 of the refined
+        grid unsplit.
         """
-        x, omx, Y, w = self._potential
+        x, omx, Y, w = self._grid
         inside = np.abs(zz) < 1.0 - 1e-15
         zz = np.where(inside, zz, 0.0)
         I = _chord_green(zz[:, None], x, omx, Y)
@@ -724,15 +706,16 @@ class LensPowerDensity:
         Where the chord half-width Y(x) passes |sin t| the chord integral of
         the Poisson kernel steps from about 2 pi cos t to about 0, over a
         lambda-width of about t.  For cos t > 0 and sin^2 t < 1/4 that is at
-        lambda* = -log(1 - x*), 1 - x* = (1 - sqrt(1 - 4 sin^2 t))/2, and a
-        fixed panel across it made V jump (by up to 0.7 % near t = 0) each
-        time lambda* passed a Gauss node.  Those angles swap the two fixed
-        panels nearest lambda* for panels graded toward it
-        (``_crossing_grid``); V is then within 4e-13 relative of a 30-digit
-        reference for 1e-9 <= t <= 0.5.  The other crossing, x ~ sin^2 t at
-        the left tip, is smooth (A = cos t - x ~ 1) and is not split.
+        lambda* = -log(1 - x*), Y(x*) = |sin t|, and a fixed panel across it
+        made V jump (by up to 0.7 % near t = 0) each time lambda* passed a
+        Gauss node.  Those angles swap the two fixed panels nearest lambda*
+        for panels graded toward it to 2^-_CROSSING_DEPTH
+        (``_crossing_grid``; graded to the potential's 2^-12 with 6-point
+        panels, V was 6.9e-7 off at t = 9e-6).  The other crossing,
+        x ~ sin^2 t at the left tip, is smooth (A = cos t - x ~ 1) and is
+        not split.
         """
-        omx, Y, w = self._poisson
+        _, omx, Y, w = self._grid
         b = np.sin(t)
         ct1 = -2.0 * np.sin(0.5 * t) ** 2
         rows, dropped, omx_g, w_g = _crossing_grid(b, ct1, self.m)
@@ -746,6 +729,21 @@ class LensPowerDensity:
         return self.pref * out
 
 
+def _lens_crossing(h2):
+    """x <= 1/2 where the lens boundary reaches height h, from h^2 <= 1/4.
+
+    It solves Y(x)^2 = x(1 - x) = h^2; the other root is 1 - x, which this
+    form gives without cancellation."""
+    return 2.0 * h2 / (1.0 + np.sqrt(1.0 - 4.0 * h2))
+
+
+def _lambda_split(star, depth, order):
+    """``_graded_panels`` on the lambda panels of the lens grid."""
+    sigma_edges, lam_edges = _POTENTIAL_PANELS
+    return _graded_panels(lam_edges, (sigma_edges.size - 1) * _POTENTIAL_ORDER,
+                          star, _CROSSING_TAIL, depth, order, _POTENTIAL_ORDER)
+
+
 def _kink_grid(z, m):
     """Potential rows split at their kink and crossing, in each layout.
 
@@ -754,23 +752,18 @@ def _kink_grid(z, m):
     real z is the tip x = 1 itself; its graded panels then sit at the end
     of the grid.
     """
-    sigma_edges, lam_edges = _POTENTIAL_PANELS
     xi = z.real
     near = np.abs(z - 0.5) < 0.5 + _KINK_REACH
     left = np.flatnonzero(near & (xi < 0.5))
     right = np.flatnonzero(near & (xi >= 0.5))
-    # x_c and 1 - x_c: where the lens boundary passes the height of z
-    s2 = np.minimum(z.imag ** 2, 0.25)
-    x_c = 2.0 * s2 / (1.0 + np.sqrt(1.0 - 4.0 * s2))
+    x_c = _lens_crossing(np.minimum(z.imag ** 2, 0.25))
     with np.errstate(divide="ignore"):
-        lam_c = np.minimum(-np.log(x_c[right]), lam_edges[-1])
+        lam_c = np.minimum(-np.log(x_c[right]), _POTENTIAL_PANELS[1][-1])
     sig = np.stack([np.sqrt(np.maximum(xi[left], 0.0)), np.sqrt(x_c[left])], 1)
     lam = np.stack([-np.log1p(-xi[right]), lam_c], 1)
-    drop_l, sig, w_l = _graded_panels(sigma_edges, 0, sig, 0.0, _KINK_DEPTH,
-                                      _KINK_ORDER, _POTENTIAL_ORDER)
-    drop_r, lam, w_r = _graded_panels(
-        lam_edges, (sigma_edges.size - 1) * _POTENTIAL_ORDER, lam,
-        _CROSSING_TAIL, _KINK_DEPTH, _KINK_ORDER, _POTENTIAL_ORDER)
+    drop_l, sig, w_l = _graded_panels(_POTENTIAL_PANELS[0], 0, sig, 0.0,
+                                      _KINK_DEPTH, _KINK_ORDER, _POTENTIAL_ORDER)
+    drop_r, lam, w_r = _lambda_split(lam, _KINK_DEPTH, _KINK_ORDER)
     return [(left, drop_l, _sigma_nodes(sig, w_l, m)),
             (right, drop_r, _lambda_nodes(lam, w_r, m))]
 
@@ -778,19 +771,15 @@ def _kink_grid(z, m):
 def _crossing_grid(b, ct1, m):
     """Rows split at lambda*, the grid columns they drop, their graded nodes.
 
-    Where lambda* lies beyond the grid's last edge (|t| below about 1e-17)
+    Where lambda* lies beyond the grid's last edge (|t| below about 2e-9)
     the graded panels run on to lambda* + _CROSSING_TAIL, so V holds down
     to the deepest dyadic shells of the quadrature engine.
     """
     s2 = b * b
     rows = np.flatnonzero((ct1 > -1.0) & (s2 > 0.0) & (s2 < 0.25))
-    s2 = s2[rows]
-    star = -np.log(2.0 * s2 / (1.0 + np.sqrt(1.0 - 4.0 * s2)))
-    dropped, lam, w = _graded_panels(_BALAYAGE_PANELS[1], _N_LEFT * _GL_ORDER,
-                                     star, _CROSSING_TAIL, _CROSSING_DEPTH,
-                                     _GL_ORDER, _GL_ORDER)
-    _, omx_g, w_g = _lambda_nodes(lam, w, m)
-    return rows, dropped, omx_g, w_g
+    star = -np.log(_lens_crossing(s2[rows]))
+    dropped, lam, w = _lambda_split(star, _CROSSING_DEPTH, _POTENTIAL_ORDER)
+    return (rows, dropped, *_lambda_nodes(lam, w, m)[1:])
 
 
 def _chord_poisson(b, ct1, omx, Y):

@@ -168,7 +168,7 @@ def test_weight_rejects_non_exhaustion():
 
 
 def test_weight_near_spike_is_independent_of_batch_size(u075):
-    # more angles than two evaluation blocks, all inside the exact window
+    # more angles than two evaluation blocks, all near the singular angle
     w = H.boundary_weight(u075)
     t = np.linspace(-0.049, 0.049, 2600)
     whole = w.at(t)
@@ -222,6 +222,72 @@ def test_lens_balayage_matches_adaptive_reference():
         ref = _lens_balayage_reference(t, 0.75)
         got = float(lens.balayage(np.array([t]))[0])
         assert abs(got - ref) <= 1e-9 * ref, (t, got, ref)
+
+
+_LENS_BALAYAGE_REFERENCE = {
+    0.75: {0.3: 0.387384797676579531491873942551,
+           1.0: 0.0677749241114309916739498538454,
+           1.865: 0.0263798362646041446970393887575,
+           2.5: 0.019191423556793304406476308639,
+           4.109: 0.0219218412209280589744585781591},
+    0.5: {0.3: 0.848363272646308000891594716032,
+          1.0: 0.120566052965029072036345518776,
+          1.865: 0.0453911427889296929943840009087,
+          2.5: 0.0328250830741805105976397353476,
+          4.109: 0.0375808566685709100105689685215},
+}
+
+
+def test_lens_balayage_matches_frozen_mpmath_reference():
+    """V of the lens density is within 2e-10 relative of a 30-digit reference.
+
+    Recipe (mpmath 1.3, mp.dps = 30): V(t) = m(1-m)/(2 pi) times the
+    integral over 0 < x < 1 of (1 - x)^(m-2) C(x), where C(x) is the
+    integral of the Poisson kernel at e^{it} over the chord |y| < Y,
+    Y = sqrt(x(1 - x)).  Where |sin t| >= 1/2 or cos t < 0, C is the closed
+    form F(Y) - F(-Y) of ``_lens_balayage_reference`` with A = cos t - x;
+    elsewhere it is an mp.quad over y on the chord, split at y = sin t.
+    mp.quad integrates sigma = sqrt(x) over [0, sqrt(1/2)] and
+    lambda = -log(1 - x) over [log 2, 70], split at 1, 2, 4, 8, 16, 30 and
+    50.  An mp.quad over y on every chord at dps 40, with lambda split at
+    seventeen points, agreed to 4e-27 relative.
+    """
+    for m, ref in _LENS_BALAYAGE_REFERENCE.items():
+        t = np.array(list(ref))
+        want = np.array(list(ref.values()))
+        gap = np.abs(LensPowerDensity(m).balayage(t) - want) / want
+        assert np.all(gap <= 2e-10), (m, t[np.argmax(gap)], gap.max())
+
+
+@pytest.mark.parametrize("m", [0.75, 0.5])
+def test_lens_weight_is_the_exact_balayage(m, u075, u05):
+    # the weight evaluates the balayage itself at every angle, and is inf
+    # only at the singular angle
+    w = H.boundary_weight(u075 if m == 0.75 else u05)
+    rng = np.random.default_rng(31)
+    t = np.concatenate([rng.uniform(-math.pi, math.pi, 1000),
+                        np.geomspace(1e-12, 0.5, 200) * rng.choice([-1, 1], 200)])
+    assert np.array_equal(w.at(t), LensPowerDensity(m).balayage(t))
+    samples = LensPowerDensity(m).balayage(w.thetas)
+    samples[0] = math.inf
+    assert np.array_equal(w.values, samples)
+    assert math.isinf(w.at(0.0))
+
+
+def test_weight_rejects_non_finite_declared_balayage():
+    # a declared balayage that is nan on an arc away from its boundary
+    # singularity is not a weight
+    def bump(w):
+        return np.exp(-np.abs(np.asarray(w) - 0.4) ** 2 / 0.02) / TWO_PI
+
+    def broken(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.abs(t - 2.0) < 0.01, np.nan, 1.0)
+
+    measure = RieszMeasure(density=bump, total_mass_hint=1.0, balayage=broken,
+                           boundary_singularities=(1.0 + 0.0j,), label="broken")
+    with pytest.raises(H.UnsupportedRegion, match="non-finite"):
+        H.boundary_weight(X.green_exhaustion(measure))
 
 
 def test_lens_balayage_is_continuous_near_its_singular_angle():
