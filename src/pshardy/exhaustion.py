@@ -5,10 +5,9 @@ sublevel sets B_c = {u < c} are compactly contained for every c < 0.  The
 module builds the standard families (logarithm, radial profiles, Green
 potentials, the one-parameter power examples), traces sublevel boundaries
 S_c = {u = c}, and assembles the boundary measure mu_c swept onto S_c by
-the Riesz mass of u.  The measure is represented through a conformal chart
-of B_c together with the Fourier moments of the chart pullback of the
-Riesz mass, which yields the boundary density and makes the two-sided
-Jensen-Lelong bookkeeping checkable at desk scale.
+the Riesz mass of u.  The measure is the normal flux of u through S_c,
+read on the traced rays, which makes the two-sided Jensen-Lelong
+bookkeeping checkable at desk scale.
 """
 
 import functools
@@ -16,7 +15,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy import ndimage
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import beta as beta_function
@@ -30,9 +28,9 @@ from .geometry import (
 )
 from .potential import (
     InvalidParameter,
-    JordanDiskMap,
     LensPowerDensity,
     RieszMeasure,
+    _spectral_derivative,
     green_function,
     green_potential,
     periodic_interpolant,
@@ -56,7 +54,6 @@ __all__ = [
     "pair_over_sublevel",
     "area_integral_over_sublevel",
     "demailly_measure",
-    "density_uc",
     "djl_both_sides",
 ]
 
@@ -895,56 +892,45 @@ class DemaillyMeasure:
     """The boundary measure mu_c of an exhaustion at level c.
 
     mu_c is the harmonic-measure sweep onto S_c of the Riesz mass inside
-    B_c.  It is represented through a conformal chart F of B_c and the
-    Fourier moments M_k of the chart pullback of the mass, which give the
-    density W(t) = M_0 + 2 Re sum M_k e^{-ikt} against dt/(2 pi) and hence
-    the density U_c against normalized arclength.
+    B_c.  On a C^1 level it is the normal flux (1/2 pi) d_n u ds (Demailly,
+    Math. Z. 194, 1987; Poletsky-Stessin, Indiana Univ. Math. J. 57, 2008),
+    read on the traced rays: ``w_values`` is its density against
+    d phi/(2 pi) at the level's vertices (``boundary_points``), and
+    ``u_c_values`` its density against normalized arclength.  ``speed``
+    is |dz/d phi| = sqrt(r^2 + r'^2) there.
     """
 
-    def __init__(self, *, spec_label, c, level, disk_map, moments,
-                 mass_direct, mass_error, boundary_points, f_prime_abs,
-                 w_values, u_c_values, t_grid):
+    def __init__(self, *, spec_label, c, level, mass_direct, mass_error,
+                 w_values, speed):
         self.spec_label = spec_label
         self.c = float(c)
         self.level = level
-        self.disk_map = disk_map
-        self.moments = np.asarray(moments, dtype=complex)
         self.total_mass = float(mass_direct)
         self.mass_error = float(mass_error)
-        self.boundary_points = np.asarray(boundary_points, dtype=complex)
-        self.f_prime_abs = np.asarray(f_prime_abs, dtype=float)
+        self.boundary_points = level.vertices
         self.w_values = np.asarray(w_values, dtype=float)
-        self.u_c_values = np.asarray(u_c_values, dtype=float)
-        self.t_grid = np.asarray(t_grid, dtype=float)
-
-    @property
-    def n_harmonics(self):
-        return self.moments.size - 1
-
-    def _segment_weights(self):
-        pts = self.boundary_points
-        seg_next = np.abs(np.roll(pts, -1) - pts)
-        return 0.5 * (seg_next + np.roll(seg_next, 1))
+        self.speed = np.asarray(speed, dtype=float)
+        self.u_c_values = (self.curve_length() * self.w_values
+                           / (2.0 * math.pi * self.speed))
 
     def curve_length(self):
-        return float(np.sum(np.abs(np.roll(self.boundary_points, -1)
-                                   - self.boundary_points)))
+        """Length of S_c, the trapezoid rule on |dz/d phi|."""
+        return float(2.0 * math.pi * np.mean(self.speed))
 
     def mass_from_curve(self):
-        """Total mass re-integrated from the sampled boundary density.
+        """Total mass of mu_c, the mean of the flux density over the rays.
 
-        Uses polyline arclength weights on the chart samples, so it is an
-        independent discretization from the area quadrature behind
-        total_mass; the difference is the honest consistency residual.
+        The flux reads u near the level and the direct total_mass
+        integrates the Riesz density over B_c, so the two are independent;
+        their difference is the honest consistency residual.
         """
-        dens_plain = self.w_values / (2.0 * math.pi * self.f_prime_abs)
-        return float(np.sum(dens_plain * self._segment_weights()))
+        return float(np.mean(self.w_values))
 
     def mass_balance_residual(self):
         return abs(self.mass_from_curve() - self.total_mass)
 
     def pair_spectral(self, fn):
-        """Integral of fn against mu_c through the chart trapezoid rule."""
+        """Integral of fn against mu_c, the trapezoid rule over the rays."""
         vals = np.real(fn(self.boundary_points))
         return float(np.mean(vals * self.w_values))
 
@@ -957,8 +943,7 @@ class DemaillyMeasure:
             "mass_from_curve": self.mass_from_curve(),
             "mass_balance_residual": self.mass_balance_residual(),
             "curve_length": self.curve_length(),
-            "samples": int(self.t_grid.size),
-            "n_harmonics": int(self.n_harmonics),
+            "samples": int(self.level.samples),
             "level_tolerance": self.level.level_tolerance,
             "achieved_tolerance": self.level.achieved_tolerance,
             "paper_refs": [
@@ -968,59 +953,17 @@ class DemaillyMeasure:
         }
 
 
-def _chart_moments(disk_map, measure, level, *, n_theta=2048, k_max=256):
-    """Fourier moments M_k of the chart pullback of the area Riesz mass.
-
-    M_k = int_{B_c} Phi(w)^k dLambda u(w) computed in chart coordinates,
-    where the angular integral collapses to one FFT per radius and all
-    moments come out of a single tensor pass.  Atoms add Phi(a)^k exactly.
-    """
-    k_max = int(min(k_max, n_theta // 2 - 1))
-    mom = np.zeros(k_max + 1, dtype=complex)
-    for loc, mass in measure.atoms:
-        if bool(level.contains(loc)):
-            a = complex(disk_map.inverse(loc))
-            mom += mass * a ** np.arange(k_max + 1)
-    if measure.has_area_part():
-        # The integrand is bounded up to rho = 1 (the density is evaluated
-        # on the closed region B_c-bar, away from any boundary blow-up of
-        # the measure), but it steepens where the chart compresses, so the
-        # panels grade geometrically toward the rim.
-        dens = measure.density
-        glx, glw = np.polynomial.legendre.leggauss(8)
-        edges = [0.0]
-        while 1.0 - edges[-1] > 2.0e-4:
-            edges.append(edges[-1] + 0.5 * (1.0 - edges[-1]))
-        edges.append(1.0)
-        edges = np.asarray(edges)
-        rho_nodes = []
-        rho_wts = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            rho_nodes.append(mid + half * glx)
-            rho_wts.append(half * glw)
-        rho = np.concatenate(rho_nodes)
-        wts = np.concatenate(rho_wts)
-        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        zeta = rho[:, None] * np.exp(1j * theta[None, :])
-        wpts = disk_map.forward(zeta)
-        dvals = dens(wpts) * np.abs(disk_map.derivative(zeta)) ** 2
-        hat = np.fft.ifft(dvals, axis=1)[:, : k_max + 1]
-        powers = rho[:, None] ** (np.arange(k_max + 1)[None, :] + 1)
-        mom += 2.0 * math.pi * np.sum(
-            (wts[:, None] * powers) * hat, axis=0
-        )
-    return mom
-
-
-def demailly_measure(spec, c, *, samples=512, n_theta=2048, k_max=256):
+def demailly_measure(spec, c, *, samples=512):
     """Assemble the boundary measure mu_c of an exhaustion at level c.
 
-    Traces the level curve, builds the conformal chart of B_c, computes
-    the chart moments of the interior Riesz mass, and evaluates the
-    boundary density on the chart grid.  total_mass comes from a direct
-    area quadrature of the mass over B_c, independently of the moment
-    route, so mass_balance_residual is a genuine consistency check.
+    Traces the level curve and reads the flux density on its rays: on the
+    ray at angle phi with radius r(phi) the density against d phi/(2 pi)
+    is w = d_r u (r^2 + r'^2)/r, with d_r u a central difference of the
+    exhaustion's evaluator and r' the spectral derivative of the traced
+    radii.  A circular level about the center of a rotation-invariant
+    measure carries the uniform density, its mass.  total_mass comes from
+    a direct area quadrature of the mass over B_c, independently of the
+    flux, so mass_balance_residual is a genuine consistency check.
     """
     if not spec.measure.complete:
         raise InvalidParameter(
@@ -1028,65 +971,43 @@ def demailly_measure(spec, c, *, samples=512, n_theta=2048, k_max=256):
             "boundary measure would be missing mass (INCOMPLETE_RIESZ_MEASURE)"
         )
     level = spec.sublevel(c, samples=samples)
-    try:
-        disk_map = JordanDiskMap(level.center, level.radius_fn(), n=samples)
-    except ValueError as exc:
-        raise UnsupportedRegion(
-            f"conformal chart of the sublevel region failed: {exc}"
-        ) from exc
-    mom = _chart_moments(disk_map, spec.measure, level,
-                         n_theta=n_theta, k_max=k_max)
-    # Truncate at the noise floor so the boundary density does not carry
-    # aliasing wiggle from harmonics the tensor pass cannot resolve.
-    mags = np.abs(mom)
-    scale = max(mags.max(), 1e-300)
-    keep = mom.size
-    run = 0
-    for k in range(1, mom.size):
-        run = run + 1 if mags[k] < 1e-9 * scale else 0
-        if run >= 3:
-            keep = k - 2
-            break
-    mom = mom[:keep]
-
     ones = lambda w: np.ones(np.shape(w))
     direct = pair_over_sublevel(spec.measure, ones, level,
                                 tol_abs=1e-10, tol_rel=1e-8)
 
-    t_grid = 2.0 * math.pi * np.arange(samples) / samples
-    circle = np.exp(1j * t_grid)
-    boundary_points = disk_map.forward(circle)
-    f_prime_abs = np.abs(disk_map.derivative(circle))
-    series = np.concatenate((mom[:1], 2.0 * mom[1:]))
-    w_vals = np.real(polyval(np.exp(-1j * t_grid), series))
-    seg = np.abs(np.roll(boundary_points, -1) - boundary_points)
-    length = float(np.sum(seg))
-    u_c_vals = length * w_vals / (2.0 * math.pi * f_prime_abs)
+    r = level.radii
+    if level.is_circle:
+        # exact, where a difference quotient of log|z| spreads by 1e-11
+        w_vals = np.full(r.size, direct.value)
+        speed = r
+    else:
+        dr = _spectral_derivative(r)
+        speed2 = r * r + dr * dr
+        # The step balances the O(h^2) truncation of the central difference
+        # against rounding in u, O(eps/h): on the u_{3/4} rungs h = 1e-5,
+        # h = 1e-6 and a Richardson pair agreed to 3e-11 (k = 4) and 1e-8
+        # (k <= 6).  gap/20 keeps both nodes inside the disk, where the
+        # evaluator is u and not its zero extension.
+        gap = _ray_lengths(level.center, level.angles) - r
+        h = np.minimum(1e-5, gap / 20.0)
+        ray = np.exp(1j * level.angles)
+        du = (spec(level.center + (r + h) * ray)
+              - spec(level.center + (r - h) * ray)) / (2.0 * h)
+        w_vals = du * speed2 / r
+        speed = np.sqrt(speed2)
 
     return DemaillyMeasure(
-        spec_label=spec.label, c=c, level=level, disk_map=disk_map,
-        moments=mom, mass_direct=direct.value, mass_error=direct.error,
-        boundary_points=boundary_points, f_prime_abs=f_prime_abs,
-        w_values=w_vals, u_c_values=u_c_vals, t_grid=t_grid,
+        spec_label=spec.label, c=c, level=level, mass_direct=direct.value,
+        mass_error=direct.error, w_values=w_vals, speed=speed,
     )
-
-
-def density_uc(spec, c, *, samples=512):
-    """Boundary density U_c of mu_c against normalized arclength on S_c.
-
-    Returns (points, values, measure): the chart samples of S_c, U_c at
-    those samples, and the assembled DemaillyMeasure for further use.
-    """
-    dm = spec.demailly(c, samples=samples)
-    return dm.boundary_points, dm.u_c_values, dm
 
 
 def djl_both_sides(spec, v, lap_v, c, *, samples=512, v_singularities=(),
                    tol_abs=1e-9, tol_rel=1e-7):
     """Evaluate both sides of the two-sided level identity at one level.
 
-    Left side: integral of v against mu_c, the trapezoid rule on the chart
-    grid (``DemaillyMeasure.pair_spectral``).  Right side: the area
+    Left side: integral of v against mu_c, the trapezoid rule over the
+    traced rays (``DemaillyMeasure.pair_spectral``).  Right side: the area
     bookkeeping int_{B_c} (v dLambda u - u Lambda v dA) + c int_{B_c} Lambda v dA.
     ``lap_v`` is the (1/2 pi)-normalized Laplacian of v.  Returns a dict
     with both sides, the pieces, and the residual.

@@ -471,11 +471,13 @@ def _ladder_estimate(P, cvals):
     """Extrapolate the level-ladder pairings to c -> 0.
 
     Returns (status, limit, uncertainty, fitted_exponent).  The two-step
-    ratio sqrt(d[-1]/d[-3]) cancels the alternating bias the chart rungs
-    carry; the limit comes from a two-term fit in |c|^gamma over the last
-    four rungs, floored at the deepest rung (the pairings are monotone for
-    subharmonic integrands), and the uncertainty is the spread against a
-    geometric tail sum and a three-rung refit.
+    ratio sqrt(d[-1]/d[-3]) was written to cancel an alternating bias of
+    the rungs, which came from their swept measure; the flux rungs do not
+    carry it, and whether the plain ratio serves as well is open (ROADMAP
+    item 1).  The limit comes from a two-term fit in |c|^gamma over the
+    last four rungs, floored at the deepest rung (the pairings are
+    monotone for subharmonic integrands), and the uncertainty is the
+    spread against a geometric tail sum and a three-rung refit.
     """
     P = np.asarray(P, dtype=float)
     cvals = np.asarray(cvals, dtype=float)
@@ -512,10 +514,11 @@ def _ladder_estimate(P, cvals):
 def _route_level(f, p, u, weight, *, samples=512):
     """sup over the dyadic ladder of the level-measure pairings of |f|^p.
 
-    Returns (QuadratureResult-like tuple fields via dict).  Chart rungs are
-    capped at k = 12 (deeper crescents are thinner than the chart's rim
-    resolution); rotation-invariant exhaustions extend to k = 20 since
-    their rungs are exact.  Infinite Riesz mass short-circuits the ladder:
+    Returns (QuadratureResult-like tuple fields via dict).  Traced rungs
+    are capped at k = 12: thinner crescents are limited by the ray count
+    (the u_{3/4} flux mass at k = 12 is 0.19198 on 256 rays and 0.19124 on
+    2,048); rotation-invariant exhaustions extend to k = 20 since their
+    rungs are exact.  Infinite Riesz mass short-circuits the ladder:
     the rung values grow at least like min|f*|^p times the sublevel mass,
     so a boundary-nonvanishing f is divergent outright, and anything else
     is left to the other routes.
@@ -544,9 +547,9 @@ def _route_level(f, p, u, weight, *, samples=512):
         info["note"] = "ladder skipped: infinite Riesz mass"
         return None, info
 
-    k_max = 20 if radial else 12
+    deepest = 20 if radial else 12
     rungs, cs, skipped = [], [], []
-    for k in range(k_max + 1):
+    for k in range(deepest + 1):
         c = -(2.0 ** (-k))
         if c <= u.min_value:
             continue
@@ -555,8 +558,8 @@ def _route_level(f, p, u, weight, *, samples=512):
         except EmptyLevel:
             continue
         except (UnsupportedRegion, ValueError) as exc:
-            # deep levels may not chart (several components, far from
-            # circular); past the first traced rung a failure ends the
+            # deep levels may not trace (several components, not star-
+            # shaped); past the first traced rung a failure ends the
             # ladder so the rungs _ladder_estimate fits stay contiguous
             if not rungs:
                 skipped.append(c)

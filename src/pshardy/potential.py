@@ -2,10 +2,9 @@
 
 The potential theory here is classical: the Green function of the unit
 disk, the Poisson kernel, superpositions of both against finite measures,
-and numerical conformal transplantation of harmonic boundary data from
-star-shaped Jordan subdomains back to the disk.  Everything downstream
-(exhaustion functions, boundary weights, Hardy norms) is assembled from
-these pieces.
+and the spectral harmonic extension of sampled boundary data.  Everything
+downstream (exhaustion functions, boundary weights, Hardy norms) is
+assembled from these pieces.
 
 Normalization
 -------------
@@ -23,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyval
 from numpy.polynomial.polyutils import trimseq
 
 from .geometry import (
@@ -48,8 +47,6 @@ __all__ = [
     "poisson_integral",
     "periodic_interpolant",
     "LensPowerDensity",
-    "JordanDiskMap",
-    "harmonic_extension_via_map",
     "laplacian_probe",
 ]
 
@@ -921,7 +918,7 @@ def poisson_extension(profile: BoundaryProfile):
 
     Returns a vectorized evaluator h(z) = Re sum_k a_k z^k, the real part of
     the analytic series of ``_analytic_coefficients`` (shared with
-    ``periodic_interpolant`` and ``JordanDiskMap``): the harmonic extension
+    ``periodic_interpolant``): the harmonic extension
     of the trigonometric interpolant of the samples, exact for
     band-limited data and matching the samples on the boundary grid.
     """
@@ -973,7 +970,7 @@ def periodic_interpolant(samples):
 
     Returns a vectorized callable on angles, exact at the sample grid
     theta_j = 2 pi j / n.  Turns traced level-curve radii into the smooth
-    radius function the conformal mapping iteration needs.
+    radius function of the level.
     """
     coeffs = _analytic_coefficients(samples)
 
@@ -984,147 +981,6 @@ def periodic_interpolant(samples):
     return f
 
 
-# ---------------------------------------------------------------------------
-# Conformal map onto a star-shaped Jordan domain via the conjugation
-# (Theodorsen) iteration, with spectral coefficients and Newton inverse.
-# ---------------------------------------------------------------------------
-
-
-class JordanDiskMap:
-    """Riemann map F from the unit disk onto a star-shaped Jordan domain.
-
-    The target is described by a center and a smooth radius function
-    R(theta) > 0: its boundary is the curve center + R(theta) e^{i theta}.
-    The map is normalized by F(0) = center, F'(0) > 0 and represented as
-    F(z) = center + z exp(G(z)) with G the analytic series that
-    ``_analytic_coefficients`` builds from the samples of log R(theta(t))
-    (the layout ``poisson_extension`` and ``periodic_interpolant`` share),
-    so Re G(e^{it}) = log R(theta(t)), where theta(t) is the boundary
-    correspondence fixed point of
-
-        theta(t) = t + H[log R o theta](t),
-
-    H being the circle conjugation operator applied spectrally.  The
-    iteration contracts when |d/dtheta log R| stays below 1, which all
-    the near-circular level curves in this package satisfy with room.
-
-    Attributes after construction: ``univalent`` (grid check that the
-    boundary correspondence is strictly increasing), ``boundary_residual``
-    (max distance between F(e^{it}) and the prescribed curve on the grid),
-    ``iterations`` (count used by the fixed point loop).
-    """
-
-    def __init__(self, center, radius_fn, *, n: int = 1024, maxiter: int = 200, tol: float = 5e-14):
-        if n < _MIN_PROFILE or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= {_MIN_PROFILE}")
-        self.center = complex(center)
-        self.n = int(n)
-        t = 2.0 * math.pi * np.arange(n) / n
-
-        def rho(th):
-            rr = np.asarray(radius_fn(th), dtype=float)
-            if np.any(rr <= 0.0) or not np.all(np.isfinite(rr)):
-                raise ValueError("radius function must be finite and positive")
-            return np.log(rr)
-
-        theta = t.copy()
-        step = 1.0
-        prev_delta = math.inf
-        delta = math.inf
-        for it in range(1, maxiter + 1):
-            target = t + _conjugate_samples(rho(theta))
-            delta = float(np.max(np.abs(target - theta)))
-            theta = theta + step * (target - theta)
-            if delta < tol:
-                break
-            if delta > prev_delta and step > 0.49:
-                # fall back to damped iteration near the contraction margin
-                step = 0.5
-            prev_delta = delta
-        else:
-            raise ValueError(
-                "boundary correspondence iteration did not converge; "
-                "the curve is too far from circular for this map"
-            )
-        self.iterations = it
-        self.theta_of_t = theta
-
-        self._gcoeffs = _analytic_coefficients(rho(theta))
-        self._gprime = polyder(self._gcoeffs)
-
-        dtheta = _spectral_derivative(theta - t) + 1.0
-        self.univalent = bool(np.min(dtheta) > 0.0)
-        self.correspondence_min_slope = float(np.min(dtheta))
-
-        circle = np.exp(1j * t)
-        want = self.center + np.asarray(radius_fn(theta), dtype=float) * np.exp(1j * theta)
-        self.boundary_residual = float(np.max(np.abs(self.forward(circle) - want)))
-
-    # -- evaluation -------------------------------------------------------
-
-    def forward(self, z):
-        """F(z) for z in the closed unit disk (vectorized)."""
-        z = np.asarray(z, dtype=complex)
-        out = self.center + z * np.exp(polyval(z, self._gcoeffs))
-        return complex(out) if out.ndim == 0 else out
-
-    def derivative(self, z):
-        """F'(z) = exp(G(z)) (1 + z G'(z)) (vectorized)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.exp(polyval(z, self._gcoeffs)) * (1.0 + z * polyval(z, self._gprime))
-        return complex(out) if out.ndim == 0 else out
-
-    def boundary_point(self, t):
-        """F(e^{it}), the parametrized image boundary."""
-        return self.forward(np.exp(1j * np.asarray(t, dtype=float)))
-
-    @property
-    def derivative_at_center(self) -> float:
-        """F'(0) = exp(g_0) > 0, the conformal radius factor."""
-        return float(math.exp(self._gcoeffs[0].real))
-
-    def inverse(self, w, *, tol: float = 1e-12, maxiter: int = 60):
-        """Newton solve of F(z) = w for w inside the image domain.
-
-        Vectorized over w; iterates are kept inside the closed disk.
-        Raises ValueError when some component fails to reach the
-        tolerance (w outside the domain, typically).
-        """
-        wa = np.asarray(w, dtype=complex)
-        scalar = wa.ndim == 0
-        ww = np.atleast_1d(wa).astype(complex)
-        scale = max(self.derivative_at_center, 1e-12)
-        z = (ww - self.center) / scale
-        mag = np.abs(z)
-        np.divide(z, mag, out=z, where=mag > 1.0 - 1e-15)
-        z[mag > 1.0 - 1e-15] *= 1.0 - 1e-12
-        for _ in range(maxiter):
-            resid = self.forward(z) - ww
-            if np.max(np.abs(resid)) <= tol * max(scale, 1.0):
-                break
-            dz = resid / self.derivative(z)
-            # limit steps so iterates stay in the closed disk
-            z = z - dz
-            mag = np.abs(z)
-            bad = mag > 1.0
-            if np.any(bad):
-                z[bad] = z[bad] / mag[bad] * (1.0 - 1e-14)
-        else:
-            raise ValueError("inverse map did not converge; point may be outside the domain")
-        return complex(z[0]) if scalar else z.reshape(wa.shape)
-
-
-def _conjugate_samples(x: np.ndarray) -> np.ndarray:
-    """Circle conjugation of real uniform samples: multiplier -i sgn(k)."""
-    n = x.size
-    X = np.fft.rfft(x)
-    mult = np.full(X.shape, -1j)
-    mult[0] = 0.0
-    if n % 2 == 0:
-        mult[-1] = 0.0
-    return np.fft.irfft(X * mult, n)
-
-
 def _spectral_derivative(x: np.ndarray) -> np.ndarray:
     """d/dt of a smooth periodic sample vector, spectrally."""
     n = x.size
@@ -1133,31 +989,6 @@ def _spectral_derivative(x: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         k[-1] = 0.0  # drop the Nyquist derivative (sign-ambiguous)
     return np.fft.irfft(X * (1j * k), n)
-
-
-def harmonic_extension_via_map(disk_map: JordanDiskMap, boundary_data, *, n: int | None = None):
-    """Harmonic extension of data given on a mapped Jordan boundary.
-
-    ``boundary_data(points)`` takes curve points (complex array) and
-    returns real values.  The extension is computed by sampling the data
-    along the parametrized boundary, extending spectrally on the disk,
-    and pulling evaluation points back through the Newton inverse.  The
-    returned callable acts on points of the image domain; its
-    ``disk_evaluator`` attribute is the extension in disk coordinates.
-    """
-    m = disk_map.n if n is None else int(n)
-    t = 2.0 * math.pi * np.arange(m) / m
-    pts = disk_map.boundary_point(t)
-    vals = np.asarray(boundary_data(pts), dtype=float)
-    profile = BoundaryProfile(t, vals)
-    ext = poisson_extension(profile)
-
-    def h(w):
-        return ext(disk_map.inverse(w))
-
-    h.disk_evaluator = ext
-    h.profile = profile
-    return h
 
 
 def laplacian_probe(u, z, h: float = 1e-4) -> float:

@@ -5,8 +5,9 @@ from pshardy import exhaustion
 
 @pytest.fixture(scope="session")
 def u075():
-    # shared across files: the demailly charts and boundary weights cache
-    # on the spec object, so everything downstream reuses one build
+    # shared across files: the traced levels, swept measures and boundary
+    # weights cache on the spec object, so everything downstream reuses
+    # one build
     return exhaustion.make_example("um", 0.75)
 
 

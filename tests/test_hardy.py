@@ -364,10 +364,16 @@ def test_z_under_log_ladder_diagnostics(ulog):
 
 
 def test_ladder_skips_untraceable_deep_rungs():
-    # the deep levels of two equal atoms do not chart; the ladder starts
-    # at the first rung that does and climbs contiguously from there
-    u = X.green_exhaustion(RieszMeasure(atoms=((0.3, 0.5), (-0.3, 0.5))))
-    rep = H.hardy_norm(Poly([0.0, 1.0]), 2.0, u)
+    # the level c = -1 of equal atoms at +-0.3 is one star-shaped region
+    # and a rung; at +-0.45 it splits around the atoms, so that ladder
+    # starts at the next rung and climbs contiguously from there
+    near = X.green_exhaustion(RieszMeasure(atoms=((0.3, 0.5), (-0.3, 0.5))))
+    rep = H.hardy_norm(Poly([0.0, 1.0]), 2.0, near)
+    assert rep.verdict == "MEMBER"
+    assert abs(rep.value - 1.0) < 1e-6
+    assert rep.ladder[0][0] == -1.0
+    far = X.green_exhaustion(RieszMeasure(atoms=((0.45, 0.5), (-0.45, 0.5))))
+    rep = H.hardy_norm(Poly([0.0, 1.0]), 2.0, far)
     assert rep.verdict == "MEMBER"
     assert abs(rep.value - 1.0) < 1e-6
     assert rep.monotone
@@ -375,6 +381,17 @@ def test_ladder_skips_untraceable_deep_rungs():
     assert cs[0] > -1.0
     assert np.allclose(np.diff(np.log2(-np.asarray(cs))), -1.0)
     assert "c=-1" in " ".join(rep.notes)
+
+
+@pytest.mark.parametrize("rays", [384, 200])
+def test_ladder_traces_any_ray_count(rays):
+    # the swept measure takes the traced rays as they are, so a ray count
+    # that is not a power of two keeps every rung of the ladder
+    u = X.green_exhaustion(RieszMeasure(atoms=((0.3, 1.0),)))
+    rep = H.hardy_norm(Poly([1.0, 0.5]), 2.0, u, level_samples=rays)
+    assert len(rep.ladder) == 13
+    assert rep.statuses["level-sup"] == CONVERGED
+    assert not any("untraceable" in note for note in rep.notes)
 
 
 def test_um_triple_route_agreement(u075):

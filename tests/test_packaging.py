@@ -47,3 +47,13 @@ def test_third_party_imports_are_declared():
         if name not in local and name.lower() not in declared
     }
     assert not missing, sorted(missing)
+
+
+def test_exported_names_resolve():
+    # every name a module lists in __all__ is defined in it
+    for path in sorted((ROOT / "src" / "pshardy").glob("*.py")):
+        name = "pshardy" if path.stem == "__init__" else f"pshardy.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [attr for attr in getattr(module, "__all__", ())
+                   if not hasattr(module, attr)]
+        assert not missing, (path.name, missing)

@@ -302,92 +302,6 @@ def test_laplacian_probe_polynomial():
     assert abs(got - 8.0 * abs(zp) ** 2 / math.pi) < 1e-6
 
 
-# ---------------------------------------------------------------------------
-# conformal maps onto star-shaped domains
-# ---------------------------------------------------------------------------
-
-
-def test_map_circle_is_affine():
-    m = P.JordanDiskMap(0.2 + 0.1j, lambda th: 0.5 * np.ones_like(th), n=256)
-    rng = np.random.default_rng(2)
-    z = rng.uniform(-0.7, 0.7, 20) + 1j * rng.uniform(-0.7, 0.7, 20)
-    assert np.max(np.abs(m.forward(z) - (0.2 + 0.1j + 0.5 * z))) < 1e-13
-    assert abs(m.derivative_at_center - 0.5) < 1e-13
-    assert m.univalent
-    # log R is constant, so G is a one-term series
-    assert m._gcoeffs.size == 1
-    assert np.max(np.abs(m.derivative(z) - 0.5)) < 1e-13
-
-
-def test_map_offcenter_disk_matches_moebius():
-    # unit disk onto disk(c0, r0) fixing 0 with positive derivative:
-    # T(z) = c0 + r0 (z + q)/(1 + q z), q = -c0/r0
-    c0, r0 = 0.3, 0.6
-    q = -c0 / r0
-
-    def oracle(z):
-        return c0 + r0 * (z + q) / (1.0 + q * z)
-
-    def radius(th):
-        return c0 * np.cos(th) + np.sqrt(c0**2 * np.cos(th) ** 2 + r0**2 - c0**2)
-
-    m = P.JordanDiskMap(0.0, radius, n=512)
-    assert m.univalent
-    assert m.boundary_residual < 1e-12
-    rng = np.random.default_rng(3)
-    z = rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
-    z = z[np.abs(z) < 0.97][:60]
-    assert np.max(np.abs(m.forward(z) - oracle(z))) < 1e-12
-    want_deriv = r0 * (1 - q * q) / (1.0 + q * z) ** 2
-    assert np.max(np.abs(m.derivative(z) - want_deriv)) < 1e-11
-    back = m.inverse(m.forward(z))
-    assert np.max(np.abs(back - z)) < 1e-11
-
-
-def test_map_smooth_star_curve_self_consistency():
-    m = P.JordanDiskMap(0.0, lambda th: 1.0 + 0.3 * np.cos(th), n=512)
-    assert m.univalent
-    assert m.boundary_residual < 1e-10
-    rng = np.random.default_rng(7)
-    z = 0.9 * (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
-    z = z[np.abs(z) < 0.9]
-    assert np.max(np.abs(m.inverse(m.forward(z)) - z)) < 1e-10
-    # image boundary sits on the prescribed curve
-    t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-    pts = m.boundary_point(t)
-    th = np.angle(pts)
-    assert np.max(np.abs(np.abs(pts) - (1.0 + 0.3 * np.cos(th)))) < 1e-10
-
-
-def test_map_rejects_wild_curves():
-    with pytest.raises(ValueError):
-        P.JordanDiskMap(0.0, lambda th: 1.0 + 0.45 * np.cos(6 * th), n=512)
-    with pytest.raises(ValueError):
-        P.JordanDiskMap(0.0, lambda th: np.cos(th), n=256)  # touches zero
-    with pytest.raises(ValueError):
-        P.JordanDiskMap(0.0, lambda th: np.ones_like(th), n=100)  # bad grid
-
-
-def test_harmonic_extension_via_map():
-    c0, r0 = 0.3, 0.6
-
-    def radius(th):
-        return c0 * np.cos(th) + np.sqrt(c0**2 * np.cos(th) ** 2 + r0**2 - c0**2)
-
-    m = P.JordanDiskMap(0.0, radius, n=512)
-    h = P.harmonic_extension_via_map(m, lambda w: np.real(w))
-    rng = np.random.default_rng(11)
-    inner = c0 + 0.8 * r0 * np.exp(1j * rng.uniform(0, 2 * math.pi, 25)) * rng.uniform(0, 1, 25)
-    assert np.max(np.abs(h(inner) - np.real(inner))) < 1e-10
-    const = P.harmonic_extension_via_map(m, lambda w: np.ones_like(np.real(w)))
-    assert np.max(np.abs(const(inner) - 1.0)) < 1e-12
-    # a star-shaped but non-circular domain, same harmonic oracle
-    m2 = P.JordanDiskMap(0.0, lambda th: 1.0 + 0.25 * np.sin(2 * th), n=512)
-    h2 = P.harmonic_extension_via_map(m2, lambda w: np.imag(w))
-    pts = m2.forward(0.6 * np.exp(1j * np.linspace(0, 6, 17)))
-    assert np.max(np.abs(h2(pts) - np.imag(pts))) < 1e-9
-
-
 def test_lens_potential_has_no_overflow_at_the_tip():
     # (1 - x)^(m - 2) is huge at the nodes by x = 1, and the chord terms
     # meet a vanishing chord there; points by the tip, on the axes and at
