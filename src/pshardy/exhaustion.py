@@ -33,7 +33,6 @@ from .potential import (
     _spectral_derivative,
     green_function,
     green_potential,
-    periodic_interpolant,
     poisson_balayage,
 )
 
@@ -550,10 +549,11 @@ class LevelSet:
     def radius_fn(self):
         """Angle -> radius, spectrally interpolated between traced rays.
 
-        The trigonometric interpolant is resampled once onto a dense grid
-        and carried by a periodic cubic spline, which costs O(1) per
-        evaluation instead of O(samples); quadrature over the region calls
-        this on every angular panel.
+        The trigonometric interpolant is resampled once onto a dense grid,
+        by a zero-padded inverse FFT of the radii's spectrum, and carried
+        by a periodic cubic spline, which costs O(1) per evaluation instead
+        of O(samples); quadrature over the region calls this on every
+        angular panel.
         """
         if self._interp is None:
             if self.is_circle:
@@ -562,10 +562,15 @@ class LevelSet:
             else:
                 from scipy.interpolate import CubicSpline
 
-                trig = periodic_interpolant(self.radii)
-                n_dense = max(8192, 8 * self.samples)
+                n = self.samples
+                n_dense = max(8192, 8 * n)
+                spec = np.fft.rfft(self.radii)
+                if n % 2 == 0:
+                    # bin n/2 is the single Nyquist cosine of the radii but
+                    # an interior bin, counted twice, of the dense inverse
+                    spec[-1] *= 0.5
+                vals = np.fft.irfft(spec, n_dense) * (n_dense / n)
                 phis = np.linspace(0.0, 2.0 * math.pi, n_dense + 1)
-                vals = np.asarray(trig(phis[:-1]), dtype=float)
                 vals = np.append(vals, vals[0])
                 spline = CubicSpline(phis, vals, bc_type="periodic")
                 two_pi = 2.0 * math.pi
@@ -599,36 +604,6 @@ class LevelSet:
         verts = self.vertices
         nxt = np.roll(verts, -1)
         return float(0.5 * np.sum(verts.real * nxt.imag - verts.imag * nxt.real))
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("x,y,u_value\n")
-            for v, uv in zip(self.vertices, self.u_values):
-                fh.write(f"{float(v.real)!r},{float(v.imag)!r},{float(uv)!r}\n")
-
-    @staticmethod
-    def from_csv(path):
-        rows = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "x,y,u_value":
-                raise ValueError("unrecognized level-set CSV header")
-            for line in fh:
-                x, y, uv = (float(p) for p in line.strip().split(","))
-                rows.append((x, y, uv))
-        pts = np.array([complex(x, y) for x, y, _ in rows])
-        # row j lies on the ray at angle 2 pi j/n from the star center z0:
-        # Im((v_j - z0) e^{-i theta_j}) = 0 fixes z0 by least squares
-        ang = 2.0 * math.pi * np.arange(pts.size) / pts.size
-        turn = np.exp(-1j * ang)
-        lhs = np.column_stack((turn.imag, turn.real))
-        (x0, y0), *_ = np.linalg.lstsq(lhs, (pts * turn).imag, rcond=None)
-        center = complex(x0, y0)
-        return LevelSet(
-            c=float(np.median([uv for _, _, uv in rows])),
-            center=center, angles=ang, radii=((pts - center) * turn).real,
-            u_values=[uv for _, _, uv in rows], spec_label="from-csv",
-        )
 
 
 def _connected_components_of_sublevel(spec, c, n_grid=96):

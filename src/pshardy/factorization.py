@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import hardy
-from .potential import DIVERGENT, integrate_interval
+from .potential import DIVERGENT, _series, integrate_interval
 
 
 class InvalidZero(ValueError):
@@ -277,8 +277,7 @@ class OuterFunction(AnalyticExpr):
 
     def _log_series(self, z):
         z = np.asarray(z, dtype=complex)
-        series = np.polynomial.polynomial.polyval(z, np.concatenate((
-            [0.0], 2.0 * self.log_coeffs)))
+        series = _series(z, np.concatenate(([0.0], 2.0 * self.log_coeffs)))
         total = self.log_coeff0 + series
         for t0, alpha in self._sing_terms:
             total = total + alpha * np.log(1.0 - z * np.exp(-1j * t0))
@@ -398,13 +397,6 @@ class UInnerCandidate:
         self.defect = float(np.max(np.abs(flatness[clean_mask] - 1.0)))
         self.norm_value = norm_value
         self.norm_report = norm_report
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("theta,re_phi,im_phi,flatness\n")
-            for t, ph, fl in zip(self.thetas, self.phi_star, self.flatness):
-                fh.write(f"{float(t)!r},{float(ph.real)!r},"
-                         f"{float(ph.imag)!r},{float(fl)!r}\n")
 
 
 def u_inner(u, *, samples=2048, exclusion=1e-3):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .geometry import (
     CONVERGED,
@@ -44,6 +43,7 @@ from .geometry import (
 from .potential import (
     BoundaryProfile,
     _analytic_coefficients,
+    _series,
     poisson_balayage,
     poisson_extension,
     poisson_kernel,
@@ -206,12 +206,6 @@ class BoundaryWeight:
         if res.status == DIVERGENT:
             return math.inf
         return res.value / TWO_PI
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("theta,V\n")
-            for t, v in zip(self.thetas, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
 
     def to_json_dict(self):
         return {
@@ -392,10 +386,11 @@ def _route_bulk(f, p, u, weight, *, tol_abs=1e-9, tol_rel=1e-6):
     q = |f*|^p and a smooth cutoff chi around the singular angles of f,
     the window part P[q chi] is taken by Fubini as int q chi V dnu over
     each window, so there the route shares the boundary route's integrand.
-    The far part P[q (1 - chi)] is a spectral series paired with the mass,
-    by the mean value h(0) * mass when the mass is rotation invariant.
-    For a finite mass the series drops its terms below _SERIES_FLOOR of
-    the largest and adds their sum times the mass to the error; the
+    The far part P[q (1 - chi)] is a spectral series, summed by the blocked
+    ``_series``, paired with the mass, by the mean value h(0) * mass when
+    the mass is rotation invariant.  For a finite mass the series drops its
+    terms below _SERIES_FLOOR of the largest and adds their sum times the
+    mass to the error; an infinite mass keeps every term.  The
     pairing runs at a hundredth of the tolerances, since the disk
     quadrature under-reports its error on the lens at the route's own.
     """
@@ -444,7 +439,7 @@ def _route_bulk(f, p, u, weight, *, tol_abs=1e-9, tol_rel=1e-6):
             coeffs = coeffs[:keep]
 
         def h_far(w):
-            return np.real(polyval(np.asarray(w, dtype=complex), coeffs))
+            return _series(w, coeffs).real
 
         # an infinite mass gathers at the measure's declared boundary
         # singular points, where h_far is continuous: positive there, the

@@ -17,12 +17,10 @@ nu(circle) = 1, so the harmonic extension of the constant 1 is 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from numpy.polynomial.polyutils import trimseq
 
 from .geometry import (
@@ -384,7 +382,7 @@ def poisson_balayage(measure: RieszMeasure):
     series = np.concatenate((mom[:1], 2.0 * mom[1:]))
 
     def V(t):
-        out = np.real(polyval(np.exp(-1j * np.asarray(t, dtype=float)), series))
+        out = _series(np.exp(-1j * np.asarray(t, dtype=float)), series).real
         return float(out) if out.ndim == 0 else out
 
     return mass, V, False
@@ -452,6 +450,7 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
+_BLOCK = 64  # terms per row of the two-level Horner in _series
 _N_LEFT = 40  # sqrt-substituted panels on 0 < x < 1/2
 _FAR = 1e6  # chords beyond _FAR * Y from e^{it} take the midpoint kernel
 _POTENTIAL_ORDER = 8  # Gauss points per fixed panel of the lens grid
@@ -620,10 +619,8 @@ def _graded_panels(edges, offset, star, tail, depth, order, grid_order):
 def _in_chunks(block, points):
     """Apply a vectorized block evaluator to CHUNK points at a time."""
     flat = points.ravel()
-    out = np.empty(flat.size)
-    for i0 in range(0, flat.size, CHUNK):
-        out[i0:i0 + CHUNK] = block(flat[i0:i0 + CHUNK])
-    return out.reshape(points.shape)
+    out = [block(flat[i0:i0 + CHUNK]) for i0 in range(0, flat.size, CHUNK)]
+    return np.concatenate(out or [np.empty(0)]).reshape(points.shape)
 
 
 class LensPowerDensity:
@@ -875,23 +872,6 @@ class BoundaryProfile:
         """One-sided coefficients c_k = (1/n) sum_j values_j e^{-ik theta_j}."""
         return np.fft.rfft(self.values) / self.n
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "value"])
-            for t, v in zip(self.thetas, self.values):
-                writer.writerow([repr(float(t)), repr(float(v))])
-
-    @classmethod
-    def from_csv(cls, path, label: str = ""):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["theta", "value"]:
-            raise ValueError("profile CSV must start with the header 'theta,value'")
-        body = [(float(a), float(b)) for a, b in rows[1:]]
-        arr = np.array(body, dtype=float)
-        return cls(arr[:, 0], arr[:, 1], label=label)
-
 
 def _analytic_coefficients(values) -> np.ndarray:
     """One-sided series [c_0, 2c_1, ..., 2c_{n/2-1}, c_{n/2}] of uniform samples.
@@ -900,8 +880,8 @@ def _analytic_coefficients(values) -> np.ndarray:
     Nyquist term taken real.  The series a is analytic in the disk and
     Re sum_k a_k e^{ik theta} is the trigonometric interpolant of the
     samples.  Trailing coefficients that are exactly zero are dropped (at
-    least one is kept), so Horner evaluation stops at the last nonzero
-    term: a constant costs one step.
+    least one is kept), so ``_series`` sums no terms past the last nonzero
+    one: a constant is one term.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -913,12 +893,48 @@ def _analytic_coefficients(values) -> np.ndarray:
     return trimseq(c)
 
 
+def _series(z, coeffs) -> np.ndarray:
+    """sum_k a_k z^k for |z| <= 1, by two-level Horner in blocks of _BLOCK.
+
+    The coefficients fill a (rows x _BLOCK) matrix, so one matmul with the
+    power table z^0 ... z^(_BLOCK-1) gives each row's block value and a
+    Horner pass in z^_BLOCK over the rows sums them: numpy pays rows calls
+    per chunk of points instead of one per term.  The table doubles up
+    from z (z^(k+j) = z^k z^j), so each power in it takes at most
+    log2(_BLOCK) rounded products.  Returns the complex sum; the harmonic
+    callers take its real part.
+    """
+    a = np.asarray(coeffs, dtype=complex)
+    width = min(_BLOCK, a.size)
+    rows = -(-a.size // width)
+    mat = np.zeros(rows * width, dtype=complex)
+    mat[:a.size] = a
+    mat = mat.reshape(rows, width)
+
+    def block(w):
+        powers = np.empty((width + 1, w.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1] = w
+        k = 1
+        while k < width:
+            top = min(2 * k, width)
+            powers[k + 1:top + 1] = powers[k] * powers[1:top - k + 1]
+            k = top
+        sums = mat @ powers[:width]
+        out = sums[-1]
+        for row in sums[-2::-1]:
+            out = out * powers[width] + row
+        return out
+
+    return _in_chunks(block, np.asarray(z, dtype=complex))
+
+
 def poisson_extension(profile: BoundaryProfile):
     """Spectral harmonic extension of a sampled boundary profile.
 
     Returns a vectorized evaluator h(z) = Re sum_k a_k z^k, the real part of
-    the analytic series of ``_analytic_coefficients`` (shared with
-    ``periodic_interpolant``): the harmonic extension
+    the analytic series of ``_analytic_coefficients`` summed by ``_series``
+    (both shared with ``periodic_interpolant``): the harmonic extension
     of the trigonometric interpolant of the samples, exact for
     band-limited data and matching the samples on the boundary grid.
     """
@@ -928,7 +944,7 @@ def poisson_extension(profile: BoundaryProfile):
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) > 1.0 + 1e-12):
             raise ValueError("harmonic extension evaluated outside the closed disk")
-        out = np.real(polyval(z, coeffs))
+        out = _series(z, coeffs).real
         return float(out) if out.ndim == 0 else out
 
     h.profile = profile
@@ -969,13 +985,13 @@ def periodic_interpolant(samples):
     """Trigonometric interpolant of uniform periodic samples.
 
     Returns a vectorized callable on angles, exact at the sample grid
-    theta_j = 2 pi j / n.  Turns traced level-curve radii into the smooth
-    radius function of the level.
+    theta_j = 2 pi j / n.  ``LevelSet.radius_fn`` resamples the same
+    interpolant of the traced radii by FFT.
     """
     coeffs = _analytic_coefficients(samples)
 
     def f(theta):
-        out = np.real(polyval(np.exp(1j * np.asarray(theta, dtype=float)), coeffs))
+        out = _series(np.exp(1j * np.asarray(theta, dtype=float)), coeffs).real
         return float(out) if out.ndim == 0 else out
 
     return f

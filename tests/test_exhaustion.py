@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from pshardy.potential import (
     RieszMeasure,
     green_function,
     green_potential,
+    periodic_interpolant,
 )
 
 
@@ -507,22 +507,19 @@ def test_levelset_interpolant_matches_samples(um):
     assert lv.area() > 0.0
 
 
-def test_levelset_csv_roundtrip(um, tmp_path):
-    lv = um.sublevel(-0.02)
-    path = os.path.join(tmp_path, "level.csv")
-    lv.to_csv(path)
-    back = X.LevelSet.from_csv(path)
-    assert np.abs(back.vertices - lv.vertices).max() < 1e-12
-    assert np.abs(np.asarray(back.u_values) - lv.u_values).max() == 0.0
-    assert abs(back.c - lv.c) < 1e-9
-    # row j lies on the ray at angle 2 pi j/n from the star center
-    assert abs(back.center - lv.center) < 1e-12
-    assert np.abs(back.radius_at(lv.angles) - lv.radii).max() < 1e-9
-    grid = (np.linspace(-0.3, 1.0, 131)[:, None]
-            + 1j * np.linspace(-0.65, 0.65, 131)[None, :]).ravel()
-    assert np.array_equal(back.contains(grid), lv.contains(grid))
-    with open(path) as fh:
-        assert fh.readline().strip() == "x,y,u_value"
+@pytest.mark.parametrize("n", [256, 384, 200, 201])
+def test_levelset_dense_radii_are_the_interpolant(n):
+    # the spline's knots are the trigonometric interpolant of the radii,
+    # resampled by FFT; a Nyquist term (even n) counts once
+    rng = np.random.default_rng(n)
+    phi = 2.0 * math.pi * np.arange(n) / n
+    radii = (0.5 + 0.1 * np.cos(phi) + 0.02 * np.sin(3.0 * phi)
+             + 1e-3 * rng.standard_normal(n))
+    lv = X.LevelSet(c=-0.1, center=0.1, angles=phi, radii=radii,
+                    u_values=np.full(n, -0.1), spec_label="test")
+    knots = np.linspace(0.0, 2.0 * math.pi, max(8192, 8 * n) + 1)[:-1]
+    want = periodic_interpolant(radii)(knots)
+    assert np.max(np.abs(lv.radius_at(knots) - want)) <= 1e-14
 
 
 def test_swept_measure_report(um):

@@ -116,6 +116,16 @@ def test_pre_asymptotic_growth_is_not_divergence(s, delta):
     assert abs(res.value - ref) <= res.error
 
 
+def test_near_pole_power_integral_is_inside_its_error():
+    # int_0^1 x^(1/2)/(x + 1e-7)^2 dx = 4965.29413303 (mpmath 1.3, 30
+    # digits, from the 2F1 form above and from mpmath.quad split at 1e-7;
+    # pi/(2 sqrt(1e-7)) - 2 agrees to 1.4e-7)
+    res = G.integrate_interval(lambda x: x ** 0.5 / (x + 1e-7) ** 2, 0.0, 1.0,
+                               singular_left=True)
+    assert res.status == "CONVERGED"
+    assert abs(4965.29413303 - res.value) <= res.error
+
+
 def test_budget_exhaustion_is_inconclusive():
     res = G.integrate_interval(
         lambda x: np.sin(1000.0 * x * x),

@@ -299,13 +299,8 @@ def test_lens_balayage_is_continuous_near_its_singular_angle():
     assert np.max(np.abs(np.diff(g, 2))) < 1e-6
 
 
-def test_weight_csv_and_json(u075, tmp_path):
+def test_weight_json(u075):
     w = H.boundary_weight(u075)
-    path = tmp_path / "weight.csv"
-    w.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "theta,V"
-    assert len(lines) == w.samples + 1
     blob = w.to_json_dict()
     assert blob["mass_of_laplacian"] == w.mass_of_laplacian
     assert blob["log_integrable"] is True
@@ -520,6 +515,21 @@ def test_bulk_route_within_its_error_for_zeros_near_the_atom():
     bulk = H._route_bulk(Poly(coeffs), 2.0, u, H.boundary_weight(u))
     assert bulk.status == CONVERGED
     assert abs(bulk.value - ref) <= bulk.error
+
+
+@pytest.mark.parametrize("beta, p", [(2.0, 1.0), (1.0, 2.0)])
+def test_lens_bulk_route_matches_frozen_value(u05, beta, p):
+    """The u_{1/2} bulk route of |(1 - z)/2|^2 holds its value.
+
+    Recipe: ``H._route_bulk(AffinePower(0.5, beta), p, u, H.boundary_weight(u))``
+    with u = make_example("um", 0.5), run with the series summed by numpy's
+    Horner (``polyval``): 0.026525823887283185 for ((1 - z)/2)^2, p = 1 and
+    0.026525823887283178 for (1 - z)/2, p = 2.  The mass is infinite, so
+    the far part pairs the whole 4,097-term series with the lens density.
+    """
+    bulk = H._route_bulk(AffinePower(0.5, beta), p, u05, H.boundary_weight(u05))
+    assert bulk.status == CONVERGED
+    assert abs(bulk.value - 0.0265258238872832) <= 1e-12 * 0.0265258238872832
 
 
 def test_small_p_skips_level_route(u075):

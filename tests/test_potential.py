@@ -1,8 +1,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from pshardy import potential as P
 
@@ -143,21 +146,6 @@ def test_profile_mean_and_coefficients():
     assert abs(c[1] - 0.5) < 1e-13
 
 
-def test_profile_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    n = 256
-    t = 2 * math.pi * np.arange(n) / n
-    vals = rng.standard_normal(n)
-    prof = P.BoundaryProfile(t, vals, label="noise")
-    path = tmp_path / "profile.csv"
-    prof.to_csv(path)
-    first = path.read_text().splitlines()[0]
-    assert first == "theta,value"
-    back = P.BoundaryProfile.from_csv(path)
-    assert np.array_equal(back.values, vals)
-    assert np.array_equal(back.thetas, prof.thetas)
-
-
 def test_spectral_extension_matches_harmonic_oracle():
     prof = P.BoundaryProfile.from_function(np.cos, n=256)
     h = P.poisson_extension(prof)
@@ -185,6 +173,43 @@ def test_spectral_extension_restricts_to_periodic_interpolant():
     t = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, 50)
     on_circle = P.poisson_extension(prof)(np.exp(1j * t))
     assert np.max(np.abs(on_circle - P.periodic_interpolant(prof.values)(t))) < 1e-14
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(n=st.integers(1, 4097), seed=st.integers(0, 2 ** 32 - 1),
+       z=st.complex_numbers(max_magnitude=1.0))
+def test_series_kernel_matches_horner(n, seed, z):
+    # the blocked kernel sums the same series as numpy's Horner, to within
+    # 128 eps sum|a_k| on the closed disk, the circle included
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    r = np.sqrt(rng.uniform(0.0, 1.0, 300))
+    r[:100] = 1.0
+    pts = np.append(r * np.exp(1j * rng.uniform(-math.pi, math.pi, 300)),
+                    [z, 0.0, 1.0, -1.0, 1j])
+    got = P._series(pts, a)
+    bound = 128.0 * np.finfo(float).eps * np.abs(a).sum()
+    assert np.max(np.abs(got - polyval(pts, a))) <= bound
+
+
+def test_series_kernel_shapes_and_mpmath_reference():
+    # the 4,097-term series of 8,192 samples of |1 - e^{it}|^(1/2), near
+    # and on the circle by z = 1, against a 30-digit mpmath Horner sum
+    t = 2.0 * math.pi * np.arange(8192) / 8192
+    a = P._analytic_coefficients(np.abs(2.0 * np.sin(t / 2.0)) ** 0.5)
+    assert a.size == 4097
+    pts = np.array([0.999 * np.exp(0.001j), np.exp(0.01j), 0.9999])
+    got = P._series(pts, a)
+    bound = 128.0 * np.finfo(float).eps * np.abs(a).sum()
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpc(c.real, c.imag) for c in a[::-1]]
+        for z, g in zip(pts, got):
+            ref = mpmath.polyval(coeffs, mpmath.mpc(z.real, z.imag))
+            assert abs(complex(ref) - g) <= bound
+    # any shape in, the same shape out; a 0-d point stays 0-d
+    grid = pts.reshape(3, 1) * np.array([[1.0, 0.5]])
+    assert np.array_equal(P._series(grid, a), P._series(grid.ravel(), a).reshape(3, 2))
+    assert P._series(0.5, a).shape == ()
 
 
 def test_periodic_interpolant():
