@@ -65,17 +65,18 @@ class UnsupportedRegion(RuntimeError):
     """The sublevel region is not a single star-shaped Jordan domain."""
 
 
-def _power_density(m, inside):
-    """(density, density_polar) of m(1-m)(1-x)^{m-2} dA/2pi on {inside(w)}.
+def _lens_measure(m):
+    """Riesz measure of the lens power example in unit-mass normalization.
 
-    The polar form takes shell coordinates about the boundary point 1,
-    where 1 - x = -rho cos(phi) exactly.
+    Its density m(1-m)(1-x)^{m-2} dA/2pi on |w - 1/2| < 1/2 has a polar
+    form in shell coordinates about the boundary point 1, where
+    1 - x = -rho cos(phi) exactly.
     """
     pref = m * (1.0 - m) / (2.0 * math.pi)
 
     def dens(w):
         w = np.asarray(w, dtype=complex)
-        good = inside(w)
+        good = np.abs(w - 0.5) < 0.5
         safe = np.where(good, 1.0 - w.real, 1.0)
         return np.where(good, pref * safe ** (m - 2.0), 0.0)
 
@@ -84,12 +85,6 @@ def _power_density(m, inside):
         good = omx > 0.0
         return np.where(good, pref * np.where(good, omx, 1.0) ** (m - 2.0), 0.0)
 
-    return dens, dens_polar
-
-
-def _lens_measure(m):
-    """Riesz measure of the lens power example in unit-mass normalization."""
-    dens, dens_polar = _power_density(m, lambda w: np.abs(w - 0.5) < 0.5)
     hint = math.inf  # the mass diverges at the tip for m <= 1/2
     if m > 0.5:
         hint = 2.0 * m * (1.0 - m) * beta_function(1.5, m - 0.5) / (2.0 * math.pi)
@@ -101,31 +96,6 @@ def _lens_measure(m):
         total_mass_hint=hint,
         label=f"lens-power:{m:g}",
         support_disk=(0.5 + 0.0j, 0.5),
-    )
-
-
-def _phim_measure(m):
-    """Full-disk Riesz measure of the power profile -(1 - Re z)^m."""
-    dens, dens_polar = _power_density(m, lambda w: np.abs(w) < 1.0)
-    hint = None
-    if m > 0.5:
-        def chord_weighted(x):
-            # (1-x)^(m-2) * sqrt(1-x^2) merged into one power of (1-x) so the
-            # endpoint stays a plain integrable singularity without overflow.
-            omx = np.maximum(1.0 - x, 1e-300)
-            return m * (1.0 - m) / math.pi * omx ** (m - 1.5) * np.sqrt(np.maximum(1.0 + x, 0.0))
-
-        res = integrate_interval(
-            chord_weighted, -1.0, 1.0, singular_left=True, singular_right=True,
-            tol_abs=1e-12, tol_rel=1e-12,
-        )
-        hint = res.value
-    return RieszMeasure(
-        density=dens,
-        density_polar=dens_polar,
-        boundary_singularities=(1.0 + 0.0j,),
-        total_mass_hint=hint,
-        label=f"power-profile:{m:g}",
     )
 
 
@@ -189,16 +159,17 @@ class ExhaustionSpec:
     """
 
     def __init__(self, label, evaluate, measure, *, min_value, min_point,
-                 value_error, is_exhaustion=True):
+                 value_error):
         self.label = label
         self._evaluate = evaluate
         self.measure = measure
         self.min_value = float(min_value)
         self.min_point = complex(min_point)
-        self.is_exhaustion = bool(is_exhaustion)
         self.value_error = float(value_error)
         self._levels = {}
         self._demailly = {}
+        self._weights = {}  # boundary weights by sample count
+        self._grid_checked = False  # whether sublevel_set counted components
 
     def __call__(self, z):
         return self._evaluate(np.asarray(z, dtype=complex))
@@ -206,12 +177,10 @@ class ExhaustionSpec:
     def __repr__(self):
         return f"ExhaustionSpec({self.label!r})"
 
-    def sublevel(self, c, samples=512, grid_check="auto"):
+    def sublevel(self, c, samples=512):
         key = (round(float(c), 15), int(samples))
         if key not in self._levels:
-            self._levels[key] = sublevel_set(
-                self, c, samples=samples, grid_check=grid_check
-            )
+            self._levels[key] = sublevel_set(self, c, samples=samples)
         return self._levels[key]
 
     def demailly(self, c, samples=512):
@@ -238,20 +207,20 @@ def radial_log():
     )
 
 
-def radial_smooth(profile, label, *, n_panels=400, gl_order=12):
+def radial_smooth(profile, label):
     """Rotation-invariant exhaustion from a plain radial Laplacian profile.
 
     ``profile(s)`` is the ordinary Laplacian on radius s (vectorized,
     integrable near both endpoints after the s ds weight).  The potential
     is recovered from the exact one-dimensional reduction
     u(r) = M(r) log r + T(r) with M the cumulative (2 pi-normalized) mass
-    and T the outer log moment, both tabulated once on a composite Gauss
-    grid and interpolated with splines.
+    and T the outer log moment, both tabulated once on 400 12-point Gauss
+    panels and interpolated with splines.
     """
     from scipy.interpolate import CubicSpline
 
-    glx, glw = np.polynomial.legendre.leggauss(gl_order)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
+    glx, glw = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(0.0, 1.0, 401)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     nodes = mids[:, None] + halfs[:, None] * glx[None, :]
@@ -351,7 +320,6 @@ def green_exhaustion(measure, label=None):
         label, ev, measure,
         min_value=-math.inf,
         min_point=center,
-        is_exhaustion=True,
         value_error=err,
     )
 
@@ -368,7 +336,6 @@ def scaled_exhaustion(a, inner):
     return ExhaustionSpec(
         f"scaled:{a:g}:{inner.label}", ev, inner.measure.scaled(a),
         min_value=a * inner.min_value, min_point=inner.min_point,
-        is_exhaustion=inner.is_exhaustion,
         value_error=a * inner.value_error,
     )
 
@@ -432,7 +399,6 @@ def pullback_exhaustion(automorphism, inner):
         ev, measure,
         min_value=inner.min_value,
         min_point=complex(mob.inverse(inner.min_point)),
-        is_exhaustion=inner.is_exhaustion,
         value_error=inner.value_error,
     )
 
@@ -461,13 +427,13 @@ def _power_state(m):
 def make_example(kind, m):
     """The worked one-parameter family on the disk.
 
-    kind selects among the power profile ("phi_m"), its lens-restricted
-    Riesz measure ("sigma_m"), the glued exhaustion ("v_m"), and the Green
-    potential of the lens measure ("u_m").  The measure kinds return a
-    RieszMeasure; the others return an ExhaustionSpec.
+    kind selects among the lens-restricted Riesz measure of the power
+    profile -(1 - Re z)^m ("sigma_m", a RieszMeasure), the glued exhaustion
+    ("v_m") and the Green potential of the lens measure ("u_m"), both
+    ExhaustionSpecs.
     """
     norm = str(kind).replace("_", "").replace("-", "").lower()
-    if norm not in {"phim", "sigmam", "vm", "um"}:
+    if norm not in {"sigmam", "vm", "um"}:
         raise InvalidParameter(f"unknown example kind: {kind!r}")
     m = float(m)
     if not 0.0 < m <= 1.0:
@@ -475,18 +441,6 @@ def make_example(kind, m):
 
     if norm == "sigmam":
         return _lens_measure(m)
-
-    if norm == "phim":
-        def ev(z):
-            z = np.asarray(z, dtype=complex)
-            return -np.maximum(1.0 - z.real, 0.0) ** m
-
-        return ExhaustionSpec(
-            f"phim:{m:g}", ev, _phim_measure(m),
-            min_value=-(2.0 ** m), min_point=-1.0,
-            is_exhaustion=False,
-            value_error=0.0,
-        )
 
     if norm == "vm":
         def ev(z):
@@ -596,19 +550,10 @@ class LevelSet:
         ang = np.angle(rel)
         return np.abs(rel) < self.radius_at(ang)
 
-    def polyline_length(self):
-        verts = self.vertices
-        return float(np.sum(np.abs(np.roll(verts, -1) - verts)))
 
-    def area(self):
-        verts = self.vertices
-        nxt = np.roll(verts, -1)
-        return float(0.5 * np.sum(verts.real * nxt.imag - verts.imag * nxt.real))
-
-
-def _connected_components_of_sublevel(spec, c, n_grid=96):
-    """Count connected components of {u < c} on a coarse grid."""
-    ax = np.linspace(-0.999, 0.999, n_grid)
+def _connected_components_of_sublevel(spec, c):
+    """Count connected components of {u < c} on a coarse 96 x 96 grid."""
+    ax = np.linspace(-0.999, 0.999, 96)
     X, Y = np.meshgrid(ax, ax)
     Z = X + 1j * Y
     inside = np.abs(Z) < 0.999
@@ -662,7 +607,7 @@ def _illinois(f, lo, f_lo, hi, f_hi, target, need):
     return t, ft
 
 
-def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
+def sublevel_set(spec, c, *, samples=512):
     """Trace S_c = {u = c} as a star-shaped polyline about the minimum.
 
     Rotation-invariant exhaustions solve one radius.  Otherwise every ray
@@ -672,11 +617,13 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
     ``spec.value_error`` is still above tol_u/2 gets further steps, and one
     that misses after those fails the trace.
 
+    The first level traced on a spec off a circle also counts the
+    components of {u < c} on a coarse grid; later levels skip that check.
+
     Raises EmptyLevel when c is at or below the minimum of u, and
     UnsupportedRegion when the sublevel set is not a single star-shaped
-    Jordan domain (several components, non-exhaustions whose sublevels
-    touch the circle, or a failed trace), or when the evaluator is not
-    accurate enough to place the level at all.
+    Jordan domain (several components, or a failed trace), or when the
+    evaluator is not accurate enough to place the level at all.
     """
     c = float(c)
     if not (math.isfinite(c) and c < 0.0):
@@ -685,11 +632,6 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
         raise EmptyLevel(
             f"level {c:g} is at or below the minimum {spec.min_value:.6g} "
             f"of {spec.label}"
-        )
-    if not spec.is_exhaustion:
-        raise UnsupportedRegion(
-            f"{spec.label} is not an exhaustion; its sublevel sets are not "
-            "compactly contained in the disk"
         )
     tol_u = 1e-4 * abs(c)
     need = 0.5 * tol_u - spec.value_error
@@ -752,10 +694,7 @@ def sublevel_set(spec, c, *, samples=512, grid_check="auto"):
             "about the minimum at the traced resolution"
         )
 
-    do_grid = grid_check is True
-    if grid_check == "auto":
-        do_grid = not getattr(spec, "_grid_checked", False)
-    if do_grid:
+    if not spec._grid_checked:
         n_comp = _connected_components_of_sublevel(spec, c)
         spec._grid_checked = True
         if n_comp > 1:

@@ -22,6 +22,23 @@ import numpy as np
 from . import hardy
 from .potential import DIVERGENT, _series, integrate_interval
 
+__all__ = [
+    "InvalidZero",
+    "NotLogIntegrable",
+    "UnsupportedExpression",
+    "AnalyticExpr",
+    "Poly",
+    "AffinePower",
+    "BlaschkeProduct",
+    "OuterFunction",
+    "Product",
+    "Quotient",
+    "divide_by_blaschke",
+    "UInnerCandidate",
+    "u_inner",
+    "beurling_isometry_check",
+]
+
 
 class InvalidZero(ValueError):
     """A Blaschke zero sits on or outside the unit circle."""
@@ -199,12 +216,12 @@ class OuterFunction(AnalyticExpr):
 
     The Herglotz kernel expands as 1 + 2 sum_k (z/zeta)^k, so the function
     is exp(c_0 + 2 sum_{k>=1} c_k z^k) with c_k the Fourier coefficients of
-    the boundary log-modulus; one FFT of the sampled data yields them all.
+    the boundary log-modulus; one FFT of 8,192 samples yields them all.
     Construction refuses data whose absolute integral diverges.
     """
 
-    def __init__(self, log_modulus, *, n_samples=8192, singular_thetas=()):
-        thetas = np.arange(n_samples) * (TWO_PI / n_samples)
+    def __init__(self, log_modulus, *, singular_thetas=()):
+        thetas = np.arange(8192) * (TWO_PI / 8192)
         vals = np.asarray(log_modulus(thetas), dtype=float)
         self._init_from_samples(thetas, vals, singular_thetas, log_modulus)
 
@@ -327,18 +344,7 @@ class Quotient(AnalyticExpr):
 # ---------------------------------------------------------------------------
 
 
-def blaschke(zero_list):
-    """Finite Blaschke product with the given zeros (multiplicity by repeat)."""
-    return BlaschkeProduct(zero_list)
-
-
-def outer_function(log_modulus, *, n_samples=8192, singular_thetas=()):
-    """Outer function with boundary modulus exp(log_modulus)."""
-    return OuterFunction(log_modulus, n_samples=n_samples,
-                         singular_thetas=singular_thetas)
-
-
-def divide_by_blaschke(f, p, u, *, n_samples=8192):
+def divide_by_blaschke(f, p, u):
     """Split f = B h^{2/p} and check the norm carries over to h^{2/p}.
 
     B collects the interior zeros of f; h^{2/p} is realized as the outer
@@ -355,8 +361,7 @@ def divide_by_blaschke(f, p, u, *, n_samples=8192):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(np.abs(f.boundary_trace(theta)))
 
-    h_2p = OuterFunction(log_mod, n_samples=n_samples,
-                         singular_thetas=f.boundary_singularities)
+    h_2p = OuterFunction(log_mod, singular_thetas=f.boundary_singularities)
     norm_f = hardy.hardy_norm(f, p, u)
     norm_h = hardy.hardy_norm(h_2p, p, u)
     gap = None
@@ -399,15 +404,15 @@ class UInnerCandidate:
         self.norm_report = norm_report
 
 
-def u_inner(u, *, samples=2048, exclusion=1e-3):
+def u_inner(u):
     """Construct the outer multiplier phi with |phi*|^2 V = 1 a.e.
 
     phi is the outer function of -log(V)/2.  The defect is measured by
     evaluating the truncated boundary series of phi directly on the weight's
-    own sample grid, excluding arcs of half-width ``exclusion`` (radians)
-    around the declared singular angles of V.
+    own sample grid, excluding arcs of half-width 1e-3 (radians) around the
+    declared singular angles of V.
     """
-    weight = hardy.boundary_weight(u, samples=samples)
+    weight = hardy.boundary_weight(u)
     if not weight.log_integrable:
         raise NotLogIntegrable(
             f"log V is not integrable for {u.label}; no outer candidate"
@@ -425,7 +430,7 @@ def u_inner(u, *, samples=2048, exclusion=1e-3):
     clean = np.isfinite(flatness)
     for t0 in weight.singular_thetas:
         gap = np.abs((weight.thetas - t0 + math.pi) % TWO_PI - math.pi)
-        clean &= gap > exclusion
+        clean &= gap > 1e-3
     report = hardy.hardy_norm(phi, 2.0, u)
     return UInnerCandidate(phi, weight, weight.thetas, phi_star, flatness,
                            clean, report.value, report)

@@ -41,7 +41,6 @@ from .geometry import (
     integrate_interval,
 )
 from .potential import (
-    BoundaryProfile,
     _analytic_coefficients,
     _series,
     poisson_balayage,
@@ -64,8 +63,6 @@ __all__ = [
     "classical_hardy_norm",
     "NormReport",
     "hardy_norm",
-    "membership_verdict",
-    "HarmonicMajorant",
     "least_harmonic_majorant",
     "conformal_pullback_norm",
     "comparison_checks",
@@ -150,9 +147,8 @@ class BoundaryWeight:
     boundary measure of the exhaustion is V dnu plus nothing else for the
     families handled here.  ``at`` is the one evaluator of V, the one
     ``potential.poisson_balayage`` returns, with inf exactly at the declared
-    singular angles; ``values`` is ``at`` on the uniform sample grid, and
-    ``profile`` is the same data with those isolated nodes zero-filled so
-    spectral routines can consume it.
+    singular angles; ``values`` is ``at`` on the uniform sample grid
+    ``thetas``, inf at the nodes on those angles.
     """
 
     def __init__(self, *, thetas, values, evaluator, singular_thetas,
@@ -165,8 +161,6 @@ class BoundaryWeight:
         self.log_integrable = bool(log_integrable)
         self.fubini_residual = None if fubini_residual is None else float(fubini_residual)
         self.label = label
-        finite = np.where(np.isfinite(self.values), self.values, 0.0)
-        self.profile = BoundaryProfile(self.thetas, finite, label=f"V:{label}")
 
     @property
     def samples(self):
@@ -253,11 +247,6 @@ def boundary_weight(u, samples=2048):
     """
     if not isinstance(u, ExhaustionSpec):
         raise InvalidParameter("boundary_weight expects an ExhaustionSpec")
-    if not u.is_exhaustion:
-        raise InvalidParameter(
-            f"{u.label} is not an exhaustion; its weight and norm identities "
-            "do not hold"
-        )
     if not u.measure.complete:
         raise InvalidParameter(
             f"the Riesz measure of {u.label} is incomplete; its boundary "
@@ -268,12 +257,9 @@ def boundary_weight(u, samples=2048):
         raise InvalidParameter(
             "samples must be a power of two, at least 256"
         )
-    cache = u.__dict__.setdefault("_weights", {})
-    if samples in cache:
-        return cache[samples]
-    weight = _build_weight(u, samples)
-    cache[samples] = weight
-    return weight
+    if samples not in u._weights:
+        u._weights[samples] = _build_weight(u, samples)
+    return u._weights[samples]
 
 
 def _build_weight(u, samples):
@@ -377,12 +363,14 @@ def _cutoff(theta, angles):
     return 1.0 - keep
 
 
-def _route_bulk(f, p, u, weight, *, tol_abs=1e-9, tol_rel=1e-6):
+def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
     """int h_f dLambda u, h_f = P[|f*|^p] the least harmonic majorant of |f|^p.
 
     By the symmetry of the Green function this is the norm^p of the
-    paper's majorant characterization; |f|^p without a majorant is
-    DIVERGENT.  The route reads f only through its boundary trace.  With
+    paper's majorant characterization.  ``maj`` is h_f as
+    ``least_harmonic_majorant`` builds it, or None when |f|^p has no
+    majorant, which is DIVERGENT.  The route reads f only through its
+    boundary trace and the samples of h_f.  With
     q = |f*|^p and a smooth cutoff chi around the singular angles of f,
     the window part P[q chi] is taken by Fubini as int q chi V dnu over
     each window, so there the route shares the boundary route's integrand.
@@ -395,9 +383,7 @@ def _route_bulk(f, p, u, weight, *, tol_abs=1e-9, tol_rel=1e-6):
     quadrature under-reports its error on the lens at the route's own.
     """
     divergent = QuadratureResult(math.inf, math.inf, DIVERGENT, 0)
-    try:
-        maj = least_harmonic_majorant(f, p)
-    except NoMajorant:
+    if maj is None:
         return divergent
     angles = tuple(f.boundary_singularities)
 
@@ -425,7 +411,7 @@ def _route_bulk(f, p, u, weight, *, tol_abs=1e-9, tol_rel=1e-6):
             return divergent
 
     mass = weight.mass_of_laplacian
-    far = maj.profile.values * (1.0 - _cutoff(maj.profile.thetas, angles))
+    far = maj.values * (1.0 - _cutoff(_MAJORANT_THETAS, angles))
     coeffs = _analytic_coefficients(far)
     dropped = 0.0
     if u.measure.is_rotation_invariant():
@@ -509,7 +495,7 @@ def _ladder_estimate(P, cvals):
 def _route_level(f, p, u, weight, *, samples=512):
     """sup over the dyadic ladder of the level-measure pairings of |f|^p.
 
-    Returns (QuadratureResult-like tuple fields via dict).  Traced rungs
+    Returns (QuadratureResult or None, info dict).  Traced rungs
     are capped at k = 12: thinner crescents are limited by the ray count
     (the u_{3/4} flux mass at k = 12 is 0.19198 on 256 rays and 0.19124 on
     2,048); rotation-invariant exhaustions extend to k = 20 since their
@@ -680,7 +666,7 @@ def _matching_singularity(f, weight):
     return False
 
 
-def hardy_norm(f, p, u, *, samples=2048, level_samples=512):
+def hardy_norm(f, p, u, *, level_samples=512):
     """Compute the weighted Hardy norm of f by all applicable routes.
 
     Returns a NormReport with per-route values and statuses, the verdict,
@@ -694,7 +680,7 @@ def hardy_norm(f, p, u, *, samples=2048, level_samples=512):
         raise InvalidParameter("the exponent p must be positive")
     if not isinstance(u, ExhaustionSpec):
         raise InvalidParameter("hardy_norm expects an ExhaustionSpec")
-    weight = boundary_weight(u, samples=samples)
+    weight = boundary_weight(u)
     notes = []
 
     classical = _classical_power(f, p)
@@ -702,7 +688,7 @@ def hardy_norm(f, p, u, *, samples=2048, level_samples=512):
                       else classical.value ** (1.0 / p))
 
     boundary = _route_boundary(f, p, weight)
-    bulk = _route_bulk(f, p, u, weight)
+    bulk = _route_bulk(f, p, u, weight, _majorant(f, p, classical))
     level, level_info = _route_level(f, p, u, weight, samples=level_samples)
     if level_info["note"]:
         notes.append(level_info["note"])
@@ -798,83 +784,51 @@ def hardy_norm(f, p, u, *, samples=2048, level_samples=512):
     )
 
 
-def membership_verdict(f, p, u, **kwargs):
-    """Verdict plus the evidence that produced it, as a plain dict."""
-    report = hardy_norm(f, p, u, **kwargs)
-    return {
-        "verdict": report.verdict,
-        "norm": report.value,
-        "routes": {
-            name: {"value": val, "status": report.statuses.get(name)}
-            for name, val in report.route_values().items()
-        },
-        "agreement": report.agreement,
-        "classical": {
-            "norm": report.classical_norm,
-            "status": report.classical_status,
-            "finite": math.isfinite(report.classical_norm),
-        },
-        "weight": report.weight.to_json_dict(),
-        "notes": list(report.notes),
-        "report": report,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Least harmonic majorants.
 # ---------------------------------------------------------------------------
 
 
-class HarmonicMajorant:
-    """Least harmonic majorant of |f|^p, carried as a Poisson integral.
+_MAJORANT_SAMPLES = 8192
+_MAJORANT_THETAS = TWO_PI * np.arange(_MAJORANT_SAMPLES) / _MAJORANT_SAMPLES
 
-    ``profile`` holds the boundary data |f*|^p on the uniform grid (zeros
-    filled at declared singular angles); evaluation is the spectral
-    harmonic extension, so value_at(0) is the profile mean, which equals
-    the classical norm power up to the profile's sampling error.
+
+def _majorant(f, p, classical):
+    """h_f = P[|f*|^p] given the classical power of f, None if it diverges.
+
+    |f*|^p is sampled on _MAJORANT_THETAS, with 0 at the nodes within
+    1e-12 of a declared singular angle of f and wherever it is not finite.
     """
-
-    def __init__(self, profile, f_label, p, classical_power):
-        self.profile = profile
-        self.f_label = f_label
-        self.p = float(p)
-        self.classical_power = float(classical_power)
-        self._extension = poisson_extension(profile)
-        self.h0 = float(profile.mean())
-
-    def value_at(self, z):
-        return self._extension(z)
-
-    def __call__(self, z):
-        return self._extension(z)
+    if classical.status == DIVERGENT or not math.isfinite(classical.value):
+        return None
+    good = np.ones(_MAJORANT_SAMPLES, dtype=bool)
+    for t0 in f.boundary_singularities:
+        good &= _gap(_MAJORANT_THETAS, t0) >= 1e-12
+    values = np.zeros(_MAJORANT_SAMPLES)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.abs(f.boundary_trace(_MAJORANT_THETAS[good])) ** p
+    values[good] = np.where(np.isfinite(v), v, 0.0)
+    return poisson_extension(values)
 
 
-def least_harmonic_majorant(f, p, *, n=8192):
-    """Least harmonic majorant of |f|^p via the boundary Poisson integral.
+def least_harmonic_majorant(f, p):
+    """Least harmonic majorant h_f = P[|f*|^p] of |f|^p, as an evaluator.
 
     Requires f in the classical Hardy space; a divergent boundary mean
     means |f|^p majorizes no harmonic function and raises NoMajorant.
+    h_f(0) is the mean of the samples of |f*|^p, the classical norm power
+    up to their sampling error.
     """
     p = float(p)
     if not p > 0.0:
         raise InvalidParameter("the exponent p must be positive")
-    classical = _classical_power(f, p)
-    if classical.status == DIVERGENT or not math.isfinite(classical.value):
+    maj = _majorant(f, p, _classical_power(f, p))
+    if maj is None:
         raise NoMajorant(
             f"|{f.label}|^{p:g} has a divergent boundary mean; no harmonic "
             "majorant exists (NO_MAJORANT)"
         )
-
-    def data(t):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v = np.abs(f.boundary_trace(t)) ** p
-        return np.where(np.isfinite(v), v, 0.0)
-
-    profile = BoundaryProfile.from_function(
-        data, n, singular_points=tuple(f.boundary_singularities),
-        singular_fill=0.0, label=f"|{f.label}|^{p:g}",
-    )
-    return HarmonicMajorant(profile, f.label, p, classical.value)
+    return maj
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +861,7 @@ class _ComposedExpr:
         return self.f.boundary_trace(np.angle(img))
 
 
-def conformal_pullback_norm(f, u, automorphism, p, **kwargs):
+def conformal_pullback_norm(f, u, automorphism, p):
     """Norm report for f∘φ under the pulled-back exhaustion u∘φ.
 
     The map must behave like a disk automorphism: closed-form inverse and
@@ -937,7 +891,7 @@ def conformal_pullback_norm(f, u, automorphism, p, **kwargs):
             "(INVALID_MAP)"
         )
     pulled = pullback_exhaustion(mob, u)
-    return hardy_norm(_ComposedExpr(f, mob), p, pulled, **kwargs)
+    return hardy_norm(_ComposedExpr(f, mob), p, pulled)
 
 
 # ---------------------------------------------------------------------------
@@ -945,36 +899,29 @@ def conformal_pullback_norm(f, u, automorphism, p, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def comparison_checks(u, v, b, *, exclusion_radius=0.25, battery=None,
-                      held_out=None, point=0.0, samples=512,
-                      tol_abs=1e-8, tol_rel=1e-5):
+def comparison_checks(u, v, b):
     """Check the norm-comparison propositions between two exhaustions.
 
     Three statements are exercised with the bulk route's majorant pairings
-    int h dLambda, h the least harmonic majorant of |f|^2, over a battery
-    of analytic test functions:
+    int h dLambda, h the least harmonic majorant of |f|^2 (at tol_abs 1e-8,
+    tol_rel 1e-5), over the battery 1, z, 1 - z, 1/4 + z^2:
 
-    - order: if b*v <= u outside the exclusion disk around v's minimum
+    - order: if b*v <= u outside the disk of radius 1/4 around v's minimum
       (verified on a sample grid, to four times the sum of the two
       evaluators' ``value_error`` and at least 1e-9; failure is reported as
       HYPOTHESIS_FAILED, not raised), then each pairing satisfies
       ||phi||_u <= b*||phi||_v;
-    - point bound: phi(w) <= s * ||phi||_v with s = sup P(w, .)/V_v;
+    - point bound: phi(0) <= s * ||phi||_v with s = sup P(0, .)/V_v on 512
+      samples of V_v;
     - reverse containment: a constant c is fitted on the battery so that
-      ||phi||_v <= c*||phi||_u, then frozen and re-tested on held-out
-      functions.
+      ||phi||_v <= c*||phi||_u, then frozen and re-tested on the held-out
+      functions 1 + z/2 and z^2.
     """
     from .factorization import Poly
 
-    if battery is None:
-        battery = [
-            Poly([1.0]),
-            Poly([0.0, 1.0]),
-            Poly([1.0, -1.0]),
-            Poly([0.25, 0.0, 1.0]),
-        ]
-    if held_out is None:
-        held_out = [Poly([1.0, 0.5]), Poly([0.0, 0.0, 1.0])]
+    battery = [Poly([1.0]), Poly([0.0, 1.0]), Poly([1.0, -1.0]),
+               Poly([0.25, 0.0, 1.0])]
+    held_out = [Poly([1.0, 0.5]), Poly([0.0, 0.0, 1.0])]
     p = 2.0
     b = float(b)
 
@@ -983,7 +930,7 @@ def comparison_checks(u, v, b, *, exclusion_radius=0.25, battery=None,
     angles = np.arange(96) * (TWO_PI / 96)
     pts = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
     center = complex(v.min_point)
-    pts = pts[np.abs(pts - center) >= float(exclusion_radius)]
+    pts = pts[np.abs(pts - center) >= 0.25]
     uu = np.asarray(u(pts), dtype=float)
     vv = np.asarray(v(pts), dtype=float)
     gap = uu - b * vv
@@ -999,8 +946,10 @@ def comparison_checks(u, v, b, *, exclusion_radius=0.25, battery=None,
     }
 
     def pairings(g):
-        return tuple(_route_bulk(g, p, x, boundary_weight(x), tol_abs=tol_abs,
-                                 tol_rel=tol_rel) for x in (u, v))
+        # one majorant of |g|^2 serves both exhaustions
+        maj = _majorant(g, p, _classical_power(g, p))
+        return tuple(_route_bulk(g, p, x, boundary_weight(x), maj,
+                                 tol_abs=1e-8, tol_rel=1e-5) for x in (u, v))
 
     pair_u = {}
     pair_v = {}
@@ -1023,8 +972,8 @@ def comparison_checks(u, v, b, *, exclusion_radius=0.25, battery=None,
     order_ok = None if not hyp_ok else all(r["ok"] for r in rows)
     report["order"] = {"bound": b, "rows": rows, "ok": order_ok}
 
-    w0 = complex(point)
-    weight_v = boundary_weight(v, samples=samples)
+    w0 = 0j
+    weight_v = boundary_weight(v, samples=512)
     finite = np.isfinite(weight_v.values)
     kernel = poisson_kernel(w0, np.exp(1j * weight_v.thetas[finite]))
     s = float(np.max(kernel / weight_v.values[finite]))

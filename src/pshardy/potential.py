@@ -27,7 +27,6 @@ from .geometry import (
     CONVERGED,
     DIVERGENT,
     QuadratureResult,
-    integrate_boundary_arc,
     integrate_disk_area,
     integrate_interval,
 )
@@ -40,12 +39,8 @@ __all__ = [
     "RieszMeasure",
     "poisson_balayage",
     "green_potential",
-    "BoundaryProfile",
     "poisson_extension",
-    "poisson_integral",
-    "periodic_interpolant",
     "LensPowerDensity",
-    "laplacian_probe",
 ]
 
 
@@ -803,74 +798,9 @@ def _chord_poisson(b, ct1, omx, Y):
 
 
 # ---------------------------------------------------------------------------
-# Boundary data: uniform spectral sampling, Poisson extension, CSV exchange.
+# Boundary data: the analytic series of uniform samples and its Poisson
+# extension.
 # ---------------------------------------------------------------------------
-
-_MIN_PROFILE = 256
-
-
-@dataclass
-class BoundaryProfile:
-    """Real boundary data sampled on the uniform angular grid.
-
-    The grid is theta_j = 2 pi j / n for j = 0 .. n-1 (endpoint-exclusive)
-    with n a power of two and at least 256 — the sizes the spectral
-    routines expect.  ``mean()`` is the integral against normalized
-    arclength, exact for trigonometric polynomials of degree < n.
-    """
-
-    thetas: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        t = np.asarray(self.thetas, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        n = t.size
-        if n < _MIN_PROFILE or (n & (n - 1)) != 0:
-            raise ValueError(
-                f"profile needs a power-of-two sample count >= {_MIN_PROFILE}, got {n}"
-            )
-        if v.shape != t.shape:
-            raise ValueError("thetas and values must have matching shapes")
-        want = 2.0 * math.pi * np.arange(n) / n
-        if not np.allclose(t, want, rtol=0.0, atol=1e-9):
-            raise ValueError("thetas must be the uniform endpoint-exclusive grid on [0, 2pi)")
-        self.thetas = want
-        self.values = v
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    @classmethod
-    def from_function(cls, fn, n: int = 1024, *, singular_points=(), singular_fill: float = 0.0, label: str = ""):
-        """Sample fn(theta) on the uniform n-grid.
-
-        Grid nodes that collide with a declared singular angle (within
-        1e-12) are not evaluated; they take ``singular_fill`` instead, so
-        integrable boundary blowups can be sampled without producing inf.
-        """
-        t = 2.0 * math.pi * np.arange(n) / n
-        mask = np.zeros(n, dtype=bool)
-        two_pi = 2.0 * math.pi
-        for s in singular_points:
-            d = np.abs((t - float(s) + math.pi) % two_pi - math.pi)
-            mask |= d < 1e-12
-        vals = np.empty(n, dtype=float)
-        if mask.any():
-            vals[mask] = float(singular_fill)
-        good = ~mask
-        if good.any():
-            vals[good] = np.asarray(fn(t[good]), dtype=float)
-        return cls(t, vals, label=label)
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def fourier_coefficients(self) -> np.ndarray:
-        """One-sided coefficients c_k = (1/n) sum_j values_j e^{-ik theta_j}."""
-        return np.fft.rfft(self.values) / self.n
 
 
 def _analytic_coefficients(values) -> np.ndarray:
@@ -929,16 +859,18 @@ def _series(z, coeffs) -> np.ndarray:
     return _in_chunks(block, np.asarray(z, dtype=complex))
 
 
-def poisson_extension(profile: BoundaryProfile):
-    """Spectral harmonic extension of a sampled boundary profile.
+def poisson_extension(values):
+    """P[phi] for samples of phi on the uniform grid theta_j = 2 pi j / n.
 
     Returns a vectorized evaluator h(z) = Re sum_k a_k z^k, the real part of
-    the analytic series of ``_analytic_coefficients`` summed by ``_series``
-    (both shared with ``periodic_interpolant``): the harmonic extension
-    of the trigonometric interpolant of the samples, exact for
-    band-limited data and matching the samples on the boundary grid.
+    the analytic series of ``_analytic_coefficients`` summed by ``_series``:
+    the harmonic extension of the trigonometric interpolant of the samples,
+    exact for band-limited data and equal to the samples on the grid.  On
+    the circle, h(e^{i theta}) is that interpolant at any angle.  The
+    samples stay on ``h.values``.
     """
-    coeffs = _analytic_coefficients(profile.values)
+    values = np.asarray(values, dtype=float)
+    coeffs = _analytic_coefficients(values)
 
     def h(z):
         z = np.asarray(z, dtype=complex)
@@ -947,54 +879,8 @@ def poisson_extension(profile: BoundaryProfile):
         out = _series(z, coeffs).real
         return float(out) if out.ndim == 0 else out
 
-    h.profile = profile
+    h.values = values
     return h
-
-
-def poisson_integral(data, z, *, singular_points=(), tol_abs: float = 1e-10, tol_rel: float = 1e-8):
-    """Harmonic extension of real boundary data, evaluated at z.
-
-    ``data`` is either a BoundaryProfile (evaluated spectrally; z may be
-    an array) or a callable theta -> values (integrated adaptively
-    against the Poisson kernel at a single point, honoring declared
-    singular angles).  A divergent Poisson integral of one-signed data
-    comes back as a signed infinity rather than an overflow.
-    """
-    if isinstance(data, BoundaryProfile):
-        return poisson_extension(data)(z)
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("evaluation point must lie in the open unit disk")
-
-    def integrand(theta):
-        zeta = np.exp(1j * theta)
-        return np.asarray(data(theta), dtype=float) * poisson_kernel(z, zeta)
-
-    res = integrate_boundary_arc(
-        integrand,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        singular_points=singular_points,
-    )
-    if res.status == DIVERGENT:
-        return math.copysign(math.inf, res.value if res.value != 0.0 else 1.0)
-    return res.value
-
-
-def periodic_interpolant(samples):
-    """Trigonometric interpolant of uniform periodic samples.
-
-    Returns a vectorized callable on angles, exact at the sample grid
-    theta_j = 2 pi j / n.  ``LevelSet.radius_fn`` resamples the same
-    interpolant of the traced radii by FFT.
-    """
-    coeffs = _analytic_coefficients(samples)
-
-    def f(theta):
-        out = _series(np.exp(1j * np.asarray(theta, dtype=float)), coeffs).real
-        return float(out) if out.ndim == 0 else out
-
-    return f
 
 
 def _spectral_derivative(x: np.ndarray) -> np.ndarray:
@@ -1005,17 +891,3 @@ def _spectral_derivative(x: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         k[-1] = 0.0  # drop the Nyquist derivative (sign-ambiguous)
     return np.fft.irfft(X * (1j * k), n)
-
-
-def laplacian_probe(u, z, h: float = 1e-4) -> float:
-    """Five-point estimate of (Delta u) / (2 pi) at z — the Riesz density.
-
-    ``u`` must accept a complex array.  Truncation error is O(h^2); with
-    the default step the roundoff amplification stays near 1e-8, well
-    inside the 1e-3 the recovery checks ask for.
-    """
-    z = complex(z)
-    pts = np.array([z + h, z - h, z + 1j * h, z - 1j * h, z], dtype=complex)
-    vals = np.asarray(u(pts), dtype=float)
-    lap = (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / (h * h)
-    return float(lap / (2.0 * math.pi))

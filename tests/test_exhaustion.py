@@ -10,7 +10,7 @@ from pshardy.potential import (
     RieszMeasure,
     green_function,
     green_potential,
-    periodic_interpolant,
+    poisson_extension,
 )
 
 
@@ -51,13 +51,6 @@ def test_sublevel_level_validation(um):
         um.sublevel(math.nan)
 
 
-def test_phim_is_not_an_exhaustion():
-    phim = X.make_example("phim", 0.75)
-    assert not phim.is_exhaustion
-    with pytest.raises(X.UnsupportedRegion):
-        X.sublevel_set(phim, -0.5)
-
-
 # ---------------------------------------------------------------------------
 # radial exhaustions
 # ---------------------------------------------------------------------------
@@ -79,8 +72,6 @@ def test_radial_log_levels_are_circles():
         assert lv.is_circle
         assert abs(lv.radii.min() - r) < 1e-12
         assert abs(lv.radii.max() - r) < 1e-12
-        # shoelace area of the traced polygon approaches the disk area
-        assert abs(lv.area() - math.pi * r * r) < 1e-3 * r * r
 
 
 def test_radial_log_swept_measure_is_uniform():
@@ -170,6 +161,24 @@ def test_green_two_atoms_disconnect_at_deep_levels():
     assert lv.radii.min() > 0.0
     with pytest.raises(X.UnsupportedRegion):
         two.sublevel(-2.5)  # two islands around the atoms
+
+
+def test_components_check_runs_once_per_spec(monkeypatch):
+    calls = []
+    original = X._connected_components_of_sublevel
+
+    def counted(spec, c):
+        calls.append(c)
+        return original(spec, c)
+
+    monkeypatch.setattr(X, "_connected_components_of_sublevel", counted)
+    atom = RieszMeasure(atoms=((0.3 + 0.0j, 1.0),), label="atom:0.3")
+    ga = X.green_exhaustion(atom)
+    ga.sublevel(-0.5)
+    ga.sublevel(-1.0)
+    assert calls == [-0.5]
+    X.green_exhaustion(atom).sublevel(-1.0)
+    assert calls == [-0.5, -1.0]
 
 
 def test_green_requires_complete_measure():
@@ -427,7 +436,7 @@ def test_demailly_measure_rejects_incomplete_measure_before_tracing(monkeypatch)
 
 
 def test_power_family_sandwich(um, um_half):
-    # pointwise: profile <= glued <= green potential of the lens part <= 0
+    # pointwise: profile <= glued <= green potential of the lens part < 0
     rng = np.random.default_rng(7)
     for spec, m in ((um, 0.75), (um_half, 0.5)):
         vm = X.make_example("vm", m)
@@ -436,11 +445,8 @@ def test_power_family_sandwich(um, um_half):
             phi = -((1.0 - z.real) ** m)
             v_val = float(vm([z])[0])
             u_val = float(spec([z])[0])
-            g_val = green_potential(X.make_example("phim", m).measure, z)
             assert phi <= v_val + 1e-9
             assert v_val <= u_val + 1e-9
-            assert phi <= g_val + 1e-9
-            assert g_val <= u_val + 1e-9
             assert u_val < 0.0
 
 
@@ -503,8 +509,6 @@ def test_pullback_of_log_is_green_atom():
 def test_levelset_interpolant_matches_samples(um):
     lv = um.sublevel(-0.02)
     assert np.abs(lv.radius_at(lv.angles) - lv.radii).max() < 1e-9
-    assert lv.polyline_length() > 0.0
-    assert lv.area() > 0.0
 
 
 @pytest.mark.parametrize("n", [256, 384, 200, 201])
@@ -518,7 +522,7 @@ def test_levelset_dense_radii_are_the_interpolant(n):
     lv = X.LevelSet(c=-0.1, center=0.1, angles=phi, radii=radii,
                     u_values=np.full(n, -0.1), spec_label="test")
     knots = np.linspace(0.0, 2.0 * math.pi, max(8192, 8 * n) + 1)[:-1]
-    want = periodic_interpolant(radii)(knots)
+    want = poisson_extension(radii)(np.exp(1j * knots))
     assert np.max(np.abs(lv.radius_at(knots) - want)) <= 1e-14
 
 

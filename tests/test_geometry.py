@@ -353,10 +353,3 @@ def test_moebius_jacobian_bounds_bracket_samples():
     vals = np.abs(phi.derivative(r * np.exp(1j * th))) ** 2
     assert lo <= vals.min() + 1e-12
     assert vals.max() <= hi + 1e-12
-
-
-def test_unit_disk_membership_grid():
-    z = G.DiskDomain.interior_grid(24)
-    assert np.all(np.abs(z) < 1.0)
-    zb = G.DiskDomain.boundary_grid(64)
-    assert np.max(np.abs(np.abs(zb) - 1.0)) < 1e-14

@@ -40,8 +40,6 @@ def test_weight_um_frozen_values(u075):
     assert w.singular_thetas == (0.0,)
     assert math.isinf(w.at(0.0))
     assert math.isinf(w.values[0])
-    # the profile view fills the singular node finitely
-    assert np.all(np.isfinite(w.profile.values))
     assert w.log_integrable
 
 
@@ -159,12 +157,6 @@ def test_weight_cache_and_validation(ulog):
     with pytest.raises(InvalidParameter):
         # the glued family carries an undeclared singular mass component
         H.boundary_weight(X.make_example("vm", 0.75))
-
-
-def test_weight_rejects_non_exhaustion():
-    # the sublevel sets of the power profile reach the circle
-    with pytest.raises(InvalidParameter, match="not an exhaustion"):
-        H.boundary_weight(X.make_example("phim", 0.75))
 
 
 def test_weight_near_spike_is_independent_of_batch_size(u075):
@@ -499,7 +491,8 @@ def test_um_membership_rule_at_p_one(u075, bp):
     ref = _chord_power_reference(bp, 0.75)
     assert rep.verdict == "MEMBER"
     assert abs(rep.value - ref) <= 1e-5 * ref
-    bulk = H._route_bulk(f, 1.0, u075, rep.weight)
+    bulk = H._route_bulk(f, 1.0, u075, rep.weight,
+                         H.least_harmonic_majorant(f, 1.0))
     assert bulk.status == CONVERGED
     assert abs(bulk.value - ref) <= bulk.error
 
@@ -512,7 +505,9 @@ def test_bulk_route_within_its_error_for_zeros_near_the_atom():
     zeta = np.exp(1j * np.arange(65536) * (TWO_PI / 65536))
     ref = float(np.mean(np.abs(np.polynomial.polynomial.polyval(zeta, coeffs)) ** 2
                         * poisson_kernel(0.3, zeta)))
-    bulk = H._route_bulk(Poly(coeffs), 2.0, u, H.boundary_weight(u))
+    f = Poly(coeffs)
+    bulk = H._route_bulk(f, 2.0, u, H.boundary_weight(u),
+                         H.least_harmonic_majorant(f, 2.0))
     assert bulk.status == CONVERGED
     assert abs(bulk.value - ref) <= bulk.error
 
@@ -521,13 +516,16 @@ def test_bulk_route_within_its_error_for_zeros_near_the_atom():
 def test_lens_bulk_route_matches_frozen_value(u05, beta, p):
     """The u_{1/2} bulk route of |(1 - z)/2|^2 holds its value.
 
-    Recipe: ``H._route_bulk(AffinePower(0.5, beta), p, u, H.boundary_weight(u))``
-    with u = make_example("um", 0.5), run with the series summed by numpy's
+    Recipe: ``H._route_bulk(f, p, u, H.boundary_weight(u),
+    H.least_harmonic_majorant(f, p))`` with f = AffinePower(0.5, beta) and
+    u = make_example("um", 0.5), run with the series summed by numpy's
     Horner (``polyval``): 0.026525823887283185 for ((1 - z)/2)^2, p = 1 and
     0.026525823887283178 for (1 - z)/2, p = 2.  The mass is infinite, so
     the far part pairs the whole 4,097-term series with the lens density.
     """
-    bulk = H._route_bulk(AffinePower(0.5, beta), p, u05, H.boundary_weight(u05))
+    f = AffinePower(0.5, beta)
+    bulk = H._route_bulk(f, p, u05, H.boundary_weight(u05),
+                         H.least_harmonic_majorant(f, p))
     assert bulk.status == CONVERGED
     assert abs(bulk.value - 0.0265258238872832) <= 1e-12 * 0.0265258238872832
 
@@ -541,14 +539,11 @@ def test_small_p_skips_level_route(u075):
 
 
 def test_membership_bundle_and_json(ulog):
-    mv = H.membership_verdict(Poly([1.0]), 2.0, ulog)
-    assert mv["verdict"] == "MEMBER"
-    assert abs(mv["norm"] - 1.0) < 1e-9
-    assert mv["classical"]["finite"]
-    assert set(mv["routes"]) == {"level-sup", "bulk", "boundary"}
-
-    blob = mv["report"].to_json_dict()
+    blob = H.hardy_norm(Poly([1.0]), 2.0, ulog).to_json_dict()
     assert blob["verdict"] == "MEMBER"
+    assert abs(blob["value"] - 1.0) < 1e-9
+    assert math.isfinite(blob["classical_norm"])
+    assert set(blob["routes"]) == {"level-sup", "bulk", "boundary"}
     assert blob["paper_refs"]
     text = json.dumps(blob)
     assert "Infinity" not in text
@@ -557,8 +552,25 @@ def test_membership_bundle_and_json(ulog):
 def test_hardy_norm_input_validation(ulog):
     with pytest.raises(InvalidParameter):
         H.hardy_norm(Poly([1.0]), -2.0, ulog)
-    with pytest.raises(InvalidParameter):
-        H.hardy_norm(Poly([1.0]), 2.0, X.make_example("phim", 0.75))
+    with pytest.raises(InvalidParameter, match="hardy_norm expects"):
+        H.hardy_norm(Poly([1.0]), 2.0, "log")
+
+
+def test_hardy_norm_computes_the_classical_power_once(ulog, monkeypatch):
+    # the bulk route takes its majorant from the classical power that
+    # hardy_norm already has, also where there is no majorant
+    calls = []
+    original = H._classical_power
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(H, "_classical_power", counted)
+    for f in (Poly([1.0, -1.0]), AffinePower(1.0, -0.6)):
+        calls.clear()
+        H.hardy_norm(f, 2.0, ulog)
+        assert len(calls) == 1, f.label
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +581,26 @@ def test_hardy_norm_input_validation(ulog):
 def test_majorant_of_one_minus_z():
     maj = H.least_harmonic_majorant(Poly([1.0, -1.0]), 2.0)
     # |1-z|^2 = 1 - 2 Re z + |z|^2 <= 2 - 2 Re z, harmonic, equality a.e.
-    assert abs(maj.h0 - 2.0) < 1e-12
-    assert abs(maj.value_at(0.3 + 0.4j) - (2.0 - 0.6)) < 1e-9
+    assert abs(maj(0) - 2.0) < 1e-12
+    assert abs(maj(0.3 + 0.4j) - (2.0 - 0.6)) < 1e-9
     zs = 0.8 * np.exp(1j * np.arange(16) * (TWO_PI / 16))
-    gap = [maj.value_at(z) - abs(1.0 - z) ** 2 for z in zs]
-    assert min(gap) > 0.0
+    assert np.min(maj(zs) - np.abs(1.0 - zs) ** 2) > 0.0
 
 
 def test_majorant_h0_matches_classical_power():
     f = Poly([0.5, 0.0, 1.0])
     maj = H.least_harmonic_majorant(f, 2.0)
-    assert abs(maj.h0 - maj.classical_power) < 1e-10
+    assert abs(maj(0) - H.classical_hardy_norm(f, 2.0) ** 2) < 1e-10
+
+
+def test_majorant_is_finite_at_a_singular_angle():
+    # |f*|^2 = |1 - e^{it}|^(-0.6) is infinite at t = 0, an integrable
+    # blowup: the sample there is 0 and the majorant stays finite
+    maj = H.least_harmonic_majorant(AffinePower(1.0, -0.3), 2.0)
+    assert maj.values[0] == 0.0
+    assert np.all(np.isfinite(maj.values))
+    assert math.isfinite(maj(1.0))
+    assert math.isfinite(maj(1.0 - 1e-9))
 
 
 def test_majorant_refuses_divergent_power():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from pshardy import potential as P
+from pshardy.geometry import CONVERGED, integrate_boundary_arc
 
 
 # ---------------------------------------------------------------------------
@@ -69,110 +70,68 @@ def test_poisson_kernel_mean_is_one():
     rng = np.random.default_rng(9)
     for _ in range(5):
         z = complex(*rng.uniform(-0.6, 0.6, 2))
-        got = P.poisson_integral(lambda th: np.ones_like(th), z)
-        assert abs(got - 1.0) < 1e-10
+        got = integrate_boundary_arc(
+            lambda th: P.poisson_kernel(z, np.exp(1j * th)),
+            tol_abs=1e-10, tol_rel=1e-8)
+        assert got.status == CONVERGED
+        assert abs(got.value - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Poisson integrals
+# spectral extension
 # ---------------------------------------------------------------------------
+
+
+def _grid(n):
+    return 2.0 * math.pi * np.arange(n) / n
 
 
 def test_poisson_integral_reproduces_harmonic_data():
+    t = _grid(256)
     rng = np.random.default_rng(13)
-    for _ in range(6):
-        z = complex(*rng.uniform(-0.6, 0.6, 2))
-        assert abs(P.poisson_integral(np.cos, z) - z.real) < 1e-9
-        assert abs(P.poisson_integral(np.sin, z) - z.imag) < 1e-9
+    z = rng.uniform(-0.6, 0.6, 6) + 1j * rng.uniform(-0.6, 0.6, 6)
+    assert np.max(np.abs(P.poisson_extension(np.cos(t))(z) - z.real)) < 1e-13
+    assert np.max(np.abs(P.poisson_extension(np.sin(t))(z) - z.imag)) < 1e-13
 
 
 def test_poisson_integral_center_mean():
-    got = P.poisson_integral(lambda th: np.abs(1.0 - np.exp(1j * th)), 0.0)
-    assert abs(got - 4.0 / math.pi) < 1e-9
-
-
-def test_poisson_integral_singular_data():
-    # integrable blowup at both ends of the sine
-    got = P.poisson_integral(
-        lambda th: np.abs(np.sin(th)) ** -0.6, 0.0, singular_points=[0.0, math.pi]
-    )
-    assert abs(got - 1.9953742624534898) < 2e-5
-
-
-def test_poisson_integral_divergent_data_flags_infinity():
-    got = P.poisson_integral(
-        lambda th: np.abs(np.sin(th)) ** -1.1, 0.0, singular_points=[0.0, math.pi]
-    )
-    assert got == math.inf
-
-
-def test_poisson_integral_requires_interior_point():
-    with pytest.raises(ValueError):
-        P.poisson_integral(np.cos, 1.0 + 0.0j)
-
-
-# ---------------------------------------------------------------------------
-# boundary profiles and spectral extension
-# ---------------------------------------------------------------------------
-
-
-def test_profile_grid_validation():
-    n = 512
-    t = 2 * math.pi * np.arange(n) / n
-    P.BoundaryProfile(t, np.cos(t))  # fine
-    with pytest.raises(ValueError):
-        P.BoundaryProfile(t[:300], np.cos(t[:300]))  # not a power of two
-    with pytest.raises(ValueError):
-        P.BoundaryProfile(t[:128], np.cos(t[:128]))  # too small
-    with pytest.raises(ValueError):
-        P.BoundaryProfile(t + 0.01, np.cos(t))  # shifted grid
-    with pytest.raises(ValueError):
-        P.BoundaryProfile(t, np.cos(t)[:-1])  # shape mismatch
-
-
-def test_profile_from_function_fills_singular_nodes():
-    prof = P.BoundaryProfile.from_function(
-        lambda th: 1.0 / th, n=256, singular_points=[0.0], singular_fill=7.0
-    )
-    assert prof.values[0] == 7.0
-    assert np.all(np.isfinite(prof.values))
-
-
-def test_profile_mean_and_coefficients():
-    prof = P.BoundaryProfile.from_function(lambda th: 2.0 + np.cos(th), n=256)
-    assert abs(prof.mean() - 2.0) < 1e-13
-    c = prof.fourier_coefficients()
-    assert abs(c[0] - 2.0) < 1e-13
-    assert abs(c[1] - 0.5) < 1e-13
+    # P[phi](0) is the mean of the samples; for |1 - e^{it}| on n nodes
+    # that is (2/n) cot(pi/2n), which tends to 4/pi
+    n = 8192
+    values = np.abs(1.0 - np.exp(1j * _grid(n)))
+    got = P.poisson_extension(values)(0.0)
+    assert abs(got - np.mean(values)) < 1e-15
+    assert abs(got - 2.0 / (n * math.tan(math.pi / (2 * n)))) < 1e-14
 
 
 def test_spectral_extension_matches_harmonic_oracle():
-    prof = P.BoundaryProfile.from_function(np.cos, n=256)
-    h = P.poisson_extension(prof)
+    h = P.poisson_extension(np.cos(_grid(256)))
     rng = np.random.default_rng(17)
     z = rng.uniform(-0.7, 0.7, 30) + 1j * rng.uniform(-0.7, 0.7, 30)
     z = z[np.abs(z) < 0.95]
     assert np.max(np.abs(h(z) - z.real)) < 1e-13
     # constant data extends to the constant
-    one = P.poisson_extension(P.BoundaryProfile.from_function(lambda th: np.ones_like(th), n=256))
+    one = P.poisson_extension(np.ones(256))
     assert np.max(np.abs(one(z) - 1.0)) < 1e-13
-    # profile route through poisson_integral dispatch
-    assert abs(P.poisson_integral(prof, 0.3 + 0.2j) - 0.3) < 1e-13
+    with pytest.raises(ValueError):
+        h(1.5)
 
 
 def test_spectral_extension_matches_samples_on_boundary():
-    prof = P.BoundaryProfile.from_function(lambda th: np.exp(np.cos(th)), n=512)
-    h = P.poisson_extension(prof)
-    got = h(np.exp(1j * prof.thetas))
-    assert np.max(np.abs(got - prof.values)) < 1e-11
+    t = _grid(512)
+    values = np.exp(np.cos(t))
+    h = P.poisson_extension(values)
+    assert np.max(np.abs(h(np.exp(1j * t)) - values)) < 1e-11
 
 
-def test_spectral_extension_restricts_to_periodic_interpolant():
-    # both evaluate the one analytic series of the samples
-    prof = P.BoundaryProfile.from_function(lambda th: np.exp(np.cos(th)) + np.sin(5 * th), n=256)
-    t = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, 50)
-    on_circle = P.poisson_extension(prof)(np.exp(1j * t))
-    assert np.max(np.abs(on_circle - P.periodic_interpolant(prof.values)(t))) < 1e-14
+def test_periodic_interpolant():
+    # on the circle the extension is the trigonometric interpolant of the
+    # samples, exact between the nodes for band-limited data
+    vals = np.cos(3.0 * _grid(512)) + 0.25
+    h = P.poisson_extension(vals)
+    th = np.array([0.1, 1.7, 4.0])
+    assert np.max(np.abs(h(np.exp(1j * th)) - (np.cos(3 * th) + 0.25))) < 1e-12
+    assert abs(h(1.0) - vals[0]) < 1e-12
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=100)
@@ -210,14 +169,6 @@ def test_series_kernel_shapes_and_mpmath_reference():
     grid = pts.reshape(3, 1) * np.array([[1.0, 0.5]])
     assert np.array_equal(P._series(grid, a), P._series(grid.ravel(), a).reshape(3, 2))
     assert P._series(0.5, a).shape == ()
-
-
-def test_periodic_interpolant():
-    vals = np.cos(2 * math.pi * np.arange(512) / 512 * 3.0) + 0.25
-    f = P.periodic_interpolant(vals)
-    th = np.array([0.1, 1.7, 4.0])
-    assert np.max(np.abs(f(th) - (np.cos(3 * th) + 0.25))) < 1e-12
-    assert abs(f(0.0) - vals[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +253,22 @@ def test_green_potential_infinite_mass_is_minus_infinity():
     assert P.green_potential(mu, 0.3) == -math.inf
 
 
+def _laplacian_probe(u, z, h=1e-4):
+    """Five-point estimate of (Delta u)/(2 pi) at z, the Riesz density.
+
+    ``u`` must accept a complex array.  The truncation error is O(h^2);
+    with the default step the roundoff amplification stays near 1e-8.
+    """
+    pts = np.array([z + h, z - h, z + 1j * h, z - 1j * h, z], dtype=complex)
+    vals = np.asarray(u(pts), dtype=float)
+    lap = (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / (h * h)
+    return float(lap / (2.0 * math.pi))
+
+
 def test_riesz_density_recovery():
     # build a potential by quadrature from a smooth bump, then probe its
-    # Laplacian: the declared density must come back
+    # Laplacian with the five-point stencil: the declared density must
+    # come back
     bump = lambda z: np.exp(-8.0 * np.abs(z - (0.2 + 0.1j)) ** 2)
     mu = P.RieszMeasure(density=bump, label="bump")
 
@@ -316,14 +280,15 @@ def test_riesz_density_recovery():
     # step chosen to balance the O(h^2) truncation against the ~1e-9
     # quadrature noise the stencil amplifies by 1/h^2
     for zp in (0.4 + 0.25j, -0.1 + 0.3j):
-        got = P.laplacian_probe(u, zp, h=3e-3)
+        got = _laplacian_probe(u, zp, h=3e-3)
         want = float(bump(np.array([zp]))[0])
         assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
 
 
 def test_laplacian_probe_polynomial():
+    # the oracle itself: Delta |z|^4 = 16 |z|^2
     zp = 0.3 - 0.2j
-    got = P.laplacian_probe(lambda pts: np.abs(pts) ** 4, zp)
+    got = _laplacian_probe(lambda pts: np.abs(pts) ** 4, zp)
     assert abs(got - 8.0 * abs(zp) ** 2 / math.pi) < 1e-6
 
 
