@@ -34,6 +34,7 @@ from .potential import (
     green_function,
     green_potential,
     poisson_balayage,
+    poisson_extension,
 )
 
 __all__ = [
@@ -99,14 +100,14 @@ def _lens_measure(m):
     )
 
 
-def _vm_point(z, m, tol=1e-12):
+def _vm_point(z, m):
     """The glued example: the power profile on the lens, harmonic outside.
 
     Outside the lens the value is the harmonic extension of the profile's
     lens-boundary trace with zero data on the unit circle.  The crescent
     between the two circles maps to a vertical strip under 1/(1-z) and on
     to a half plane, where the extension is a single rapidly converging
-    Poisson integral.
+    Poisson integral, taken to 1e-12.
     """
     z = complex(z)
     if abs(z - 0.5) <= 0.5 + 1e-14:
@@ -129,8 +130,9 @@ def _vm_point(z, m, tol=1e-12):
         v = -np.log(tau) / (2.0 * math.pi)
         return (1.0 + v * v) ** (-m)
 
-    res = integrate_interval(g, psi0, 0.5 * math.pi, tol_abs=tol, tol_rel=tol,
-                             singular_left=True, singular_right=True)
+    res = integrate_interval(g, psi0, 0.5 * math.pi, tol_abs=1e-12,
+                             tol_rel=1e-12, singular_left=True,
+                             singular_right=True)
     return -res.value / math.pi
 
 
@@ -168,7 +170,7 @@ class ExhaustionSpec:
         self.value_error = float(value_error)
         self._levels = {}
         self._demailly = {}
-        self._weights = {}  # boundary weights by sample count
+        self._weight = None  # the boundary weight, built on first use
         self._grid_checked = False  # whether sublevel_set counted components
 
     def __call__(self, z):
@@ -474,8 +476,9 @@ def make_example(kind, m):
 class LevelSet:
     """Traced boundary of a sublevel set {u < c}, star-shaped about center.
 
-    Vertices sit on the curve to within level_tolerance in u-value; the
-    radius function interpolates trigonometrically between rays.
+    Vertices sit on the curve to within level_tolerance in u-value.
+    ``radius_at`` is r(phi) at any angle: the trigonometric interpolant of
+    the traced radii, the boundary value of their ``poisson_extension``.
     ``u_values`` holds the value of the exhaustion's evaluator at each
     vertex.  ``achieved_tolerance`` is the largest |u_values - c| plus the
     evaluator's ``value_error``, so it bounds the distance of the true u
@@ -494,45 +497,14 @@ class LevelSet:
         self.level_tolerance = 1e-4 * abs(self.c)
         self.achieved_tolerance = float(achieved_tolerance)
         self.vertices = self.center + self.radii * np.exp(1j * self.angles)
-        self._interp = None
+        self._radius = poisson_extension(self.radii)
 
     @property
     def samples(self):
         return self.angles.size
 
-    def radius_fn(self):
-        """Angle -> radius, spectrally interpolated between traced rays.
-
-        The trigonometric interpolant is resampled once onto a dense grid,
-        by a zero-padded inverse FFT of the radii's spectrum, and carried
-        by a periodic cubic spline, which costs O(1) per evaluation instead
-        of O(samples); quadrature over the region calls this on every
-        angular panel.
-        """
-        if self._interp is None:
-            if self.is_circle:
-                r0 = float(self.radii[0])
-                self._interp = lambda phi: np.full(np.shape(phi), r0)
-            else:
-                from scipy.interpolate import CubicSpline
-
-                n = self.samples
-                n_dense = max(8192, 8 * n)
-                spec = np.fft.rfft(self.radii)
-                if n % 2 == 0:
-                    # bin n/2 is the single Nyquist cosine of the radii but
-                    # an interior bin, counted twice, of the dense inverse
-                    spec[-1] *= 0.5
-                vals = np.fft.irfft(spec, n_dense) * (n_dense / n)
-                phis = np.linspace(0.0, 2.0 * math.pi, n_dense + 1)
-                vals = np.append(vals, vals[0])
-                spline = CubicSpline(phis, vals, bc_type="periodic")
-                two_pi = 2.0 * math.pi
-                self._interp = lambda phi: spline(np.mod(phi, two_pi))
-        return self._interp
-
     def radius_at(self, phi):
-        return self.radius_fn()(np.asarray(phi, dtype=float))
+        return self._radius(np.exp(1j * np.asarray(phi, dtype=float)))
 
     def ray_fraction(self):
         """Angle -> fraction of the ray to the unit circle inside the set."""

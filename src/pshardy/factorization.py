@@ -20,7 +20,12 @@ import math
 import numpy as np
 
 from . import hardy
-from .potential import DIVERGENT, _series, integrate_interval
+from .potential import (
+    DIVERGENT,
+    _analytic_coefficients,
+    _series,
+    integrate_interval,
+)
 
 __all__ = [
     "InvalidZero",
@@ -215,8 +220,11 @@ class OuterFunction(AnalyticExpr):
     """Outer function exp( integral (zeta+z)/(zeta-z) logM d nu ).
 
     The Herglotz kernel expands as 1 + 2 sum_k (z/zeta)^k, so the function
-    is exp(c_0 + 2 sum_{k>=1} c_k z^k) with c_k the Fourier coefficients of
-    the boundary log-modulus; one FFT of 8,192 samples yields them all.
+    is exp(sum_k a_k z^k) with a the analytic series of the log-modulus
+    samples (``potential._analytic_coefficients``: their mean, twice each
+    Fourier coefficient below Nyquist, the Nyquist term once), less its
+    trailing terms below 1e-15 of the largest.  ``log_coeff0`` is a_0 and
+    ``log_coeffs`` the rest.  The constructor samples 8,192 angles.
     Construction refuses data whose absolute integral diverges.
     """
 
@@ -279,14 +287,13 @@ class OuterFunction(AnalyticExpr):
         if bad.any():
             idx = np.flatnonzero(bad)
             work[idx] = 0.5 * (work[(idx - 1) % n] + work[(idx + 1) % n])
-        coeffs = np.fft.rfft(work) / n
-        self.log_coeff0 = float(np.real(coeffs[0]))
-        tail = coeffs[1:]
-        keep = tail.size
-        scale = max(np.abs(tail).max(), abs(self.log_coeff0), 1e-30)
-        while keep > 1 and abs(tail[keep - 1]) < 1e-15 * scale:
+        coeffs = _analytic_coefficients(work)
+        scale = max(np.abs(coeffs).max(), 1e-30)
+        keep = coeffs.size
+        while keep > 2 and abs(coeffs[keep - 1]) < 1e-15 * scale:
             keep -= 1
-        self.log_coeffs = tail[:keep]
+        self.log_coeff0 = float(coeffs[0].real)
+        self.log_coeffs = coeffs[1:keep]
         self.samples = vals
         self.thetas = thetas
         self.singular_thetas = tuple(float(t) for t in singular_thetas)
@@ -294,7 +301,7 @@ class OuterFunction(AnalyticExpr):
 
     def _log_series(self, z):
         z = np.asarray(z, dtype=complex)
-        series = _series(z, np.concatenate(([0.0], 2.0 * self.log_coeffs)))
+        series = _series(z, np.concatenate(([0.0], self.log_coeffs)))
         total = self.log_coeff0 + series
         for t0, alpha in self._sing_terms:
             total = total + alpha * np.log(1.0 - z * np.exp(-1j * t0))

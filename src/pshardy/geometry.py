@@ -91,11 +91,14 @@ class _BudgetExceeded(Exception):
 
 
 class _Counter:
+    """Nodes one integral has evaluated, against DEFAULT_BUDGET as it reads
+    when the integral starts; past it the integral ends INCONCLUSIVE."""
+
     __slots__ = ("n", "budget")
 
-    def __init__(self, budget: int):
+    def __init__(self):
         self.n = 0
-        self.budget = budget
+        self.budget = DEFAULT_BUDGET
 
     def charge(self, k: int) -> None:
         self.n += k
@@ -131,8 +134,8 @@ class QuadratureResult:
 class MoebiusAutomorphism:
     """Disk automorphism z -> e^{i rot} (z - a) / (1 - conj(a) z).
 
-    Carries the closed-form inverse and derivative plus bounds for |phi'|^2
-    on a closed sub-disk, which is what pullback arguments consume.
+    Carries the closed-form inverse and derivative, which is what pullback
+    arguments consume.
     """
 
     a: complex = 0.0
@@ -154,23 +157,6 @@ class MoebiusAutomorphism:
     def derivative(self, z):
         z = np.asarray(z, dtype=complex)
         return np.exp(1j * self.rot) * (1.0 - abs(self.a) ** 2) / (1.0 - np.conj(self.a) * z) ** 2
-
-    def jacobian_bounds(self, r: float) -> tuple[float, float]:
-        """(m, M) with m <= |phi'|^2 <= M on |z| <= r < 1."""
-        if not 0.0 <= r < 1.0:
-            raise ValueError("need 0 <= r < 1")
-        s = 1.0 - abs(self.a) ** 2
-        lo = (s / (1.0 + abs(self.a) * r) ** 2) ** 2
-        hi = (s / (1.0 - abs(self.a) * r) ** 2) ** 2
-        return lo, hi
-
-    def roundtrip_residual(self) -> float:
-        """Largest |inverse(forward(z)) - z| on a 64 x 64 grid in |z| < 0.999."""
-        t = np.linspace(-0.999, 0.999, 64)
-        x, y = np.meshgrid(t, t)
-        z = (x + 1j * y).ravel()
-        z = z[np.abs(z) < 0.999]
-        return float(np.max(np.abs(self.inverse(self.forward(z)) - z)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +297,6 @@ def integrate_interval(
     singular_right: bool = False,
     interior_singularities=(),
     split_points=(),
-    budget: int = DEFAULT_BUDGET,
     counter: "_Counter | None" = None,
 ) -> QuadratureResult:
     """Adaptive integral of a vectorized callable over [a, b].
@@ -338,7 +323,7 @@ def integrate_interval(
     if not b > a:
         raise ValueError("need a < b")
     own_counter = counter is None
-    counter = counter or _Counter(budget)
+    counter = counter or _Counter()
     span = b - a
 
     interior = sorted({float(s) for s in interior_singularities if a < s < b})
@@ -500,7 +485,6 @@ def integrate_boundary_arc(
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     singular_points=(),
-    budget: int = DEFAULT_BUDGET,
 ) -> QuadratureResult:
     """Integral of density(theta) over the circle against normalized arclength.
 
@@ -535,7 +519,6 @@ def integrate_boundary_arc(
         singular_left=singular_left,
         singular_right=singular_right,
         interior_singularities=interior,
-        budget=budget,
     )
 
 
@@ -642,7 +625,6 @@ def integrate_disk_area(
     boundary_singularities=(),
     radial_cut=None,
     density_polar=None,
-    budget: int = DEFAULT_BUDGET,
 ) -> QuadratureResult:
     """Integral of density(z) over the unit disk against Lebesgue area.
 
@@ -664,7 +646,7 @@ def integrate_disk_area(
     precision if they must recover rho from z = center + rho*e^{i phi};
     the polar form avoids that cancellation.
     """
-    counter = _Counter(budget)
+    counter = _Counter()
     interior = [complex(w) for w in interior_singularities]
     boundary = [complex(w) / abs(w) for w in boundary_singularities if abs(w) > 0]
 
@@ -751,7 +733,6 @@ def integrate_disk_area(
             singular_left=endpoint_singular,
             singular_right=endpoint_singular,
             split_points=splits,
-            budget=budget,
             counter=counter,
         )
     except _Divergent:

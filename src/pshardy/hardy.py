@@ -36,6 +36,7 @@ from .geometry import (
     CONVERGED,
     DIVERGENT,
     INCONCLUSIVE,
+    MoebiusAutomorphism,
     QuadratureResult,
     integrate_boundary_arc,
     integrate_interval,
@@ -76,7 +77,7 @@ class NoMajorant(ValueError):
 
 
 class InvalidMap(ValueError):
-    """The supplied conformal map fails its consistency bounds."""
+    """The supplied map is not a disk automorphism."""
 
 
 def _wrap(theta):
@@ -120,8 +121,8 @@ def _inf_at(V, singular_thetas):
     return at
 
 
-def _log_abs_integrable(ev, singular_thetas, *, tol=1e-6):
-    """Whether int |log V| dnu converges, by adaptive quadrature."""
+def _log_abs_integrable(ev, singular_thetas):
+    """Whether int |log V| dnu converges, by adaptive quadrature at 1e-6."""
 
     def integrand(t):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -129,7 +130,7 @@ def _log_abs_integrable(ev, singular_thetas, *, tol=1e-6):
         return np.abs(np.where(np.isfinite(v), v, np.inf))
 
     res = integrate_boundary_arc(
-        integrand, tol_abs=tol, tol_rel=tol,
+        integrand, tol_abs=1e-6, tol_rel=1e-6,
         singular_points=tuple(singular_thetas),
     )
     return res.status == CONVERGED
@@ -231,8 +232,11 @@ def _fubini_residual(ev, mass, singular_thetas):
     return abs(res.value - mass) / mass
 
 
-def boundary_weight(u, samples=2048):
-    """Sample the boundary weight V of an exhaustion on a uniform grid.
+_WEIGHT_SAMPLES = 2048
+
+
+def boundary_weight(u):
+    """The boundary weight V of an exhaustion, sampled on 2,048 angles.
 
     V is the Poisson balayage of the Riesz mass, so it is built from
     ``u.measure`` alone (``potential.poisson_balayage``): the constant mass
@@ -243,7 +247,8 @@ def boundary_weight(u, samples=2048):
     measure's boundary singularities (recorded in ``singular_thetas``, not
     fatal), and a sample that is non-finite anywhere else raises
     UnsupportedRegion.  Functions that are not exhaustions and incomplete
-    Riesz measures raise InvalidParameter.
+    Riesz measures raise InvalidParameter.  The weight is built once per
+    exhaustion and cached on it.
     """
     if not isinstance(u, ExhaustionSpec):
         raise InvalidParameter("boundary_weight expects an ExhaustionSpec")
@@ -252,23 +257,18 @@ def boundary_weight(u, samples=2048):
             f"the Riesz measure of {u.label} is incomplete; its boundary "
             "weight would be missing mass (INCOMPLETE_RIESZ_MEASURE)"
         )
-    samples = int(samples)
-    if samples < 256 or (samples & (samples - 1)) != 0:
-        raise InvalidParameter(
-            "samples must be a power of two, at least 256"
-        )
-    if samples not in u._weights:
-        u._weights[samples] = _build_weight(u, samples)
-    return u._weights[samples]
+    if u._weight is None:
+        u._weight = _build_weight(u)
+    return u._weight
 
 
-def _build_weight(u, samples):
+def _build_weight(u):
     measure = u.measure
     mass, ev, closed = poisson_balayage(measure)
     singular = tuple(
         float(np.angle(s)) % TWO_PI for s in measure.boundary_singularities
     )
-    thetas = np.arange(samples) * (TWO_PI / samples)
+    thetas = np.arange(_WEIGHT_SAMPLES) * (TWO_PI / _WEIGHT_SAMPLES)
     if closed:
         # V is the constant mass or a positive trigonometric-rational
         # function: it integrates to the mass identically, and log V is
@@ -298,8 +298,8 @@ def _build_weight(u, samples):
 # ---------------------------------------------------------------------------
 
 
-def _classical_power(f, p, *, tol_abs=1e-10, tol_rel=1e-8):
-    """nu-average of |f*|^p as a QuadratureResult."""
+def _classical_power(f, p):
+    """nu-average of |f*|^p as a QuadratureResult, at 1e-10 abs, 1e-8 rel."""
 
     def integrand(t):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -307,7 +307,7 @@ def _classical_power(f, p, *, tol_abs=1e-10, tol_rel=1e-8):
         return np.where(np.isfinite(v), v, np.inf)
 
     return integrate_boundary_arc(
-        integrand, tol_abs=tol_abs, tol_rel=tol_rel,
+        integrand, tol_abs=1e-10, tol_rel=1e-8,
         singular_points=tuple(f.boundary_singularities),
     )
 
@@ -328,8 +328,9 @@ def classical_hardy_norm(f, p):
 # ---------------------------------------------------------------------------
 
 
-def _route_boundary(f, p, weight, *, tol_abs=1e-9, tol_rel=1e-6):
-    """int |f*|^p V dnu with the singular angles of both factors declared."""
+def _route_boundary(f, p, weight):
+    """int |f*|^p V dnu at 1e-9 abs, 1e-6 rel, the singular angles of both
+    factors declared."""
     if not np.any(np.isfinite(weight.values)):
         return QuadratureResult(math.inf, math.inf, DIVERGENT, 0)
     sing = set(float(t) % TWO_PI for t in weight.singular_thetas)
@@ -342,7 +343,7 @@ def _route_boundary(f, p, weight, *, tol_abs=1e-9, tol_rel=1e-6):
         return np.where(np.isfinite(v), v, np.inf)
 
     return integrate_boundary_arc(
-        integrand, tol_abs=tol_abs, tol_rel=tol_rel,
+        integrand, tol_abs=1e-9, tol_rel=1e-6,
         singular_points=tuple(sorted(sing)),
     )
 
@@ -864,34 +865,18 @@ class _ComposedExpr:
 def conformal_pullback_norm(f, u, automorphism, p):
     """Norm report for f∘φ under the pulled-back exhaustion u∘φ.
 
-    The map must behave like a disk automorphism: closed-form inverse and
-    derivative with a clean forward/inverse roundtrip and positive finite
-    Jacobian bounds; anything else raises InvalidMap.  Membership must
+    The map must be a ``MoebiusAutomorphism``, whose inverse and derivative
+    are closed forms; anything else raises InvalidMap.  Membership must
     agree with the direct computation — the pullback transports the Riesz
     mass with the Jacobian, so every route transforms covariantly.
     """
-    mob = automorphism
-    for name in ("forward", "inverse", "derivative", "jacobian_bounds",
-                 "roundtrip_residual"):
-        if not callable(getattr(mob, name, None)):
-            raise InvalidMap(
-                f"map lacks a callable {name!r}; only disk automorphisms "
-                "with closed-form inverses are supported (INVALID_MAP)"
-            )
-    resid = float(mob.roundtrip_residual())
-    if not resid < 1e-9:
+    if not isinstance(automorphism, MoebiusAutomorphism):
         raise InvalidMap(
-            f"forward/inverse roundtrip residual {resid:.3e} exceeds 1e-9 "
+            "only disk automorphisms (MoebiusAutomorphism) are supported "
             "(INVALID_MAP)"
         )
-    lo, hi = mob.jacobian_bounds(0.99)
-    if not (0.0 < lo <= hi < math.inf):
-        raise InvalidMap(
-            f"Jacobian bounds ({lo:g}, {hi:g}) are not positive and finite "
-            "(INVALID_MAP)"
-        )
-    pulled = pullback_exhaustion(mob, u)
-    return hardy_norm(_ComposedExpr(f, mob), p, pulled)
+    pulled = pullback_exhaustion(automorphism, u)
+    return hardy_norm(_ComposedExpr(f, automorphism), p, pulled)
 
 
 # ---------------------------------------------------------------------------
@@ -911,8 +896,8 @@ def comparison_checks(u, v, b):
       evaluators' ``value_error`` and at least 1e-9; failure is reported as
       HYPOTHESIS_FAILED, not raised), then each pairing satisfies
       ||phi||_u <= b*||phi||_v;
-    - point bound: phi(0) <= s * ||phi||_v with s = sup P(0, .)/V_v on 512
-      samples of V_v;
+    - point bound: phi(0) <= s * ||phi||_v with s = sup P(0, .)/V_v over
+      the samples of ``boundary_weight(v)``;
     - reverse containment: a constant c is fitted on the battery so that
       ||phi||_v <= c*||phi||_u, then frozen and re-tested on the held-out
       functions 1 + z/2 and z^2.
@@ -973,7 +958,7 @@ def comparison_checks(u, v, b):
     report["order"] = {"bound": b, "rows": rows, "ok": order_ok}
 
     w0 = 0j
-    weight_v = boundary_weight(v, samples=512)
+    weight_v = boundary_weight(v)
     finite = np.isfinite(weight_v.values)
     kernel = poisson_kernel(w0, np.exp(1j * weight_v.thetas[finite]))
     s = float(np.max(kernel / weight_v.values[finite]))

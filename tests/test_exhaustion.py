@@ -513,8 +513,8 @@ def test_levelset_interpolant_matches_samples(um):
 
 @pytest.mark.parametrize("n", [256, 384, 200, 201])
 def test_levelset_dense_radii_are_the_interpolant(n):
-    # the spline's knots are the trigonometric interpolant of the radii,
-    # resampled by FFT; a Nyquist term (even n) counts once
+    # r(phi) is the trigonometric interpolant of the radii at any angle,
+    # off the sample grid too; a Nyquist term (even n) counts once
     rng = np.random.default_rng(n)
     phi = 2.0 * math.pi * np.arange(n) / n
     radii = (0.5 + 0.1 * np.cos(phi) + 0.02 * np.sin(3.0 * phi)
@@ -524,6 +524,9 @@ def test_levelset_dense_radii_are_the_interpolant(n):
     knots = np.linspace(0.0, 2.0 * math.pi, max(8192, 8 * n) + 1)[:-1]
     want = poisson_extension(radii)(np.exp(1j * knots))
     assert np.max(np.abs(lv.radius_at(knots) - want)) <= 1e-14
+    off = rng.uniform(-math.pi, 3.0 * math.pi, 2000)
+    want = poisson_extension(radii)(np.exp(1j * off))
+    assert np.max(np.abs(lv.radius_at(off) - want)) <= 1e-15
 
 
 def test_swept_measure_report(um):

@@ -164,6 +164,8 @@ def test_u_inner_um_flattens_the_weight(u075):
     assert float(np.mean(mask)) > 0.99
     dev = np.abs(cand.flatness[mask] - 1.0)
     assert float(np.nanmax(dev)) <= 1e-3
+    # the log series counts its Nyquist term once, as the samples do
+    assert cand.defect <= 1e-9
     assert abs(cand.norm_value - 1.0) <= 5e-3
     assert cand.norm_report.verdict == "MEMBER"
 

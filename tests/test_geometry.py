@@ -126,14 +126,14 @@ def test_near_pole_power_integral_is_inside_its_error():
     assert abs(4965.29413303 - res.value) <= res.error
 
 
-def test_budget_exhaustion_is_inconclusive():
+def test_budget_exhaustion_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(G, "DEFAULT_BUDGET", 400)
     res = G.integrate_interval(
         lambda x: np.sin(1000.0 * x * x),
         0.0,
         10.0,
         tol_abs=1e-13,
         tol_rel=1e-13,
-        budget=400,
     )
     assert res.status == "INCONCLUSIVE"
     assert math.isfinite(res.value)
@@ -329,12 +329,15 @@ def test_divergent_json_has_null_error():
 
 
 def test_moebius_round_trip():
+    t = np.linspace(-0.999, 0.999, 64)
+    z = (t[:, None] + 1j * t[None, :]).ravel()
+    z = z[np.abs(z) < 0.999]
     rng = np.random.default_rng(5)
     for _ in range(6):
         a = rng.uniform(-0.8, 0.8) + 1j * rng.uniform(-0.8, 0.8)
         rot = float(rng.uniform(0.0, 2.0 * math.pi))
         phi = G.MoebiusAutomorphism(a, rot)
-        assert phi.roundtrip_residual() < 1e-11
+        assert np.max(np.abs(phi.inverse(phi.forward(z)) - z)) < 1e-11
 
 
 def test_moebius_derivative_matches_difference_quotient():
@@ -343,13 +346,3 @@ def test_moebius_derivative_matches_difference_quotient():
     h = 1e-6
     num = (phi.forward(z + h) - phi.forward(z - h)) / (2.0 * h)
     assert np.max(np.abs(num - phi.derivative(z))) < 1e-7
-
-
-def test_moebius_jacobian_bounds_bracket_samples():
-    phi = G.MoebiusAutomorphism(0.35 - 0.2j)
-    r = 0.85
-    lo, hi = phi.jacobian_bounds(r)
-    th = np.linspace(0.0, 2.0 * math.pi, 257)
-    vals = np.abs(phi.derivative(r * np.exp(1j * th))) ** 2
-    assert lo <= vals.min() + 1e-12
-    assert vals.max() <= hi + 1e-12

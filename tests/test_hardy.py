@@ -123,7 +123,7 @@ def test_weight_from_moments_matches_poisson_balayage():
         return np.exp(-np.abs(np.asarray(w) - 0.4) ** 2 / 0.02) / TWO_PI
 
     measure = RieszMeasure(density=bump, label="bump")
-    w = H.boundary_weight(X.green_exhaustion(measure), samples=256)
+    w = H.boundary_weight(X.green_exhaustion(measure))
     for t in (0.0, 0.7, 2.0, math.pi):
         zeta = np.exp(1j * t)
         ref = measure.pair(lambda z: poisson_kernel(z, zeta),
@@ -147,11 +147,9 @@ def test_weight_arc_mass_additivity(u075):
 
 
 def test_weight_cache_and_validation(ulog):
-    w1 = H.boundary_weight(ulog, samples=512)
-    w2 = H.boundary_weight(ulog, samples=512)
+    w1 = H.boundary_weight(ulog)
+    w2 = H.boundary_weight(ulog)
     assert w1 is w2
-    with pytest.raises(InvalidParameter):
-        H.boundary_weight(ulog, samples=1000)
     with pytest.raises(InvalidParameter):
         H.boundary_weight("um")
     with pytest.raises(InvalidParameter):
@@ -649,6 +647,23 @@ def test_comparison_scaled_log(ulog):
     assert rep["point_bound"]["ok"]
     assert rep["reverse"]["ok"]
     assert abs(rep["reverse"]["fitted_c"] - 0.5) < 1e-5
+
+
+def test_comparison_builds_one_weight_per_exhaustion(monkeypatch):
+    # the point bound reads s off the cached weight of v, which the
+    # majorant pairings already built
+    built = []
+    original = H._build_weight
+
+    def counted(u):
+        built.append(u.label)
+        return original(u)
+
+    monkeypatch.setattr(H, "_build_weight", counted)
+    u = X.green_exhaustion(RieszMeasure(atoms=((0.3 + 0.0j, 1.0),)))
+    v = X.scaled_exhaustion(0.5, X.radial_log())
+    H.comparison_checks(u, v, 1.0)
+    assert sorted(built) == sorted([u.label, v.label])
 
 
 def test_comparison_detects_false_hypothesis(ulog):
