@@ -152,6 +152,14 @@ class ExhaustionSpec:
     -inf for atomic mass), and the minimum point doubles as the star center
     for sublevel tracing.
 
+    ``gradient``, where given, maps z to the pair (u, G) in one pass, with
+    G = 2 d_z u = u_x - i u_y and u what ``evaluate`` returns; d_r u along
+    the ray at angle phi is Re(G e^{i phi}).  ``sublevel_set`` takes Newton
+    steps on it and starts each level from the deeper one below it, and
+    ``demailly_measure`` reads the flux off it.  Exhaustions without one
+    (the adaptive area-density Green potential, the glued example, the
+    radial profiles) trace by regula falsi alone and difference the flux.
+
     Everything else reads ``measure``: the boundary weight (derived
     exhaustions a * u and u composed with a disk automorphism, and the
     lens example, carry what it needs on their Riesz measure; see
@@ -161,15 +169,17 @@ class ExhaustionSpec:
     """
 
     def __init__(self, label, evaluate, measure, *, min_value, min_point,
-                 value_error):
+                 value_error, gradient=None):
         self.label = label
         self._evaluate = evaluate
+        self.gradient = gradient
         self.measure = measure
         self.min_value = float(min_value)
         self.min_point = complex(min_point)
         self.value_error = float(value_error)
         self._levels = {}
         self._demailly = {}
+        self._rims = {}  # u at the ends of the rays from min_point, by count
         self._weight = None  # the boundary weight, built on first use
         self._grid_checked = False  # whether sublevel_set counted components
 
@@ -202,10 +212,15 @@ def radial_log():
         with np.errstate(divide="ignore"):
             return np.where(r >= 1.0, 0.0, np.log(np.where(r > 0, r, 1e-300)))
 
+    def grad(z):
+        z = np.asarray(z, dtype=complex)
+        inside = (np.abs(z) < 1.0) & (z != 0.0)
+        return ev(z), np.where(inside, 1.0 / np.where(inside, z, 1.0), 0.0)
+
     return ExhaustionSpec(
         "log", ev, measure,
         min_value=-math.inf, min_point=0.0,
-        value_error=0.0,
+        value_error=0.0, gradient=grad,
     )
 
 
@@ -299,9 +314,21 @@ def green_exhaustion(measure, label=None):
                 out = out + mass * green_function(z, loc)
             return np.where(np.abs(z) >= 1.0, 0.0, out)
 
+        def grad(z):
+            # 2 d_z g(z, a) = 1/(z - a) + conj(a)/(1 - conj(a) z)
+            z = np.asarray(z, dtype=complex)
+            G = np.zeros(z.shape, dtype=complex)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for loc, mass in zip(locs, masses):
+                    G = G + mass * (1.0 / (z - loc)
+                                    + np.conj(loc) / (1.0 - np.conj(loc) * z))
+            return ev(z), np.where(np.abs(z) >= 1.0, 0.0, G)
+
         center = complex(locs[0])
         err = 0.0
     else:
+        grad = None
+
         def ev(z):
             z = np.asarray(z, dtype=complex)
             vals = [green_potential(measure, zz, tol_abs=1e-12, tol_rel=1e-10)
@@ -323,6 +350,7 @@ def green_exhaustion(measure, label=None):
         min_value=-math.inf,
         min_point=center,
         value_error=err,
+        gradient=grad,
     )
 
 
@@ -332,13 +360,21 @@ def scaled_exhaustion(a, inner):
     if not a > 0.0 or not math.isfinite(a):
         raise InvalidParameter("scale factor must be positive and finite")
 
+    inner_ev = inner._evaluate
+
     def ev(z):
-        return a * inner._evaluate(np.asarray(z, dtype=complex))
+        return a * inner_ev(np.asarray(z, dtype=complex))
+
+    grad, inner_grad = None, inner.gradient
+    if inner_grad is not None:
+        def grad(z):
+            u, G = inner_grad(z)
+            return a * u, a * G
 
     return ExhaustionSpec(
         f"scaled:{a:g}:{inner.label}", ev, inner.measure.scaled(a),
         min_value=a * inner.min_value, min_point=inner.min_point,
-        value_error=a * inner.value_error,
+        value_error=a * inner.value_error, gradient=grad,
     )
 
 
@@ -355,8 +391,18 @@ def pullback_exhaustion(automorphism, inner):
         raise InvalidParameter("pullback needs a MoebiusAutomorphism")
     mob = automorphism
 
+    inner_ev = inner._evaluate
+
     def ev(z):
-        return inner._evaluate(mob.forward(np.asarray(z, dtype=complex)))
+        return inner_ev(mob.forward(np.asarray(z, dtype=complex)))
+
+    grad, inner_grad = None, inner.gradient
+    if inner_grad is not None:
+        def grad(z):
+            # the chain rule: phi is holomorphic, so d_z (u o phi) = u_w phi'
+            z = np.asarray(z, dtype=complex)
+            u, G = inner_grad(mob.forward(z))
+            return u, G * mob.derivative(z)
 
     atoms = tuple(
         (complex(mob.inverse(loc)), mass) for loc, mass in inner.measure.atoms
@@ -402,6 +448,7 @@ def pullback_exhaustion(automorphism, inner):
         min_value=inner.min_value,
         min_point=complex(mob.inverse(inner.min_point)),
         value_error=inner.value_error,
+        gradient=grad,
     )
 
 
@@ -464,7 +511,7 @@ def make_example(kind, m):
         f"um:{m:g}", density.green_potential,
         replace(_lens_measure(m), balayage=density.balayage),
         min_value=min_value, min_point=min_point,
-        value_error=density.value_error,
+        value_error=density.value_error, gradient=density.green_gradient,
     )
 
 
@@ -482,16 +529,19 @@ class LevelSet:
     ``u_values`` holds the value of the exhaustion's evaluator at each
     vertex.  ``achieved_tolerance`` is the largest |u_values - c| plus the
     evaluator's ``value_error``, so it bounds the distance of the true u
-    from c at every vertex.
+    from c at every vertex.  ``du_dr`` holds d_r u = Re(G e^{i phi}) at each
+    vertex for an exhaustion with a ``gradient``, from the same evaluation
+    as ``u_values``; it is None for the others and on circles.
     """
 
     def __init__(self, *, c, center, angles, radii, u_values, spec_label,
-                 is_circle=False, achieved_tolerance=0.0):
+                 is_circle=False, achieved_tolerance=0.0, du_dr=None):
         self.c = float(c)
         self.center = complex(center)
         self.angles = np.asarray(angles, dtype=float)
         self.radii = np.asarray(radii, dtype=float)
         self.u_values = np.asarray(u_values, dtype=float)
+        self.du_dr = None if du_dr is None else np.asarray(du_dr, dtype=float)
         self.spec_label = spec_label
         self.is_circle = bool(is_circle)
         self.level_tolerance = 1e-4 * abs(self.c)
@@ -538,26 +588,36 @@ def _connected_components_of_sublevel(spec, c):
     return int(count)
 
 
-_BATCH_STEPS = 12  # evaluations a ray gets in _illinois toward its target
+_BATCH_STEPS = 12  # evaluations a ray gets toward its target
 _EXTRA_STEPS = 24  # further evaluations for a ray that still misses
 
 
-def _illinois(f, lo, f_lo, hi, f_hi, target, need):
+def _bracketed_roots(f, lo, f_lo, hi, f_hi, slope_lo, target, need):
     """Roots on the brackets lo < t < hi, f_lo < 0 < f_hi, all rays at once.
 
-    Regula falsi with the Illinois step (Dowell and Jarratt, "A modified
-    regula falsi method", BIT 11, 1971): an end kept twice in a row has its
-    value halved, so both ends close in and the order is about 1.44.
-    ``f(idx, t)`` evaluates the rays idx at t in one batch; a ray stops
-    once |f| <= target, or its bracket is down to rounding.  After
-    _BATCH_STEPS evaluations only the rays with |f| > need go on, for up
-    to _EXTRA_STEPS more.  Returns the last iterate and its value on each
-    ray.
+    ``f(idx, t)`` evaluates the rays idx at t in one batch and returns the
+    values with their slopes df/dt, or with None where there is no
+    gradient.  Given ``slope_lo``, the slopes at lo, the first iterate is
+    lo itself and each step is Newton's from the last iterate where the
+    Newton point lies inside the bracket; every other step is regula falsi
+    with the Illinois step (Dowell and Jarratt, "A modified regula falsi
+    method", BIT 11, 1971): an end kept twice in a row has its value
+    halved, so both ends close in and the order is about 1.44.  Without
+    ``slope_lo`` every step is regula falsi from the end with the smaller
+    |f|.  A ray stops once |f| <= target, or its bracket is down to
+    rounding.  After _BATCH_STEPS evaluations only the rays with
+    |f| > need go on, for up to _EXTRA_STEPS more.  Returns the last
+    iterate on each ray with its value and slope (nan without a gradient).
     """
     lo, hi, g_lo, g_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
-    nearer_lo = -f_lo < f_hi
-    t = np.where(nearer_lo, lo, hi)
-    ft = np.where(nearer_lo, f_lo, f_hi)
+    newton = slope_lo is not None
+    if newton:
+        t, ft, slope = lo.copy(), f_lo.copy(), slope_lo.copy()
+    else:
+        nearer_lo = -f_lo < f_hi
+        t = np.where(nearer_lo, lo, hi)
+        ft = np.where(nearer_lo, f_lo, f_hi)
+        slope = np.full(lo.size, np.nan)
     kept = np.zeros(lo.size)  # +1: the last step kept hi, -1: it kept lo
     for step in range(_BATCH_STEPS + _EXTRA_STEPS):
         goal = target if step < _BATCH_STEPS else need
@@ -566,8 +626,14 @@ def _illinois(f, lo, f_lo, hi, f_hi, target, need):
             break
         a, b, ga, gb = lo[active], hi[active], g_lo[active], g_hi[active]
         x = (a * gb - b * ga) / (gb - ga)
-        fx = f(active, x)
+        if newton:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xn = t[active] - ft[active] / slope[active]
+            x = np.where((xn > a) & (xn < b), xn, x)
+        fx, sx = f(active, x)
         t[active], ft[active] = x, fx
+        if sx is not None:
+            slope[active] = sx
         below = fx < 0.0
         up, dn = active[below], active[~below]
         lo[up], g_lo[up] = x[below], fx[below]
@@ -576,7 +642,14 @@ def _illinois(f, lo, f_lo, hi, f_hi, target, need):
         hi[dn], g_hi[dn] = x[~below], fx[~below]
         g_lo[dn] *= np.where(kept[dn] < 0, 0.5, 1.0)
         kept[dn] = -1.0
-    return t, ft
+    return t, ft, slope
+
+
+def _deeper_level(spec, c, samples):
+    """The traced level of spec nearest below c at the same ray count."""
+    keys = [key for key, lv in spec._levels.items()
+            if key[1] == samples and key[0] < c and lv.du_dr is not None]
+    return spec._levels[max(keys)] if keys else None
 
 
 def sublevel_set(spec, c, *, samples=512):
@@ -584,10 +657,26 @@ def sublevel_set(spec, c, *, samples=512):
 
     Rotation-invariant exhaustions solve one radius.  Otherwise every ray
     from the minimum is bracketed and solved on the exhaustion's evaluator
-    by regula falsi with the Illinois step (``_illinois``), to 1e-6 of
-    tol_u = 1e-4 |c| where its steps allow; a ray whose |u - c| plus
-    ``spec.value_error`` is still above tol_u/2 gets further steps, and one
-    that misses after those fails the trace.
+    (``_bracketed_roots``), to 1e-6 of tol_u = 1e-4 |c| where its steps
+    allow; a ray whose |u - c| plus ``spec.value_error`` is still above
+    tol_u/2 gets further steps, and one that misses after those fails the
+    trace.  The outer end of each ray sits just inside the unit circle; u
+    there is the same on every level, so it is evaluated once per spec and
+    ray count.
+
+    An exhaustion with a ``gradient`` records d_r u at the vertices
+    (``LevelSet.du_dr``).  A level with a deeper one already traced at the
+    same ray count starts from it: that level's radii and recorded values
+    are the inner ends of the brackets (no evaluation; the sign is checked
+    on each ray), the first iterate is the predictor r + (c - u)/d_r u at
+    its vertices, and the steps are Newton's on d_r u wherever they stay
+    inside the bracket.  A level with no deeper one brackets every ray
+    from the minimum and takes regula falsi steps only, as an exhaustion
+    without a gradient does on every level: from a bracket that wide,
+    Newton's steps go to whichever crossing lies nearest, which on a ray
+    through a second island of {u < c} (two atoms of the Green potential
+    at +-0.4, c = -2.5) is the first island's edge on every ray, so the
+    trace would return one star-shaped island of a two-component set.
 
     The first level traced on a spec off a circle also counts the
     components of {u < c} on a coarse grid; later levels skip that check.
@@ -614,8 +703,12 @@ def sublevel_set(spec, c, *, samples=512):
         )
 
     if spec.measure.is_rotation_invariant() and abs(spec.min_point) < 1e-14:
-        # the level is a circle: one solve along the positive real axis
-        ur = lambda r: float(spec._evaluate(np.array([r + 0j]))[0])
+        # the level is a circle: one solve along the positive real axis.
+        # brentq's wrapper refers to itself, so its cycle would keep alive
+        # what ur holds until the next full garbage collection: the
+        # evaluator, not the spec with every level it caches
+        evaluate = spec._evaluate
+        ur = lambda r: float(evaluate(np.array([r + 0j]))[0])
         rc = brentq(lambda r: ur(r) - c,
                     1e-14, 1.0 - 1e-14, xtol=1e-15, rtol=8.9e-16)
         ang = 2.0 * math.pi * np.arange(samples) / samples
@@ -634,24 +727,37 @@ def sublevel_set(spec, c, *, samples=512):
     full = _ray_lengths(z0, ang) * (1.0 - 1e-12)
 
     hi = full.copy()
-    if math.isfinite(spec.min_value):
+    if samples not in spec._rims:
+        spec._rims[samples] = spec(z0 + hi * ray)
+    u_hi = spec._rims[samples] - c
+    slope_lo = None
+    below = _deeper_level(spec, c, samples) if spec.gradient else None
+    if below is not None and np.all(below.u_values < c):
+        lo, u_lo, slope_lo = below.radii, below.u_values - c, below.du_dr
+    elif math.isfinite(spec.min_value):
         # every ray starts at the minimum point: one evaluation serves all
         lo = np.zeros(samples)
         u_lo = np.full(samples, float(spec(np.array([z0]))[0]) - c)
     else:
         lo = 1e-12 * full
         u_lo = spec(z0 + lo * ray) - c
-    u_hi = spec(z0 + hi * ray) - c
     if np.any(u_lo >= 0.0) or np.any(u_hi <= 0.0):
         raise UnsupportedRegion(
             f"could not bracket the level {c:g} along every ray from the "
             f"minimum of {spec.label}"
         )
 
+    def f(idx, tt):
+        z = z0 + tt * ray[idx]
+        if spec.gradient is None:
+            return spec(z) - c, None
+        u, G = spec.gradient(z)
+        return u - c, np.real(G * ray[idx])
+
     # Root finding on every ray, to 1e-6 tol_u where the steps allow:
     # vertices then sit as closely as 30 bisections would place them.
-    radii, ut = _illinois(lambda idx, tt: spec(z0 + tt * ray[idx]) - c,
-                          lo, u_lo, hi, u_hi, 1e-6 * tol_u, need)
+    radii, ut, du_dr = _bracketed_roots(f, lo, u_lo, hi, u_hi, slope_lo,
+                                        1e-6 * tol_u, need)
     uvals = ut + c
     worst = float(np.abs(ut).max()) + spec.value_error
     if worst > 0.5 * tol_u:
@@ -677,6 +783,7 @@ def sublevel_set(spec, c, *, samples=512):
     return LevelSet(
         c=c, center=z0, angles=ang, radii=radii, u_values=uvals,
         spec_label=spec.label, achieved_tolerance=worst,
+        du_dr=du_dr if spec.gradient else None,
     )
 
 
@@ -783,7 +890,9 @@ class DemaillyMeasure:
     read on the traced rays: ``w_values`` is its density against
     d phi/(2 pi) at the level's vertices (``boundary_points``), and
     ``u_c_values`` its density against normalized arclength.  ``speed``
-    is |dz/d phi| = sqrt(r^2 + r'^2) there.
+    is |dz/d phi| = sqrt(r^2 + r'^2) there.  d_r u in the flux is exact
+    where the exhaustion has a ``gradient`` (the level's ``du_dr``) and a
+    central difference otherwise.
     """
 
     def __init__(self, *, spec_label, c, level, mass_direct, mass_error,
@@ -806,9 +915,9 @@ class DemaillyMeasure:
     def mass_from_curve(self):
         """Total mass of mu_c, the mean of the flux density over the rays.
 
-        The flux reads u near the level and the direct total_mass
-        integrates the Riesz density over B_c, so the two are independent;
-        their difference is the honest consistency residual.
+        The flux reads the gradient of u on the level and the direct
+        total_mass integrates the Riesz density over B_c, so the two are
+        independent; their difference is the honest consistency residual.
         """
         return float(np.mean(self.w_values))
 
@@ -844,12 +953,14 @@ def demailly_measure(spec, c, *, samples=512):
 
     Traces the level curve and reads the flux density on its rays: on the
     ray at angle phi with radius r(phi) the density against d phi/(2 pi)
-    is w = d_r u (r^2 + r'^2)/r, with d_r u a central difference of the
-    exhaustion's evaluator and r' the spectral derivative of the traced
-    radii.  A circular level about the center of a rotation-invariant
-    measure carries the uniform density, its mass.  total_mass comes from
-    a direct area quadrature of the mass over B_c, independently of the
-    flux, so mass_balance_residual is a genuine consistency check.
+    is w = d_r u (r^2 + r'^2)/r, with r' the spectral derivative of the
+    traced radii and d_r u the exact one the trace recorded
+    (``LevelSet.du_dr``), or, for an exhaustion without a ``gradient``, a
+    central difference of its evaluator.  A circular level about the
+    center of a rotation-invariant measure carries the uniform density,
+    its mass.  total_mass comes from a direct area quadrature of the mass
+    over B_c, independently of the flux, so mass_balance_residual is a
+    genuine consistency check.
     """
     if not spec.measure.complete:
         raise InvalidParameter(
@@ -869,16 +980,17 @@ def demailly_measure(spec, c, *, samples=512):
     else:
         dr = _spectral_derivative(r)
         speed2 = r * r + dr * dr
-        # The step balances the O(h^2) truncation of the central difference
-        # against rounding in u, O(eps/h): on the u_{3/4} rungs h = 1e-5,
-        # h = 1e-6 and a Richardson pair agreed to 3e-11 (k = 4) and 1e-8
-        # (k <= 6).  gap/20 keeps both nodes inside the disk, where the
-        # evaluator is u and not its zero extension.
-        gap = _ray_lengths(level.center, level.angles) - r
-        h = np.minimum(1e-5, gap / 20.0)
-        ray = np.exp(1j * level.angles)
-        du = (spec(level.center + (r + h) * ray)
-              - spec(level.center + (r - h) * ray)) / (2.0 * h)
+        du = level.du_dr
+        if du is None:
+            # The step balances the O(h^2) truncation of the central
+            # difference against rounding in u, O(eps/h).  gap/20 keeps
+            # both nodes inside the disk, where the evaluator is u and not
+            # its zero extension.
+            gap = _ray_lengths(level.center, level.angles) - r
+            h = np.minimum(1e-5, gap / 20.0)
+            ray = np.exp(1j * level.angles)
+            du = (spec(level.center + (r + h) * ray)
+                  - spec(level.center + (r - h) * ray)) / (2.0 * h)
         w_vals = du * speed2 / r
         speed = np.sqrt(speed2)
 

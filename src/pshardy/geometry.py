@@ -737,6 +737,11 @@ def integrate_disk_area(
         )
     except _Divergent:
         return QuadratureResult(float("nan"), float("inf"), DIVERGENT, 0)
+    finally:
+        # f_phi reads its node weights off itself, a reference cycle that
+        # would keep the density and the radial cut (a traced level) alive
+        # until the next full garbage collection
+        f_phi = None
     if res.status == DIVERGENT:
         return res
     err = res.error + inner_err_box[0] + tol_node * span

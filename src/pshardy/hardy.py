@@ -498,9 +498,10 @@ def _route_level(f, p, u, weight, *, samples=512):
 
     Returns (QuadratureResult or None, info dict).  Traced rungs
     are capped at k = 12: thinner crescents are limited by the ray count
-    (the u_{3/4} flux mass at k = 12 is 0.19198 on 256 rays and 0.19124 on
-    2,048); rotation-invariant exhaustions extend to k = 20 since their
-    rungs are exact.  Infinite Riesz mass short-circuits the ladder:
+    (the u_{3/4} flux mass at k = 12, on the exact d_r u, is 0.191976 on
+    256 rays, 0.191346 on 512 and 0.191239 on 2,048, within 3e-6 of the
+    central-difference flux at each count); rotation-invariant exhaustions
+    extend to k = 20 since their rungs are exact.  Infinite Riesz mass short-circuits the ladder:
     the rung values grow at least like min|f*|^p times the sublevel mass,
     so a boundary-nonvanishing f is divergent outright, and anything else
     is left to the other routes.

@@ -380,6 +380,160 @@ def test_um_ladder_trace_contract(u075):
     assert rungs == 9
 
 
+@pytest.fixture(scope="module")
+def ladder256():
+    """A fresh u_{3/4} traced at 256 rays on k = 4..12, with its evaluator
+    points counted: the value batches it was asked for and the gradient
+    points of each rung."""
+    spec = X.make_example("um", 0.75)
+    value, gradient = spec._evaluate, spec.gradient
+    calls = {"value": [], "gradient": 0}
+
+    def counted_value(z):
+        calls["value"].append(np.size(z))
+        return value(z)
+
+    def counted_gradient(z):
+        calls["gradient"] += np.size(z)
+        return gradient(z)
+
+    spec._evaluate, spec.gradient = counted_value, counted_gradient
+    rungs = {}
+    for k in range(4, 13):
+        before = calls["gradient"]
+        rungs[k] = (spec.sublevel(-(2.0 ** -k), samples=256),
+                    calls["gradient"] - before)
+    return spec, rungs, calls
+
+
+def _directional(u, z, e, h, one_sided):
+    """Richardson-extrapolated derivative of u along e at z with step h."""
+    def D(s):
+        if one_sided:
+            f = [u(z + j * s * e) for j in range(5)]
+            return (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3]
+                    - 3 * f[4]) / (12 * s)
+        return (u(z + s * e) - u(z - s * e)) / (2 * s)
+
+    order = 4 if one_sided else 2
+    return (2 ** order * D(h / 2) - D(h)) / (2 ** order - 1)
+
+
+def test_um_gradient_matches_richardson_differences(ladder256):
+    # G = u_x - i u_y against differences of u along two directions e:
+    # d_e u = Re(G e).  u bends on the scale of the distance d to the lens
+    # circle and to the unit circle (the crescent between them is thin by
+    # the tip z = 1), so central stencils step d/50 at most; by z = 0,
+    # where the lens circle passes and the reflected term cancels,
+    # one-sided stencils stay on the point's side of it
+    u, rungs, _ = ladder256
+
+    def gaps(z, dirs, h, one_sided):
+        _, G = u.gradient(z)
+        err = [np.abs(np.real(G * e) - _directional(u, z, e, h, one_sided))
+               for e in dirs]
+        return np.max(err, axis=0) / np.abs(G)
+
+    def central(z):
+        d = np.minimum(np.abs(np.abs(z - 0.5) - 0.5), 1.0 - np.abs(z))
+        return gaps(z, (1.0, 1j), np.minimum(1e-3, d / 50.0), False)
+
+    vertices = np.concatenate([lv.vertices[::8] for lv, _ in rungs.values()])
+    ang = np.linspace(0.2, 2.0 * math.pi - 0.2, 12)
+    lens = np.concatenate([0.5 + (0.5 + s) * np.exp(1j * ang)
+                           for s in (1e-3, -1e-3, 1e-5, -1e-5)])
+    t = np.linspace(-2.8, 2.8, 8)
+    near0 = np.concatenate([1e-6 * np.exp(1j * t), 1e-8 * np.exp(1j * t), [0.0]])
+    side = np.where(np.abs(near0 - 0.5) < 0.5, 1.0, -1.0)
+    by0 = gaps(near0, (side * np.exp(0.25j * math.pi),
+                       side * np.exp(-0.25j * math.pi)), 1e-3, True)
+    rel = np.concatenate([central(vertices), central(lens), by0])
+    assert np.median(rel) <= 1e-10
+    assert rel.max() <= 1e-8
+    assert np.median(by0) <= 1e-10
+
+
+def test_closed_form_gradients(um):
+    rng = np.random.default_rng(5)
+    z = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 40)) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, 40))
+    # an atom: g(., a) = log|phi_a|, phi_a = (z - a)/(1 - conj(a) z), so
+    # G = phi_a'/phi_a = (1 - |a|^2)/((z - a)(1 - conj(a) z))
+    a = 0.3 - 0.2j
+    ga = X.green_exhaustion(RieszMeasure(atoms=((a, 0.7),), label="atom"))
+    val, G = ga.gradient(z)
+    want = 0.7 * (1 - abs(a) ** 2) / ((z - a) * (1 - np.conj(a) * z))
+    assert np.array_equal(val, ga(z))
+    assert np.max(np.abs(G - want) / np.abs(want)) <= 1e-12
+    val, G = X.radial_log().gradient(z)
+    assert np.max(np.abs(G - 1.0 / z) * np.abs(z)) <= 1e-15
+    # a * u scales both
+    val, G = X.scaled_exhaustion(2.5, um).gradient(z)
+    u_in, G_in = um.gradient(z)
+    assert np.array_equal(val, 2.5 * u_in) and np.array_equal(G, 2.5 * G_in)
+    # u o phi by the chain rule: the pullback of log|z| is the atom at
+    # phi^-1(0), and that of u_m reads G at phi(z) times phi'(z)
+    mob = MoebiusAutomorphism(a=0.3 + 0.1j)
+    val, G = X.pullback_exhaustion(mob, X.radial_log()).gradient(z)
+    b = complex(mob.inverse(0.0))
+    want = (1 - abs(b) ** 2) / ((z - b) * (1 - np.conj(b) * z))
+    assert np.max(np.abs(G - want) / np.abs(want)) <= 1e-12
+    val, G = X.pullback_exhaustion(mob, um).gradient(z)
+    u_in, G_in = um.gradient(mob.forward(z))
+    want = G_in * mob.derivative(z)
+    assert np.array_equal(val, um(mob.forward(z)))
+    assert np.max(np.abs(G - want) / np.abs(want)) <= 1e-12
+    # no gradient where nothing gives one in closed form
+    assert X.make_example("vm", 0.75).gradient is None
+    bump = RieszMeasure(density=lambda w: np.ones(np.shape(w)), label="flat")
+    assert X.green_exhaustion(bump).gradient is None
+
+
+def test_warm_ladder_counts(ladder256):
+    # rungs k >= 5 start from the rung below them and take Newton steps;
+    # u at the ray ends is evaluated once for the whole ladder, and the
+    # swept measure reads the recorded d_r u with no evaluation of its own
+    u, rungs, calls = ladder256
+    warm = [n for k, (_, n) in rungs.items() if k >= 5]
+    assert sum(warm) / (256.0 * len(warm)) <= 4.0
+    assert calls["value"].count(256) == 1
+    before = (list(calls["value"]), calls["gradient"])
+    for k in (5, 12):
+        lv = rungs[k][0]
+        assert lv.achieved_tolerance <= lv.level_tolerance
+        dm = u.demailly(lv.c, samples=256)
+        assert np.all(dm.w_values > 0.0)
+    assert (calls["value"], calls["gradient"]) == before
+
+
+def test_warm_rungs_match_cold_traces(ladder256):
+    # u_m's evaluator without its gradient traces every level cold by
+    # regula falsi, to the same radii as before gradients existed (frozen
+    # below); the warm Newton rungs land within 1e-9 of them, and the
+    # central-difference flux of the plain evaluator agrees with the exact
+    # one where its stencil resolves u (1.7e-7 at k = 6; 1.5e-4 at k = 12)
+    u, rungs, _ = ladder256
+    plain = X.ExhaustionSpec("um-plain", u._evaluate, u.measure,
+                             min_value=u.min_value, min_point=u.min_point,
+                             value_error=u.value_error)
+    frozen = {
+        6: (0.31658936502598656, 0.5591812531674721, 1.055603433054811,
+            0.5591812531674722),
+        9: (0.3242387103934039, 0.7095298373125596, 1.5688831125124876,
+            0.7095298373125596),
+        12: (0.3245468266525112, 0.7338145934237285, 1.6614649039205291,
+             0.7338145934237286),
+    }
+    for k, radii in frozen.items():
+        cold = plain.sublevel(-(2.0 ** -k), samples=256)
+        assert cold.du_dr is None
+        assert np.abs(cold.radii[::64] - radii).max() <= 1e-15
+        assert np.abs(rungs[k][0].radii - cold.radii).max() <= 1e-9
+    exact = u.demailly(-(2.0 ** -6), samples=256).w_values
+    differenced = plain.demailly(-(2.0 ** -6), samples=256).w_values
+    assert np.max(np.abs(differenced / exact - 1.0)) <= 1e-6
+
+
 def test_um_swept_measure_balance(um):
     # the flux mass against the direct area quadrature, on a level inside
     # the lens, one across its circle and the one the identity test uses

@@ -304,5 +304,8 @@ def test_lens_potential_has_no_overflow_at_the_tip():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = lens.green_potential(z)
+        same, G = lens.green_gradient(z)
     assert np.all(np.isfinite(vals))
     assert np.all(vals < 0.0)
+    assert np.array_equal(same, vals)
+    assert np.all(np.isfinite(G))
