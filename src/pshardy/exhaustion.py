@@ -15,7 +15,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy import ndimage
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import beta as beta_function
 
@@ -165,7 +164,8 @@ class ExhaustionSpec:
     lens example, carry what it needs on their Riesz measure; see
     ``potential.poisson_balayage``), and rotation invariance, which the
     measure states (``RieszMeasure.is_rotation_invariant``) and which turns
-    a level about min_point = 0 into one circle.
+    a level about min_point = 0 into one circle, and its support, which
+    ``sublevel_set`` checks every level against (u on it cached per spec).
     """
 
     def __init__(self, label, evaluate, measure, *, min_value, min_point,
@@ -181,7 +181,7 @@ class ExhaustionSpec:
         self._demailly = {}
         self._rims = {}  # u at the ends of the rays from min_point, by count
         self._weight = None  # the boundary weight, built on first use
-        self._grid_checked = False  # whether sublevel_set counted components
+        self._probes = None  # grid points on supp Lambda u, with u there
 
     def __call__(self, z):
         return self._evaluate(np.asarray(z, dtype=complex))
@@ -385,7 +385,8 @@ def pullback_exhaustion(automorphism, inner):
     by preimages on atoms, so norms built on the pullback match the inner
     exhaustion's norms composed with the map.  A pulled area part carries
     the transported balayage V(phi(e^{it})) |phi'(e^{it})| of the inner
-    measure, whose mass it keeps; atoms alone just move.
+    measure, whose mass it keeps; atoms alone just move, and so does a
+    declared support disk, to its image disk.
     """
     if not isinstance(automorphism, MoebiusAutomorphism):
         raise InvalidParameter("pullback needs a MoebiusAutomorphism")
@@ -420,6 +421,14 @@ def pullback_exhaustion(automorphism, inner):
     boundary = tuple(
         complex(mob.inverse(s)) for s in inner.measure.boundary_singularities
     )
+    support = inner.measure.support_disk
+    if support is not None:
+        # mob.inverse sends its pole to infinity and the mirror of the pole
+        # in the circle, by symmetry, to the center of the image circle
+        c0, r0 = complex(support[0]), float(support[1])
+        center = complex(mob.inverse(
+            c0 - r0 * r0 * mob.a / (np.exp(-1j * mob.rot) + mob.a * np.conj(c0))))
+        support = (center, float(abs(mob.inverse(c0 + r0) - center)))
     swept = None
     if inner.measure.has_area_part():
         # the inner balayage is built on first use: its moments may be costly
@@ -440,6 +449,7 @@ def pullback_exhaustion(automorphism, inner):
         total_mass_hint=inner.measure.total_mass_hint,
         complete=inner.measure.complete,
         label=f"pullback:{inner.measure.label}",
+        support_disk=support,
         balayage=swept,
     )
     return ExhaustionSpec(
@@ -573,19 +583,19 @@ class LevelSet:
         return np.abs(rel) < self.radius_at(ang)
 
 
-def _connected_components_of_sublevel(spec, c):
-    """Count connected components of {u < c} on a coarse 96 x 96 grid."""
-    ax = np.linspace(-0.999, 0.999, 96)
-    X, Y = np.meshgrid(ax, ax)
-    Z = X + 1j * Y
-    inside = np.abs(Z) < 0.999
-    vals = np.full(Z.shape, 1.0)
-    vals[inside] = spec(Z[inside])
-    mask = (vals < c) & inside
-    if not mask.any():
-        return 0
-    _, count = ndimage.label(mask)
-    return int(count)
+def _support_probes(spec):
+    """The points of a 96 x 96 grid in the ``support_disk`` of the area part
+    of Lambda u (in |z| < 0.999 when it declares none) with u there,
+    evaluated once per spec.  Atoms alone have no probes."""
+    if spec._probes is None:
+        z = np.empty(0, dtype=complex)
+        if spec.measure.has_area_part():
+            ax = np.linspace(-0.999, 0.999, 96)
+            z = (ax[None, :] + 1j * ax[:, None]).ravel()
+            c0, r0 = spec.measure.support_disk or (0.0, 0.999)
+            z = z[(np.abs(z) < 0.999) & (np.abs(z - c0) < r0)]
+        spec._probes = (z, spec(z) if z.size else np.empty(0))
+    return spec._probes
 
 
 _BATCH_STEPS = 12  # evaluations a ray gets toward its target
@@ -678,8 +688,12 @@ def sublevel_set(spec, c, *, samples=512):
     at +-0.4, c = -2.5) is the first island's edge on every ray, so the
     trace would return one star-shaped island of a two-component set.
 
-    The first level traced on a spec off a circle also counts the
-    components of {u < c} on a coarse grid; later levels skip that check.
+    Every component of {u < c} meets the support of Lambda u: on one with
+    no Riesz mass u would be harmonic with boundary values c, so constant
+    (the minimum principle).  So a level off a circle must enclose every
+    atom, and every probe of the area part (``_support_probes``) with
+    u < c - tol_u up to how far r(phi) may stray between the rays; this is
+    exact for atoms and costs nothing, and a sampling check on area parts.
 
     Raises EmptyLevel when c is at or below the minimum of u, and
     UnsupportedRegion when the sublevel set is not a single star-shaped
@@ -772,19 +786,23 @@ def sublevel_set(spec, c, *, samples=512):
             "about the minimum at the traced resolution"
         )
 
-    if not spec._grid_checked:
-        n_comp = _connected_components_of_sublevel(spec, c)
-        spec._grid_checked = True
-        if n_comp > 1:
-            raise UnsupportedRegion(
-                f"the sublevel set at {c:g} has {n_comp} components"
-            )
-
-    return LevelSet(
+    level = LevelSet(
         c=c, center=z0, angles=ang, radii=radii, u_values=uvals,
         spec_label=spec.label, achieved_tolerance=worst,
         du_dr=du_dr if spec.gradient else None,
     )
+    pz, pu = _support_probes(spec)
+    held = np.concatenate([[loc for loc, mass in spec.measure.atoms if mass > 0],
+                           pz[pu < c - tol_u]]) - z0
+    # between the rays r(phi) strays from the curve by about the upper
+    # half of the spectrum of the radii
+    slack = np.abs(np.fft.rfft(radii))[samples // 4:].sum() * 2.0 / samples
+    if np.any(np.abs(held) >= level.radius_at(np.angle(held)) + slack):
+        raise UnsupportedRegion(
+            f"the sublevel set at {c:g} of {spec.label} has a component "
+            "the traced level does not enclose"
+        )
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -876,6 +894,11 @@ def area_integral_over_sublevel(fn, level, *, singularities=(),
     )
 
 
+def _mass_over_sublevel(measure, level):
+    return pair_over_sublevel(measure, lambda w: np.ones(np.shape(w)), level,
+                              tol_abs=1e-10, tol_rel=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # The swept boundary measure.
 # ---------------------------------------------------------------------------
@@ -893,20 +916,32 @@ class DemaillyMeasure:
     is |dz/d phi| = sqrt(r^2 + r'^2) there.  d_r u in the flux is exact
     where the exhaustion has a ``gradient`` (the level's ``du_dr``) and a
     central difference otherwise.
+
+    ``total_mass`` and ``mass_error`` are the Riesz mass of B_c by area
+    quadrature (``pair_over_sublevel``), independent of the flux.  No norm
+    route reads them, so they are computed on first read unless passed in.
     """
 
-    def __init__(self, *, spec_label, c, level, mass_direct, mass_error,
-                 w_values, speed):
+    def __init__(self, *, spec_label, c, level, measure, w_values, speed,
+                 direct=None):
         self.spec_label = spec_label
         self.c = float(c)
         self.level = level
-        self.total_mass = float(mass_direct)
-        self.mass_error = float(mass_error)
+        self._measure = measure
+        if direct is not None:
+            self._direct = direct
         self.boundary_points = level.vertices
         self.w_values = np.asarray(w_values, dtype=float)
         self.speed = np.asarray(speed, dtype=float)
         self.u_c_values = (self.curve_length() * self.w_values
                            / (2.0 * math.pi * self.speed))
+
+    @functools.cached_property
+    def _direct(self):
+        return _mass_over_sublevel(self._measure, self.level)
+
+    total_mass = property(lambda self: float(self._direct.value))
+    mass_error = property(lambda self: float(self._direct.error))
 
     def curve_length(self):
         """Length of S_c, the trapezoid rule on |dz/d phi|."""
@@ -958,9 +993,10 @@ def demailly_measure(spec, c, *, samples=512):
     (``LevelSet.du_dr``), or, for an exhaustion without a ``gradient``, a
     central difference of its evaluator.  A circular level about the
     center of a rotation-invariant measure carries the uniform density,
-    its mass.  total_mass comes from a direct area quadrature of the mass
-    over B_c, independently of the flux, so mass_balance_residual is a
-    genuine consistency check.
+    its mass, so a circle computes the direct mass of B_c at once; other
+    levels compute it (``DemaillyMeasure.total_mass``, an area quadrature
+    independent of the flux, so mass_balance_residual is a genuine
+    consistency check) on first read.
     """
     if not spec.measure.complete:
         raise InvalidParameter(
@@ -968,13 +1004,11 @@ def demailly_measure(spec, c, *, samples=512):
             "boundary measure would be missing mass (INCOMPLETE_RIESZ_MEASURE)"
         )
     level = spec.sublevel(c, samples=samples)
-    ones = lambda w: np.ones(np.shape(w))
-    direct = pair_over_sublevel(spec.measure, ones, level,
-                                tol_abs=1e-10, tol_rel=1e-8)
-
+    direct = None
     r = level.radii
     if level.is_circle:
         # exact, where a difference quotient of log|z| spreads by 1e-11
+        direct = _mass_over_sublevel(spec.measure, level)
         w_vals = np.full(r.size, direct.value)
         speed = r
     else:
@@ -995,8 +1029,8 @@ def demailly_measure(spec, c, *, samples=512):
         speed = np.sqrt(speed2)
 
     return DemaillyMeasure(
-        spec_label=spec.label, c=c, level=level, mass_direct=direct.value,
-        mass_error=direct.error, w_values=w_vals, speed=speed,
+        spec_label=spec.label, c=c, level=level, measure=spec.measure,
+        w_values=w_vals, speed=speed, direct=direct,
     )
 
 

@@ -163,22 +163,70 @@ def test_green_two_atoms_disconnect_at_deep_levels():
         two.sublevel(-2.5)  # two islands around the atoms
 
 
-def test_components_check_runs_once_per_spec(monkeypatch):
+def test_green_half_atoms_refused_at_deep_levels():
+    # u(0) = -0.916, so {u < -2.5} is two islands around the atoms; every
+    # ray from the first atom finds its own island's edge, and only the
+    # second atom, outside the traced level, shows the other one
+    def two():
+        return X.green_exhaustion(RieszMeasure(
+            atoms=((0.4 + 0.0j, 0.5), (-0.4 + 0.0j, 0.5)), label="half-pair"))
+
+    with pytest.raises(X.UnsupportedRegion, match="component"):
+        two().demailly(-2.5)
+    warm = two()
+    assert warm.sublevel(-0.2).contains(np.array([0.4, -0.4])).all()
+    with pytest.raises(X.UnsupportedRegion, match="component"):
+        warm.demailly(-2.5)
+
+
+def test_support_probes_are_evaluated_once_per_spec(monkeypatch):
+    # u is evaluated once per spec on the grid points of the support of
+    # its Riesz measure: the 1,774 on the lens disk for u_{3/4}, none for
+    # atoms alone; every later level reuses them
     calls = []
-    original = X._connected_components_of_sublevel
+    original = X.ExhaustionSpec.__call__
 
-    def counted(spec, c):
-        calls.append(c)
-        return original(spec, c)
+    def counted(self, z):
+        calls.append(np.size(z))
+        return original(self, z)
 
-    monkeypatch.setattr(X, "_connected_components_of_sublevel", counted)
+    monkeypatch.setattr(X.ExhaustionSpec, "__call__", counted)
+    spec = X.make_example("um", 0.75)
+    spec.sublevel(-(2.0 ** -4), samples=256)
+    assert calls == [256, 1, 1774]  # the ray ends, the minimum, the probes
+    spec.sublevel(-(2.0 ** -5), samples=256)
+    assert calls == [256, 1, 1774]
+    calls.clear()
     atom = RieszMeasure(atoms=((0.3 + 0.0j, 1.0),), label="atom:0.3")
     ga = X.green_exhaustion(atom)
-    ga.sublevel(-0.5)
-    ga.sublevel(-1.0)
-    assert calls == [-0.5]
-    X.green_exhaustion(atom).sublevel(-1.0)
-    assert calls == [-0.5, -1.0]
+    ga.sublevel(-1.0, samples=256)
+    ga.sublevel(-0.5, samples=256)
+    assert calls == [256, 256]  # the ray ends and the inner bracket ends
+    assert ga._probes[0].size == 0
+
+
+def test_probes_by_the_curve_do_not_refuse_a_connected_level():
+    # at 200 rays, the fewest any test traces, r(phi) strays from the
+    # curve of u_{3/4} between the rays by more than the gap between
+    # {u = c} and {u = c - tol_u}; probes on the inner edge of that gap,
+    # at the mid-angles, still pass the check
+    spec = X.make_example("um", 0.75)
+    c = -(2.0 ** -8)
+    lv = spec.sublevel(c, samples=200)
+    mid = lv.angles + math.pi / 200
+    ray = np.exp(1j * mid)
+    r = lv.radius_at(mid)
+    for _ in range(6):  # Newton's steps onto u = c - 1.01 tol_u
+        u, G = spec.gradient(lv.center + r * ray)
+        r = r - (u - c + 1.01e-4 * abs(c)) / np.real(G * ray)
+    near = lv.center + r * ray
+    u_near = spec(near)
+    assert np.all(u_near < c - 1e-4 * abs(c))
+    assert not lv.contains(near).all()
+    pz, pu = spec._probes
+    spec._probes = (np.concatenate([pz, near]), np.concatenate([pu, u_near]))
+    again = X.sublevel_set(spec, c, samples=200)
+    assert np.array_equal(again.radii, lv.radii)
 
 
 def test_green_requires_complete_measure():
@@ -653,6 +701,23 @@ def test_pullback_of_log_is_green_atom():
     lv = pb.sublevel(-0.5)
     zc, rc = 0.1961298605636751, 0.5708430275975237
     assert np.abs(np.abs(lv.vertices - zc) - rc).max() < 1e-8
+
+
+def test_pullback_carries_the_support_disk(um):
+    # the image of the lens disk under the inverse map is again a disk,
+    # and the pulled u_m probes the grid on it alone, where its density
+    # lives
+    rim = 0.5 + 0.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 512,
+                                              endpoint=False))
+    for mob in (MoebiusAutomorphism(rot=1.1), MoebiusAutomorphism(a=-0.6j),
+                MoebiusAutomorphism(a=0.3 + 0.1j, rot=0.7)):
+        pb = X.pullback_exhaustion(mob, um)
+        c1, r1 = pb.measure.support_disk
+        assert np.max(np.abs(np.abs(mob.inverse(rim) - c1) - r1)) <= 1e-14
+        assert abs(mob.inverse(0.5) - c1) < r1
+    pz, _ = X._support_probes(pb)
+    assert 0 < pz.size < 7080
+    assert np.all(pb.measure.density(pz) > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,47 @@ def test_um_frozen_norm_value(u075):
     assert abs(rep.route_level_sup - truth) <= 3.0 * rep.ladder_uncertainty
 
 
+def test_cold_ladder_computes_no_direct_mass(monkeypatch):
+    # no route reads the direct mass of a rung, so a cold ladder computes
+    # none; read afterwards on one rung, it and the report built on it
+    # have the values frozen from when every rung computed it at once
+    calls = []
+    original = X.pair_over_sublevel
+
+    def counted(measure, h, level, **kwargs):
+        calls.append(level.c)
+        return original(measure, h, level, **kwargs)
+
+    monkeypatch.setattr(X, "pair_over_sublevel", counted)
+    u = X.make_example("um", 0.75)
+    rep = H.hardy_norm(Poly([1.0, -1.0]), 2.0, u, level_samples=256)
+    assert len(rep.ladder) == 9
+    assert calls == []
+    dm = u.demailly(-(2.0 ** -8), samples=256)
+    assert abs(dm.total_mass - 0.16111514012566747) <= 1e-15
+    assert abs(dm.mass_balance_residual() - 1.829208666886961e-05) <= 1e-15
+    frozen = {
+        "exhaustion": "um:0.75", "c": -0.00390625,
+        "total_mass": 0.16111514012566747,
+        "mass_quadrature_error": 0.015731300043902968,
+        "mass_from_curve": 0.1610968480389986,
+        "mass_balance_residual": 1.829208666886961e-05,
+        "curve_length": 5.627406029468059, "samples": 256,
+        "level_tolerance": 3.90625e-07,
+        "achieved_tolerance": 1.0348505078962002e-11,
+        "paper_refs": ["demailly-monge-ampere-boundary-measure",
+                       "jensen-lelong-two-sided-identity"],
+    }
+    doc = dm.to_json_dict()
+    assert doc.keys() == frozen.keys()
+    for key, want in frozen.items():
+        if isinstance(want, float):
+            assert abs(doc[key] - want) <= 1e-15, key
+        else:
+            assert doc[key] == want, key
+    assert calls == [dm.c]  # once, on the first read
+
+
 def test_blaschke_factor_is_an_isometry_under_um(u075):
     # |B| = 1 on the circle, so multiplying by B keeps every boundary norm
     B = BlaschkeProduct([0.5, 0.3j])
