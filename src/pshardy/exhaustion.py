@@ -16,7 +16,6 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import beta as beta_function
 
 from .geometry import (
     MoebiusAutomorphism,
@@ -29,6 +28,7 @@ from .potential import (
     InvalidParameter,
     LensPowerDensity,
     RieszMeasure,
+    _lens_mass,
     _spectral_derivative,
     green_function,
     green_potential,
@@ -85,15 +85,12 @@ def _lens_measure(m):
         good = omx > 0.0
         return np.where(good, pref * np.where(good, omx, 1.0) ** (m - 2.0), 0.0)
 
-    hint = math.inf  # the mass diverges at the tip for m <= 1/2
-    if m > 0.5:
-        hint = 2.0 * m * (1.0 - m) * beta_function(1.5, m - 0.5) / (2.0 * math.pi)
     return RieszMeasure(
         density=dens,
         density_polar=dens_polar,
         boundary_singularities=(1.0 + 0.0j,),
         radial_cut=lambda phi: np.full(np.shape(phi), 0.5),
-        total_mass_hint=hint,
+        total_mass_hint=_lens_mass(m),
         label=f"lens-power:{m:g}",
         support_disk=(0.5 + 0.0j, 0.5),
     )

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.polyutils import trimseq
+from scipy.special import beta
 
 from .geometry import (
     CONVERGED,
@@ -442,6 +443,18 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # point or angle then swaps the fixed panels around the places where its
 # integrand has a kink or a sharp bend for panels graded toward them
 # (``_graded_panels``), so one grid serves every point and every angle.
+#
+# Off the closed lens disk u_m is harmonic, and a far-field series in
+# q = 1/2/(z - 1/2) replaces the grid (``_far_field``).  Its moments
+# A_k = 2^k int (w - 1/2)^k dsigma_m have a closed form.  A chord ends at
+# x - 1/2 + iY = e^{i psi}/2, where 1 - x = sin^2(psi/2), dx = -sin(psi)
+# dpsi/2 and its integral of (w - 1/2)^k is 2^-k sin((k+1)psi)/(k+1).
+# sin((k+1)psi) sin(psi) = [cos(k psi) - cos((k+2)psi)]/2 then makes A_k a
+# multiple of C_k - C_(k+2), C_n = int_0^pi sin^(2m-4)(psi/2) cos(n psi)
+# dpsi continued analytically in the exponent; its Beta-function value
+# gives C_(n+1)/C_n = (n + 2 - m)/(n + m - 1), so A_(k+1)/A_k =
+# (k + 2 - m)/(k + 1 + m), free of cancellation, from the mass
+# A_0 = M_0 = m(1-m) B(3/2, m - 1/2)/pi.
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
@@ -460,6 +473,13 @@ _KINK_REACH = 0.1  # potential rows this close to the lens are split
 # every panel, grading to 2^-24) on 1,791 seeded points within 1e-8..1e-1
 # of the lens, by the tips and across the disk.
 _VALUE_ERROR = 1e-11
+_MULTIPOLE_TERMS = 4000  # terms of the far-field series; its tail is < 1e-18
+_MULTIPOLE_REACH = 0.99  # points whose series converges at a rate below it
+
+
+def _lens_mass(m):
+    """M_0 = m(1-m) B(3/2, m - 1/2)/pi, the lens mass; inf for m <= 1/2."""
+    return m * (1.0 - m) * beta(1.5, m - 0.5) / math.pi if m > 0.5 else math.inf
 
 
 def _geometric_lam_edges():
@@ -690,34 +710,36 @@ class LensPowerDensity:
     """The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on |z - 1/2| < 1/2.
 
     This is the Riesz mass of the worked example u_m.  One grid of its
-    chords (``_lens_grid`` on _POTENTIAL_PANELS) carries both of its
-    evaluators, each chord term in closed form.
-
-    ``green_potential`` is the one evaluator of u_m: each point within
-    _KINK_REACH of the lens splits the grid at x = Re z and where the lens
-    boundary passes its height (see ``_green_block``), with each chord term
-    in a form free of float cancellation (``_chord_log``).  Against a
-    40-digit mpmath reference it is within 1.3e-14 (m = 3/4) and 1.9e-13
-    (m = 1/2) at 73 points inside the lens, 1e-6 to 1e-1 outside it, by the
-    tip z = 1, by the circle and within 1e-7 of z = 0, and within 1e-15 at
-    six points each for m = 0.6 and 0.9.  ``value_error`` bounds it for
-    m >= 1/2 (see _VALUE_ERROR).  Below m = 1/2 it is inf: the grid ends at
-    lambda = 40, and at z = 0.99999 + 3e-6i it was 3e-12 off for m = 0.4
-    and 1.1e-9 for m = 1/4 (60-digit reference), a gap that grows toward
-    the tip.
+    chords (``_lens_grid`` on _POTENTIAL_PANELS) carries its evaluators,
+    each chord term in closed form.  For m > 1/2, points of the disk where
+    rho = max(1/|2z - 1|, |z|/|2 - z|) < _MULTIPOLE_REACH take the
+    multipole series of u_m instead (``_far_field``): there u was within
+    6e-17 of 34- and 40-digit references and G within 7.5e-16 relative of
+    a 30-digit one, where the grid was 1.9e-14 and 7.7e-11 off; at
+    rho = 0.99 -+ 1e-9 the two agree to 6.3e-15 in u and 3.2e-12 in G.
+    For m <= 1/2 the mass diverges and every point takes the grid.  On the
+    grid each point within _KINK_REACH of the lens splits it at x = Re z and
+    where the lens boundary passes its height (``_green_block``), each chord
+    term free of float cancellation (``_chord_log``).  Against a 40-digit
+    mpmath reference u_m is within 1.3e-14 (m = 3/4) and 1.9e-13 (m = 1/2)
+    at 73 points inside the lens, 1e-6 to 1e-1 outside it, by the tip z = 1,
+    by the circle and within 1e-7 of z = 0, and within 1e-15 at six points
+    each for m = 0.6 and 0.9.  ``value_error`` bounds it for m >= 1/2 (see
+    _VALUE_ERROR).  Below m = 1/2 it is inf: the grid ends at lambda = 40,
+    and at z = 0.99999 + 3e-6i it was 3e-12 off for m = 0.4 and 1.1e-9 for
+    m = 1/4 (60-digit reference), a gap that grows toward the tip.
 
     ``green_gradient`` returns u_m with G = 2 d_z u_m = u_x - i u_y from
-    the same pass over the same split grid, the value bit-identical to
-    ``green_potential``: the chord integral of 2 d_z g is elementary in the
-    L of the two chord terms (``_chord_green``), and Re G and Im G are two
-    more real dot products with the weights.  Against Richardson-
-    extrapolated differences of ``green_potential`` (m = 3/4; one-sided
-    where the stencil would cross the lens circle) it was within a median
-    3e-13 relative at 100 points across the disk, 2e-12 at 1e-3 from the
-    lens circle, 6e-11 at 1e-5 from it (the differences' own rounding),
-    and 5e-12 within 1e-6 of z = 0, where the reflected term needs its
-    series (``_reflected_gradient``; the closed form there was 3.7e-9 off
-    at |z| = 1e-7).
+    the same pass, u bit-identical to ``green_potential``.  On the grid the
+    chord integral of 2 d_z g is elementary in the L of the two chord terms
+    (``_chord_green``), two more real dot products with the weights.
+    Against Richardson-extrapolated differences of ``green_potential``
+    (m = 3/4; one-sided where the stencil would cross the lens circle) it
+    was within a median 3e-13 relative at 100 points across the disk,
+    2e-12 at 1e-3 from the lens circle, 6e-11 at 1e-5 from it (the
+    differences' own rounding), and 5e-12 within 1e-6 of z = 0, where the
+    reflected term needs its series (``_reflected_gradient``; the closed
+    form there was 3.7e-9 off at |z| = 1e-7).
 
     ``balayage`` is the one evaluator of its Poisson balayage V(e^{it}):
     each angle near t = 0 splits the grid where the chords cross e^{it}
@@ -731,25 +753,57 @@ class LensPowerDensity:
         self.pref = self.m * (1.0 - self.m) / (2.0 * math.pi)
         self.value_error = _VALUE_ERROR if self.m >= 0.5 else math.inf
         self._grid = _lens_grid(self.m, _POTENTIAL_PANELS, _POTENTIAL_ORDER)
+        # A_k by their ratios (see above; inf for m <= 1/2), multiplied in
+        # extended precision so the rounding does not drift over 4,000 factors
+        k = np.arange(_MULTIPOLE_TERMS, dtype=np.longdouble)
+        ratios = np.cumprod(1.0 + (1.0 - 2.0 * self.m) / (k + 1.0 + self.m))
+        self._moments = _lens_mass(self.m) * np.append(1.0, ratios.astype(float))
 
     def green_potential(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.pref == 0.0:
-            return np.zeros(z.shape)
-        return _in_chunks(self._green_block, z)
+        return self._evaluate(z, False)[0]
 
     def green_gradient(self, z):
         """u_m and G = 2 d_z u_m = u_x - i u_y at z, from one pass."""
-        z = np.asarray(z, dtype=complex)
-        if self.pref == 0.0:
-            return np.zeros(z.shape), np.zeros(z.shape, dtype=complex)
-        u, gx, gy = _in_chunks(lambda zz: self._green_block(zz, True), z)
+        u, gx, gy = self._evaluate(z, True)
         return u, gx + 1j * gy
+
+    def _evaluate(self, z, gradient):
+        """u_m, with Re G and Im G under ``gradient``, stacked on a leading axis."""
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros((3 if gradient else 1,) + z.shape)
+        a = np.abs(z)  # far: m > 1/2, in the disk, rho < _MULTIPOLE_REACH
+        far = ((self.m > 0.5) & (a < 1.0 - 1e-15)
+               & (a < _MULTIPOLE_REACH * np.abs(2.0 - z))
+               & (_MULTIPOLE_REACH * np.abs(2.0 * z - 1.0) > 1.0))
+        out[:, far] = self._far_field(z[far], gradient)
+        if self.pref != 0.0:
+            out[:, ~far] = _in_chunks(lambda zz: self._green_block(zz, gradient),
+                                      z[~far])
+        return out
+
+    def _far_field(self, z, gradient):
+        """u_m, with Re G and Im G under ``gradient``, by the multipole series.
+
+        S(zeta) = int log(zeta - w) dsigma_m = M_0 log(zeta - 1/2) - sum_k
+        (A_k/k) q^k gives u_m = Re S(z) - Re S(1/conj z) - M_0 log|z| and
+        G = 2 d_z u_m; real moments put the reflection at 1/z, q = z/(2 - z).
+        """
+        A, n = self._moments, z.size
+        q = np.concatenate([1.0 / (2.0 * z - 1.0), z / (2.0 - z)])
+        T = _series(q, np.append(0.0, -A[1:] / np.arange(1, A.size)))
+        u = (A[0] * (np.log(np.abs(2.0 * z - 1.0)) - np.log(np.abs(2.0 - z)))
+             + (T[:n] - T[n:]).real)
+        if not gradient:
+            return u[None]
+        R = _series(q, A[1:])  # sum_k A_(k+1) q^k
+        q1, rz = q[:n], 1.0 / (2.0 - z)
+        G = 2.0 * q1 * (A[0] + q1 * R[:n]) + (A[0] + 2.0 * rz * R[n:]) * rz
+        return np.stack([u, G.real, G.imag])
 
     def balayage(self, t):
         return _in_chunks(self._balayage_block, np.asarray(t, dtype=float))
 
-    def _green_block(self, zz, gradient=False):
+    def _green_block(self, zz, gradient):
         """u_m on one block of points, with Re G and Im G under ``gradient``.
 
         The chord integral of g(z, .) has a kink at x = Re z (inside the
@@ -780,8 +834,7 @@ class LensPowerDensity:
             terms = _chord_green(zz[rows, None], x_g, omx_g, Y_g, gradient)
             for o, I_g in zip(out, terms if gradient else (terms,)):
                 o[rows] += np.einsum("ij,ij->i", I_g, w_g)
-        out = np.where(inside, self.pref * out, 0.0)
-        return out if gradient else out[0]
+        return np.where(inside, self.pref * out, 0.0)
 
     def _balayage_block(self, t):
         """V on one block of angles.

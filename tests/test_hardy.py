@@ -402,31 +402,42 @@ def test_um_frozen_norm_value(u075):
 def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     # no route reads the direct mass of a rung, so a cold ladder computes
     # none; read afterwards on one rung, it and the report built on it
-    # have the values frozen from when every rung computed it at once
-    calls = []
+    # have the values frozen below.  Off the lens u_m takes its multipole
+    # series, so the ladder evaluates fewer than half of the 11,853 grid
+    # rows it takes on the chord grid alone, to the same norm
+    calls, rows = [], []
     original = X.pair_over_sublevel
 
     def counted(measure, h, level, **kwargs):
         calls.append(level.c)
         return original(measure, h, level, **kwargs)
 
+    grid = LensPowerDensity._green_block
+
+    def grid_rows(self, zz, gradient):
+        rows.append(zz.size)
+        return grid(self, zz, gradient)
+
     monkeypatch.setattr(X, "pair_over_sublevel", counted)
     u = X.make_example("um", 0.75)
+    monkeypatch.setattr(LensPowerDensity, "_green_block", grid_rows)
     rep = H.hardy_norm(Poly([1.0, -1.0]), 2.0, u, level_samples=256)
+    assert rep.value == 0.24416429377347493
+    assert sum(rows) <= 6000
     assert len(rep.ladder) == 9
     assert calls == []
     dm = u.demailly(-(2.0 ** -8), samples=256)
-    assert abs(dm.total_mass - 0.16111514012566747) <= 1e-15
-    assert abs(dm.mass_balance_residual() - 1.829208666886961e-05) <= 1e-15
+    assert abs(dm.total_mass - 0.16111514012566655) <= 1e-15
+    assert abs(dm.mass_balance_residual() - 1.8292086679777553e-05) <= 1e-15
     frozen = {
         "exhaustion": "um:0.75", "c": -0.00390625,
-        "total_mass": 0.16111514012566747,
-        "mass_quadrature_error": 0.015731300043902968,
-        "mass_from_curve": 0.1610968480389986,
-        "mass_balance_residual": 1.829208666886961e-05,
-        "curve_length": 5.627406029468059, "samples": 256,
+        "total_mass": 0.16111514012566655,
+        "mass_quadrature_error": 0.015731300043901997,
+        "mass_from_curve": 0.16109684803898677,
+        "mass_balance_residual": 1.8292086679777553e-05,
+        "curve_length": 5.627406029468058, "samples": 256,
         "level_tolerance": 3.90625e-07,
-        "achieved_tolerance": 1.0348505078962002e-11,
+        "achieved_tolerance": 1.034854064079326e-11,
         "paper_refs": ["demailly-monge-ampere-boundary-measure",
                        "jensen-lelong-two-sided-identity"],
     }

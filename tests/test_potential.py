@@ -309,3 +309,84 @@ def test_lens_potential_has_no_overflow_at_the_tip():
     assert np.all(vals < 0.0)
     assert np.array_equal(same, vals)
     assert np.all(np.isfinite(G))
+
+
+# ---------------------------------------------------------------------------
+# u_m off the lens: the multipole series
+# ---------------------------------------------------------------------------
+
+
+def _rho(z):
+    # the rate of the far-field series at z: its own and its reflection's
+    return np.maximum(1.0 / np.abs(2.0 * z - 1.0), np.abs(z) / np.abs(2.0 - z))
+
+
+def test_lens_far_field_gradient_matches_reference():
+    # a vertex of the k = 12 rung of u_{3/4} (rho = 0.906), against a
+    # 30-digit reference; the chord grid alone was 8.1e-11 off here
+    z = 0.9441251476731228 + 0.32739895976309524j
+    want = 0.320593673868761874 - 0.112150492838888604j
+    u, G = P.LensPowerDensity(0.75).green_gradient(np.array([z]))
+    assert _rho(z) < 0.99
+    assert abs(G[0] - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
+def test_lens_moments_match_gamma_ratios(m):
+    # A_k = 2^k int (w - 1/2)^k dsigma_m against the Gamma ratio
+    # M_0 Gamma(k+2-m) Gamma(1+m)/(Gamma(2-m) Gamma(k+1+m)), and the mass
+    # M_0 against the chord integral of the density, in sigma = sqrt(x)
+    # below x = 1/2 and lambda = -log(1 - x) above
+    A = P.LensPowerDensity(m)._moments
+    assert A.size == 4001
+    with mpmath.workdps(30):
+        mm = mpmath.mpf(m)
+        pref = mm * (1 - mm) / (2 * mpmath.pi)
+
+        def chord(x, omx):
+            return 2 * mpmath.sqrt(x * omx) * omx ** (mm - 2)
+
+        left = mpmath.quad(lambda s: chord(s * s, 1 - s * s) * 2 * s,
+                           [0, 1 / mpmath.sqrt(2)])
+        right = mpmath.quad(lambda lam: chord(1 - mpmath.exp(-lam), mpmath.exp(-lam))
+                            * mpmath.exp(-lam), [mpmath.log(2), mpmath.inf])
+        M0 = pref * (left + right)
+        assert abs(A[0] - M0) <= 1e-14 * M0
+        for k in (0, 1, 5, 100, 400, 4000):
+            want = (M0 * mpmath.gamma(k + 2 - mm) * mpmath.gamma(1 + mm)
+                    / (mpmath.gamma(2 - mm) * mpmath.gamma(k + 1 + mm)))
+            assert abs(A[k] - want) <= 1e-14 * want, k
+
+
+def test_lens_far_field_meets_the_grid_at_the_switch():
+    # just inside rho = 0.99 the evaluators take the series, just outside
+    # the grid; on 12 angles the two agree on both sides
+    lens = P.LensPowerDensity(0.75)
+    th = np.linspace(0.25, math.pi, 12)
+    th[1::2] *= -1.0
+    for d, side in ((-1e-9, 0), (1e-9, 1)):
+        z = 0.5 + np.exp(1j * th) / (2.0 * (0.99 + d))
+        assert np.all(np.abs(z) < 1.0) and np.all(np.abs(_rho(z) - 0.99 - d) < 1e-15)
+        far = lens._far_field(z, True)
+        grid = lens._green_block(z, True)
+        u, G = lens.green_gradient(z)
+        assert np.array_equal(lens.green_potential(z), u)
+        assert np.array_equal(np.stack([u, G.real, G.imag]), (far, grid)[side])
+        G_far, G_grid = far[1] + 1j * far[2], grid[1] + 1j * grid[2]
+        assert np.max(np.abs(far[0] - grid[0])) <= 1e-14
+        assert np.max(np.abs(G_far - G_grid) / np.abs(G_grid)) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [0.5, 0.25])
+def test_lens_at_or_below_half_stays_on_the_grid(m):
+    # the mass diverges at the tip for m <= 1/2, so there is no series:
+    # every point, far ones included, is the chord grid's, bit for bit
+    lens = P.LensPowerDensity(m)
+    rng = np.random.default_rng(3)
+    z = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * math.pi * rng.uniform(size=200))
+    assert np.mean(_rho(z) < 0.99) > 0.5
+    u, gx, gy = lens._green_block(z, True)
+    assert np.array_equal(lens.green_potential(z), u)
+    same, G = lens.green_gradient(z)
+    assert np.array_equal(same, u)
+    assert np.array_equal(G, gx + 1j * gy)
