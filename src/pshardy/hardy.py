@@ -6,7 +6,7 @@ norm can be computed three independent ways:
 ``level-sup``
     sup over c < 0 of the pairings of |f|^p against the swept boundary
     measures mu_c of the sublevel sets, evaluated on the dyadic ladder
-    c = -2^{-k} and extrapolated to c -> 0;
+    c = -2^{-k} and carried to c -> 0 by one Richardson step;
 ``bulk``
     int h_f dLambda u, the pairing of the Riesz mass with the least
     harmonic majorant h_f = P[|f*|^p] of |f|^p (the paper's majorant
@@ -449,48 +449,42 @@ def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
     return QuadratureResult(value, error, status, depth)
 
 
-def _ladder_estimate(P, cvals):
-    """Extrapolate the level-ladder pairings to c -> 0.
+def _ladder_estimate(P):
+    """One Richardson step from the rungs mu_k at c_k = -2^{-k} to c -> 0.
 
-    Returns (status, limit, uncertainty, fitted_exponent).  The two-step
-    ratio sqrt(d[-1]/d[-3]) was written to cancel an alternating bias of
-    the rungs, which came from their swept measure; the flux rungs do not
-    carry it, and whether the plain ratio serves as well is open (ROADMAP
-    item 1).  The limit comes from a two-term fit in |c|^gamma over the
-    last four rungs, floored at the deepest rung (the pairings are
-    monotone for subharmonic integrands), and the uncertainty is the
-    spread against a geometric tail sum and a three-rung refit.
+    Returns (status, limit, uncertainty, decay_exponent, note).  With
+    d_k = mu_k - mu_{k-1} and rho = d_K / d_{K-1} at the deepest rung, the
+    limit is R_K = mu_K + d_K and the exponent -log2 rho.  The bar is the
+    larger of |R_K - R_{K-1}| and the gap to the geometric tail
+    d_K rho / (1 - rho), plus 1e-11 of scale.  By Demailly's Lelong-Jensen
+    formula c -> mu_c(|f|^p) is convex, so R_K is a lower bound, when
+    Lambda u puts no mass between S_c and the circle (atoms, log|z|, their
+    pullbacks); elsewhere (u_m) convexity is only observed.  Either way the
+    ladder is CONVERGED only when the chord slopes d_k 2^k of its last four
+    steps do not decrease.
     """
     P = np.asarray(P, dtype=float)
-    cvals = np.asarray(cvals, dtype=float)
     scale = max(abs(P[-1]), 1.0)
     d = np.diff(P)
     if d.size >= 2 and np.all(np.abs(d[-2:]) < 1e-11 * scale):
-        return (CONVERGED, float(P[-1]), float(np.abs(d[-2:]).max()), None)
+        return CONVERGED, float(P[-1]), float(np.abs(d[-2:]).max()), None, None
     if d.size < 3:
-        return (INCONCLUSIVE, float(P[-1]), float("nan"), None)
+        return INCONCLUSIVE, float(P[-1]), float("nan"), None, None
     rat = d[1:] / d[:-1]
     if (np.median(rat[-3:]) >= 0.95 and d[-1] > 0) or np.all(rat[-3:] >= 1.0):
-        return (DIVERGENT, float("inf"), float("nan"), None)
-    if np.any(d[-4:] <= 0):
-        return (INCONCLUSIVE, float(P[-1]), float(abs(d[-1])), None)
-    if d[-1] > 0 and d[-3] > 0 and 0.0025 < d[-1] / d[-3] < 0.81:
-        rho = math.sqrt(d[-1] / d[-3])
-    else:
-        rho = float(np.median(rat[-3:]))
-    gam = min(1.5, max(0.25, -math.log2(max(rho, 1e-12))))
-    x = np.abs(cvals) ** gam
-    n = min(4, P.size)
-    A = np.column_stack([np.ones(n), x[-n:], x[-n:] ** 2])
-    coef, *_ = np.linalg.lstsq(A, P[-n:], rcond=None)
-    L = float(coef[0])
-    L_geo = float(P[-1] + d[-1] * rho / (1.0 - rho))
-    A3 = np.column_stack([np.ones(3), x[-3:], x[-3:] ** 2])
-    coef3, *_ = np.linalg.lstsq(A3, P[-3:], rcond=None)
-    unc = max(abs(L - L_geo), abs(L - float(coef3[0])))
-    if L < P[-1]:
-        L = float(P[-1])
-    return (CONVERGED, L, float(unc), gam)
+        return DIVERGENT, float("inf"), float("nan"), None, None
+    if np.any(d[-4:] <= 0) or rat[-1] >= 1.0:
+        return INCONCLUSIVE, float(P[-1]), float(abs(d[-1])), None, None
+    rho = float(rat[-1])
+    limit = float(P[-1] + d[-1])
+    unc = float(max(abs(2.0 * d[-1] - d[-2]),
+                    d[-1] * abs(rho / (1.0 - rho) - 1.0)) + 1e-11 * scale)
+    slopes = d[-4:] * 2.0 ** np.arange(1 - d[-4:].size, 1)  # d_k 2^(k-K)
+    if np.all(np.diff(slopes) >= -1e-11 * scale):
+        return CONVERGED, limit, unc, -math.log2(rho), None
+    note = ("level-sup ladder not convex in c: the chord slopes d_k 2^(k-K) "
+            "of its last rungs decrease, " + ", ".join(f"{s:.6g}" for s in slopes))
+    return INCONCLUSIVE, limit, unc, -math.log2(rho), note
 
 
 def _route_level(f, p, u, weight, *, samples=512):
@@ -543,7 +537,7 @@ def _route_level(f, p, u, weight, *, samples=512):
         except (UnsupportedRegion, ValueError) as exc:
             # deep levels may not trace (several components, not star-
             # shaped); past the first traced rung a failure ends the
-            # ladder so the rungs _ladder_estimate fits stay contiguous
+            # ladder so the rungs of the Richardson step stay contiguous
             if not rungs:
                 skipped.append(c)
                 continue
@@ -572,9 +566,10 @@ def _route_level(f, p, u, weight, *, samples=512):
     diffs = np.diff(rungs)
     scale = max(abs(rungs[-1]), 1.0)
     info["monotone"] = bool(np.all(diffs >= -1e-8 * scale))
-    status, limit, unc, gam = _ladder_estimate(rungs, cs)
+    status, limit, unc, info["exponent"], note = _ladder_estimate(rungs)
     info["uncertainty"] = None if not math.isfinite(limit) else unc
-    info["exponent"] = gam
+    if note:
+        info["note"] = note if info["note"] is None else f"{info['note']}; {note}"
     return QuadratureResult(limit, unc if math.isfinite(limit) else math.inf,
                             status, len(rungs)), info
 
@@ -594,7 +589,8 @@ class NormReport:
     Route values are p-th powers of the norm (inf when divergent, None
     when a route was skipped); ``value`` is the norm from the error-weighted
     mean of the converged routes, ``agreement`` their max pairwise relative
-    gap.
+    gap.  ``ladder_uncertainty`` is the error bar of the ladder's Richardson
+    step and ``fitted_exponent`` the observed decay exponent of its rungs.
     """
 
     def __init__(self, *, f_label, u_label, p, routes, statuses, value,
@@ -732,8 +728,8 @@ def hardy_norm(f, p, u, *, level_samples=512):
 
     if (divergent == ["level-sup"] and agreement is not None
             and agreement <= _OUTVOTE_AGREEMENT):
-        # the ladder extrapolates rungs that may still be rising at its
-        # deepest level; two converged routes that agree outvote it
+        # the ladder reads rungs that may still be rising at its deepest
+        # level; two converged routes that agree outvote it
         divergent = []
         notes.append(
             "divergent level-sup ladder outvoted: the converged routes "
@@ -764,8 +760,8 @@ def hardy_norm(f, p, u, *, level_samples=512):
 
     value = None
     if verdict != "NOT_MEMBER" and finite:
-        # Inverse-variance combination of the converged routes: the ladder
-        # extrapolation carries an uncertainty orders above the quadrature
+        # Inverse-variance combination of the converged routes: the ladder's
+        # Richardson step carries an uncertainty orders above the quadrature
         # tolerances, and an equal-weight mean would let it dominate.
         floor = 1e-14 * max(abs(v) for v in finite.values()) + 1e-300
         wsum = vsum = 0.0

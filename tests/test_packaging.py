@@ -57,3 +57,30 @@ def test_exported_names_resolve():
         missing = [attr for attr in getattr(module, "__all__", ())
                    if not hasattr(module, attr)]
         assert not missing, (path.name, missing)
+
+
+def test_private_names_are_referenced():
+    # every _-prefixed function, class or method, and every _-prefixed
+    # module constant, defined in the package is read somewhere in it
+    # besides its definition (dunders exempt): no dead helpers
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "pshardy").rglob("*.py"))]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(name.id for target in targets
+                               for name in ast.walk(target) if isinstance(name, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    assert private, "no private names found"
+    unused = sorted(private - read)
+    assert not unused, unused
