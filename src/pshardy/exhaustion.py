@@ -68,28 +68,24 @@ class UnsupportedRegion(RuntimeError):
 def _lens_measure(m):
     """Riesz measure of the lens power example in unit-mass normalization.
 
-    Its density m(1-m)(1-x)^{m-2} dA/2pi on |w - 1/2| < 1/2 has a polar
-    form in shell coordinates about the boundary point 1, where
-    1 - x = -rho cos(phi) exactly.
+    Its density m(1-m)(1-x)^{m-2} dA/2pi lives on the support disk
+    |w - 1/2| < 1/2, where y^2 < x (1 - x).  It reads 1 - x as
+    (1 - Re center) - Re offset and y as Im center + Im offset: about the
+    boundary point 1 that is -rho cos(phi) to the last bit, with no
+    cancellation against the center.
     """
     pref = m * (1.0 - m) / (2.0 * math.pi)
 
-    def dens(w):
-        w = np.asarray(w, dtype=complex)
-        good = np.abs(w - 0.5) < 0.5
-        safe = np.where(good, 1.0 - w.real, 1.0)
-        return np.where(good, pref * safe ** (m - 2.0), 0.0)
-
-    def dens_polar(center, rho, phi):
-        omx = -rho * np.cos(phi)
-        good = omx > 0.0
+    def dens(offset, center):
+        center = complex(center)
+        omx = (1.0 - center.real) - np.real(offset)
+        y = center.imag + np.imag(offset)
+        good = y * y < omx * (1.0 - omx)
         return np.where(good, pref * np.where(good, omx, 1.0) ** (m - 2.0), 0.0)
 
     return RieszMeasure(
         density=dens,
-        density_polar=dens_polar,
         boundary_singularities=(1.0 + 0.0j,),
-        radial_cut=lambda phi: np.full(np.shape(phi), 0.5),
         total_mass_hint=_lens_mass(m),
         label=f"lens-power:{m:g}",
         support_disk=(0.5 + 0.0j, 0.5),
@@ -266,7 +262,7 @@ def radial_smooth(profile, label):
         return profile(s) / (2.0 * math.pi)
 
     measure = RieszMeasure(
-        density=lambda w: lam(np.abs(np.asarray(w, dtype=complex))),
+        density=lambda d, c: lam(np.abs(c + d)),
         radial_profile=lam,
         interior_singularities=(0.0 + 0.0j,),
         total_mass_hint=total,
@@ -380,10 +376,14 @@ def pullback_exhaustion(automorphism, inner):
 
     The Riesz mass transforms with the Jacobian |phi'|^2 on densities and
     by preimages on atoms, so norms built on the pullback match the inner
-    exhaustion's norms composed with the map.  A pulled area part carries
-    the transported balayage V(phi(e^{it})) |phi'(e^{it})| of the inner
-    measure, whose mass it keeps; atoms alone just move, and so does a
-    declared support disk, to its image disk.
+    exhaustion's norms composed with the map.  The pulled density at
+    center + offset is the inner one at phi(center) + shift, where the
+    shift phi(center + offset) - phi(center) is the exact Moebius
+    difference, so a density that reads its offset keeps its precision;
+    a declared boundary point maps to its inner point exactly.  A pulled
+    area part carries the transported balayage V(phi(e^{it})) |phi'(e^{it})|
+    of the inner measure, whose mass it keeps; atoms alone just move, and
+    so does a declared support disk, to its image disk.
     """
     if not isinstance(automorphism, MoebiusAutomorphism):
         raise InvalidParameter("pullback needs a MoebiusAutomorphism")
@@ -405,19 +405,27 @@ def pullback_exhaustion(automorphism, inner):
     atoms = tuple(
         (complex(mob.inverse(loc)), mass) for loc, mass in inner.measure.atoms
     )
-    dens = inner.measure.density
-    new_dens = None
-    if dens is not None:
-        def new_dens(w):
-            w = np.asarray(w, dtype=complex)
-            return dens(mob.forward(w)) * np.abs(mob.derivative(w)) ** 2
-
     interior = tuple(
         complex(mob.inverse(s)) for s in inner.measure.interior_singularities
     )
-    boundary = tuple(
-        complex(mob.inverse(s)) for s in inner.measure.boundary_singularities
-    )
+    inner_boundary = [complex(s) for s in inner.measure.boundary_singularities]
+    boundary = tuple(complex(mob.inverse(s)) for s in inner_boundary)
+    dens = inner.measure.density
+    new_dens = None
+    if dens is not None:
+        # phi(phi^-1(s)) is s only up to rounding, which would swamp the
+        # offsets of the deep shells about a boundary center; the keys are
+        # the centers integrate_disk_area makes of the declared points
+        exact = {b / abs(b): s / abs(s) for b, s in zip(boundary, inner_boundary)}
+        a = mob.a
+        scale = np.exp(1j * mob.rot) * (1.0 - abs(a) ** 2)
+
+        def new_dens(d, c):
+            z = c + d
+            shift = scale * d / ((1.0 - np.conj(a) * z) * (1.0 - np.conj(a) * c))
+            inner_c = exact[c] if c in exact else complex(mob.forward(c))
+            return dens(shift, inner_c) * np.abs(mob.derivative(z)) ** 2
+
     support = inner.measure.support_disk
     if support is not None:
         # mob.inverse sends its pole to infinity and the mirror of the pole
@@ -807,44 +815,12 @@ def sublevel_set(spec, c, *, samples=512):
 # ---------------------------------------------------------------------------
 
 
-def _disk_exit_lengths(z0, phi, c0, r0):
-    """Distance from z0 inside |w - c0| < r0 to that circle along e^{i phi}."""
-    rel = z0 - c0
-    b = np.real(np.conj(np.exp(1j * np.asarray(phi, dtype=float))) * rel)
-    disc = b * b + r0 * r0 - abs(rel) ** 2
-    return -b + np.sqrt(np.maximum(disc, 0.0))
-
-
-def _clipped_ray_fraction(level, measure):
-    """Level-set ray fractions, additionally clipped at the density support.
-
-    When the measure declares a support disk containing the star center,
-    rays stop at whichever comes first: the level curve or the support
-    edge.  The quadrature then never crosses the density jump mid-ray.
-    """
-    cut = level.ray_fraction()
-    sd = measure.support_disk
-    if sd is None:
-        return cut
-    c0, r0 = complex(sd[0]), float(sd[1])
-    if not abs(level.center - c0) < r0:
-        return cut
-
-    def clipped(phi):
-        phi = np.asarray(phi, dtype=float)
-        full = _ray_lengths(level.center, phi)
-        exit_t = _disk_exit_lengths(level.center, phi, c0, r0)
-        return np.minimum(cut(phi), np.clip(exit_t / full, 0.0, 1.0))
-
-    return clipped
-
-
 def pair_over_sublevel(measure, h, level, *, tol_abs=1e-10, tol_rel=1e-8):
     """Integral of h against the Riesz measure restricted to B_c.
 
     Atoms inside the region contribute exactly; the area part integrates
-    over the star region bounded by the traced curve (clipped at the
-    declared density support), so no discontinuous indicator enters the
+    over the star region bounded by the traced curve, its rays clipped at
+    the declared support disk, so no discontinuous indicator enters the
     quadrature.
     """
     total = 0.0
@@ -856,9 +832,8 @@ def pair_over_sublevel(measure, h, level, *, tol_abs=1e-10, tol_rel=1e-8):
     if measure.has_area_part():
         dens = measure.density
 
-        def integrand(w):
-            w = np.asarray(w, dtype=complex)
-            return dens(w) * np.real(h(w))
+        def integrand(d, c):
+            return dens(d, c) * np.real(h(c + d))
 
         interior = [level.center]
         for s in measure.interior_singularities:
@@ -867,7 +842,8 @@ def pair_over_sublevel(measure, h, level, *, tol_abs=1e-10, tol_rel=1e-8):
         res = integrate_disk_area(
             integrand,
             interior_singularities=interior,
-            radial_cut=_clipped_ray_fraction(level, measure),
+            radial_cut=level.ray_fraction(),
+            support_disk=measure.support_disk,
             tol_abs=tol_abs, tol_rel=tol_rel,
         )
         total += res.value
@@ -884,7 +860,7 @@ def area_integral_over_sublevel(fn, level, *, singularities=(),
         if s != level.center and bool(level.contains(s)):
             interior.append(complex(s))
     return integrate_disk_area(
-        lambda w: np.real(fn(np.asarray(w, dtype=complex))),
+        lambda d, c: np.real(fn(c + d)),
         interior_singularities=interior,
         radial_cut=level.ray_fraction(),
         tol_abs=tol_abs, tol_rel=tol_rel,

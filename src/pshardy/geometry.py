@@ -15,9 +15,9 @@ Boundary integrals are taken against normalized arclength nu with
 nu(unit circle) = 1.  Callers that store Laplacians in the normalization
 Lambda = (1/2pi) * Delta fold the 1/2pi into their densities.
 
-All integrand callbacks must accept numpy arrays (complex positions for
-area densities, angles in radians for boundary densities) and return
-float arrays of the same shape.
+All integrand callbacks must accept numpy arrays (complex offsets from
+the polar center, with the center, for area densities; angles in radians
+for boundary densities) and return float arrays of the same shape.
 """
 
 from __future__ import annotations
@@ -92,13 +92,15 @@ class _BudgetExceeded(Exception):
 
 class _Counter:
     """Nodes one integral has evaluated, against DEFAULT_BUDGET as it reads
-    when the integral starts; past it the integral ends INCONCLUSIVE."""
+    when the integral starts; past it the integral ends INCONCLUSIVE.
+    ``weights`` holds the quadrature weights of the last batch of nodes."""
 
-    __slots__ = ("n", "budget")
+    __slots__ = ("n", "budget", "weights")
 
     def __init__(self):
         self.n = 0
         self.budget = DEFAULT_BUDGET
+        self.weights = None
 
     def charge(self, k: int) -> None:
         self.n += k
@@ -167,10 +169,10 @@ class MoebiusAutomorphism:
 def _gk_batch(f, lows, highs, counter):
     """Gauss-Kronrod 7-15 on a batch of panels.  Returns (values, errors).
 
-    When the integrand carries a truthy ``wants_node_weights`` attribute it
-    is handed its exact per-node quadrature weights on ``f._node_weights``
-    just before each call, so it can fold its own internal evaluation errors
-    into a correctly measured error integral.
+    The exact per-node quadrature weights of the call are left on
+    ``counter.weights``, so an integrand that shares the counter can fold
+    its own internal evaluation errors into a correctly measured error
+    integral.
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
@@ -178,8 +180,7 @@ def _gk_batch(f, lows, highs, counter):
     half = 0.5 * (highs - lows)
     nodes = mid[:, None] + half[:, None] * _NODES15[None, :]
     counter.charge(nodes.size)
-    if getattr(f, "wants_node_weights", False):
-        f._node_weights = (half[:, None] * _W15[None, :]).ravel()
+    counter.weights = (half[:, None] * _W15[None, :]).ravel()
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     bad = ~np.isfinite(vals)
     if bad.any():
@@ -322,7 +323,6 @@ def integrate_interval(
     """
     if not b > a:
         raise ValueError("need a < b")
-    own_counter = counter is None
     counter = counter or _Counter()
     span = b - a
 
@@ -528,11 +528,19 @@ def integrate_boundary_arc(
 # ---------------------------------------------------------------------------
 
 
-def _ray_lengths(z0: complex, phi: np.ndarray) -> np.ndarray:
-    """Distance from z0 to the unit circle along direction exp(i phi)."""
-    bcomp = np.real(np.conj(z0) * np.exp(1j * phi))
-    disc = bcomp * bcomp + 1.0 - abs(z0) ** 2
-    return -bcomp + np.sqrt(np.maximum(disc, 0.0))
+def _ray_lengths(z0: complex, phi: np.ndarray, c0: complex = 0.0,
+                 r0: float = 1.0) -> np.ndarray:
+    """Distance from z0 along exp(i phi) to where the ray leaves the disk
+    |w - c0| < r0, by default the unit disk.
+
+    From z0 off the disk, the ray up to that distance covers all of its
+    crossing; on a ray that misses the disk it is at most the distance to
+    the closest approach, and the ray stays off the disk up to there.
+    """
+    rel = z0 - c0
+    b = np.real(np.conj(rel) * np.exp(1j * phi))
+    disc = b * b + r0 * r0 - abs(rel) ** 2
+    return -b + np.sqrt(np.maximum(disc, 0.0))
 
 
 def _radial_batch(gfun, n_nodes, singular_origin, tol_node, counter):
@@ -624,9 +632,16 @@ def integrate_disk_area(
     interior_singularities=(),
     boundary_singularities=(),
     radial_cut=None,
-    density_polar=None,
+    support_disk=None,
 ) -> QuadratureResult:
-    """Integral of density(z) over the unit disk against Lebesgue area.
+    """Integral of a density over the unit disk against Lebesgue area.
+
+    The density is called as density(offset, center) and returns its
+    values at center + offset, where center is the polar center of the
+    integral and offset the complex displacement of each node from it.
+    Densities whose value depends on the displacement from the center (a
+    power of 1 - Re z about the center 1) read it from the offset, where
+    recovering it from center + offset would cancel away its precision.
 
     One polar center per integral: the first declared boundary singular
     point wins, else the first interior singular point, else the origin.
@@ -634,17 +649,13 @@ def integrate_disk_area(
     (logarithmic or weaker) and are handled by seeding the outer angular
     partition with their directions plus plain adaptivity.
 
-    radial_cut, when given, maps an angle array to the fraction (0, 1] of
-    each ray that actually supports the density; it lets disk-shaped
-    supports (the lens through the chosen boundary center) be integrated
-    without a discontinuous mask.
-
-    density_polar, when given, is called as density_polar(center, rho, phi)
-    with the distance and angle arrays from the polar center instead of
-    density(z).  Densities whose value depends on the displacement from the
-    center (for example a power of 1 - Re z around the center 1) lose all
-    precision if they must recover rho from z = center + rho*e^{i phi};
-    the polar form avoids that cancellation.
+    Each ray from the center runs to the unit circle, shortened to the
+    fraction (0, 1] that ``radial_cut``, when given, maps its angle to (a
+    star region such as a traced sublevel set), and, when ``support_disk``
+    = (c0, r0) declares that the density vanishes off |w - c0| < r0, to
+    where the ray leaves that disk.  From a center in the support disk
+    the quadrature then never crosses its edge; from one off it, a ray
+    still crosses the edge where it enters.
     """
     counter = _Counter()
     interior = [complex(w) for w in interior_singularities]
@@ -673,6 +684,12 @@ def integrate_disk_area(
         origin_singular = False
         ray_len = lambda phi: np.ones_like(np.asarray(phi, dtype=float))
 
+    if support_disk is not None:
+        c0, r0 = complex(support_disk[0]), float(support_disk[1])
+        # a disk tangent to the circle at a boundary center holds the same
+        # fraction r0 of every chord from it (the two are similar), exactly
+        tangent = bool(boundary) and abs(c0 - (1.0 - r0) * z0) < 1e-12
+
     splits = []
     for w in interior:
         if w != z0:
@@ -684,44 +701,38 @@ def integrate_disk_area(
 
     span = phi_hi - phi_lo
     tol_node = max(tol_abs, 1e-12) / (8.0 * span)
-    inner_err_box = [0.0]
+    inner_err = 0.0
 
     def f_phi(phi):
+        nonlocal inner_err
         phi = np.asarray(phi, dtype=float)
-        rr = ray_len(phi)
+        full = ray_len(phi)
+        frac = np.ones_like(phi)
         if radial_cut is not None:
-            rr = rr * np.clip(np.asarray(radial_cut(phi), dtype=float), 0.0, 1.0)
+            frac = np.clip(np.asarray(radial_cut(phi), dtype=float), 0.0, 1.0)
+        if support_disk is not None:
+            frac = np.minimum(frac, r0 if tangent else np.clip(
+                _ray_lengths(z0, phi, c0, r0) / full, 0.0, 1.0))
+        rr = full * frac
         alive = rr > 1e-300
         out = np.zeros_like(phi)
         if not np.any(alive):
             return out
-        phi_a = phi[alive]
         rr_a = rr[alive]
-        dirs = np.exp(1j * phi_a)
+        dirs = np.exp(1j * phi[alive])
 
         def gfun(ts):
             rho = rr_a[:, None] * ts[None, :]
-            if density_polar is not None:
-                ph = np.broadcast_to(phi_a[:, None], rho.shape)
-                f = np.asarray(density_polar(z0, rho, ph), dtype=float)
-            else:
-                z = z0 + rho * dirs[:, None]
-                f = np.asarray(density(z.ravel()), dtype=float).reshape(z.shape)
+            f = np.asarray(density(rho * dirs[:, None], z0), dtype=float)
             return f * rho * rr_a[:, None]
 
-        vals, errs = _radial_batch(gfun, phi_a.size, origin_singular, tol_node, counter)
+        vals, errs = _radial_batch(gfun, rr_a.size, origin_singular, tol_node, counter)
         # fold the per-node radial errors into the running error integral,
         # weighted by the exact outer quadrature weights (regions that get
         # re-evaluated during refinement are counted again, erring high)
-        w = getattr(f_phi, "_node_weights", None)
-        if w is not None and w.size == phi.size:
-            inner_err_box[0] += float(np.sum(errs * np.abs(w[alive])))
-        else:
-            inner_err_box[0] += float(np.max(errs, initial=0.0)) * span
+        inner_err += float(np.sum(errs * np.abs(counter.weights[alive])))
         out[alive] = vals
         return out
-
-    f_phi.wants_node_weights = True
 
     try:
         res = integrate_interval(
@@ -737,14 +748,9 @@ def integrate_disk_area(
         )
     except _Divergent:
         return QuadratureResult(float("nan"), float("inf"), DIVERGENT, 0)
-    finally:
-        # f_phi reads its node weights off itself, a reference cycle that
-        # would keep the density and the radial cut (a traced level) alive
-        # until the next full garbage collection
-        f_phi = None
     if res.status == DIVERGENT:
         return res
-    err = res.error + inner_err_box[0] + tol_node * span
+    err = res.error + inner_err + tol_node * span
     status = res.status
     if status == CONVERGED and err > 10.0 * max(tol_abs, tol_rel * abs(res.value)):
         status = INCONCLUSIVE

@@ -578,7 +578,6 @@ def _route_level(f, p, u, weight, *, samples=512):
 # Norm reports and verdicts.
 # ---------------------------------------------------------------------------
 
-ROUTE_NAMES = ("level-sup", "bulk", "boundary")
 # Relative gap within which two converged routes outvote a divergent ladder.
 _OUTVOTE_AGREEMENT = 1e-6
 

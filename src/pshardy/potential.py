@@ -121,25 +121,22 @@ class RieszMeasure:
         Point masses.  A unit atom at w is the Riesz mass of g(., w).
     density : callable or None
         Vectorized density of the absolutely continuous part against
-        plain Lebesgue area (the 1/2pi already folded in).
-    density_polar : callable or None
-        Optional polar form ``density_polar(center, rho, phi)`` evaluated
-        in shell coordinates about the quadrature center.  Densities with
-        steep boundary profiles lose all precision when rho must be
-        recovered from center + rho*exp(i phi) in floats; the polar form
-        bypasses that cancellation.
+        plain Lebesgue area (the 1/2pi already folded in), called as
+        ``density(offset, center)`` for its values at center + offset
+        (see ``geometry.integrate_disk_area``).  Densities with steep
+        boundary profiles read the displacement from the quadrature
+        center off the offset, which center + offset would lose to
+        cancellation.
     interior_singularities, boundary_singularities : tuple of complex
         Declared blowup points of the density, forwarded to quadrature.
-    radial_cut : callable or None
-        Optional angle -> fraction map restricting each ray from the first
-        boundary singularity to the actual support (sub-disk supports).
     support_disk : (complex, float) or None
         When the density vanishes outside an open disk, its center and
-        radius.  Region integrals use it to clip their rays at the support
-        edge instead of integrating across the density jump.
+        radius: the one statement of where the area part lives.  Every
+        area integral of the measure clips its rays at the support edge
+        instead of integrating across the density jump.
     radial_profile : callable or None
         For rotation-invariant densities only: the profile lambda(s) with
-        density(z) = lambda(|z|).  Declaring it unlocks exact 1D
+        the density lambda(|z|) at z.  Declaring it unlocks exact 1D
         reductions (total mass, Green potentials) that sidestep the cone
         point such densities put at the origin of the 2D integrals.
     total_mass_hint : float or None
@@ -163,10 +160,8 @@ class RieszMeasure:
 
     atoms: tuple = ()
     density: object = None
-    density_polar: object = None
     interior_singularities: tuple = ()
     boundary_singularities: tuple = ()
-    radial_cut: object = None
     radial_profile: object = None
     total_mass_hint: object = None
     complete: bool = True
@@ -175,7 +170,7 @@ class RieszMeasure:
     balayage: object = None
 
     def has_area_part(self) -> bool:
-        return self.density is not None or self.density_polar is not None
+        return self.density is not None
 
     def is_rotation_invariant(self) -> bool:
         """Whether rotations about 0 fix the measure: every atom sits at 0,
@@ -205,8 +200,7 @@ class RieszMeasure:
             tol_rel=tol_rel,
             interior_singularities=self.interior_singularities,
             boundary_singularities=self.boundary_singularities,
-            radial_cut=self.radial_cut,
-            density_polar=self.density_polar,
+            support_disk=self.support_disk,
         )
         return QuadratureResult(res.value + atom_sum, res.error, res.status, res.depth)
 
@@ -220,8 +214,7 @@ class RieszMeasure:
     ) -> QuadratureResult:
         """Integral of a real vectorized function h against the measure.
 
-        ``extra_interior`` declares additional singular points of h.  A
-        polar density is paired with h at center + rho e^{i phi}.
+        ``extra_interior`` declares additional singular points of h.
         """
         total = 0.0
         for loc, m in self.atoms:
@@ -232,18 +225,8 @@ class RieszMeasure:
 
         dens = self.density
 
-        def prod(zv):
-            return np.asarray(dens(zv), dtype=float) * np.asarray(h(zv), dtype=float)
-
-        prod_polar = None
-        if self.density_polar is not None:
-            dpol = self.density_polar
-
-            def prod_polar(c, rho, phi):
-                zv = c + rho * np.exp(1j * phi)
-                return np.asarray(dpol(c, rho, phi), dtype=float) * np.asarray(
-                    h(zv), dtype=float
-                )
+        def prod(d, c):
+            return np.asarray(dens(d, c), dtype=float) * np.asarray(h(c + d), dtype=float)
 
         res = integrate_disk_area(
             prod,
@@ -251,8 +234,7 @@ class RieszMeasure:
             tol_rel=tol_rel,
             interior_singularities=tuple(self.interior_singularities) + tuple(extra_interior),
             boundary_singularities=self.boundary_singularities,
-            radial_cut=self.radial_cut,
-            density_polar=prod_polar,
+            support_disk=self.support_disk,
         )
         return QuadratureResult(res.value + total, res.error, res.status, res.depth)
 
@@ -277,11 +259,7 @@ class RieszMeasure:
         dens = None
         if self.density is not None:
             base = self.density
-            dens = lambda zv, _f=base: a * np.asarray(_f(zv), dtype=float)
-        dpol = None
-        if self.density_polar is not None:
-            basep = self.density_polar
-            dpol = lambda c, r, p, _f=basep: a * np.asarray(_f(c, r, p), dtype=float)
+            dens = lambda d, c, _f=base: a * np.asarray(_f(d, c), dtype=float)
         prof = None
         if self.radial_profile is not None:
             basel = self.radial_profile
@@ -296,7 +274,6 @@ class RieszMeasure:
             self,
             atoms=atoms,
             density=dens,
-            density_polar=dpol,
             radial_profile=prof,
             total_mass_hint=hint,
             balayage=bal,

@@ -397,8 +397,8 @@ def test_um_matches_frozen_mpmath_reference(um, um_half):
 
 def test_green_area_exhaustion_within_value_error():
     # the Gaussian bump of test_weight_from_moments_matches_poisson_balayage
-    def bump(w):
-        return np.exp(-np.abs(np.asarray(w) - 0.4) ** 2 / 0.02) / (2.0 * math.pi)
+    def bump(d, c):
+        return np.exp(-np.abs(c + d - 0.4) ** 2 / 0.02) / (2.0 * math.pi)
 
     measure = RieszMeasure(density=bump, label="bump")
     spec = X.green_exhaustion(measure)
@@ -533,7 +533,7 @@ def test_closed_form_gradients(um):
     assert np.max(np.abs(G - want) / np.abs(want)) <= 1e-12
     # no gradient where nothing gives one in closed form
     assert X.make_example("vm", 0.75).gradient is None
-    bump = RieszMeasure(density=lambda w: np.ones(np.shape(w)), label="flat")
+    bump = RieszMeasure(density=lambda d, c: np.ones(np.shape(d)), label="flat")
     assert X.green_exhaustion(bump).gradient is None
 
 
@@ -718,7 +718,29 @@ def test_pullback_carries_the_support_disk(um):
         assert abs(mob.inverse(0.5) - c1) < r1
     pz, _ = X._support_probes(pb)
     assert 0 < pz.size < 7080
-    assert np.all(pb.measure.density(pz) > 0.0)
+    assert np.all(pb.measure.density(pz, 0j) > 0.0)
+
+
+@pytest.mark.parametrize("mob", [
+    MoebiusAutomorphism(rot=1.1),
+    MoebiusAutomorphism(a=0.3 + 0.1j, rot=0.7),
+    MoebiusAutomorphism(a=-0.6j),
+], ids=["rotation", "a=0.3+0.1i", "a=-0.6i"])
+def test_pulled_back_lens_keeps_its_mass_and_pairings(um, mob):
+    # the pulled density reads the inner one at the exact Moebius shift of
+    # its offset, about the exact inner point 1, so the deep shells about
+    # phi^-1(1) keep their precision and the support disk clips every ray:
+    # the mass is M0 = _lens_mass(0.75), and Re w pairs as Re phi^-1(v)
+    # against the inner measure
+    pb = X.pullback_exhaustion(mob, um)
+    mass = pb.measure.total_mass(tol_abs=1e-10, tol_rel=1e-8)
+    assert mass.status == "CONVERGED"
+    assert abs(mass.value - 0.20865671041851824) <= 1e-9
+    pair = pb.measure.pair(lambda w: w.real, tol_abs=1e-9, tol_rel=1e-6)
+    ref = um.measure.pair(lambda v: np.real(mob.inverse(v)),
+                          tol_abs=1e-11, tol_rel=1e-9)
+    assert pair.status == "CONVERGED" and ref.status == "CONVERGED"
+    assert abs(pair.value - ref.value) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

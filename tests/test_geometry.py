@@ -192,20 +192,20 @@ def test_poisson_kernel_mean_is_one():
 
 
 def test_disk_area_constant():
-    res = G.integrate_disk_area(lambda z: np.ones(np.shape(z)))
+    res = G.integrate_disk_area(lambda d, c: np.ones(np.shape(d)))
     assert res.status == "CONVERGED"
     assert abs(res.value - math.pi) < 1e-8
 
 
 def test_disk_area_radial_moment():
-    res = G.integrate_disk_area(lambda z: np.abs(z) ** 2)
+    res = G.integrate_disk_area(lambda d, c: np.abs(c + d) ** 2)
     assert res.status == "CONVERGED"
     assert abs(res.value - math.pi / 2.0) < 1e-8
 
 
 def test_disk_area_log_at_declared_center():
     res = G.integrate_disk_area(
-        lambda z: np.log(np.abs(z)), interior_singularities=[0.0]
+        lambda d, c: np.log(np.abs(c + d)), interior_singularities=[0.0]
     )
     assert res.status == "CONVERGED"
     assert abs(res.value + math.pi / 2.0) < 1e-6
@@ -217,7 +217,7 @@ def test_disk_area_log_shifted_center():
     for _ in range(4):
         a = rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6)
         res = G.integrate_disk_area(
-            lambda z: np.log(np.abs(z - a)), interior_singularities=[a]
+            lambda d, c: np.log(np.abs(c + d - a)), interior_singularities=[a]
         )
         want = math.pi * (abs(a) ** 2 - 1.0) / 2.0
         assert res.status == "CONVERGED"
@@ -226,29 +226,53 @@ def test_disk_area_log_shifted_center():
 
 def test_disk_area_lens_support():
     # constant density on the disk {|z - 1/2| < 1/2}, swept from its
-    # boundary contact point: the radial cut is exactly half of each chord
+    # boundary contact point: the support circle cuts each chord in half
     res = G.integrate_disk_area(
-        lambda z: np.ones(np.shape(z)),
+        lambda d, c: np.ones(np.shape(d)),
         boundary_singularities=[1.0],
-        radial_cut=lambda phi: 0.5 * np.ones_like(phi),
+        support_disk=(0.5, 0.5),
     )
     assert res.status == "CONVERGED"
     assert abs(res.value - math.pi / 4.0) < 1e-7
 
 
+def _small_disk(d, c):
+    # the indicator of |z - (0.3 + 0.1i)| < 0.2, area 0.04 pi
+    return np.where(np.abs(c + d - (0.3 + 0.1j)) < 0.2, 1.0, 0.0)
+
+
+def test_disk_area_support_about_an_inner_center():
+    # rays from a center inside the support disk stop where they leave it,
+    # so no ray crosses the jump of the indicator
+    res = G.integrate_disk_area(_small_disk, support_disk=(0.3 + 0.1j, 0.2),
+                                interior_singularities=[0.35 + 0.05j])
+    assert res.status == "CONVERGED"
+    assert abs(res.value - math.pi * 0.04) < 1e-12
+
+
+@pytest.mark.parametrize("center", [
+    {"boundary_singularities": [1.0]},
+    {"interior_singularities": [-0.5]},
+    {},
+])
+def test_disk_area_support_from_an_outer_center(center):
+    # from a center off the support disk a ray runs through the whole disk
+    # and stops where it leaves it: the jump where it enters stays, and so
+    # does every bit of the mass
+    res = G.integrate_disk_area(_small_disk, support_disk=(0.3 + 0.1j, 0.2),
+                                **center)
+    assert abs(res.value - math.pi * 0.04) <= min(res.error, 1e-2 * math.pi * 0.04)
+
+
 def _lens_power_density(m):
-    def plain(z):
-        z = np.asarray(z, dtype=complex)
-        w = np.clip(1.0 - z.real, 1e-300, None)
+    # m(1-m)(1-x)^(m-2), reading 1 - x off the offset from the center
+    def dens(d, c):
+        w = np.clip((1.0 - complex(c).real) - np.real(d), 1e-300, None)
         with np.errstate(over="ignore"):
             v = m * (1.0 - m) * np.power(w, m - 2.0)
         return np.where(np.isfinite(v), v, 0.0)
 
-    def polar(center, rho, phi):
-        w = np.clip(-rho * np.cos(phi), 1e-300, None)
-        return m * (1.0 - m) * np.power(w, m - 2.0)
-
-    return plain, polar
+    return dens
 
 
 @pytest.mark.parametrize(
@@ -256,12 +280,10 @@ def _lens_power_density(m):
 )
 def test_lens_power_mass_finite(m):
     # mass of m(1-m)(1-x)^(m-2) over the lens = 2 m (1-m) B(3/2, m-1/2)
-    plain, polar = _lens_power_density(m)
     res = G.integrate_disk_area(
-        plain,
+        _lens_power_density(m),
         boundary_singularities=[1.0],
-        radial_cut=lambda phi: 0.5 * np.ones_like(phi),
-        density_polar=polar,
+        support_disk=(0.5, 0.5),
         tol_abs=1e-9,
         tol_rel=1e-7,
     )
@@ -272,30 +294,38 @@ def test_lens_power_mass_finite(m):
 
 @pytest.mark.parametrize("m", [0.5, 0.49, 0.3])
 def test_lens_power_mass_divergent(m):
-    plain, polar = _lens_power_density(m)
     res = G.integrate_disk_area(
-        plain,
+        _lens_power_density(m),
         boundary_singularities=[1.0],
-        radial_cut=lambda phi: 0.5 * np.ones_like(phi),
-        density_polar=polar,
+        support_disk=(0.5, 0.5),
     )
     assert res.status == "DIVERGENT"
 
 
-def test_polar_form_matches_plain_form():
-    rng = np.random.default_rng(23)
+@pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
+def test_tangent_support_cuts_every_chord_at_its_radius(m):
+    # the lens disk touches the circle at the polar center 1, so it cuts
+    # each chord at the fraction 1/2: the same integral, bit for bit, as
+    # the radial cut of one half
+    dens = _lens_power_density(m)
+    kw = dict(boundary_singularities=[1.0], tol_abs=1e-9, tol_rel=1e-7)
+    by_disk = G.integrate_disk_area(dens, support_disk=(0.5, 0.5), **kw)
+    by_cut = G.integrate_disk_area(dens, radial_cut=lambda phi: 0.5, **kw)
+    assert by_disk == by_cut
 
-    def plain(z):
-        z = np.asarray(z, dtype=complex)
+
+def test_offset_form_matches_plain_form():
+    # a density that reads the offset from the center 1 agrees with one
+    # that reads the point center + offset
+    def plain(d, c):
+        z = c + d
         return np.exp(-np.abs(z - 1.0)) * (2.0 + np.cos(3.0 * np.angle(z - 1.0 + 1e-300)))
 
-    def polar(center, rho, phi):
-        return np.exp(-rho) * (2.0 + np.cos(3.0 * phi))
+    def offset(d, c):
+        return np.exp(-np.abs(d)) * (2.0 + np.cos(3.0 * np.angle(d)))
 
     r1 = G.integrate_disk_area(plain, boundary_singularities=[1.0])
-    r2 = G.integrate_disk_area(
-        plain, boundary_singularities=[1.0], density_polar=polar
-    )
+    r2 = G.integrate_disk_area(offset, boundary_singularities=[1.0])
     assert r1.status == "CONVERGED" and r2.status == "CONVERGED"
     assert abs(r1.value - r2.value) < 1e-6
 

@@ -119,8 +119,8 @@ def test_weight_scaled_green_atom_is_exactly_twice():
 
 def test_weight_from_moments_matches_poisson_balayage():
     # an area mass with no worked family goes through the Fourier moments
-    def bump(w):
-        return np.exp(-np.abs(np.asarray(w) - 0.4) ** 2 / 0.02) / TWO_PI
+    def bump(d, c):
+        return np.exp(-np.abs(c + d - 0.4) ** 2 / 0.02) / TWO_PI
 
     measure = RieszMeasure(density=bump, label="bump")
     w = H.boundary_weight(X.green_exhaustion(measure))
@@ -267,8 +267,8 @@ def test_lens_weight_is_the_exact_balayage(m, u075, u05):
 def test_weight_rejects_non_finite_declared_balayage():
     # a declared balayage that is nan on an arc away from its boundary
     # singularity is not a weight
-    def bump(w):
-        return np.exp(-np.abs(np.asarray(w) - 0.4) ** 2 / 0.02) / TWO_PI
+    def bump(d, c):
+        return np.exp(-np.abs(c + d - 0.4) ** 2 / 0.02) / TWO_PI
 
     def broken(t):
         t = np.asarray(t, dtype=float)
@@ -719,6 +719,17 @@ def test_pullback_norm_is_invariant(ulog):
     assert pulled.verdict == "MEMBER"
     assert abs(pulled.value - direct.value) / direct.value < 5e-3
     assert pulled.agreement < 5e-3
+
+
+def test_pulled_back_lens_bulk_route(u075):
+    # the norm is invariant under the automorphism: the bulk route of the
+    # pullback pairs the majorant against the pulled lens density and
+    # gives ||z(1 - z)||^2 = 2 (M0 - M1) of test_um_frozen_norm_value
+    mob = MoebiusAutomorphism(a=0.3 + 0.1j, rot=0.7)
+    rep = H.conformal_pullback_norm(Poly([0.0, 1.0, -1.0]), u075, mob, 2.0)
+    truth = 0.059616203246372616
+    assert rep.statuses["bulk"] == CONVERGED
+    assert abs(rep.route_bulk - truth) / truth < 1e-7
 
 
 def test_pullback_rejects_non_automorphism(ulog):

@@ -59,28 +59,62 @@ def test_exported_names_resolve():
         assert not missing, (path.name, missing)
 
 
-def test_private_names_are_referenced():
-    # every _-prefixed function, class or method, and every _-prefixed
-    # module constant, defined in the package is read somewhere in it
-    # besides its definition (dunders exempt): no dead helpers
-    trees = [ast.parse(path.read_text())
-             for path in sorted((ROOT / "src" / "pshardy").rglob("*.py"))]
-    defined, read = set(), set()
-    for tree in trees:
+def _package_names():
+    """(module-level definitions by module, every name read in the package).
+
+    Definitions are the functions, classes and assigned constants at the
+    top of each module, and the _-prefixed methods and nested functions
+    in it; a name is read where it is loaded or taken as an attribute
+    anywhere in the package.
+    """
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "pshardy").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = defined.setdefault(path.stem, set())
         for node in tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(name.id for target in targets
-                               for name in ast.walk(target) if isinstance(name, ast.Name))
+                names.update(name.id for target in targets
+                             for name in ast.walk(target) if isinstance(name, ast.Name))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
+                if node.name.startswith("_"):  # methods and nested helpers
+                    names.add(node.name)
             elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    private = {name for name in defined
-               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    return defined, read
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_private_names_are_referenced():
+    # every _-prefixed function, class or method, and every _-prefixed
+    # module constant, defined in the package is read somewhere in it
+    # besides its definition (dunders exempt): no dead helpers
+    defined, read = _package_names()
+    private = {name for names in defined.values() for name in names
+               if name.startswith("_") and not _is_dunder(name)}
     assert private, "no private names found"
     unused = sorted(private - read)
+    assert not unused, unused
+
+
+def test_unexported_names_are_read():
+    # every module-level function, class and constant that its module
+    # does not list in __all__ is read somewhere in the package (dunders
+    # exempt): a name neither exported nor used is dead
+    defined, read = _package_names()
+    unused = []
+    for stem, names in defined.items():
+        module = importlib.import_module(
+            "pshardy" if stem == "__init__" else f"pshardy.{stem}")
+        exported = set(getattr(module, "__all__", ()))
+        unused += [f"{stem}.{name}" for name in sorted(names - exported - read)
+                   if not _is_dunder(name)]
     assert not unused, unused

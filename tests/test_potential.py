@@ -179,7 +179,7 @@ def test_series_kernel_shapes_and_mpmath_reference():
 def _radial_2r():
     # Delta u = 2r  =>  Lambda-density |z| / pi, u = (2/9)(r^3 - 1)
     return P.RieszMeasure(
-        density=lambda z: np.abs(z) / math.pi,
+        density=lambda d, c: np.abs(c + d) / math.pi,
         radial_profile=lambda s: s / math.pi,
         total_mass_hint=2.0 / 3.0,
         label="radial:2r",
@@ -246,7 +246,7 @@ def test_green_potential_radial_closed_form():
 
 def test_green_potential_infinite_mass_is_minus_infinity():
     mu = P.RieszMeasure(
-        density=lambda z: 1.0 / (math.pi * (1.0 - np.abs(z)) ** 2),
+        density=lambda d, c: 1.0 / (math.pi * (1.0 - np.abs(c + d)) ** 2),
         radial_profile=lambda s: 1.0 / (math.pi * (1.0 - s) ** 2),
     )
     assert mu.total_mass().status == "DIVERGENT"
@@ -269,7 +269,7 @@ def test_riesz_density_recovery():
     # build a potential by quadrature from a smooth bump, then probe its
     # Laplacian with the five-point stencil: the declared density must
     # come back
-    bump = lambda z: np.exp(-8.0 * np.abs(z - (0.2 + 0.1j)) ** 2)
+    bump = lambda d, c: np.exp(-8.0 * np.abs(c + d - (0.2 + 0.1j)) ** 2)
     mu = P.RieszMeasure(density=bump, label="bump")
 
     def u(points):
@@ -281,7 +281,7 @@ def test_riesz_density_recovery():
     # quadrature noise the stencil amplifies by 1/h^2
     for zp in (0.4 + 0.25j, -0.1 + 0.3j):
         got = _laplacian_probe(u, zp, h=3e-3)
-        want = float(bump(np.array([zp]))[0])
+        want = float(bump(np.array([zp]), 0.0)[0])
         assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
 
 
