@@ -15,7 +15,11 @@ norm can be computed three independent ways:
     angles, the boundary integrand within windows around them;
 ``boundary``
     int |f*|^p V dnu, where the boundary weight V is the Poisson balayage
-    of the Riesz mass, V(zeta) = int P(w, zeta) dLambda u(w).
+    of the Riesz mass, V(zeta) = int P(w, zeta) dLambda u(w).  A V with no
+    closed form is evaluated once per exact float angle for as long as the
+    exhaustion keeps its weight, and every route and check reads those
+    values; they differ from fresh ones by rounding only.  Closed forms are
+    evaluated afresh.
 
 The three agree for members, and their disagreements (divergence flags,
 inconclusive quadratures) drive the membership verdicts.  All route values
@@ -109,14 +113,29 @@ def _on_singular(theta, singular_thetas):
     return hit
 
 
-def _inf_at(V, singular_thetas):
-    """V with inf exactly at the declared singular angles."""
+def _memoized(V, singular_thetas):
+    """V evaluated once per exact float angle, inf at the singular angles.
+
+    A call looks every angle up and evaluates the ones not yet seen,
+    distinct and in order of first appearance, in one call to V.  Angles
+    are keys as given (t and t + 2 pi are two entries), so a stored value
+    differs from a fresh evaluation only by the rounding of the batch it
+    was evaluated in.
+    """
+    memo = {}
 
     def at(theta):
         th = np.asarray(theta, dtype=float)
-        out = np.array(V(th), dtype=float)
-        out[_on_singular(th, singular_thetas)] = math.inf
-        return float(out) if out.ndim == 0 else out
+        keys = th.ravel().tolist()
+        new = list(dict.fromkeys(k for k in keys if k not in memo))
+        if new:
+            t = np.array(new)
+            vals = np.array(V(t), dtype=float)
+            vals[_on_singular(t, singular_thetas)] = math.inf
+            memo.update(zip(new, vals.tolist()))
+        out = np.fromiter(map(memo.__getitem__, keys), dtype=float,
+                          count=len(keys))
+        return float(out[0]) if th.ndim == 0 else out.reshape(th.shape)
 
     return at
 
@@ -147,8 +166,12 @@ class BoundaryWeight:
     V is the Poisson sweep of the Riesz mass onto the circle; the weighted
     boundary measure of the exhaustion is V dnu plus nothing else for the
     families handled here.  ``at`` is the one evaluator of V, the one
-    ``potential.poisson_balayage`` returns, with inf exactly at the declared
-    singular angles; ``values`` is ``at`` on the uniform sample grid
+    ``potential.poisson_balayage`` returns.  A closed form is evaluated
+    afresh at every call.  Any other V goes through a memo that belongs to
+    this weight, so it lives as long as the exhaustion that caches the
+    weight: each exact float angle is evaluated once, inf exactly at the
+    declared singular angles, and a stored value differs from a fresh one
+    by rounding only.  ``values`` is ``at`` on the uniform sample grid
     ``thetas``, inf at the nodes on those angles.
     """
 
@@ -242,7 +265,11 @@ def boundary_weight(u):
     ``u.measure`` alone (``potential.poisson_balayage``): the constant mass
     for a rotation-invariant measure, sum m P(a, .) for atoms, the
     measure's declared ``balayage``, and the Fourier moments of the mass
-    otherwise.  The weight evaluates that V as it stands at every angle.
+    otherwise.  The two closed forms are evaluated afresh at every angle.
+    Any other V is evaluated once per exact float angle and kept in a memo
+    on the weight, which set-up, ``arc_mass`` and every route read, so it
+    lives as long as the exhaustion does; a stored value differs from a
+    fresh evaluation by the rounding of its batch only.
     Outside the two closed forms V is inf exactly at the angles of the
     measure's boundary singularities (recorded in ``singular_thetas``, not
     fatal), and a sample that is non-finite anywhere else raises
@@ -277,7 +304,7 @@ def _build_weight(u):
         log_integrable = math.isfinite(mass)
         resid = 0.0 if log_integrable else None
     else:
-        ev = _inf_at(ev, singular)
+        ev = _memoized(ev, singular)
         values = ev(thetas)
         if not np.all(np.isfinite(values) | _on_singular(thetas, singular)):
             raise UnsupportedRegion(

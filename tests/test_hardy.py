@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from pshardy import hardy as H
 from pshardy.exhaustion import InvalidParameter
 from pshardy.factorization import AffinePower, BlaschkeProduct, Poly, Product
 from pshardy.geometry import CONVERGED, MoebiusAutomorphism, integrate_boundary_arc
-from pshardy.potential import LensPowerDensity, RieszMeasure, poisson_kernel
+from pshardy.potential import (LensPowerDensity, RieszMeasure, poisson_balayage,
+                               poisson_kernel)
 
 TWO_PI = 2.0 * math.pi
 
@@ -249,10 +251,48 @@ def test_lens_balayage_matches_frozen_mpmath_reference():
         assert np.all(gap <= 2e-10), (m, t[np.argmax(gap)], gap.max())
 
 
+# (V, twice the measured relative error of LensPowerDensity(m).balayage)
+_LENS_BALAYAGE_BELOW_HALF = {
+    0.25: {1.0: (0.128402843776574618263314749692726867, 2.4e-8),
+           2.5: (0.0337287327651124337491271434471984408, 5.8e-8),
+           4.109: (0.0386948523645179925348223534635933308, 3.2e-8)},
+    0.4: {1.0: (0.131939329111925898833461682517103172, 6.7e-10),
+          2.5: (0.0353904697823408847990436944032235267, 1.4e-9),
+          4.109: (0.0405526980461225564837475500434897436, 8.6e-10)},
+}
+
+
+def test_lens_balayage_below_half_matches_frozen_mpmath_reference():
+    """V of the lens density for m < 1/2 holds its declared accuracy.
+
+    The grid ends at lambda = 40, so V is 1.2e-8 to 2.9e-8 relative off
+    for m = 1/4 and 3e-10 to 7e-10 for m = 0.4; each value is held at twice
+    its gap.  Recipe (mpmath 1.3, mp.dps = 70, t the float angle): V(t) =
+    m(1-m)/(2 pi) times the integral over 0 < x < 1 of (1 - x)^(m-2) C(x),
+    with the chord integral of the Poisson kernel in closed form (|sin t| >
+    1/2 > Y at these angles, Y = sqrt(x(1 - x)), A = (1 - x) - 2 sin^2(t/2),
+    b = sin t):  C = 2 cos t atan(2YA / (A^2 + b^2 - Y^2)) - 2Y
+    - b log1p(-4bY / (A^2 + (Y + b)^2)), the log1p keeping the digits that
+    the ratio of the two distances loses as x -> 1.  mp.quad integrates
+    sigma = sqrt(x) over [0, sqrt(1/2)] and lambda = -log(1 - x) over
+    [log 2, 240], split at every integer to 20 and every 5 beyond, where
+    the integrand has decayed like e^{-(m + 1/2) lambda}.  At mp.dps = 90,
+    split every 3 beyond 20, it agreed to 2.5e-45 relative.  The same
+    recipe gives the frozen m = 3/4 and 1/2 references above to 8e-23 at
+    t = 1.0 and 2.5, and to 7e-18 at 4.109, the gap between the float
+    angle and 4.109 itself.
+    """
+    for m, ref in _LENS_BALAYAGE_BELOW_HALF.items():
+        t = np.array(list(ref))
+        want, bound = np.array(list(ref.values())).T
+        gap = np.abs(LensPowerDensity(m).balayage(t) - want) / want
+        assert np.all(gap <= bound), (m, gap)
+
+
 @pytest.mark.parametrize("m", [0.75, 0.5])
 def test_lens_weight_is_the_exact_balayage(m, u075, u05):
-    # the weight evaluates the balayage itself at every angle, and is inf
-    # only at the singular angle
+    # the weight's memo holds the balayage itself, evaluated in the batches
+    # the weight was asked for, and is inf only at the singular angle
     w = H.boundary_weight(u075 if m == 0.75 else u05)
     rng = np.random.default_rng(31)
     t = np.concatenate([rng.uniform(-math.pi, math.pi, 1000),
@@ -262,6 +302,90 @@ def test_lens_weight_is_the_exact_balayage(m, u075, u05):
     samples[0] = math.inf
     assert np.array_equal(w.values, samples)
     assert math.isinf(w.at(0.0))
+
+
+def _counted(u):
+    """A copy of u whose measure records the angles its balayage is asked
+    for; the copy caches its own weight."""
+    asked = []
+    raw = u.measure.balayage
+
+    def balayage(t):
+        asked.extend(np.ravel(t).tolist())
+        return raw(t)
+
+    spec = X.ExhaustionSpec(
+        u.label, u._evaluate, replace(u.measure, balayage=balayage),
+        min_value=u.min_value, min_point=u.min_point,
+        value_error=u.value_error, gradient=u.gradient)
+    return spec, asked
+
+
+@pytest.mark.parametrize("case", ["um:0.75", "um:0.5", "pullback:um:0.75"])
+def test_weight_memo_matches_raw_balayage(case, u075, u05):
+    # a V with no closed form is evaluated once per exact float angle; the
+    # stored values are the raw balayage up to the rounding of their batch
+    u = {"um:0.75": u075, "um:0.5": u05}.get(case)
+    if u is None:
+        u = X.pullback_exhaustion(MoebiusAutomorphism(a=0.3 + 0.1j, rot=0.7), u075)
+    spec, asked = _counted(u)
+    w = H.boundary_weight(spec)
+    raw = poisson_balayage(u.measure)[1]
+    (s,) = w.singular_thetas
+    rng = np.random.default_rng(47)
+    near = 10.0 ** -np.arange(1.0, 10.0)
+    t = np.concatenate([rng.uniform(-math.pi, math.pi, 500), s + near, s - near])
+    got = w.at(t)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, raw(t), rtol=1e-14, atol=0.0)
+    # one angle at a time, against values stored from a batch
+    for x in t[::25]:
+        one = raw(np.array([x]))[0]
+        assert abs(w.at(float(x)) - one) <= 1e-14 * one
+    assert math.isinf(w.at(s))
+    # shapes: a scalar or 0-d input gives a float, arrays keep their shape
+    assert type(w.at(1.3)) is float and type(w.at(np.array(1.3))) is float
+    assert w.at(t[:1]).shape == (1,)
+    grid = t[:60].reshape(3, 4, 5)
+    assert np.array_equal(w.at(grid), got[:60].reshape(3, 4, 5))
+    # a repeated call is bit-identical and evaluates nothing
+    before = len(asked)
+    assert np.array_equal(w.at(t), got)
+    assert len(asked) == before
+
+
+def test_weight_memo_lives_with_its_exhaustion(monkeypatch):
+    # make_example shares one lens density between its u_{3/4} objects, but
+    # the memo sits on each weight: every exhaustion starts cold
+    a, b = X.make_example("um", 0.75), X.make_example("um", 0.75)
+    density = a.measure.balayage.__self__
+    assert b.measure.balayage.__self__ is density
+    asked = []
+    block = density._balayage_block
+
+    def counted(t):
+        asked.extend(t.tolist())
+        return block(t)
+
+    monkeypatch.setattr(density, "_balayage_block", counted)
+    for u in (a, b):
+        asked.clear()
+        w = H.boundary_weight(u)
+        assert set(w.thetas.tolist()) <= set(asked)
+        assert len(asked) == len(set(asked))
+    f = Poly([1.0, -1.0])
+    asked.clear()
+    first = H.hardy_norm(f, 2.0, a, level_samples=256)
+    assert asked
+    asked.clear()
+    second = H.hardy_norm(f, 2.0, a, level_samples=256)
+    assert asked == []
+    assert second.value == first.value
+    w = H.boundary_weight(a)
+    mass = w.arc_mass(2.0, 2.5)
+    asked.clear()
+    assert w.arc_mass(2.0, 2.5) == mass
+    assert asked == []
 
 
 def test_weight_rejects_non_finite_declared_balayage():
