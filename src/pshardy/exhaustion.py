@@ -51,7 +51,6 @@ __all__ = [
     "make_example",
     "sublevel_set",
     "pair_over_sublevel",
-    "area_integral_over_sublevel",
     "demailly_measure",
     "djl_both_sides",
 ]
@@ -149,8 +148,8 @@ class ExhaustionSpec:
     the ray at angle phi is Re(G e^{i phi}).  ``sublevel_set`` takes Newton
     steps on it and starts each level from the deeper one below it, and
     ``demailly_measure`` reads the flux off it.  Exhaustions without one
-    (the adaptive area-density Green potential, the glued example, the
-    radial profiles) trace by regula falsi alone and difference the flux.
+    (the adaptive area-density Green potential, the glued example) trace
+    by regula falsi alone and have no swept measure.
 
     Everything else reads ``measure``: the boundary weight (derived
     exhaustions a * u and u composed with a disk automorphism, and the
@@ -196,25 +195,9 @@ class ExhaustionSpec:
 
 
 def radial_log():
-    """u = log|z|, the unit point mass at the origin."""
-    measure = RieszMeasure(atoms=((0.0 + 0.0j, 1.0),), label="log")
-
-    def ev(z):
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        with np.errstate(divide="ignore"):
-            return np.where(r >= 1.0, 0.0, np.log(np.where(r > 0, r, 1e-300)))
-
-    def grad(z):
-        z = np.asarray(z, dtype=complex)
-        inside = (np.abs(z) < 1.0) & (z != 0.0)
-        return ev(z), np.where(inside, 1.0 / np.where(inside, z, 1.0), 0.0)
-
-    return ExhaustionSpec(
-        "log", ev, measure,
-        min_value=-math.inf, min_point=0.0,
-        value_error=0.0, gradient=grad,
-    )
+    """u = log|z|, the Green potential of the unit point mass at the origin."""
+    return green_exhaustion(RieszMeasure(atoms=((0j, 1.0),), label="log"),
+                            label="log")
 
 
 def radial_smooth(profile, label):
@@ -225,7 +208,7 @@ def radial_smooth(profile, label):
     is recovered from the exact one-dimensional reduction
     u(r) = M(r) log r + T(r) with M the cumulative (2 pi-normalized) mass
     and T the outer log moment, both tabulated once on 400 12-point Gauss
-    panels and interpolated with splines.
+    panels and interpolated with splines.  Its ``gradient`` is G = M(r)/z.
     """
     from scipy.interpolate import CubicSpline
 
@@ -257,6 +240,14 @@ def radial_smooth(profile, label):
         z = np.asarray(z, dtype=complex)
         return u_r(np.abs(z))
 
+    def grad(z):
+        # u' = M/r, as M' log r + T' = 0, so G = u' conj(z)/r = M(r)/z
+        z = np.asarray(z, dtype=complex)
+        r = np.abs(z)
+        inside = (r > 0.0) & (r < 1.0)
+        G = M_sp(np.minimum(r, 1.0)) / np.where(inside, z, 1.0)
+        return u_r(r), np.where(inside, G, 0.0)
+
     def lam(s):
         s = np.asarray(s, dtype=float)
         return profile(s) / (2.0 * math.pi)
@@ -271,7 +262,7 @@ def radial_smooth(profile, label):
     return ExhaustionSpec(
         label, ev, measure,
         min_value=float(T_edges[0]), min_point=0.0,
-        value_error=1e-10,
+        value_error=1e-10, gradient=grad,
     )
 
 
@@ -288,7 +279,7 @@ def green_exhaustion(measure, label=None):
     Atom-only measures evaluate in closed form; measures with an area part
     fall back to per-point adaptive quadrature (tol_abs 1e-12, tol_rel
     1e-10), which is accurate but slow in batch settings.  Its
-    ``value_error`` is _AREA_VALUE_ERROR.
+    ``value_error`` is _AREA_VALUE_ERROR, and it has no ``gradient``.
     """
     if not isinstance(measure, RieszMeasure):
         raise InvalidParameter("green_exhaustion expects a RieszMeasure")
@@ -546,7 +537,8 @@ class LevelSet:
     evaluator's ``value_error``, so it bounds the distance of the true u
     from c at every vertex.  ``du_dr`` holds d_r u = Re(G e^{i phi}) at each
     vertex for an exhaustion with a ``gradient``, from the same evaluation
-    as ``u_values``; it is None for the others and on circles.
+    as ``u_values``; it is None for the others, which have no swept
+    measure, and on circles, whose swept measure is their uniform mass.
     """
 
     def __init__(self, *, c, center, angles, radii, u_values, spec_label,
@@ -662,8 +654,7 @@ def _bracketed_roots(f, lo, f_lo, hi, f_hi, slope_lo, target, need):
 
 def _deeper_level(spec, c, samples):
     """The traced level of spec nearest below c at the same ray count."""
-    keys = [key for key, lv in spec._levels.items()
-            if key[1] == samples and key[0] < c and lv.du_dr is not None]
+    keys = [key for key in spec._levels if key[1] == samples and key[0] < c]
     return spec._levels[max(keys)] if keys else None
 
 
@@ -852,21 +843,6 @@ def pair_over_sublevel(measure, h, level, *, tol_abs=1e-10, tol_rel=1e-8):
     return QuadratureResult(value=total, error=err, status=status, depth=0)
 
 
-def area_integral_over_sublevel(fn, level, *, singularities=(),
-                                tol_abs=1e-10, tol_rel=1e-8):
-    """Plain area integral of fn over the traced star region."""
-    interior = [level.center]
-    for s in singularities:
-        if s != level.center and bool(level.contains(s)):
-            interior.append(complex(s))
-    return integrate_disk_area(
-        lambda d, c: np.real(fn(c + d)),
-        interior_singularities=interior,
-        radial_cut=level.ray_fraction(),
-        tol_abs=tol_abs, tol_rel=tol_rel,
-    )
-
-
 def _mass_over_sublevel(measure, level):
     return pair_over_sublevel(measure, lambda w: np.ones(np.shape(w)), level,
                               tol_abs=1e-10, tol_rel=1e-8)
@@ -886,9 +862,8 @@ class DemaillyMeasure:
     read on the traced rays: ``w_values`` is its density against
     d phi/(2 pi) at the level's vertices (``boundary_points``), and
     ``u_c_values`` its density against normalized arclength.  ``speed``
-    is |dz/d phi| = sqrt(r^2 + r'^2) there.  d_r u in the flux is exact
-    where the exhaustion has a ``gradient`` (the level's ``du_dr``) and a
-    central difference otherwise.
+    is |dz/d phi| = sqrt(r^2 + r'^2) there.  d_r u in the flux is the
+    exact one of the exhaustion's ``gradient`` (the level's ``du_dr``).
 
     ``total_mass`` and ``mass_error`` are the Riesz mass of B_c by area
     quadrature (``pair_over_sublevel``), independent of the flux.  No norm
@@ -963,10 +938,11 @@ def demailly_measure(spec, c, *, samples=512):
     ray at angle phi with radius r(phi) the density against d phi/(2 pi)
     is w = d_r u (r^2 + r'^2)/r, with r' the spectral derivative of the
     traced radii and d_r u the exact one the trace recorded
-    (``LevelSet.du_dr``), or, for an exhaustion without a ``gradient``, a
-    central difference of its evaluator.  A circular level about the
-    center of a rotation-invariant measure carries the uniform density,
-    its mass, so a circle computes the direct mass of B_c at once; other
+    (``LevelSet.du_dr``).  An exhaustion whose Riesz measure is
+    incomplete, or that has no ``gradient`` and so no flux to read, is
+    refused before any tracing.  A circular level about the center of a
+    rotation-invariant measure carries the uniform density, its mass, so
+    a circle computes the direct mass of B_c at once; other
     levels compute it (``DemaillyMeasure.total_mass``, an area quadrature
     independent of the flux, so mass_balance_residual is a genuine
     consistency check) on first read.
@@ -976,29 +952,22 @@ def demailly_measure(spec, c, *, samples=512):
             f"the Riesz measure of {spec.label} is incomplete; the swept "
             "boundary measure would be missing mass (INCOMPLETE_RIESZ_MEASURE)"
         )
+    if spec.gradient is None:
+        raise InvalidParameter(
+            f"{spec.label} has no gradient, so no flux through its levels"
+        )
     level = spec.sublevel(c, samples=samples)
     direct = None
     r = level.radii
     if level.is_circle:
-        # exact, where a difference quotient of log|z| spreads by 1e-11
+        # the uniform density mass(B_c): exact, and no flux is read
         direct = _mass_over_sublevel(spec.measure, level)
         w_vals = np.full(r.size, direct.value)
         speed = r
     else:
         dr = _spectral_derivative(r)
         speed2 = r * r + dr * dr
-        du = level.du_dr
-        if du is None:
-            # The step balances the O(h^2) truncation of the central
-            # difference against rounding in u, O(eps/h).  gap/20 keeps
-            # both nodes inside the disk, where the evaluator is u and not
-            # its zero extension.
-            gap = _ray_lengths(level.center, level.angles) - r
-            h = np.minimum(1e-5, gap / 20.0)
-            ray = np.exp(1j * level.angles)
-            du = (spec(level.center + (r + h) * ray)
-                  - spec(level.center + (r - h) * ray)) / (2.0 * h)
-        w_vals = du * speed2 / r
+        w_vals = level.du_dr * speed2 / r
         speed = np.sqrt(speed2)
 
     return DemaillyMeasure(
@@ -1013,7 +982,8 @@ def djl_both_sides(spec, v, lap_v, c, *, samples=512, v_singularities=(),
 
     Left side: integral of v against mu_c, the trapezoid rule over the
     traced rays (``DemaillyMeasure.pair_spectral``).  Right side: the area
-    bookkeeping int_{B_c} (v dLambda u - u Lambda v dA) + c int_{B_c} Lambda v dA.
+    bookkeeping int_{B_c} (v dLambda u - u Lambda v dA) + c int_{B_c} Lambda v dA,
+    each term a ``pair_over_sublevel``, the last two against plain area.
     ``lap_v`` is the (1/2 pi)-normalized Laplacian of v.  Returns a dict
     with both sides, the pieces, and the residual.
     """
@@ -1032,12 +1002,12 @@ def djl_both_sides(spec, v, lap_v, c, *, samples=512, v_singularities=(),
     def u_lap(w):
         return np.real(spec(w)) * np.real(lap_v(w))
 
-    u_lap_int = area_integral_over_sublevel(
-        u_lap, level, singularities=sing, tol_abs=tol_abs, tol_rel=tol_rel
-    )
-    lap_int = area_integral_over_sublevel(
-        lap_v, level, singularities=sing, tol_abs=tol_abs, tol_rel=tol_rel
-    )
+    area = RieszMeasure(density=lambda d, c: np.ones(np.shape(d)),
+                        interior_singularities=tuple(sing), label="area")
+    u_lap_int = pair_over_sublevel(area, u_lap, level,
+                                   tol_abs=tol_abs, tol_rel=tol_rel)
+    lap_int = pair_over_sublevel(area, lap_v, level,
+                                 tol_abs=tol_abs, tol_rel=tol_rel)
     rhs = v_mass.value - u_lap_int.value + c * lap_int.value
     return {
         "c": float(c),

@@ -716,13 +716,19 @@ class LensPowerDensity:
     2e-12 at 1e-3 from the lens circle, 6e-11 at 1e-5 from it (the
     differences' own rounding), and 5e-12 within 1e-6 of z = 0, where the
     reflected term needs its series (``_reflected_gradient``; the closed
-    form there was 3.7e-9 off at |z| = 1e-7).
+    form there was 3.7e-9 off at |z| = 1e-7).  Just outside the top and
+    bottom of the lens, where 0.99 < rho < 0.999 keeps points on the grid,
+    G was up to 1.1e-9 relative off a 60,000-term multipole series (median
+    5e-13 over 400 points; the worst at |Im z| ~ 1/2, Re z just above 1/2).
 
     ``balayage`` is the one evaluator of its Poisson balayage V(e^{it}):
     each angle near t = 0 splits the grid where the chords cross e^{it}
     (see ``_balayage_block``).  Against a 30-digit mpmath reference at
     t = 0.3, 1.0, 1.865, 2.5 and 4.109 it is within 3.1e-13 (m = 3/4) and
-    5.5e-11 (m = 1/2) relative, and it is smooth in t.  Below m = 1/2 the
+    5.5e-11 (m = 1/2) relative.  It is not smooth in t at the last digits:
+    the closed chord term F(Y) - F(-Y) cancels on the grid's short chords
+    by the tip z = 1, so for m = 3/4 two angles two ulps apart at
+    t = -0.698 differ by 3.3e-14, 2.8e-13 relative.  Below m = 1/2 the
     grid's end at lambda = 40 shows: at t = 1.0, 2.5 and 4.109 it is
     1.2e-8 to 2.9e-8 off for m = 1/4 and 3e-10 to 7e-10 for m = 0.4.
     """

@@ -127,6 +127,37 @@ def test_radial_smooth_empty_below_minimum():
         rs.sublevel(-0.3)
 
 
+def test_radial_smooth_gradient():
+    # G = M(r)/z, here (2/3) r^3/z, and it is the derivative of the
+    # spline-built u: against Richardson differences of u it was 7.3e-6
+    # relative at |z| = 0.047, where the spline's own derivative strays
+    # from M/r, and 5e-12 at |z| = 0.9
+    rs = X.radial_smooth(lambda r: 2.0 * r, "2r")
+    ang = np.linspace(0.1, 6.0, 8)
+    for rad, bound in ((0.047, 1e-5), (0.3, 1e-9), (0.9, 1e-9)):
+        z = rad * np.exp(1j * ang)
+        val, G = rs.gradient(z)
+        assert np.array_equal(val, rs(z))
+        exact = (2.0 / 3.0) * rad ** 3 / z
+        assert np.max(np.abs(G - exact) / np.abs(exact)) <= 1e-14
+        for e in (1.0, 1j):
+            diff = _directional(rs, z, e, 1e-3, False)
+            assert np.max(np.abs(np.real(G * e) - diff) / np.abs(G)) <= bound
+    val, G = rs.gradient(np.array([0.0, 1.0, 1.5j]))
+    assert np.array_equal(G, np.zeros(3))
+
+
+def test_pulled_back_radial_smooth_flux_is_its_mass():
+    # the pulled-back cubic traces off-circle levels; the flux of its exact
+    # gradient carries the mass 2/3 + 3c of B_c, to 1.6e-12 where measured
+    rs = X.radial_smooth(lambda r: 2.0 * r, "2r")
+    pb = X.pullback_exhaustion(MoebiusAutomorphism(a=0.3 + 0.1j, rot=0.7), rs)
+    for c in (-0.15, -0.02):
+        dm = pb.demailly(c, samples=256)
+        assert not dm.level.is_circle
+        assert abs(dm.mass_from_curve() - (2.0 / 3.0 + 3.0 * c)) <= 1e-11, c
+
+
 # ---------------------------------------------------------------------------
 # green potentials of atomic measures
 # ---------------------------------------------------------------------------
@@ -557,10 +588,8 @@ def test_warm_ladder_counts(ladder256):
 def test_warm_rungs_match_cold_traces(ladder256):
     # u_m's evaluator without its gradient traces every level cold by
     # regula falsi, to the radii frozen below (on ray 128 within 1.7e-14
-    # of 34-digit roots); the warm Newton rungs land within 1e-9 of them,
-    # and the central-difference flux of the plain evaluator agrees with
-    # the exact one where its stencil resolves u (1.7e-7 at k = 6; 1.5e-4
-    # at k = 12)
+    # of 34-digit roots); the warm Newton rungs land within 1e-9 of them.
+    # Without a gradient there is no flux to read, so no swept measure
     u, rungs, _ = ladder256
     plain = X.ExhaustionSpec("um-plain", u._evaluate, u.measure,
                              min_value=u.min_value, min_point=u.min_point,
@@ -578,9 +607,8 @@ def test_warm_rungs_match_cold_traces(ladder256):
         assert cold.du_dr is None
         assert np.abs(cold.radii[::64] - radii).max() <= 1e-15
         assert np.abs(rungs[k][0].radii - cold.radii).max() <= 1e-9
-    exact = u.demailly(-(2.0 ** -6), samples=256).w_values
-    differenced = plain.demailly(-(2.0 ** -6), samples=256).w_values
-    assert np.max(np.abs(differenced / exact - 1.0)) <= 1e-6
+    with pytest.raises(X.InvalidParameter, match="no gradient"):
+        plain.demailly(-(2.0 ** -6), samples=256)
 
 
 def test_um_swept_measure_balance(um):
@@ -636,6 +664,26 @@ def test_demailly_measure_rejects_incomplete_measure_before_tracing(monkeypatch)
     vm = X.make_example("vm", 0.75)
     with pytest.raises(X.InvalidParameter, match="incomplete"):
         X.demailly_measure(vm, -0.3)
+
+
+def test_demailly_measure_rejects_gradientless_exhaustions_before_tracing(
+        um, monkeypatch):
+    # the flux reads the gradient: a spec without one is refused at once,
+    # before its support probes and its trace (minutes for the Green
+    # potential of a bump, whose u costs 0.03 s a point)
+    def no_trace(*args, **kwargs):
+        raise AssertionError("the level was traced before the gradient check")
+
+    monkeypatch.setattr(X, "sublevel_set", no_trace)
+    plain = X.ExhaustionSpec("um-plain", um._evaluate, um.measure,
+                             min_value=um.min_value, min_point=um.min_point,
+                             value_error=um.value_error)
+    bump = RieszMeasure(
+        density=lambda d, c: np.exp(-np.abs(c + d - 0.4) ** 2 / 0.02) / (2 * math.pi),
+        label="bump")
+    for spec in (plain, X.green_exhaustion(bump)):
+        with pytest.raises(X.InvalidParameter, match="no gradient"):
+            spec.demailly(-0.3)
 
 
 def test_power_family_sandwich(um, um_half):

@@ -11,7 +11,8 @@ from pshardy import exhaustion as X
 from pshardy import hardy as H
 from pshardy.exhaustion import InvalidParameter
 from pshardy.factorization import AffinePower, BlaschkeProduct, Poly, Product
-from pshardy.geometry import CONVERGED, MoebiusAutomorphism, integrate_boundary_arc
+from pshardy.geometry import (CONVERGED, DIVERGENT, MoebiusAutomorphism,
+                              QuadratureResult, integrate_boundary_arc)
 from pshardy.potential import (LensPowerDensity, RieszMeasure, poisson_balayage,
                                poisson_kernel)
 
@@ -688,6 +689,32 @@ def test_divergent_ladder_outvoted_by_agreeing_routes(u075):
         assert "outvoted" in " ".join(rep.notes)
         lo, hi = sorted((rep.route_bulk, rep.route_boundary))
         assert lo * (1.0 - 1e-12) <= rep.value ** 2 <= hi * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("divergent", ["level-sup", "bulk", "boundary"])
+def test_single_divergent_route_verdicts(u075, monkeypatch, divergent):
+    # one route DIVERGENT, one CONVERGED, one not run: fewer than two
+    # finite routes, so the divergent one decides only where f declares a
+    # boundary singularity at a singular angle of V (t = 0 for u_m)
+    others = [n for n in ("level-sup", "bulk", "boundary") if n != divergent]
+    res = {divergent: QuadratureResult(math.inf, math.inf, DIVERGENT, 0),
+           others[0]: QuadratureResult(0.25, 1e-9, CONVERGED, 0),
+           others[1]: None}
+    info = {"ladder": (), "uncertainty": None, "exponent": None,
+            "monotone": None, "note": None}
+    monkeypatch.setattr(H, "_route_level", lambda *a, **k: (res["level-sup"], info))
+    monkeypatch.setattr(H, "_route_bulk", lambda *a, **k: res["bulk"])
+    monkeypatch.setattr(H, "_route_boundary", lambda *a, **k: res["boundary"])
+
+    rep = H.hardy_norm(AffinePower(1.0, -0.3), 2.0, u075)
+    assert rep.verdict == "NOT_MEMBER" and rep.value is None
+    assert (f"single divergent route ({divergent}) accepted: f declares a "
+            "boundary singularity at a singular angle of V") in rep.notes
+
+    rep = H.hardy_norm(Poly([1.0, -0.5]), 2.0, u075)
+    assert rep.verdict == "INCONCLUSIVE" and rep.value == 0.5
+    assert (f"single divergent route ({divergent}) without a matching "
+            "singularity declaration is not decisive") in rep.notes
 
 
 def _chord_power_reference(s, m):
