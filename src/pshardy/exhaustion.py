@@ -209,6 +209,9 @@ def radial_smooth(profile, label):
     u(r) = M(r) log r + T(r) with M the cumulative (2 pi-normalized) mass
     and T the outer log moment, both tabulated once on 400 12-point Gauss
     panels and interpolated with splines.  Its ``gradient`` is G = M(r)/z.
+    Below r = 0.005, where M_sp log r would carry the spline's error in M,
+    M(r) = r^2 int_0^1 x profile(rx) dx and u(r) - u(0) = int_0^r M(t)/t dt
+    = r^2 int_0^1 int_0^1 xy profile(rxy) dx dy take 12-point Gauss rules.
     """
     from scipy.interpolate import CubicSpline
 
@@ -228,13 +231,23 @@ def radial_smooth(profile, label):
     M_sp = CubicSpline(edges, M_edges)
     T_sp = CubicSpline(edges, T_edges)
     total = M_edges[-1]
+    x = 0.5 * (glx + 1.0)
+    wx = 0.5 * glw * x
+    xy, wxy = np.outer(x, x).ravel(), np.outer(wx, wx).ravel()
+
+    def near_origin(r, out, nodes, weights, base=0.0):
+        # out at r < 0.005 set to base + r^2 sum_i weights_i profile(r nodes_i)
+        low = r < 0.005
+        s = r[low][:, None] * nodes
+        out[low] = base + r[low] ** 2 * (profile(s.ravel()).reshape(s.shape) @ weights)
+        return out
 
     def u_r(r):
         r = np.asarray(r, dtype=float)
         rc = np.clip(r, 0.0, 1.0)
         safe = np.maximum(rc, 1e-300)
-        out = M_sp(rc) * np.log(safe) + T_sp(rc)
-        return np.where(rc < 1e-12, T_edges[0], np.where(r >= 1.0, 0.0, out))
+        out = np.where(r >= 1.0, 0.0, M_sp(rc) * np.log(safe) + T_sp(rc))
+        return near_origin(rc, out, xy, wxy, T_edges[0])
 
     def ev(z):
         z = np.asarray(z, dtype=complex)
@@ -245,7 +258,8 @@ def radial_smooth(profile, label):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         inside = (r > 0.0) & (r < 1.0)
-        G = M_sp(np.minimum(r, 1.0)) / np.where(inside, z, 1.0)
+        rc = np.minimum(r, 1.0)
+        G = near_origin(rc, np.array(M_sp(rc)), x, wx) / np.where(inside, z, 1.0)
         return u_r(r), np.where(inside, G, 0.0)
 
     def lam(s):

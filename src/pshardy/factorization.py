@@ -436,8 +436,7 @@ def u_inner(u):
         flatness = np.abs(phi_star) ** 2 * v_vals
     clean = np.isfinite(flatness)
     for t0 in weight.singular_thetas:
-        gap = np.abs((weight.thetas - t0 + math.pi) % TWO_PI - math.pi)
-        clean &= gap > 1e-3
+        clean &= hardy._gap(weight.thetas, t0) > 1e-3
     report = hardy.hardy_norm(phi, 2.0, u)
     return UInnerCandidate(phi, weight, weight.thetas, phi_star, flatness,
                            clean, report.value, report)

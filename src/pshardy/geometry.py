@@ -479,6 +479,21 @@ def integrate_interval(
     return QuadratureResult(total, err_sum, INCONCLUSIVE, max_depth)
 
 
+def _arc_singularities(angles, a, b):
+    """(interior, at_a, at_b): where singular angles and their copies 2 pi
+    away sit on [a, b].  Within 1e-12 of an end is that end, never interior.
+    """
+    interior, at_a, at_b = set(), False, False
+    for s in (float(t) + k * 2.0 * math.pi for t in angles for k in (-1, 0, 1)):
+        if abs(s - a) < 1e-12:
+            at_a = True
+        elif abs(s - b) < 1e-12:
+            at_b = True
+        elif a < s < b:
+            interior.add(s)
+    return sorted(interior), at_a, at_b
+
+
 def integrate_boundary_arc(
     density,
     *,
@@ -498,18 +513,13 @@ def integrate_boundary_arc(
     absolute rounding and deep shells would read noise.
     """
     two_pi = 2.0 * math.pi
-    sing = sorted({(float(t) + math.pi) % two_pi - math.pi for t in singular_points})
+    interior, singular_left, singular_right = _arc_singularities(
+        [(float(t) + math.pi) % two_pi - math.pi for t in singular_points],
+        -math.pi, math.pi)
 
     def wrapped(th):
         return np.asarray(density(th), dtype=float) / two_pi
 
-    singular_left = singular_right = False
-    interior = []
-    for t in sing:
-        if t + math.pi < 1e-12 or math.pi - t < 1e-12:
-            singular_left = singular_right = True
-        else:
-            interior.append(t)
     return integrate_interval(
         wrapped,
         -math.pi,

@@ -24,6 +24,9 @@ norm can be computed three independent ways:
 The three agree for members, and their disagreements (divergence flags,
 inconclusive quadratures) drive the membership verdicts.  All route values
 are reported as p-th powers of the norm; ``NormReport.value`` is the norm.
+``NormReport`` derives its route values, statuses, ``routes_run``, ladder bar
+and classical norm from one record, the routes' and the classical power's
+``QuadratureResult``s.
 
 Normalization matches the rest of the package: nu is arclength with
 nu(circle) = 1, masses are stored against Lambda = (1/2pi) Delta, and the
@@ -42,6 +45,7 @@ from .geometry import (
     INCONCLUSIVE,
     MoebiusAutomorphism,
     QuadratureResult,
+    _arc_singularities,
     integrate_boundary_arc,
     integrate_interval,
 )
@@ -206,18 +210,12 @@ class BoundaryWeight:
         a, b = float(a), float(b)
         if not b > a:
             raise ValueError("arc needs a < b")
-        interior = []
-        edge_lo = edge_hi = False
-        for t0 in self.singular_thetas:
-            for rep in (t0 + k * TWO_PI for k in (-1, 0, 1)):
-                if a < rep < b:
-                    interior.append(rep)
-                edge_lo = edge_lo or abs(rep - a) < 1e-12
-                edge_hi = edge_hi or abs(rep - b) < 1e-12
+        interior, edge_lo, edge_hi = _arc_singularities(
+            self.singular_thetas, a, b)
         res = integrate_interval(
             lambda t: np.asarray(self._evaluator(t), dtype=float),
             a, b, tol_abs=tol_abs, tol_rel=tol_rel,
-            interior_singularities=tuple(interior),
+            interior_singularities=interior,
             singular_left=edge_lo, singular_right=edge_hi,
         )
         if res.status == DIVERGENT:
@@ -337,15 +335,17 @@ def _classical_power(f, p):
     )
 
 
+def _norm_of(res, p):
+    """The norm whose p-th power ``res`` integrates, inf if divergent."""
+    return math.inf if res.status == DIVERGENT else res.value ** (1.0 / p)
+
+
 def classical_hardy_norm(f, p):
     """Classical H^p norm of an analytic expression, inf if divergent."""
     p = float(p)
     if not p > 0.0:
         raise InvalidParameter("the exponent p must be positive")
-    res = _classical_power(f, p)
-    if res.status == DIVERGENT:
-        return math.inf
-    return res.value ** (1.0 / p)
+    return _norm_of(_classical_power(f, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,6 @@ def _route_boundary(f, p, weight):
     factors declared."""
     if not np.any(np.isfinite(weight.values)):
         return QuadratureResult(math.inf, math.inf, DIVERGENT, 0)
-    sing = set(float(t) % TWO_PI for t in weight.singular_thetas)
-    sing.update(float(t) % TWO_PI for t in f.boundary_singularities)
 
     def integrand(t):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -368,7 +366,7 @@ def _route_boundary(f, p, weight):
 
     return integrate_boundary_arc(
         integrand, tol_abs=1e-9, tol_rel=1e-6,
-        singular_points=tuple(sorted(sing)),
+        singular_points=weight.singular_thetas + tuple(f.boundary_singularities),
     )
 
 
@@ -422,12 +420,13 @@ def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
     # see q V alone and their tail fit is not misled by chi
     parts = []
     if angles:
-        sing = sorted({_wrap(t) for t in angles + weight.singular_thetas})
-        at_pi = sing[0] == -math.pi
+        interior, at_lo, at_hi = _arc_singularities(
+            [_wrap(t) for t in angles + weight.singular_thetas],
+            -math.pi, math.pi)
         parts.append(integrate_interval(
             window, -math.pi, math.pi, tol_abs=tol_abs, tol_rel=tol_rel,
-            interior_singularities=sing, singular_left=at_pi,
-            singular_right=at_pi,
+            interior_singularities=interior, singular_left=at_lo,
+            singular_right=at_hi,
             split_points=[_wrap(t + d) for t in angles
                           for d in (-_CUT[1], -_CUT[0], _CUT[0], _CUT[1])],
         ))
@@ -495,7 +494,7 @@ def _ladder_estimate(P):
         return INCONCLUSIVE, float(P[-1]), float("nan"), None, None
     rat = d[1:] / d[:-1]
     if (np.median(rat[-3:]) >= 0.95 and d[-1] > 0) or np.all(rat[-3:] >= 1.0):
-        return DIVERGENT, float("inf"), float("nan"), None, None
+        return DIVERGENT, math.inf, math.inf, None, None
     if np.any(d[-4:] <= 0) or rat[-1] >= 1.0:
         return INCONCLUSIVE, float(P[-1]), float(abs(d[-1])), None, None
     rho = float(rat[-1])
@@ -523,8 +522,7 @@ def _route_level(f, p, u, weight, *, samples=512):
     so a boundary-nonvanishing f is divergent outright, and anything else
     is left to the other routes.
     """
-    info = {"ladder": (), "uncertainty": None, "exponent": None,
-            "monotone": None, "note": None}
+    info = {"ladder": (), "exponent": None, "monotone": None, "note": None}
     radial = u.measure.is_rotation_invariant()
     if p <= 1.0 and not radial:
         info["note"] = ("level route skipped: p <= 1 with a traced "
@@ -586,15 +584,12 @@ def _route_level(f, p, u, weight, *, samples=512):
         if info["note"] is None:
             info["note"] = "no traceable levels on the ladder"
         return None, info
-    diffs = np.diff(rungs)
     scale = max(abs(rungs[-1]), 1.0)
-    info["monotone"] = bool(np.all(diffs >= -1e-8 * scale))
+    info["monotone"] = bool(np.all(np.diff(rungs) >= -1e-8 * scale))
     status, limit, unc, info["exponent"], note = _ladder_estimate(rungs)
-    info["uncertainty"] = None if not math.isfinite(limit) else unc
     if note:
         info["note"] = note if info["note"] is None else f"{info['note']}; {note}"
-    return QuadratureResult(limit, unc if math.isfinite(limit) else math.inf,
-                            status, len(rungs)), info
+    return QuadratureResult(limit, unc, status, len(rungs)), info
 
 
 # ---------------------------------------------------------------------------
@@ -608,55 +603,77 @@ _OUTVOTE_AGREEMENT = 1e-6
 class NormReport:
     """Outcome of a weighted Hardy norm query for one (f, p, u).
 
-    Route values are p-th powers of the norm (inf when divergent, None
-    when a route was skipped); ``value`` is the norm from the error-weighted
-    mean of the converged routes, ``agreement`` their max pairwise relative
-    gap.  ``ladder_uncertainty`` is the error bar of the ladder's Richardson
-    step and ``fitted_exponent`` the observed decay exponent of its rungs.
+    It keeps one record, the ``QuadratureResult`` of each route (None when
+    skipped) and of the classical power.  Derived from it: ``route_values()``
+    and the ``route_*`` values (p-th powers of the norm, inf when divergent),
+    ``statuses``, ``routes_run``, ``ladder_uncertainty`` (the level error, the
+    Richardson bar, while the level value is finite), ``classical_norm``,
+    ``classical_status`` and the routes of ``to_json_dict()``.  ``value`` is
+    the norm from the error-weighted mean of the converged routes,
+    ``agreement`` their max pairwise relative gap, ``fitted_exponent`` the
+    observed decay exponent of the ladder's rungs.
     """
 
-    def __init__(self, *, f_label, u_label, p, routes, statuses, value,
-                 agreement, verdict, classical_norm, classical_status,
-                 routes_run, ladder, ladder_uncertainty, fitted_exponent,
-                 monotone, notes, weight):
+    route_level_sup = property(lambda self: self.route_values()["level-sup"])
+    route_bulk = property(lambda self: self.route_values()["bulk"])
+    route_boundary = property(lambda self: self.route_values()["boundary"])
+    classical_status = property(lambda self: self._classical.status)
+
+    def __init__(self, *, f_label, u_label, p, results, classical, value,
+                 agreement, verdict, ladder, fitted_exponent, monotone, notes,
+                 weight):
         self.f_label = f_label
         self.u_label = u_label
         self.p = float(p)
-        self.route_level_sup = routes["level-sup"]
-        self.route_bulk = routes["bulk"]
-        self.route_boundary = routes["boundary"]
-        self.statuses = dict(statuses)
+        self._results = dict(results)
+        self._classical = classical
         self.value = value
         self.agreement = agreement
         self.verdict = verdict
-        self.classical_norm = classical_norm
-        self.classical_status = classical_status
-        self.routes_run = tuple(routes_run)
         self.ladder = tuple(ladder)
-        self.ladder_uncertainty = ladder_uncertainty
         self.fitted_exponent = fitted_exponent
         self.monotone = monotone
         self.notes = tuple(notes)
         self.weight = weight
 
     def route_values(self):
-        return {
-            "level-sup": self.route_level_sup,
-            "bulk": self.route_bulk,
-            "boundary": self.route_boundary,
-        }
+        return {name: None if res is None
+                else math.inf if res.status == DIVERGENT else float(res.value)
+                for name, res in self._results.items()}
+
+    @property
+    def statuses(self):
+        return {name: None if res is None else res.status
+                for name, res in self._results.items()}
+
+    @property
+    def routes_run(self):
+        return tuple(name for name, res in self._results.items()
+                     if res is not None)
+
+    @property
+    def ladder_uncertainty(self):
+        level = self._results["level-sup"]
+        finite = level is not None and math.isfinite(level.value)
+        return level.error if finite else None
+
+    @property
+    def classical_norm(self):
+        return _norm_of(self._classical, self.p)
 
     def to_json_dict(self):
+        values, statuses = self.route_values(), self.statuses
         return {
             "f": self.f_label,
             "exhaustion": self.u_label,
             "p": self.p,
             "routes": {
                 name: {
-                    "value": _json_real(val),
-                    "status": self.statuses.get(name),
+                    "value": _json_real(values[name]),
+                    "status": statuses[name],
+                    "error": _json_real(None if res is None else res.error),
                 }
-                for name, val in self.route_values().items()
+                for name, res in self._results.items()
             },
             "routes_run": list(self.routes_run),
             "value": _json_real(self.value),
@@ -686,59 +703,17 @@ def _matching_singularity(f, weight):
     return False
 
 
-def hardy_norm(f, p, u, *, level_samples=512):
-    """Compute the weighted Hardy norm of f by all applicable routes.
+def _verdict(results, classical, f, weight, p, notes):
+    """(verdict, value, agreement) from the route record; reasons go to notes.
 
-    Returns a NormReport with per-route values and statuses, the verdict,
-    and the level-ladder diagnostics.  The boundary route needs the weight
-    (built and cached on the exhaustion); the level route runs the dyadic
-    ladder except where its preconditions fail (p <= 1 with traced curves,
-    infinite Riesz mass), and those skips are recorded.
+    ``value`` is the norm from the inverse-variance mean of the CONVERGED
+    finite routes (None for a non-member), ``agreement`` their max gap.
     """
-    p = float(p)
-    if not p > 0.0:
-        raise InvalidParameter("the exponent p must be positive")
-    if not isinstance(u, ExhaustionSpec):
-        raise InvalidParameter("hardy_norm expects an ExhaustionSpec")
-    weight = boundary_weight(u)
-    notes = []
-
-    classical = _classical_power(f, p)
-    classical_norm = (math.inf if classical.status == DIVERGENT
-                      else classical.value ** (1.0 / p))
-
-    boundary = _route_boundary(f, p, weight)
-    bulk = _route_bulk(f, p, u, weight, _majorant(f, p, classical))
-    level, level_info = _route_level(f, p, u, weight, samples=level_samples)
-    if level_info["note"]:
-        notes.append(level_info["note"])
-
-    routes = {}
-    statuses = {}
-    errors = {}
-    routes_run = []
-    for name, res in (("level-sup", level), ("bulk", bulk),
-                      ("boundary", boundary)):
-        if res is None:
-            routes[name] = None
-            statuses[name] = None
-            continue
-        routes_run.append(name)
-        statuses[name] = res.status
-        routes[name] = math.inf if res.status == DIVERGENT else float(res.value)
-        errors[name] = float(res.error)
-        if name != "level-sup" and res.status == INCONCLUSIVE:
-            notes.append(
-                f"{name} route did not certify at its tolerances "
-                f"(estimate {res.value:.6g}, error bound {res.error:.2g})"
-            )
-
-    finite = {
-        name: routes[name]
-        for name in routes_run
-        if statuses[name] == CONVERGED and math.isfinite(routes[name])
-    }
-    divergent = [name for name in routes_run if statuses[name] == DIVERGENT]
+    finite = {name: float(res.value) for name, res in results.items()
+              if res is not None and res.status == CONVERGED
+              and math.isfinite(res.value)}
+    divergent = [name for name, res in results.items()
+                 if res is not None and res.status == DIVERGENT]
 
     agreement = None
     if len(finite) >= 2:
@@ -766,11 +741,8 @@ def hardy_norm(f, p, u, *, level_samples=512):
             f"single divergent route ({divergent[0]}) accepted: f declares "
             "a boundary singularity at a singular angle of V"
         )
-    elif (statuses.get("boundary") == CONVERGED
-          and math.isfinite(routes["boundary"])
-          and classical.status == CONVERGED
-          and not divergent
-          and len(finite) >= 2):
+    elif ("boundary" in finite and classical.status == CONVERGED
+          and not divergent and len(finite) >= 2):
         verdict = "MEMBER"
     else:
         verdict = "INCONCLUSIVE"
@@ -788,17 +760,47 @@ def hardy_norm(f, p, u, *, level_samples=512):
         floor = 1e-14 * max(abs(v) for v in finite.values()) + 1e-300
         wsum = vsum = 0.0
         for name, val in finite.items():
-            wgt = 1.0 / max(errors.get(name, floor), floor) ** 2
+            wgt = 1.0 / max(float(results[name].error), floor) ** 2
             wsum += wgt
             vsum += wgt * val
         value = (vsum / wsum) ** (1.0 / p)
+    return verdict, value, agreement
 
+
+def hardy_norm(f, p, u, *, level_samples=512):
+    """Compute the weighted Hardy norm of f by all applicable routes.
+
+    Returns a NormReport built from the routes' QuadratureResults, with the
+    verdict and the level-ladder diagnostics.  The boundary route needs the
+    weight (built and cached on the exhaustion); the level route runs the
+    dyadic ladder except where its preconditions fail (p <= 1 with traced
+    curves, infinite Riesz mass), and those skips are recorded.
+    """
+    p = float(p)
+    if not p > 0.0:
+        raise InvalidParameter("the exponent p must be positive")
+    if not isinstance(u, ExhaustionSpec):
+        raise InvalidParameter("hardy_norm expects an ExhaustionSpec")
+    weight = boundary_weight(u)
+
+    classical = _classical_power(f, p)
+    boundary = _route_boundary(f, p, weight)
+    bulk = _route_bulk(f, p, u, weight, _majorant(f, p, classical))
+    level, level_info = _route_level(f, p, u, weight, samples=level_samples)
+    results = {"level-sup": level, "bulk": bulk, "boundary": boundary}
+
+    notes = [level_info["note"]] if level_info["note"] else []
+    notes += [
+        f"{name} route did not certify at its tolerances "
+        f"(estimate {res.value:.6g}, error bound {res.error:.2g})"
+        for name, res in results.items()
+        if name != "level-sup" and res is not None and res.status == INCONCLUSIVE
+    ]
+    verdict, value, agreement = _verdict(results, classical, f, weight, p, notes)
     return NormReport(
-        f_label=f.label, u_label=u.label, p=p, routes=routes,
-        statuses=statuses, value=value, agreement=agreement, verdict=verdict,
-        classical_norm=classical_norm, classical_status=classical.status,
-        routes_run=routes_run, ladder=level_info["ladder"],
-        ladder_uncertainty=level_info["uncertainty"],
+        f_label=f.label, u_label=u.label, p=p, results=results,
+        classical=classical, value=value, agreement=agreement,
+        verdict=verdict, ladder=level_info["ladder"],
         fitted_exponent=level_info["exponent"],
         monotone=level_info["monotone"], notes=notes, weight=weight,
     )
@@ -949,30 +951,24 @@ def comparison_checks(u, v, b):
         },
     }
 
-    def pairings(g):
-        # one majorant of |g|^2 serves both exhaustions
-        maj = _majorant(g, p, _classical_power(g, p))
-        return tuple(_route_bulk(g, p, x, boundary_weight(x), maj,
-                                 tol_abs=1e-8, tol_rel=1e-5) for x in (u, v))
+    def pairings(gs):
+        # label -> (pairing under u, pairing under v); one majorant of
+        # |g|^2 serves both exhaustions
+        out = {}
+        for g in gs:
+            maj = _majorant(g, p, _classical_power(g, p))
+            out[g.label] = tuple(_route_bulk(g, p, x, boundary_weight(x), maj,
+                                             tol_abs=1e-8, tol_rel=1e-5)
+                                 for x in (u, v))
+        return out
 
-    pair_u = {}
-    pair_v = {}
-    rows = []
-    for g in battery:
-        nu_, nv_ = pairings(g)
-        pair_u[g.label] = nu_.value
-        pair_v[g.label] = nv_.value
-        ok = None
-        if hyp_ok:
-            ok = bool(nu_.value <= b * nv_.value * (1.0 + 1e-6) + 1e-12)
-        rows.append({
-            "f": g.label,
-            "pairing_u": nu_.value,
-            "pairing_v": nv_.value,
-            "status_u": nu_.status,
-            "status_v": nv_.status,
-            "ok": ok,
-        })
+    pairs = pairings(battery)
+    rows = [{
+        "f": label, "pairing_u": pu.value, "pairing_v": pv.value,
+        "status_u": pu.status, "status_v": pv.status,
+        "ok": (bool(pu.value <= b * pv.value * (1.0 + 1e-6) + 1e-12)
+               if hyp_ok else None),
+    } for label, (pu, pv) in pairs.items()]
     order_ok = None if not hyp_ok else all(r["ok"] for r in rows)
     report["order"] = {"bound": b, "rows": rows, "ok": order_ok}
 
@@ -984,7 +980,7 @@ def comparison_checks(u, v, b):
     pb_rows = []
     for g in battery:
         lhs = float(np.abs(np.asarray(g(np.array([w0])))[0]) ** p)
-        rhs = s * pair_v[g.label]
+        rhs = s * pairs[g.label][1].value
         pb_rows.append({
             "f": g.label, "value_at_w": lhs, "bound": rhs,
             "ok": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-12),
@@ -994,20 +990,12 @@ def comparison_checks(u, v, b):
         "ok": all(r["ok"] for r in pb_rows),
     }
 
-    ratios = [
-        pair_v[g.label] / pair_u[g.label]
-        for g in battery if pair_u[g.label] > 0.0
-    ]
+    ratios = [pv.value / pu.value for pu, pv in pairs.values() if pu.value > 0.0]
     c_fit = max(ratios) if ratios else math.inf
-    held_rows = []
-    for g in held_out:
-        nu_, nv_ = pairings(g)
-        held_rows.append({
-            "f": g.label,
-            "pairing_u": nu_.value,
-            "pairing_v": nv_.value,
-            "ok": bool(nv_.value <= c_fit * nu_.value * (1.0 + 1e-6) + 1e-12),
-        })
+    held_rows = [{
+        "f": label, "pairing_u": pu.value, "pairing_v": pv.value,
+        "ok": bool(pv.value <= c_fit * pu.value * (1.0 + 1e-6) + 1e-12),
+    } for label, (pu, pv) in pairings(held_out).items()]
     report["reverse"] = {
         "fitted_c": c_fit,
         "rows": held_rows,

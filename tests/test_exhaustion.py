@@ -147,6 +147,18 @@ def test_radial_smooth_gradient():
     assert np.array_equal(G, np.zeros(3))
 
 
+def test_radial_smooth_near_the_origin():
+    # below r = 0.005 u and G come from Gauss rules on [0, r]; the spline
+    # term M_sp log r was 1.9e-9 off the closed form at r = 8.5e-4
+    rs = X.radial_smooth(lambda r: 2.0 * r, "2r")
+    r = np.linspace(1e-7, 0.999, 200_000)
+    z = r * np.exp(0.7j)
+    assert np.max(np.abs(rs(z) - (2.0 / 9.0) * (r ** 3 - 1.0))) <= rs.value_error
+    _, G = rs.gradient(z)
+    exact = (2.0 / 3.0) * r ** 3 / z
+    assert np.max(np.abs(G - exact) / np.abs(exact)) <= 1e-13
+
+
 def test_pulled_back_radial_smooth_flux_is_its_mass():
     # the pulled-back cubic traces off-circle levels; the flux of its exact
     # gradient carries the mass 2/3 + 3c of B_c, to 1.6e-12 where measured

@@ -15,6 +15,7 @@ from pshardy.factorization import (
     Quotient,
     UnsupportedExpression,
 )
+from pshardy.hardy import classical_hardy_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,6 +83,24 @@ def test_blaschke_rejects_boundary_zero():
 def test_quotient_needs_zero_free_denominator():
     with pytest.raises(UnsupportedExpression):
         Quotient(Poly([1.0]), Poly([0.0, 1.0]))
+
+
+def test_quotient_and_product_operators():
+    # 1/(2 - z) = sum z^k / 2^(k+1): classical H^2 norm^2 sum 4^(-k-1) = 1/3
+    f, g = Poly([1.0]), Poly([2.0, -1.0])
+    q = f / g
+    assert isinstance(q, Quotient)
+    assert q.zeros == () and q.boundary_singularities == ()
+    rng = np.random.default_rng(20)
+    zs = np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(1j * rng.uniform(0.0, TWO_PI, 64))
+    assert np.array_equal(q(zs), f(zs) / g(zs))
+    ts = rng.uniform(0.0, TWO_PI, 64)
+    assert np.array_equal(q.boundary_trace(ts),
+                          f.boundary_trace(ts) / g.boundary_trace(ts))
+    assert abs(classical_hardy_norm(q, 2.0) - 1.0 / math.sqrt(3.0)) <= 1e-12
+    prod = f * g
+    assert isinstance(prod, Product)
+    assert np.array_equal(prod(zs), f(zs) * g(zs))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,15 @@ def test_weight_arc_mass_additivity(u075):
     assert tiny > 0.0
 
 
+def test_weight_arc_mass_about_the_singular_angle(u075):
+    # the singular angle t = 0 is an end of the two halves, interior to
+    # their union, and interior again through its copy at 2 pi
+    w = H.boundary_weight(u075)
+    whole = w.arc_mass(-0.3, 0.3)
+    assert abs(w.arc_mass(-0.3, 0.0) + w.arc_mass(0.0, 0.3) - whole) <= 1e-8 * whole
+    assert abs(w.arc_mass(TWO_PI - 0.3, TWO_PI + 0.3) - whole) <= 1e-8 * whole
+
+
 def test_weight_cache_and_validation(ulog):
     w1 = H.boundary_weight(ulog)
     w2 = H.boundary_weight(ulog)
@@ -700,8 +709,7 @@ def test_single_divergent_route_verdicts(u075, monkeypatch, divergent):
     res = {divergent: QuadratureResult(math.inf, math.inf, DIVERGENT, 0),
            others[0]: QuadratureResult(0.25, 1e-9, CONVERGED, 0),
            others[1]: None}
-    info = {"ladder": (), "uncertainty": None, "exponent": None,
-            "monotone": None, "note": None}
+    info = {"ladder": (), "exponent": None, "monotone": None, "note": None}
     monkeypatch.setattr(H, "_route_level", lambda *a, **k: (res["level-sup"], info))
     monkeypatch.setattr(H, "_route_bulk", lambda *a, **k: res["bulk"])
     monkeypatch.setattr(H, "_route_boundary", lambda *a, **k: res["boundary"])
@@ -799,11 +807,44 @@ def test_membership_bundle_and_json(ulog):
     assert "Infinity" not in text
 
 
+def test_json_of_divergent_and_unresolved_reports(ulog, u05, monkeypatch):
+    # (1 - z)^{-1/2} is not in H^2: every route and the classical norm
+    # diverge, and the JSON spells the infinities out
+    blob = H.hardy_norm(AffinePower(1.0, -0.5), 2.0, ulog).to_json_dict()
+    assert blob["verdict"] == "NOT_MEMBER"
+    for name in ("level-sup", "bulk", "boundary"):
+        assert blob["routes"][name] == {
+            "value": "INFINITE", "status": DIVERGENT, "error": "INFINITE"}
+    assert blob["classical_norm"] == "INFINITE"
+    json.dumps(blob, allow_nan=False)
+    weight = H.boundary_weight(u05).to_json_dict()
+    assert weight["mass_of_laplacian"] == "INFINITE"
+    json.dumps(weight, allow_nan=False)
+
+    # a ladder of two rungs is INCONCLUSIVE with no bar; the other routes
+    # report their own errors
+    status, limit, unc, _, _ = H._ladder_estimate([0.9, 0.95])
+    info = {"ladder": ((-1.0, 0.9), (-0.5, 0.95)), "exponent": None,
+            "monotone": True, "note": None}
+    monkeypatch.setattr(H, "_route_level", lambda *a, **k: (
+        QuadratureResult(limit, unc, status, 2), info))
+    rep = H.hardy_norm(Poly([1.0]), 2.0, ulog)
+    assert math.isnan(rep.ladder_uncertainty)
+    blob = rep.to_json_dict()
+    assert blob["ladder_uncertainty"] == "NAN"
+    assert blob["routes"]["level-sup"]["error"] == "NAN"
+    for name in ("bulk", "boundary"):
+        assert 0.0 <= blob["routes"][name]["error"] <= 1e-9
+    json.dumps(blob, allow_nan=False)
+
+
 def test_hardy_norm_input_validation(ulog):
     with pytest.raises(InvalidParameter):
         H.hardy_norm(Poly([1.0]), -2.0, ulog)
     with pytest.raises(InvalidParameter, match="hardy_norm expects"):
         H.hardy_norm(Poly([1.0]), 2.0, "log")
+    with pytest.raises(InvalidParameter):
+        H.least_harmonic_majorant(Poly([1.0]), 0.0)
 
 
 def test_hardy_norm_computes_the_classical_power_once(ulog, monkeypatch):
