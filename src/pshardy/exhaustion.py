@@ -19,9 +19,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import (
     MoebiusAutomorphism,
-    QuadratureResult,
     _ray_lengths,
-    integrate_disk_area,
     integrate_interval,
 )
 from .potential import (
@@ -50,7 +48,6 @@ __all__ = [
     "pullback_exhaustion",
     "make_example",
     "sublevel_set",
-    "pair_over_sublevel",
     "demailly_measure",
     "djl_both_sides",
 ]
@@ -209,7 +206,7 @@ def radial_smooth(profile, label):
     u(r) = M(r) log r + T(r) with M the cumulative (2 pi-normalized) mass
     and T the outer log moment, both tabulated once on 400 12-point Gauss
     panels and interpolated with splines.  Its ``gradient`` is G = M(r)/z.
-    Below r = 0.005, where M_sp log r would carry the spline's error in M,
+    Below r = 0.02, where M_sp log r would carry the spline's error in M,
     M(r) = r^2 int_0^1 x profile(rx) dx and u(r) - u(0) = int_0^r M(t)/t dt
     = r^2 int_0^1 int_0^1 xy profile(rxy) dx dy take 12-point Gauss rules.
     """
@@ -236,8 +233,8 @@ def radial_smooth(profile, label):
     xy, wxy = np.outer(x, x).ravel(), np.outer(wx, wx).ravel()
 
     def near_origin(r, out, nodes, weights, base=0.0):
-        # out at r < 0.005 set to base + r^2 sum_i weights_i profile(r nodes_i)
-        low = r < 0.005
+        # out at r < 0.02 set to base + r^2 sum_i weights_i profile(r nodes_i)
+        low = r < 0.02
         s = r[low][:, None] * nodes
         out[low] = base + r[low] ** 2 * (profile(s.ravel()).reshape(s.shape) @ weights)
         return out
@@ -816,53 +813,6 @@ def sublevel_set(spec, c, *, samples=512):
 
 
 # ---------------------------------------------------------------------------
-# Integrals over sublevel regions.
-# ---------------------------------------------------------------------------
-
-
-def pair_over_sublevel(measure, h, level, *, tol_abs=1e-10, tol_rel=1e-8):
-    """Integral of h against the Riesz measure restricted to B_c.
-
-    Atoms inside the region contribute exactly; the area part integrates
-    over the star region bounded by the traced curve, its rays clipped at
-    the declared support disk, so no discontinuous indicator enters the
-    quadrature.
-    """
-    total = 0.0
-    err = 0.0
-    status = "CONVERGED"
-    for loc, mass in measure.atoms:
-        if bool(level.contains(loc)):
-            total += mass * float(np.real(h(np.asarray([loc], dtype=complex))[0]))
-    if measure.has_area_part():
-        dens = measure.density
-
-        def integrand(d, c):
-            return dens(d, c) * np.real(h(c + d))
-
-        interior = [level.center]
-        for s in measure.interior_singularities:
-            if s != level.center and bool(level.contains(s)):
-                interior.append(s)
-        res = integrate_disk_area(
-            integrand,
-            interior_singularities=interior,
-            radial_cut=level.ray_fraction(),
-            support_disk=measure.support_disk,
-            tol_abs=tol_abs, tol_rel=tol_rel,
-        )
-        total += res.value
-        err = res.error
-        status = res.status
-    return QuadratureResult(value=total, error=err, status=status, depth=0)
-
-
-def _mass_over_sublevel(measure, level):
-    return pair_over_sublevel(measure, lambda w: np.ones(np.shape(w)), level,
-                              tol_abs=1e-10, tol_rel=1e-8)
-
-
-# ---------------------------------------------------------------------------
 # The swept boundary measure.
 # ---------------------------------------------------------------------------
 
@@ -880,8 +830,9 @@ class DemaillyMeasure:
     exact one of the exhaustion's ``gradient`` (the level's ``du_dr``).
 
     ``total_mass`` and ``mass_error`` are the Riesz mass of B_c by area
-    quadrature (``pair_over_sublevel``), independent of the flux.  No norm
-    route reads them, so they are computed on first read unless passed in.
+    quadrature (``RieszMeasure.total_mass`` restricted to the level, at
+    1e-10 abs, 1e-8 rel), independent of the flux.  No norm route reads
+    them, so they are computed on first read unless passed in.
     """
 
     def __init__(self, *, spec_label, c, level, measure, w_values, speed,
@@ -900,7 +851,8 @@ class DemaillyMeasure:
 
     @functools.cached_property
     def _direct(self):
-        return _mass_over_sublevel(self._measure, self.level)
+        return self._measure.total_mass(level=self.level, tol_abs=1e-10,
+                                        tol_rel=1e-8)
 
     total_mass = property(lambda self: float(self._direct.value))
     mass_error = property(lambda self: float(self._direct.error))
@@ -956,8 +908,9 @@ def demailly_measure(spec, c, *, samples=512):
     incomplete, or that has no ``gradient`` and so no flux to read, is
     refused before any tracing.  A circular level about the center of a
     rotation-invariant measure carries the uniform density, its mass, so
-    a circle computes the direct mass of B_c at once; other
-    levels compute it (``DemaillyMeasure.total_mass``, an area quadrature
+    a circle computes the direct mass of B_c at once, as
+    ``measure.total_mass(level=level)``; other levels compute the same
+    quantity (``DemaillyMeasure.total_mass``, an area quadrature
     independent of the flux, so mass_balance_residual is a genuine
     consistency check) on first read.
     """
@@ -975,7 +928,8 @@ def demailly_measure(spec, c, *, samples=512):
     r = level.radii
     if level.is_circle:
         # the uniform density mass(B_c): exact, and no flux is read
-        direct = _mass_over_sublevel(spec.measure, level)
+        direct = spec.measure.total_mass(level=level, tol_abs=1e-10,
+                                         tol_rel=1e-8)
         w_vals = np.full(r.size, direct.value)
         speed = r
     else:
@@ -997,20 +951,22 @@ def djl_both_sides(spec, v, lap_v, c, *, samples=512, v_singularities=(),
     Left side: integral of v against mu_c, the trapezoid rule over the
     traced rays (``DemaillyMeasure.pair_spectral``).  Right side: the area
     bookkeeping int_{B_c} (v dLambda u - u Lambda v dA) + c int_{B_c} Lambda v dA,
-    each term a ``pair_over_sublevel``, the last two against plain area.
-    ``lap_v`` is the (1/2 pi)-normalized Laplacian of v.  Returns a dict
-    with both sides, the pieces, and the residual.
+    each term a ``RieszMeasure.pair`` restricted to the level: the first
+    against Lambda u, the last two against plain area, a unit density that
+    declares ``v_singularities`` and the atoms of Lambda u as its singular
+    points (the pairing keeps those B_c contains).  ``lap_v`` is the
+    (1/2 pi)-normalized Laplacian of v.  Returns a dict with both sides,
+    the pieces, and the residual.
     """
     dm = spec.demailly(c, samples=samples)
     level = dm.level
     lhs = dm.pair_spectral(v)
 
-    v_mass = pair_over_sublevel(spec.measure, v, level,
-                                tol_abs=tol_abs, tol_rel=tol_rel)
+    v_mass = spec.measure.pair(v, level=level, tol_abs=tol_abs, tol_rel=tol_rel)
 
     sing = [complex(s) for s in v_singularities]
     for loc, _ in spec.measure.atoms:
-        if bool(level.contains(loc)) and loc not in sing:
+        if loc not in sing:
             sing.append(complex(loc))
 
     def u_lap(w):
@@ -1018,10 +974,8 @@ def djl_both_sides(spec, v, lap_v, c, *, samples=512, v_singularities=(),
 
     area = RieszMeasure(density=lambda d, c: np.ones(np.shape(d)),
                         interior_singularities=tuple(sing), label="area")
-    u_lap_int = pair_over_sublevel(area, u_lap, level,
-                                   tol_abs=tol_abs, tol_rel=tol_rel)
-    lap_int = pair_over_sublevel(area, lap_v, level,
-                                 tol_abs=tol_abs, tol_rel=tol_rel)
+    u_lap_int = area.pair(u_lap, level=level, tol_abs=tol_abs, tol_rel=tol_rel)
+    lap_int = area.pair(lap_v, level=level, tol_abs=tol_abs, tol_rel=tol_rel)
     rhs = v_mass.value - u_lap_int.value + c * lap_int.value
     return {
         "c": float(c),

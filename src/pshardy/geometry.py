@@ -479,6 +479,11 @@ def integrate_interval(
     return QuadratureResult(total, err_sum, INCONCLUSIVE, max_depth)
 
 
+def _wrap(theta):
+    """The angle theta moved into [-pi, pi)."""
+    return (np.asarray(theta, dtype=float) + math.pi) % (2.0 * math.pi) - math.pi
+
+
 def _arc_singularities(angles, a, b):
     """(interior, at_a, at_b): where singular angles and their copies 2 pi
     away sit on [a, b].  Within 1e-12 of an end is that end, never interior.
@@ -500,35 +505,35 @@ def integrate_boundary_arc(
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     singular_points=(),
+    split_points=(),
+    arc=(-math.pi, math.pi),
 ) -> QuadratureResult:
-    """Integral of density(theta) over the circle against normalized arclength.
+    """Integral of density(theta) over an arc against normalized arclength.
 
     density takes angles in radians (ndarray) and returns floats; the result
-    is (1/2pi) * int_{-pi}^{pi} density.  singular_points lists angles where
-    the density blows up; each gets dyadic treatment from both sides (the
-    circle is periodic, so an angle at pi is graded from both -pi+ and pi-).
-    The circle runs from -pi so that an angle at 0, the usual singular
-    angle, is an interior point: nodes graded toward it keep full relative
-    precision, where next to 2pi they would carry ulp(2pi) ~ 9e-16 of
-    absolute rounding and deep shells would read noise.
+    is (1/2pi) * int_a^b density over ``arc`` = (a, b), by default the
+    whole circle (-pi, pi).  singular_points lists angles where the density
+    blows up, wrapped into [-pi, pi) and counted with their copies 2 pi
+    away: each copy inside the arc gets dyadic treatment from both sides,
+    one at an end from inside (on the whole circle an angle at pi is graded
+    from both -pi+ and pi-).  split_points are non-singular breakpoints,
+    given as angles in the arc, that seed the partition.  The circle runs
+    from -pi so that an angle at 0, the usual singular angle, is an
+    interior point: nodes graded toward it keep full relative precision,
+    where next to 2pi they would carry ulp(2pi) ~ 9e-16 of absolute
+    rounding and deep shells would read noise.
     """
-    two_pi = 2.0 * math.pi
+    a, b = arc
     interior, singular_left, singular_right = _arc_singularities(
-        [(float(t) + math.pi) % two_pi - math.pi for t in singular_points],
-        -math.pi, math.pi)
+        _wrap(singular_points), a, b)
 
     def wrapped(th):
-        return np.asarray(density(th), dtype=float) / two_pi
+        return np.asarray(density(th), dtype=float) / (2.0 * math.pi)
 
     return integrate_interval(
-        wrapped,
-        -math.pi,
-        math.pi,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        singular_left=singular_left,
-        singular_right=singular_right,
-        interior_singularities=interior,
+        wrapped, a, b, tol_abs=tol_abs, tol_rel=tol_rel,
+        singular_left=singular_left, singular_right=singular_right,
+        interior_singularities=interior, split_points=split_points,
     )
 
 

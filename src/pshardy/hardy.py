@@ -45,9 +45,8 @@ from .geometry import (
     INCONCLUSIVE,
     MoebiusAutomorphism,
     QuadratureResult,
-    _arc_singularities,
+    _wrap,
     integrate_boundary_arc,
-    integrate_interval,
 )
 from .potential import (
     _analytic_coefficients,
@@ -86,11 +85,6 @@ class NoMajorant(ValueError):
 
 class InvalidMap(ValueError):
     """The supplied map is not a disk automorphism."""
-
-
-def _wrap(theta):
-    """The angle theta moved into [-pi, pi)."""
-    return (np.asarray(theta, dtype=float) + math.pi) % TWO_PI - math.pi
 
 
 def _gap(theta, t0):
@@ -206,21 +200,12 @@ class BoundaryWeight:
         return float(np.std(vals) / abs(mean))
 
     def arc_mass(self, a, b, *, tol_abs=1e-9, tol_rel=1e-6):
-        """Weighted measure of the boundary arc {e^{it} : a <= t <= b}."""
-        a, b = float(a), float(b)
-        if not b > a:
-            raise ValueError("arc needs a < b")
-        interior, edge_lo, edge_hi = _arc_singularities(
-            self.singular_thetas, a, b)
-        res = integrate_interval(
-            lambda t: np.asarray(self._evaluator(t), dtype=float),
-            a, b, tol_abs=tol_abs, tol_rel=tol_rel,
-            interior_singularities=interior,
-            singular_left=edge_lo, singular_right=edge_hi,
-        )
-        if res.status == DIVERGENT:
-            return math.inf
-        return res.value / TWO_PI
+        """Weighted measure of the boundary arc {e^{it} : a <= t <= b}, to
+        within the tolerances, inf when it diverges."""
+        res = integrate_boundary_arc(
+            self._evaluator, tol_abs=tol_abs, tol_rel=tol_rel,
+            singular_points=self.singular_thetas, arc=(a, b))
+        return math.inf if res.status == DIVERGENT else res.value
 
     def to_json_dict(self):
         return {
@@ -413,20 +398,16 @@ def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
     def window(t):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return (np.abs(f.boundary_trace(t)) ** p * _cutoff(t, angles)
-                    * np.asarray(weight.at(t), dtype=float)) / TWO_PI
+                    * np.asarray(weight.at(t), dtype=float))
 
     # q chi V vanishes off the windows; panels break at their edges and
     # where chi starts to fall, so the shells graded toward a singular angle
     # see q V alone and their tail fit is not misled by chi
     parts = []
     if angles:
-        interior, at_lo, at_hi = _arc_singularities(
-            [_wrap(t) for t in angles + weight.singular_thetas],
-            -math.pi, math.pi)
-        parts.append(integrate_interval(
-            window, -math.pi, math.pi, tol_abs=tol_abs, tol_rel=tol_rel,
-            interior_singularities=interior, singular_left=at_lo,
-            singular_right=at_hi,
+        parts.append(integrate_boundary_arc(
+            window, tol_abs=tol_abs, tol_rel=tol_rel,
+            singular_points=angles + weight.singular_thetas,
             split_points=[_wrap(t + d) for t in angles
                           for d in (-_CUT[1], -_CUT[0], _CUT[0], _CUT[1])],
         ))

@@ -115,6 +115,10 @@ def poisson_kernel(z, zeta):
 class RieszMeasure:
     """A positive measure Lambda u on the closed unit disk.
 
+    Every integral against it, over the disk or restricted to a traced
+    sublevel set B_c, is ``pair``; ``total_mass`` is ``pair`` of 1 but for
+    its one-dimensional shortcut on a declared ``radial_profile``.
+
     Attributes
     ----------
     atoms : tuple of (location, mass)
@@ -178,62 +182,75 @@ class RieszMeasure:
         return (all(loc == 0 for loc, _ in self.atoms)
                 and (self.radial_profile is not None or not self.has_area_part()))
 
-    def total_mass(self, *, tol_abs: float = 1e-9, tol_rel: float = 1e-7) -> QuadratureResult:
-        """Total mass, atoms plus the area integral of the density."""
-        atom_sum = float(sum(m for _, m in self.atoms))
-        if not self.has_area_part():
-            return QuadratureResult(atom_sum, 0.0, CONVERGED, 0)
-        if self.radial_profile is not None:
-            lam = self.radial_profile
+    def total_mass(self, *, level=None, tol_abs: float = 1e-9,
+                   tol_rel: float = 1e-7) -> QuadratureResult:
+        """Total mass, atoms plus the area integral of the density.
 
-            def ring(s):
-                return 2.0 * math.pi * np.asarray(lam(s), dtype=float) * s
+        Without a ``level``, a declared ``radial_profile`` reduces the area
+        part to one radial integral.  Anything else, the mass of B_c under
+        a traced ``level`` included, is ``pair`` of 1.
+        """
+        if level is not None or self.radial_profile is None or not self.has_area_part():
+            return self.pair(lambda w: np.ones(np.shape(w)), level=level,
+                             tol_abs=tol_abs, tol_rel=tol_rel)
+        lam = self.radial_profile
 
-            res = integrate_interval(
-                ring, 0.0, 1.0, tol_abs=tol_abs, tol_rel=tol_rel,
-                singular_left=True, singular_right=True,
-            )
-            return QuadratureResult(res.value + atom_sum, res.error, res.status, res.depth)
-        res = integrate_disk_area(
-            self.density,
-            tol_abs=tol_abs,
-            tol_rel=tol_rel,
-            interior_singularities=self.interior_singularities,
-            boundary_singularities=self.boundary_singularities,
-            support_disk=self.support_disk,
+        def ring(s):
+            return 2.0 * math.pi * np.asarray(lam(s), dtype=float) * s
+
+        res = integrate_interval(
+            ring, 0.0, 1.0, tol_abs=tol_abs, tol_rel=tol_rel,
+            singular_left=True, singular_right=True,
         )
+        atom_sum = float(sum(m for _, m in self.atoms))
         return QuadratureResult(res.value + atom_sum, res.error, res.status, res.depth)
 
     def pair(
         self,
         h,
         *,
+        level=None,
         tol_abs: float = 1e-9,
         tol_rel: float = 1e-6,
         extra_interior=(),
     ) -> QuadratureResult:
-        """Integral of a real vectorized function h against the measure.
+        """Integral of the real part of a vectorized h against the measure.
 
-        ``extra_interior`` declares additional singular points of h.
+        ``extra_interior`` declares additional singular points of h.  With
+        a traced ``level`` (an ``exhaustion.LevelSet``) the measure is
+        restricted to B_c: an atom counts when the level contains it, and
+        the area part is integrated over the star region about
+        ``level.center``, each ray cut at ``level.ray_fraction()`` and at
+        the support disk, so no discontinuous indicator enters the
+        quadrature.  There the declared interior singular points that B_c
+        contains are kept and the boundary ones, outside B_c, are dropped.
         """
         total = 0.0
         for loc, m in self.atoms:
-            hv = np.asarray(h(np.asarray([complex(loc)], dtype=complex)), dtype=float)
-            total += m * float(hv.reshape(-1)[0])
+            if level is None or level.contains(loc):
+                hv = np.real(np.asarray(h(np.asarray([complex(loc)], dtype=complex))))
+                total += m * float(hv.reshape(-1)[0])
         if not self.has_area_part():
             return QuadratureResult(total, 0.0, CONVERGED, 0)
 
         dens = self.density
 
         def prod(d, c):
-            return np.asarray(dens(d, c), dtype=float) * np.asarray(h(c + d), dtype=float)
+            return np.asarray(dens(d, c), dtype=float) * np.real(h(c + d))
 
+        interior = tuple(self.interior_singularities) + tuple(extra_interior)
+        boundary, cut = self.boundary_singularities, None
+        if level is not None:
+            interior = [level.center] + [s for s in interior if s != level.center
+                                         and level.contains(s)]
+            boundary, cut = (), level.ray_fraction()
         res = integrate_disk_area(
             prod,
             tol_abs=tol_abs,
             tol_rel=tol_rel,
-            interior_singularities=tuple(self.interior_singularities) + tuple(extra_interior),
-            boundary_singularities=self.boundary_singularities,
+            interior_singularities=interior,
+            boundary_singularities=boundary,
+            radial_cut=cut,
             support_disk=self.support_disk,
         )
         return QuadratureResult(res.value + total, res.error, res.status, res.depth)

@@ -589,11 +589,12 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     # series, so the ladder evaluates fewer than half of the 11,853 grid
     # rows it takes on the chord grid alone, to the same norm
     calls, rows = [], []
-    original = X.pair_over_sublevel
+    original = RieszMeasure.pair
 
-    def counted(measure, h, level, **kwargs):
-        calls.append(level.c)
-        return original(measure, h, level, **kwargs)
+    def counted(measure, h, *, level=None, **kwargs):
+        if level is not None:
+            calls.append(level.c)
+        return original(measure, h, level=level, **kwargs)
 
     grid = LensPowerDensity._green_block
 
@@ -601,7 +602,7 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
         rows.append(zz.size)
         return grid(self, zz, gradient)
 
-    monkeypatch.setattr(X, "pair_over_sublevel", counted)
+    monkeypatch.setattr(RieszMeasure, "pair", counted)
     u = X.make_example("um", 0.75)
     monkeypatch.setattr(LensPowerDensity, "_green_block", grid_rows)
     rep = H.hardy_norm(Poly([1.0, -1.0]), 2.0, u, level_samples=256)

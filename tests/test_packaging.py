@@ -118,3 +118,25 @@ def test_unexported_names_are_read():
         unused += [f"{stem}.{name}" for name in sorted(names - exported - read)
                    if not _is_dunder(name)]
     assert not unused, unused
+
+
+def test_one_entry_point_per_integral():
+    # area integrals against a measure go through RieszMeasure.pair and
+    # circle arcs through integrate_boundary_arc: integrate_disk_area is
+    # read only in geometry and potential, the arc rule for singular
+    # angles only in geometry, and the one angle wrap lives there
+    read, wraps = {}, set()
+    for path in sorted((ROOT / "src" / "pshardy").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.setdefault(node.id, set()).add(path.stem)
+            elif isinstance(node, ast.Attribute):
+                read.setdefault(node.attr, set()).add(path.stem)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    read.setdefault(alias.name, set()).add(path.stem)
+            elif isinstance(node, ast.FunctionDef) and node.name == "_wrap":
+                wraps.add(path.stem)
+    assert read["integrate_disk_area"] <= {"geometry", "potential"}
+    assert read["_arc_singularities"] <= {"geometry"}
+    assert wraps == {"geometry"}

@@ -206,6 +206,20 @@ def test_measure_pair():
     assert abs(res.value - 2.0 * 1.2) < 1e-14
 
 
+def test_measure_pair_reads_the_real_part_of_h():
+    # a complex h is paired through its real part, with or without a
+    # level, atoms included, bit for bit as its real part
+    from pshardy.exhaustion import radial_smooth
+
+    level = radial_smooth(lambda r: 2.0 * r, "2r").sublevel(-0.15)
+    atoms = P.RieszMeasure(atoms=((0.2 + 0.1j, 2.0),))
+    for mu in (_radial_2r(), atoms):
+        for lev in (None, level):
+            whole = mu.pair(lambda w: w ** 2, level=lev)
+            real = mu.pair(lambda w: (w ** 2).real, level=lev)
+            assert whole == real
+
+
 def test_measure_pair_complex():
     mu = _radial_2r()
     val, err, status = mu.pair_complex(lambda z: z * z, tol_abs=1e-10)
