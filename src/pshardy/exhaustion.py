@@ -178,17 +178,17 @@ class ExhaustionSpec:
     def __repr__(self):
         return f"ExhaustionSpec({self.label!r})"
 
-    def sublevel(self, c, samples=512):
+    def _cached(self, cache, build, c, samples):
         key = (round(float(c), 15), int(samples))
-        if key not in self._levels:
-            self._levels[key] = sublevel_set(self, c, samples=samples)
-        return self._levels[key]
+        if key not in cache:
+            cache[key] = build(self, c, samples=samples)
+        return cache[key]
+
+    def sublevel(self, c, samples=512):
+        return self._cached(self._levels, sublevel_set, c, samples)
 
     def demailly(self, c, samples=512):
-        key = (round(float(c), 15), int(samples))
-        if key not in self._demailly:
-            self._demailly[key] = demailly_measure(self, c, samples=samples)
-        return self._demailly[key]
+        return self._cached(self._demailly, demailly_measure, c, samples)
 
 
 def radial_log():
@@ -537,6 +537,10 @@ def make_example(kind, m):
 # ---------------------------------------------------------------------------
 
 
+# the value tolerance of a traced level, relative to |c|
+_LEVEL_TOL = 1e-4
+
+
 class LevelSet:
     """Traced boundary of a sublevel set {u < c}, star-shaped about center.
 
@@ -547,9 +551,8 @@ class LevelSet:
     vertex.  ``achieved_tolerance`` is the largest |u_values - c| plus the
     evaluator's ``value_error``, so it bounds the distance of the true u
     from c at every vertex.  ``du_dr`` holds d_r u = Re(G e^{i phi}) at each
-    vertex for an exhaustion with a ``gradient``, from the same evaluation
-    as ``u_values``; it is None for the others, which have no swept
-    measure, and on circles, whose swept measure is their uniform mass.
+    vertex for an exhaustion with a ``gradient``, circles included; it is
+    None for the others, which have no swept measure.
     """
 
     def __init__(self, *, c, center, angles, radii, u_values, spec_label,
@@ -559,10 +562,11 @@ class LevelSet:
         self.angles = np.asarray(angles, dtype=float)
         self.radii = np.asarray(radii, dtype=float)
         self.u_values = np.asarray(u_values, dtype=float)
-        self.du_dr = None if du_dr is None else np.asarray(du_dr, dtype=float)
+        # a copy: a view of Re(G e^{i phi}) would keep the complex product alive
+        self.du_dr = None if du_dr is None else np.array(du_dr, dtype=float)
         self.spec_label = spec_label
         self.is_circle = bool(is_circle)
-        self.level_tolerance = 1e-4 * abs(self.c)
+        self.level_tolerance = _LEVEL_TOL * abs(self.c)
         self.achieved_tolerance = float(achieved_tolerance)
         self.vertices = self.center + self.radii * np.exp(1j * self.angles)
         self._radius = poisson_extension(self.radii)
@@ -715,7 +719,7 @@ def sublevel_set(spec, c, *, samples=512):
             f"level {c:g} is at or below the minimum {spec.min_value:.6g} "
             f"of {spec.label}"
         )
-    tol_u = 1e-4 * abs(c)
+    tol_u = _LEVEL_TOL * abs(c)
     need = 0.5 * tol_u - spec.value_error
     if not need > 0.0:
         raise UnsupportedRegion(
@@ -723,6 +727,8 @@ def sublevel_set(spec, c, *, samples=512):
             f"half the value tolerance {tol_u:.3g} of the level {c:g}"
         )
 
+    ang = 2.0 * math.pi * np.arange(samples) / samples
+    ray = np.exp(1j * ang)
     if spec.measure.is_rotation_invariant() and abs(spec.min_point) < 1e-14:
         # the level is a circle: one solve along the positive real axis.
         # brentq's wrapper refers to itself, so its cycle would keep alive
@@ -732,19 +738,18 @@ def sublevel_set(spec, c, *, samples=512):
         ur = lambda r: float(evaluate(np.array([r + 0j]))[0])
         rc = brentq(lambda r: ur(r) - c,
                     1e-14, 1.0 - 1e-14, xtol=1e-15, rtol=8.9e-16)
-        ang = 2.0 * math.pi * np.arange(samples) / samples
         uv = ur(rc)
+        du_dr = (None if spec.gradient is None
+                 else np.real(spec.gradient(rc * ray)[1] * ray))
         return LevelSet(
             c=c, center=0.0, angles=ang,
             radii=np.full(samples, rc),
             u_values=np.full(samples, uv),
             spec_label=spec.label, is_circle=True,
-            achieved_tolerance=abs(uv - c) + spec.value_error,
+            achieved_tolerance=abs(uv - c) + spec.value_error, du_dr=du_dr,
         )
 
     z0 = spec.min_point
-    ang = 2.0 * math.pi * np.arange(samples) / samples
-    ray = np.exp(1j * ang)
     full = _ray_lengths(z0, ang) * (1.0 - 1e-12)
 
     hi = full.copy()
@@ -828,21 +833,20 @@ class DemaillyMeasure:
     ``u_c_values`` its density against normalized arclength.  ``speed``
     is |dz/d phi| = sqrt(r^2 + r'^2) there.  d_r u in the flux is the
     exact one of the exhaustion's ``gradient`` (the level's ``du_dr``).
+    A circle is no exception: its flux is uniform, and it is read the same
+    way.
 
     ``total_mass`` and ``mass_error`` are the Riesz mass of B_c by area
     quadrature (``RieszMeasure.total_mass`` restricted to the level, at
     1e-10 abs, 1e-8 rel), independent of the flux.  No norm route reads
-    them, so they are computed on first read unless passed in.
+    them, so they are computed on first read, on every level.
     """
 
-    def __init__(self, *, spec_label, c, level, measure, w_values, speed,
-                 direct=None):
+    def __init__(self, *, spec_label, c, level, measure, w_values, speed):
         self.spec_label = spec_label
         self.c = float(c)
         self.level = level
         self._measure = measure
-        if direct is not None:
-            self._direct = direct
         self.boundary_points = level.vertices
         self.w_values = np.asarray(w_values, dtype=float)
         self.speed = np.asarray(speed, dtype=float)
@@ -904,15 +908,13 @@ def demailly_measure(spec, c, *, samples=512):
     ray at angle phi with radius r(phi) the density against d phi/(2 pi)
     is w = d_r u (r^2 + r'^2)/r, with r' the spectral derivative of the
     traced radii and d_r u the exact one the trace recorded
-    (``LevelSet.du_dr``).  An exhaustion whose Riesz measure is
-    incomplete, or that has no ``gradient`` and so no flux to read, is
-    refused before any tracing.  A circular level about the center of a
-    rotation-invariant measure carries the uniform density, its mass, so
-    a circle computes the direct mass of B_c at once, as
-    ``measure.total_mass(level=level)``; other levels compute the same
-    quantity (``DemaillyMeasure.total_mass``, an area quadrature
-    independent of the flux, so mass_balance_residual is a genuine
-    consistency check) on first read.
+    (``LevelSet.du_dr``).  That is the one rule, on every level: on a
+    circle r' vanishes and w is the uniform d_r u r.  An exhaustion whose
+    Riesz measure is incomplete, or that has no ``gradient`` and so no
+    flux to read, is refused before any tracing.  The direct mass of B_c
+    (``DemaillyMeasure.total_mass``, an area quadrature independent of
+    the flux, so mass_balance_residual is a genuine consistency check) is
+    computed on first read.
     """
     if not spec.measure.complete:
         raise InvalidParameter(
@@ -924,23 +926,12 @@ def demailly_measure(spec, c, *, samples=512):
             f"{spec.label} has no gradient, so no flux through its levels"
         )
     level = spec.sublevel(c, samples=samples)
-    direct = None
     r = level.radii
-    if level.is_circle:
-        # the uniform density mass(B_c): exact, and no flux is read
-        direct = spec.measure.total_mass(level=level, tol_abs=1e-10,
-                                         tol_rel=1e-8)
-        w_vals = np.full(r.size, direct.value)
-        speed = r
-    else:
-        dr = _spectral_derivative(r)
-        speed2 = r * r + dr * dr
-        w_vals = level.du_dr * speed2 / r
-        speed = np.sqrt(speed2)
-
+    dr = _spectral_derivative(r)
+    speed2 = r * r + dr * dr
     return DemaillyMeasure(
         spec_label=spec.label, c=c, level=level, measure=spec.measure,
-        w_values=w_vals, speed=speed, direct=direct,
+        w_values=level.du_dr * speed2 / r, speed=np.sqrt(speed2),
     )
 
 

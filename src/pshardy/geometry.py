@@ -686,18 +686,12 @@ def integrate_disk_area(
         def ray_len(phi):
             return np.maximum(-2.0 * np.cos(phi - theta0), 0.0)
 
-    elif interior:
-        z0 = interior[0]
-        phi_lo, phi_hi = 0.0, 2.0 * math.pi
-        endpoint_singular = False
-        origin_singular = True
-        ray_len = lambda phi: _ray_lengths(z0, phi)
     else:
-        z0 = 0.0 + 0.0j
+        z0 = interior[0] if interior else 0j
         phi_lo, phi_hi = 0.0, 2.0 * math.pi
         endpoint_singular = False
-        origin_singular = False
-        ray_len = lambda phi: np.ones_like(np.asarray(phi, dtype=float))
+        origin_singular = bool(interior)
+        ray_len = lambda phi: _ray_lengths(z0, phi)
 
     if support_disk is not None:
         c0, r0 = complex(support_disk[0]), float(support_disk[1])

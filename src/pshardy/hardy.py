@@ -493,11 +493,14 @@ def _ladder_estimate(P):
 def _route_level(f, p, u, weight, *, samples=512):
     """sup over the dyadic ladder of the level-measure pairings of |f|^p.
 
-    Returns (QuadratureResult or None, info dict).  Traced rungs
-    are capped at k = 12: thinner crescents are limited by the ray count
-    (the u_{3/4} flux mass at k = 12, on the exact d_r u, is 0.191976 on
-    256 rays, 0.191346 on 512 and 0.191239 on 2,048); rotation-invariant
-    exhaustions extend to k = 20 since their rungs are exact.  Infinite
+    Returns (QuadratureResult or None, info dict).  Every rung pairs
+    |f|^p with mu_c, the flux of u through the traced level, by the
+    trapezoid rule over its rays (``DemaillyMeasure.pair_spectral``).
+    Rungs off circles are capped at k = 12: thinner crescents are limited
+    by the ray count (the u_{3/4} flux mass at k = 12, on the exact d_r u,
+    is 0.191976 on 256 rays, 0.191346 on 512 and 0.191239 on 2,048);
+    rotation-invariant exhaustions extend to k = 20, since their levels
+    are circles, on which the flux is uniform at any depth.  Infinite
     Riesz mass short-circuits the ladder:
     the rung values grow at least like min|f*|^p times the sublevel mass,
     so a boundary-nonvanishing f is divergent outright, and anything else

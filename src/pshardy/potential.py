@@ -273,27 +273,21 @@ class RieszMeasure:
         if a < 0.0:
             raise ValueError("scale factor must be nonnegative")
         atoms = tuple((loc, a * m) for loc, m in self.atoms)
-        dens = None
-        if self.density is not None:
-            base = self.density
-            dens = lambda d, c, _f=base: a * np.asarray(_f(d, c), dtype=float)
-        prof = None
-        if self.radial_profile is not None:
-            basel = self.radial_profile
-            prof = lambda s, _f=basel: a * np.asarray(_f(s), dtype=float)
-        bal = None
-        if self.balayage is not None:
-            baseb = self.balayage
-            bal = lambda t, _f=baseb: a * np.asarray(_f(t), dtype=float)
+
+        def times(f):
+            if f is None:
+                return None
+            return lambda *args: a * np.asarray(f(*args), dtype=float)
+
         hint = None if self.total_mass_hint is None else a * float(self.total_mass_hint)
         label = f"scaled:{a:g}:{self.label}" if self.label else f"scaled:{a:g}"
         return replace(
             self,
             atoms=atoms,
-            density=dens,
-            radial_profile=prof,
+            density=times(self.density),
+            radial_profile=times(self.radial_profile),
             total_mass_hint=hint,
-            balayage=bal,
+            balayage=times(self.balayage),
             label=label,
         )
 

@@ -140,3 +140,24 @@ def test_one_entry_point_per_integral():
     assert read["integrate_disk_area"] <= {"geometry", "potential"}
     assert read["_arc_singularities"] <= {"geometry"}
     assert wraps == {"geometry"}
+
+
+def test_one_swept_measure():
+    # mu_c has one construction: DemaillyMeasure is built only in
+    # demailly_measure, which reads the flux on every level, so it neither
+    # branches on circles nor reads the direct mass of B_c
+    def builds(node):
+        func = getattr(node, "func", None)
+        return "DemaillyMeasure" in (getattr(func, "id", None),
+                                     getattr(func, "attr", None))
+
+    built, built_inside, names = 0, 0, set()
+    for path in sorted((ROOT / "src" / "pshardy").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            built += builds(node)
+            if isinstance(node, ast.FunctionDef) and node.name == "demailly_measure":
+                for inner in ast.walk(node):
+                    built_inside += builds(inner)
+                    names.add(getattr(inner, "attr", getattr(inner, "id", None)))
+    assert built == built_inside == 1
+    assert not names & {"is_circle", "total_mass"}
