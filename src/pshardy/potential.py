@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.polyutils import trimseq
-from scipy.special import beta
+from scipy.special import beta, roots_jacobi
 
 from .geometry import (
     CONVERGED,
@@ -419,48 +419,52 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 
 
 # ---------------------------------------------------------------------------
-# The worked power density, reduced to vertical chords.
+# The worked power density, as integrals over the lens circle.
 #
-# The density m(1-m)/(2 pi) (1 - x)^(m-2) dA is x-simple on the lens
-# |z - 1/2| < 1/2 and on the whole disk: at abscissa x its support is the
-# chord |y| < Y(x), and the y-integrals of the Green and the Poisson kernel
-# over a chord are elementary.  Its potential and its balayage therefore
-# reduce to one integral in x, discretized once per m on one grid: a sqrt
-# substitution absorbs the chord root at x = 0, and Gauss panels in
-# lambda = -log(1 - x) resolve the blowup of (1 - x)^(m-2) at x = 1.  Each
-# point or angle then swaps the fixed panels around the places where its
-# integrand has a kink or a sharp bend for panels graded toward them
-# (``_graded_panels``), so one grid serves every point and every angle.
+# The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on the lens L = {|w - 1/2| < 1/2}
+# is Delta s/(2 pi), s(w) = -(1 - Re w)^m, so Green's second identity on L
+# turns its potential, gradient and balayage into integrals over the lens
+# circle w = (1 + n)/2, n = e^{i psi}, where 1 - Re w = 1 - |w|^2 = S =
+# sin^2(psi/2), ds = dpsi/2 and d_n g = (1 - |z|^2) Re(n/((w - z)(1 - conj(z) w))):
 #
-# Off the closed lens disk u_m is harmonic, and a far-field series in
-# q = 1/2/(z - 1/2) replaces the grid (``_far_field``).  Its moments
-# A_k = 2^k int (w - 1/2)^k dsigma_m have a closed form.  A chord ends at
-# x - 1/2 + iY = e^{i psi}/2, where 1 - x = sin^2(psi/2), dx = -sin(psi)
-# dpsi/2 and its integral of (w - 1/2)^k is 2^-k sin((k+1)psi)/(k+1).
-# sin((k+1)psi) sin(psi) = [cos(k psi) - cos((k+2)psi)]/2 then makes A_k a
-# multiple of C_k - C_(k+2), C_n = int_0^pi sin^(2m-4)(psi/2) cos(n psi)
-# dpsi continued analytically in the exponent; its Beta-function value
-# gives C_(n+1)/C_n = (n + 2 - m)/(n + m - 1), so A_(k+1)/A_k =
-# (k + 2 - m)/(k + 1 + m), free of cancellation, from the mass
-# A_0 = M_0 = m(1-m) B(3/2, m - 1/2)/pi.
+#   u_m(z) = s(z)[z in L] + 1/(4 pi) int S^m (m cos psi g(z, w)/S + d_n g) dpsi,
+#   V(t)   = 1/(4 pi) int S^m (m cos psi/|zeta - w|^2 + Re(2 zeta n/(zeta - w)^2)),
+#   G(z)   = m(1 - Re z)^(m-1)[z in L]
+#            + m/(4 pi) int S^(m-1) (conj(w n)/(1 - z conj w) - n/(w - z)) dpsi.
+#
+# with zeta = e^{it}.  G = 2 d_z u_m is the Cauchy-Pompeiu formula, a simple
+# pole where the z-derivative of u's kernel has a double one.  A point on the
+# circle takes half of each jump term and the principal value.  Each
+# integrand is |psi|^(2m-1) times a function analytic by the tip psi = 0, for
+# every m in (0, 1), so one rule (``_lens_rule``) serves all three: a
+# Gauss-Jacobi panel at the tip and Gauss-Legendre panels graded toward the
+# kernels' poles, at h = -+i|log(1 + 2d)| about the angle theta* of the
+# point's nearest circle point (h = psi - theta*, d the point's signed
+# distance from the circle).  Nodes are offsets from theta* or from the tip,
+# so p - w = e^{i theta*}(d - i sin(h/2) e^{ih/2}) and S keep their digits.
+#
+# Off the closed lens u_m is harmonic, and where a series in q = 1/2/(z - 1/2)
+# converges fast, it replaces the rule at about a fifth of the cost
+# (``_far_field``).  Its moments A_k = 2^k int (w - 1/2)^k dsigma_m have a
+# closed form: a chord ends at x - 1/2 + iY = e^{i psi}/2, 1 - x =
+# sin^2(psi/2), dx = -sin(psi) dpsi/2, its integral of (w - 1/2)^k is
+# 2^-k sin((k+1)psi)/(k+1), and sin((k+1)psi) sin(psi) = [cos(k psi) -
+# cos((k+2)psi)]/2 makes A_k a multiple of C_k - C_(k+2), C_n = int_0^pi
+# sin^(2m-4)(psi/2) cos(n psi) dpsi continued analytically in the exponent;
+# its Beta-function value gives C_(n+1)/C_n = (n + 2 - m)/(n + m - 1), so
+# A_(k+1)/A_k = (k + 2 - m)/(k + 1 + m) from A_0 = M_0 = m(1-m) B(3/2, m - 1/2)/pi.
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
 _BLOCK = 64  # terms per row of the two-level Horner in _series
-_N_LEFT = 40  # sqrt-substituted panels on 0 < x < 1/2
-_FAR = 1e6  # chords beyond _FAR * Y from e^{it} take the midpoint kernel
-_POTENTIAL_ORDER = 8  # Gauss points per fixed panel of the lens grid
-_HALF_DEPTH = 8  # its panels grade toward x = 1/2 down to 2^-8 of a panel
-_KINK_DEPTH = 12  # graded panels of a potential row reach 2^-12 of the way
-_KINK_ORDER = 6  # Gauss points per graded panel of a potential row
-_CROSSING_DEPTH = 30  # graded panels of a balayage row reach 2^-30 of the way
-_CROSSING_TAIL = 40.0  # a split past the last edge runs on to its point + this
-_KINK_REACH = 0.1  # potential rows this close to the lens are split
-# Bound on |green_potential - u_m| for m >= 1/2: four times the largest gap,
-# 2.2e-12, to a refined grid (fixed panels cut in four, 14 Gauss points on
-# every panel, grading to 2^-24) on 1,791 seeded points within 1e-8..1e-1
-# of the lens, by the tips and across the disk.
-_VALUE_ERROR = 1e-11
+_ORDER = 12  # Gauss points per panel of the lens-circle rule
+_GAUSS = np.polynomial.legendre.leggauss(_ORDER)
+_GRADING = 0.4  # largest panel half-width over its distance to a pole or tip
+# |green_potential - u_m| for every m: four times the largest gap, 3.5e-15, to
+# the tests' 40-digit references and to the rule at grading 0.15 on 1,489
+# seeded points 1e-8..1e-1 from the circle, by both tips and across the disk
+_VALUE_ERROR = 1.4e-14
+_AT_TIP = 1e-150  # d below this, |t| < 1.4e-75: V is inf, |zeta - w|^2 underflows
 _MULTIPOLE_TERMS = 4000  # terms of the far-field series; its tail is < 1e-18
 _MULTIPOLE_REACH = 0.99  # points whose series converges at a rate below it
 
@@ -470,224 +474,122 @@ def _lens_mass(m):
     return m * (1.0 - m) * beta(1.5, m - 0.5) / math.pi if m > 0.5 else math.inf
 
 
-def _geometric_lam_edges():
-    edges = [math.log(2.0)]
-    size = 0.18
-    while edges[-1] < 40.0:
-        edges.append(min(edges[-1] + size, 40.0))
-        size *= 1.16
-    return edges
+def _lens_rule(star, d, delta, tip_rule, image=None):
+    """The lens-circle rule of each point, its nodes flat over the points.
 
-
-# Panel edges of the lens grid: in sigma = sqrt(x) on 0 < x < 1/2, then in
-# lambda = -log(1 - x) on 1/2 < x < 1.  Both kernels are smooth in x up to
-# the tip away from the points and angles that split them, so the panels
-# widen geometrically to lambda = 40; they grade toward x = 1/2 from both
-# sides, so that a kink just across the seam (split in the other layout)
-# stays resolved.  The Poisson kernel at e^{it} peaks where 1 - x ~ t^2, at
-# any depth as t -> 0; those angles split the grid where the chords cross
-# e^{it} (see ``_crossing_grid``), and past lambda = 40 their graded
-# panels run on to the crossing + _CROSSING_TAIL.
-_HALF_GRADING = 2.0 ** -np.arange(_HALF_DEPTH, 0, -1)
-_POTENTIAL_PANELS = (
-    np.concatenate([np.linspace(0.0, 1.0 / math.sqrt(2.0), _N_LEFT + 1)[:-1],
-                    (1.0 - _HALF_GRADING[::-1] / _N_LEFT) / math.sqrt(2.0),
-                    [1.0 / math.sqrt(2.0)]]),
-    np.concatenate([[math.log(2.0)], math.log(2.0) + 0.18 * _HALF_GRADING,
-                    _geometric_lam_edges()[1:]]),
-)
-
-
-def _chord_log(A, B, C, D, Y):
-    """Integral of log|a + b y| over |y| < Y, with no O(1) - O(1) cancellation.
-
-    Here a = A + iB and c = bY = C + iD.  With q = c/a and
-    L = log((1 + q)/(1 - q)) = log((a + c)/(a - c)) it is
-    Y Re(L/q - 2) + Y log|a^2 - c^2|, every term O(Y).  Re L is
-    log1p(4 Re(a conj c)/|a - c|^2)/2 where that argument is small (there
-    log|a + c| - log|a - c| would cancel), and Im L is the angle of
-    (a + c) conj(a - c), whose imaginary part -2 Im(a conj c) is formed
-    directly; so neither loses digits for short chords or near their ends.
-    a = 0 gives 2Y (log|c| - 1) through L = i pi; c must not vanish.
-
-    Returns the integral with Re L and Im L: b times the integral of
-    1/(a + b y) over the chord is L, which the gradient reads.
+    A point's nearest circle point is at angle ``star`` = theta* in (-pi, pi]
+    and its kernels' poles at height ``delta`` over h = 0 (``image``: more
+    poles at angle image[0], height image[1]).  The turn from tip to tip is
+    cut at theta* (unless theta* lies within delta of the tip), each piece
+    halved, and each half walked from theta* or from the tip in offsets x,
+    in the longest Gauss panels, in x or (past the first) in log x, whose
+    half-width is at most _GRADING times the centre's distance from the
+    poles, their images a turn on, and the tips (``_half_width``).  A panel
+    from the tip takes the Gauss-Jacobi ``tip_rule`` (and, with ``image``,
+    for the potential, Legendre points too).  The first panels either side of
+    theta* match: a point on the circle gets the principal value.  Returns
+    each node's point, S, n, 1 - w, p - w and weight, then sin(h/2),
+    sin(psi/2), cos(psi/2) and the ends of the node groups: tip panels,
+    their Legendre copies, the rest.  d is the point's signed distance.
     """
-    ac_re = A * C + B * D  # a conj(c)
-    ac_im = B * C - A * D
+    n = star.size
+    delta = np.maximum(delta, 1e-280)  # on the circle: the kernels stay finite
+    a = np.abs(star)
+    b = 2.0 * math.pi - a
+    sg = np.where(star < 0.0, -1.0, 1.0)
+    split = a >= delta
+    zero, turn, beyond = np.zeros(n), np.full(n, 2.0 * math.pi), np.full(n, 1e150)
+    # frames: from theta* toward the near tip and from that tip back, the same
+    # for the far tip, and (theta* by the tip) from each tip to the middle;
+    # offset x lies at psi = theta* + sign x, or psi = sign x from a tip
+    frame = np.flatnonzero(np.stack([split] * 4 + [~split] * 2).ravel())
+    point = frame % n
+    sign = np.stack([-sg, sg, sg, -sg, sg, -sg]).ravel()[frame]
+    from_tip = np.repeat([False, True, False, True, True, True], n)[frame]
+    end = np.stack([a, a, b, b, turn, turn]).ravel()[frame] / 2.0
+    # the poles (at height delta) and tips along each frame
+    X = [np.stack(row).ravel()[frame] for row in ([zero, a, zero, b, a, b],
+                                                  [turn, -b, turn, -a, -b, -a],
+                                                  [a, beyond, b, beyond, beyond, beyond],
+                                                  [-b, turn, -a, turn, turn, turn])]
+    Y = [delta[point]] * 2 + [np.zeros(frame.size)] * 2
+    if image is not None:
+        off = sign * (image[0][point] - np.where(from_tip, 0.0, star[point]))
+        X += [(off + math.pi) % (2.0 * math.pi) - math.pi]
+        X += [X[-1] + 2.0 * math.pi]
+        Y += [image[1][point]] * 2
+    X, Y = np.array(X), np.array(Y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp = np.log((A + C) ** 2 + (B + D) ** 2)
-        N2 = (A - C) ** 2 + (B - D) ** 2
-        ln = np.log(N2)
-        s = 4.0 * ac_re / N2
-        small = np.abs(s) < 0.5
-        re_L = np.log1p(s, where=small, out=np.empty_like(s))
-        np.subtract(lp, ln, where=~small, out=re_L)
-        re_L *= 0.5
-        im_L = np.arctan2(-2.0 * ac_im, (A + C) * (A - C) + (B + D) * (B - D))
-        value = Y * ((re_L * ac_re - im_L * ac_im) / (C * C + D * D)
-                     + 0.5 * (lp + ln) - 2.0)
-        return value, re_L, im_L
+        log_X, arg_X = np.log(np.minimum(np.hypot(X, Y), 1e150)), np.arctan2(Y, X)
+        x = np.minimum(2.0 * _half_width(X, Y).min(axis=0), end)
+        panels = [(np.arange(frame.size), 0.0 * x, x.copy(), x < 0.0)]
+        live = np.flatnonzero(x < end)
+        while live.size:  # in x the tip at a frame's origin counts, in log x not
+            x0 = x[live]
+            half = _half_width(X[:, live] - x0, Y[:, live]).min(axis=0)
+            half = np.where(from_tip[live],
+                            np.minimum(half, _GRADING * x0 / (1.0 - _GRADING)), half)
+            log_half = _half_width(log_X[:, live] - np.log(x0), arg_X[:, live]).min(axis=0)
+            by_x, by_log = x0 + 2.0 * half, x0 * np.exp(2.0 * log_half)
+            x1 = np.minimum(np.maximum(by_x, by_log), end[live])
+            panels.append((live, x0, x1, by_log > by_x))
+            x[live] = x1
+            live = live[x1 < end[live]]
+    index, x0, x1, log = (np.concatenate(p) for p in zip(*panels))
+    tip, first = from_tip[index], x0 == 0.0
+    # (panels, rule, in log x, from the tip), one node layout each
+    groups = [(first & tip, tip_rule, False, True)]
+    groups += [(first & tip, _GAUSS, False, True)] * (image is not None)
+    groups += [(~first & tip & (log == k), _GAUSS, k, True) for k in (False, True)]
+    groups += [(~tip & (log == k), _GAUSS, k, False) for k in (False, True)]
+    owners, halves, weights = [], [], []
+    for part, (xi, wi), in_log, at_tip in groups:
+        f, lo, hi = index[part], x0[part, None], x1[part, None]
+        size = 0.5 * (np.log(hi / lo) if in_log else hi - lo)
+        x = lo * np.exp(size * (1.0 + xi)) if in_log else lo + size * (1.0 + xi)
+        weights.append((size * wi * (x if in_log else 1.0)).ravel())
+        st, ct = np.sin(0.5 * star[point[f], None]), np.cos(0.5 * star[point[f], None])
+        sx, cx = sign[f, None] * np.sin(0.5 * x), np.cos(0.5 * x)
+        if at_tip:  # psi = sign x, h = sign x - theta*
+            halves.append((sx * ct - cx * st, cx * ct + sx * st, sx, cx))
+        else:  # h = sign x, psi = theta* + sign x
+            halves.append((sx, cx, st * cx + ct * sx, ct * cx - st * sx))
+        owners.append(np.repeat(point[f], _ORDER))
+    sh, ch, sp, cp = (np.concatenate([v[k].ravel() for v in halves]) for k in range(4))
+    owner = np.concatenate(owners)
+    pw = np.exp(1j * star)[owner] * (d[owner] + sh * sh - 1j * sh * ch)
+    half = cp + 1j * sp  # e^{i psi/2}
+    return (owner, sp * sp, half * half, -1j * sp * half, pw, np.concatenate(weights),
+            (sh, sp, cp, np.cumsum([o.size for o in owners])))
 
 
-def _chord_green(z, x, omx, Y, gradient=False):
-    """Integral of g(z, x + iy) over |y| < Y, the Green kernel on one chord.
-
-    g = log|z - w| - log|1 - conj(z) w| splits into two chord terms,
-    a = z - x, b = -i and a = 1 - conj(z) x, b = -i conj(z); the second
-    vanishes at z = 0, and both at the zero-width chords Y = 0 that empty
-    graded panels put at x = 0.  Near x = 1 the real parts Re z - x and
-    1 - Re(z) x are taken from 1 - x, which the lambda nodes carry to full
-    relative accuracy.
-
-    With ``gradient`` it also returns the chord integral of 2 d_z g =
-    1/(z - w) + conj(w)/(1 - z conj(w)) as its real and imaginary parts,
-    from the L of the same two chord terms: the direct one gives i L_d,
-    the reflected one 2Y/z + i conj(L_r)/z^2 (``_reflected_gradient``).
-    """
-    xi, eta = z.real, z.imag
-    omxi = 1.0 - xi
-    dx = np.where(x < 0.5, xi - x, omx - omxi)
-    if not gradient:
-        direct = _chord_log(dx, eta, 0.0, -Y, Y)[0]
-        reflected = _chord_log(omxi + xi * omx, eta * x, -eta * Y, -xi * Y, Y)[0]
-        reflected[np.broadcast_to(z == 0.0, reflected.shape)] = 0.0
-        return np.where(Y > 0.0, direct - reflected, 0.0)
-    direct, gy, gx = _chord_log(dx, eta, 0.0, -Y, Y)
-    reflected, re_L, im_L = _chord_log(omxi + xi * omx, eta * x, -eta * Y,
-                                       -xi * Y, Y)
-    reflected[np.broadcast_to(z == 0.0, reflected.shape)] = 0.0
-    value = np.where(Y > 0.0, direct - reflected, 0.0)
-    del direct, reflected
-    re_R, im_R = _reflected_gradient(z, x, Y, re_L, im_L)
-    del re_L, im_L
-    np.negative(gx, out=gx)  # i L_d = -Im L_d + i Re L_d
-    gx -= re_R
-    gy -= im_R
-    empty = np.broadcast_to(Y == 0.0, gx.shape)
-    gx[empty] = 0.0
-    gy[empty] = 0.0
-    return value, gx, gy
+def _half_width(ahead, height):
+    """The longest panel half-width r from a point that a singularity
+    ``ahead`` on the axis and ``height`` off it allows: r = _GRADING |r - ahead + i height|."""
+    g = _GRADING
+    return g * (np.hypot(ahead, math.sqrt(1.0 - g * g) * height) - g * ahead) / (1.0 - g * g)
 
 
-_NEAR_ZERO = 0.05  # rows |z| below it sum the reflected gradient as a series
-_SERIES_TERMS = 5  # terms of that series: |q|^2 <= 7e-4 there
+def _power_gap(base, top, step, m):
+    """top^m - base^m from step = top - base, without cancellation."""
+    ratio = step / base
+    close = np.abs(ratio) < 0.5
+    return np.where(close, base ** m * np.expm1(m * np.log1p(np.where(close, ratio, 0.0))),
+                    top ** m - base ** m)
 
 
-def _reflected_gradient(z, x, Y, re_L, im_L):
-    """Re and Im of R = 2Y/z + i conj(L_r)/z^2 from L_r of the reflected chord.
-
-    R is the chord integral of -conj(w)/(1 - z conj(w)), the z-derivative
-    of log|1 - conj(z) w|.  Its two terms are O(Y/|z|) each and cancel to
-    O(Y x) as z -> 0.  With q = c/a = -i conj(z) Y/(1 - conj(z) x) of the
-    chord term, L_r = 2 sum q^(2k+1)/(2k+1), and the cancelling first term
-    taken out leaves R = -2Yx/(1 - zx) + 2zY^3/(1 - zx)^3 S(t),
-    S(t) = sum_j t^j/(2j + 3), t = conj(q)^2 = -(zY/(1 - zx))^2.  Rows with
-    |z| < _NEAR_ZERO (where |q| <= 0.027 on every chord) take that series,
-    with _SERIES_TERMS terms; the other rows keep the closed form, whose
-    rounding is O(eps Y/|z|).
-    """
-    near = np.broadcast_to(np.abs(z) < _NEAR_ZERO, z.shape)
-    inv = 1.0 / np.where(near, 1.0, z)
-    inv2 = inv * inv
-    re_R = 2.0 * Y * inv.real + im_L * inv2.real - re_L * inv2.imag
-    im_R = 2.0 * Y * inv.imag + im_L * inv2.imag + re_L * inv2.real
-    rows = np.flatnonzero(near[:, 0])
-    if rows.size:
-        zr = z[rows]
-        xr = np.broadcast_to(x, re_R.shape)[rows]
-        Yr = np.broadcast_to(Y, re_R.shape)[rows]
-        den = 1.0 / (1.0 - zr * xr)
-        t = -(zr * Yr * den) ** 2
-        S = np.full(t.shape, 1.0 / (2 * _SERIES_TERMS + 1), dtype=complex)
-        for j in range(_SERIES_TERMS - 2, -1, -1):
-            S = S * t + 1.0 / (2 * j + 3)
-        R = -2.0 * Yr * xr * den + 2.0 * zr * Yr ** 3 * den ** 3 * S
-        re_R[rows] = R.real
-        im_R[rows] = R.imag
-    return re_R, im_R
-
-
-def _sigma_nodes(sig, w, m):
-    """x, 1 - x and the weights (1 - x)^(m-2) dx of nodes sigma = sqrt(x)."""
-    x = sig * sig
-    return x, 1.0 - x, w * 2.0 * sig * (1.0 - x) ** (m - 2.0)
-
-
-def _lambda_nodes(lam, w, m):
-    """x, 1 - x and the weights (1 - x)^(m-2) dx of nodes -log(1 - x) = lam."""
-    omx = np.exp(-lam)
-    return 1.0 - omx, omx, w * omx * omx ** (m - 2.0)
-
-
-def _gauss(lo, hi, order):
-    """Nodes and weights of Gauss panels [lo, hi], flat along the last axis."""
-    glx, glw = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (lo + hi)[..., None], 0.5 * (hi - lo)[..., None]
-    shape = lo.shape[:-1] + (lo.shape[-1] * order,)
-    return (mid + half * glx).reshape(shape), (glw * half).reshape(shape)
-
-
-def _lens_grid(m, panels, order):
-    """Nodes x and 1 - x, chord half-widths Y and weights on the lens.
-
-    The weights already carry the x-measure (1 - x)^(m-2) dx, so a batch
-    evaluation is one dot product per point.
-    """
-    sigma_edges, lam_edges = (np.asarray(e) for e in panels)
-    left = _sigma_nodes(*_gauss(sigma_edges[:-1], sigma_edges[1:], order), m)
-    right = _lambda_nodes(*_gauss(lam_edges[:-1], lam_edges[1:], order), m)
-    x, omx, w = (np.concatenate(p) for p in zip(left, right))
-    return x, omx, np.sqrt(x * omx), w
-
-
-def _graded_panels(edges, offset, star, tail, depth, order, grid_order):
-    """Gauss panels graded toward points of each row, and the columns they free.
-
-    ``star`` holds one point per row, or two.  For each point a row drops
-    the two fixed panels of ``edges`` (``grid_order`` nodes each, the first
-    at column ``offset``) that meet nearest it, so the point stays half a
-    panel from every fixed node (dropping only the panel holding it left
-    errors up to 6e-5 in V when the point sat by its edge).  In their place
-    go ``order``-point Gauss panels graded toward the point from both
-    sides, with edges s -+ d 2^-j, j = 0..depth (d the distance to the
-    window's edge) and s: the same count on every row, so the nodes and
-    weights form one array per row.  Two points whose windows overlap share
-    them, split at their midpoint.  A window that ends at the grid's last
-    edge runs on to its point + ``tail``.
-    """
-    edges = np.asarray(edges)
-    star = np.sort(star[:, None] if star.ndim == 1 else star, axis=1)
-    panel = np.minimum(np.searchsorted(edges, star, side="right") - 1,
-                       edges.size - 2)
-    # the two panels that meet at the edge nearest each point
-    first = panel - (2.0 * star < edges[panel] + edges[panel + 1])
-    first = np.clip(first, 0, edges.size - 3)
-    lo = edges[first]
-    hi = edges[first + 2]
-    hi = np.where(first == edges.size - 3, np.maximum(hi, star + tail), hi)
-    if star.shape[1] == 2:
-        shared = first[:, 1] - first[:, 0] <= 1
-        mid = 0.5 * (star[:, 0] + star[:, 1])
-        hi[:, 0] = np.where(shared, mid, hi[:, 0])
-        lo[:, 1] = np.where(shared, mid, lo[:, 1])
-    rows, k = star.shape
-    dropped = (offset + grid_order * first[:, :, None]
-               + np.arange(2 * grid_order)).reshape(rows, 2 * grid_order * k)
-    frac = np.append(2.0 ** -np.arange(depth + 1.0), 0.0)
-    left = star[:, :, None] - (star - lo)[:, :, None] * frac
-    right = star[:, :, None] + (hi - star)[:, :, None] * frac
-    shape = (rows, 2 * (depth + 1) * k)
-    a = np.concatenate([left[:, :, :-1], right[:, :, 1:]], 2).reshape(shape)
-    b = np.concatenate([left[:, :, 1:], right[:, :, :-1]], 2).reshape(shape)
-    return (dropped, *_gauss(a, b, order))
+def _sum_by(owner, terms, size):
+    """Sums of ``terms`` by ``owner``, exact but for their own rounding: the
+    multiples of one power of two in each term add exactly, then the rest."""
+    scale = np.abs(terms).max(initial=0.0) * terms.size
+    quantum = 2.0 ** (math.frexp(scale)[1] - 52) if scale > 0.0 else 1.0
+    coarse = np.rint(terms / quantum) * quantum
+    return np.bincount(owner, coarse, size) + np.bincount(owner, terms - coarse, size)
 
 
 def _in_chunks(block, points):
-    """Apply a vectorized block evaluator to CHUNK points at a time.
-
-    A block may return several values a point, stacked on a leading axis.
-    """
+    """Apply a block evaluator to CHUNK points at a time; a block may return
+    several values a point, stacked on a leading axis."""
     flat = points.ravel()
     out = [block(flat[i0:i0 + CHUNK]) for i0 in range(0, flat.size, CHUNK)]
     out = np.concatenate(out or [np.empty(0)], axis=-1)
@@ -697,60 +599,33 @@ def _in_chunks(block, points):
 class LensPowerDensity:
     """The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on |z - 1/2| < 1/2.
 
-    This is the Riesz mass of the worked example u_m.  One grid of its
-    chords (``_lens_grid`` on _POTENTIAL_PANELS) carries its evaluators,
-    each chord term in closed form.  For m > 1/2, points of the disk where
-    rho = max(1/|2z - 1|, |z|/|2 - z|) < _MULTIPOLE_REACH take the
-    multipole series of u_m instead (``_far_field``): there u was within
-    6e-17 of 34- and 40-digit references and G within 7.5e-16 relative of
-    a 30-digit one, where the grid was 1.9e-14 and 7.7e-11 off; at
-    rho = 0.99 -+ 1e-9 the two agree to 6.3e-15 in u and 3.2e-12 in G.
-    For m <= 1/2 the mass diverges and every point takes the grid.  On the
-    grid each point within _KINK_REACH of the lens splits it at x = Re z and
-    where the lens boundary passes its height (``_green_block``), each chord
-    term free of float cancellation (``_chord_log``).  Against a 40-digit
-    mpmath reference u_m is within 1.3e-14 (m = 3/4) and 1.9e-13 (m = 1/2)
-    at 73 points inside the lens, 1e-6 to 1e-1 outside it, by the tip z = 1,
-    by the circle and within 1e-7 of z = 0, and within 1e-15 at six points
-    each for m = 0.6 and 0.9.  ``value_error`` bounds it for m >= 1/2 (see
-    _VALUE_ERROR).  Below m = 1/2 it is inf: the grid ends at lambda = 40,
-    and at z = 0.99999 + 3e-6i it was 3e-12 off for m = 0.4 and 1.1e-9 for
-    m = 1/4 (60-digit reference), a gap that grows toward the tip.
-
-    ``green_gradient`` returns u_m with G = 2 d_z u_m = u_x - i u_y from
-    the same pass, u bit-identical to ``green_potential``.  On the grid the
-    chord integral of 2 d_z g is elementary in the L of the two chord terms
-    (``_chord_green``), two more real dot products with the weights.
-    Against Richardson-extrapolated differences of ``green_potential``
-    (m = 3/4; one-sided where the stencil would cross the lens circle) it
-    was within a median 3e-13 relative at 100 points across the disk,
-    2e-12 at 1e-3 from the lens circle, 6e-11 at 1e-5 from it (the
-    differences' own rounding), and 5e-12 within 1e-6 of z = 0, where the
-    reflected term needs its series (``_reflected_gradient``; the closed
-    form there was 3.7e-9 off at |z| = 1e-7).  Just outside the top and
-    bottom of the lens, where 0.99 < rho < 0.999 keeps points on the grid,
-    G was up to 1.1e-9 relative off a 60,000-term multipole series (median
-    5e-13 over 400 points; the worst at |Im z| ~ 1/2, Re z just above 1/2).
-
-    ``balayage`` is the one evaluator of its Poisson balayage V(e^{it}):
-    each angle near t = 0 splits the grid where the chords cross e^{it}
-    (see ``_balayage_block``).  Against a 30-digit mpmath reference at
-    t = 0.3, 1.0, 1.865, 2.5 and 4.109 it is within 3.1e-13 (m = 3/4) and
-    5.5e-11 (m = 1/2) relative.  It is not smooth in t at the last digits:
-    the closed chord term F(Y) - F(-Y) cancels on the grid's short chords
-    by the tip z = 1, so for m = 3/4 two angles two ulps apart at
-    t = -0.698 differ by 3.3e-14, 2.8e-13 relative.  Below m = 1/2 the
-    grid's end at lambda = 40 shows: at t = 1.0, 2.5 and 4.109 it is
-    1.2e-8 to 2.9e-8 off for m = 1/4 and 3e-10 to 7e-10 for m = 0.4.
+    This is the Riesz mass of the worked example u_m.  Its potential, the
+    potential's gradient and its balayage V are integrals over the lens
+    circle on one rule (see the section comment), for every m in (0, 1).
+    For m > 1/2, points where rho = max(1/|2z - 1|, |z|/|2 - z|) <
+    _MULTIPOLE_REACH take the multipole series of u_m (``_far_field``); at
+    rho = 0.99 -+ 1e-9 the two agree to 1.2e-16 in u, 3.7e-15 relative in G.
+    ``green_potential`` is within ``value_error`` of 40-digit references at
+    73 points (m = 3/4, 1/2) and 9 (m = 1/4) inside the lens, 1e-7 to 1e-1
+    outside it, by both tips and by the circle; on the circle u and G lie
+    within 1e-12 of their values 1e-12 to either side.  ``green_gradient``
+    gives the same u with G = 2 d_z u_m = u_x - i u_y, within 3e-15 relative
+    of a 30-digit reference and of a 60,000-term series at 0.99 < rho <
+    0.999.  ``balayage`` is V(e^{it}), within 3.8e-15 relative of references
+    for m = 3/4 and 1/2, 2.5e-14 for m = 1/4 (about the error of scipy's
+    Gauss-Jacobi weights there) and 3.3e-15 for m = 0.4; inf at t = 0 and
+    at |t| < 1.4e-75.
     """
 
     def __init__(self, m):
         self.m = float(m)
         self.pref = self.m * (1.0 - self.m) / (2.0 * math.pi)
-        self.value_error = _VALUE_ERROR if self.m >= 0.5 else math.inf
-        self._grid = _lens_grid(self.m, _POTENTIAL_PANELS, _POTENTIAL_ORDER)
-        # A_k by their ratios (see above; inf for m <= 1/2), multiplied in
-        # extended precision so the rounding does not drift over 4,000 factors
+        self.value_error = _VALUE_ERROR
+        # Gauss-Jacobi points for tau^(2m-1) by the tip, the weight divided out
+        alpha = 2.0 * self.m - 1.0
+        nodes, weights = roots_jacobi(_ORDER, 0.0, alpha)
+        self._tip_rule = (nodes, weights / (1.0 + nodes) ** alpha)
+        # A_k by their ratios (inf for m <= 1/2), in extended precision
         k = np.arange(_MULTIPOLE_TERMS, dtype=np.longdouble)
         ratios = np.cumprod(1.0 + (1.0 - 2.0 * self.m) / (k + 1.0 + self.m))
         self._moments = _lens_mass(self.m) * np.append(1.0, ratios.astype(float))
@@ -767,23 +642,21 @@ class LensPowerDensity:
         """u_m, with Re G and Im G under ``gradient``, stacked on a leading axis."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros((3 if gradient else 1,) + z.shape)
-        a = np.abs(z)  # far: m > 1/2, in the disk, rho < _MULTIPOLE_REACH
-        far = ((self.m > 0.5) & (a < 1.0 - 1e-15)
-               & (a < _MULTIPOLE_REACH * np.abs(2.0 - z))
+        a = np.abs(z)
+        inside = a < 1.0 - 1e-15
+        far = (inside & (self.m > 0.5) & (a < _MULTIPOLE_REACH * np.abs(2.0 - z))
                & (_MULTIPOLE_REACH * np.abs(2.0 * z - 1.0) > 1.0))
         out[:, far] = self._far_field(z[far], gradient)
+        near = inside & ~far
         if self.pref != 0.0:
-            out[:, ~far] = _in_chunks(lambda zz: self._green_block(zz, gradient),
-                                      z[~far])
+            out[:, near] = _in_chunks(lambda zz: self._curve_potential(zz, gradient), z[near])
         return out
 
     def _far_field(self, z, gradient):
-        """u_m, with Re G and Im G under ``gradient``, by the multipole series.
-
+        """u_m, with Re G and Im G under ``gradient``, by the multipole series:
         S(zeta) = int log(zeta - w) dsigma_m = M_0 log(zeta - 1/2) - sum_k
         (A_k/k) q^k gives u_m = Re S(z) - Re S(1/conj z) - M_0 log|z| and
-        G = 2 d_z u_m; real moments put the reflection at 1/z, q = z/(2 - z).
-        """
+        G = 2 d_z u_m; real moments put the reflection at 1/z, q = z/(2 - z)."""
         A, n = self._moments, z.size
         q = np.concatenate([1.0 / (2.0 * z - 1.0), z / (2.0 - z)])
         T = _series(q, np.append(0.0, -A[1:] / np.arange(1, A.size)))
@@ -796,148 +669,75 @@ class LensPowerDensity:
         G = 2.0 * q1 * (A[0] + q1 * R[:n]) + (A[0] + 2.0 * rz * R[n:]) * rz
         return np.stack([u, G.real, G.imag])
 
+    def _curve_potential(self, z, gradient):
+        """u_m, with Re G and Im G under ``gradient``, by the lens-circle rule.
+
+        Green's identity holds for s + H, H harmonic, as for s.  With
+        H = S*^m + b (1 - Re w - S*), S* = S(theta*) and b = m S*^m, s + H
+        and its normal derivative nearly vanish by z, so no O(1) terms cancel
+        to u there: its rounding noise by the circle is 3e-17, not 4e-16.
+        The tip panels take H's part, which is analytic, on Legendre points.
+        """
+        m, x, y = self.m, z.real, z.imag
+        star = np.angle(2.0 * z - 1.0)
+        st, ct = np.sin(0.5 * star), np.cos(0.5 * star)
+        S_star, cos_star = st * st, np.cos(star)
+        d = (y * y - x * (1.0 - x)) / (np.abs(z - 0.5) + 0.5)
+        inside = np.where(d == 0.0, 0.5, d < 0.0)  # each jump term's share
+        with np.errstate(divide="ignore"):  # z = 1/2 and z = 0 send a pole off
+            image = (np.angle(2.0 * z - np.abs(z) ** 2), np.log(np.abs(2.0 - z) / np.abs(z)))
+            owner, S, n, omw, pw, weight, (sh, sp, cp, ends) = _lens_rule(
+                star, d, np.abs(np.log1p(2.0 * d)), self._tip_rule, image)
+        tips, plain = slice(0, ends[0]), slice(ends[0], ends[1])
+        p = z[owner]
+        r1 = (1.0 - p.conjugate()) + p.conjugate() * omw  # 1 - conj(z) w
+        q = 1.0 - (p.real ** 2 + p.imag ** 2)
+        X = -q * S / (r1.real ** 2 + r1.imag ** 2)
+        small = X > -0.5
+        g = np.where(small, 0.5 * np.log1p(np.where(small, X, 0.0)),
+                     np.log(np.abs(pw) / np.abs(r1)))
+        dng, cos, Sm = q * (n / (-pw * r1)).real, 1.0 - 2.0 * S, S ** m
+        Sm_star = S_star ** m
+        b = m * Sm_star
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # S - S* = sin(h/2) sin((psi + theta*)/2), 1 - Re z - S* = -d cos theta*
+            dS = sh * (sp * ct[owner] + cp * st[owner])
+            s_H = _power_gap(S_star[owner], S, dS, m) - b[owner] * dS
+            jump = _power_gap(1.0 - x, S_star, d * cos_star, m) - b * d * cos_star
+        f = m * cos * (Sm / S) * g - b[owner] * cos * g + s_H * dng
+        f[tips] = m * cos[tips] * (Sm[tips] / S[tips]) * g[tips] + Sm[tips] * dng[tips]
+        f[plain] = -(b[owner[plain]] * cos[plain] * g[plain]
+                     + (Sm_star[owner[plain]] + b[owner[plain]] * dS[plain]) * dng[plain])
+        u = inside * jump + _sum_by(owner, weight * f, z.size) / (4.0 * math.pi)
+        if not gradient:
+            return u[None]
+        # conj(w n)(w - z) - n(1 - z conj w), free of cancellation at the tip
+        nb = n.conjugate()
+        num = 1j * n.imag * ((p - 1.0) * (1.0 + nb) - 2.0 * omw.conjugate()) - S * nb
+        fG = (Sm / S) * num / (r1.conjugate() * -pw) * weight
+        fG[plain] = 0.0
+        G = (inside * m * (1.0 - x) ** (m - 1.0) + m / (4.0 * math.pi)
+             * (_sum_by(owner, fG.real, z.size) + 1j * _sum_by(owner, fG.imag, z.size)))
+        return np.stack([u, G.real, G.imag])
+
     def balayage(self, t):
-        return _in_chunks(self._balayage_block, np.asarray(t, dtype=float))
+        return _in_chunks(self._curve_balayage, np.asarray(t, dtype=float))
 
-    def _green_block(self, zz, gradient):
-        """u_m on one block of points, with Re G and Im G under ``gradient``.
-
-        The chord integral of g(z, .) has a kink at x = Re z (inside the
-        lens) or a bend as wide as the distance to the lens (outside it);
-        unsplit, points within 1e-3 of the lens were up to 1e-4 off
-        (m = 1/2).  Where the chord end passes the height of z, at x_c with
-        Y(x_c) = |Im z|, it bends as sharply for z near the lens boundary
-        (2e-6 off at z = 0.99994 + 0.0043i, m = 1/2, without a split there).
-        Rows within _KINK_REACH of the lens swap the fixed panels nearest
-        both points, in sigma below x = 1/2 and in lambda above, for panels
-        graded toward them (``_graded_panels``); rows left of the lens grade
-        toward the tip 0.  Farther rows were within 3e-16 of the refined
-        grid unsplit.
-        """
-        x, omx, Y, w = self._grid
-        inside = np.abs(zz) < 1.0 - 1e-15
-        zz = np.where(inside, zz, 0.0)
-        terms = _chord_green(zz[:, None], x, omx, Y, gradient)
-        terms = terms if gradient else (terms,)
-        split = _kink_grid(zz, self.m)
-        for term in terms:
-            for rows, dropped, _ in split:
-                term[rows[:, None], dropped] = 0.0
-        out = np.stack([term @ w for term in terms])
-        del terms, term
-        for rows, _, (x_g, omx_g, w_g) in split:
-            Y_g = np.sqrt(x_g * omx_g)
-            terms = _chord_green(zz[rows, None], x_g, omx_g, Y_g, gradient)
-            for o, I_g in zip(out, terms if gradient else (terms,)):
-                o[rows] += np.einsum("ij,ij->i", I_g, w_g)
-        return np.where(inside, self.pref * out, 0.0)
-
-    def _balayage_block(self, t):
-        """V on one block of angles.
-
-        Where the chord half-width Y(x) passes |sin t| the chord integral of
-        the Poisson kernel steps from about 2 pi cos t to about 0, over a
-        lambda-width of about t.  For cos t > 0 and sin^2 t < 1/4 that is at
-        lambda* = -log(1 - x*), Y(x*) = |sin t|, and a fixed panel across it
-        made V jump (by up to 0.7 % near t = 0) each time lambda* passed a
-        Gauss node.  Those angles swap the two fixed panels nearest lambda*
-        for panels graded toward it to 2^-_CROSSING_DEPTH
-        (``_crossing_grid``; graded to the potential's 2^-12 with 6-point
-        panels, V was 6.9e-7 off at t = 9e-6).  The other crossing,
-        x ~ sin^2 t at the left tip, is smooth (A = cos t - x ~ 1) and is
-        not split.
-        """
-        _, omx, Y, w = self._grid
-        b = np.sin(t)
-        ct1 = -2.0 * np.sin(0.5 * t) ** 2
-        rows, dropped, omx_g, w_g = _crossing_grid(b, ct1, self.m)
-        I = _chord_poisson(b[:, None], ct1[:, None], omx, Y)
-        I[rows[:, None], dropped] = 0.0
-        out = I @ w
-        if rows.size:
-            I_g = _chord_poisson(b[rows, None], ct1[rows, None], omx_g,
-                                 np.sqrt((1.0 - omx_g) * omx_g))
-            out[rows] += np.einsum("ij,ij->i", I_g, w_g)
-        return self.pref * out
-
-
-def _lens_crossing(h2):
-    """x <= 1/2 where the lens boundary reaches height h, from h^2 <= 1/4.
-
-    It solves Y(x)^2 = x(1 - x) = h^2; the other root is 1 - x, which this
-    form gives without cancellation."""
-    return 2.0 * h2 / (1.0 + np.sqrt(1.0 - 4.0 * h2))
-
-
-def _lambda_split(star, depth, order):
-    """``_graded_panels`` on the lambda panels of the lens grid."""
-    sigma_edges, lam_edges = _POTENTIAL_PANELS
-    return _graded_panels(lam_edges, (sigma_edges.size - 1) * _POTENTIAL_ORDER,
-                          star, _CROSSING_TAIL, depth, order, _POTENTIAL_ORDER)
-
-
-def _kink_grid(z, m):
-    """Potential rows split at their kink and crossing, in each layout.
-
-    Returns (rows, the grid columns they drop, their graded nodes) for the
-    rows split in sigma and for those split in lambda.  The crossing of a
-    real z is the tip x = 1 itself; its graded panels then sit at the end
-    of the grid.
-    """
-    xi = z.real
-    near = np.abs(z - 0.5) < 0.5 + _KINK_REACH
-    left = np.flatnonzero(near & (xi < 0.5))
-    right = np.flatnonzero(near & (xi >= 0.5))
-    x_c = _lens_crossing(np.minimum(z.imag ** 2, 0.25))
-    with np.errstate(divide="ignore"):
-        lam_c = np.minimum(-np.log(x_c[right]), _POTENTIAL_PANELS[1][-1])
-    sig = np.stack([np.sqrt(np.maximum(xi[left], 0.0)), np.sqrt(x_c[left])], 1)
-    lam = np.stack([-np.log1p(-xi[right]), lam_c], 1)
-    drop_l, sig, w_l = _graded_panels(_POTENTIAL_PANELS[0], 0, sig, 0.0,
-                                      _KINK_DEPTH, _KINK_ORDER, _POTENTIAL_ORDER)
-    drop_r, lam, w_r = _lambda_split(lam, _KINK_DEPTH, _KINK_ORDER)
-    return [(left, drop_l, _sigma_nodes(sig, w_l, m)),
-            (right, drop_r, _lambda_nodes(lam, w_r, m))]
-
-
-def _crossing_grid(b, ct1, m):
-    """Rows split at lambda*, the grid columns they drop, their graded nodes.
-
-    Where lambda* lies beyond the grid's last edge (|t| below about 2e-9)
-    the graded panels run on to lambda* + _CROSSING_TAIL, so V holds down
-    to the deepest dyadic shells of the quadrature engine.
-    """
-    s2 = b * b
-    rows = np.flatnonzero((ct1 > -1.0) & (s2 > 0.0) & (s2 < 0.25))
-    star = -np.log(_lens_crossing(s2[rows]))
-    dropped, lam, w = _lambda_split(star, _CROSSING_DEPTH, _POTENTIAL_ORDER)
-    return (rows, dropped, *_lambda_nodes(lam, w, m)[1:])
-
-
-def _chord_poisson(b, ct1, omx, Y):
-    """Integral of the Poisson kernel at e^{it} over the chord at x = 1 - omx.
-
-    With b = sin t and ct1 = cos t - 1 = -2 sin^2(t/2) the integral over
-    |y| < Y is
-
-        F(Y) - F(-Y),   F(y) = 2 ct atan((y-b)/A) - (y-b) - b log(A^2+(y-b)^2)
-
-    with A = cos t - x written as A = ct1 + omx, so the cancellation
-    cos t - x near t = 0, x = 1 happens in exact arithmetic.  Far chords
-    (d^2 beyond (_FAR*Y)^2) switch to the midpoint value of the kernel,
-    whose numerator 1 - x^2 = omx(2 - omx) is equally safe.
-    """
-    ct = 1.0 + ct1
-    A = ct1 + omx
-    d2 = A * A + b * b
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        def F(y):
-            s = y - b
-            return 2.0 * ct * np.arctan(s / A) - s - b * np.log(A * A + s * s)
-
-        return np.where(d2 > (_FAR * Y) ** 2,
-                        2.0 * Y * omx * (2.0 - omx) / d2,
-                        F(Y) - F(-Y))
+    def _curve_balayage(self, t):
+        """V on one block of angles, by the lens-circle rule about e^{it}."""
+        m = self.m
+        out = np.where(np.isfinite(t), np.inf, np.nan)  # V is inf at the tip
+        t = np.where(np.isfinite(t), t, 0.0)
+        zeta = np.exp(1j * t)
+        d = 2.0 * np.sin(0.5 * t) ** 2 / (np.abs(zeta - 0.5) + 0.5)
+        ok = d > _AT_TIP
+        zeta, d = zeta[ok], d[ok]
+        owner, S, n, _, pw, weight, _ = _lens_rule(
+            np.angle(2.0 * zeta - 1.0), d, np.log1p(2.0 * d), self._tip_rule)
+        f = S ** m * (m * (1.0 - 2.0 * S) / (pw.real ** 2 + pw.imag ** 2)
+                      + (2.0 * zeta[owner] * n / (pw * pw)).real)
+        out[ok] = _sum_by(owner, weight * f, d.size) / (4.0 * math.pi)
+        return out
 
 
 # ---------------------------------------------------------------------------

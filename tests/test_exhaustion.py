@@ -386,7 +386,9 @@ def test_um_level_trace(um):
 # 30 for m = 1/2, from one np.random.default_rng(2024) stream) are six
 # draws inside the lens, twelve 1e-6..1e-1 outside it, six by the tip
 # z = 1 and six by the circle, less those outside the disk; the last seven,
-# the same for both m, lie by the left tip z = 0, the tip and the rim.
+# the same for both m, lie by the left tip z = 0, the tip and the rim.  The
+# nine of m = 1/4 lie inside the lens, outside it, 1e-7 above its top, by
+# both tips and across the disk.
 _UM_REFERENCE = {
     0.75: (
         ((0.13822454912933202-0.1951316418283958j), -0.041360097172056492752),
@@ -465,6 +467,17 @@ _UM_REFERENCE = {
         ((0.99999909+2e-06j), -0.00094659544174751485752),
         ((0.9988-0.03655j), -0.0063299069697797268492),
     ),
+    0.25: (
+        ((0.3+0.1j), -0.09895177924641156320242),
+        ((0.6-0.3j), -0.1084654435448910685929),
+        ((0.9+0.3j), -0.05052738733327822878138),
+        ((-0.5+0.2j), -0.01885611947230734741373),
+        ((0.99+0.01j), -0.1848421990621939013114),
+        ((0.9999+0.001j), -0.07096711138714865133103),
+        ((0.5+0.5000001j), -0.05880113608443638357541),
+        (1e-06j, -0.06102367667020715478398),
+        ((0.99999+3e-06j), -0.05228293157974956033301),
+    ),
 }
 
 
@@ -480,9 +493,13 @@ def test_um_matches_frozen_mpmath_reference(um, um_half):
     the reflected one the same way.  mp.quad integrates x over [0, 1/2]
     and lambda = -log(1 - x) over [log 2, 50], both split at x = Re z and
     where Y(x) = |eta|.  At dps 50 and lambda up to 70 the values moved by
-    less than 1e-17.
+    less than 1e-17.  For m = 1/4 the lambda integrand decays only like
+    e^{-3 lambda/4}, so lambda runs to 200, split at every integer to 20 and
+    every 5 beyond, at mp.dps = 110: its chord term cancels e^{-lambda} there.
+    At mp.dps = 60 the values agreed to 2e-18 but at z = 1e-6 i, 2.6e-12 off.
     """
-    for spec, m in ((um, 0.75), (um_half, 0.5)):
+    quarter = X.make_example("um", 0.25)
+    for spec, m in ((um, 0.75), (um_half, 0.5), (quarter, 0.25)):
         z = np.array([p for p, _ in _UM_REFERENCE[m]])
         ref = np.array([v for _, v in _UM_REFERENCE[m]])
         gap = np.abs(spec(z) - ref)
@@ -659,12 +676,12 @@ def test_warm_rungs_match_cold_traces(ladder256):
                              min_value=u.min_value, min_point=u.min_point,
                              value_error=u.value_error)
     frozen = {
-        6: (0.31658936502598656, 0.559181253167471, 1.055603433054811,
-            0.5591812531674714),
-        9: (0.3242387103934039, 0.7095298373125597, 1.5688831125124885,
-            0.7095298373125596),
-        12: (0.32454682665251117, 0.7338145934237286, 1.661464903920527,
-             0.7338145934237283),
+        6: (0.3165893750546944, 0.559181259847665, 1.0556034230261024,
+            0.559181259847665),
+        9: (0.3242387204221119, 0.709529846118142, 1.5688831024837808,
+            0.7095298461181422),
+        12: (0.32454683668121903, 0.7338146025605484, 1.6614648938918202,
+             0.7338146025605485),
     }
     for k, radii in frozen.items():
         cold = plain.sublevel(-(2.0 ** -k), samples=256)

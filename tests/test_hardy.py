@@ -263,21 +263,21 @@ def test_lens_balayage_matches_frozen_mpmath_reference():
 
 # (V, twice the measured relative error of LensPowerDensity(m).balayage)
 _LENS_BALAYAGE_BELOW_HALF = {
-    0.25: {1.0: (0.128402843776574618263314749692726867, 2.4e-8),
-           2.5: (0.0337287327651124337491271434471984408, 5.8e-8),
-           4.109: (0.0386948523645179925348223534635933308, 3.2e-8)},
-    0.4: {1.0: (0.131939329111925898833461682517103172, 6.7e-10),
-          2.5: (0.0353904697823408847990436944032235267, 1.4e-9),
-          4.109: (0.0405526980461225564837475500434897436, 8.6e-10)},
+    0.25: {1.0: (0.128402843776574618263314749692726867, 3.5e-14),
+           2.5: (0.0337287327651124337491271434471984408, 4.9e-14),
+           4.109: (0.0386948523645179925348223534635933308, 4.7e-14)},
+    0.4: {1.0: (0.131939329111925898833461682517103172, 4.2e-15),
+          2.5: (0.0353904697823408847990436944032235267, 6.3e-15),
+          4.109: (0.0405526980461225564837475500434897436, 6.5e-15)},
 }
 
 
 def test_lens_balayage_below_half_matches_frozen_mpmath_reference():
     """V of the lens density for m < 1/2 holds its declared accuracy.
 
-    The grid ends at lambda = 40, so V is 1.2e-8 to 2.9e-8 relative off
-    for m = 1/4 and 3e-10 to 7e-10 for m = 0.4; each value is held at twice
-    its gap.  Recipe (mpmath 1.3, mp.dps = 70, t the float angle): V(t) =
+    The lens-circle rule is 1.7e-14 to 2.5e-14 relative off for m = 1/4
+    and 2.1e-15 to 3.3e-15 for m = 0.4 (the chord grid was 1.2e-8 to 2.9e-8
+    and 3e-10 to 7e-10 off); each value is held at twice its gap.  Recipe (mpmath 1.3, mp.dps = 70, t the float angle): V(t) =
     m(1-m)/(2 pi) times the integral over 0 < x < 1 of (1 - x)^(m-2) C(x),
     with the chord integral of the Poisson kernel in closed form (|sin t| >
     1/2 > Y at these angles, Y = sqrt(x(1 - x)), A = (1 - x) - 2 sin^2(t/2),
@@ -371,13 +371,13 @@ def test_weight_memo_lives_with_its_exhaustion(monkeypatch):
     density = a.measure.balayage.__self__
     assert b.measure.balayage.__self__ is density
     asked = []
-    block = density._balayage_block
+    block = density._curve_balayage
 
     def counted(t):
         asked.extend(t.tolist())
         return block(t)
 
-    monkeypatch.setattr(density, "_balayage_block", counted)
+    monkeypatch.setattr(density, "_curve_balayage", counted)
     for u in (a, b):
         asked.clear()
         w = H.boundary_weight(u)
@@ -415,8 +415,8 @@ def test_weight_rejects_non_finite_declared_balayage():
 
 
 def test_lens_balayage_is_continuous_near_its_singular_angle():
-    # V ~ t^(-1/2) at the tip, so V sqrt(t) varies slowly; a fixed lambda
-    # panel across the chord crossing makes it jump by up to 1e-2
+    # V ~ t^(-1/2) at the tip, so V sqrt(t) varies slowly; a rule that does
+    # not follow the integrand's spike, t^2 wide at psi = 2t, makes it jump
     t = np.geomspace(1e-9, 1e-3, 4001)
     g = LensPowerDensity(0.75).balayage(t) * np.sqrt(t)
     assert np.max(np.abs(np.diff(g))) < 1e-4
@@ -586,8 +586,8 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     # no route reads the direct mass of a rung, so a cold ladder computes
     # none; read afterwards on one rung, it and the report built on it
     # have the values frozen below.  Off the lens u_m takes its multipole
-    # series, so the ladder evaluates fewer than half of the 11,853 grid
-    # rows it takes on the chord grid alone, to the same norm
+    # series, so the ladder sends fewer than half of the 11,853 points it
+    # evaluates to the lens-circle rule, to the same norm
     calls, rows = [], []
     original = RieszMeasure.pair
 
@@ -596,32 +596,32 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
             calls.append(level.c)
         return original(measure, h, level=level, **kwargs)
 
-    grid = LensPowerDensity._green_block
+    curve = LensPowerDensity._curve_potential
 
-    def grid_rows(self, zz, gradient):
+    def curve_rows(self, zz, gradient):
         rows.append(zz.size)
-        return grid(self, zz, gradient)
+        return curve(self, zz, gradient)
 
     monkeypatch.setattr(RieszMeasure, "pair", counted)
     u = X.make_example("um", 0.75)
-    monkeypatch.setattr(LensPowerDensity, "_green_block", grid_rows)
+    monkeypatch.setattr(LensPowerDensity, "_curve_potential", curve_rows)
     rep = H.hardy_norm(Poly([1.0, -1.0]), 2.0, u, level_samples=256)
-    assert rep.value == 0.2441642937698089
+    assert rep.value == 0.24416429376980864
     assert sum(rows) <= 6000
     assert len(rep.ladder) == 9
     assert calls == []
     dm = u.demailly(-(2.0 ** -8), samples=256)
-    assert abs(dm.total_mass - 0.16111514012566655) <= 1e-15
-    assert abs(dm.mass_balance_residual() - 1.8292086679777553e-05) <= 1e-15
+    assert abs(dm.total_mass - 0.16111514012572428) <= 1e-15
+    assert abs(dm.mass_balance_residual() - 1.8292091935601107e-05) <= 1e-15
     frozen = {
         "exhaustion": "um:0.75", "c": -0.00390625,
-        "total_mass": 0.16111514012566655,
-        "mass_quadrature_error": 0.015731300043901997,
-        "mass_from_curve": 0.16109684803898677,
-        "mass_balance_residual": 1.8292086679777553e-05,
-        "curve_length": 5.627406029468058, "samples": 256,
+        "total_mass": 0.16111514012572428,
+        "mass_quadrature_error": 0.015731300878447013,
+        "mass_from_curve": 0.16109684803378868,
+        "mass_balance_residual": 1.8292091935601107e-05,
+        "curve_length": 5.62740602946807, "samples": 256,
         "level_tolerance": 3.90625e-07,
-        "achieved_tolerance": 1.034854064079326e-11,
+        "achieved_tolerance": 3.625553859428059e-13,
         "paper_refs": ["demailly-monge-ampere-boundary-measure",
                        "jensen-lelong-two-sided-identity"],
     }
@@ -982,3 +982,11 @@ def test_comparison_detects_false_hypothesis(ulog):
     assert rep["order"]["ok"] is None
     assert all(row["ok"] is None for row in rep["order"]["rows"])
     assert not rep["ok"]
+
+
+def test_lens_balayage_is_smooth_at_its_last_digits():
+    # two angles two ulps apart; closed chord terms that cancel by the tip
+    # once made them differ by 2.8e-13 relative
+    t = np.array([-0.6983815371744435, -0.6983815371744437])
+    V = LensPowerDensity(0.75).balayage(t)
+    assert abs(V[0] - V[1]) <= 1e-14 * V[0]

@@ -161,3 +161,50 @@ def test_one_swept_measure():
                     names.add(getattr(inner, "attr", getattr(inner, "id", None)))
     assert built == built_inside == 1
     assert not names & {"is_circle", "total_mass"}
+
+
+# the helpers and panel constants of the chord grid the lens-circle rule
+# replaced; none may come back
+_CHORD_GRID = {
+    "_chord_log", "_chord_green", "_reflected_gradient", "_sigma_nodes",
+    "_lambda_nodes", "_lens_grid", "_graded_panels", "_kink_grid",
+    "_crossing_grid", "_lambda_split", "_lens_crossing", "_chord_poisson",
+    "_geometric_lam_edges", "_green_block", "_balayage_block", "_N_LEFT",
+    "_FAR", "_POTENTIAL_ORDER", "_HALF_DEPTH", "_KINK_DEPTH", "_KINK_ORDER",
+    "_CROSSING_DEPTH", "_CROSSING_TAIL", "_KINK_REACH", "_HALF_GRADING",
+    "_POTENTIAL_PANELS", "_NEAR_ZERO", "_SERIES_TERMS",
+}
+
+
+def test_one_lens_kernel():
+    # the lens density has one quadrature: _lens_rule, defined once, is
+    # what green_potential, green_gradient and balayage all reach, and
+    # nothing of the chord grid is defined anywhere in the package
+    defined, refs = {}, {}
+    for path in sorted((ROOT / "src" / "pshardy").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(path.stem)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined.setdefault(name.id, []).append(path.stem)
+            if isinstance(node, ast.FunctionDef) and path.stem == "potential":
+                refs[node.name] = {getattr(inner, "attr", getattr(inner, "id", None))
+                                   for inner in ast.walk(node)} - {node.name}
+    assert defined["_lens_rule"] == ["potential"]
+    assert not _CHORD_GRID & defined.keys(), sorted(_CHORD_GRID & defined.keys())
+
+    def reaches(start):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(refs.get(name, ()))
+        return seen
+
+    for evaluator in ("green_potential", "green_gradient", "balayage"):
+        assert "_lens_rule" in reaches(evaluator), evaluator

@@ -307,9 +307,9 @@ def test_laplacian_probe_polynomial():
 
 
 def test_lens_potential_has_no_overflow_at_the_tip():
-    # (1 - x)^(m - 2) is huge at the nodes by x = 1, and the chord terms
-    # meet a vanishing chord there; points by the tip, on the axes and at
-    # the origin take no warning and stay finite
+    # S^(m-1) is huge on the tip panels and the kernels' poles close in on
+    # the tip with the point; points by the tip, on the axes and at the
+    # origin take no warning and stay finite
     lens = P.LensPowerDensity(0.5)
     rng = np.random.default_rng(0)
     z = 1.0 - 10.0 ** rng.uniform(-6, -1, 40) * np.exp(
@@ -337,7 +337,7 @@ def _rho(z):
 
 def test_lens_far_field_gradient_matches_reference():
     # a vertex of the k = 12 rung of u_{3/4} (rho = 0.906), against a
-    # 30-digit reference; the chord grid alone was 8.1e-11 off here
+    # 30-digit reference; the lens-circle rule alone is within 3e-15 here
     z = 0.9441251476731228 + 0.32739895976309524j
     want = 0.320593673868761874 - 0.112150492838888604j
     u, G = P.LensPowerDensity(0.75).green_gradient(np.array([z]))
@@ -372,9 +372,9 @@ def test_lens_moments_match_gamma_ratios(m):
             assert abs(A[k] - want) <= 1e-14 * want, k
 
 
-def test_lens_far_field_meets_the_grid_at_the_switch():
+def test_lens_far_field_meets_the_curve_rule_at_the_switch():
     # just inside rho = 0.99 the evaluators take the series, just outside
-    # the grid; on 12 angles the two agree on both sides
+    # the lens-circle rule; on 12 angles the two agree on both sides
     lens = P.LensPowerDensity(0.75)
     th = np.linspace(0.25, math.pi, 12)
     th[1::2] *= -1.0
@@ -382,25 +382,82 @@ def test_lens_far_field_meets_the_grid_at_the_switch():
         z = 0.5 + np.exp(1j * th) / (2.0 * (0.99 + d))
         assert np.all(np.abs(z) < 1.0) and np.all(np.abs(_rho(z) - 0.99 - d) < 1e-15)
         far = lens._far_field(z, True)
-        grid = lens._green_block(z, True)
+        curve = lens._curve_potential(z, True)
         u, G = lens.green_gradient(z)
         assert np.array_equal(lens.green_potential(z), u)
-        assert np.array_equal(np.stack([u, G.real, G.imag]), (far, grid)[side])
-        G_far, G_grid = far[1] + 1j * far[2], grid[1] + 1j * grid[2]
-        assert np.max(np.abs(far[0] - grid[0])) <= 1e-14
-        assert np.max(np.abs(G_far - G_grid) / np.abs(G_grid)) <= 1e-11
+        assert np.array_equal(np.stack([u, G.real, G.imag]), (far, curve)[side])
+        G_far, G_curve = far[1] + 1j * far[2], curve[1] + 1j * curve[2]
+        assert np.max(np.abs(far[0] - curve[0])) <= 1e-15
+        assert np.max(np.abs(G_far - G_curve) / np.abs(G_curve)) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [0.5, 0.25])
-def test_lens_at_or_below_half_stays_on_the_grid(m):
+def test_lens_at_or_below_half_takes_the_curve_rule(m):
     # the mass diverges at the tip for m <= 1/2, so there is no series:
-    # every point, far ones included, is the chord grid's, bit for bit
+    # every point, far ones included, is the lens-circle rule's, bit for bit
     lens = P.LensPowerDensity(m)
     rng = np.random.default_rng(3)
     z = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * math.pi * rng.uniform(size=200))
     assert np.mean(_rho(z) < 0.99) > 0.5
-    u, gx, gy = lens._green_block(z, True)
+    u, gx, gy = lens._curve_potential(z, True)
     assert np.array_equal(lens.green_potential(z), u)
     same, G = lens.green_gradient(z)
     assert np.array_equal(same, u)
     assert np.array_equal(G, gx + 1j * gy)
+
+
+# ---------------------------------------------------------------------------
+# u_m on and by the lens circle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [0.75, 0.5, 0.25])
+def test_lens_points_on_the_circle(m):
+    # points of the lens circle take half of each jump term and the
+    # principal value: finite, without warnings, and within 1e-11 of the
+    # values 1e-12 inside and outside along the normal, u and G alike; the
+    # centre, the angle opposite the tip and the deep shells' angles by it
+    # start no unbounded refinement
+    lens = P.LensPowerDensity(m)
+    on = np.array([0.5 + 0.5j, 0.5 - 0.5j, 0.0, 0.5 + 0.5 * np.exp(2j)])
+    normal = np.array([1j, -1j, -1.0, np.exp(2j)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, G = lens.green_gradient(on)
+        assert np.array_equal(lens.green_potential(on), u)
+        for step in (-1e-12, 1e-12):
+            u_near, G_near = lens.green_gradient(on + step * normal)
+            assert np.max(np.abs(u_near - u)) <= 1e-11, step
+            assert np.max(np.abs(G_near - G)) <= 1e-11, step
+        centre = lens.green_gradient(np.array([0.5]))
+        V = lens.balayage(np.array([math.pi, -math.pi, -1.4e-16, 1e-30, 1e-100]))
+    assert np.all(np.isfinite(u)) and np.all(u < 0.0) and np.all(np.isfinite(G))
+    assert np.isfinite(centre[0][0]) and np.isfinite(centre[1][0])
+    assert abs(centre[1][0].imag) <= 1e-15  # real on the axis
+    assert np.all(np.isfinite(V[:4])) and np.all(V[:4] > 0.0)
+    assert abs(V[0] - V[1]) <= 1e-15 * V[0]
+    assert math.isinf(V[4])  # |zeta - w|^2 leaves the doubles there
+
+
+def test_lens_gradient_just_outside_the_lens():
+    # where 0.99 < rho < 0.999 the far-field series converges too slowly to
+    # be the evaluator, but 60,000 of its terms (tail below 1e-26) still
+    # give G; the lens-circle rule is within 1e-12 relative of it.  The
+    # moments come from their ratio A_(k+1)/A_k = (k + 2 - m)/(k + 1 + m)
+    # in extended precision, as does the sum
+    m = 0.75
+    rng = np.random.default_rng(58)
+    th = rng.uniform(-math.pi, math.pi, 400)
+    z = 0.5 + np.exp(1j * th) / (2.0 * rng.uniform(0.99, 0.999, 400))
+    z = z[(np.abs(z) < 1.0) & (_rho(z) > 0.99) & (_rho(z) < 0.999)][:58]
+    assert z.size == 58
+    k = np.arange(60000, dtype=np.longdouble)
+    A = P._lens_mass(m) * np.concatenate([[1.0], np.cumprod((k + 2 - m) / (k + 1 + m))])
+    q = np.concatenate([1.0 / (2.0 * z - 1.0), z / (2.0 - z)]).astype(np.clongdouble)
+    R = np.zeros_like(q)  # sum_k A_(k+1) q^k by Horner
+    for a in A[:0:-1]:
+        R = R * q + a
+    n, rz = z.size, 1.0 / (2.0 - z.astype(np.clongdouble))
+    want = 2.0 * q[:n] * (A[0] + q[:n] * R[:n]) + (A[0] + 2.0 * rz * R[n:]) * rz
+    _, G = P.LensPowerDensity(m).green_gradient(z)
+    assert np.max(np.abs(G - want) / np.abs(want)) <= 1e-12
