@@ -444,7 +444,7 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # so p - w = e^{i theta*}(d - i sin(h/2) e^{ih/2}) and S keep their digits.
 #
 # Off the closed lens u_m is harmonic, and where a series in q = 1/2/(z - 1/2)
-# converges fast, it replaces the rule at about a fifth of the cost
+# converges fast, it replaces the rule at about a ninth of the cost
 # (``_far_field``).  Its moments A_k = 2^k int (w - 1/2)^k dsigma_m have a
 # closed form: a chord ends at x - 1/2 + iY = e^{i psi}/2, 1 - x =
 # sin^2(psi/2), dx = -sin(psi) dpsi/2, its integral of (w - 1/2)^k is
@@ -604,7 +604,7 @@ class LensPowerDensity:
     circle on one rule (see the section comment), for every m in (0, 1).
     For m > 1/2, points where rho = max(1/|2z - 1|, |z|/|2 - z|) <
     _MULTIPOLE_REACH take the multipole series of u_m (``_far_field``); at
-    rho = 0.99 -+ 1e-9 the two agree to 1.2e-16 in u, 3.7e-15 relative in G.
+    rho = 0.99 -+ 1e-9 the two agree to 1.2e-16 in u, 4e-15 relative in G.
     ``green_potential`` is within ``value_error`` of 40-digit references at
     73 points (m = 3/4, 1/2) and 9 (m = 1/4) inside the lens, 1e-7 to 1e-1
     outside it, by both tips and by the circle; on the circle u and G lie
@@ -613,7 +613,7 @@ class LensPowerDensity:
     of a 30-digit reference and of a 60,000-term series at 0.99 < rho <
     0.999.  ``balayage`` is V(e^{it}), within 3.8e-15 relative of references
     for m = 3/4 and 1/2, 2.5e-14 for m = 1/4 (about the error of scipy's
-    Gauss-Jacobi weights there) and 3.3e-15 for m = 0.4; inf at t = 0 and
+    Gauss-Jacobi weights there) and 3.6e-15 for m = 0.4; inf at t = 0 and
     at |t| < 1.4e-75.
     """
 

@@ -263,21 +263,20 @@ def test_lens_balayage_matches_frozen_mpmath_reference():
 
 # (V, twice the measured relative error of LensPowerDensity(m).balayage)
 _LENS_BALAYAGE_BELOW_HALF = {
-    0.25: {1.0: (0.128402843776574618263314749692726867, 3.5e-14),
+    0.25: {1.0: (0.128402843776574618263314749692726867, 3.4e-14),
            2.5: (0.0337287327651124337491271434471984408, 4.9e-14),
            4.109: (0.0386948523645179925348223534635933308, 4.7e-14)},
-    0.4: {1.0: (0.131939329111925898833461682517103172, 4.2e-15),
+    0.4: {1.0: (0.131939329111925898833461682517103172, 5.1e-15),
           2.5: (0.0353904697823408847990436944032235267, 6.3e-15),
-          4.109: (0.0405526980461225564837475500434897436, 6.5e-15)},
+          4.109: (0.0405526980461225564837475500434897436, 7.2e-15)},
 }
 
 
 def test_lens_balayage_below_half_matches_frozen_mpmath_reference():
     """V of the lens density for m < 1/2 holds its declared accuracy.
 
-    The lens-circle rule is 1.7e-14 to 2.5e-14 relative off for m = 1/4
-    and 2.1e-15 to 3.3e-15 for m = 0.4 (the chord grid was 1.2e-8 to 2.9e-8
-    and 3e-10 to 7e-10 off); each value is held at twice its gap.  Recipe (mpmath 1.3, mp.dps = 70, t the float angle): V(t) =
+    V is 1.7e-14 to 2.5e-14 relative off for m = 1/4 and 2.5e-15 to
+    3.6e-15 for m = 0.4; each value is held at twice its gap.  Recipe (mpmath 1.3, mp.dps = 70, t the float angle): V(t) =
     m(1-m)/(2 pi) times the integral over 0 < x < 1 of (1 - x)^(m-2) C(x),
     with the chord integral of the Poisson kernel in closed form (|sin t| >
     1/2 > Y at these angles, Y = sqrt(x(1 - x)), A = (1 - x) - 2 sin^2(t/2),
@@ -985,8 +984,7 @@ def test_comparison_detects_false_hypothesis(ulog):
 
 
 def test_lens_balayage_is_smooth_at_its_last_digits():
-    # two angles two ulps apart; closed chord terms that cancel by the tip
-    # once made them differ by 2.8e-13 relative
+    # V is smooth in t to its last digits: two angles two ulps apart agree
     t = np.array([-0.6983815371744435, -0.6983815371744437])
     V = LensPowerDensity(0.75).balayage(t)
     assert abs(V[0] - V[1]) <= 1e-14 * V[0]
