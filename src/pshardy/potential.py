@@ -507,7 +507,7 @@ def _lens_rule(star, d, delta, tip_rule, image=None):
     sign = np.stack([-sg, sg, sg, -sg, sg, -sg]).ravel()[frame]
     from_tip = np.repeat([False, True, False, True, True, True], n)[frame]
     end = np.stack([a, a, b, b, turn, turn]).ravel()[frame] / 2.0
-    # the poles (at height delta) and tips along each frame
+    # the poles (at height delta) and tips along each frame, `beyond` for none
     X = [np.stack(row).ravel()[frame] for row in ([zero, a, zero, b, a, b],
                                                   [turn, -b, turn, -a, -b, -a],
                                                   [a, beyond, b, beyond, beyond, beyond],
@@ -522,7 +522,7 @@ def _lens_rule(star, d, delta, tip_rule, image=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_X, arg_X = np.log(np.minimum(np.hypot(X, Y), 1e150)), np.arctan2(Y, X)
         x = np.minimum(2.0 * _half_width(X, Y).min(axis=0), end)
-        panels = [(np.arange(frame.size), 0.0 * x, x.copy(), x < 0.0)]
+        panels = [(np.arange(frame.size), np.zeros_like(x), x.copy(), np.zeros_like(x, bool))]
         live = np.flatnonzero(x < end)
         while live.size:  # in x the tip at a frame's origin counts, in log x not
             x0 = x[live]
