@@ -15,7 +15,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .geometry import (
     MoebiusAutomorphism,
@@ -385,7 +385,8 @@ def pullback_exhaustion(automorphism, inner):
     a declared boundary point maps to its inner point exactly.  A pulled
     area part carries the transported balayage V(phi(e^{it})) |phi'(e^{it})|
     of the inner measure, whose mass it keeps; atoms alone just move, and
-    so does a declared support disk, to its image disk.
+    so does a declared support disk, to its image disk.  It declares no
+    ``moments``, so the bulk route pairs on it by quadrature.
     """
     if not isinstance(automorphism, MoebiusAutomorphism):
         raise InvalidParameter("pullback needs a MoebiusAutomorphism")
@@ -480,12 +481,16 @@ def _power_state(m):
         if m == 1.0:
             minval, minpt = 0.0, 0.0
         else:
-            res = minimize_scalar(
-                lambda x: float(density.green_potential(np.array([x + 0j]))[0]),
-                bounds=(1e-6, 1.0 - 1e-9), method="bounded",
-                options={"xatol": 1e-11},
-            )
-            minval, minpt = float(res.fun), float(res.x)
+            # u_m is flat to 1e-17 about its minimum, where a minimizer
+            # stops up to 1e-8 off: take the root of u_x = Re G on the real
+            # axis instead (beyond 1 - 1e-9 for m below 0.04)
+            def slope(x):
+                return float(density.green_gradient(np.array([x + 0j]))[1][0].real)
+
+            lo, hi = 1e-6, 1.0 - 1e-9
+            minpt = (hi if slope(hi) <= 0.0
+                     else brentq(slope, lo, hi, xtol=1e-16, rtol=8.9e-16))
+            minval = float(density.green_potential(np.array([minpt + 0j]))[0])
         _POWER_CACHE[key] = (density, minval, minpt)
     return _POWER_CACHE[key]
 
@@ -526,7 +531,8 @@ def make_example(kind, m):
     density, min_value, min_point = _power_state(m)
     return ExhaustionSpec(
         f"um:{m:g}", density.green_potential,
-        replace(_lens_measure(m), balayage=density.balayage),
+        replace(_lens_measure(m), balayage=density.balayage,
+                moments=density.moments),
         min_value=min_value, min_point=min_point,
         value_error=density.value_error, gradient=density.green_gradient,
     )

@@ -49,6 +49,7 @@ from .geometry import (
     integrate_boundary_arc,
 )
 from .potential import (
+    _MOMENT_ERROR,
     _analytic_coefficients,
     _series,
     poisson_balayage,
@@ -382,13 +383,18 @@ def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
     q = |f*|^p and a smooth cutoff chi around the singular angles of f,
     the window part P[q chi] is taken by Fubini as int q chi V dnu over
     each window, so there the route shares the boundary route's integrand.
-    The far part P[q (1 - chi)] is a spectral series, summed by the blocked
-    ``_series``, paired with the mass, by the mean value h(0) * mass when
-    the mass is rotation invariant.  For a finite mass the series drops its
-    terms below _SERIES_FLOOR of the largest and adds their sum times the
-    mass to the error; an infinite mass keeps every term.  The
-    pairing runs at a hundredth of the tolerances, since the disk
-    quadrature under-reports its error on the lens at the route's own.
+    The far part P[q (1 - chi)] = Re sum_k a_k w^k is a spectral series,
+    paired with the mass: by the mean value h(0) * mass when the mass is
+    rotation invariant, else as Re sum_k a_k M_k when the measure declares
+    its ``moments`` M_k (the finite parts for an infinite mass, whose
+    series the tip check has found to vanish at the tip), to within
+    _MOMENT_ERROR of sum_k |a_k M_k|.  Other measures pair the series,
+    summed by the blocked ``_series``, by ``RieszMeasure.pair`` at a
+    hundredth of the tolerances, since the disk quadrature under-reports
+    its error on the lens at the route's own.  For a finite mass the
+    series drops its terms below _SERIES_FLOOR of the largest and adds
+    their sum times the mass to the error; an infinite mass keeps every
+    term.
     """
     divergent = QuadratureResult(math.inf, math.inf, DIVERGENT, 0)
     if maj is None:
@@ -437,8 +443,15 @@ def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
         tips = h_far(u.measure.boundary_singularities)
         if not math.isfinite(mass) and np.any(tips > _SERIES_FLOOR * mags.max()):
             return divergent
-        parts.append(u.measure.pair(h_far, tol_abs=tol_abs / 100.0,
-                                    tol_rel=tol_rel / 100.0))
+        moments = u.measure.moments
+        if moments is None:
+            parts.append(u.measure.pair(h_far, tol_abs=tol_abs / 100.0,
+                                        tol_rel=tol_rel / 100.0))
+        else:
+            M = moments(coeffs.size)
+            bound = float(np.sum(np.abs(coeffs) * np.abs(M)))
+            parts.append(QuadratureResult(math.fsum((coeffs * M).real),
+                                          _MOMENT_ERROR * bound, CONVERGED, 0))
 
     depth = max(r.depth for r in parts)
     if parts[-1].status == DIVERGENT or not math.isfinite(parts[-1].value):

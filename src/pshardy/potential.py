@@ -154,6 +154,17 @@ class RieszMeasure:
         off ``boundary_singularities``.  ``poisson_balayage`` reads it in
         place of the Fourier moments, and the boundary weight evaluates it
         once per angle (see ``hardy.boundary_weight``).
+    moments : callable or None
+        For measures with a reduced form only: n -> the array of the
+        moments M_k = int w^k d(measure)(w), k < n, atoms included, each
+        within _MOMENT_ERROR |M_k| of its value.  The first n do not
+        depend on how many are asked for.  An infinite mass that gathers
+        at the boundary point 1 declares the finite parts
+        int (w^k - 1) d(measure) instead, so M_0 reads 0: paired with the
+        coefficients of a harmonic series h with h(1) = 0 they still give
+        int h d(measure).  The bulk route pairs its far series with them
+        in place of ``pair`` (see ``hardy._route_bulk``); ``scaled``
+        scales them.
     complete : bool
         False when the object deliberately carries only part of the
         distributional Riesz mass (the glued example family does); any
@@ -172,6 +183,7 @@ class RieszMeasure:
     label: str = ""
     support_disk: object = None
     balayage: object = None
+    moments: object = None
 
     def has_area_part(self) -> bool:
         return self.density is not None
@@ -277,7 +289,7 @@ class RieszMeasure:
         def times(f):
             if f is None:
                 return None
-            return lambda *args: a * np.asarray(f(*args), dtype=float)
+            return lambda *args: a * np.asarray(f(*args))
 
         hint = None if self.total_mass_hint is None else a * float(self.total_mass_hint)
         label = f"scaled:{a:g}:{self.label}" if self.label else f"scaled:{a:g}"
@@ -288,6 +300,7 @@ class RieszMeasure:
             radial_profile=times(self.radial_profile),
             total_mass_hint=hint,
             balayage=times(self.balayage),
+            moments=times(self.moments),
             label=label,
         )
 
@@ -453,6 +466,14 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # sin^(2m-4)(psi/2) cos(n psi) dpsi continued analytically in the exponent;
 # its Beta-function value gives C_(n+1)/C_n = (n + 2 - m)/(n + m - 1), so
 # A_(k+1)/A_k = (k + 2 - m)/(k + 1 + m) from A_0 = M_0 = m(1-m) B(3/2, m - 1/2)/pi.
+#
+# The same ratios r_k = A_k/M_0 give the moments M_k = int w^k dsigma_m
+# (``LensPowerDensity.moments``).  As w = (1 + (2w - 1))/2, M_k = 2^-k sum_j
+# C(k, j) A_j.  For m <= 1/2 the mass is infinite, but B_j = A_j - M_0 =
+# M_0 (r_j - 1) and r_(i+1) - r_i = r_i (1 - 2m)/(i + 1 + m) give the finite
+# B_j = int ((2w - 1)^j - 1) dsigma_m = K sum_(i<j) r_i/(i + 1 + m), with
+# K = M_0 (1 - 2m) = -2m(1-m)(1+m) B(3/2, m + 1/2)/pi finite for every m, and
+# the finite parts nu_k = int (w^k - 1) dsigma_m = 2^-k sum_j C(k, j) B_j.
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
@@ -467,11 +488,21 @@ _VALUE_ERROR = 1.4e-14
 _AT_TIP = 1e-150  # d below this, |t| < 1.4e-75: V is inf, |zeta - w|^2 underflows
 _MULTIPOLE_TERMS = 4000  # terms of the far-field series; its tail is < 1e-18
 _MULTIPOLE_REACH = 0.99  # points whose series converges at a rate below it
+# the relative error of declared moments: four times the largest gap, 1.0e-15,
+# of the lens moments to the tests' 30-digit references at k <= 4096; it also
+# covers the rounding of the bulk route's sum of a_k M_k
+_MOMENT_ERROR = 4e-15
 
 
 def _lens_mass(m):
     """M_0 = m(1-m) B(3/2, m - 1/2)/pi, the lens mass; inf for m <= 1/2."""
     return m * (1.0 - m) * beta(1.5, m - 0.5) / math.pi if m > 0.5 else math.inf
+
+
+def _lens_ratios(m, n):
+    """r_0 ... r_(n-1) = A_k/M_0, in extended precision."""
+    k = np.arange(n - 1, dtype=np.longdouble)
+    return np.append(np.longdouble(1.0), np.cumprod(1.0 + (1.0 - 2.0 * m) / (k + 1.0 + m)))
 
 
 def _lens_rule(star, d, delta, tip_rule, image=None):
@@ -614,7 +645,9 @@ class LensPowerDensity:
     0.999.  ``balayage`` is V(e^{it}), within 3.8e-15 relative of references
     for m = 3/4 and 1/2, 2.5e-14 for m = 1/4 (about the error of scipy's
     Gauss-Jacobi weights there) and 3.6e-15 for m = 0.4; inf at t = 0 and
-    at |t| < 1.4e-75.
+    at |t| < 1.4e-75.  ``moments`` gives M_k = int w^k dsigma_m, or for
+    m <= 1/2 the finite parts nu_k = int (w^k - 1) dsigma_m, built on first
+    use and within _MOMENT_ERROR of 30-digit references to k = 4096.
     """
 
     def __init__(self, m):
@@ -625,10 +658,34 @@ class LensPowerDensity:
         alpha = 2.0 * self.m - 1.0
         nodes, weights = roots_jacobi(_ORDER, 0.0, alpha)
         self._tip_rule = (nodes, weights / (1.0 + nodes) ** alpha)
-        # A_k by their ratios (inf for m <= 1/2), in extended precision
-        k = np.arange(_MULTIPOLE_TERMS, dtype=np.longdouble)
-        ratios = np.cumprod(1.0 + (1.0 - 2.0 * self.m) / (k + 1.0 + self.m))
-        self._moments = _lens_mass(self.m) * np.append(1.0, ratios.astype(float))
+        # A_k by their ratios (inf for m <= 1/2)
+        self._moments = _lens_mass(self.m) * _lens_ratios(
+            self.m, _MULTIPOLE_TERMS + 1).astype(float)
+        self._moment_table = np.empty(0)  # M_k, built on first use
+
+    def moments(self, n):
+        """M_0 ... M_(n-1), or nu_0 ... nu_(n-1) for m <= 1/2.
+
+        The binomial means 2^-k sum_j C(k, j) A_j (or B_j) are k rounds of
+        pairwise averages, whose terms all share one sign: each round rounds
+        each mean once and cancels nothing.  The k-th reads the terms j <= k
+        alone, so the first n values do not depend on n, and the longest
+        table built serves every shorter one.
+        """
+        if self._moment_table.size < n:
+            m, r = self.m, _lens_ratios(self.m, n)
+            if m > 0.5:
+                terms = _lens_mass(m) * r
+            else:
+                K = -2.0 * m * (1.0 - m) * (1.0 + m) * beta(1.5, m + 0.5) / math.pi
+                i = np.arange(n - 1, dtype=np.longdouble)
+                terms = np.append(np.longdouble(0.0), K * np.cumsum(r[:-1] / (i + 1.0 + m)))
+            terms = terms.astype(float)
+            self._moment_table = np.empty(n)
+            for k in range(n):
+                self._moment_table[k] = terms[0]
+                terms = 0.5 * (terms[:-1] + terms[1:])
+        return self._moment_table[:n].copy()
 
     def green_potential(self, z):
         return self._evaluate(z, False)[0]

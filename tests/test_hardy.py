@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta as scipy_beta
 
 from pshardy import exhaustion as X
 from pshardy import hardy as H
+from pshardy import potential as P
 from pshardy.exhaustion import InvalidParameter
 from pshardy.factorization import AffinePower, BlaschkeProduct, Poly, Product
 from pshardy.geometry import (CONVERGED, DIVERGENT, MoebiusAutomorphism,
@@ -605,22 +607,22 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     u = X.make_example("um", 0.75)
     monkeypatch.setattr(LensPowerDensity, "_curve_potential", curve_rows)
     rep = H.hardy_norm(Poly([1.0, -1.0]), 2.0, u, level_samples=256)
-    assert rep.value == 0.24416429376980864
+    assert rep.value == 0.24416429419962776
     assert sum(rows) <= 6000
     assert len(rep.ladder) == 9
     assert calls == []
     dm = u.demailly(-(2.0 ** -8), samples=256)
-    assert abs(dm.total_mass - 0.16111514012572428) <= 1e-15
-    assert abs(dm.mass_balance_residual() - 1.8292091935601107e-05) <= 1e-15
+    assert abs(dm.total_mass - 0.16111514012571068) <= 1e-15
+    assert abs(dm.mass_balance_residual() - 1.8292086529148044e-05) <= 1e-15
     frozen = {
         "exhaustion": "um:0.75", "c": -0.00390625,
-        "total_mass": 0.16111514012572428,
-        "mass_quadrature_error": 0.015731300878447013,
-        "mass_from_curve": 0.16109684803378868,
-        "mass_balance_residual": 1.8292091935601107e-05,
-        "curve_length": 5.62740602946807, "samples": 256,
+        "total_mass": 0.16111514012571068,
+        "mass_quadrature_error": 0.01573130002111453,
+        "mass_from_curve": 0.16109684803918153,
+        "mass_balance_residual": 1.8292086529148044e-05,
+        "curve_length": 5.627406029468058, "samples": 256,
         "level_tolerance": 3.90625e-07,
-        "achieved_tolerance": 3.625553859428059e-13,
+        "achieved_tolerance": 3.625102831324305e-13,
         "paper_refs": ["demailly-monge-ampere-boundary-measure",
                        "jensen-lelong-two-sided-identity"],
     }
@@ -772,20 +774,71 @@ def test_bulk_route_within_its_error_for_zeros_near_the_atom():
 
 @pytest.mark.parametrize("beta, p", [(2.0, 1.0), (1.0, 2.0)])
 def test_lens_bulk_route_matches_frozen_value(u05, beta, p):
-    """The u_{1/2} bulk route of |(1 - z)/2|^2 holds its value.
+    """The u_{1/2} bulk route of |(1 - z)/2|^2 gives its closed form.
 
-    Recipe: ``H._route_bulk(f, p, u, H.boundary_weight(u),
-    H.least_harmonic_majorant(f, p))`` with f = AffinePower(0.5, beta) and
-    u = make_example("um", 0.5), run with the series summed by numpy's
-    Horner (``polyval``): 0.026525823887283185 for ((1 - z)/2)^2, p = 1 and
-    0.026525823887283178 for (1 - z)/2, p = 2.  The mass is infinite, so
-    the far part pairs the whole 4,097-term series with the lens density.
+    ||(1 - z)/2||_2^2 = m(1-m) B(3/2, m + 1/2)/(2 pi) at m = 1/2, the
+    benchmark's reference.  The mass is infinite, so the far part pairs the
+    whole 4,097-term series with the finite parts of the lens moments; the
+    value is within 1.8e-13 of the closed form, where the disk quadrature
+    of the series read 1.46e-9 off.
     """
     f = AffinePower(0.5, beta)
     bulk = H._route_bulk(f, p, u05, H.boundary_weight(u05),
                          H.least_harmonic_majorant(f, p))
+    m = 0.5
+    truth = 0.5 * m * (1.0 - m) * scipy_beta(1.5, m + 0.5) / math.pi
     assert bulk.status == CONVERGED
-    assert abs(bulk.value - 0.0265258238872832) <= 1e-12 * 0.0265258238872832
+    assert abs(bulk.value - truth) <= 1e-12 * truth
+
+
+def test_lens_bulk_route_matches_the_lens_moments(u075):
+    # ||z(1 - z)||^2 = 2 (M_0 - M_1) under u_{3/4}, and so is the norm of
+    # B z(1 - z) for a Blaschke product B.  Both bulk values sit 5.7e-11
+    # relative from it (the window part's quadrature; the far part is two
+    # moments); the disk quadrature of the far series was 1.2e-9 off
+    m = 0.75
+    M0, M1 = (m * (1.0 - m) * scipy_beta(a, m - 0.5) / math.pi for a in (1.5, 2.5))
+    truth = 2.0 * (M0 - M1)
+    for f in (Poly([0.0, 1.0, -1.0]),
+              Product(BlaschkeProduct([0.5, 0.3j]), Poly([0.0, 1.0, -1.0]))):
+        bulk = H._route_bulk(f, 2.0, u075, H.boundary_weight(u075),
+                             H.least_harmonic_majorant(f, 2.0))
+        assert bulk.status == CONVERGED
+        assert abs(bulk.value - truth) <= 2e-10 * truth, f.label
+        assert abs(bulk.value - truth) <= bulk.error, f.label
+
+
+def test_lens_bulk_route_pairs_with_moments_not_disk_quadrature(u075, u05, monkeypatch):
+    # u_{3/4} and u_{1/2} declare their moments: no norm on them calls the
+    # disk quadrature.  Their Moebius pullback declares none and pairs, and
+    # 2u scales the moments, so its bulk route is exactly twice u's
+    calls = []
+    original = P.integrate_disk_area
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(P, "integrate_disk_area", counted)
+    f = Poly([0.0, 1.0, -1.0])
+    for u, g, p in ((u075, f, 2.0), (u05, AffinePower(0.5, 2.0), 1.0)):
+        H.hardy_norm(g, p, u, level_samples=256)
+        assert calls == [], u.label
+    mob = MoebiusAutomorphism(a=0.3 + 0.1j, rot=0.7)
+    pulled = X.pullback_exhaustion(mob, u075)
+    assert pulled.measure.moments is None
+    composed = H._ComposedExpr(f, mob)
+    H._route_bulk(composed, 2.0, pulled, H.boundary_weight(pulled),
+                  H.least_harmonic_majorant(composed, 2.0))
+    assert calls
+    calls.clear()
+    twice = X.scaled_exhaustion(2.0, u075)
+    assert np.array_equal(twice.measure.moments(9), 2.0 * u075.measure.moments(9))
+    maj = H.least_harmonic_majorant(f, 2.0)
+    one = H._route_bulk(f, 2.0, u075, H.boundary_weight(u075), maj)
+    two = H._route_bulk(f, 2.0, twice, H.boundary_weight(twice), maj)
+    assert (two.value, two.error) == (2.0 * one.value, 2.0 * one.error)
+    assert calls == []
 
 
 def test_small_p_skips_level_route(u075):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
+from scipy.special import beta
 
 from pshardy import potential as P
 from pshardy.geometry import CONVERGED, integrate_boundary_arc
@@ -370,6 +371,105 @@ def test_lens_moments_match_gamma_ratios(m):
             want = (M0 * mpmath.gamma(k + 2 - mm) * mpmath.gamma(1 + mm)
                     / (mpmath.gamma(2 - mm) * mpmath.gamma(k + 1 + mm)))
             assert abs(A[k] - want) <= 1e-14 * want, k
+
+
+@pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
+def test_lens_plain_moments_match_beta_closed_forms(m):
+    # M_k = int w^k dsigma_m: M_0 is the lens mass and M_1 the Beta value
+    # m(1-m) B(5/2, m - 1/2)/pi of the benchmark's references
+    M = P.LensPowerDensity(m).moments(2)
+    assert M[0] == P._lens_mass(m)
+    want = m * (1.0 - m) * beta(2.5, m - 0.5) / math.pi
+    assert abs(M[1] - want) <= P._MOMENT_ERROR * want
+
+
+@pytest.mark.parametrize("m", [0.25, 0.4, 0.5, 0.75])
+def test_lens_first_finite_moment_matches_its_closed_form(m):
+    # nu_1 = int (w - 1) dsigma_m = -m(1-m) B(3/2, m + 1/2)/pi, finite for
+    # every m; for m <= 1/2 the table holds nu_k itself, else M_k = M_0 + nu_k
+    M = P.LensPowerDensity(m).moments(2)
+    nu = M[1] - M[0] if m > 0.5 else M[1]
+    if m <= 0.5:
+        assert M[0] == 0.0
+    want = -m * (1.0 - m) * beta(1.5, m + 0.5) / math.pi
+    assert abs(nu - want) <= P._MOMENT_ERROR * abs(want)
+
+
+# nu_k = int (w^k - 1) dsigma_m to 30 digits, by m and k
+_NU_REFERENCE = {
+    0.25: {2: "-0.108057633162756868308829513970", 7: "-0.305882851047802723706108099289",
+           50: "-1.14902190620469631473200065381", 300: "-3.17897660883747839798186812101"},
+    0.5: {2: "-0.0954929658551372014613302580235", 7: "-0.226063970893676265360522165570",
+          50: "-0.511230595478998089385499897316", 300: "-0.792454561462312970268238865247"},
+    0.75: {2: "-0.0514867207526213978550232627376", 7: "-0.104995560444329133376247355191",
+           50: "-0.166865092216852434951465310147", 300: "-0.191417918726111221589200039878"},
+}
+
+
+def test_lens_moments_match_mpmath_quadrature():
+    """The moment table against 30-digit quadratures of nu_k.
+
+    Recipe (mpmath 1.3, mp.dps = 40): with x = cos^2(phi) the chord of the
+    lens at x runs from cos(phi) e^{-i phi} to cos(phi) e^{i phi}, so its
+    integral of w^k - 1 over y is b(phi) = 2 cos^(k+1)(phi) sin((k+1) phi)/(k+1)
+    - 2 cos(phi) sin(phi), and nu_k = m(1-m)/(2 pi) times the integral over
+    0 < phi < pi/2 of sin^(2m-4)(phi) b(phi) 2 cos(phi) sin(phi), which is
+    like phi^(2m) at the tip phi = 0.  mp.quad splits [0, pi/2] at every
+    pi/(8(k+1)) and, below the first of these, by the tip at 2^-j for j = 1
+    to 40.  At mp.dps = 55 every value moved by less than 1e-34; nu_1 is
+    the closed form of the test above to 1e-32.  For m = 3/4 the table holds
+    M_k, held against M_0 + nu_k with M_0 from mpmath's Beta function.
+    """
+    with mpmath.workdps(30):
+        for m, refs in _NU_REFERENCE.items():
+            M = P.LensPowerDensity(m).moments(301)
+            mm = mpmath.mpf(m)
+            M0 = mm * (1 - mm) * mpmath.beta(1.5, mm - 0.5) / mpmath.pi if m > 0.5 else 0
+            for k, nu in refs.items():
+                want = M0 + mpmath.mpf(nu)
+                assert abs(M[k] - want) <= P._MOMENT_ERROR * abs(want), (m, k)
+
+
+@pytest.mark.parametrize("m", [0.25, 0.4, 0.5, 0.75, 0.9])
+def test_lens_moments_keep_their_digits_to_the_majorant_length(m):
+    # the k rounds of averages round k times: at k = 1000 and 4096 (the
+    # longest far series of the bulk route) the table stays within
+    # _MOMENT_ERROR of the same binomial sums of A_j (B_j) at 30 digits
+    n = 4097
+    with mpmath.workdps(30):
+        mm = mpmath.mpf(m)
+        r = [mpmath.mpf(1)]
+        for i in range(n - 1):
+            r.append(r[-1] * (i + 2 - mm) / (i + 1 + mm))
+        if m > 0.5:
+            M0 = mm * (1 - mm) * mpmath.beta(1.5, mm - 0.5) / mpmath.pi
+            terms = [M0 * x for x in r]
+        else:
+            K = -2 * mm * (1 - mm) * (1 + mm) * mpmath.beta(1.5, mm + 0.5) / mpmath.pi
+            terms = [mpmath.mpf(0)]
+            for i in range(n - 1):
+                terms.append(terms[-1] + K * r[i] / (i + 1 + mm))
+        M = P.LensPowerDensity(m).moments(n)
+        for k in (1000, 4096):
+            c, want = mpmath.mpf(1), mpmath.mpf(0)
+            for j in range(k + 1):
+                want += c * terms[j]
+                c = c * (k - j) / (j + 1)
+            want /= mpmath.mpf(2) ** k
+            assert abs(M[k] - want) <= P._MOMENT_ERROR * abs(want), k
+
+
+def test_lens_moments_do_not_depend_on_how_many_are_asked_for():
+    for m in (0.25, 0.75):
+        lens = P.LensPowerDensity(m)
+        short = lens.moments(7)
+        full = lens.moments(4097)
+        assert full.size == 4097
+        assert np.array_equal(full[:7], short)
+        assert np.array_equal(lens.moments(7), short)
+        assert np.array_equal(P.LensPowerDensity(m).moments(300), full[:300])
+        full[0] = -1.0  # a copy: the table keeps its values
+        assert lens.moments(1)[0] == short[0]
 
 
 def test_lens_far_field_meets_the_curve_rule_at_the_switch():
