@@ -68,7 +68,7 @@ def _lens_measure(m):
     |w - 1/2| < 1/2, where y^2 < x (1 - x).  It reads 1 - x as
     (1 - Re center) - Re offset and y as Im center + Im offset: about the
     boundary point 1 that is -rho cos(phi) to the last bit, with no
-    cancellation against the center.
+    cancellation against the center.  It declares V ~ C t^{2m-2} at the tip.
     """
     pref = m * (1.0 - m) / (2.0 * math.pi)
 
@@ -81,7 +81,7 @@ def _lens_measure(m):
 
     return RieszMeasure(
         density=dens,
-        boundary_singularities=(1.0 + 0.0j,),
+        boundary_singularities={1.0 + 0.0j: 2.0 * m - 2.0},
         total_mass_hint=_lens_mass(m),
         label=f"lens-power:{m:g}",
         support_disk=(0.5 + 0.0j, 0.5),
@@ -382,11 +382,12 @@ def pullback_exhaustion(automorphism, inner):
     center + offset is the inner one at phi(center) + shift, where the
     shift phi(center + offset) - phi(center) is the exact Moebius
     difference, so a density that reads its offset keeps its precision;
-    a declared boundary point maps to its inner point exactly.  A pulled
-    area part carries the transported balayage V(phi(e^{it})) |phi'(e^{it})|
-    of the inner measure, whose mass it keeps; atoms alone just move, and
-    so does a declared support disk, to its image disk.  It declares no
-    ``moments``, so the bulk route pairs on it by quadrature.
+    a declared boundary point maps to its inner point exactly, with its
+    exponent.  A pulled area part carries the transported balayage
+    V(phi(e^{it})) |phi'(e^{it})| of the inner measure, whose mass it keeps;
+    atoms alone just move, and so does a declared support disk, to its image
+    disk.  It declares no ``moments``, so the bulk route pairs on it by
+    quadrature.
     """
     if not isinstance(automorphism, MoebiusAutomorphism):
         raise InvalidParameter("pullback needs a MoebiusAutomorphism")
@@ -411,15 +412,16 @@ def pullback_exhaustion(automorphism, inner):
     interior = tuple(
         complex(mob.inverse(s)) for s in inner.measure.interior_singularities
     )
-    inner_boundary = [complex(s) for s in inner.measure.boundary_singularities]
-    boundary = tuple(complex(mob.inverse(s)) for s in inner_boundary)
+    boundary = {complex(mob.inverse(s)): alpha
+                for s, alpha in inner.measure.boundary_singularities.items()}
     dens = inner.measure.density
     new_dens = None
     if dens is not None:
         # phi(phi^-1(s)) is s only up to rounding, which would swamp the
         # offsets of the deep shells about a boundary center; the keys are
         # the centers integrate_disk_area makes of the declared points
-        exact = {b / abs(b): s / abs(s) for b, s in zip(boundary, inner_boundary)}
+        exact = {b / abs(b): s / abs(s) for b, s in
+                 zip(boundary, inner.measure.boundary_singularities)}
         a = mob.a
         scale = np.exp(1j * mob.rot) * (1.0 - abs(a) ** 2)
 
@@ -474,20 +476,24 @@ _POWER_CACHE = {}
 
 
 def _power_state(m):
-    """The lens density of u_m with the minimum value and point of u_m."""
+    """The lens density of u_m with the minimum value and point of u_m.
+
+    u_m is flat to 1e-17 about its minimum, so the point is the root of Re G
+    on the real axis in [1e-6, 1 - 1e-9], or where u_m still falls there
+    (m < 0.04) in [1 - 1e-9, 1 - 2e-15], that end if it falls throughout.
+    """
     key = round(float(m), 12)
     if key not in _POWER_CACHE:
         density = LensPowerDensity(m)
         if m == 1.0:
             minval, minpt = 0.0, 0.0
         else:
-            # u_m is flat to 1e-17 about its minimum, where a minimizer
-            # stops up to 1e-8 off: take the root of u_x = Re G on the real
-            # axis instead (beyond 1 - 1e-9 for m below 0.04)
             def slope(x):
                 return float(density.green_gradient(np.array([x + 0j]))[1][0].real)
 
             lo, hi = 1e-6, 1.0 - 1e-9
+            if slope(hi) <= 0.0:
+                lo, hi = hi, 1.0 - 2e-15
             minpt = (hi if slope(hi) <= 0.0
                      else brentq(slope, lo, hi, xtol=1e-16, rtol=8.9e-16))
             minval = float(density.green_potential(np.array([minpt + 0j]))[0])

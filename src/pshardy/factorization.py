@@ -4,8 +4,8 @@ The expression family covers polynomials, principal-branch affine powers
 [a(1-z)]^beta, finite Blaschke products, outer functions built from boundary
 log-modulus data, and products/quotients of these.  Every expression
 evaluates on complex arrays, exposes a boundary trace with its singular
-angles, and reports the interior zeros that Blaschke division needs; the
-norm routes read nothing else.
+angles and the exponent of |f*| at each, and reports the interior zeros
+that Blaschke division needs; the norm routes read nothing else.
 
 On top of the family sit the factorization routines: dividing out zeros by
 a Blaschke product without changing the weighted norm, reconstructing outer
@@ -16,6 +16,7 @@ whose boundary modulus squares against the weight to one.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from . import hardy
 from .potential import (
     DIVERGENT,
     _analytic_coefficients,
+    _exponent_map,
     _series,
     integrate_interval,
 )
@@ -69,15 +71,16 @@ class AnalyticExpr:
     """An analytic function on the unit disk with closed-form pieces.
 
     Subclasses implement ``_eval``; the boundary trace derives from it.
-    ``boundary_singularities`` lists the angles where |f*| vanishes or
-    blows up, which every route declares to its quadrature.
+    ``boundary_singularities`` maps each angle t0 where |f*| vanishes or
+    blows up to its exponent, |f*(e^{it})| ~ |t - t0|^beta; the routes
+    declare the angles to their quadrature, the verdict reads the beta.
     """
 
     label = "expr"
     #: interior zeros as ((location, multiplicity), ...)
     zeros = ()
-    #: boundary angles where the trace is singular or vanishes
-    boundary_singularities = ()
+    #: {angle: exponent} of the trace where it is singular or vanishes
+    boundary_singularities = MappingProxyType({})
 
     def _eval(self, z):
         raise NotImplementedError
@@ -109,8 +112,15 @@ class AnalyticExpr:
 # ---------------------------------------------------------------------------
 
 
+_ROOT_CLUSTER = 1e-3  # a k-fold root splits by about eps^(1/k): 2.2e-4 at k = 4
+
+
 class Poly(AnalyticExpr):
-    """Polynomial with complex coefficients, low degree first."""
+    """Polynomial with complex coefficients, low degree first.
+
+    Roots within _ROOT_CLUSTER of a cluster's centroid are one zero there
+    of the cluster's size: an interior zero, or on the circle an exponent.
+    """
 
     def __init__(self, coeffs):
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -124,21 +134,17 @@ class Poly(AnalyticExpr):
 
     def _classify_roots(self):
         if self.coeffs.size == 1:
-            return (), ()
-        roots = np.polynomial.polynomial.polyroots(self.coeffs)
-        interior = []
-        boundary = []
-        for r in roots:
-            if abs(r) < 1.0 - 1e-12:
-                for entry in interior:
-                    if abs(entry[0] - r) < 1e-8:
-                        entry[1] += 1
-                        break
-                else:
-                    interior.append([complex(r), 1])
-            elif abs(abs(r) - 1.0) < 1e-12:
-                boundary.append(float(np.angle(r)))
-        return (tuple((loc, mult) for loc, mult in interior), tuple(boundary))
+            return (), {}
+        clusters = []  # [sum of the roots, count]
+        for r in np.polynomial.polynomial.polyroots(self.coeffs):
+            c = next((e for e in clusters if abs(e[0] / e[1] - r) < _ROOT_CLUSTER), None)
+            if c is None:
+                clusters.append(c := [0j, 0])
+            c[0], c[1] = c[0] + r, c[1] + 1
+        zeros = [(complex(total) / k, k) for total, k in clusters]
+        return (tuple((a, k) for a, k in zeros if abs(a) < 1.0 - 1e-12),
+                {float(np.angle(a)): float(k) for a, k in zeros
+                 if abs(abs(a) - 1.0) < 1e-12})
 
     def _eval(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
@@ -164,9 +170,10 @@ class AffinePower(AnalyticExpr):
         self.a = a
         self.beta = beta
         self.label = f"pow({a:g}*(1-z),{beta:g})"
-        # the trace vanishes (beta > 0) or blows up (beta < 0) at z = 1, so
-        # its log-modulus is always singular there
-        self.boundary_singularities = (0.0,)
+        # |a(1 - e^{it})|^beta = |a|^beta |2 sin(t/2)|^beta: the trace
+        # vanishes (beta > 0) or blows up (beta < 0) at z = 1, so its
+        # log-modulus is always singular there
+        self.boundary_singularities = {0.0: beta}
 
     def _base(self, z):
         return self.a * (1.0 - z)
@@ -225,23 +232,27 @@ class OuterFunction(AnalyticExpr):
     Fourier coefficient below Nyquist, the Nyquist term once), less its
     trailing terms below 1e-15 of the largest.  ``log_coeff0`` is a_0 and
     ``log_coeffs`` the rest.  The constructor samples 8,192 angles.
+    ``boundary_singularities`` declares {t0: a} where the log-modulus is
+    a log|2 sin((t - t0)/2)| plus a continuous rest, a term carried exactly.
     Construction refuses data whose absolute integral diverges.
     """
 
-    def __init__(self, log_modulus, *, singular_thetas=()):
+    def __init__(self, log_modulus, *, boundary_singularities=None):
         thetas = np.arange(8192) * (TWO_PI / 8192)
         vals = np.asarray(log_modulus(thetas), dtype=float)
-        self._init_from_samples(thetas, vals, singular_thetas, log_modulus)
+        self._init_from_samples(thetas, vals, boundary_singularities, log_modulus)
 
     @classmethod
-    def from_samples(cls, thetas, log_values, *, singular_thetas=()):
+    def from_samples(cls, thetas, log_values, *, boundary_singularities=None):
         obj = cls.__new__(cls)
         obj._init_from_samples(np.asarray(thetas, dtype=float),
                                np.asarray(log_values, dtype=float),
-                               singular_thetas, None)
+                               boundary_singularities, None)
         return obj
 
-    def _init_from_samples(self, thetas, vals, singular_thetas, log_modulus):
+    def _init_from_samples(self, thetas, vals, declared, log_modulus):
+        declared = _exponent_map({} if declared is None else declared,
+                                 UnsupportedExpression, "angle")
         n = thetas.size
         vals = np.asarray(vals, dtype=float).copy()
         bad = ~np.isfinite(vals)
@@ -253,7 +264,7 @@ class OuterFunction(AnalyticExpr):
                 raise NotLogIntegrable(
                     "log-modulus is non-finite on adjacent samples"
                 )
-        for t0 in singular_thetas:
+        for t0 in declared:
             res = integrate_interval(
                 lambda s: np.abs(log_modulus(s)) if log_modulus else
                 np.abs(np.interp(np.mod(s, TWO_PI), thetas, vals, period=TWO_PI)),
@@ -264,25 +275,14 @@ class OuterFunction(AnalyticExpr):
                 raise NotLogIntegrable(
                     f"log-modulus is not integrable near theta={t0:g}"
                 )
-        # Subtract a fitted multiple of log|2 sin((theta-t0)/2)| at each
-        # declared singular angle.  The model's Fourier coefficients are
-        # exact (-e^{-ik t0}/2k), so only the smooth remainder goes through
-        # the FFT and the log singularity costs no accuracy.
-        self._sing_terms = []
+        # Subtract the declared a log|2 sin((theta-t0)/2)| at each singular
+        # angle.  Its Fourier coefficients are exact (-e^{-ik t0}/2k), so
+        # only the continuous rest goes through the FFT and the log
+        # singularity costs no accuracy.
         work = vals
-        for t0 in singular_thetas:
-            t0 = float(t0)
-            model = np.log(np.maximum(
+        for t0, a in declared.items():
+            work = work - a * np.log(np.maximum(
                 2.0 * np.abs(np.sin(0.5 * (thetas - t0))), 1e-300))
-            step = TWO_PI / n
-            offs = np.concatenate((-np.arange(3, 25), np.arange(3, 25)))
-            node = int(round(t0 / step)) % n
-            idx = (node + offs) % n
-            good = np.isfinite(work[idx])
-            A = np.stack([model[idx][good], np.ones(int(good.sum()))], axis=1)
-            alpha = float(np.linalg.lstsq(A, work[idx][good], rcond=None)[0][0])
-            work = work - alpha * model
-            self._sing_terms.append((t0, alpha))
         bad = ~np.isfinite(work)
         if bad.any():
             idx = np.flatnonzero(bad)
@@ -296,15 +296,15 @@ class OuterFunction(AnalyticExpr):
         self.log_coeffs = coeffs[1:keep]
         self.samples = vals
         self.thetas = thetas
-        self.singular_thetas = tuple(float(t) for t in singular_thetas)
+        self.boundary_singularities = declared
         self.label = f"outer[{n} samples]"
 
     def _log_series(self, z):
         z = np.asarray(z, dtype=complex)
         series = _series(z, np.concatenate(([0.0], self.log_coeffs)))
         total = self.log_coeff0 + series
-        for t0, alpha in self._sing_terms:
-            total = total + alpha * np.log(1.0 - z * np.exp(-1j * t0))
+        for t0, a in self.boundary_singularities.items():
+            total = total + a * np.log(1.0 - z * np.exp(-1j * t0))
         return total
 
     def _eval(self, z):
@@ -318,9 +318,8 @@ class Product(AnalyticExpr):
         self.g = g
         self.label = f"({f.label})*({g.label})"
         self.zeros = tuple(f.zeros) + tuple(g.zeros)
-        self.boundary_singularities = tuple(
-            set(f.boundary_singularities) | set(g.boundary_singularities)
-        )
+        self.boundary_singularities = hardy._add_exponents(
+            f.boundary_singularities, g.boundary_singularities)
 
     def _eval(self, z):
         return self.f._eval(z) * self.g._eval(z)
@@ -338,9 +337,8 @@ class Quotient(AnalyticExpr):
         self.g = g
         self.label = f"({f.label})/({g.label})"
         self.zeros = tuple(f.zeros)
-        self.boundary_singularities = tuple(
-            set(f.boundary_singularities) | set(g.boundary_singularities)
-        )
+        self.boundary_singularities = hardy._add_exponents(
+            f.boundary_singularities, g.boundary_singularities, -1.0)
 
     def _eval(self, z):
         return self.f._eval(z) / self.g._eval(z)
@@ -368,7 +366,7 @@ def divide_by_blaschke(f, p, u):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(np.abs(f.boundary_trace(theta)))
 
-    h_2p = OuterFunction(log_mod, singular_thetas=f.boundary_singularities)
+    h_2p = OuterFunction(log_mod, boundary_singularities=f.boundary_singularities)
     norm_f = hardy.hardy_norm(f, p, u)
     norm_h = hardy.hardy_norm(h_2p, p, u)
     gap = None
@@ -414,7 +412,8 @@ class UInnerCandidate:
 def u_inner(u):
     """Construct the outer multiplier phi with |phi*|^2 V = 1 a.e.
 
-    phi is the outer function of -log(V)/2.  The defect is measured by
+    phi is the outer function of -log(V)/2, which carries -alpha/2 at each
+    angle where V declares the exponent alpha.  The defect is measured by
     evaluating the truncated boundary series of phi directly on the weight's
     own sample grid, excluding arcs of half-width 1e-3 (radians) around the
     declared singular angles of V.
@@ -428,7 +427,8 @@ def u_inner(u):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_phi = -0.5 * np.log(v_vals)
     phi = OuterFunction.from_samples(
-        weight.thetas, log_phi, singular_thetas=weight.singular_thetas
+        weight.thetas, log_phi, boundary_singularities={
+            t0: -0.5 * alpha for t0, alpha in weight.singular_thetas.items()},
     )
     phi_star = phi.boundary_trace(weight.thetas)
     with np.errstate(invalid="ignore"):

@@ -21,9 +21,10 @@ norm can be computed three independent ways:
     values; they differ from fresh ones by rounding only.  Closed forms are
     evaluated afresh.
 
-The three agree for members, and their disagreements (divergence flags,
-inconclusive quadratures) drive the membership verdicts.  All route values
-are reported as p-th powers of the norm; ``NormReport.value`` is the norm.
+The three agree for members.  The declared exponents decide membership:
+where |f*| ~ |t - t0|^beta and V ~ |t - t0|^alpha, |f*|^p V is integrable at
+t0 exactly when p beta + alpha > -1.  Route values are p-th powers of the
+norm; ``NormReport.value`` is the norm.
 ``NormReport`` derives its route values, statuses, ``routes_run``, ladder bar
 and classical norm from one record, the routes' and the classical power's
 ``QuadratureResult``s.
@@ -91,6 +92,16 @@ class InvalidMap(ValueError):
 def _gap(theta, t0):
     """Periodic distance |theta - t0| on the circle."""
     return np.abs(_wrap(np.asarray(theta, dtype=float) - t0))
+
+
+def _add_exponents(first, second, factor=1.0):
+    """first + factor * second for two {angle: exponent} declarations; an
+    angle of second within 1e-9 of one of first adds to it there."""
+    out = dict(first)
+    for t, e in second.items():
+        key = next((s for s in out if _gap(t, s) < 1e-9), t)
+        out[key] = out.get(key, 0.0) + factor * e
+    return out
 
 
 def _json_real(x):
@@ -170,7 +181,8 @@ class BoundaryWeight:
     weight: each exact float angle is evaluated once, inf exactly at the
     declared singular angles, and a stored value differs from a fresh one
     by rounding only.  ``values`` is ``at`` on the uniform sample grid
-    ``thetas``, inf at the nodes on those angles.
+    ``thetas``, inf at the nodes on those angles.  ``singular_thetas`` maps
+    each of them to the exponent alpha of V there, V ~ |t - t0|^alpha.
     """
 
     def __init__(self, *, thetas, values, evaluator, singular_thetas,
@@ -178,7 +190,7 @@ class BoundaryWeight:
         self.thetas = np.asarray(thetas, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self._evaluator = evaluator
-        self.singular_thetas = tuple(float(t) for t in singular_thetas)
+        self.singular_thetas = dict(singular_thetas)
         self.mass_of_laplacian = float(mass_of_laplacian)
         self.log_integrable = bool(log_integrable)
         self.fubini_residual = None if fubini_residual is None else float(fubini_residual)
@@ -205,7 +217,7 @@ class BoundaryWeight:
         within the tolerances, inf when it diverges."""
         res = integrate_boundary_arc(
             self._evaluator, tol_abs=tol_abs, tol_rel=tol_rel,
-            singular_points=self.singular_thetas, arc=(a, b))
+            singular_points=tuple(self.singular_thetas), arc=(a, b))
         return math.inf if res.status == DIVERGENT else res.value
 
     def to_json_dict(self):
@@ -254,9 +266,9 @@ def boundary_weight(u):
     lives as long as the exhaustion does; a stored value differs from a
     fresh evaluation by the rounding of its batch only.
     Outside the two closed forms V is inf exactly at the angles of the
-    measure's boundary singularities (recorded in ``singular_thetas``, not
-    fatal), and a sample that is non-finite anywhere else raises
-    UnsupportedRegion.  Functions that are not exhaustions and incomplete
+    measure's boundary singularities (``singular_thetas``, with their
+    exponents; not fatal), and a sample that is non-finite anywhere else
+    raises UnsupportedRegion.  Functions that are not exhaustions and incomplete
     Riesz measures raise InvalidParameter.  The weight is built once per
     exhaustion and cached on it.
     """
@@ -275,9 +287,8 @@ def boundary_weight(u):
 def _build_weight(u):
     measure = u.measure
     mass, ev, closed = poisson_balayage(measure)
-    singular = tuple(
-        float(np.angle(s)) % TWO_PI for s in measure.boundary_singularities
-    )
+    singular = {float(np.angle(s)) % TWO_PI: alpha
+                for s, alpha in measure.boundary_singularities.items()}
     thetas = np.arange(_WEIGHT_SAMPLES) * (TWO_PI / _WEIGHT_SAMPLES)
     if closed:
         # V is the constant mass or a positive trigonometric-rational
@@ -352,7 +363,7 @@ def _route_boundary(f, p, weight):
 
     return integrate_boundary_arc(
         integrand, tol_abs=1e-9, tol_rel=1e-6,
-        singular_points=weight.singular_thetas + tuple(f.boundary_singularities),
+        singular_points=(*weight.singular_thetas, *f.boundary_singularities),
     )
 
 
@@ -413,7 +424,7 @@ def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
     if angles:
         parts.append(integrate_boundary_arc(
             window, tol_abs=tol_abs, tol_rel=tol_rel,
-            singular_points=angles + weight.singular_thetas,
+            singular_points=angles + tuple(weight.singular_thetas),
             split_points=[_wrap(t + d) for t in angles
                           for d in (-_CUT[1], -_CUT[0], _CUT[0], _CUT[1])],
         ))
@@ -440,7 +451,7 @@ def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
         # an infinite mass gathers at the measure's declared boundary
         # singular points, where h_far is continuous: positive there, the
         # pairing diverges
-        tips = h_far(u.measure.boundary_singularities)
+        tips = h_far(np.array(list(u.measure.boundary_singularities), dtype=complex))
         if not math.isfinite(mass) and np.any(tips > _SERIES_FLOOR * mags.max()):
             return divergent
         moments = u.measure.moments
@@ -513,11 +524,9 @@ def _route_level(f, p, u, weight, *, samples=512):
     by the ray count (the u_{3/4} flux mass at k = 12, on the exact d_r u,
     is 0.191976 on 256 rays, 0.191346 on 512 and 0.191239 on 2,048);
     rotation-invariant exhaustions extend to k = 20, since their levels
-    are circles, on which the flux is uniform at any depth.  Infinite
-    Riesz mass short-circuits the ladder:
-    the rung values grow at least like min|f*|^p times the sublevel mass,
-    so a boundary-nonvanishing f is divergent outright, and anything else
-    is left to the other routes.
+    are circles, on which the flux is uniform at any depth.  The ladder is
+    skipped for an infinite Riesz mass, whose declared exponents decide
+    membership.
     """
     info = {"ladder": (), "exponent": None, "monotone": None, "note": None}
     radial = u.measure.is_rotation_invariant()
@@ -525,20 +534,7 @@ def _route_level(f, p, u, weight, *, samples=512):
         info["note"] = ("level route skipped: p <= 1 with a traced "
                         "(non-radial) level family")
         return None, info
-    mass = weight.mass_of_laplacian
-    if not math.isfinite(mass):
-        interior_zeros = all(abs(loc) < 1.0 - 1e-9 for loc, _ in f.zeros)
-        if not f.boundary_singularities and interior_zeros:
-            grid = np.arange(2048) * (TWO_PI / 2048)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                trace_min = float(np.min(np.abs(f.boundary_trace(grid))))
-            if trace_min > 1e-9:
-                info["note"] = (
-                    "infinite Riesz mass with |f| bounded below on the "
-                    "circle: the level pairings dominate "
-                    "min|f|^p * mass(B_c) -> inf"
-                )
-                return QuadratureResult(math.inf, math.inf, DIVERGENT, 0), info
+    if not math.isfinite(weight.mass_of_laplacian):
         info["note"] = "ladder skipped: infinite Riesz mass"
         return None, info
 
@@ -592,10 +588,6 @@ def _route_level(f, p, u, weight, *, samples=512):
 # ---------------------------------------------------------------------------
 # Norm reports and verdicts.
 # ---------------------------------------------------------------------------
-
-# Relative gap within which two converged routes outvote a divergent ladder.
-_OUTVOTE_AGREEMENT = 1e-6
-
 
 class NormReport:
     """Outcome of a weighted Hardy norm query for one (f, p, u).
@@ -691,26 +683,20 @@ class NormReport:
         }
 
 
-def _matching_singularity(f, weight):
-    """Whether f declares a boundary singularity at a singular angle of V."""
-    for tf in f.boundary_singularities:
-        for tw in weight.singular_thetas:
-            if _gap(np.float64(tf), float(tw)) < 1e-9:
-                return True
-    return False
-
-
 def _verdict(results, classical, f, weight, p, notes):
     """(verdict, value, agreement) from the route record; reasons go to notes.
 
-    ``value`` is the norm from the inverse-variance mean of the CONVERGED
-    finite routes (None for a non-member), ``agreement`` their max gap.
+    NOT_MEMBER exactly when p beta + alpha <= -1 at an angle of f or V, or
+    V has no finite sample.  Otherwise a DIVERGENT route is a defect, noted
+    and left out; MEMBER needs the boundary route, the classical power and
+    one more route CONVERGED.  ``value`` is the norm from the inverse-variance
+    mean of the CONVERGED finite routes, ``agreement`` their max gap.
     """
     finite = {name: float(res.value) for name, res in results.items()
               if res is not None and res.status == CONVERGED
               and math.isfinite(res.value)}
-    divergent = [name for name, res in results.items()
-                 if res is not None and res.status == DIVERGENT]
+    exponents = _add_exponents(weight.singular_thetas, f.boundary_singularities, p)
+    failing = {t: e for t, e in exponents.items() if e <= -1.0}
 
     agreement = None
     if len(finite) >= 2:
@@ -720,34 +706,18 @@ def _verdict(results, classical, f, weight, p, notes):
             for i, a in enumerate(vals) for b in vals[i + 1:]
         )
 
-    if (divergent == ["level-sup"] and agreement is not None
-            and agreement <= _OUTVOTE_AGREEMENT):
-        # the ladder reads rungs that may still be rising at its deepest
-        # level; two converged routes that agree outvote it
-        divergent = []
-        notes.append(
-            "divergent level-sup ladder outvoted: the converged routes "
-            f"agree to {agreement:.1e}"
-        )
-    if len(divergent) >= 2:
+    if failing or not np.any(np.isfinite(weight.values)):
         verdict = "NOT_MEMBER"
-    elif (len(divergent) == 1 and len(finite) < 2
-          and _matching_singularity(f, weight)):
-        verdict = "NOT_MEMBER"
-        notes.append(
-            f"single divergent route ({divergent[0]}) accepted: f declares "
-            "a boundary singularity at a singular angle of V"
-        )
-    elif ("boundary" in finite and classical.status == CONVERGED
-          and not divergent and len(finite) >= 2):
-        verdict = "MEMBER"
+        notes += [f"|f*|^p V ~ |t - t0|^{e:.6g} at t0 = {t:.6g}: not "
+                  "integrable there (p beta + alpha <= -1)"
+                  for t, e in failing.items()] or ["V is infinite at every sample"]
     else:
-        verdict = "INCONCLUSIVE"
-        if len(divergent) == 1:
-            notes.append(
-                f"single divergent route ({divergent[0]}) without a "
-                "matching singularity declaration is not decisive"
-            )
+        notes += [f"{name} route DIVERGENT where the declared exponents are "
+                  "integrable: a defect, left out of the verdict"
+                  for name, res in results.items()
+                  if res is not None and res.status == DIVERGENT]
+        verdict = ("MEMBER" if "boundary" in finite and len(finite) >= 2
+                   and classical.status == CONVERGED else "INCONCLUSIVE")
 
     value = None
     if verdict != "NOT_MEMBER" and finite:
@@ -866,10 +836,10 @@ class _ComposedExpr:
         self.zeros = tuple(
             (complex(mob.inverse(loc)), mult) for loc, mult in f.zeros
         )
-        self.boundary_singularities = tuple(
-            float(np.angle(mob.inverse(np.exp(1j * float(t))))) % TWO_PI
-            for t in f.boundary_singularities
-        )
+        self.boundary_singularities = {
+            float(np.angle(mob.inverse(np.exp(1j * float(t))))) % TWO_PI: beta
+            for t, beta in f.boundary_singularities.items()
+        }
 
     def __call__(self, z):
         return self.f(self.mob.forward(np.asarray(z, dtype=complex)))

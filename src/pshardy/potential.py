@@ -18,7 +18,9 @@ nu(circle) = 1, so the harmonic extension of the constant 1 is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 from numpy.polynomial.polyutils import trimseq
@@ -51,6 +53,15 @@ class InvalidParameter(ValueError):
 
 class SingularEvaluation(ValueError):
     """A scalar evaluation landed exactly on a pole of the kernel."""
+
+
+def _exponent_map(decl, error, what):
+    """decl as a dict {what: exponent}; anything else raises ``error``."""
+    if not (isinstance(decl, Mapping)
+            and all(isinstance(a, Real) and math.isfinite(a) for a in decl.values())):
+        raise error(f"boundary_singularities must be a mapping {{{what}: "
+                    f"exponent}} with finite exponents, not {decl!r}")
+    return {k: float(a) for k, a in decl.items()}
 
 
 def green_function(z, w):
@@ -131,8 +142,13 @@ class RieszMeasure:
         boundary profiles read the displacement from the quadrature
         center off the offset, which center + offset would lose to
         cancellation.
-    interior_singularities, boundary_singularities : tuple of complex
+    interior_singularities : tuple of complex
         Declared blowup points of the density, forwarded to quadrature.
+    boundary_singularities : mapping of complex to float
+        Each boundary point where the density blows up, with the exponent
+        alpha of the balayage there, V(e^{it}) ~ |t - t0|^alpha (the lens
+        declares {1: 2m - 2}); the membership verdict reads the exponents.
+        Anything but such a mapping raises InvalidParameter.
     support_disk : (complex, float) or None
         When the density vanishes outside an open disk, its center and
         radius: the one statement of where the area part lives.  Every
@@ -176,7 +192,7 @@ class RieszMeasure:
     atoms: tuple = ()
     density: object = None
     interior_singularities: tuple = ()
-    boundary_singularities: tuple = ()
+    boundary_singularities: dict = field(default_factory=dict)
     radial_profile: object = None
     total_mass_hint: object = None
     complete: bool = True
@@ -184,6 +200,10 @@ class RieszMeasure:
     support_disk: object = None
     balayage: object = None
     moments: object = None
+
+    def __post_init__(self):
+        self.boundary_singularities = _exponent_map(
+            self.boundary_singularities, InvalidParameter, "boundary point")
 
     def has_area_part(self) -> bool:
         return self.density is not None
@@ -251,7 +271,7 @@ class RieszMeasure:
             return np.asarray(dens(d, c), dtype=float) * np.real(h(c + d))
 
         interior = tuple(self.interior_singularities) + tuple(extra_interior)
-        boundary, cut = self.boundary_singularities, None
+        boundary, cut = tuple(self.boundary_singularities), None
         if level is not None:
             interior = [level.center] + [s for s in interior if s != level.center
                                          and level.contains(s)]

@@ -373,6 +373,16 @@ def test_um_minimum_point_is_a_root_of_the_slope():
         assert u.min_value == float(u([u.min_point])[0])
 
 
+@pytest.mark.parametrize("m", [0.02, 0.03])
+def test_um_minimum_for_small_m_lies_past_the_first_bracket(m):
+    # for m < 0.04 u_m still falls at 1 - 1e-9; the minimum is searched on
+    # toward the tip (m = 0.03 turns between 1 - 1e-9 and 1 - 1e-11, m = 0.02
+    # falls to the evaluator's edge), so no level above it is refused
+    u = X.make_example("um", m)
+    tip = [float(u([1.0 - 10.0 ** -k])[0]) for k in range(9, 15)]
+    assert all(u.min_value <= v for v in tip), (u.min_value, tip)
+
+
 def test_um_empty_levels(um):
     with pytest.raises(X.EmptyLevel):
         um.sublevel(-0.2)

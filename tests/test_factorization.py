@@ -31,12 +31,35 @@ def test_poly_eval_and_roots():
     assert np.allclose(f(zs), 1.0 - zs)
     # the root at 1 is a boundary singularity, not an interior zero
     assert f.zeros == ()
-    assert len(f.boundary_singularities) == 1
-    assert abs(f.boundary_singularities[0] % TWO_PI) < 1e-12
+    ((t0, k),) = f.boundary_singularities.items()
+    assert abs(t0 % TWO_PI) < 1e-12 and k == 1.0
 
     g = Poly([0.0, 1.0, -1.0])  # z(1 - z)
     assert any(abs(loc) < 1e-12 for loc, _ in g.zeros)
     assert sum(m for _, m in g.zeros) == 1
+
+
+def test_poly_multiple_roots_on_the_circle():
+    # polyroots splits a k-fold root by about eps^(1/k); the cluster is one
+    # zero of multiplicity k at its centroid, here the boundary point 1
+    double = Poly([1.0, -2.0, 1.0])  # (1 - z)^2
+    assert double.zeros == ()
+    assert double.boundary_singularities == {0.0: 2.0}
+    triple = Poly([1.0, -3.0, 3.0, -1.0])  # (1 - z)^3
+    assert triple.zeros == ()
+    ((t0, k),) = triple.boundary_singularities.items()
+    assert abs(t0) < 1e-12 and k == 3.0
+    # (1 - z)^3 / (1 - z)^2 is 1 - z, with the exponents subtracted
+    q = Quotient(AffinePower(1.0, 3.0), double)
+    assert q.boundary_singularities == {0.0: 1.0}
+    zs = np.array([0.0, 0.5j, -0.3 + 0.2j])
+    assert np.max(np.abs(q(zs) - (1.0 - zs))) < 1e-14
+
+
+def test_product_adds_exponents_at_one_angle():
+    # (1 - z)^-0.6 (1 - z) has |f*| ~ t^0.4 at t = 0
+    f = Product(AffinePower(1.0, -0.6), Poly([1.0, -1.0]))
+    assert f.boundary_singularities == {0.0: pytest.approx(0.4, abs=1e-15)}
 
 
 def test_poly_rejects_zero_function():
@@ -52,7 +75,7 @@ def test_affine_power_values_and_branch_guard():
     t = np.array([0.5, 1.0, 2.5])
     tr = np.abs(f.boundary_trace(t))
     assert np.allclose(tr, (2.0 * np.sin(t / 2.0)) ** 0.5, atol=1e-13)
-    assert f.boundary_singularities == (0.0,)
+    assert f.boundary_singularities == {0.0: 0.5}
     with pytest.raises(UnsupportedExpression):
         AffinePower(-1.0, 0.5)
     with pytest.raises(UnsupportedExpression):
@@ -90,7 +113,7 @@ def test_quotient_and_product_operators():
     f, g = Poly([1.0]), Poly([2.0, -1.0])
     q = f / g
     assert isinstance(q, Quotient)
-    assert q.zeros == () and q.boundary_singularities == ()
+    assert q.zeros == () and q.boundary_singularities == {}
     rng = np.random.default_rng(20)
     zs = np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(1j * rng.uniform(0.0, TWO_PI, 64))
     assert np.array_equal(q(zs), f(zs) / g(zs))
@@ -113,9 +136,16 @@ def test_outer_reconstructs_one_minus_z():
         with np.errstate(divide="ignore"):
             return np.log(np.abs(1.0 - np.exp(1j * theta)))
 
-    h = OuterFunction(log_mod, singular_thetas=(0.0,))
+    h = OuterFunction(log_mod, boundary_singularities={0.0: 1.0})
     zs = np.array([0.0, 0.5, 0.3 - 0.4j, -0.8j])
     assert np.max(np.abs(h(zs) - (1.0 - zs))) < 1e-10
+
+
+@pytest.mark.parametrize("declared", [(0.0,), [0.0], {0.0: math.inf},
+                                      {0.0: math.nan}])
+def test_outer_refuses_a_declaration_that_is_not_an_exponent_mapping(declared):
+    with pytest.raises(UnsupportedExpression, match="mapping"):
+        OuterFunction(lambda t: np.zeros_like(t), boundary_singularities=declared)
 
 
 def test_outer_of_constant():
@@ -164,6 +194,16 @@ def test_divide_by_blaschke_no_zeros(ulog):
     assert rep["preserved"]
 
 
+def test_divide_by_blaschke_at_the_singular_angle_of_v(u075):
+    # z (1 - z)^{1/2}: h^{2/p} carries the declared t^{1/2} at the lens tip
+    # exactly, where a fitted coefficient left a gap of 7e-6
+    f = Product(Poly([0.0, 1.0]), AffinePower(1.0, 0.5))
+    h, rep = F.divide_by_blaschke(f, 2.0, u075)
+    assert rep["n_zeros"] == 1
+    assert h.boundary_singularities == {0.0: 0.5}
+    assert rep["relative_gap"] <= 1e-7
+
+
 # ---------------------------------------------------------------------------
 # the unit-norm outer multiplier
 # ---------------------------------------------------------------------------
@@ -187,6 +227,14 @@ def test_u_inner_um_flattens_the_weight(u075):
     assert cand.defect <= 1e-9
     assert abs(cand.norm_value - 1.0) <= 5e-3
     assert cand.norm_report.verdict == "MEMBER"
+
+
+def test_u_inner_um_takes_the_declared_exponent(u075):
+    # V ~ 0.75 t^{-1/2} at the tip, so phi carries exactly t^{1/4} there;
+    # the least-squares fit it replaces read 0.3458 and a norm of 0.9999086
+    cand = F.u_inner(u075)
+    assert cand.outer_part.boundary_singularities == {0.0: 0.25}
+    assert abs(cand.norm_value - 1.0) <= 5e-5
 
 
 def test_beurling_isometry_log(ulog):

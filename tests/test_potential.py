@@ -237,6 +237,18 @@ def test_measure_scaling():
         _radial_2r().scaled(-1.0)
 
 
+@pytest.mark.parametrize("declared", [(1.0 + 0.0j,), [1.0], {1.0: math.inf},
+                                      {1.0: math.nan}, {1.0: 1j}])
+def test_measure_refuses_a_declaration_that_is_not_an_exponent_mapping(declared):
+    # boundary points map to the exponent of V there; a bare tuple of
+    # points (the older format) is refused at construction
+    with pytest.raises(P.InvalidParameter, match="mapping"):
+        P.RieszMeasure(density=lambda d, c: np.zeros(np.shape(d)),
+                       boundary_singularities=declared)
+    measure = P.RieszMeasure(boundary_singularities={1.0 + 0.0j: -0.5})
+    assert measure.scaled(2.0).boundary_singularities == {1.0 + 0.0j: -0.5}
+
+
 def test_green_potential_of_atom_is_green_function():
     mu = P.RieszMeasure(atoms=((0.3 + 0.0j, 1.0),), label="green:0.3")
     rng = np.random.default_rng(8)
