@@ -19,10 +19,12 @@ import math
 from types import MappingProxyType
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from . import hardy
 from .potential import (
     DIVERGENT,
+    _add_exponents,
     _analytic_coefficients,
     _exponent_map,
     _series,
@@ -113,13 +115,18 @@ class AnalyticExpr:
 
 
 _ROOT_CLUSTER = 1e-3  # a k-fold root splits by about eps^(1/k): 2.2e-4 at k = 4
+_MULTIPLE_ROOT = 1e-13  # true k-fold zeros leave below 6e-16 of the coefficients
 
 
 class Poly(AnalyticExpr):
     """Polynomial with complex coefficients, low degree first.
 
-    Roots within _ROOT_CLUSTER of a cluster's centroid are one zero there
-    of the cluster's size: an interior zero, or on the circle an exponent.
+    The k roots nearest a root, within _ROOT_CLUSTER of it, are one zero
+    for the largest k at which p, ..., p^(k-1) vanish to _MULTIPLE_ROOT
+    relative at c, two Newton steps on p^(k-1) from their centroid.  The
+    zero is on the circle when they vanish so at its angle, where it is
+    the nearest zero.  Distinct roots under 1e-6 apart merge, and a triple
+    zero beside a root within 1e-3 may split: both past double precision.
     """
 
     def __init__(self, coeffs):
@@ -132,22 +139,35 @@ class Poly(AnalyticExpr):
         self.label = "poly(" + ",".join(f"{c:g}" for c in coeffs) + ")"
         self.zeros, self.boundary_singularities = self._classify_roots()
 
+    def _vanishes(self, c, k):
+        return all(abs(npp.polyval(c, d)) <= _MULTIPLE_ROOT * npp.polyval(abs(c), np.abs(d))
+                   for d in (npp.polyder(self.coeffs, j) for j in range(k)))
+
     def _classify_roots(self):
-        if self.coeffs.size == 1:
-            return (), {}
-        clusters = []  # [sum of the roots, count]
-        for r in np.polynomial.polynomial.polyroots(self.coeffs):
-            c = next((e for e in clusters if abs(e[0] / e[1] - r) < _ROOT_CLUSTER), None)
-            if c is None:
-                clusters.append(c := [0j, 0])
-            c[0], c[1] = c[0] + r, c[1] + 1
-        zeros = [(complex(total) / k, k) for total, k in clusters]
-        return (tuple((a, k) for a, k in zeros if abs(a) < 1.0 - 1e-12),
-                {float(np.angle(a)): float(k) for a, k in zeros
-                 if abs(abs(a) - 1.0) < 1e-12})
+        rest, zeros, inner, circle = list(npp.polyroots(self.coeffs)), [], [], {}
+        while rest:
+            near = sorted((s for s in rest if abs(s - rest[0]) < _ROOT_CLUSTER),
+                          key=lambda s: abs(s - rest[0]))
+            for k in range(len(near), 0, -1):
+                c, d = complex(sum(near[:k])) / k, npp.polyder(self.coeffs, k - 1)
+                for _ in range(2 * (k > 1)):  # p^(k-1) has a simple zero at c
+                    slope = npp.polyval(c, npp.polyder(d))
+                    c -= npp.polyval(c, d) / slope if slope else 0.0
+                if k == 1 or self._vanishes(c, k):
+                    break
+            zeros.append((c, k))
+            for s in near[:k]:
+                rest.remove(s)
+        for c, k in zeros:
+            u = np.exp(1j * np.angle(c))
+            if self._vanishes(u, k) and min(abs(u - b) for b, _ in zeros) == abs(u - c):
+                circle[float(np.angle(c))] = float(k)
+            elif abs(c) < 1.0 - 1e-12:
+                inner.append((c, k))
+        return tuple(inner), circle
 
     def _eval(self, z):
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
+        return npp.polyval(z, self.coeffs)
 
 
 class AffinePower(AnalyticExpr):
@@ -318,7 +338,7 @@ class Product(AnalyticExpr):
         self.g = g
         self.label = f"({f.label})*({g.label})"
         self.zeros = tuple(f.zeros) + tuple(g.zeros)
-        self.boundary_singularities = hardy._add_exponents(
+        self.boundary_singularities = _add_exponents(
             f.boundary_singularities, g.boundary_singularities)
 
     def _eval(self, z):
@@ -337,7 +357,7 @@ class Quotient(AnalyticExpr):
         self.g = g
         self.label = f"({f.label})/({g.label})"
         self.zeros = tuple(f.zeros)
-        self.boundary_singularities = hardy._add_exponents(
+        self.boundary_singularities = _add_exponents(
             f.boundary_singularities, g.boundary_singularities, -1.0)
 
     def _eval(self, z):

@@ -51,6 +51,7 @@ from .geometry import (
 )
 from .potential import (
     _MOMENT_ERROR,
+    _add_exponents,
     _analytic_coefficients,
     _series,
     poisson_balayage,
@@ -92,16 +93,6 @@ class InvalidMap(ValueError):
 def _gap(theta, t0):
     """Periodic distance |theta - t0| on the circle."""
     return np.abs(_wrap(np.asarray(theta, dtype=float) - t0))
-
-
-def _add_exponents(first, second, factor=1.0):
-    """first + factor * second for two {angle: exponent} declarations; an
-    angle of second within 1e-9 of one of first adds to it there."""
-    out = dict(first)
-    for t, e in second.items():
-        key = next((s for s in out if _gap(t, s) < 1e-9), t)
-        out[key] = out.get(key, 0.0) + factor * e
-    return out
 
 
 def _json_real(x):

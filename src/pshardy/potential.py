@@ -30,6 +30,7 @@ from .geometry import (
     CONVERGED,
     DIVERGENT,
     QuadratureResult,
+    _wrap,
     integrate_disk_area,
     integrate_interval,
 )
@@ -62,6 +63,16 @@ def _exponent_map(decl, error, what):
         raise error(f"boundary_singularities must be a mapping {{{what}: "
                     f"exponent}} with finite exponents, not {decl!r}")
     return {k: float(a) for k, a in decl.items()}
+
+
+def _add_exponents(first, second, factor=1.0):
+    """first + factor * second for two {angle: exponent} declarations; an
+    angle of second within 1e-9 of one of first adds to it there."""
+    out = dict(first)
+    for t, e in second.items():
+        key = next((s for s in out if abs(_wrap(t - s)) < 1e-9), t)
+        out[key] = out.get(key, 0.0) + factor * e
+    return out
 
 
 def green_function(z, w):

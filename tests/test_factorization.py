@@ -56,6 +56,28 @@ def test_poly_multiple_roots_on_the_circle():
     assert np.max(np.abs(q(zs) - (1.0 - zs))) < 1e-14
 
 
+def test_poly_keeps_close_distinct_roots_apart():
+    # roots 5e-4 apart are distinct: the simple zero at 1 stays on the
+    # circle whether its neighbour is inside, outside or on the circle too
+    inside = Poly(np.poly([1.0, 0.9995])[::-1])  # (1 - z)(0.9995 - z)
+    ((a, k),) = inside.zeros
+    assert abs(a - 0.9995) < 1e-9 and k == 1
+    assert inside.boundary_singularities == {0.0: 1.0}
+    outside = Poly(np.poly([1.0, 1.0005])[::-1])
+    assert outside.zeros == () and outside.boundary_singularities == {0.0: 1.0}
+    pair = Poly(np.poly(np.exp([2.5e-4j, -2.5e-4j]))[::-1])
+    assert pair.zeros == ()
+    assert sorted(pair.boundary_singularities.items()) == [
+        (pytest.approx(-2.5e-4, abs=1e-12), 1.0),
+        (pytest.approx(2.5e-4, abs=1e-12), 1.0)]
+    # a double zero beside a simple one keeps its multiplicity
+    mixed = Poly(np.poly([1.0, 1.0, 0.9995])[::-1])
+    ((a, k),) = mixed.zeros
+    assert abs(a - 0.9995) < 1e-8 and k == 1
+    ((t0, k),) = mixed.boundary_singularities.items()
+    assert abs(t0) < 1e-12 and k == 2.0
+
+
 def test_product_adds_exponents_at_one_angle():
     # (1 - z)^-0.6 (1 - z) has |f*| ~ t^0.4 at t = 0
     f = Product(AffinePower(1.0, -0.6), Poly([1.0, -1.0]))

@@ -680,6 +680,16 @@ def test_membership_infinite_mass(u05):
     assert "infinite Riesz mass" in " ".join(rep.notes)
 
 
+@pytest.mark.parametrize("neighbour", [0.9995, 1.0005])
+def test_close_distinct_roots_keep_the_boundary_zero(u05, neighbour):
+    # (1 - z)(c - z) has |f*|^2 V ~ t^{2 - 1} at the tip of u_{1/2}: a
+    # member, which it stays only if the zero at 1 is not merged with c
+    f = Poly(np.poly([1.0, neighbour])[::-1])
+    assert f.boundary_singularities == {0.0: 1.0}
+    rep = H.hardy_norm(f, 2.0, u05)
+    assert rep.verdict != "NOT_MEMBER"
+
+
 def test_membership_boundary_power(u075):
     # (1-z)^{-0.3} is classical-H^2 but its square against V ~ t^{-1.1}
     # diverges at the singular angle
