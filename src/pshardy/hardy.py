@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .geometry import (
     CONVERGED,
@@ -56,7 +57,6 @@ from .potential import (
     _series,
     poisson_balayage,
     poisson_extension,
-    poisson_kernel,
 )
 from .exhaustion import (
     EmptyLevel,
@@ -218,7 +218,8 @@ class BoundaryWeight:
             "mass_of_laplacian": _json_real(self.mass_of_laplacian),
             "log_integrable": self.log_integrable,
             "fubini_residual": _json_real(self.fubini_residual),
-            "singular_thetas": [float(t) for t in self.singular_thetas],
+            "singular_thetas": [[float(t), float(alpha)]
+                                for t, alpha in self.singular_thetas.items()],
             "constancy": _json_real(self.constancy()),
             "paper_refs": [
                 "poisson-balayage-boundary-weight",
@@ -374,7 +375,7 @@ def _cutoff(theta, angles):
     return 1.0 - keep
 
 
-def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
+def _route_bulk(f, p, u, weight, maj):
     """int h_f dLambda u, h_f = P[|f*|^p] the least harmonic majorant of |f|^p.
 
     By the symmetry of the Green function this is the norm^p of the
@@ -392,15 +393,16 @@ def _route_bulk(f, p, u, weight, maj, *, tol_abs=1e-9, tol_rel=1e-6):
     series the tip check has found to vanish at the tip), to within
     _MOMENT_ERROR of sum_k |a_k M_k|.  Other measures pair the series,
     summed by the blocked ``_series``, by ``RieszMeasure.pair`` at a
-    hundredth of the tolerances, since the disk quadrature under-reports
-    its error on the lens at the route's own.  For a finite mass the
-    series drops its terms below _SERIES_FLOOR of the largest and adds
-    their sum times the mass to the error; an infinite mass keeps every
-    term.
+    hundredth of the route's tolerances, 1e-9 absolute and 1e-6 relative,
+    since the disk quadrature under-reports its error on the lens at the
+    route's own.  For a finite mass the series drops its terms below
+    _SERIES_FLOOR of the largest and adds their sum times the mass to the
+    error; an infinite mass keeps every term.
     """
     divergent = QuadratureResult(math.inf, math.inf, DIVERGENT, 0)
     if maj is None:
         return divergent
+    tol_abs, tol_rel = 1e-9, 1e-6
     angles = tuple(f.boundary_singularities)
 
     def window(t):
@@ -863,105 +865,92 @@ def conformal_pullback_norm(f, u, automorphism, p):
 # ---------------------------------------------------------------------------
 
 
-def comparison_checks(u, v, b):
-    """Check the norm-comparison propositions between two exhaustions.
+def _sharp_ratio(wu, wv):
+    """(C, t): C = ess sup V_u/V_v over the circle, reached at the angle t.
 
-    Three statements are exercised with the bulk route's majorant pairings
-    int h dLambda, h the least harmonic majorant of |f|^2 (at tol_abs 1e-8,
-    tol_rel 1e-5), over the battery 1, z, 1 - z, 1/4 + z^2:
+    C is inf exactly where the declared exponents give alpha_u < alpha_v.
+    Else V_u/V_v is read through ``at`` on the nodes, their midpoints and
+    t0 +- 10^-k, k = 1..12, toward each declared angle t0, and its largest
+    value is refined once by a bounded search between its neighbours.
+    """
+    gaps = _add_exponents(wu.singular_thetas, wv.singular_thetas, -1.0)
+    worst = min(gaps, key=gaps.get, default=None)
+    if worst is not None and gaps[worst] < 0.0:
+        return math.inf, worst
+    near = [(t0 + side * 10.0 ** -k) % TWO_PI
+            for t0 in gaps for side in (-1.0, 1.0) for k in range(1, 13)]
+    t = np.unique(np.concatenate([wu.thetas, wu.thetas + np.pi / wu.samples, near]))
+    t = t[~_on_singular(t, gaps)]
+    ratio = wu.at(t) / wv.at(t)
+    i = int(np.argmax(ratio))
+    # the neighbours of the best angle, across t = 0 at either end
+    lo, hi = t[i - 1] - TWO_PI * (i == 0), t[(i + 1) % t.size] + TWO_PI * (i + 1 == t.size)
+    best = minimize_scalar(lambda s: -wu.at(s) / wv.at(s), bounds=(lo, hi),
+                           method="bounded", options={"xatol": 1e-10})
+    if -best.fun > ratio[i]:
+        return float(-best.fun), float(best.x) % TWO_PI
+    return float(ratio[i]), float(t[i])
 
-    - order: if b*v <= u outside the disk of radius 1/4 around v's minimum
-      (verified on a sample grid, to four times the sum of the two
-      evaluators' ``value_error`` and at least 1e-9; failure is reported as
-      HYPOTHESIS_FAILED, not raised), then each pairing satisfies
-      ||phi||_u <= b*||phi||_v;
-    - point bound: phi(0) <= s * ||phi||_v with s = sup P(0, .)/V_v over
-      the samples of ``boundary_weight(v)``;
-    - reverse containment: a constant c is fitted on the battery so that
-      ||phi||_v <= c*||phi||_u, then frozen and re-tested on the held-out
-      functions 1 + z/2 and z^2.
+
+def comparison_checks(u, v):
+    """Sharp constants of the comparison ||f||^p_u <= C ||f||^p_v, checked.
+
+    By the boundary characterization ||f||^p_u = int |f*|^p V_u dnu, the
+    sharp constant is C_uv = ess sup V_u/V_v of the two weights
+    (``_sharp_ratio``), inf where alpha_u < alpha_v at a declared angle;
+    b*v <= u near the circle gives V_u <= b*V_v, so C_uv <= b.  The report:
+
+    - ``C_uv`` and ``C_vu``: the constant (``value``), the angle where it
+      is reached (``theta``) and ``bump_ratio``, the ratio of the norms^2
+      of the Poisson bump sqrt(1 - r^2)/(1 - r e^{-i theta} z), r = 0.999,
+      whose |f*|^2 is P(r e^{i theta}, .): it approaches C from below;
+    - ``rows``: the battery 1, z, 1 - z, 1/4 + z^2 paired under u and v by
+      the bulk route at p = 2, which reads the Riesz mass and not V, ``ok``
+      when pairing_u <= C_uv pairing_v and pairing_v <= C_vu pairing_u to
+      1e-6 relative;
+    - ``point_bound``: |phi(0)|^2 <= s pairing_v with s = sup P(0, .)/V_v
+      over the samples of ``boundary_weight(v)``, over the battery;
+    - ``ok``: every row, both bumps within their constants, the point bound.
     """
     from .factorization import Poly
 
-    battery = [Poly([1.0]), Poly([0.0, 1.0]), Poly([1.0, -1.0]),
-               Poly([0.25, 0.0, 1.0])]
-    held_out = [Poly([1.0, 0.5]), Poly([0.0, 0.0, 1.0])]
-    p = 2.0
-    b = float(b)
+    p, wu, wv = 2.0, boundary_weight(u), boundary_weight(v)
 
-    # hypothesis grid: polar samples outside the exclusion disk
-    radii = np.linspace(0.05, 0.995, 24)
-    angles = np.arange(96) * (TWO_PI / 96)
-    pts = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-    center = complex(v.min_point)
-    pts = pts[np.abs(pts - center) >= 0.25]
-    uu = np.asarray(u(pts), dtype=float)
-    vv = np.asarray(v(pts), dtype=float)
-    gap = uu - b * vv
-    hyp_tol = max(1e-9, 4.0 * (u.value_error + v.value_error))
-    hyp_ok = bool(np.all(gap >= -hyp_tol))
+    def pairings(g):
+        # one majorant of |g|^2 serves both exhaustions
+        maj = _majorant(g, p, _classical_power(g, p))
+        return _route_bulk(g, p, u, wu, maj), _route_bulk(g, p, v, wv, maj)
+
+    def within(a, c, b):
+        return bool(a <= c * b * (1.0 + 1e-6) + 1e-12)
+
+    (c_uv, t_uv), (c_vu, t_vu) = _sharp_ratio(wu, wv), _sharp_ratio(wv, wu)
+    r = 0.999  # the Poisson bumps' radius
+    (uv_u, uv_v), (vu_u, vu_v) = (
+        pairings(Poly([math.sqrt(1.0 - r * r)]) / Poly([1.0, -r * np.exp(-1j * t)]))
+        for t in (t_uv, t_vu))
     report = {
-        "hypothesis": {
-            "margin": float(np.min(gap)),
-            "tolerance": float(hyp_tol),
-            "points": int(pts.size),
-            "status": "OK" if hyp_ok else "HYPOTHESIS_FAILED",
-        },
-    }
+        "C_uv": {"value": c_uv, "theta": t_uv, "bump_ratio": float(uv_u.value / uv_v.value)},
+        "C_vu": {"value": c_vu, "theta": t_vu, "bump_ratio": float(vu_v.value / vu_u.value)}}
 
-    def pairings(gs):
-        # label -> (pairing under u, pairing under v); one majorant of
-        # |g|^2 serves both exhaustions
-        out = {}
-        for g in gs:
-            maj = _majorant(g, p, _classical_power(g, p))
-            out[g.label] = tuple(_route_bulk(g, p, x, boundary_weight(x), maj,
-                                             tol_abs=1e-8, tol_rel=1e-5)
-                                 for x in (u, v))
-        return out
-
-    pairs = pairings(battery)
-    rows = [{
-        "f": label, "pairing_u": pu.value, "pairing_v": pv.value,
-        "status_u": pu.status, "status_v": pv.status,
-        "ok": (bool(pu.value <= b * pv.value * (1.0 + 1e-6) + 1e-12)
-               if hyp_ok else None),
-    } for label, (pu, pv) in pairs.items()]
-    order_ok = None if not hyp_ok else all(r["ok"] for r in rows)
-    report["order"] = {"bound": b, "rows": rows, "ok": order_ok}
-
-    w0 = 0j
-    weight_v = boundary_weight(v)
-    finite = np.isfinite(weight_v.values)
-    kernel = poisson_kernel(w0, np.exp(1j * weight_v.thetas[finite]))
-    s = float(np.max(kernel / weight_v.values[finite]))
-    pb_rows = []
-    for g in battery:
-        lhs = float(np.abs(np.asarray(g(np.array([w0])))[0]) ** p)
-        rhs = s * pairs[g.label][1].value
-        pb_rows.append({
-            "f": g.label, "value_at_w": lhs, "bound": rhs,
-            "ok": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-12),
+    # P(0, .) = 1, so the point bound's s = sup P(0, .)/V_v is 1/min V_v
+    s = 1.0 / float(np.min(wv.values[np.isfinite(wv.values)]))
+    rows, pb_rows = [], []
+    for g in (Poly([1.0]), Poly([0.0, 1.0]), Poly([1.0, -1.0]), Poly([0.25, 0.0, 1.0])):
+        pu, pv = pairings(g)
+        rows.append({
+            "f": g.label, "pairing_u": pu.value, "pairing_v": pv.value,
+            "status_u": pu.status, "status_v": pv.status,
+            "ok": within(pu.value, c_uv, pv.value) and within(pv.value, c_vu, pu.value),
         })
-    report["point_bound"] = {
-        "w": [w0.real, w0.imag], "s": s, "rows": pb_rows,
-        "ok": all(r["ok"] for r in pb_rows),
-    }
-
-    ratios = [pv.value / pu.value for pu, pv in pairs.values() if pu.value > 0.0]
-    c_fit = max(ratios) if ratios else math.inf
-    held_rows = [{
-        "f": label, "pairing_u": pu.value, "pairing_v": pv.value,
-        "ok": bool(pv.value <= c_fit * pu.value * (1.0 + 1e-6) + 1e-12),
-    } for label, (pu, pv) in pairings(held_out).items()]
-    report["reverse"] = {
-        "fitted_c": c_fit,
-        "rows": held_rows,
-        "ok": all(r["ok"] for r in held_rows),
-    }
-
+        lhs = float(abs(g(0j)) ** p)
+        pb_rows.append({"f": g.label, "value_at_w": lhs, "bound": s * pv.value,
+                        "ok": bool(lhs <= s * pv.value * (1.0 + 1e-9) + 1e-12)})
+    report["rows"] = rows
+    report["point_bound"] = {"w": [0.0, 0.0], "s": s, "rows": pb_rows,
+                             "ok": all(row["ok"] for row in pb_rows)}
     report["ok"] = bool(
-        hyp_ok and order_ok and report["point_bound"]["ok"]
-        and report["reverse"]["ok"]
-    )
+        all(row["ok"] for row in rows) and report["point_bound"]["ok"]
+        and all(within(c["bump_ratio"], c["value"], 1.0)
+                for c in (report["C_uv"], report["C_vu"])))
     return report

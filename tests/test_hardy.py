@@ -424,13 +424,16 @@ def test_lens_balayage_is_continuous_near_its_singular_angle():
     assert np.max(np.abs(np.diff(g, 2))) < 1e-6
 
 
-def test_weight_json(u075):
+def test_weight_json(u075, ulog):
     w = H.boundary_weight(u075)
     blob = w.to_json_dict()
     assert blob["mass_of_laplacian"] == w.mass_of_laplacian
     assert blob["log_integrable"] is True
     assert "paper_refs" in blob
-    json.dumps(blob)
+    # each singular angle with the exponent alpha of V there
+    assert blob["singular_thetas"] == [[0.0, -0.5]]
+    assert H.boundary_weight(ulog).to_json_dict()["singular_thetas"] == []
+    json.dumps(blob, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,19 +1054,22 @@ def test_pullback_rejects_non_automorphism(ulog):
 
 
 def test_comparison_scaled_log(ulog):
+    # V = 2 against V = 1: both constants are exact, and every function,
+    # the battery and both bumps, meets them with equality
     u2 = X.scaled_exhaustion(2.0, ulog)
-    rep = H.comparison_checks(u2, ulog, 2.0)
+    rep = H.comparison_checks(u2, ulog)
     assert rep["ok"]
-    assert rep["hypothesis"]["status"] == "OK"
-    for row in rep["order"]["rows"]:
+    assert rep["C_uv"]["value"] == 2.0
+    assert rep["C_vu"]["value"] == 0.5
+    assert rep["C_uv"]["bump_ratio"] == 2.0
+    assert rep["C_vu"]["bump_ratio"] == 0.5
+    for row in rep["rows"]:
         assert row["ok"], row["f"]
         assert abs(row["pairing_u"] - 2.0 * row["pairing_v"]) \
-            <= 1e-5 * row["pairing_u"]
+            <= 1e-12 * row["pairing_u"]
     # V = 1 for the log weight and P(0, .) = 1, so the sharp constant is 1
     assert abs(rep["point_bound"]["s"] - 1.0) < 1e-12
     assert rep["point_bound"]["ok"]
-    assert rep["reverse"]["ok"]
-    assert abs(rep["reverse"]["fitted_c"] - 0.5) < 1e-5
 
 
 def test_comparison_builds_one_weight_per_exhaustion(monkeypatch):
@@ -1079,21 +1085,45 @@ def test_comparison_builds_one_weight_per_exhaustion(monkeypatch):
     monkeypatch.setattr(H, "_build_weight", counted)
     u = X.green_exhaustion(RieszMeasure(atoms=((0.3 + 0.0j, 1.0),)))
     v = X.scaled_exhaustion(0.5, X.radial_log())
-    H.comparison_checks(u, v, 1.0)
+    H.comparison_checks(u, v)
     assert sorted(built) == sorted([u.label, v.label])
 
 
-def test_comparison_detects_false_hypothesis(ulog):
-    # b*v <= u reads 0.5*log <= 2*log, false everywhere inside the disk
-    # (both sides are negative), and the order conclusion would be false
-    # too: the pairings scale by 2, not by 0.5
-    u2 = X.scaled_exhaustion(2.0, ulog)
-    rep = H.comparison_checks(u2, ulog, 0.5)
-    assert rep["hypothesis"]["status"] == "HYPOTHESIS_FAILED"
-    assert rep["hypothesis"]["margin"] < 0.0
-    assert rep["order"]["ok"] is None
-    assert all(row["ok"] is None for row in rep["order"]["rows"])
-    assert not rep["ok"]
+def test_comparison_green_atom_reads_the_poisson_maximum(ulog):
+    # V_u = P(a, .) against V_v = 1: sup P(a, .) = (1 + |a|)/(1 - |a|) at
+    # arg a, and sup 1/P(a, .) is the same value at arg a + pi
+    a = 0.3 + 0.1j
+    sharp = (1.0 + abs(a)) / (1.0 - abs(a))
+    u = X.green_exhaustion(RieszMeasure(atoms=((a, 1.0),)))
+    rep = H.comparison_checks(u, ulog)
+    assert rep["ok"]
+    for key, t in (("C_uv", np.angle(a)), ("C_vu", np.angle(a) + math.pi)):
+        assert abs(rep[key]["value"] - sharp) < 1e-12, key
+        assert abs(rep[key]["theta"] - t) < 1e-6, key
+        assert abs(rep[key]["bump_ratio"] - 1.9236) < 1e-4, key
+        assert rep[key]["bump_ratio"] <= rep[key]["value"]
+
+
+def test_comparison_log_against_lens(ulog, u075):
+    # V_{3/4} has its minimum at pi and blows up like t^{-1/2} at 0: the
+    # log norm is at most 1/min V times the lens norm, and no constant
+    # bounds the lens norm by the log norm
+    rep = H.comparison_checks(ulog, u075)
+    assert rep["ok"]
+    c_uv = rep["C_uv"]
+    assert abs(c_uv["value"] - 57.627233625761676) < 1e-12
+    assert abs(c_uv["theta"] - math.pi) < 1e-6
+    assert abs(c_uv["bump_ratio"] - c_uv["value"]) < 0.01 * c_uv["value"]
+    assert c_uv["bump_ratio"] <= c_uv["value"]
+    for row in rep["rows"]:
+        assert row["ok"], row["f"]
+        assert row["pairing_u"] <= c_uv["value"] * row["pairing_v"], row["f"]
+    c_vu = rep["C_vu"]
+    assert math.isinf(c_vu["value"]) and c_vu["theta"] == 0.0
+    # the bump at the tip is above every battery ratio
+    reverse = [row["pairing_v"] / row["pairing_u"] for row in rep["rows"]]
+    assert abs(max(reverse) - 0.283) < 1e-3
+    assert abs(c_vu["bump_ratio"] - 32.1) < 0.1
 
 
 def test_lens_balayage_is_smooth_at_its_last_digits():
