@@ -20,7 +20,6 @@ from scipy.optimize import brentq
 from .geometry import (
     MoebiusAutomorphism,
     _ray_lengths,
-    integrate_interval,
 )
 from .potential import (
     InvalidParameter,
@@ -88,42 +87,6 @@ def _lens_measure(m):
     )
 
 
-def _vm_point(z, m):
-    """The glued example: the power profile on the lens, harmonic outside.
-
-    Outside the lens the value is the harmonic extension of the profile's
-    lens-boundary trace with zero data on the unit circle.  The crescent
-    between the two circles maps to a vertical strip under 1/(1-z) and on
-    to a half plane, where the extension is a single rapidly converging
-    Poisson integral, taken to 1e-12.
-    """
-    z = complex(z)
-    if abs(z - 0.5) <= 0.5 + 1e-14:
-        return -((1.0 - z.real) ** m)
-    if abs(z) >= 1.0 - 1e-14:
-        return 0.0
-    w = 1.0 / (1.0 - z)
-    s = 2.0 * w - 1.0
-    zeta = np.exp(1j * math.pi * s)
-    X, Yz = zeta.real, zeta.imag
-
-    # Poisson pairing against data D(tau) = (1 + v^2)^(-m), tau = e^(-2 pi v),
-    # on the half line.  The angle substitution tau = -X + Y tan(psi) absorbs
-    # the kernel exactly, so the integrand stays bounded even when the point
-    # sits a hair outside the lens and the kernel is nearly a delta.
-    psi0 = math.atan2(X, Yz)
-
-    def g(psi):
-        tau = np.maximum(-X + Yz * np.tan(psi), 1e-300)
-        v = -np.log(tau) / (2.0 * math.pi)
-        return (1.0 + v * v) ** (-m)
-
-    res = integrate_interval(g, psi0, 0.5 * math.pi, tol_abs=1e-12,
-                             tol_rel=1e-12, singular_left=True,
-                             singular_right=True)
-    return -res.value / math.pi
-
-
 # ---------------------------------------------------------------------------
 # The exhaustion container.
 # ---------------------------------------------------------------------------
@@ -144,9 +107,9 @@ class ExhaustionSpec:
     G = 2 d_z u = u_x - i u_y and u what ``evaluate`` returns; d_r u along
     the ray at angle phi is Re(G e^{i phi}).  ``sublevel_set`` takes Newton
     steps on it and starts each level from the deeper one below it, and
-    ``demailly_measure`` reads the flux off it.  Exhaustions without one
-    (the adaptive area-density Green potential, the glued example) trace
-    by regula falsi alone and have no swept measure.
+    ``demailly_measure`` reads the flux off it.  An exhaustion without one
+    (the adaptive area-density Green potential) traces by regula falsi
+    alone and has no swept measure.
 
     Everything else reads ``measure``: the boundary weight (derived
     exhaustions a * u and u composed with a disk automorphism, and the
@@ -294,8 +257,6 @@ def green_exhaustion(measure, label=None):
     """
     if not isinstance(measure, RieszMeasure):
         raise InvalidParameter("green_exhaustion expects a RieszMeasure")
-    if not measure.complete:
-        raise InvalidParameter("the Riesz measure must be complete")
     label = label or f"green-potential:{measure.label or 'measure'}"
     atoms_only = bool(measure.atoms) and not measure.has_area_part()
     if atoms_only:
@@ -457,7 +418,6 @@ def pullback_exhaustion(automorphism, inner):
         interior_singularities=interior,
         boundary_singularities=boundary,
         total_mass_hint=inner.measure.total_mass_hint,
-        complete=inner.measure.complete,
         label=f"pullback:{inner.measure.label}",
         support_disk=support,
         balayage=swept,
@@ -504,13 +464,12 @@ def _power_state(m):
 def make_example(kind, m):
     """The worked one-parameter family on the disk.
 
-    kind selects among the lens-restricted Riesz measure of the power
-    profile -(1 - Re z)^m ("sigma_m", a RieszMeasure), the glued exhaustion
-    ("v_m") and the Green potential of the lens measure ("u_m"), both
-    ExhaustionSpecs.
+    kind selects between the lens-restricted Riesz measure of the power
+    profile -(1 - Re z)^m ("sigma_m", a RieszMeasure) and the Green
+    potential of the lens measure ("u_m", an ExhaustionSpec).
     """
     norm = str(kind).replace("_", "").replace("-", "").lower()
-    if norm not in {"sigmam", "vm", "um"}:
+    if norm not in {"sigmam", "um"}:
         raise InvalidParameter(f"unknown example kind: {kind!r}")
     m = float(m)
     if not 0.0 < m <= 1.0:
@@ -518,21 +477,6 @@ def make_example(kind, m):
 
     if norm == "sigmam":
         return _lens_measure(m)
-
-    if norm == "vm":
-        def ev(z):
-            z = np.asarray(z, dtype=complex)
-            flat = z.ravel()
-            vals = np.array([_vm_point(zz, m) for zz in flat])
-            return vals.reshape(z.shape)
-
-        measure = replace(_lens_measure(m), complete=False,
-                          total_mass_hint=None, label=f"glued:{m:g}")
-        return ExhaustionSpec(
-            f"vm:{m:g}", ev, measure,
-            min_value=-1.0, min_point=0.0,
-            value_error=1e-10,
-        )
 
     density, min_value, min_point = _power_state(m)
     return ExhaustionSpec(
@@ -921,18 +865,13 @@ def demailly_measure(spec, c, *, samples=512):
     is w = d_r u (r^2 + r'^2)/r, with r' the spectral derivative of the
     traced radii and d_r u the exact one the trace recorded
     (``LevelSet.du_dr``).  That is the one rule, on every level: on a
-    circle r' vanishes and w is the uniform d_r u r.  An exhaustion whose
-    Riesz measure is incomplete, or that has no ``gradient`` and so no
-    flux to read, is refused before any tracing.  The direct mass of B_c
+    circle r' vanishes and w is the uniform d_r u r.  An exhaustion that
+    has no ``gradient``, and so no flux to read, is refused before any
+    tracing.  The direct mass of B_c
     (``DemaillyMeasure.total_mass``, an area quadrature independent of
     the flux, so mass_balance_residual is a genuine consistency check) is
     computed on first read.
     """
-    if not spec.measure.complete:
-        raise InvalidParameter(
-            f"the Riesz measure of {spec.label} is incomplete; the swept "
-            "boundary measure would be missing mass (INCOMPLETE_RIESZ_MEASURE)"
-        )
     if spec.gradient is None:
         raise InvalidParameter(
             f"{spec.label} has no gradient, so no flux through its levels"

@@ -254,23 +254,37 @@ class OuterFunction(AnalyticExpr):
     ``log_coeffs`` the rest.  The constructor samples 8,192 angles.
     ``boundary_singularities`` declares {t0: a} where the log-modulus is
     a log|2 sin((t - t0)/2)| plus a continuous rest, a term carried exactly.
-    Construction refuses data whose absolute integral diverges.
+    Construction refuses a non-finite log-modulus on adjacent samples, and
+    a callable one whose absolute integral diverges at a declared angle.
     """
 
     def __init__(self, log_modulus, *, boundary_singularities=None):
         thetas = np.arange(8192) * (TWO_PI / 8192)
         vals = np.asarray(log_modulus(thetas), dtype=float)
-        self._init_from_samples(thetas, vals, boundary_singularities, log_modulus)
+        self._init_from_samples(thetas, vals, boundary_singularities)
+        # samples interpolate to a bounded function, which cannot diverge:
+        # only the function itself can show a singularity that is not
+        # log-integrable
+        for t0 in self.boundary_singularities:
+            res = integrate_interval(
+                lambda s: np.abs(log_modulus(s)),
+                float(t0) + 1e-12, float(t0) + 0.2,
+                tol_abs=1e-6, tol_rel=1e-6, singular_left=True,
+            )
+            if res.status == DIVERGENT:
+                raise NotLogIntegrable(
+                    f"log-modulus is not integrable near theta={t0:g}"
+                )
 
     @classmethod
     def from_samples(cls, thetas, log_values, *, boundary_singularities=None):
         obj = cls.__new__(cls)
         obj._init_from_samples(np.asarray(thetas, dtype=float),
                                np.asarray(log_values, dtype=float),
-                               boundary_singularities, None)
+                               boundary_singularities)
         return obj
 
-    def _init_from_samples(self, thetas, vals, declared, log_modulus):
+    def _init_from_samples(self, thetas, vals, declared):
         declared = _exponent_map({} if declared is None else declared,
                                  UnsupportedExpression, "angle")
         n = thetas.size
@@ -283,17 +297,6 @@ class OuterFunction(AnalyticExpr):
             if run.any():
                 raise NotLogIntegrable(
                     "log-modulus is non-finite on adjacent samples"
-                )
-        for t0 in declared:
-            res = integrate_interval(
-                lambda s: np.abs(log_modulus(s)) if log_modulus else
-                np.abs(np.interp(np.mod(s, TWO_PI), thetas, vals, period=TWO_PI)),
-                float(t0) + 1e-12, float(t0) + 0.2,
-                tol_abs=1e-6, tol_rel=1e-6, singular_left=True,
-            )
-            if res.status == DIVERGENT:
-                raise NotLogIntegrable(
-                    f"log-modulus is not integrable near theta={t0:g}"
                 )
         # Subtract the declared a log|2 sin((theta-t0)/2)| at each singular
         # angle.  Its Fourier coefficients are exact (-e^{-ik t0}/2k), so

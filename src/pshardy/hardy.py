@@ -64,6 +64,7 @@ from .exhaustion import (
     InvalidParameter,
     UnsupportedRegion,
     pullback_exhaustion,
+    radial_log,
 )
 
 __all__ = [
@@ -260,17 +261,12 @@ def boundary_weight(u):
     Outside the two closed forms V is inf exactly at the angles of the
     measure's boundary singularities (``singular_thetas``, with their
     exponents; not fatal), and a sample that is non-finite anywhere else
-    raises UnsupportedRegion.  Functions that are not exhaustions and incomplete
-    Riesz measures raise InvalidParameter.  The weight is built once per
-    exhaustion and cached on it.
+    raises UnsupportedRegion.  Functions that are not exhaustions raise
+    InvalidParameter.  The weight is built once per exhaustion and cached
+    on it.
     """
     if not isinstance(u, ExhaustionSpec):
         raise InvalidParameter("boundary_weight expects an ExhaustionSpec")
-    if not u.measure.complete:
-        raise InvalidParameter(
-            f"the Riesz measure of {u.label} is incomplete; its boundary "
-            "weight would be missing mass (INCOMPLETE_RIESZ_MEASURE)"
-        )
     if u._weight is None:
         u._weight = _build_weight(u)
     return u._weight
@@ -297,6 +293,11 @@ def _build_weight(u):
                 "boundary weight is non-finite away from its declared "
                 "singular angles"
             )
+        # V is a positive Poisson sweep, so log V is integrable at every
+        # finite exponent; the quadrature stays because it is the one set-up
+        # pass that fills the memo near the singular angles when the mass is
+        # infinite (_fubini_residual then integrates nothing), and without
+        # it the routes pay for those evaluations query by query
         log_integrable = _log_abs_integrable(ev, singular)
         resid = _fubini_residual(ev, mass, singular)
     return BoundaryWeight(
@@ -908,8 +909,8 @@ def comparison_checks(u, v):
       the bulk route at p = 2, which reads the Riesz mass and not V, ``ok``
       when pairing_u <= C_uv pairing_v and pairing_v <= C_vu pairing_u to
       1e-6 relative;
-    - ``point_bound``: |phi(0)|^2 <= s pairing_v with s = sup P(0, .)/V_v
-      over the samples of ``boundary_weight(v)``, over the battery;
+    - ``point_bound``: |phi(0)|^2 <= s pairing_v with s = sup P(0, .)/V_v,
+      the sharp ratio of the weight of log|z| to V_v, over the battery;
     - ``ok``: every row, both bumps within their constants, the point bound.
     """
     from .factorization import Poly
@@ -933,8 +934,9 @@ def comparison_checks(u, v):
         "C_uv": {"value": c_uv, "theta": t_uv, "bump_ratio": float(uv_u.value / uv_v.value)},
         "C_vu": {"value": c_vu, "theta": t_vu, "bump_ratio": float(vu_v.value / vu_u.value)}}
 
-    # P(0, .) = 1, so the point bound's s = sup P(0, .)/V_v is 1/min V_v
-    s = 1.0 / float(np.min(wv.values[np.isfinite(wv.values)]))
+    # P(0, .) is V = 1 of log|z|, so the point bound's s = sup P(0, .)/V_v
+    # is the sharp ratio of that weight to V_v
+    s = _sharp_ratio(boundary_weight(radial_log()), wv)[0]
     rows, pb_rows = [], []
     for g in (Poly([1.0]), Poly([0.0, 1.0]), Poly([1.0, -1.0]), Poly([0.25, 0.0, 1.0])):
         pu, pv = pairings(g)

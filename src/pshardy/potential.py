@@ -192,10 +192,6 @@ class RieszMeasure:
         int h d(measure).  The bulk route pairs its far series with them
         in place of ``pair`` (see ``hardy._route_bulk``); ``scaled``
         scales them.
-    complete : bool
-        False when the object deliberately carries only part of the
-        distributional Riesz mass (the glued example family does); any
-        mass-sensitive operation must reject incomplete measures.
     label : str
         Short identifier used in reports and cache keys.
     """
@@ -206,7 +202,6 @@ class RieszMeasure:
     boundary_singularities: dict = field(default_factory=dict)
     radial_profile: object = None
     total_mass_hint: object = None
-    complete: bool = True
     label: str = ""
     support_disk: object = None
     balayage: object = None

@@ -34,8 +34,12 @@ def test_make_example_validation():
         X.make_example("um", 1.5)
     with pytest.raises(X.InvalidParameter):
         X.make_example("um", 0.0)
-    with pytest.raises(X.InvalidParameter):
-        X.make_example("nope", 0.5)
+    for kind in ("nope", "vm", "v_m"):
+        with pytest.raises(X.InvalidParameter, match="unknown example kind"):
+            X.make_example(kind, 0.5)
+    # every Riesz measure is complete: there is no flag to say otherwise
+    with pytest.raises(TypeError):
+        RieszMeasure(complete=False)
     # kind spelling is forgiving about separators and case
     a = X.make_example("u_m", 0.75)
     b = X.make_example("U-M", 0.75)
@@ -322,13 +326,6 @@ def test_probes_by_the_curve_do_not_refuse_a_connected_level():
     spec._probes = (np.concatenate([pz, near]), np.concatenate([pu, u_near]))
     again = X.sublevel_set(spec, c, samples=200)
     assert np.array_equal(again.radii, lv.radii)
-
-
-def test_green_requires_complete_measure():
-    vm = X.make_example("vm", 0.75)
-    assert not vm.measure.complete
-    with pytest.raises(X.InvalidParameter):
-        X.green_exhaustion(vm.measure)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +663,6 @@ def test_closed_form_gradients(um):
     assert np.array_equal(val, um(mob.forward(z)))
     assert np.max(np.abs(G - want) / np.abs(want)) <= 1e-12
     # no gradient where nothing gives one in closed form
-    assert X.make_example("vm", 0.75).gradient is None
     bump = RieszMeasure(density=lambda d, c: np.ones(np.shape(d)), label="flat")
     assert X.green_exhaustion(bump).gradient is None
 
@@ -738,37 +734,6 @@ def test_um_two_sided_identity(um):
     assert out["statuses"] == ("CONVERGED", "CONVERGED", "CONVERGED")
 
 
-def test_vm_glued_continuity():
-    vm = X.make_example("vm", 0.75)
-    # on the closed lens the glued function is the power profile itself
-    for z in (0.5 + 0.0j, 0.7 + 0.2j, 0.9 + 0.0j):
-        assert abs(float(vm([z])[0]) + (1.0 - z.real) ** 0.75) < 1e-12
-    # continuous across the lens boundary and vanishing at the unit circle
-    for ang in (0.5, 1.2, 2.0, 2.8):
-        z_in = 0.5 + 0.4999999 * np.exp(1j * ang)
-        z_out = 0.5 + 0.5000001 * np.exp(1j * ang)
-        assert abs(float(vm([z_in])[0]) - float(vm([z_out])[0])) < 5e-6
-    assert abs(float(vm([0.999999 * np.exp(1.0j)])[0])) < 1e-5
-
-
-def test_vm_rejected_by_swept_measure(um):
-    vm = X.make_example("vm", 0.75)
-    lv = vm.sublevel(-0.5)  # level sets themselves are fine
-    assert lv.radii.max() < 1.0
-    with pytest.raises(X.InvalidParameter, match="incomplete"):
-        X.demailly_measure(vm, -0.5)
-
-
-def test_demailly_measure_rejects_incomplete_measure_before_tracing(monkeypatch):
-    def no_trace(*args, **kwargs):
-        raise AssertionError("the level was traced before the measure check")
-
-    monkeypatch.setattr(X, "sublevel_set", no_trace)
-    vm = X.make_example("vm", 0.75)
-    with pytest.raises(X.InvalidParameter, match="incomplete"):
-        X.demailly_measure(vm, -0.3)
-
-
 def test_demailly_measure_rejects_gradientless_exhaustions_before_tracing(
         um, monkeypatch):
     # the flux reads the gradient: a spec without one is refused at once,
@@ -790,17 +755,14 @@ def test_demailly_measure_rejects_gradientless_exhaustions_before_tracing(
 
 
 def test_power_family_sandwich(um, um_half):
-    # pointwise: profile <= glued <= green potential of the lens part < 0
+    # pointwise: profile <= green potential of the lens part < 0
     rng = np.random.default_rng(7)
     for spec, m in ((um, 0.75), (um_half, 0.5)):
-        vm = X.make_example("vm", m)
         for _ in range(12):
             z = complex(*rng.uniform(-0.65, 0.65, 2))
             phi = -((1.0 - z.real) ** m)
-            v_val = float(vm([z])[0])
             u_val = float(spec([z])[0])
-            assert phi <= v_val + 1e-9
-            assert v_val <= u_val + 1e-9
+            assert phi <= u_val + 1e-9
             assert u_val < 0.0
 
 

@@ -170,6 +170,27 @@ def test_outer_refuses_a_declaration_that_is_not_an_exponent_mapping(declared):
         OuterFunction(lambda t: np.zeros_like(t), boundary_singularities=declared)
 
 
+def test_outer_probes_a_callable_log_modulus_at_its_declared_angles():
+    # the samples hide a singularity that is not log-integrable: only the
+    # function, integrated toward the declared angle, shows it
+    def spike(theta):
+        with np.errstate(divide="ignore"):
+            return -np.abs(2.0 * np.sin(0.5 * theta)) ** -1.5
+
+    with pytest.raises(NotLogIntegrable, match="theta=0"):
+        OuterFunction(spike, boundary_singularities={0.0: 1.0})
+
+    # half the log of |1 - e^{it}| is integrable: the outer function of
+    # (1 - z)^{1/2}
+    def root(theta):
+        with np.errstate(divide="ignore"):
+            return 0.5 * np.log(np.abs(2.0 * np.sin(0.5 * theta)))
+
+    h = OuterFunction(root, boundary_singularities={0.0: 0.5})
+    zs = np.array([0.0, 0.5, 0.3 - 0.4j, -0.8j])
+    assert np.max(np.abs(h(zs) - np.sqrt(1.0 - zs))) < 1e-10
+
+
 def test_outer_of_constant():
     h = OuterFunction(lambda t: np.full_like(t, math.log(3.0)))
     assert abs(h(np.array([0.2 + 0.1j]))[0] - 3.0) < 1e-12

@@ -120,6 +120,28 @@ def test_unexported_names_are_read():
     assert not unused, unused
 
 
+def test_imported_names_are_used():
+    # every name a module imports is read in that module or listed in its
+    # __all__: a leftover import is dead code
+    unused = []
+    for path in sorted((ROOT / "src" / "pshardy").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        stem = path.stem
+        module = importlib.import_module(
+            "pshardy" if stem == "__init__" else f"pshardy.{stem}")
+        exported = set(getattr(module, "__all__", ()))
+        unused += [f"{stem}.{name}" for name in sorted(imported - read - exported)]
+    assert not unused, unused
+
+
 def test_one_entry_point_per_integral():
     # area integrals against a measure go through RieszMeasure.pair and
     # circle arcs through integrate_boundary_arc: integrate_disk_area is

@@ -442,6 +442,22 @@ def test_lens_moments_match_mpmath_quadrature():
                 assert abs(M[k] - want) <= P._MOMENT_ERROR * abs(want), (m, k)
 
 
+@pytest.mark.parametrize("m", [0.5, 0.75])
+def test_lens_balayage_fourier_coefficients_are_the_moments(m):
+    # V on the lens-circle rule and M_k on the Gamma ratios are two
+    # implementations: int V cos(kt) dsigma = M_k, and for the infinite
+    # mass of m = 1/2 the finite parts int V (cos(kt) - 1) dsigma = nu_k
+    lens = P.LensPowerDensity(m)
+    M = lens.moments(51)
+    shift = 0.0 if m > 0.5 else 1.0
+    for k in (1, 7, 50):
+        res = integrate_boundary_arc(
+            lambda t: lens.balayage(t) * (np.cos(k * t) - shift),
+            tol_abs=1e-13, tol_rel=1e-12, singular_points=(0.0,))
+        assert res.status == CONVERGED, k
+        assert abs(res.value - M[k]) <= 1e-10 * abs(M[k]), k
+
+
 @pytest.mark.parametrize("m", [0.25, 0.4, 0.5, 0.75, 0.9])
 def test_lens_moments_keep_their_digits_to_the_majorant_length(m):
     # the k rounds of averages round k times: at k = 1000 and 4096 (the
