@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 
 from .geometry import (
     MoebiusAutomorphism,
+    _mirrored,
     _ray_lengths,
 )
 from .potential import (
@@ -67,7 +68,8 @@ def _lens_measure(m):
     |w - 1/2| < 1/2, where y^2 < x (1 - x).  It reads 1 - x as
     (1 - Re center) - Re offset and y as Im center + Im offset: about the
     boundary point 1 that is -rho cos(phi) to the last bit, with no
-    cancellation against the center.  It declares V ~ C t^{2m-2} at the tip.
+    cancellation against the center.  It declares V ~ C t^{2m-2} at the tip,
+    and that the lens and the density are mirror-symmetric about the real axis.
     """
     pref = m * (1.0 - m) / (2.0 * math.pi)
 
@@ -84,6 +86,7 @@ def _lens_measure(m):
         total_mass_hint=_lens_mass(m),
         label=f"lens-power:{m:g}",
         support_disk=(0.5 + 0.0j, 0.5),
+        mirror_symmetric=True,
     )
 
 
@@ -116,8 +119,10 @@ class ExhaustionSpec:
     lens example, carry what it needs on their Riesz measure; see
     ``potential.poisson_balayage``), and rotation invariance, which the
     measure states (``RieszMeasure.is_rotation_invariant``) and which turns
-    a level about min_point = 0 into one circle, and its support, which
-    ``sublevel_set`` checks every level against (u on it cached per spec).
+    a level about min_point = 0 into one circle, mirror symmetry
+    (``RieszMeasure.is_mirror_symmetric``), which halves the rays of a level
+    about a real min_point, and its support, which ``sublevel_set`` checks
+    every level against (u on it cached per spec).
     """
 
     def __init__(self, label, evaluate, measure, *, min_value, min_point,
@@ -348,7 +353,9 @@ def pullback_exhaustion(automorphism, inner):
     V(phi(e^{it})) |phi'(e^{it})| of the inner measure, whose mass it keeps;
     atoms alone just move, and so does a declared support disk, to its image
     disk.  It declares no ``moments``, so the bulk route pairs on it by
-    quadrature.
+    quadrature.  A map with real a and no rotation commutes with conjugation,
+    phi(conj z) = conj phi(z), so the pulled measure is mirror-symmetric
+    when the inner one is.
     """
     if not isinstance(automorphism, MoebiusAutomorphism):
         raise InvalidParameter("pullback needs a MoebiusAutomorphism")
@@ -421,6 +428,8 @@ def pullback_exhaustion(automorphism, inner):
         label=f"pullback:{inner.measure.label}",
         support_disk=support,
         balayage=swept,
+        mirror_symmetric=(complex(mob.a).imag == 0.0 and mob.rot == 0.0
+                          and inner.measure.is_mirror_symmetric()),
     )
     return ExhaustionSpec(
         f"pullback:{mob.a.real:g}{mob.a.imag:+g}i:{inner.label}",
@@ -554,15 +563,24 @@ class LevelSet:
 def _support_probes(spec):
     """The points of a 96 x 96 grid in the ``support_disk`` of the area part
     of Lambda u (in |z| < 0.999 when it declares none) with u there,
-    evaluated once per spec.  Atoms alone have no probes."""
+    evaluated once per spec.  The grid is mirror-symmetric to the last bit;
+    when u is (``RieszMeasure.is_mirror_symmetric``), u is evaluated on the
+    probes in the upper half-plane and read for their conjugates.  Atoms
+    alone have no probes."""
     if spec._probes is None:
         z = np.empty(0, dtype=complex)
         if spec.measure.has_area_part():
-            ax = np.linspace(-0.999, 0.999, 96)
+            pos = np.linspace(-0.999, 0.999, 96)[48:]
+            ax = np.concatenate([-pos[::-1], pos])
             z = (ax[None, :] + 1j * ax[:, None]).ravel()
             c0, r0 = spec.measure.support_disk or (0.0, 0.999)
             z = z[(np.abs(z) < 0.999) & (np.abs(z - c0) < r0)]
-        spec._probes = (z, spec(z) if z.size else np.empty(0))
+        mirror = spec.measure.is_mirror_symmetric()
+        if mirror:
+            z = z[z.imag > 0.0]
+        u = spec(z) if z.size else np.empty(0)
+        spec._probes = ((np.concatenate([z, z.conj()]), np.concatenate([u, u]))
+                        if mirror else (z, u))
     return spec._probes
 
 
@@ -639,7 +657,11 @@ def sublevel_set(spec, c, *, samples=512):
     tol_u/2 gets further steps, and one that misses after those fails the
     trace.  The outer end of each ray sits just inside the unit circle; u
     there is the same on every level, so it is evaluated once per spec and
-    ray count.
+    ray count.  When the measure is mirror-symmetric
+    (``RieszMeasure.is_mirror_symmetric``), the minimum is real and the ray
+    count n even, u(conj z) = u(z) makes ray n - j the mirror image of ray
+    j: rays 0 ... n/2 are solved (and their ends evaluated), and the radii,
+    values and d_r u of the others are theirs.
 
     An exhaustion with a ``gradient`` records d_r u at the vertices
     (``LevelSet.du_dr``).  A level with a deeper one already traced at the
@@ -706,7 +728,13 @@ def sublevel_set(spec, c, *, samples=512):
         )
 
     z0 = spec.min_point
-    full = _ray_lengths(z0, ang) * (1.0 - 1e-12)
+    # about a real minimum of a mirror-symmetric u, u(conj z) = u(z): the
+    # rays 0 ... n/2 are solved, the others are their mirror images
+    rays = samples
+    if spec.measure.is_mirror_symmetric() and z0.imag == 0.0 and samples % 2 == 0:
+        rays = samples // 2 + 1
+    ray = ray[:rays]
+    full = _ray_lengths(z0, ang[:rays]) * (1.0 - 1e-12)
 
     hi = full.copy()
     if samples not in spec._rims:
@@ -715,11 +743,12 @@ def sublevel_set(spec, c, *, samples=512):
     slope_lo = None
     below = _deeper_level(spec, c, samples) if spec.gradient else None
     if below is not None and np.all(below.u_values < c):
-        lo, u_lo, slope_lo = below.radii, below.u_values - c, below.du_dr
+        lo, u_lo = below.radii[:rays], below.u_values[:rays] - c
+        slope_lo = below.du_dr[:rays]
     elif math.isfinite(spec.min_value):
         # every ray starts at the minimum point: one evaluation serves all
-        lo = np.zeros(samples)
-        u_lo = np.full(samples, float(spec(np.array([z0]))[0]) - c)
+        lo = np.zeros(rays)
+        u_lo = np.full(rays, float(spec(np.array([z0]))[0]) - c)
     else:
         lo = 1e-12 * full
         u_lo = spec(z0 + lo * ray) - c
@@ -740,6 +769,8 @@ def sublevel_set(spec, c, *, samples=512):
     # vertices then sit as closely as 30 bisections would place them.
     radii, ut, du_dr = _bracketed_roots(f, lo, u_lo, hi, u_hi, slope_lo,
                                         1e-6 * tol_u, need)
+    if rays < samples:
+        radii, ut, du_dr = _mirrored(radii), _mirrored(ut), _mirrored(du_dr)
     uvals = ut + c
     worst = float(np.abs(ut).max()) + spec.value_error
     if worst > 0.5 * tol_u:

@@ -484,6 +484,12 @@ def _wrap(theta):
     return (np.asarray(theta, dtype=float) + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _mirrored(half):
+    """Values on the n/2 + 1 uniform angles 2 pi j/n of [0, pi], extended to
+    all n by v(2 pi - t) = v(t): entry n - j is entry j."""
+    return np.concatenate([half, half[-2:0:-1]])
+
+
 def _arc_singularities(angles, a, b):
     """(interior, at_a, at_b): where singular angles and their copies 2 pi
     away sit on [a, b].  Within 1e-12 of an end is that end, never interior.

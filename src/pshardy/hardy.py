@@ -47,6 +47,7 @@ from .geometry import (
     INCONCLUSIVE,
     MoebiusAutomorphism,
     QuadratureResult,
+    _mirrored,
     _wrap,
     integrate_boundary_arc,
 )
@@ -115,20 +116,30 @@ def _on_singular(theta, singular_thetas):
     return hit
 
 
-def _memoized(V, singular_thetas):
+def _fold(theta):
+    """|theta| on [-pi, pi], and |_wrap(theta)| outside it: the angle in
+    [0, pi] with the same V under a mirror-symmetric mass.  A small negative
+    angle is never wrapped, which would round it to a multiple of ulp(pi).
+    """
+    mag = np.abs(theta)
+    return np.where(mag <= math.pi, mag, np.abs(_wrap(theta)))
+
+
+def _memoized(V, singular_thetas, mirror=False):
     """V evaluated once per exact float angle, inf at the singular angles.
 
     A call looks every angle up and evaluates the ones not yet seen,
     distinct and in order of first appearance, in one call to V.  Angles
     are keys as given (t and t + 2 pi are two entries), so a stored value
     differs from a fresh evaluation only by the rounding of the batch it
-    was evaluated in.
+    was evaluated in.  Under ``mirror``, V(-t) = V(t): the key and the
+    angle V is evaluated at are the folded angle (``_fold``) in [0, pi].
     """
     memo = {}
 
     def at(theta):
         th = np.asarray(theta, dtype=float)
-        keys = th.ravel().tolist()
+        keys = (_fold(th) if mirror else th).ravel().tolist()
         new = list(dict.fromkeys(k for k in keys if k not in memo))
         if new:
             t = np.array(new)
@@ -172,8 +183,11 @@ class BoundaryWeight:
     this weight, so it lives as long as the exhaustion that caches the
     weight: each exact float angle is evaluated once, inf exactly at the
     declared singular angles, and a stored value differs from a fresh one
-    by rounding only.  ``values`` is ``at`` on the uniform sample grid
-    ``thetas``, inf at the nodes on those angles.  ``singular_thetas`` maps
+    by rounding only.  For a mirror-symmetric measure V(-t) = V(t), and the
+    memo is keyed on the folded angle in [0, pi].  ``values`` is ``at`` on
+    the uniform sample grid ``thetas``, inf at the nodes on those angles;
+    for a mirror-symmetric measure it is ``at`` on the nodes of [0, pi],
+    mirrored, so values[n - j] == values[j].  ``singular_thetas`` maps
     each of them to the exponent alpha of V there, V ~ |t - t0|^alpha.
     """
 
@@ -257,7 +271,10 @@ def boundary_weight(u):
     Any other V is evaluated once per exact float angle and kept in a memo
     on the weight, which set-up, ``arc_mass`` and every route read, so it
     lives as long as the exhaustion does; a stored value differs from a
-    fresh evaluation by the rounding of its batch only.
+    fresh evaluation by the rounding of its batch only.  When the measure
+    is mirror-symmetric (``RieszMeasure.is_mirror_symmetric``) the memo is
+    keyed on, and V evaluated at, the folded angle in [0, pi], and the
+    2,048 samples are the 1,025 on [0, pi], mirrored.
     Outside the two closed forms V is inf exactly at the angles of the
     measure's boundary singularities (``singular_thetas``, with their
     exponents; not fatal), and a sample that is non-finite anywhere else
@@ -286,8 +303,13 @@ def _build_weight(u):
         log_integrable = math.isfinite(mass)
         resid = 0.0 if log_integrable else None
     else:
-        ev = _memoized(ev, singular)
-        values = ev(thetas)
+        mirror = measure.is_mirror_symmetric()
+        ev = _memoized(ev, singular, mirror)
+        if mirror:
+            # V(-t) = V(t): the nodes on [0, pi], mirrored onto (pi, 2 pi)
+            values = _mirrored(ev(thetas[:_WEIGHT_SAMPLES // 2 + 1]))
+        else:
+            values = ev(thetas)
         if not np.all(np.isfinite(values) | _on_singular(thetas, singular)):
             raise UnsupportedRegion(
                 "boundary weight is non-finite away from its declared "

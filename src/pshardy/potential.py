@@ -170,6 +170,12 @@ class RieszMeasure:
         the density lambda(|z|) at z.  Declaring it unlocks exact 1D
         reductions (total mass, Green potentials) that sidestep the cone
         point such densities put at the origin of the 2D integrals.
+    mirror_symmetric : bool
+        Declares the area part invariant under w -> conj(w), as the lens
+        density of u_m is.  With real atoms (``is_mirror_symmetric``) the
+        whole measure is, so u(conj z) = u(z) and V(-t) = V(t), and the
+        boundary weight, the level trace and the support probes compute
+        one half and mirror it.
     total_mass_hint : float or None
         Closed-form total mass when one is known (inf for a divergent
         mass); never substituted for a computed value silently, but
@@ -206,6 +212,7 @@ class RieszMeasure:
     support_disk: object = None
     balayage: object = None
     moments: object = None
+    mirror_symmetric: bool = False
 
     def __post_init__(self):
         self.boundary_singularities = _exponent_map(
@@ -219,6 +226,13 @@ class RieszMeasure:
         and an area part declares its ``radial_profile``."""
         return (all(loc == 0 for loc, _ in self.atoms)
                 and (self.radial_profile is not None or not self.has_area_part()))
+
+    def is_mirror_symmetric(self) -> bool:
+        """Whether w -> conj(w) fixes the measure: every atom is real, and an
+        area part declares ``mirror_symmetric`` or its ``radial_profile``."""
+        return (all(complex(loc).imag == 0 for loc, _ in self.atoms)
+                and (self.mirror_symmetric or self.radial_profile is not None
+                     or not self.has_area_part()))
 
     def total_mass(self, *, level=None, tol_abs: float = 1e-9,
                    tol_rel: float = 1e-7) -> QuadratureResult:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,8 +281,10 @@ def test_green_half_atoms_refused_at_deep_levels():
 
 def test_support_probes_are_evaluated_once_per_spec(monkeypatch):
     # u is evaluated once per spec on the grid points of the support of
-    # its Riesz measure: the 1,774 on the lens disk for u_{3/4}, none for
-    # atoms alone; every later level reuses them
+    # its Riesz measure: the 887 of the 1,774 on the lens disk that lie in
+    # the upper half-plane for u_{3/4}, whose u is mirror-symmetric, none
+    # for atoms alone; every later level reuses them.  The rays are traced
+    # on the upper half, 129 of 256
     calls = []
     original = X.ExhaustionSpec.__call__
 
@@ -292,15 +295,16 @@ def test_support_probes_are_evaluated_once_per_spec(monkeypatch):
     monkeypatch.setattr(X.ExhaustionSpec, "__call__", counted)
     spec = X.make_example("um", 0.75)
     spec.sublevel(-(2.0 ** -4), samples=256)
-    assert calls == [256, 1, 1774]  # the ray ends, the minimum, the probes
+    assert calls == [129, 1, 887]  # the ray ends, the minimum, the probes
+    assert spec._probes[0].size == 1774
     spec.sublevel(-(2.0 ** -5), samples=256)
-    assert calls == [256, 1, 1774]
+    assert calls == [129, 1, 887]
     calls.clear()
     atom = RieszMeasure(atoms=((0.3 + 0.0j, 1.0),), label="atom:0.3")
     ga = X.green_exhaustion(atom)
     ga.sublevel(-1.0, samples=256)
     ga.sublevel(-0.5, samples=256)
-    assert calls == [256, 256]  # the ray ends and the inner bracket ends
+    assert calls == [129, 129]  # the ray ends and the inner bracket ends
     assert ga._probes[0].size == 0
 
 
@@ -668,13 +672,14 @@ def test_closed_form_gradients(um):
 
 
 def test_warm_ladder_counts(ladder256):
-    # rungs k >= 5 start from the rung below them and take Newton steps;
-    # u at the ray ends is evaluated once for the whole ladder, and the
-    # swept measure reads the recorded d_r u with no evaluation of its own
+    # rungs k >= 5 start from the rung below them and take Newton steps on
+    # the 129 rays of the upper half, which u_{3/4}'s mirror symmetry
+    # traces; u at their ends is evaluated once for the whole ladder, and
+    # the swept measure reads the recorded d_r u with no evaluation of its own
     u, rungs, calls = ladder256
     warm = [n for k, (_, n) in rungs.items() if k >= 5]
-    assert sum(warm) / (256.0 * len(warm)) <= 4.0
-    assert calls["value"].count(256) == 1
+    assert sum(warm) / (129.0 * len(warm)) <= 4.0
+    assert calls["value"].count(129) == 1
     before = (list(calls["value"]), calls["gradient"])
     for k in (5, 12):
         lv = rungs[k][0]
@@ -854,6 +859,68 @@ def test_pulled_back_lens_keeps_its_mass_and_pairings(um, mob):
                           tol_abs=1e-11, tol_rel=1e-9)
     assert pair.status == "CONVERGED" and ref.status == "CONVERGED"
     assert abs(pair.value - ref.value) <= 1e-9
+
+
+def test_mirror_symmetry_truth_table(um):
+    # w -> conj(w) fixes the measure when every atom is real and the area
+    # part is absent, declared or radial; a pullback keeps the declaration
+    # only under a map with real a and no rotation, phi(conj z) = conj phi(z)
+    def bump(d, c):
+        return np.exp(-np.abs(c + d - 0.4) ** 2 / 0.02) / (2.0 * math.pi)
+
+    def pullback(inner, a, rot=0.0):
+        return X.pullback_exhaustion(MoebiusAutomorphism(a=a, rot=rot), inner)
+
+    log = X.radial_log()
+    symmetric = {
+        "um": um.measure,
+        "sigma_m": X.make_example("sigma_m", 0.75),
+        "atom 0.3": RieszMeasure(atoms=((0.3 + 0.0j, 1.0),)),
+        "log by 0.3": pullback(log, 0.3).measure,
+        "um by 0.3": pullback(um, 0.3).measure,
+        "2 um": X.scaled_exhaustion(2.0, um).measure,
+    }
+    asymmetric = {
+        "atom 0.3+0.1i": RieszMeasure(atoms=((0.3 + 0.1j, 1.0),)),
+        "log by 0.3+0.1i": pullback(log, 0.3 + 0.1j).measure,
+        "um by 0.3+0.1i": pullback(um, 0.3 + 0.1j).measure,
+        "um by 0.3, rot 0.7": pullback(um, 0.3, 0.7).measure,
+        "bump": RieszMeasure(density=bump, label="bump"),
+    }
+    assert [k for k, m in symmetric.items() if not m.is_mirror_symmetric()] == []
+    assert [k for k, m in asymmetric.items() if m.is_mirror_symmetric()] == []
+
+
+def _traced(spec, levels, samples):
+    return [spec.sublevel(c, samples=samples) for c in levels]
+
+
+def test_mirrored_trace_equals_the_full_trace(monkeypatch):
+    # the declared trace solves rays 0 ... n/2 and mirrors them; the full
+    # trace of the same u, solved on every ray, lands within the rounding
+    # of u at conjugate points, and both meet their tolerance
+    um = X.make_example("um", 0.75)
+    full = X.ExhaustionSpec(
+        um.label, um._evaluate, replace(um.measure, mirror_symmetric=False),
+        min_value=um.min_value, min_point=um.min_point,
+        value_error=um.value_error, gradient=um.gradient)
+    lens_levels = [-(2.0 ** -k) for k in range(4, 13)]
+    atom = RieszMeasure(atoms=((0.3 + 0.0j, 1.0),), label="atom:0.3")
+    atom_levels = [-2.0, -1.0, -0.3, -0.05]
+    # real atoms need no declaration: the atom's full trace is the one it
+    # gets where no measure is mirror-symmetric
+    with monkeypatch.context() as mp:
+        mp.setattr(RieszMeasure, "is_mirror_symmetric", lambda self: False)
+        atom_whole = _traced(X.green_exhaustion(atom), atom_levels, 512)
+    mirrored = (_traced(um, lens_levels, 256)
+                + _traced(X.green_exhaustion(atom), atom_levels, 512))
+    whole = _traced(full, lens_levels, 256) + atom_whole
+    for lv, ref in zip(mirrored, whole):
+        assert np.array_equal(lv.radii[:0:-1], lv.radii[1:]), lv.c
+        assert np.array_equal(lv.du_dr[:0:-1], lv.du_dr[1:]), lv.c
+        assert np.max(np.abs(lv.radii - ref.radii) / ref.radii) <= 2e-14, lv.c
+        assert lv.achieved_tolerance <= lv.level_tolerance, lv.c
+        assert ref.achieved_tolerance <= ref.level_tolerance, lv.c
 
 
 # ---------------------------------------------------------------------------

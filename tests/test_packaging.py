@@ -142,6 +142,37 @@ def test_imported_names_are_used():
     assert not unused, unused
 
 
+def _decorator_names(node):
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(dec, ast.Name):
+            yield dec.id
+
+
+def test_dataclass_fields_are_documented():
+    # every field of a dataclass in the package is named in its class
+    # docstring: as an entry "name : type" where the docstring has an
+    # Attributes section, as a word elsewhere
+    missing, seen = [], 0
+    for path in sorted((ROOT / "src" / "pshardy").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ClassDef)
+                    and "dataclass" in _decorator_names(node)):
+                continue
+            doc = ast.get_docstring(node) or ""
+            fields = [item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+            seen += len(fields)
+            for name in fields:
+                entry = (rf"^\s*{name} : " if "\nAttributes\n" in doc
+                         else rf"\b{name}\b")
+                if not re.search(entry, doc, re.MULTILINE):
+                    missing.append(f"{path.stem}.{node.name}.{name}")
+    assert seen >= 17, seen
+    assert not missing, missing
+
+
 def test_one_entry_point_per_integral():
     # area integrals against a measure go through RieszMeasure.pair and
     # circle arcs through integrate_boundary_arc: integrate_disk_area is

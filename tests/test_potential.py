@@ -519,6 +519,33 @@ def test_lens_far_field_meets_the_curve_rule_at_the_switch():
         assert np.max(np.abs(G_far - G_curve) / np.abs(G_curve)) <= 1e-13
 
 
+@pytest.mark.parametrize("m", [0.25, 0.5, 0.75, 0.9])
+def test_lens_kernel_is_exactly_mirror_symmetric(m):
+    # the lens and its density are fixed by w -> conj(w), and the kernel
+    # keeps that to the last bit: V(-t) = V(t), and u(conj z) = u(z) with
+    # G(conj z) = conj G(z), inside the lens, off it (the multipole series
+    # for m > 1/2) and by its circle.  The boundary weight, the level trace
+    # and the support probes of u_m evaluate one half and mirror it
+    lens = P.LensPowerDensity(m)
+    rng = np.random.default_rng(61)
+    t = np.concatenate([np.geomspace(1e-14, math.pi, 2000),
+                        rng.uniform(0.0, math.pi, 300)])
+    V = lens.balayage(t)
+    assert np.all(np.isfinite(V))
+    assert np.array_equal(lens.balayage(-t), V)
+    disk = 0.999 * np.sqrt(rng.uniform(0.0, 1.0, 400)) * np.exp(
+        1j * rng.uniform(0.0, math.pi, 400))
+    inner = 0.5 + 0.5 * np.sqrt(rng.uniform(0.0, 1.0, 100)) * np.exp(
+        1j * rng.uniform(0.0, math.pi, 100))
+    rim = 0.5 + 0.5 * (1.0 + np.array([-1e-9, 1e-9])[:, None]) * np.exp(
+        1j * np.linspace(0.1, 3.0, 20))
+    z = np.concatenate([disk, inner, rim.ravel()])
+    u, G = lens.green_gradient(z)
+    u_c, G_c = lens.green_gradient(z.conj())
+    assert np.array_equal(u_c, u)
+    assert np.array_equal(G_c, G.conj())
+
+
 @pytest.mark.parametrize("m", [0.5, 0.25])
 def test_lens_at_or_below_half_takes_the_curve_rule(m):
     # the mass diverges at the tip for m <= 1/2, so there is no series:
