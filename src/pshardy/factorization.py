@@ -10,7 +10,10 @@ that Blaschke division needs; the norm routes read nothing else.
 On top of the family sit the factorization routines: dividing out zeros by
 a Blaschke product without changing the weighted norm, reconstructing outer
 functions from boundary data, and building the unit-norm outer multiplier
-whose boundary modulus squares against the weight to one.
+whose boundary modulus squares against the weight to one.  The multiplier
+reads one number of the weight besides its samples, the log mean
+int log V dnu, which fixes phi(0) by Szego's theorem; its Beurling check
+probes |phi*|^2 V off the weight's nodes, where it can fail.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from . import hardy
+from .geometry import CONVERGED, DIVERGENT
 from .potential import (
-    DIVERGENT,
     _add_exponents,
     _analytic_coefficients,
     _exponent_map,
@@ -317,8 +320,6 @@ class OuterFunction(AnalyticExpr):
             keep -= 1
         self.log_coeff0 = float(coeffs[0].real)
         self.log_coeffs = coeffs[1:keep]
-        self.samples = vals
-        self.thetas = thetas
         self.boundary_singularities = declared
         self.label = f"outer[{n} samples]"
 
@@ -412,22 +413,15 @@ def divide_by_blaschke(f, p, u):
 
 
 class UInnerCandidate:
-    """Outer multiplier whose boundary modulus squares against V to one.
+    """Outer multiplier phi whose boundary modulus squares against V to one.
 
-    ``defect`` is the sup over clean samples of | |phi*|^2 V - 1 |; clean
-    means outside small arcs around the weight's singular angles where the
-    truncated boundary series cannot converge.
+    ``outer_part`` is phi, ``weight`` the boundary weight it flattens, and
+    ``norm_value`` the weighted H^2_u norm of phi from ``norm_report``.
     """
 
-    def __init__(self, outer_part, weight, thetas, phi_star, flatness,
-                 clean_mask, norm_value, norm_report):
+    def __init__(self, outer_part, weight, norm_value, norm_report):
         self.outer_part = outer_part
         self.weight = weight
-        self.thetas = thetas
-        self.phi_star = phi_star
-        self.flatness = flatness
-        self.clean_mask = clean_mask
-        self.defect = float(np.max(np.abs(flatness[clean_mask] - 1.0)))
         self.norm_value = norm_value
         self.norm_report = norm_report
 
@@ -436,43 +430,39 @@ def u_inner(u):
     """Construct the outer multiplier phi with |phi*|^2 V = 1 a.e.
 
     phi is the outer function of -log(V)/2, which carries -alpha/2 at each
-    angle where V declares the exponent alpha.  The defect is measured by
-    evaluating the truncated boundary series of phi directly on the weight's
-    own sample grid, excluding arcs of half-width 1e-3 (radians) around the
-    declared singular angles of V.
+    angle where V declares the exponent alpha.  Its log series comes from
+    the weight's samples; its constant term is -1/2 of the weight's
+    adaptive ``log_mean``, since the declared log|2 sin((t - t0)/2)| terms
+    have mean zero, so 1/phi(0)^2 = exp int log V dnu, Szego's limit of V's
+    prediction errors.  Raises NotLogIntegrable unless the log mean
+    converged.
     """
     weight = hardy.boundary_weight(u)
-    if not weight.log_integrable:
+    log_mean = weight.log_mean
+    if log_mean.status != CONVERGED:
         raise NotLogIntegrable(
             f"log V is not integrable for {u.label}; no outer candidate"
         )
-    v_vals = weight.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_phi = -0.5 * np.log(v_vals)
+    with np.errstate(divide="ignore"):
+        log_phi = -0.5 * np.log(weight.values)
     phi = OuterFunction.from_samples(
         weight.thetas, log_phi, boundary_singularities={
             t0: -0.5 * alpha for t0, alpha in weight.singular_thetas.items()},
     )
-    phi_star = phi.boundary_trace(weight.thetas)
-    with np.errstate(invalid="ignore"):
-        # 0 * inf at the singular nodes; those samples are never clean
-        flatness = np.abs(phi_star) ** 2 * v_vals
-    clean = np.isfinite(flatness)
-    for t0 in weight.singular_thetas:
-        clean &= hardy._gap(weight.thetas, t0) > 1e-3
+    phi.log_coeff0 = -0.5 * log_mean.value
     report = hardy.hardy_norm(phi, 2.0, u)
-    return UInnerCandidate(phi, weight, weight.thetas, phi_star, flatness,
-                           clean, report.value, report)
+    return UInnerCandidate(phi, weight, report.value, report)
 
 
 def beurling_isometry_check(candidate, u, test_fns=None):
     """Verify the multiplier carries classical H^2 isometrically into H^2_u.
 
     For each test function g the weighted norm of phi*g must match the
-    classical H^2 norm of g; the flatness samples |phi*|^2 V must have unit
-    mean and no other Fourier content.  Singular-arc nodes are filled with
-    the ideal value 1 before the DFT so the diagnostics probe only the
-    trustworthy samples.
+    classical H^2 norm of g to 5e-3.  ``flatness`` probes |phi*|^2 V off the
+    weight's nodes, where phi's series does not interpolate its own
+    samples: at the midpoints of the nodes and at t0 +- 10^-k, k = 1..5,
+    about each declared angle t0.  It reports the largest | |phi*|^2 V - 1 |
+    and its angle, ok within 1e-3.
     """
     if test_fns is None:
         rng = np.random.default_rng(5)
@@ -498,15 +488,18 @@ def beurling_isometry_check(candidate, u, test_fns=None):
             "relative_gap": gap,
             "ok": gap is not None and gap <= 5e-3,
         })
-    filled = np.where(candidate.clean_mask, candidate.flatness, 1.0)
-    spectrum = np.fft.rfft(filled) / filled.size
-    dc = float(np.real(spectrum[0]))
-    max_other = float(np.abs(spectrum[1:]).max())
-    flat = {
-        "dc": dc,
-        "max_other": max_other,
-        "ok": abs(dc - 1.0) <= 1e-3 and max_other <= 1e-3,
-    }
+    weight = candidate.weight
+    thetas = weight.thetas
+    steps = 10.0 ** -np.arange(1, 6)
+    probes = [thetas + 0.5 * (thetas[1] - thetas[0])]
+    for t0 in weight.singular_thetas:
+        probes += [t0 - steps, t0 + steps]
+    t = np.concatenate(probes)
+    dev = np.abs(np.abs(candidate.outer_part.boundary_trace(t)) ** 2
+                 * weight.at(t) - 1.0)
+    worst = int(np.argmax(dev))
+    flat = {"max": float(dev[worst]), "theta": float(t[worst]),
+            "ok": bool(dev[worst] <= 1e-3)}
     return {
         "entries": entries,
         "flatness": flat,

@@ -211,8 +211,8 @@ def _geometric_tail(shells) -> tuple[float, float] | None:
         return None
     last = shells[-1]
     mags = [abs(v) for v in shells[-4:]]
-    if mags[-2] < 1e-300:
-        return 0.0, abs(last)
+    if mags[-2] < 1e-300:  # zero shells resolve no tail
+        return None
     signs = {v > 0 for v in shells[-3:] if v != 0}
     if len(signs) > 1:
         return None

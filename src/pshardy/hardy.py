@@ -36,6 +36,7 @@ classical norm of f is (int |f*|^p dnu)^{1/p}.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -153,20 +154,6 @@ def _memoized(V, singular_thetas, mirror=False):
     return at
 
 
-def _log_abs_integrable(ev, singular_thetas):
-    """Whether int |log V| dnu converges, by adaptive quadrature at 1e-6."""
-
-    def integrand(t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(np.log(np.abs(np.asarray(ev(t), dtype=float))))
-
-    res = integrate_boundary_arc(
-        integrand, tol_abs=1e-6, tol_rel=1e-6,
-        singular_points=tuple(singular_thetas),
-    )
-    return res.status == CONVERGED
-
-
 # ---------------------------------------------------------------------------
 # The boundary weight.
 # ---------------------------------------------------------------------------
@@ -189,16 +176,19 @@ class BoundaryWeight:
     for a mirror-symmetric measure it is ``at`` on the nodes of [0, pi],
     mirrored, so values[n - j] == values[j].  ``singular_thetas`` maps
     each of them to the exponent alpha of V there, V ~ |t - t0|^alpha.
+    ``log_mean`` is int log V dnu as a ``QuadratureResult``, adaptive at
+    1e-8 abs and rel with the singular angles declared, computed on first
+    read; by Szego's theorem exp(log_mean) is the limit of V's prediction
+    errors, and the u-inner multiplier reads it as -2 log phi(0).
     """
 
     def __init__(self, *, thetas, values, evaluator, singular_thetas,
-                 mass_of_laplacian, log_integrable, fubini_residual, label):
+                 mass_of_laplacian, fubini_residual, label):
         self.thetas = np.asarray(thetas, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self._evaluator = evaluator
         self.singular_thetas = dict(singular_thetas)
         self.mass_of_laplacian = float(mass_of_laplacian)
-        self.log_integrable = bool(log_integrable)
         self.fubini_residual = None if fubini_residual is None else float(fubini_residual)
         self.label = label
 
@@ -209,6 +199,16 @@ class BoundaryWeight:
     def at(self, theta):
         """Evaluate V at arbitrary angles (inf at singular angles)."""
         return self._evaluator(theta)
+
+    @functools.cached_property
+    def log_mean(self):
+        def log_v(t):
+            with np.errstate(divide="ignore"):
+                return np.log(np.asarray(self._evaluator(t), dtype=float))
+
+        return integrate_boundary_arc(
+            log_v, tol_abs=1e-8, tol_rel=1e-8,
+            singular_points=tuple(self.singular_thetas))
 
     def constancy(self):
         """Coefficient of variation of the finite samples (0 for radial)."""
@@ -231,7 +231,7 @@ class BoundaryWeight:
             "label": self.label,
             "samples": int(self.samples),
             "mass_of_laplacian": _json_real(self.mass_of_laplacian),
-            "log_integrable": self.log_integrable,
+            "log_mean": self.log_mean.to_json_dict(),
             "fubini_residual": _json_real(self.fubini_residual),
             "singular_thetas": [[float(t), float(alpha)]
                                 for t, alpha in self.singular_thetas.items()],
@@ -300,8 +300,7 @@ def _build_weight(u):
         # function: it integrates to the mass identically, and log V is
         # bounded on the circle
         values = ev(thetas)
-        log_integrable = math.isfinite(mass)
-        resid = 0.0 if log_integrable else None
+        resid = 0.0 if math.isfinite(mass) else None
     else:
         mirror = measure.is_mirror_symmetric()
         ev = _memoized(ev, singular, mirror)
@@ -315,18 +314,19 @@ def _build_weight(u):
                 "boundary weight is non-finite away from its declared "
                 "singular angles"
             )
-        # V is a positive Poisson sweep, so log V is integrable at every
-        # finite exponent; the quadrature stays because it is the one set-up
-        # pass that fills the memo near the singular angles when the mass is
-        # infinite (_fubini_residual then integrates nothing), and without
-        # it the routes pay for those evaluations query by query
-        log_integrable = _log_abs_integrable(ev, singular)
         resid = _fubini_residual(ev, mass, singular)
-    return BoundaryWeight(
+    weight = BoundaryWeight(
         thetas=thetas, values=values, evaluator=ev,
         singular_thetas=singular, mass_of_laplacian=mass,
-        log_integrable=log_integrable, fubini_residual=resid, label=u.label,
+        fubini_residual=resid, label=u.label,
     )
+    if not closed:
+        # on an infinite mass (u_{1/2}) _fubini_residual integrates nothing,
+        # and this is the one set-up pass that fills the memo near the
+        # singular angles; without it the routes pay for those evaluations
+        # query by query
+        weight.log_mean
+    return weight
 
 
 # ---------------------------------------------------------------------------

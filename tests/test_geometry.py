@@ -126,6 +126,34 @@ def test_near_pole_power_integral_is_inside_its_error():
     assert abs(4965.29413303 - res.value) <= res.error
 
 
+_ZERO_FROM = 0.0625 + 1e-9  # just above 1/16: the first three dyadic shells are zero
+
+
+def test_zero_shells_next_to_a_singular_point_are_no_zero_tail():
+    # int_0^1 x^(-1/2) [x < s] dx = 2 sqrt(s): the shells outside s are
+    # exactly zero, and they resolved a tail of 0 +- 0 before the jump
+    res = G.integrate_interval(
+        lambda x: np.where(x < _ZERO_FROM, x ** -0.5, 0.0), 0.0, 1.0,
+        singular_left=True)
+    assert res.status == "CONVERGED"
+    assert abs(res.value - 2.0 * math.sqrt(_ZERO_FROM)) <= res.error
+    zero = G.integrate_interval(np.zeros_like, 0.0, 1.0, singular_left=True)
+    assert (zero.value, zero.error, zero.status, zero.depth) == (0.0, 0.0, "CONVERGED", 0)
+
+
+def test_zero_shells_about_an_interior_singularity_are_no_zero_tail():
+    # |w|^(-1/2) on |w| < R integrates to (4 pi / 3) R^(3/2); each ray of
+    # the radial batch starts with zero shells
+    def density(d, c):
+        r = np.abs(c + d)
+        with np.errstate(divide="ignore"):
+            return np.where(r < _ZERO_FROM, r ** -0.5, 0.0)
+
+    res = G.integrate_disk_area(density, interior_singularities=[0.0])
+    assert res.status == "CONVERGED"
+    assert abs(res.value - 4.0 * math.pi / 3.0 * _ZERO_FROM ** 1.5) <= res.error
+
+
 def test_budget_exhaustion_is_inconclusive(monkeypatch):
     monkeypatch.setattr(G, "DEFAULT_BUDGET", 400)
     res = G.integrate_interval(

@@ -31,7 +31,8 @@ def test_weight_log_is_constant_one(ulog):
     assert np.max(np.abs(w.values - 1.0)) < 1e-12
     assert w.constancy() < 1e-12
     assert abs(w.mass_of_laplacian - 1.0) == 0.0
-    assert w.log_integrable
+    assert w.log_mean.status == CONVERGED
+    assert w.log_mean.value == 0.0
     assert w.singular_thetas == {}
     assert abs(w.at(1.234) - 1.0) < 1e-12
 
@@ -45,7 +46,9 @@ def test_weight_um_frozen_values(u075):
     assert w.singular_thetas == {0.0: -0.5}  # V ~ 0.75 t^{2m - 2} at the tip
     assert math.isinf(w.at(0.0))
     assert math.isinf(w.values[0])
-    assert w.log_integrable
+    # int log V dnu, against an adaptive value at 1e-12
+    assert w.log_mean.status == CONVERGED
+    assert abs(w.log_mean.value + 2.9149151669092737) <= 2e-8
 
 
 def test_weight_um_half_diverges_at_one(u05):
@@ -53,8 +56,17 @@ def test_weight_um_half_diverges_at_one(u05):
     assert abs(w.at(math.pi) - 0.02963475158897719) < 1e-9
     assert math.isinf(w.mass_of_laplacian)
     assert w.fubini_residual is None
-    # V ~ 1/t near the singular angle: log V is still integrable
-    assert w.log_integrable
+    # V ~ 1/t near the singular angle: log V is still integrable (an
+    # adaptive value at 1e-12)
+    assert w.log_mean.status == CONVERGED
+    assert abs(w.log_mean.value + 2.294030108763964) <= 2e-8
+
+
+def test_weight_log_mean_of_a_poisson_kernel():
+    # int log P(a, .) dnu = log(1 - |a|^2)
+    w = H.boundary_weight(X.green_exhaustion(RieszMeasure(atoms=((0.3 + 0.0j, 1.0),))))
+    assert w.log_mean.status == CONVERGED
+    assert abs(w.log_mean.value - math.log(1.0 - 0.3 ** 2)) <= 1e-12
 
 
 def test_weight_integrates_to_the_mass_at_tight_tolerance(u075):
@@ -403,6 +415,27 @@ def test_weight_memo_lives_with_its_exhaustion(monkeypatch):
     assert asked == []
 
 
+def test_weight_build_fills_the_memo_near_the_singular_angle(monkeypatch):
+    # u_{1/2} has infinite mass, so the Fubini check integrates nothing and
+    # the build's log mean is the one set-up pass that evaluates V near the
+    # tip; the queries then find those angles in the memo (34 batches to
+    # the lens rule when the build reads no log mean)
+    u = X.make_example("um", 0.5)
+    H.boundary_weight(u)
+    density = u.measure.balayage.__self__
+    batches = []
+    block = density._curve_balayage
+
+    def counted(t):
+        batches.append(t.size)
+        return block(t)
+
+    monkeypatch.setattr(density, "_curve_balayage", counted)
+    for f in (Poly([0.25, -0.5, 0.25]), Poly([1.0])):
+        H.hardy_norm(f, 1.0, u, level_samples=256)
+    assert len(batches) <= 10, batches
+
+
 def test_weight_rejects_non_finite_declared_balayage():
     # a declared balayage that is nan on an arc away from its boundary
     # singularity is not a weight
@@ -432,7 +465,7 @@ def test_weight_json(u075, ulog):
     w = H.boundary_weight(u075)
     blob = w.to_json_dict()
     assert blob["mass_of_laplacian"] == w.mass_of_laplacian
-    assert blob["log_integrable"] is True
+    assert blob["log_mean"]["status"] == "CONVERGED"
     assert "paper_refs" in blob
     # each singular angle with the exponent alpha of V there
     assert blob["singular_thetas"] == [[0.0, -0.5]]

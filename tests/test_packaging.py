@@ -120,6 +120,33 @@ def test_unexported_names_are_read():
     assert not unused, unused
 
 
+def test_stored_attributes_are_read():
+    # every attribute a class in the package assigns on self is read in the
+    # package, the tests or the benchmark: as an attribute load, or as a
+    # string constant (getattr, property).  The scan matches by name alone,
+    # so an attribute that another class also reads under its name (say
+    # samples or thetas) passes unseen
+    stored, read = set(), set()
+    for path in sorted((ROOT / "src" / "pshardy").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stored.update(
+                (f"{path.stem}.{cls.name}", node.attr) for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+    for folder in ("src", "tests", "hardybench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    assert stored, "no stored attributes found"
+    unread = sorted(f"{owner}.{attr}" for owner, attr in stored if attr not in read)
+    assert not unread, unread
+
+
 def test_imported_names_are_used():
     # every name a module imports is read in that module or listed in its
     # __all__: a leftover import is dead code
