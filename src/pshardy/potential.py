@@ -17,6 +17,7 @@ nu(circle) = 1, so the harmonic extension of the constant 1 is 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -514,6 +515,40 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # B_j = int ((2w - 1)^j - 1) dsigma_m = K sum_(i<j) r_i/(i + 1 + m), with
 # K = M_0 (1 - 2m) = -2m(1-m)(1+m) B(3/2, m + 1/2)/pi finite for every m, and
 # the finite parts nu_k = int (w^k - 1) dsigma_m = 2^-k sum_j C(k, j) B_j.
+#
+# Inside the lens a series in zeta = 2z - 1 serves u_m for m > 1/2.  On the
+# circle log|z - w| = -log 2 - Re sum_k zeta^k e^{-ik psi}/k and d_n log|z - w|
+# = 2 + 2 Re sum_k zeta^k e^{-ik psi}, so Green's identity gives the direct
+# half int log|z - w| dsigma_m = s(z) + Re sum_k kappa_k zeta^k, with
+# kappa_0 = (2 J_0(m) - m log 2 I_0)/(4 pi), kappa_k = (2 J_k(m) - (m/k) I_k)/(4 pi),
+# J_k(a) = int sin^(2a)(psi/2) cos(k psi) dpsi = 2 pi (-1)^k Gamma(2a + 1)/(4^a
+# Gamma(a + k + 1) Gamma(a - k + 1)) and I_k = J_k(m - 1) - 2 J_k(m); the mass
+# is M_0 = m I_0/(4 pi).  The reflected half int log|1 - conj(z) w| dsigma_m is
+# M_0 log|1 - z/2| + Re T(q), q = z/(2 - z), T = -sum_k (A_k/k) q^k.  Both
+# halves hold M_0 log|1 - z|, which cancels in u_m but, summed, costs M_0
+# times the rounding, and M_0 -> inf as m -> 1/2 (5e-13 at m = 0.501).  With
+# T = M_0 log(1 - q) - sum_k (B_k/k) q^k and lambda_k = kappa_k + M_0/k
+# (lambda_0 = J_0(m)/(2 pi)) it drops out exactly:
+#
+#   u_m = s + Re sum_k lambda_k zeta^k + Re sum_k (B_k/k) q^k,
+#   G   = m(1 - x)^(m-1) + 2 sum_k k kappa_k zeta^(k-1) + (M_0 + 2 R/(2 - z))/(2 - z),
+#
+# R = sum_k A_(k+1) q^k.  G keeps kappa_k and A_k, whose terms decay where
+# those of lambda_k and B_k tend to M_0.  lambda_k takes the gaps J_k - J_0,
+# which stay finite as m -> 1/2 (``_circle_cosines``).
+#
+# V has a series off the tip for every m.  With zeta = e^{it} and q = 1/(2 zeta
+# - 1), P(w, zeta) = Re(2 zeta/(zeta - w)) - 1 and 1/(zeta - w) = 2q sum_k
+# 2^k (w - 1/2)^k q^k give V = Re[(2 zeta/(zeta - 1/2)) sum_k A_k q^k] - M_0;
+# the M_0 terms cancel exactly on the circle, where Re(2 zeta/(zeta - 1)) = 1,
+# so V = Re[(2 zeta/(zeta - 1/2)) sum_k B_k q^k], finite for m <= 1/2 too.
+#
+# Every point has one evaluator (``LensPowerDensity._evaluate``).  The series
+# take _MULTIPOLE_TERMS terms and converge at a rate below _MULTIPOLE_REACH:
+# for m > 1/2, where |z| < 0.99 |2 - z|, off the lens where 0.99 |2z - 1| > 1
+# and inside it where |2z - 1| < 0.99; V where 0.99 |2 e^{it} - 1| > 1, that
+# is |t| > 0.1008.  The lens-circle rule keeps the rest: the annulus about the
+# lens circle, the tip, and for m <= 1/2 every point of u_m.
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
@@ -526,7 +561,7 @@ _GRADING = 0.4  # largest panel half-width over its distance to a pole or tip
 # seeded points 1e-8..1e-1 from the circle, by both tips and across the disk
 _VALUE_ERROR = 1.4e-14
 _AT_TIP = 1e-150  # d below this, |t| < 1.4e-75: V is inf, |zeta - w|^2 underflows
-_MULTIPOLE_TERMS = 4000  # terms of the far-field series; its tail is < 1e-18
+_MULTIPOLE_TERMS = 4000  # terms of each series; 0.99^4000 = 3.5e-18 at the reach
 _MULTIPOLE_REACH = 0.99  # points whose series converges at a rate below it
 # the relative error of declared moments: four times the largest gap, 1.0e-15,
 # of the lens moments to the tests' 30-digit references at k <= 4096; it also
@@ -543,6 +578,28 @@ def _lens_ratios(m, n):
     """r_0 ... r_(n-1) = A_k/M_0, in extended precision."""
     k = np.arange(n - 1, dtype=np.longdouble)
     return np.append(np.longdouble(1.0), np.cumprod(1.0 + (1.0 - 2.0 * m) / (k + 1.0 + m)))
+
+
+def _finite_parts(m, n):
+    """B_0 ... B_(n-1) = A_k - M_0, finite for every m, in extended precision."""
+    K = -2.0 * m * (1.0 - m) * (1.0 + m) * beta(1.5, m + 0.5) / math.pi
+    i = np.arange(n - 1, dtype=np.longdouble)
+    return np.append(np.longdouble(0.0), K * np.cumsum(_lens_ratios(m, n)[:-1] / (i + 1.0 + m)))
+
+
+def _circle_cosines(a, n):
+    """J_k(a) = int sin^(2a)(psi/2) cos(k psi) dpsi over one turn, and the
+    gaps J_k(a) - J_0(a), for k < n, in extended precision.
+
+    J_(k+1)/J_k = (k - a)/(k + 1 + a) from J_0(a) = 2 B(a + 1/2, 1/2), so
+    J_(k+1) - J_k = -(2a + 1) J_k/(k + 1 + a): the gaps carry (2a + 1) J_0(a)
+    = 4 (a + 1) B(a + 3/2, 1/2), which stays finite as a -> -1/2.
+    """
+    k = np.arange(n - 1, dtype=np.longdouble)
+    rho = np.append(np.longdouble(1.0), np.cumprod((k - a) / (k + 1.0 + a)))
+    scale = 4.0 * (a + 1.0) * beta(a + 1.5, 0.5)
+    gaps = np.append(np.longdouble(0.0), -scale * np.cumsum(rho[:-1] / (k + 1.0 + a)))
+    return 2.0 * beta(a + 0.5, 0.5) * rho, gaps
 
 
 def _lens_rule(star, d, delta, tip_rule, image=None):
@@ -641,12 +698,13 @@ def _half_width(ahead, height):
     return g * (np.hypot(ahead, math.sqrt(1.0 - g * g) * height) - g * ahead) / (1.0 - g * g)
 
 
-def _power_gap(base, top, step, m):
-    """top^m - base^m from step = top - base, without cancellation."""
+def _power_gap(base, base_m, top_m, step, m):
+    """top^m - base^m from base, both powers and step = top - base, without
+    cancellation."""
     ratio = step / base
     close = np.abs(ratio) < 0.5
-    return np.where(close, base ** m * np.expm1(m * np.log1p(np.where(close, ratio, 0.0))),
-                    top ** m - base ** m)
+    return np.where(close, base_m * np.expm1(m * np.log1p(np.where(close, ratio, 0.0))),
+                    top_m - base_m)
 
 
 def _sum_by(owner, terms, size):
@@ -672,22 +730,32 @@ class LensPowerDensity:
 
     This is the Riesz mass of the worked example u_m.  Its potential, the
     potential's gradient and its balayage V are integrals over the lens
-    circle on one rule (see the section comment), for every m in (0, 1).
-    For m > 1/2, points where rho = max(1/|2z - 1|, |z|/|2 - z|) <
-    _MULTIPOLE_REACH take the multipole series of u_m (``_far_field``); at
-    rho = 0.99 -+ 1e-9 the two agree to 1.2e-16 in u, 4e-15 relative in G.
-    ``green_potential`` is within ``value_error`` of 40-digit references at
-    73 points (m = 3/4, 1/2) and 9 (m = 1/4) inside the lens, 1e-7 to 1e-1
-    outside it, by both tips and by the circle; on the circle u and G lie
-    within 1e-12 of their values 1e-12 to either side.  ``green_gradient``
-    gives the same u with G = 2 d_z u_m = u_x - i u_y, within 3e-15 relative
-    of a 30-digit reference and of a 60,000-term series at 0.99 < rho <
-    0.999.  ``balayage`` is V(e^{it}), within 3.8e-15 relative of references
-    for m = 3/4 and 1/2, 2.5e-14 for m = 1/4 (about the error of scipy's
-    Gauss-Jacobi weights there) and 3.6e-15 for m = 0.4; inf at t = 0 and
-    at |t| < 1.4e-75.  ``moments`` gives M_k = int w^k dsigma_m, or for
-    m <= 1/2 the finite parts nu_k = int (w^k - 1) dsigma_m, built on first
-    use and within _MOMENT_ERROR of 30-digit references to k = 4096.
+    circle on one rule (see the section comment), for every m in (0, 1),
+    or series where those converge at a rate below _MULTIPOLE_REACH.  For
+    m > 1/2, points where rho = max(1/|2z - 1|, |z|/|2 - z|) < 0.99 take the
+    multipole series of u_m (``_far_field``); at rho = 0.99 -+ 1e-9 the two
+    agree to 1.2e-16 in u, 4e-15 relative in G.  Points where |2z - 1| <
+    0.99 and |z| < 0.99 |2 - z| take the series inside the lens
+    (``_inner_field``); at |2z - 1| = 0.99 -+ 1e-9 it meets the rule within
+    5.4e-16 in u and 2.1e-14 relative in G (m = 0.6, 3/4, 0.9), and within
+    8.1e-15 in u by the tip for m down to 1/2.  Both series' G lose digits
+    as m -> 1/2, where their terms grow like M_0: at m = 0.51, 3.4e-12
+    relative inside the lens and 4.6e-14 off it.  ``green_potential`` is
+    within ``value_error`` of 40-digit references at 73 points (m = 3/4,
+    1/2) and 9 (m = 1/4) inside the lens, 1e-7 to 1e-1 outside it, by both
+    tips and by the circle; on the circle u and G lie within 1e-12 of their
+    values 1e-12 to either side.  ``green_gradient`` gives the same u with
+    G = 2 d_z u_m = u_x - i u_y, within 3e-15 relative of a 30-digit
+    reference and of a 60,000-term series at 0.99 < rho < 0.999.
+    ``balayage`` is V(e^{it}): for |t| > 0.1008 the series of the finite
+    parts (``_far_balayage``), within 7.5e-16 relative of references for
+    m = 3/4 and 1/2 and 5.4e-16 for m = 1/4 and 0.4; by the tip the rule,
+    within 8.5e-16 at t = 0.05 (m = 3/4, 1/2), 2.6e-15 from the series at
+    |t| = 0.1008 -+ 1e-9, and inf at t = 0 and at |t| < 1.4e-75.
+    ``moments`` gives M_k = int w^k dsigma_m, or for m <= 1/2 the finite
+    parts nu_k = int (w^k - 1) dsigma_m, built on first use and within
+    _MOMENT_ERROR of 30-digit references to k = 4096.  The series
+    coefficients are built on first use too, once per density.
     """
 
     def __init__(self, m):
@@ -713,19 +781,39 @@ class LensPowerDensity:
         table built serves every shorter one.
         """
         if self._moment_table.size < n:
-            m, r = self.m, _lens_ratios(self.m, n)
-            if m > 0.5:
-                terms = _lens_mass(m) * r
-            else:
-                K = -2.0 * m * (1.0 - m) * (1.0 + m) * beta(1.5, m + 0.5) / math.pi
-                i = np.arange(n - 1, dtype=np.longdouble)
-                terms = np.append(np.longdouble(0.0), K * np.cumsum(r[:-1] / (i + 1.0 + m)))
-            terms = terms.astype(float)
+            m = self.m
+            terms = (_lens_mass(m) * _lens_ratios(m, n) if m > 0.5
+                     else _finite_parts(m, n)).astype(float)
             self._moment_table = np.empty(n)
             for k in range(n):
                 self._moment_table[k] = terms[0]
                 terms = 0.5 * (terms[:-1] + terms[1:])
         return self._moment_table[:n].copy()
+
+    @functools.cached_property
+    def _outer_terms(self):
+        """-A_k/k and A_(k+1): the multipole series of u_m and of G, and of
+        G's reflected half inside the lens."""
+        A = self._moments
+        return np.append(0.0, -A[1:] / np.arange(1, A.size)), A[1:]
+
+    @functools.cached_property
+    def _inner_terms(self):
+        """lambda_k = kappa_k + M_0/k (lambda_0 = kappa_0 + M_0 log 2) and
+        k kappa_k (k >= 1): the series of u_m and of G inside the lens."""
+        m, n = self.m, _MULTIPOLE_TERMS + 1
+        (J, gaps), (J_low, gaps_low) = _circle_cosines(m, n), _circle_cosines(m - 1.0, n)
+        k = np.arange(1, n, dtype=np.longdouble)
+        lam = np.append(2.0 * J[0], 2.0 * J[1:] - (m / k) * (gaps_low[1:] - 2.0 * gaps[1:]))
+        slope = 2.0 * k * J[1:] - m * (J_low[1:] - 2.0 * J[1:])
+        return (lam / (4.0 * math.pi)).astype(float), (slope / (4.0 * math.pi)).astype(float)
+
+    @functools.cached_property
+    def _finite_terms(self):
+        """B_k = A_k - M_0 and B_k/k: the series of V, and of u_m's reflected
+        half inside the lens."""
+        B = _finite_parts(self.m, _MULTIPOLE_TERMS + 1)
+        return B.astype(float), np.append(0.0, B[1:] / np.arange(1, B.size)).astype(float)
 
     def green_potential(self, z):
         return self._evaluate(z, False)[0]
@@ -739,14 +827,19 @@ class LensPowerDensity:
         """u_m, with Re G and Im G under ``gradient``, stacked on a leading axis."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros((3 if gradient else 1,) + z.shape)
+        if self.pref == 0.0:
+            return out
         a = np.abs(z)
-        inside = a < 1.0 - 1e-15
-        far = (inside & (self.m > 0.5) & (a < _MULTIPOLE_REACH * np.abs(2.0 - z))
-               & (_MULTIPOLE_REACH * np.abs(2.0 * z - 1.0) > 1.0))
-        out[:, far] = self._far_field(z[far], gradient)
-        near = inside & ~far
-        if self.pref != 0.0:
-            out[:, near] = _in_chunks(lambda zz: self._curve_potential(zz, gradient), z[near])
+        near = a < 1.0 - 1e-15
+        if self.m > 0.5:
+            rate = np.abs(2.0 * z - 1.0)
+            series = near & (a < _MULTIPOLE_REACH * np.abs(2.0 - z))
+            far = series & (_MULTIPOLE_REACH * rate > 1.0)
+            lens = series & (rate < _MULTIPOLE_REACH)
+            out[:, far] = self._far_field(z[far], gradient)
+            out[:, lens] = self._inner_field(z[lens], gradient)
+            near &= ~(far | lens)
+        out[:, near] = _in_chunks(lambda zz: self._curve_potential(zz, gradient), z[near])
         return out
 
     def _far_field(self, z, gradient):
@@ -754,16 +847,33 @@ class LensPowerDensity:
         S(zeta) = int log(zeta - w) dsigma_m = M_0 log(zeta - 1/2) - sum_k
         (A_k/k) q^k gives u_m = Re S(z) - Re S(1/conj z) - M_0 log|z| and
         G = 2 d_z u_m; real moments put the reflection at 1/z, q = z/(2 - z)."""
-        A, n = self._moments, z.size
+        A0, n = self._moments[0], z.size
+        log_terms, next_terms = self._outer_terms
         q = np.concatenate([1.0 / (2.0 * z - 1.0), z / (2.0 - z)])
-        T = _series(q, np.append(0.0, -A[1:] / np.arange(1, A.size)))
-        u = (A[0] * (np.log(np.abs(2.0 * z - 1.0)) - np.log(np.abs(2.0 - z)))
+        T = _series(q, log_terms)
+        u = (A0 * (np.log(np.abs(2.0 * z - 1.0)) - np.log(np.abs(2.0 - z)))
              + (T[:n] - T[n:]).real)
         if not gradient:
             return u[None]
-        R = _series(q, A[1:])  # sum_k A_(k+1) q^k
+        R = _series(q, next_terms)  # sum_k A_(k+1) q^k
         q1, rz = q[:n], 1.0 / (2.0 - z)
-        G = 2.0 * q1 * (A[0] + q1 * R[:n]) + (A[0] + 2.0 * rz * R[n:]) * rz
+        G = 2.0 * q1 * (A0 + q1 * R[:n]) + (A0 + 2.0 * rz * R[n:]) * rz
+        return np.stack([u, G.real, G.imag])
+
+    def _inner_field(self, z, gradient):
+        """u_m, with Re G and Im G under ``gradient``, inside the lens by the
+        series in zeta = 2z - 1 of the direct half and in q = z/(2 - z) of the
+        reflected one (see the section comment)."""
+        m, A0, (lam, slope) = self.m, self._moments[0], self._inner_terms
+        zeta, q, omx = 2.0 * z - 1.0, z / (2.0 - z), 1.0 - z.real
+        u = (_series(zeta, lam).real - omx ** m
+             + _series(q, self._finite_terms[1]).real)
+        if not gradient:
+            return u[None]
+        rz = 1.0 / (2.0 - z)
+        R = _series(q, self._outer_terms[1])
+        G = (m * omx ** (m - 1.0) + 2.0 * _series(zeta, slope)
+             + (A0 + 2.0 * rz * R) * rz)
         return np.stack([u, G.real, G.imag])
 
     def _curve_potential(self, z, gradient):
@@ -785,43 +895,65 @@ class LensPowerDensity:
             image = (np.angle(2.0 * z - np.abs(z) ** 2), np.log(np.abs(2.0 - z) / np.abs(z)))
             owner, S, n, omw, pw, weight, (sh, sp, cp, ends) = _lens_rule(
                 star, d, np.abs(np.log1p(2.0 * d)), self._tip_rule, image)
-        tips, plain = slice(0, ends[0]), slice(ends[0], ends[1])
+        tips, plain, rest = slice(0, ends[0]), slice(ends[0], ends[1]), slice(ends[1], None)
         p = z[owner]
         r1 = (1.0 - p.conjugate()) + p.conjugate() * omw  # 1 - conj(z) w
         q = 1.0 - (p.real ** 2 + p.imag ** 2)
         X = -q * S / (r1.real ** 2 + r1.imag ** 2)
         small = X > -0.5
-        g = np.where(small, 0.5 * np.log1p(np.where(small, X, 0.0)),
-                     np.log(np.abs(pw) / np.abs(r1)))
+        g = np.empty_like(X)
+        g[small] = 0.5 * np.log1p(X[small])
+        g[~small] = np.log(np.abs(pw[~small]) / np.abs(r1[~small]))
         dng, cos, Sm = q * (n / (-pw * r1)).real, 1.0 - 2.0 * S, S ** m
         Sm_star = S_star ** m
         b = m * Sm_star
+        on, bo = owner[rest], b[owner]
         with np.errstate(divide="ignore", invalid="ignore"):
             # S - S* = sin(h/2) sin((psi + theta*)/2), 1 - Re z - S* = -d cos theta*
             dS = sh * (sp * ct[owner] + cp * st[owner])
-            s_H = _power_gap(S_star[owner], S, dS, m) - b[owner] * dS
-            jump = _power_gap(1.0 - x, S_star, d * cos_star, m) - b * d * cos_star
-        f = m * cos * (Sm / S) * g - b[owner] * cos * g + s_H * dng
+            s_H = (_power_gap(S_star[on], Sm_star[on], Sm[rest], dS[rest], m)
+                   - bo[rest] * dS[rest])
+            jump = (_power_gap(1.0 - x, (1.0 - x) ** m, Sm_star, d * cos_star, m)
+                    - b * d * cos_star)
+        f = np.empty_like(S)
         f[tips] = m * cos[tips] * (Sm[tips] / S[tips]) * g[tips] + Sm[tips] * dng[tips]
-        f[plain] = -(b[owner[plain]] * cos[plain] * g[plain]
-                     + (Sm_star[owner[plain]] + b[owner[plain]] * dS[plain]) * dng[plain])
+        f[plain] = -(bo[plain] * cos[plain] * g[plain]
+                     + (Sm_star[owner[plain]] + bo[plain] * dS[plain]) * dng[plain])
+        f[rest] = (m * cos[rest] * (Sm[rest] / S[rest]) * g[rest]
+                   - bo[rest] * cos[rest] * g[rest] + s_H * dng[rest])
         u = inside * jump + _sum_by(owner, weight * f, z.size) / (4.0 * math.pi)
         if not gradient:
             return u[None]
-        # conj(w n)(w - z) - n(1 - z conj w), free of cancellation at the tip
-        nb = n.conjugate()
-        num = 1j * n.imag * ((p - 1.0) * (1.0 + nb) - 2.0 * omw.conjugate()) - S * nb
-        fG = (Sm / S) * num / (r1.conjugate() * -pw) * weight
-        fG[plain] = 0.0
+        fG = np.zeros(S.size, dtype=complex)  # the Legendre copies take none
+        for part in (tips, rest):
+            # conj(w n)(w - z) - n(1 - z conj w), free of cancellation at the tip
+            nn, nb, pp = n[part], n[part].conjugate(), p[part]
+            num = (1j * nn.imag * ((pp - 1.0) * (1.0 + nb) - 2.0 * omw[part].conjugate())
+                   - S[part] * nb)
+            fG[part] = ((Sm[part] / S[part]) * num / (r1[part].conjugate() * -pw[part])
+                        * weight[part])
         G = (inside * m * (1.0 - x) ** (m - 1.0) + m / (4.0 * math.pi)
              * (_sum_by(owner, fG.real, z.size) + 1j * _sum_by(owner, fG.imag, z.size)))
         return np.stack([u, G.real, G.imag])
 
     def balayage(self, t):
-        return _in_chunks(self._curve_balayage, np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        if self.pref == 0.0:
+            return np.zeros(t.shape)
+        zeta = np.exp(1j * np.where(np.isfinite(t), t, 0.0))
+        far = _MULTIPOLE_REACH * np.abs(2.0 * zeta - 1.0) > 1.0
+        out = np.empty(t.shape)
+        out[far] = self._far_balayage(zeta[far])
+        out[~far] = _in_chunks(self._curve_balayage, t[~far])
+        return out
+
+    def _far_balayage(self, zeta):
+        """V at zeta = e^{it} by the series of the finite parts B_k, q = 1/(2 zeta - 1)."""
+        q = 1.0 / (2.0 * zeta - 1.0)
+        return (4.0 * zeta * q * _series(q, self._finite_terms[0])).real
 
     def _curve_balayage(self, t):
-        """V on one block of angles, by the lens-circle rule about e^{it}."""
+        """V on one block of angles by the tip, by the lens-circle rule about e^{it}."""
         m = self.m
         out = np.where(np.isfinite(t), np.inf, np.nan)  # V is inf at the tip
         t = np.where(np.isfinite(t), t, 0.0)

@@ -691,25 +691,33 @@ def test_warm_ladder_counts(ladder256):
 
 def test_warm_rungs_match_cold_traces(ladder256):
     # u_m's evaluator without its gradient traces every level cold by
-    # regula falsi, to the radii frozen below (on ray 128 within 1.7e-14
-    # of 34-digit roots); the warm Newton rungs land within 1e-9 of them.
-    # Without a gradient there is no flux to read, so no swept measure
+    # regula falsi, to the radii frozen below; the warm Newton rungs land
+    # within 1e-9 of them.  Ray 128 runs along the negative real axis, and
+    # its level points lie within 1.7e-14 of the 34-digit roots x of
+    # u_{3/4}(x) = c below (mpmath 1.3, mp.dps = 45: mp.findroot on the
+    # multipole series, 700 terms, with the moments from their Gamma
+    # ratios).  Without a gradient there is no flux to read, so no swept
+    # measure
     u, rungs, _ = ladder256
     plain = X.ExhaustionSpec("um-plain", u._evaluate, u.measure,
                              min_value=u.min_value, min_point=u.min_point,
                              value_error=u.value_error)
     frozen = {
-        6: (0.31658936475158683, 0.5591812529846913, 1.0556034333292104,
-            0.5591812529846917),
+        6: (0.31658936475158533, 0.5591812529846913, 1.0556034333292101,
+            0.5591812529846913),
         9: (0.3242387101190042, 0.7095298370716261, 1.5688831127868883,
             0.709529837071626),
-        12: (0.3245468263781115, 0.733814593173732, 1.6614649041949285,
-             0.7338145931737324),
+        12: (0.32454682637811133, 0.7338145931737318, 1.661464904194927,
+             0.7338145931737318),
     }
+    roots = {6: -0.380167667798609219290047206855793,
+             9: -0.893447347256303225363554887248376,
+             12: -0.986029138664343973122602465378631}
     for k, radii in frozen.items():
         cold = plain.sublevel(-(2.0 ** -k), samples=256)
         assert cold.du_dr is None
         assert np.abs(cold.radii[::64] - radii).max() <= 1e-15
+        assert abs(cold.center.real - cold.radii[128] - roots[k]) <= 1.7e-14
         assert np.abs(rungs[k][0].radii - cold.radii).max() <= 1e-9
     with pytest.raises(X.InvalidParameter, match="no gradient"):
         plain.demailly(-(2.0 ** -6), samples=256)

@@ -238,12 +238,14 @@ def test_lens_balayage_matches_adaptive_reference():
 
 
 _LENS_BALAYAGE_REFERENCE = {
-    0.75: {0.3: 0.387384797676579531491873942551,
+    0.75: {0.05: 2.09979916745437444635108945180,
+           0.3: 0.387384797676579531491873942551,
            1.0: 0.0677749241114309916739498538454,
            1.865: 0.0263798362646041446970393887575,
            2.5: 0.019191423556793304406476308639,
            4.109: 0.0219218412209280589744585781591},
-    0.5: {0.3: 0.848363272646308000891594716032,
+    0.5: {0.05: 8.38407501062924318451121611410,
+          0.3: 0.848363272646308000891594716032,
           1.0: 0.120566052965029072036345518776,
           1.865: 0.0453911427889296929943840009087,
           2.5: 0.0328250830741805105976397353476,
@@ -252,46 +254,55 @@ _LENS_BALAYAGE_REFERENCE = {
 
 
 def test_lens_balayage_matches_frozen_mpmath_reference():
-    """V of the lens density is within 2e-10 relative of a 30-digit reference.
+    """V of the lens density is within 1.7e-15 relative of 30-digit references.
 
-    Recipe (mpmath 1.3, mp.dps = 30): V(t) = m(1-m)/(2 pi) times the
-    integral over 0 < x < 1 of (1 - x)^(m-2) C(x), where C(x) is the
-    integral of the Poisson kernel at e^{it} over the chord |y| < Y,
-    Y = sqrt(x(1 - x)).  Where |sin t| >= 1/2 or cos t < 0, C is the closed
-    form F(Y) - F(-Y) of ``_lens_balayage_reference`` with A = cos t - x;
-    elsewhere it is an mp.quad over y on the chord, split at y = sin t.
-    mp.quad integrates sigma = sqrt(x) over [0, sqrt(1/2)] and
-    lambda = -log(1 - x) over [log 2, 70], split at 1, 2, 4, 8, 16, 30 and
-    50.  An mp.quad over y on every chord at dps 40, with lambda split at
-    seventeen points, agreed to 4e-27 relative.
+    The largest gap is 7.5e-16 off the tip, where V is the series of the
+    finite parts, and 8.5e-16 at t = 0.05 by it, on the lens-circle rule;
+    the bound is about twice that.  Recipe (mpmath 1.3, mp.dps = 30): V(t)
+    = m(1-m)/(2 pi) times the integral over 0 < x < 1 of (1 - x)^(m-2)
+    C(x), where C(x) is the integral of the Poisson kernel at e^{it} over
+    the chord |y| < Y, Y = sqrt(x(1 - x)).  Where |sin t| >= 1/2 or
+    cos t < 0, C is the closed form F(Y) - F(-Y) of
+    ``_lens_balayage_reference`` with A = cos t - x; elsewhere it is an
+    mp.quad over y on the chord, split at y = sin t.  mp.quad integrates
+    sigma = sqrt(x) over [0, sqrt(1/2)] and lambda = -log(1 - x) over
+    [log 2, 70], split at 1, 2, 4, 8, 16, 30 and 50, and at t = 0.05 also
+    at the crossing lambda* of ``_lens_balayage_reference`` and at
+    lambda* -+ 10^-k, k = 0 ... 10.  An mp.quad over y on every chord at
+    dps 40, with lambda split at seventeen points, agreed to 4e-27
+    relative; at t = 0.05, the lens-circle integral of V by mp.quad at
+    dps 40, split at the tip and at the angle of 2 e^{it} - 1, agreed to
+    1.1e-29.
     """
     for m, ref in _LENS_BALAYAGE_REFERENCE.items():
         t = np.array(list(ref))
         want = np.array(list(ref.values()))
         gap = np.abs(LensPowerDensity(m).balayage(t) - want) / want
-        assert np.all(gap <= 2e-10), (m, t[np.argmax(gap)], gap.max())
+        assert np.all(gap <= 1.7e-15), (m, t[np.argmax(gap)], gap.max())
 
 
 # (V, twice the measured relative error of LensPowerDensity(m).balayage)
 _LENS_BALAYAGE_BELOW_HALF = {
-    0.25: {1.0: (0.128402843776574618263314749692726867, 3.4e-14),
-           2.5: (0.0337287327651124337491271434471984408, 4.9e-14),
-           4.109: (0.0386948523645179925348223534635933308, 4.7e-14)},
-    0.4: {1.0: (0.131939329111925898833461682517103172, 5.1e-15),
-          2.5: (0.0353904697823408847990436944032235267, 6.3e-15),
-          4.109: (0.0405526980461225564837475500434897436, 7.2e-15)},
+    0.25: {1.0: (0.128402843776574618263314749692726867, 1.0e-15),
+           2.5: (0.0337287327651124337491271434471984408, 4.4e-16),
+           4.109: (0.0386948523645179925348223534635933308, 6.4e-16)},
+    0.4: {1.0: (0.131939329111925898833461682517103172, 5.5e-16),
+          2.5: (0.0353904697823408847990436944032235267, 5.3e-16),
+          4.109: (0.0405526980461225564837475500434897436, 1.1e-15)},
 }
 
 
 def test_lens_balayage_below_half_matches_frozen_mpmath_reference():
     """V of the lens density for m < 1/2 holds its declared accuracy.
 
-    V is 1.7e-14 to 2.5e-14 relative off for m = 1/4 and 2.5e-15 to
-    3.6e-15 for m = 0.4; each value is held at twice its gap.  Recipe (mpmath 1.3, mp.dps = 70, t the float angle): V(t) =
-    m(1-m)/(2 pi) times the integral over 0 < x < 1 of (1 - x)^(m-2) C(x),
-    with the chord integral of the Poisson kernel in closed form (|sin t| >
-    1/2 > Y at these angles, Y = sqrt(x(1 - x)), A = (1 - x) - 2 sin^2(t/2),
-    b = sin t):  C = 2 cos t atan(2YA / (A^2 + b^2 - Y^2)) - 2Y
+    Off the tip V is the series of the finite parts: 6.9e-17 to 5.0e-16
+    relative off for m = 1/4 and 2.7e-16 to 5.4e-16 for m = 0.4; each value
+    is held at twice its gap, and at least two ulps.  Recipe (mpmath 1.3,
+    mp.dps = 70, t the float angle): V(t) = m(1-m)/(2 pi) times the
+    integral over 0 < x < 1 of (1 - x)^(m-2) C(x), with the chord integral
+    of the Poisson kernel in closed form (|sin t| > 1/2 > Y at these angles,
+    Y = sqrt(x(1 - x)), A = (1 - x) - 2 sin^2(t/2), b = sin t):
+    C = 2 cos t atan(2YA / (A^2 + b^2 - Y^2)) - 2Y
     - b log1p(-4bY / (A^2 + (Y + b)^2)), the log1p keeping the digits that
     the ratio of the two distances loses as x -> 1.  mp.quad integrates
     sigma = sqrt(x) over [0, sqrt(1/2)] and lambda = -log(1 - x) over
@@ -386,13 +397,14 @@ def test_weight_memo_lives_with_its_exhaustion(monkeypatch):
     density = a.measure.balayage.__self__
     assert b.measure.balayage.__self__ is density
     asked = []
-    block = density._curve_balayage
+    block = density.balayage
 
     def counted(t):
         asked.extend(t.tolist())
         return block(t)
 
-    monkeypatch.setattr(density, "_curve_balayage", counted)
+    for u in (a, b):
+        monkeypatch.setattr(u.measure, "balayage", counted)
     for u in (a, b):
         asked.clear()
         w = H.boundary_weight(u)
@@ -628,9 +640,10 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     # none; read afterwards on one rung, it and the report built on it
     # have the values frozen below (a snapshot of the INCONCLUSIVE area
     # quadrature, not an oracle).  The ladder traces the 129 rays of the
-    # upper half of each level, 5,972 points, and off the lens u_m takes
-    # its multipole series, so it sends 2,924 of them to the lens-circle
-    # rule, to the same norm
+    # upper half of each level, 5,972 points, and u_m takes its multipole
+    # series off the lens and its series inside it, so it sends 453 of
+    # them to the lens-circle rule (the annulus about the lens circle and
+    # the tip), to the same norm
     calls, rows = [], []
     original = RieszMeasure.pair
 
@@ -649,19 +662,23 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     u = X.make_example("um", 0.75)
     monkeypatch.setattr(LensPowerDensity, "_curve_potential", curve_rows)
     rep = H.hardy_norm(Poly([1.0, -1.0]), 2.0, u, level_samples=256)
-    assert rep.value == 0.24416429419962776
-    assert sum(rows) <= 3000
+    assert rep.value == 0.24416429419962773
+    M0, M1 = (0.1875 * scipy_beta(b, 0.25) / math.pi for b in (1.5, 2.5))
+    truth = math.sqrt(2.0 * (M0 - M1))  # ||1 - z|| by the lens moments
+    assert abs(rep.value - truth) <= 3.5e-9 * truth
+    assert sum(rows) <= 500
+    assert rep.verdict == "MEMBER"
     assert len(rep.ladder) == 9
     assert calls == []
     dm = u.demailly(-(2.0 ** -8), samples=256)
-    assert abs(dm.total_mass - 0.16111514012570874) <= 1e-15
-    assert abs(dm.mass_balance_residual() - 1.8292086527371687e-05) <= 1e-15
+    assert abs(dm.total_mass - 0.1611151401257101) <= 1e-15
+    assert abs(dm.mass_balance_residual() - 1.8292086528814977e-05) <= 1e-15
     frozen = {
         "exhaustion": "um:0.75", "c": -0.00390625,
-        "total_mass": 0.16111514012570874,
-        "mass_quadrature_error": 0.015731300021109087,
+        "total_mass": 0.1611151401257101,
+        "mass_quadrature_error": 0.015731300021111085,
         "mass_from_curve": 0.16109684803918153,
-        "mass_balance_residual": 1.8292086527371687e-05,
+        "mass_balance_residual": 1.8292086528814977e-05,
         "curve_length": 5.627406029468058, "samples": 256,
         "level_tolerance": 3.90625e-07,
         "achieved_tolerance": 3.625102831324305e-13,

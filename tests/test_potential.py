@@ -519,17 +519,106 @@ def test_lens_far_field_meets_the_curve_rule_at_the_switch():
         assert np.max(np.abs(G_far - G_curve) / np.abs(G_curve)) <= 1e-13
 
 
+@pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
+def test_lens_inner_series_meets_the_curve_rule_at_the_switch(m):
+    # just inside |2z - 1| = 0.99 the evaluators take the series inside the
+    # lens, just outside the lens-circle rule; on 12 angles the two agree
+    # on both sides
+    lens = P.LensPowerDensity(m)
+    th = np.linspace(0.25, math.pi, 12)
+    th[1::2] *= -1.0
+    for d, side in ((-1e-9, 0), (1e-9, 1)):
+        z = 0.5 + 0.5 * (0.99 + d) * np.exp(1j * th)
+        assert np.all(np.abs(np.abs(2.0 * z - 1.0) - 0.99 - d) < 1e-15)
+        assert np.all(np.abs(z) < 0.99 * np.abs(2.0 - z))
+        inner = lens._inner_field(z, True)
+        curve = lens._curve_potential(z, True)
+        u, G = lens.green_gradient(z)
+        assert np.array_equal(lens.green_potential(z), u)
+        assert np.array_equal(np.stack([u, G.real, G.imag]), (inner, curve)[side])
+        G_inner, G_curve = inner[1] + 1j * inner[2], curve[1] + 1j * curve[2]
+        assert np.max(np.abs(inner[0] - curve[0])) <= 1e-15
+        assert np.max(np.abs(G_inner - G_curve) / np.abs(G_curve)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [0.25, 0.5, 0.75])
+def test_lens_balayage_series_meets_the_curve_rule_at_the_switch(m):
+    # |2 e^{it} - 1| = 1/0.99 at |t| = 0.1008: beyond it V takes the series
+    # of the finite parts, below it the lens-circle rule; at 1e-9 to either
+    # side the two agree
+    lens = P.LensPowerDensity(m)
+    switch = math.acos((5.0 - 0.99 ** -2) / 4.0)
+    assert abs(switch - 0.1008) < 1e-4
+    for d, side in ((1e-9, 0), (-1e-9, 1)):
+        t = np.array([switch + d, -switch - d])
+        series = lens._far_balayage(np.exp(1j * t))
+        curve = lens._curve_balayage(t)
+        assert np.array_equal(lens.balayage(t), (series, curve)[side])
+        assert np.max(np.abs(series - curve) / curve) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [0.6, 0.75])
+def test_lens_inner_coefficients_match_mpmath_quadrature(m):
+    """The coefficients of the series inside the lens against quadratures.
+
+    J_k(a) = int sin^(2a)(psi/2) cos(k psi) dpsi over one turn is 4 int
+    sin^(2a)(phi) cos(2k phi) dphi over [0, pi/2], by mp.quad (mpmath 1.3,
+    mp.dps = 30) split at every pi/(2(k + 1)); on the first piece phi =
+    w^(1/(2a + 1)) takes the tip's phi^(2a) out of the integrand.  With
+    I_k = J_k(m - 1) - 2 J_k(m), Green's identity gives kappa_0 = (2 J_0(m)
+    - m log 2 I_0)/(4 pi) and kappa_k = (2 J_k(m) - (m/k) I_k)/(4 pi).  The
+    mass m I_0/(4 pi) is M_0 from mpmath's Beta function; u takes lambda_k
+    = kappa_k + M_0/k (lambda_0 = kappa_0 + M_0 log 2) and G takes
+    k kappa_k.  The largest gaps are 8.4e-16 relative in lambda_k (k = 7,
+    m = 3/4) and 8.1e-17 in k kappa_k; each is held at about twice that.
+    """
+    lens = P.LensPowerDensity(m)
+    lam, slope = lens._inner_terms
+    assert lam.size == 4001 and slope.size == 4000
+    with mpmath.workdps(30):
+        mm = mpmath.mpf(m)
+
+        def J(a, k):
+            p, first = 2 * a + 1, mpmath.pi / (2 * (k + 1))
+
+            def tip(w):
+                phi = w ** (1 / p)
+                return (mpmath.sin(phi) / phi) ** (2 * a) * mpmath.cos(2 * k * phi) / p
+
+            rest = mpmath.quad(
+                lambda phi: mpmath.sin(phi) ** (2 * a) * mpmath.cos(2 * k * phi),
+                [first * j for j in range(1, k + 2)])
+            return 4 * (mpmath.quad(tip, [0, first ** p]) + rest)
+
+        M0 = mm * (1 - mm) * mpmath.beta(1.5, mm - 0.5) / mpmath.pi
+        for k in (0, 1, 7, 50):
+            Jm = J(mm, k)
+            I = J(mm - 1, k) - 2 * Jm
+            if k == 0:
+                assert abs(mm * I / (4 * mpmath.pi) - M0) <= 1e-25 * M0
+                kappa = (2 * Jm - mm * mpmath.log(2) * I) / (4 * mpmath.pi)
+                want = kappa + M0 * mpmath.log(2)
+            else:
+                kappa = (2 * Jm - mm / k * I) / (4 * mpmath.pi)
+                want = kappa + M0 / k
+                assert abs(slope[k - 1] - k * kappa) <= 4e-16 * abs(k * kappa), k
+            assert abs(lam[k] - want) <= 2e-15 * abs(want), k
+
+
 @pytest.mark.parametrize("m", [0.25, 0.5, 0.75, 0.9])
 def test_lens_kernel_is_exactly_mirror_symmetric(m):
     # the lens and its density are fixed by w -> conj(w), and the kernel
-    # keeps that to the last bit: V(-t) = V(t), and u(conj z) = u(z) with
-    # G(conj z) = conj G(z), inside the lens, off it (the multipole series
-    # for m > 1/2) and by its circle.  The boundary weight, the level trace
-    # and the support probes of u_m evaluate one half and mirror it
+    # keeps that to the last bit: V(-t) = V(t), by the tip (the lens-circle
+    # rule) and off it (the series of the finite parts), and u(conj z) =
+    # u(z) with G(conj z) = conj G(z), inside the lens, off it (for m > 1/2
+    # the series inside the lens and the multipole series) and by its
+    # circle.  The boundary weight, the level trace and the support probes
+    # of u_m evaluate one half and mirror it
     lens = P.LensPowerDensity(m)
     rng = np.random.default_rng(61)
     t = np.concatenate([np.geomspace(1e-14, math.pi, 2000),
                         rng.uniform(0.0, math.pi, 300)])
+    assert np.any(t < 0.1008) and np.any(t > 0.1008)
     V = lens.balayage(t)
     assert np.all(np.isfinite(V))
     assert np.array_equal(lens.balayage(-t), V)
@@ -540,6 +629,8 @@ def test_lens_kernel_is_exactly_mirror_symmetric(m):
     rim = 0.5 + 0.5 * (1.0 + np.array([-1e-9, 1e-9])[:, None]) * np.exp(
         1j * np.linspace(0.1, 3.0, 20))
     z = np.concatenate([disk, inner, rim.ravel()])
+    rate = np.abs(2.0 * z - 1.0)
+    assert np.any(rate < 0.99) and np.any(0.99 * rate > 1.0)
     u, G = lens.green_gradient(z)
     u_c, G_c = lens.green_gradient(z.conj())
     assert np.array_equal(u_c, u)
@@ -548,8 +639,9 @@ def test_lens_kernel_is_exactly_mirror_symmetric(m):
 
 @pytest.mark.parametrize("m", [0.5, 0.25])
 def test_lens_at_or_below_half_takes_the_curve_rule(m):
-    # the mass diverges at the tip for m <= 1/2, so there is no series:
-    # every point, far ones included, is the lens-circle rule's, bit for bit
+    # the mass diverges at the tip for m <= 1/2, so u has no series: every
+    # point, far ones included, is the lens-circle rule's, bit for bit.  V
+    # off the tip takes the series of the finite parts all the same
     lens = P.LensPowerDensity(m)
     rng = np.random.default_rng(3)
     z = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * math.pi * rng.uniform(size=200))
@@ -559,6 +651,12 @@ def test_lens_at_or_below_half_takes_the_curve_rule(m):
     same, G = lens.green_gradient(z)
     assert np.array_equal(same, u)
     assert np.array_equal(G, gx + 1j * gy)
+    t = np.linspace(-math.pi, math.pi, 401)
+    off = np.abs(t) > 0.1008
+    assert 0 < np.count_nonzero(~off) < 401
+    V = lens.balayage(t)
+    assert np.array_equal(V[off], lens._far_balayage(np.exp(1j * t[off])))
+    assert np.array_equal(V[~off], lens._curve_balayage(t[~off]))
 
 
 # ---------------------------------------------------------------------------
