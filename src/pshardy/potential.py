@@ -25,7 +25,7 @@ from numbers import Real
 
 import numpy as np
 from numpy.polynomial.polyutils import trimseq
-from scipy.special import beta, roots_jacobi
+from scipy.special import beta, exprel, gamma, roots_jacobi, zeta as hurwitz_zeta
 
 from .geometry import (
     CONVERGED,
@@ -477,25 +477,24 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 #
 # The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on the lens L = {|w - 1/2| < 1/2}
 # is Delta s/(2 pi), s(w) = -(1 - Re w)^m, so Green's second identity on L
-# turns its potential, gradient and balayage into integrals over the lens
-# circle w = (1 + n)/2, n = e^{i psi}, where 1 - Re w = 1 - |w|^2 = S =
+# turns its potential and gradient into integrals over the lens circle
+# w = (1 + n)/2, n = e^{i psi}, where 1 - Re w = 1 - |w|^2 = S =
 # sin^2(psi/2), ds = dpsi/2 and d_n g = (1 - |z|^2) Re(n/((w - z)(1 - conj(z) w))):
 #
 #   u_m(z) = s(z)[z in L] + 1/(4 pi) int S^m (m cos psi g(z, w)/S + d_n g) dpsi,
-#   V(t)   = 1/(4 pi) int S^m (m cos psi/|zeta - w|^2 + Re(2 zeta n/(zeta - w)^2)),
 #   G(z)   = m(1 - Re z)^(m-1)[z in L]
 #            + m/(4 pi) int S^(m-1) (conj(w n)/(1 - z conj w) - n/(w - z)) dpsi.
 #
-# with zeta = e^{it}.  G = 2 d_z u_m is the Cauchy-Pompeiu formula, a simple
-# pole where the z-derivative of u's kernel has a double one.  A point on the
-# circle takes half of each jump term and the principal value.  Each
-# integrand is |psi|^(2m-1) times a function analytic by the tip psi = 0, for
-# every m in (0, 1), so one rule (``_lens_rule``) serves all three: a
-# Gauss-Jacobi panel at the tip and Gauss-Legendre panels graded toward the
-# kernels' poles, at h = -+i|log(1 + 2d)| about the angle theta* of the
-# point's nearest circle point (h = psi - theta*, d the point's signed
-# distance from the circle).  Nodes are offsets from theta* or from the tip,
-# so p - w = e^{i theta*}(d - i sin(h/2) e^{ih/2}) and S keep their digits.
+# G = 2 d_z u_m is the Cauchy-Pompeiu formula, a simple pole where the
+# z-derivative of u's kernel has a double one.  A point on the circle takes
+# half of each jump term and the principal value.  Each integrand is
+# |psi|^(2m-1) times a function analytic by the tip psi = 0, for every m in
+# (0, 1), so one rule (``_lens_rule``) serves both: a Gauss-Jacobi panel at
+# the tip and Gauss-Legendre panels graded toward the kernels' poles, at
+# h = -+i|log(1 + 2d)| about the angle theta* of the point's nearest circle
+# point (h = psi - theta*, d the point's signed distance from the circle).
+# Nodes are offsets from theta* or from the tip, so p - w = e^{i theta*}(d -
+# i sin(h/2) e^{ih/2}) and S keep their digits.
 #
 # Off the closed lens u_m is harmonic, and where a series in q = 1/2/(z - 1/2)
 # converges fast, it replaces the rule at about a ninth of the cost
@@ -543,12 +542,22 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # the M_0 terms cancel exactly on the circle, where Re(2 zeta/(zeta - 1)) = 1,
 # so V = Re[(2 zeta/(zeta - 1/2)) sum_k B_k q^k], finite for m <= 1/2 too.
 #
+# By the tip, q -> 1, the sum is closed.  Exchanging the sums in B_k gives
+# sum_k B_k q^k = K q L(q)/(1 - q), L = sum_i r_i q^i/(i + 1 + m) = 2F1(2 - m,
+# 1; 2 + m; q)/(1 + m).  Euler's integral of L, y = 2(zeta - 1) = (1 - q)/q,
+# eps = 2m - 1 and 2 zeta/(zeta - 1) = 1 - i cot(t/2) give V = K [Re W +
+# cot(t/2) Im W], W = q^(m-1) int_0^1 s^m (s + y)^(m-2) ds = q^(m-1) [sum_(k>=1)
+# C(m-2, k) y^k/(eps - k) - (y^eps - 1)/eps + c y^eps]: the integral over s > 0
+# is -h y^eps/eps, h = Gamma(1 + m) Gamma(2 - 2m)/Gamma(2 - m), and over s > 1 a
+# binomial series, so c = (1 - h)/eps.  For |eps| <= 1/2, c = -a exprel(eps a)
+# by the Taylor series of log h = eps a(eps): the Gamma poles at m = 1/2 cancel.
+#
 # Every point has one evaluator (``LensPowerDensity._evaluate``).  The series
 # take _MULTIPOLE_TERMS terms and converge at a rate below _MULTIPOLE_REACH:
 # for m > 1/2, where |z| < 0.99 |2 - z|, off the lens where 0.99 |2z - 1| > 1
 # and inside it where |2z - 1| < 0.99; V where 0.99 |2 e^{it} - 1| > 1, that
-# is |t| > 0.1008.  The lens-circle rule keeps the rest: the annulus about the
-# lens circle, the tip, and for m <= 1/2 every point of u_m.
+# is |t| > 0.1008, the closed form by the tip.  The lens-circle rule keeps the
+# rest of u_m and G: the annulus about the lens circle, the tip, and m <= 1/2.
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
@@ -560,7 +569,6 @@ _GRADING = 0.4  # largest panel half-width over its distance to a pole or tip
 # the tests' 40-digit references and to the rule at grading 0.15 on 1,489
 # seeded points 1e-8..1e-1 from the circle, by both tips and across the disk
 _VALUE_ERROR = 1.4e-14
-_AT_TIP = 1e-150  # d below this, |t| < 1.4e-75: V is inf, |zeta - w|^2 underflows
 _MULTIPOLE_TERMS = 4000  # terms of each series; 0.99^4000 = 3.5e-18 at the reach
 _MULTIPOLE_REACH = 0.99  # points whose series converges at a rate below it
 # the relative error of declared moments: four times the largest gap, 1.0e-15,
@@ -580,11 +588,16 @@ def _lens_ratios(m, n):
     return np.append(np.longdouble(1.0), np.cumprod(1.0 + (1.0 - 2.0 * m) / (k + 1.0 + m)))
 
 
+def _finite_scale(m):
+    """K = M_0 (1 - 2m) = -2m(1-m)(1+m) B(3/2, m + 1/2)/pi, finite for every m."""
+    return -2.0 * m * (1.0 - m) * (1.0 + m) * beta(1.5, m + 0.5) / math.pi
+
+
 def _finite_parts(m, n):
     """B_0 ... B_(n-1) = A_k - M_0, finite for every m, in extended precision."""
-    K = -2.0 * m * (1.0 - m) * (1.0 + m) * beta(1.5, m + 0.5) / math.pi
     i = np.arange(n - 1, dtype=np.longdouble)
-    return np.append(np.longdouble(0.0), K * np.cumsum(_lens_ratios(m, n)[:-1] / (i + 1.0 + m)))
+    return np.append(np.longdouble(0.0),
+                     _finite_scale(m) * np.cumsum(_lens_ratios(m, n)[:-1] / (i + 1.0 + m)))
 
 
 def _circle_cosines(a, n):
@@ -602,23 +615,23 @@ def _circle_cosines(a, n):
     return 2.0 * beta(a + 0.5, 0.5) * rho, gaps
 
 
-def _lens_rule(star, d, delta, tip_rule, image=None):
-    """The lens-circle rule of each point, its nodes flat over the points.
+def _lens_rule(star, d, delta, tip_rule, image):
+    """The lens-circle rule of each point for u and G, its nodes flat over them.
 
     A point's nearest circle point is at angle ``star`` = theta* in (-pi, pi]
-    and its kernels' poles at height ``delta`` over h = 0 (``image``: more
-    poles at angle image[0], height image[1]).  The turn from tip to tip is
+    and its kernels' poles at height ``delta`` over h = 0, the reflected
+    kernel's at angle image[0], height image[1].  The turn from tip to tip is
     cut at theta* (unless theta* lies within delta of the tip), each piece
     halved, and each half walked from theta* or from the tip in offsets x,
     in the longest Gauss panels, in x or (past the first) in log x, whose
     half-width is at most _GRADING times the centre's distance from the
     poles, their images a turn on, and the tips (``_half_width``).  A panel
-    from the tip takes the Gauss-Jacobi ``tip_rule`` (and, with ``image``,
-    for the potential, Legendre points too).  The first panels either side of
+    from the tip takes the Gauss-Jacobi ``tip_rule`` and, for the harmonic H
+    of ``_curve_potential``, Legendre points.  The first panels either side of
     theta* match: a point on the circle gets the principal value.  Returns
-    each node's point, S, n, 1 - w, p - w and weight, then sin(h/2),
-    sin(psi/2), cos(psi/2) and the ends of the node groups: tip panels,
-    their Legendre copies, the rest.  d is the point's signed distance.
+    each node's point, S, n, 1 - w, p - w and weight, then sin(h/2), sin(psi/2),
+    cos(psi/2) and the ends of the node groups: tip panels, their Legendre
+    copies, the rest.  d is the point's signed distance.
     """
     n = star.size
     delta = np.maximum(delta, 1e-280)  # on the circle: the kernels stay finite
@@ -635,17 +648,15 @@ def _lens_rule(star, d, delta, tip_rule, image=None):
     sign = np.stack([-sg, sg, sg, -sg, sg, -sg]).ravel()[frame]
     from_tip = np.repeat([False, True, False, True, True, True], n)[frame]
     end = np.stack([a, a, b, b, turn, turn]).ravel()[frame] / 2.0
-    # the poles (at height delta) and tips along each frame, `beyond` for none
+    # the poles (at height delta), tips (`beyond` for none) and reflected poles
     X = [np.stack(row).ravel()[frame] for row in ([zero, a, zero, b, a, b],
                                                   [turn, -b, turn, -a, -b, -a],
                                                   [a, beyond, b, beyond, beyond, beyond],
                                                   [-b, turn, -a, turn, turn, turn])]
-    Y = [delta[point]] * 2 + [np.zeros(frame.size)] * 2
-    if image is not None:
-        off = sign * (image[0][point] - np.where(from_tip, 0.0, star[point]))
-        X += [(off + math.pi) % (2.0 * math.pi) - math.pi]
-        X += [X[-1] + 2.0 * math.pi]
-        Y += [image[1][point]] * 2
+    off = sign * (image[0][point] - np.where(from_tip, 0.0, star[point]))
+    X += [(off + math.pi) % (2.0 * math.pi) - math.pi]
+    X += [X[-1] + 2.0 * math.pi]
+    Y = [delta[point]] * 2 + [np.zeros(frame.size)] * 2 + [image[1][point]] * 2
     X, Y = np.array(X), np.array(Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_X, arg_X = np.log(np.minimum(np.hypot(X, Y), 1e150)), np.arctan2(Y, X)
@@ -666,8 +677,7 @@ def _lens_rule(star, d, delta, tip_rule, image=None):
     index, x0, x1, log = (np.concatenate(p) for p in zip(*panels))
     tip, first = from_tip[index], x0 == 0.0
     # (panels, rule, in log x, from the tip), one node layout each
-    groups = [(first & tip, tip_rule, False, True)]
-    groups += [(first & tip, _GAUSS, False, True)] * (image is not None)
+    groups = [(first & tip, tip_rule, False, True), (first & tip, _GAUSS, False, True)]
     groups += [(~first & tip & (log == k), _GAUSS, k, True) for k in (False, True)]
     groups += [(~tip & (log == k), _GAUSS, k, False) for k in (False, True)]
     owners, halves, weights = [], [], []
@@ -728,10 +738,10 @@ def _in_chunks(block, points):
 class LensPowerDensity:
     """The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on |z - 1/2| < 1/2.
 
-    This is the Riesz mass of the worked example u_m.  Its potential, the
-    potential's gradient and its balayage V are integrals over the lens
-    circle on one rule (see the section comment), for every m in (0, 1),
-    or series where those converge at a rate below _MULTIPOLE_REACH.  For
+    This is the Riesz mass of the worked example u_m.  Its potential and its
+    gradient are integrals over the lens circle on one rule (see the section
+    comment), for every m in (0, 1), or series where those converge at a rate
+    below _MULTIPOLE_REACH; V takes no quadrature.  For
     m > 1/2, points where rho = max(1/|2z - 1|, |z|/|2 - z|) < 0.99 take the
     multipole series of u_m (``_far_field``); at rho = 0.99 -+ 1e-9 the two
     agree to 1.2e-16 in u, 4e-15 relative in G.  Points where |2z - 1| <
@@ -749,9 +759,9 @@ class LensPowerDensity:
     reference and of a 60,000-term series at 0.99 < rho < 0.999.
     ``balayage`` is V(e^{it}): for |t| > 0.1008 the series of the finite
     parts (``_far_balayage``), within 7.5e-16 relative of references for
-    m = 3/4 and 1/2 and 5.4e-16 for m = 1/4 and 0.4; by the tip the rule,
-    within 8.5e-16 at t = 0.05 (m = 3/4, 1/2), 2.6e-15 from the series at
-    |t| = 0.1008 -+ 1e-9, and inf at t = 0 and at |t| < 1.4e-75.
+    m = 3/4 and 1/2 and 5.4e-16 for m = 1/4 and 0.4; by the tip a closed
+    form, within 2.6e-15 of 40-digit references at 1e-14 <= t <= 0.1008 for
+    0.05 <= m <= 0.97 and of the series at |t| = 0.1008 -+ 1e-9, inf at 0.
     ``moments`` gives M_k = int w^k dsigma_m, or for m <= 1/2 the finite
     parts nu_k = int (w^k - 1) dsigma_m, built on first use and within
     _MOMENT_ERROR of 30-digit references to k = 4096.  The series
@@ -944,7 +954,7 @@ class LensPowerDensity:
         far = _MULTIPOLE_REACH * np.abs(2.0 * zeta - 1.0) > 1.0
         out = np.empty(t.shape)
         out[far] = self._far_balayage(zeta[far])
-        out[~far] = _in_chunks(self._curve_balayage, t[~far])
+        out[~far] = self._tip_balayage(t[~far])
         return out
 
     def _far_balayage(self, zeta):
@@ -952,20 +962,30 @@ class LensPowerDensity:
         q = 1.0 / (2.0 * zeta - 1.0)
         return (4.0 * zeta * q * _series(q, self._finite_terms[0])).real
 
-    def _curve_balayage(self, t):
-        """V on one block of angles by the tip, by the lens-circle rule about e^{it}."""
-        m = self.m
-        out = np.where(np.isfinite(t), np.inf, np.nan)  # V is inf at the tip
-        t = np.where(np.isfinite(t), t, 0.0)
-        zeta = np.exp(1j * t)
-        d = 2.0 * np.sin(0.5 * t) ** 2 / (np.abs(zeta - 0.5) + 0.5)
-        ok = d > _AT_TIP
-        zeta, d = zeta[ok], d[ok]
-        owner, S, n, _, pw, weight, _ = _lens_rule(
-            np.angle(2.0 * zeta - 1.0), d, np.log1p(2.0 * d), self._tip_rule)
-        f = S ** m * (m * (1.0 - 2.0 * S) / (pw.real ** 2 + pw.imag ** 2)
-                      + (2.0 * zeta[owner] * n / (pw * pw)).real)
-        out[ok] = _sum_by(owner, weight * f, d.size) / (4.0 * math.pi)
+    @functools.cached_property
+    def _tip_terms(self):
+        """C(m - 2, k)/(eps - k), k < _BLOCK (0 at k = 0), and c: V by the tip."""
+        m, eps, k = self.m, 2.0 * self.m - 1.0, np.arange(1.0, _BLOCK)  # |y| <= 0.2016: tail 1e-40
+        terms = np.append(0.0, np.cumprod((m - 1.0 - k) / k) / (eps - k))
+        if abs(eps) > 0.5:
+            return terms, (1.0 - gamma(1.0 + m) * gamma(2.0 - 2.0 * m) / gamma(2.0 - m)) / eps
+        n = np.arange(2.0, _BLOCK)  # log h = eps a(eps): a is psi(3/2) - psi(1), then these
+        taylor = (hurwitz_zeta(n, 1.0) - n % 2 * 2.0 ** (1.0 - n) * hurwitz_zeta(n, 1.5)) / n
+        a = np.polynomial.polynomial.polyval(eps, np.append(2.0 - 2.0 * math.log(2.0), taylor))
+        return terms, -a * exprel(eps * a)
+
+    def _tip_balayage(self, t):
+        """V by the tip in closed form (see the section comment), inf at t = 0."""
+        m, eps, (terms, c) = self.m, 2.0 * self.m - 1.0, self._tip_terms
+        out = np.where(np.isfinite(t), np.inf, np.nan)
+        s = np.abs(np.where(np.isfinite(t), t, 0.0))
+        ok = np.sin(0.5 * s) > 0.0
+        y = 4j * np.sin(0.5 * s[ok]) * np.exp(0.5j * s[ok])  # 2(zeta - 1)
+        x = eps * np.log(y)
+        gap = np.log(y) if eps == 0.0 else np.expm1(x) / eps  # (y^eps - 1)/eps
+        W = (1.0 + y) ** (1.0 - m) * (_series(y, terms) - gap + c * np.exp(x))
+        with np.errstate(over="ignore"):  # V ~ m |t|^(2m - 2) may leave the doubles
+            out[ok] = _finite_scale(m) * (W.real + W.imag / np.tan(0.5 * s[ok]))
         return out
 
 

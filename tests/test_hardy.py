@@ -257,11 +257,11 @@ def test_lens_balayage_matches_frozen_mpmath_reference():
     """V of the lens density is within 1.7e-15 relative of 30-digit references.
 
     The largest gap is 7.5e-16 off the tip, where V is the series of the
-    finite parts, and 8.5e-16 at t = 0.05 by it, on the lens-circle rule;
-    the bound is about twice that.  Recipe (mpmath 1.3, mp.dps = 30): V(t)
-    = m(1-m)/(2 pi) times the integral over 0 < x < 1 of (1 - x)^(m-2)
-    C(x), where C(x) is the integral of the Poisson kernel at e^{it} over
-    the chord |y| < Y, Y = sqrt(x(1 - x)).  Where |sin t| >= 1/2 or
+    finite parts, and 2.1e-16 at t = 0.05 by it, in the tip's closed form
+    (8.5e-16 on the lens-circle rule); the bound is about twice that.
+    Recipe (mpmath 1.3, mp.dps = 30): V(t) = m(1-m)/(2 pi) times the
+    integral over 0 < x < 1 of (1 - x)^(m-2) C(x), where C(x) is the
+    integral of the Poisson kernel at e^{it} over the chord |y| < Y, Y = sqrt(x(1 - x)).  Where |sin t| >= 1/2 or
     cos t < 0, C is the closed form F(Y) - F(-Y) of
     ``_lens_balayage_reference`` with A = cos t - x; elsewhere it is an
     mp.quad over y on the chord, split at y = sin t.  mp.quad integrates
@@ -318,6 +318,41 @@ def test_lens_balayage_below_half_matches_frozen_mpmath_reference():
         want, bound = np.array(list(ref.values())).T
         gap = np.abs(LensPowerDensity(m).balayage(t) - want) / want
         assert np.all(gap <= bound), (m, gap)
+
+
+# V at t = 1e-9, 1e-3 and 0.1 by the tip, where V is the tip's closed form
+_LENS_BALAYAGE_TIP = {
+    0.1: (1584893191482683.4231318104381, 25103.4578351569283987593497701,
+          5.98946510199512414697613467858),
+    0.25: (7905694136586.45954736172577878, 7892.33023000386957521811259327,
+           6.94344941666467381025916217654),
+    0.499: (520116387.007594863869385008549, 502.454193054684687682009827061,
+            3.71535058900943588862064410822),
+    0.5: (499999989.93357092655818107981, 496.529700319234983994006139422,
+          3.7023198454998378147921895186),
+    0.5001: (498031538.371815559083280061256, 495.940985901368925787311565882,
+             3.70101790698309670594945194409),
+    0.75: (23715.6218839362676753202694815, 22.2861201374952579420230134832,
+           1.19906573276726516353200404094),
+    0.9: (55.6736236366590352423337602121, 2.47170640083473344178948467813,
+          0.362055411864378498926405151988),
+}
+
+
+def test_lens_balayage_by_the_tip_matches_frozen_mpmath_reference():
+    """V by the tip is within 4e-15 relative of 30-digit references, for m
+    on both sides of 1/2 and within 1e-3 of it.
+
+    The largest gap is 2.6e-15 (m = 0.1, t = 1e-9); the others are within
+    1.6e-15.  Recipe (mpmath 1.3, mp.dps = 40, t the float angle): with
+    zeta = e^{it}, q = 1/(2 zeta - 1) and K = -2m(1-m)(1+m) B(3/2, m + 1/2)/pi,
+    L(q) = hyp2f1(2 - m, 1, 2 + m, q)/(1 + m) and V = K Re[2 zeta q L(q)/(zeta - 1)];
+    at mp.dps = 70 the values agree to 1.8e-27.
+    """
+    t = np.array([1e-9, 1e-3, 0.1])
+    for m, want in _LENS_BALAYAGE_TIP.items():
+        gap = np.abs(LensPowerDensity(m).balayage(t) - want) / np.array(want)
+        assert np.all(gap <= 4e-15), (m, gap)
 
 
 @pytest.mark.parametrize("m", [0.75, 0.5])
@@ -431,18 +466,18 @@ def test_weight_build_fills_the_memo_near_the_singular_angle(monkeypatch):
     # u_{1/2} has infinite mass, so the Fubini check integrates nothing and
     # the build's log mean is the one set-up pass that evaluates V near the
     # tip; the queries then find those angles in the memo (34 batches to
-    # the lens rule when the build reads no log mean)
+    # the tip's closed form when the build reads no log mean)
     u = X.make_example("um", 0.5)
     H.boundary_weight(u)
     density = u.measure.balayage.__self__
     batches = []
-    block = density._curve_balayage
+    block = density._tip_balayage
 
     def counted(t):
         batches.append(t.size)
         return block(t)
 
-    monkeypatch.setattr(density, "_curve_balayage", counted)
+    monkeypatch.setattr(density, "_tip_balayage", counted)
     for f in (Poly([0.25, -0.5, 0.25]), Poly([1.0])):
         H.hardy_norm(f, 1.0, u, level_samples=256)
     assert len(batches) <= 10, batches
@@ -662,7 +697,7 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     u = X.make_example("um", 0.75)
     monkeypatch.setattr(LensPowerDensity, "_curve_potential", curve_rows)
     rep = H.hardy_norm(Poly([1.0, -1.0]), 2.0, u, level_samples=256)
-    assert rep.value == 0.24416429419962773
+    assert rep.value == 0.2441642941996277
     M0, M1 = (0.1875 * scipy_beta(b, 0.25) / math.pi for b in (1.5, 2.5))
     truth = math.sqrt(2.0 * (M0 - M1))  # ||1 - z|| by the lens moments
     assert abs(rep.value - truth) <= 3.5e-9 * truth

@@ -32,18 +32,24 @@ def _top_level_imports(path):
 
 
 def test_third_party_imports_are_declared():
-    # every third-party module imported by the package or its tests is a
-    # runtime dependency or in the test extra (import names here equal
-    # their distribution names)
+    # every third-party module imported by the package is a runtime
+    # dependency, and by its tests a runtime dependency or in the test extra
+    # (import names here equal their distribution names)
     project = _metadata()["project"]
-    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
                 for req in requirements}
+
+    runtime = names(project["dependencies"])
+    testing = runtime | names(project["optional-dependencies"]["test"])
+    assert runtime == {"numpy", "scipy"}
     local = {"pshardy", "conftest"} | set(sys.stdlib_module_names) | {"__future__"}
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    files = ([(path, runtime) for path in sorted((ROOT / "src").rglob("*.py"))]
+             + [(path, testing) for path in sorted((ROOT / "tests").glob("*.py"))])
     missing = {
         (name, path.relative_to(ROOT).as_posix())
-        for path in files for name in _top_level_imports(path)
+        for path, declared in files for name in _top_level_imports(path)
         if name not in local and name.lower() not in declared
     }
     assert not missing, sorted(missing)
@@ -256,9 +262,15 @@ _CHORD_GRID = {
 }
 
 
+# the quadrature rules and engines of the package; the lens balayage reaches none
+_QUADRATURES = {"_lens_rule", "roots_jacobi", "integrate_interval",
+                "integrate_disk_area", "integrate_boundary_arc"}
+
+
 def test_one_lens_kernel():
     # the lens density has one quadrature: _lens_rule, defined once, is
-    # what green_potential, green_gradient and balayage all reach, and
+    # what green_potential and green_gradient reach; balayage is series and
+    # closed forms, reaching no quadrature, and the rule's V path is gone;
     # nothing of the chord grid is defined anywhere in the package
     defined, refs = {}, {}
     for path in sorted((ROOT / "src" / "pshardy").rglob("*.py")):
@@ -276,6 +288,7 @@ def test_one_lens_kernel():
                                    for inner in ast.walk(node)} - {node.name}
     assert defined["_lens_rule"] == ["potential"]
     assert not _CHORD_GRID & defined.keys(), sorted(_CHORD_GRID & defined.keys())
+    assert not {"_curve_balayage", "_AT_TIP"} & defined.keys()
 
     def reaches(start):
         seen, todo = set(), [start]
@@ -286,5 +299,7 @@ def test_one_lens_kernel():
                 todo.extend(refs.get(name, ()))
         return seen
 
-    for evaluator in ("green_potential", "green_gradient", "balayage"):
+    for evaluator in ("green_potential", "green_gradient"):
         assert "_lens_rule" in reaches(evaluator), evaluator
+    assert {"_far_balayage", "_tip_balayage"} <= reaches("balayage")
+    assert not _QUADRATURES & reaches("balayage"), sorted(_QUADRATURES & reaches("balayage"))

@@ -444,7 +444,7 @@ def test_lens_moments_match_mpmath_quadrature():
 
 @pytest.mark.parametrize("m", [0.5, 0.75])
 def test_lens_balayage_fourier_coefficients_are_the_moments(m):
-    # V on the lens-circle rule and M_k on the Gamma ratios are two
+    # V from its series and closed form and M_k on the Gamma ratios are two
     # implementations: int V cos(kt) dsigma = M_k, and for the infinite
     # mass of m = 1/2 the finite parts int V (cos(kt) - 1) dsigma = nu_k
     lens = P.LensPowerDensity(m)
@@ -542,9 +542,9 @@ def test_lens_inner_series_meets_the_curve_rule_at_the_switch(m):
 
 
 @pytest.mark.parametrize("m", [0.25, 0.5, 0.75])
-def test_lens_balayage_series_meets_the_curve_rule_at_the_switch(m):
+def test_lens_balayage_series_meets_the_tip_form_at_the_switch(m):
     # |2 e^{it} - 1| = 1/0.99 at |t| = 0.1008: beyond it V takes the series
-    # of the finite parts, below it the lens-circle rule; at 1e-9 to either
+    # of the finite parts, below it the tip's closed form; at 1e-9 to either
     # side the two agree
     lens = P.LensPowerDensity(m)
     switch = math.acos((5.0 - 0.99 ** -2) / 4.0)
@@ -552,9 +552,9 @@ def test_lens_balayage_series_meets_the_curve_rule_at_the_switch(m):
     for d, side in ((1e-9, 0), (-1e-9, 1)):
         t = np.array([switch + d, -switch - d])
         series = lens._far_balayage(np.exp(1j * t))
-        curve = lens._curve_balayage(t)
-        assert np.array_equal(lens.balayage(t), (series, curve)[side])
-        assert np.max(np.abs(series - curve) / curve) <= 1e-14
+        tip = lens._tip_balayage(t)
+        assert np.array_equal(lens.balayage(t), (series, tip)[side])
+        assert np.max(np.abs(series - tip) / tip) <= 1e-14
 
 
 @pytest.mark.parametrize("m", [0.6, 0.75])
@@ -608,8 +608,8 @@ def test_lens_inner_coefficients_match_mpmath_quadrature(m):
 @pytest.mark.parametrize("m", [0.25, 0.5, 0.75, 0.9])
 def test_lens_kernel_is_exactly_mirror_symmetric(m):
     # the lens and its density are fixed by w -> conj(w), and the kernel
-    # keeps that to the last bit: V(-t) = V(t), by the tip (the lens-circle
-    # rule) and off it (the series of the finite parts), and u(conj z) =
+    # keeps that to the last bit: V(-t) = V(t), by the tip (the closed form)
+    # and off it (the series of the finite parts), and u(conj z) =
     # u(z) with G(conj z) = conj G(z), inside the lens, off it (for m > 1/2
     # the series inside the lens and the multipole series) and by its
     # circle.  The boundary weight, the level trace and the support probes
@@ -641,7 +641,8 @@ def test_lens_kernel_is_exactly_mirror_symmetric(m):
 def test_lens_at_or_below_half_takes_the_curve_rule(m):
     # the mass diverges at the tip for m <= 1/2, so u has no series: every
     # point, far ones included, is the lens-circle rule's, bit for bit.  V
-    # off the tip takes the series of the finite parts all the same
+    # takes the series of the finite parts off the tip and the closed form
+    # by it all the same
     lens = P.LensPowerDensity(m)
     rng = np.random.default_rng(3)
     z = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * math.pi * rng.uniform(size=200))
@@ -656,7 +657,7 @@ def test_lens_at_or_below_half_takes_the_curve_rule(m):
     assert 0 < np.count_nonzero(~off) < 401
     V = lens.balayage(t)
     assert np.array_equal(V[off], lens._far_balayage(np.exp(1j * t[off])))
-    assert np.array_equal(V[~off], lens._curve_balayage(t[~off]))
+    assert np.array_equal(V[~off], lens._tip_balayage(t[~off]))
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +671,9 @@ def test_lens_points_on_the_circle(m):
     # principal value: finite, without warnings, and within 1e-11 of the
     # values 1e-12 inside and outside along the normal, u and G alike; the
     # centre, the angle opposite the tip and the deep shells' angles by it
-    # start no unbounded refinement
+    # start no unbounded refinement.  By the tip V ~ m |t|^(2m - 2): at
+    # 1e-100 it reads that to 1e-14, and at 1e-300 for m = 1/4 (2.5e449) it
+    # leaves the doubles as inf, without a warning; V(0) is inf
     lens = P.LensPowerDensity(m)
     on = np.array([0.5 + 0.5j, 0.5 - 0.5j, 0.0, 0.5 + 0.5 * np.exp(2j)])
     normal = np.array([1j, -1j, -1.0, np.exp(2j)])
@@ -683,13 +686,15 @@ def test_lens_points_on_the_circle(m):
             assert np.max(np.abs(u_near - u)) <= 1e-11, step
             assert np.max(np.abs(G_near - G)) <= 1e-11, step
         centre = lens.green_gradient(np.array([0.5]))
-        V = lens.balayage(np.array([math.pi, -math.pi, -1.4e-16, 1e-30, 1e-100]))
+        V = lens.balayage(np.array([math.pi, -math.pi, -1.4e-16, 1e-30, 1e-100, 0.0, 1e-300]))
     assert np.all(np.isfinite(u)) and np.all(u < 0.0) and np.all(np.isfinite(G))
     assert np.isfinite(centre[0][0]) and np.isfinite(centre[1][0])
     assert abs(centre[1][0].imag) <= 1e-15  # real on the axis
     assert np.all(np.isfinite(V[:4])) and np.all(V[:4] > 0.0)
     assert abs(V[0] - V[1]) <= 1e-15 * V[0]
-    assert math.isinf(V[4])  # |zeta - w|^2 leaves the doubles there
+    assert abs(V[4] / (m * 1e-100 ** (2.0 * m - 2.0)) - 1.0) <= 1e-14
+    assert math.isinf(V[5])
+    assert math.isinf(V[6]) == (m == 0.25)
 
 
 def test_lens_gradient_just_outside_the_lens():
