@@ -866,8 +866,11 @@ class DemaillyMeasure:
 
     def pair_spectral(self, fn):
         """Integral of fn against mu_c, the trapezoid rule over the rays."""
-        vals = np.real(fn(self.boundary_points))
-        return float(np.mean(vals * self.w_values))
+        return self.pair_values(np.real(fn(self.boundary_points)))
+
+    def pair_values(self, values):
+        """``pair_spectral`` of a function given by its values at boundary_points."""
+        return float(np.mean(values * self.w_values))
 
     def to_json_dict(self):
         return {

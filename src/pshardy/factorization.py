@@ -3,9 +3,10 @@
 The expression family covers polynomials, principal-branch affine powers
 [a(1-z)]^beta, finite Blaschke products, outer functions built from boundary
 log-modulus data, and products/quotients of these.  Every expression
-evaluates on complex arrays, exposes a boundary trace with its singular
-angles and the exponent of |f*| at each, and reports the interior zeros
-that Blaschke division needs; the norm routes read nothing else.
+evaluates on complex arrays, gives its modulus in the disk and on the
+circle, declares its singular angles and the exponent of |f*| at each,
+and reports the interior zeros that Blaschke division needs; the norm
+routes read nothing else.
 
 On top of the family sit the factorization routines: dividing out zeros by
 a Blaschke product without changing the weighted norm, reconstructing outer
@@ -76,6 +77,9 @@ class AnalyticExpr:
     """An analytic function on the unit disk with closed-form pieces.
 
     Subclasses implement ``_eval``; the boundary trace derives from it.
+    ``modulus`` and ``boundary_modulus``, |f| and |f*|, derive from the hook
+    ``_modulus``: np.abs of ``_eval`` unless the node has |f| in real
+    arithmetic.  The norm routes read f through them alone.
     ``boundary_singularities`` maps each angle t0 where |f*| vanishes or
     blows up to its exponent, |f*(e^{it})| ~ |t - t0|^beta; the routes
     declare the angles to their quadrature, the verdict reads the beta.
@@ -90,13 +94,24 @@ class AnalyticExpr:
     def _eval(self, z):
         raise NotImplementedError
 
+    def _modulus(self, z):
+        return np.abs(self._eval(z))
+
     def __call__(self, z):
         return self._eval(np.asarray(z, dtype=complex))
+
+    def modulus(self, z):
+        """|f(z)|."""
+        return self._modulus(np.asarray(z, dtype=complex))
 
     def boundary_trace(self, theta):
         """Value of the boundary function at e^{i theta} (a.e.)."""
         theta = np.asarray(theta, dtype=float)
         return self._eval(np.exp(1j * theta))
+
+    def boundary_modulus(self, theta):
+        """|f*(e^{i theta})| (a.e.)."""
+        return self._modulus(np.exp(1j * np.asarray(theta, dtype=float)))
 
     def __mul__(self, other):
         if isinstance(other, AnalyticExpr):
@@ -205,9 +220,13 @@ class AffinePower(AnalyticExpr):
         w = self._base(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.exp(self.beta * np.log(w))
-        if self.beta > 0:
-            out = np.where(w == 0, 0.0, out)
+        if self.beta >= 0:
+            out = np.where(w == 0, 0.0 ** self.beta, out)  # 1 at beta = 0
         return out
+
+    def _modulus(self, z):
+        with np.errstate(divide="ignore"):  # 0, 1 or inf at z = 1 as beta >, = or < 0
+            return np.abs(self._base(z)) ** self.beta
 
 
 class BlaschkeProduct(AnalyticExpr):
@@ -335,6 +354,10 @@ class OuterFunction(AnalyticExpr):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.exp(self._log_series(z))
 
+    def _modulus(self, z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.exp(self._log_series(z).real)
+
 
 class Product(AnalyticExpr):
     def __init__(self, f, g):
@@ -347,6 +370,9 @@ class Product(AnalyticExpr):
 
     def _eval(self, z):
         return self.f._eval(z) * self.g._eval(z)
+
+    def _modulus(self, z):
+        return self.f._modulus(z) * self.g._modulus(z)
 
 
 class Quotient(AnalyticExpr):
@@ -366,6 +392,9 @@ class Quotient(AnalyticExpr):
 
     def _eval(self, z):
         return self.f._eval(z) / self.g._eval(z)
+
+    def _modulus(self, z):
+        return self.f._modulus(z) / self.g._modulus(z)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +417,7 @@ def divide_by_blaschke(f, p, u):
 
     def log_mod(theta):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(f.boundary_trace(theta)))
+            return np.log(f.boundary_modulus(theta))
 
     h_2p = OuterFunction(log_mod, boundary_singularities=f.boundary_singularities)
     norm_f = hardy.hardy_norm(f, p, u)
@@ -495,7 +524,7 @@ def beurling_isometry_check(candidate, u, test_fns=None):
     for t0 in weight.singular_thetas:
         probes += [t0 - steps, t0 + steps]
     t = np.concatenate(probes)
-    dev = np.abs(np.abs(candidate.outer_part.boundary_trace(t)) ** 2
+    dev = np.abs(candidate.outer_part.boundary_modulus(t) ** 2
                  * weight.at(t) - 1.0)
     worst = int(np.argmax(dev))
     flat = {"max": float(dev[worst]), "theta": float(t[worst]),

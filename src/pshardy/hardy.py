@@ -339,7 +339,7 @@ def _classical_power(f, p):
 
     def integrand(t):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.abs(f.boundary_trace(t)) ** p
+            return f.boundary_modulus(t) ** p
 
     return integrate_boundary_arc(
         integrand, tol_abs=1e-10, tol_rel=1e-8,
@@ -373,7 +373,7 @@ def _route_boundary(f, p, weight):
 
     def integrand(t):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.abs(f.boundary_trace(t)) ** p * np.asarray(
+            return f.boundary_modulus(t) ** p * np.asarray(
                 weight.at(t), dtype=float)
 
     return integrate_boundary_arc(
@@ -398,14 +398,14 @@ def _cutoff(theta, angles):
     return 1.0 - keep
 
 
-def _route_bulk(f, p, u, weight, maj):
+def _route_bulk(f, p, u, weight, samples):
     """int h_f dLambda u, h_f = P[|f*|^p] the least harmonic majorant of |f|^p.
 
     By the symmetry of the Green function this is the norm^p of the
-    paper's majorant characterization.  ``maj`` is h_f as
-    ``least_harmonic_majorant`` builds it, or None when |f|^p has no
-    majorant, which is DIVERGENT.  The route reads f only through its
-    boundary trace and the samples of h_f.  With
+    paper's majorant characterization.  ``samples`` are those of |f*|^p
+    that h_f extends (``_majorant``), or None when |f|^p has no majorant,
+    which is DIVERGENT.  The route reads f only through its boundary
+    modulus and those samples.  With
     q = |f*|^p and a smooth cutoff chi around the singular angles of f,
     the window part P[q chi] is taken by Fubini as int q chi V dnu over
     each window, so there the route shares the boundary route's integrand.
@@ -423,14 +423,14 @@ def _route_bulk(f, p, u, weight, maj):
     error; an infinite mass keeps every term.
     """
     divergent = QuadratureResult(math.inf, math.inf, DIVERGENT, 0)
-    if maj is None:
+    if samples is None:
         return divergent
     tol_abs, tol_rel = 1e-9, 1e-6
     angles = tuple(f.boundary_singularities)
 
     def window(t):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return (np.abs(f.boundary_trace(t)) ** p * _cutoff(t, angles)
+            return (f.boundary_modulus(t) ** p * _cutoff(t, angles)
                     * np.asarray(weight.at(t), dtype=float))
 
     # q chi V vanishes off the windows; panels break at their edges and
@@ -448,7 +448,7 @@ def _route_bulk(f, p, u, weight, maj):
             return divergent
 
     mass = weight.mass_of_laplacian
-    far = maj.values * (1.0 - _cutoff(_MAJORANT_THETAS, angles))
+    far = samples * (1.0 - _cutoff(_MAJORANT_THETAS, angles))
     coeffs = _analytic_coefficients(far)
     dropped = 0.0
     if u.measure.is_rotation_invariant():
@@ -535,7 +535,9 @@ def _route_level(f, p, u, weight, *, samples=512):
 
     Returns (QuadratureResult or None, info dict).  Every rung pairs
     |f|^p with mu_c, the flux of u through the traced level, by the
-    trapezoid rule over its rays (``DemaillyMeasure.pair_spectral``).
+    trapezoid rule over its rays (``DemaillyMeasure.pair_values``) of |f|^p
+    read once on the points of every traced rung; a rung whose pairing is
+    not finite ends the ladder, its note replacing a deeper stop note.
     Rungs off circles are capped at k = 12: thinner crescents are limited
     by the ray count (the u_{3/4} flux mass at k = 12, on the exact d_r u,
     is 0.191976 on 256 rays, 0.191346 on 512 and 0.191239 on 2,048);
@@ -555,7 +557,7 @@ def _route_level(f, p, u, weight, *, samples=512):
         return None, info
 
     deepest = 20 if radial else 12
-    rungs, cs, skipped = [], [], []
+    measures, skipped = [], []
     for k in range(deepest + 1):
         c = -(2.0 ** (-k))
         if c <= u.min_value:
@@ -568,23 +570,26 @@ def _route_level(f, p, u, weight, *, samples=512):
             # deep levels may not trace (several components, not star-
             # shaped); past the first traced rung a failure ends the
             # ladder so the rungs of the Richardson step stay contiguous
-            if not rungs:
+            if not measures:
                 skipped.append(c)
                 continue
             info["note"] = f"ladder stopped at c={c:g}: {exc}"
             break
+        measures.append(mu)
 
-        def f_power(w):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                v = np.abs(f(w)) ** p
-            return np.where(np.isfinite(v), v, np.inf)
-
-        val = mu.pair_spectral(f_power)
+    points = [mu.boundary_points for mu in measures]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        power = f.modulus(np.concatenate(points or [np.empty(0)])) ** p
+    power = np.where(np.isfinite(power), power, np.inf)
+    rungs, cs = [], []
+    ends = np.cumsum([z.size for z in points])
+    for mu, vals in zip(measures, np.split(power, ends[:-1])):
+        val = mu.pair_values(vals)
         if not math.isfinite(val):
-            info["note"] = f"non-finite pairing at c={c:g}"
+            info["note"] = f"non-finite pairing at c={mu.c:g}"
             break
         rungs.append(val)
-        cs.append(c)
+        cs.append(mu.c)
     info["ladder"] = tuple(zip(cs, rungs))
     if skipped:
         msg = "ladder skipped untraceable rungs c=" + ", ".join(f"{c:g}" for c in skipped)
@@ -796,13 +801,13 @@ def hardy_norm(f, p, u, *, level_samples=512):
 
 _MAJORANT_SAMPLES = 8192
 _MAJORANT_THETAS = TWO_PI * np.arange(_MAJORANT_SAMPLES) / _MAJORANT_SAMPLES
+_MAJORANT_POINTS = np.exp(1j * _MAJORANT_THETAS)
 
 
 def _majorant(f, p, classical):
-    """h_f = P[|f*|^p] given the classical power of f, None if it diverges.
-
-    |f*|^p is sampled on _MAJORANT_THETAS, with 0 at the nodes within
-    1e-12 of a declared singular angle of f and wherever it is not finite.
+    """The samples of |f*|^p that h_f = P[|f*|^p] extends, None if the
+    classical power of f diverges: |f|^p at e^{i theta} on _MAJORANT_THETAS,
+    0 within 1e-12 of a declared singular angle of f and where not finite.
     """
     if classical.status == DIVERGENT or not math.isfinite(classical.value):
         return None
@@ -811,9 +816,9 @@ def _majorant(f, p, classical):
         good &= _gap(_MAJORANT_THETAS, t0) >= 1e-12
     values = np.zeros(_MAJORANT_SAMPLES)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.abs(f.boundary_trace(_MAJORANT_THETAS[good])) ** p
+        v = f.modulus(_MAJORANT_POINTS[good]) ** p
     values[good] = np.where(np.isfinite(v), v, 0.0)
-    return poisson_extension(values)
+    return values
 
 
 def least_harmonic_majorant(f, p):
@@ -821,19 +826,20 @@ def least_harmonic_majorant(f, p):
 
     Requires f in the classical Hardy space; a divergent boundary mean
     means |f|^p majorizes no harmonic function and raises NoMajorant.
-    h_f(0) is the mean of the samples of |f*|^p, the classical norm power
+    It is the ``poisson_extension`` of the 8,192 samples of ``_majorant``,
+    kept on its ``values``; h_f(0), their mean, is the classical norm power
     up to their sampling error.
     """
     p = float(p)
     if not p > 0.0:
         raise InvalidParameter("the exponent p must be positive")
-    maj = _majorant(f, p, _classical_power(f, p))
-    if maj is None:
+    samples = _majorant(f, p, _classical_power(f, p))
+    if samples is None:
         raise NoMajorant(
             f"|{f.label}|^{p:g} has a divergent boundary mean; no harmonic "
             "majorant exists (NO_MAJORANT)"
         )
-    return maj
+    return poisson_extension(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +849,8 @@ def least_harmonic_majorant(f, p):
 
 class _ComposedExpr:
     """f composed with a disk automorphism, with just enough surface for
-    the norm routes (evaluation, trace, zeros, singular angles)."""
+    the norm routes (modulus inside and on the circle, zeros, singular
+    angles)."""
 
     def __init__(self, f, mob):
         self.f = f
@@ -857,13 +864,12 @@ class _ComposedExpr:
             for t, beta in f.boundary_singularities.items()
         }
 
-    def __call__(self, z):
-        return self.f(self.mob.forward(np.asarray(z, dtype=complex)))
+    def modulus(self, z):
+        return self.f.modulus(self.mob.forward(np.asarray(z, dtype=complex)))
 
-    def boundary_trace(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        img = self.mob.forward(np.exp(1j * theta))
-        return self.f.boundary_trace(np.angle(img))
+    def boundary_modulus(self, theta):
+        img = self.mob.forward(np.exp(1j * np.asarray(theta, dtype=float)))
+        return self.f.boundary_modulus(np.angle(img))
 
 
 def conformal_pullback_norm(f, u, automorphism, p):
@@ -940,9 +946,9 @@ def comparison_checks(u, v):
     p, wu, wv = 2.0, boundary_weight(u), boundary_weight(v)
 
     def pairings(g):
-        # one majorant of |g|^2 serves both exhaustions
-        maj = _majorant(g, p, _classical_power(g, p))
-        return _route_bulk(g, p, u, wu, maj), _route_bulk(g, p, v, wv, maj)
+        # one set of majorant samples of |g|^2 serves both exhaustions
+        samples = _majorant(g, p, _classical_power(g, p))
+        return _route_bulk(g, p, u, wu, samples), _route_bulk(g, p, v, wv, samples)
 
     def within(a, c, b):
         return bool(a <= c * b * (1.0 + 1e-6) + 1e-12)
@@ -967,7 +973,7 @@ def comparison_checks(u, v):
             "status_u": pu.status, "status_v": pv.status,
             "ok": within(pu.value, c_uv, pv.value) and within(pv.value, c_vu, pu.value),
         })
-        lhs = float(abs(g(0j)) ** p)
+        lhs = float(g.modulus(0j) ** p)
         pb_rows.append({"f": g.label, "value_at_w": lhs, "bound": s * pv.value,
                         "ok": bool(lhs <= s * pv.value * (1.0 + 1e-9) + 1e-12)})
     report["rows"] = rows

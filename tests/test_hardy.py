@@ -730,6 +730,32 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     assert calls == [dm.c]  # once, on the first read
 
 
+@pytest.mark.parametrize("name, samples, rungs", [("log", 512, 21), ("um", 256, 9)])
+def test_level_route_reads_the_modulus_once_per_ladder(monkeypatch, name, samples, rungs):
+    # the ladder traces its rungs, then evaluates |f| once on the points of
+    # all of them; each rung is still the trapezoid pairing on its own level
+    u = X.radial_log() if name == "log" else X.make_example("um", 0.75)
+    f, p = AffinePower(0.8, 1.25), 2.0
+    weight = H.boundary_weight(u)
+    sizes = []
+    original = AffinePower._modulus
+
+    def counted(self, z):
+        sizes.append(z.size)
+        return original(self, z)
+
+    monkeypatch.setattr(AffinePower, "_modulus", counted)
+    _, info = H._route_level(f, p, u, weight, samples=samples)
+    monkeypatch.undo()
+    assert len(info["ladder"]) == rungs
+    points = 0
+    for c, val in info["ladder"]:
+        mu = u.demailly(c, samples=samples)
+        points += mu.boundary_points.size
+        assert val == mu.pair_spectral(lambda w: f.modulus(w) ** p), c
+    assert sizes == [points]
+
+
 def test_blaschke_factor_is_an_isometry_under_um(u075):
     # |B| = 1 on the circle, so multiplying by B keeps every boundary norm
     B = BlaschkeProduct([0.5, 0.3j])
@@ -906,7 +932,7 @@ def test_um_membership_rule_at_p_one(u075, bp):
     assert rep.verdict == "MEMBER"
     assert abs(rep.value - ref) <= 1e-5 * ref
     bulk = H._route_bulk(f, 1.0, u075, rep.weight,
-                         H.least_harmonic_majorant(f, 1.0))
+                         H.least_harmonic_majorant(f, 1.0).values)
     assert bulk.status == CONVERGED
     assert abs(bulk.value - ref) <= bulk.error
 
@@ -921,7 +947,7 @@ def test_bulk_route_within_its_error_for_zeros_near_the_atom():
                         * poisson_kernel(0.3, zeta)))
     f = Poly(coeffs)
     bulk = H._route_bulk(f, 2.0, u, H.boundary_weight(u),
-                         H.least_harmonic_majorant(f, 2.0))
+                         H.least_harmonic_majorant(f, 2.0).values)
     assert bulk.status == CONVERGED
     assert abs(bulk.value - ref) <= bulk.error
 
@@ -938,7 +964,7 @@ def test_lens_bulk_route_matches_frozen_value(u05, beta, p):
     """
     f = AffinePower(0.5, beta)
     bulk = H._route_bulk(f, p, u05, H.boundary_weight(u05),
-                         H.least_harmonic_majorant(f, p))
+                         H.least_harmonic_majorant(f, p).values)
     m = 0.5
     truth = 0.5 * m * (1.0 - m) * scipy_beta(1.5, m + 0.5) / math.pi
     assert bulk.status == CONVERGED
@@ -956,7 +982,7 @@ def test_lens_bulk_route_matches_the_lens_moments(u075):
     for f in (Poly([0.0, 1.0, -1.0]),
               Product(BlaschkeProduct([0.5, 0.3j]), Poly([0.0, 1.0, -1.0]))):
         bulk = H._route_bulk(f, 2.0, u075, H.boundary_weight(u075),
-                             H.least_harmonic_majorant(f, 2.0))
+                             H.least_harmonic_majorant(f, 2.0).values)
         assert bulk.status == CONVERGED
         assert abs(bulk.value - truth) <= 2e-10 * truth, f.label
         assert abs(bulk.value - truth) <= bulk.error, f.label
@@ -983,12 +1009,12 @@ def test_lens_bulk_route_pairs_with_moments_not_disk_quadrature(u075, u05, monke
     assert pulled.measure.moments is None
     composed = H._ComposedExpr(f, mob)
     H._route_bulk(composed, 2.0, pulled, H.boundary_weight(pulled),
-                  H.least_harmonic_majorant(composed, 2.0))
+                  H.least_harmonic_majorant(composed, 2.0).values)
     assert calls
     calls.clear()
     twice = X.scaled_exhaustion(2.0, u075)
     assert np.array_equal(twice.measure.moments(9), 2.0 * u075.measure.moments(9))
-    maj = H.least_harmonic_majorant(f, 2.0)
+    maj = H.least_harmonic_majorant(f, 2.0).values
     one = H._route_bulk(f, 2.0, u075, H.boundary_weight(u075), maj)
     two = H._route_bulk(f, 2.0, twice, H.boundary_weight(twice), maj)
     assert (two.value, two.error) == (2.0 * one.value, 2.0 * one.error)
