@@ -45,8 +45,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # Engine constants.  The divergence verdict is heuristic but reproducible:
 # a dyadic tail whose last DIVERGENCE_SHELLS shell-to-shell ratios all stay
 # above DIVERGENCE_RATIO fails the Cauchy test (log-divergent integrands
-# give ratio -> 1, power divergences give ratio > 1), while any convergent
-# algebraic singularity in this package decays with ratio <= 2**-0.1 ~ 0.93.
+# give ratio -> 1, power divergences give ratio > 1).  A convergent singularity
+# x^e decays with ratio 2^-(1 + e): members with e = beta p + alpha in (-0.941,
+# -0.911] reach TAIL_RATIO_MAX, fit no tail and read INCONCLUSIVE, and those
+# in (-1, -0.941] reach DIVERGENCE_RATIO and read DIVERGENT (ROADMAP item 13).
 # The test reads only shells DIVERGENCE_DEPTH dyadic levels deep, where that
 # asymptotic ratio has set in (see _fails_cauchy_test).
 DEFAULT_TOL_ABS = 1e-6

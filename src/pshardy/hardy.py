@@ -448,7 +448,7 @@ def _route_bulk(f, p, u, weight, samples):
             return divergent
 
     mass = weight.mass_of_laplacian
-    far = samples * (1.0 - _cutoff(_MAJORANT_THETAS, angles))
+    far = samples * _majorant_far_share(angles)
     coeffs = _analytic_coefficients(far)
     dropped = 0.0
     if u.measure.is_rotation_invariant():
@@ -802,6 +802,15 @@ def hardy_norm(f, p, u, *, level_samples=512):
 _MAJORANT_SAMPLES = 8192
 _MAJORANT_THETAS = TWO_PI * np.arange(_MAJORANT_SAMPLES) / _MAJORANT_SAMPLES
 _MAJORANT_POINTS = np.exp(1j * _MAJORANT_THETAS)
+
+
+@functools.lru_cache(maxsize=16)
+def _majorant_far_share(angles):
+    """1 - chi on _MAJORANT_THETAS for a tuple of singular angles, built once
+    per tuple and read-only: the far part of the bulk route's samples."""
+    share = 1.0 - _cutoff(_MAJORANT_THETAS, angles)
+    share.flags.writeable = False
+    return share
 
 
 def _majorant(f, p, classical):

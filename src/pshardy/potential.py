@@ -25,7 +25,7 @@ from numbers import Real
 
 import numpy as np
 from numpy.polynomial.polyutils import trimseq
-from scipy.special import beta, exprel, gamma, roots_jacobi, zeta as hurwitz_zeta
+from scipy.special import beta, exprel, factorial, gamma, roots_jacobi, zeta as hurwitz_zeta
 
 from .geometry import (
     CONVERGED,
@@ -473,34 +473,12 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 
 
 # ---------------------------------------------------------------------------
-# The worked power density, as integrals over the lens circle.
+# The worked power density, by its moments and Euler's integral.
 #
 # The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on the lens L = {|w - 1/2| < 1/2}
-# is Delta s/(2 pi), s(w) = -(1 - Re w)^m, so Green's second identity on L
-# turns its potential and gradient into integrals over the lens circle
-# w = (1 + n)/2, n = e^{i psi}, where 1 - Re w = 1 - |w|^2 = S =
-# sin^2(psi/2), ds = dpsi/2 and d_n g = (1 - |z|^2) Re(n/((w - z)(1 - conj(z) w))):
-#
-#   u_m(z) = s(z)[z in L] + 1/(4 pi) int S^m (m cos psi g(z, w)/S + d_n g) dpsi,
-#   G(z)   = m(1 - Re z)^(m-1)[z in L]
-#            + m/(4 pi) int S^(m-1) (conj(w n)/(1 - z conj w) - n/(w - z)) dpsi.
-#
-# G = 2 d_z u_m is the Cauchy-Pompeiu formula, a simple pole where the
-# z-derivative of u's kernel has a double one.  A point on the circle takes
-# half of each jump term and the principal value.  Each integrand is
-# |psi|^(2m-1) times a function analytic by the tip psi = 0, for every m in
-# (0, 1), so one rule (``_lens_rule``) serves both: a Gauss-Jacobi panel at
-# the tip and Gauss-Legendre panels graded toward the kernels' poles, at
-# h = -+i|log(1 + 2d)| about the angle theta* of the point's nearest circle
-# point (h = psi - theta*, d the point's signed distance from the circle).
-# Nodes are offsets from theta* or from the tip, so p - w = e^{i theta*}(d -
-# i sin(h/2) e^{ih/2}) and S keep their digits.
-#
-# Off the closed lens u_m is harmonic, and where a series in q = 1/2/(z - 1/2)
-# converges fast, it replaces the rule at about a ninth of the cost
-# (``_far_field``).  Its moments A_k = 2^k int (w - 1/2)^k dsigma_m have a
-# closed form: a chord ends at x - 1/2 + iY = e^{i psi}/2, 1 - x =
-# sin^2(psi/2), dx = -sin(psi) dpsi/2, its integral of (w - 1/2)^k is
+# is Delta s/(2 pi), s(w) = -(1 - Re w)^m.  Its moments A_k = 2^k int (w -
+# 1/2)^k dsigma_m have a closed form: a chord ends at x - 1/2 + iY = e^{i psi}/2,
+# 1 - x = sin^2(psi/2), dx = -sin(psi) dpsi/2, its integral of (w - 1/2)^k is
 # 2^-k sin((k+1)psi)/(k+1), and sin((k+1)psi) sin(psi) = [cos(k psi) -
 # cos((k+2)psi)]/2 makes A_k a multiple of C_k - C_(k+2), C_n = int_0^pi
 # sin^(2m-4)(psi/2) cos(n psi) dpsi continued analytically in the exponent;
@@ -511,66 +489,100 @@ def green_potential(measure: RieszMeasure, z, *, tol_abs: float = 1e-9, tol_rel:
 # (``LensPowerDensity.moments``).  As w = (1 + (2w - 1))/2, M_k = 2^-k sum_j
 # C(k, j) A_j.  For m <= 1/2 the mass is infinite, but B_j = A_j - M_0 =
 # M_0 (r_j - 1) and r_(i+1) - r_i = r_i (1 - 2m)/(i + 1 + m) give the finite
-# B_j = int ((2w - 1)^j - 1) dsigma_m = K sum_(i<j) r_i/(i + 1 + m), with
-# K = M_0 (1 - 2m) = -2m(1-m)(1+m) B(3/2, m + 1/2)/pi finite for every m, and
-# the finite parts nu_k = int (w^k - 1) dsigma_m = 2^-k sum_j C(k, j) B_j.
+# B_j = int ((2w - 1)^j - 1) dsigma_m = K sum_(i<j) l_i, l_i = r_i/(i + 1 + m),
+# with K = M_0 (1 - 2m) = -2m(1-m)(1+m) B(3/2, m + 1/2)/pi finite for every m,
+# and the finite parts nu_k = int (w^k - 1) dsigma_m = 2^-k sum_j C(k, j) B_j.
+# Exchanging the sums, sum_k B_k q^(k-1) = K L(q)/(1 - q), L(q) = sum_i l_i q^i
+# = 2F1(2 - m, 1; 2 + m; q)/(1 + m).
 #
-# Inside the lens a series in zeta = 2z - 1 serves u_m for m > 1/2.  On the
-# circle log|z - w| = -log 2 - Re sum_k zeta^k e^{-ik psi}/k and d_n log|z - w|
-# = 2 + 2 Re sum_k zeta^k e^{-ik psi}, so Green's identity gives the direct
-# half int log|z - w| dsigma_m = s(z) + Re sum_k kappa_k zeta^k, with
-# kappa_0 = (2 J_0(m) - m log 2 I_0)/(4 pi), kappa_k = (2 J_k(m) - (m/k) I_k)/(4 pi),
-# J_k(a) = int sin^(2a)(psi/2) cos(k psi) dpsi = 2 pi (-1)^k Gamma(2a + 1)/(4^a
-# Gamma(a + k + 1) Gamma(a - k + 1)) and I_k = J_k(m - 1) - 2 J_k(m); the mass
-# is M_0 = m I_0/(4 pi).  The reflected half int log|1 - conj(z) w| dsigma_m is
-# M_0 log|1 - z/2| + Re T(q), q = z/(2 - z), T = -sum_k (A_k/k) q^k.  Both
-# halves hold M_0 log|1 - z|, which cancels in u_m but, summed, costs M_0
-# times the rounding, and M_0 -> inf as m -> 1/2 (5e-13 at m = 0.501).  With
-# T = M_0 log(1 - q) - sum_k (B_k/k) q^k and lambda_k = kappa_k + M_0/k
-# (lambda_0 = J_0(m)/(2 pi)) it drops out exactly:
+# Off the closed lens, with q = 1/(2z - 1) and q' = z/(2 - z) (the reflection
+# 1/conj z, the moments being real), int log(zeta - w) dsigma_m = M_0 log(zeta -
+# 1/2) - sum_k (A_k/k) (2 zeta - 1)^-k gives u_m in which the M_0 terms cancel:
 #
-#   u_m = s + Re sum_k lambda_k zeta^k + Re sum_k (B_k/k) q^k,
-#   G   = m(1 - x)^(m-1) + 2 sum_k k kappa_k zeta^(k-1) + (M_0 + 2 R/(2 - z))/(2 - z),
+#   u_m = -Re sum_k (B_k/k) (q^k - q'^k),   G = 2 d_z u_m = K/(z - 1) [q L(q) - L(q')/(2 - z)].
 #
-# R = sum_k A_(k+1) q^k.  G keeps kappa_k and A_k, whose terms decay where
-# those of lambda_k and B_k tend to M_0.  lambda_k takes the gaps J_k - J_0,
-# which stay finite as m -> 1/2 (``_circle_cosines``).
+# Inside it a series in zeta = 2z - 1 serves the direct half.  On the circle
+# log|z - w| = -log 2 - Re sum_k zeta^k e^{-ik psi}/k and d_n log|z - w| = 2 + 2
+# Re sum_k zeta^k e^{-ik psi}, so Green's identity gives int log|z - w| dsigma_m
+# = s(z) + Re sum_k kappa_k zeta^k, kappa_0 = (2 J_0(m) - m log 2 I_0)/(4 pi),
+# kappa_k = (2 J_k(m) - (m/k) I_k)/(4 pi), J_k(a) = int sin^(2a)(psi/2) cos(k psi)
+# dpsi = 2 pi (-1)^k Gamma(2a + 1)/(4^a Gamma(a + k + 1) Gamma(a - k + 1)), I_k =
+# J_k(m - 1) - 2 J_k(m) and M_0 = m I_0/(4 pi).  The reflected half is M_0 log|1
+# - z/2| - Re sum_k (A_k/k) q'^k, and with lambda_k = kappa_k + M_0/k (lambda_0 =
+# J_0(m)/(2 pi)) the M_0 log|1 - z| of both halves drops out exactly:
+#
+#   u_m = s + Re sum_k lambda_k zeta^k + Re sum_k (B_k/k) q'^k,
+#   G   = m(1 - x)^(m-1) + 2 sum_k k lambda_k zeta^(k-1) + K L(q')/((2 - z)(1 - z)).
+#
+# lambda_k takes the gaps J_k - J_0, finite as m -> 1/2 (``_circle_cosines``).
+#
+# Euler's integral continues L: L(q) = q^(m-2) I((1 - q)/q), I(y) = int_0^1 s^m
+# (s + y)^(m-2) ds, so on Im z >= 0 (the lower half is mirrored) off the lens
+#
+#   G = K/(z - 1) [zeta^(1-m) I(2z - 2) - (2 - z)^(1-m) int_0^1 s^m (2 - 2z + zs)^(m-2) ds],
+#
+# the second integral z^(m-2) I((2 - 2z)/z), regular at z = 0 on the circle;
+# inside it G is that plus m(1 - x)^(m-1) - J, J = m (1 - z)^(2m-2) zeta^(1-m)
+# e^{i pi (m-1)} the continuation of m(1 - x)^(m-1) off the circle, where 1 - x
+# = -(1 - z)^2/zeta.  With eps = 2m - 1, I(y) = P(y) - (y^eps - 1)/eps + c y^eps
+# for |y| < 1, P(y) = sum_(k>=1) C(m-2, k) y^k/(eps - k): the integral over s > 0
+# is -h y^eps/eps, h = Gamma(1 + m) Gamma(2 - 2m)/Gamma(2 - m), and over s > 1 a
+# binomial series, so c = (1 - h)/eps.  For |eps| <= 1/2, c = -a exprel(eps a)
+# by the Taylor series of log h = eps a(eps): the Gamma poles at m = 1/2 cancel.
 #
 # V has a series off the tip for every m.  With zeta = e^{it} and q = 1/(2 zeta
 # - 1), P(w, zeta) = Re(2 zeta/(zeta - w)) - 1 and 1/(zeta - w) = 2q sum_k
 # 2^k (w - 1/2)^k q^k give V = Re[(2 zeta/(zeta - 1/2)) sum_k A_k q^k] - M_0;
 # the M_0 terms cancel exactly on the circle, where Re(2 zeta/(zeta - 1)) = 1,
-# so V = Re[(2 zeta/(zeta - 1/2)) sum_k B_k q^k], finite for m <= 1/2 too.
+# so V = Re[(2 zeta/(zeta - 1/2)) sum_k B_k q^k], finite for m <= 1/2 too.  By
+# the tip, y = 2(zeta - 1) and 2 zeta/(zeta - 1) = 1 - i cot(t/2) give V = K
+# [Re W + cot(t/2) Im W], W = (1 + y)^(1-m) I(y).
 #
-# By the tip, q -> 1, the sum is closed.  Exchanging the sums in B_k gives
-# sum_k B_k q^k = K q L(q)/(1 - q), L = sum_i r_i q^i/(i + 1 + m) = 2F1(2 - m,
-# 1; 2 + m; q)/(1 + m).  Euler's integral of L, y = 2(zeta - 1) = (1 - q)/q,
-# eps = 2m - 1 and 2 zeta/(zeta - 1) = 1 - i cot(t/2) give V = K [Re W +
-# cot(t/2) Im W], W = q^(m-1) int_0^1 s^m (s + y)^(m-2) ds = q^(m-1) [sum_(k>=1)
-# C(m-2, k) y^k/(eps - k) - (y^eps - 1)/eps + c y^eps]: the integral over s > 0
-# is -h y^eps/eps, h = Gamma(1 + m) Gamma(2 - 2m)/Gamma(2 - m), and over s > 1 a
-# binomial series, so c = (1 - h)/eps.  For |eps| <= 1/2, c = -a exprel(eps a)
-# by the Taylor series of log h = eps a(eps): the Gamma poles at m = 1/2 cancel.
+# By the tip, t = 1 - z, y1 = -2t and y2 = 2t/(1 - t): u_m off the lens is
+# K Re[Q(y1) - Q(y2)], Q'(Y) = (1 + Y)^(1-m) I(Y)/Y, and termwise Q = F(Y) + g
+# (c - h T(Y)) - (g - log Y)/eps, g = (Y^eps - 1)/eps, T = sum_(n>=1) b_n Y^n/(n +
+# eps), b_n = C(1 - m, n), F = sum_(n>=1) (a_n/n + b_n (1 + cn)/(n (n + eps))) Y^n
+# and a_n those of (1 + Y)^(1-m) P(Y).  Where y1^eps = e^{i pi eps} (2t)^eps takes
+# (2t)^eps instead, Q becomes Q~ and K Re[Q(y1) - Q~(y1)] = Re Sigma, Sigma = i m
+# e^{i pi eps/2} t^eps (1/eps + T(y1)), d_z Sigma = J: so u_m = s + u~ inside and
+# u~ + Re Sigma off it, u~ = K Re[Q~(y1) - Q(y2)], and G = G~ + m(1 - x)^(m-1)
+# inside and G~ + J off it, G~ that of u~.  With lambda = -log(1 - t), w =
+# (2t)^eps and g~ = (w - 1)/eps the two halves of u~ and G~ differ by O(t) and
+# no t^(2m-1) or t^(2m-2) is formed twice:
 #
-# Every point has one evaluator (``LensPowerDensity._evaluate``).  The series
-# take _MULTIPOLE_TERMS terms and converge at a rate below _MULTIPOLE_REACH:
-# for m > 1/2, where |z| < 0.99 |2 - z|, off the lens where 0.99 |2z - 1| > 1
-# and inside it where |2z - 1| < 0.99; V where 0.99 |2 e^{it} - 1| > 1, that
-# is |t| > 0.1008, the closed form by the tip.  The lens-circle rule keeps the
-# rest of u_m and G: the annulus about the lens circle, the tip, and m <= 1/2.
+#   u~ = K Re[F(y1) - F(y2) - h g~ (T(y1) - T(y2)) - w lambda E1 (c - h T(y2))
+#             + lambda (g~ E1 + lambda E2)],
+#   G~ = -(K/t) [a1 P(y1) - a2 P(y2) + a2 lambda E1 + (a1 - a2 e^{eps lambda}) (c - h g~)],
+#
+# E1 = (e^x - 1)/x and E2 = (e^x - 1 - x)/x^2 at x = eps lambda, a1 = (1 - 2t)^(1-m)
+# and a2 = (1 - t)^(m-2) (1 + t)^(1-m).  Re Sigma's leading term is -m |t|^eps
+# sin(eps phi)/eps, phi = arg t + pi/2, small in the cusp between the lens circle
+# and the unit circle; log(1 - t), log(1 - 2t) and log(1 + t) keep their digits
+# by ``_log1p``.
+#
+# Every point has one evaluator (``LensPowerDensity._evaluate``), the same for
+# every m: the tip cap |t| < _TIP_CAP by the closed forms in t; else the series
+# inside the lens where |zeta| < _MULTIPOLE_REACH and off it where
+# _MULTIPOLE_REACH |zeta| > 1, each at a rate below _MULTIPOLE_REACH in
+# _MULTIPOLE_TERMS terms; and between them the seam, G by Euler's integral (I
+# by its series where |y| < 1/2, else Gauss-Jacobi in s with the weight s^m)
+# and u by the series at the switch circle on the ray from 1/2 plus Re int G dz
+# along the ray.  V takes the closed form where |y| = 4 |sin(t/2)| < 1/2, |t| <
+# 0.2507, and the series of the finite parts beyond.
 # ---------------------------------------------------------------------------
 
 CHUNK = 1024  # points per block of a batch evaluation
 _BLOCK = 64  # terms per row of the two-level Horner in _series
-_ORDER = 12  # Gauss points per panel of the lens-circle rule
-_GAUSS = np.polynomial.legendre.leggauss(_ORDER)
-_GRADING = 0.4  # largest panel half-width over its distance to a pole or tip
-# |green_potential - u_m| for every m: four times the largest gap, 3.5e-15, to
-# the tests' 40-digit references and to the rule at grading 0.15 on 1,489
-# seeded points 1e-8..1e-1 from the circle, by both tips and across the disk
+# |green_potential - u_m| for every m, with margin: the largest gaps are 2.9e-16
+# to the tests' 40-digit references and 7.2e-16 between the evaluators of two
+# regions at their switch
 _VALUE_ERROR = 1.4e-14
 _MULTIPOLE_TERMS = 4000  # terms of each series; 0.99^4000 = 3.5e-18 at the reach
 _MULTIPOLE_REACH = 0.99  # points whose series converges at a rate below it
+_TIP_CAP = 0.2  # |1 - z| below it: the closed forms in t, |y1|, |y2| < 1/2
+_EULER_RULE = 24  # Gauss-Jacobi points in s of I(y) where |y| >= 1/2
+_RAY = np.polynomial.legendre.leggauss(8)  # u on the seam: int G dz along the ray
+_E2 = 1.0 / factorial(np.arange(2.0, 20.0))  # E2(x) = sum x^k/(k + 2)!, |x| < 1/4
 # the relative error of declared moments: four times the largest gap, 1.0e-15,
 # of the lens moments to the tests' 30-digit references at k <= 4096; it also
 # covers the rounding of the bulk route's sum of a_k M_k
@@ -593,11 +605,14 @@ def _finite_scale(m):
     return -2.0 * m * (1.0 - m) * (1.0 + m) * beta(1.5, m + 0.5) / math.pi
 
 
+def _euler_terms(m, n):
+    """l_0 ... l_(n-1) = r_i/(i + 1 + m), the series of L, in extended precision."""
+    return _lens_ratios(m, n) / (np.arange(n, dtype=np.longdouble) + 1.0 + m)
+
+
 def _finite_parts(m, n):
     """B_0 ... B_(n-1) = A_k - M_0, finite for every m, in extended precision."""
-    i = np.arange(n - 1, dtype=np.longdouble)
-    return np.append(np.longdouble(0.0),
-                     _finite_scale(m) * np.cumsum(_lens_ratios(m, n)[:-1] / (i + 1.0 + m)))
+    return np.append(np.longdouble(0.0), _finite_scale(m) * np.cumsum(_euler_terms(m, n - 1)))
 
 
 def _circle_cosines(a, n):
@@ -615,115 +630,17 @@ def _circle_cosines(a, n):
     return 2.0 * beta(a + 0.5, 0.5) * rho, gaps
 
 
-def _lens_rule(star, d, delta, tip_rule, image):
-    """The lens-circle rule of each point for u and G, its nodes flat over them.
-
-    A point's nearest circle point is at angle ``star`` = theta* in (-pi, pi]
-    and its kernels' poles at height ``delta`` over h = 0, the reflected
-    kernel's at angle image[0], height image[1].  The turn from tip to tip is
-    cut at theta* (unless theta* lies within delta of the tip), each piece
-    halved, and each half walked from theta* or from the tip in offsets x,
-    in the longest Gauss panels, in x or (past the first) in log x, whose
-    half-width is at most _GRADING times the centre's distance from the
-    poles, their images a turn on, and the tips (``_half_width``).  A panel
-    from the tip takes the Gauss-Jacobi ``tip_rule`` and, for the harmonic H
-    of ``_curve_potential``, Legendre points.  The first panels either side of
-    theta* match: a point on the circle gets the principal value.  Returns
-    each node's point, S, n, 1 - w, p - w and weight, then sin(h/2), sin(psi/2),
-    cos(psi/2) and the ends of the node groups: tip panels, their Legendre
-    copies, the rest.  d is the point's signed distance.
-    """
-    n = star.size
-    delta = np.maximum(delta, 1e-280)  # on the circle: the kernels stay finite
-    a = np.abs(star)
-    b = 2.0 * math.pi - a
-    sg = np.where(star < 0.0, -1.0, 1.0)
-    split = a >= delta
-    zero, turn, beyond = np.zeros(n), np.full(n, 2.0 * math.pi), np.full(n, 1e150)
-    # frames: from theta* toward the near tip and from that tip back, the same
-    # for the far tip, and (theta* by the tip) from each tip to the middle;
-    # offset x lies at psi = theta* + sign x, or psi = sign x from a tip
-    frame = np.flatnonzero(np.stack([split] * 4 + [~split] * 2).ravel())
-    point = frame % n
-    sign = np.stack([-sg, sg, sg, -sg, sg, -sg]).ravel()[frame]
-    from_tip = np.repeat([False, True, False, True, True, True], n)[frame]
-    end = np.stack([a, a, b, b, turn, turn]).ravel()[frame] / 2.0
-    # the poles (at height delta), tips (`beyond` for none) and reflected poles
-    X = [np.stack(row).ravel()[frame] for row in ([zero, a, zero, b, a, b],
-                                                  [turn, -b, turn, -a, -b, -a],
-                                                  [a, beyond, b, beyond, beyond, beyond],
-                                                  [-b, turn, -a, turn, turn, turn])]
-    off = sign * (image[0][point] - np.where(from_tip, 0.0, star[point]))
-    X += [(off + math.pi) % (2.0 * math.pi) - math.pi]
-    X += [X[-1] + 2.0 * math.pi]
-    Y = [delta[point]] * 2 + [np.zeros(frame.size)] * 2 + [image[1][point]] * 2
-    X, Y = np.array(X), np.array(Y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_X, arg_X = np.log(np.minimum(np.hypot(X, Y), 1e150)), np.arctan2(Y, X)
-        x = np.minimum(2.0 * _half_width(X, Y).min(axis=0), end)
-        panels = [(np.arange(frame.size), np.zeros_like(x), x.copy(), np.zeros_like(x, bool))]
-        live = np.flatnonzero(x < end)
-        while live.size:  # in x the tip at a frame's origin counts, in log x not
-            x0 = x[live]
-            half = _half_width(X[:, live] - x0, Y[:, live]).min(axis=0)
-            half = np.where(from_tip[live],
-                            np.minimum(half, _GRADING * x0 / (1.0 - _GRADING)), half)
-            log_half = _half_width(log_X[:, live] - np.log(x0), arg_X[:, live]).min(axis=0)
-            by_x, by_log = x0 + 2.0 * half, x0 * np.exp(2.0 * log_half)
-            x1 = np.minimum(np.maximum(by_x, by_log), end[live])
-            panels.append((live, x0, x1, by_log > by_x))
-            x[live] = x1
-            live = live[x1 < end[live]]
-    index, x0, x1, log = (np.concatenate(p) for p in zip(*panels))
-    tip, first = from_tip[index], x0 == 0.0
-    # (panels, rule, in log x, from the tip), one node layout each
-    groups = [(first & tip, tip_rule, False, True), (first & tip, _GAUSS, False, True)]
-    groups += [(~first & tip & (log == k), _GAUSS, k, True) for k in (False, True)]
-    groups += [(~tip & (log == k), _GAUSS, k, False) for k in (False, True)]
-    owners, halves, weights = [], [], []
-    for part, (xi, wi), in_log, at_tip in groups:
-        f, lo, hi = index[part], x0[part, None], x1[part, None]
-        size = 0.5 * (np.log(hi / lo) if in_log else hi - lo)
-        x = lo * np.exp(size * (1.0 + xi)) if in_log else lo + size * (1.0 + xi)
-        weights.append((size * wi * (x if in_log else 1.0)).ravel())
-        st, ct = np.sin(0.5 * star[point[f], None]), np.cos(0.5 * star[point[f], None])
-        sx, cx = sign[f, None] * np.sin(0.5 * x), np.cos(0.5 * x)
-        if at_tip:  # psi = sign x, h = sign x - theta*
-            halves.append((sx * ct - cx * st, cx * ct + sx * st, sx, cx))
-        else:  # h = sign x, psi = theta* + sign x
-            halves.append((sx, cx, st * cx + ct * sx, ct * cx - st * sx))
-        owners.append(np.repeat(point[f], _ORDER))
-    sh, ch, sp, cp = (np.concatenate([v[k].ravel() for v in halves]) for k in range(4))
-    owner = np.concatenate(owners)
-    pw = np.exp(1j * star)[owner] * (d[owner] + sh * sh - 1j * sh * ch)
-    half = cp + 1j * sp  # e^{i psi/2}
-    return (owner, sp * sp, half * half, -1j * sp * half, pw, np.concatenate(weights),
-            (sh, sp, cp, np.cumsum([o.size for o in owners])))
+def _log1p(x):
+    """log(1 + x) for complex x, within rounding of |x| as x -> 0 (numpy's
+    complex log1p forms |1 + x| and loses the real part's digits)."""
+    return (0.5 * np.log1p(x.real * (2.0 + x.real) + x.imag * x.imag)
+            + 1j * np.arctan2(x.imag, 1.0 + x.real))
 
 
-def _half_width(ahead, height):
-    """The longest panel half-width r from a point that a singularity
-    ``ahead`` on the axis and ``height`` off it allows: r = _GRADING |r - ahead + i height|."""
-    g = _GRADING
-    return g * (np.hypot(ahead, math.sqrt(1.0 - g * g) * height) - g * ahead) / (1.0 - g * g)
-
-
-def _power_gap(base, base_m, top_m, step, m):
-    """top^m - base^m from base, both powers and step = top - base, without
-    cancellation."""
-    ratio = step / base
-    close = np.abs(ratio) < 0.5
-    return np.where(close, base_m * np.expm1(m * np.log1p(np.where(close, ratio, 0.0))),
-                    top_m - base_m)
-
-
-def _sum_by(owner, terms, size):
-    """Sums of ``terms`` by ``owner``, exact but for their own rounding: the
-    multiples of one power of two in each term add exactly, then the rest."""
-    scale = np.abs(terms).max(initial=0.0) * terms.size
-    quantum = 2.0 ** (math.frexp(scale)[1] - 52) if scale > 0.0 else 1.0
-    coarse = np.rint(terms / quantum) * quantum
-    return np.bincount(owner, coarse, size) + np.bincount(owner, terms - coarse, size)
+def _exprel(x):
+    """(e^x - 1)/x for complex x, 1 at 0."""
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, np.expm1(safe) / safe)
 
 
 def _in_chunks(block, points):
@@ -738,35 +655,31 @@ def _in_chunks(block, points):
 class LensPowerDensity:
     """The density m(1-m)/(2 pi) (1 - x)^(m-2) dA on |z - 1/2| < 1/2.
 
-    This is the Riesz mass of the worked example u_m.  Its potential and its
-    gradient are integrals over the lens circle on one rule (see the section
-    comment), for every m in (0, 1), or series where those converge at a rate
-    below _MULTIPOLE_REACH; V takes no quadrature.  For
-    m > 1/2, points where rho = max(1/|2z - 1|, |z|/|2 - z|) < 0.99 take the
-    multipole series of u_m (``_far_field``); at rho = 0.99 -+ 1e-9 the two
-    agree to 1.2e-16 in u, 4e-15 relative in G.  Points where |2z - 1| <
-    0.99 and |z| < 0.99 |2 - z| take the series inside the lens
-    (``_inner_field``); at |2z - 1| = 0.99 -+ 1e-9 it meets the rule within
-    5.4e-16 in u and 2.1e-14 relative in G (m = 0.6, 3/4, 0.9), and within
-    8.1e-15 in u by the tip for m down to 1/2.  Both series' G lose digits
-    as m -> 1/2, where their terms grow like M_0: at m = 0.51, 3.4e-12
-    relative inside the lens and 4.6e-14 off it.  ``green_potential`` is
-    within ``value_error`` of 40-digit references at 73 points (m = 3/4,
-    1/2) and 9 (m = 1/4) inside the lens, 1e-7 to 1e-1 outside it, by both
-    tips and by the circle; on the circle u and G lie within 1e-12 of their
-    values 1e-12 to either side.  ``green_gradient`` gives the same u with
-    G = 2 d_z u_m = u_x - i u_y, within 3e-15 relative of a 30-digit
-    reference and of a 60,000-term series at 0.99 < rho < 0.999.
-    ``balayage`` is V(e^{it}): for |t| > 0.1008 the series of the finite
-    parts (``_far_balayage``), within 1.2e-15 relative of 40-digit
-    references on 400 seeded angles in 0.3 to pi for m = 1/4, 0.4, 1/2, 3/4,
-    and on 400 in 0.1009 to 0.3 within 4.7e-15 at m = 1/4, 3.2e-15 at the
-    others; by the tip a closed
-    form, within 2.6e-15 of 40-digit references at 1e-14 <= t <= 0.1008 for
-    0.05 <= m <= 0.97 and of the series at |t| = 0.1008 -+ 1e-9, inf at 0.
-    ``moments`` gives M_k = int w^k dsigma_m, or for m <= 1/2 the finite
-    parts nu_k = int (w^k - 1) dsigma_m, built on first use and within
-    _MOMENT_ERROR of 30-digit references to k = 4096.  The series
+    This is the Riesz mass of the worked example u_m.  Its potential and
+    G = 2 d_z u_m = u_x - i u_y have one evaluator by region, the same for
+    every m in (0, 1), and no quadrature of the lens (see the section
+    comment): the closed forms in t = 1 - z in the tip cap |t| < 0.2
+    (``_tip_field``), else the series inside the lens where |2z - 1| < 0.99
+    (``_inner_field``) and off it where |2z - 1| > 1/0.99 (``_far_field``),
+    and Euler's integral on the seam between (``_seam_field``); the lower
+    half mirrors the upper one bit for bit.  Against 40-digit references
+    at m = 1/4, 1/2, 0.5001, 3/4 and 0.9, u is within 2.9e-16 and G within
+    1.0e-15 max(1, |G|), inside the lens and off it, 0.004 either side of
+    its circle, in the tip cap at |t| = 1e-12 to 0.19 and in the cusp
+    between the lens circle and the unit circle at |t| = 1e-3 and 1e-5.
+    At each switch, 1e-9 to either side, the two evaluators agree within
+    7.2e-16 in u and 5.0e-14 relative in G for m = 1/4 to 0.9; on the seam
+    u is smooth in z to 1e-17.  On the circle u and G lie within 1e-12 of
+    their values 1e-12 to either side.  ``balayage`` is V(e^{it}): for
+    |t| >= 0.2507 the series of the finite parts (``_far_balayage``),
+    within 1.2e-15 relative of 40-digit references on 400 seeded angles in
+    0.3 to pi for m = 1/4, 0.4, 1/2, 3/4, and within 1.7e-15 on 40 in
+    0.2507 to 0.3; by the tip a closed form, within 2.6e-15 of 40-digit
+    references at 1e-14 <= t <= 0.1008 for 0.05 <= m <= 0.97 and within
+    3.0e-15 on 32 angles in 0.1009 to 0.2507 (9.3e-16 for m <= 1/2), inf
+    at 0.  ``moments`` gives M_k = int w^k dsigma_m, or for m <= 1/2 the
+    finite parts nu_k = int (w^k - 1) dsigma_m, built on first use and
+    within _MOMENT_ERROR of 30-digit references to k = 4096.  The series
     coefficients are built on first use too, once per density.
     """
 
@@ -774,13 +687,7 @@ class LensPowerDensity:
         self.m = float(m)
         self.pref = self.m * (1.0 - self.m) / (2.0 * math.pi)
         self.value_error = _VALUE_ERROR
-        # Gauss-Jacobi points for tau^(2m-1) by the tip, the weight divided out
-        alpha = 2.0 * self.m - 1.0
-        nodes, weights = roots_jacobi(_ORDER, 0.0, alpha)
-        self._tip_rule = (nodes, weights / (1.0 + nodes) ** alpha)
-        # A_k by their ratios (inf for m <= 1/2)
-        self._moments = _lens_mass(self.m) * _lens_ratios(
-            self.m, _MULTIPOLE_TERMS + 1).astype(float)
+        self._scale = _finite_scale(self.m)  # K
         self._moment_table = np.empty(0)  # M_k, built on first use
 
     def moments(self, n):
@@ -803,29 +710,48 @@ class LensPowerDensity:
         return self._moment_table[:n].copy()
 
     @functools.cached_property
-    def _outer_terms(self):
-        """-A_k/k and A_(k+1): the multipole series of u_m and of G, and of
-        G's reflected half inside the lens."""
-        A = self._moments
-        return np.append(0.0, -A[1:] / np.arange(1, A.size)), A[1:]
-
-    @functools.cached_property
     def _inner_terms(self):
         """lambda_k = kappa_k + M_0/k (lambda_0 = kappa_0 + M_0 log 2) and
-        k kappa_k (k >= 1): the series of u_m and of G inside the lens."""
+        k lambda_k (k >= 1): the series of u_m and of G inside the lens."""
         m, n = self.m, _MULTIPOLE_TERMS + 1
-        (J, gaps), (J_low, gaps_low) = _circle_cosines(m, n), _circle_cosines(m - 1.0, n)
+        (J, gaps), (_, gaps_low) = _circle_cosines(m, n), _circle_cosines(m - 1.0, n)
         k = np.arange(1, n, dtype=np.longdouble)
         lam = np.append(2.0 * J[0], 2.0 * J[1:] - (m / k) * (gaps_low[1:] - 2.0 * gaps[1:]))
-        slope = 2.0 * k * J[1:] - m * (J_low[1:] - 2.0 * J[1:])
-        return (lam / (4.0 * math.pi)).astype(float), (slope / (4.0 * math.pi)).astype(float)
+        lam /= 4.0 * math.pi
+        return lam.astype(float), (k * lam[1:]).astype(float)
 
     @functools.cached_property
     def _finite_terms(self):
-        """B_k = A_k - M_0 and B_k/k: the series of V, and of u_m's reflected
-        half inside the lens."""
-        B = _finite_parts(self.m, _MULTIPOLE_TERMS + 1)
-        return B.astype(float), np.append(0.0, B[1:] / np.arange(1, B.size)).astype(float)
+        """B_k, B_k/k and l_k: the series of V, of u_m and of G."""
+        n = _MULTIPOLE_TERMS + 1
+        B = _finite_parts(self.m, n)
+        return (B.astype(float), np.append(0.0, B[1:] / np.arange(1, n)).astype(float),
+                _euler_terms(self.m, n).astype(float))
+
+    @functools.cached_property
+    def _tip_terms(self):
+        """The series by the tip, k < _BLOCK (|y| < 1/2: tail below 1e-19):
+        C(m - 2, k)/(eps - k) (0 at k = 0), those of T and of F, and c."""
+        m, eps, k = self.m, 2.0 * self.m - 1.0, np.arange(1.0, _BLOCK)
+        terms = np.append(0.0, np.cumprod((m - 1.0 - k) / k) / (eps - k))
+        if abs(eps) > 0.5:
+            c = (1.0 - gamma(1.0 + m) * gamma(2.0 - 2.0 * m) / gamma(2.0 - m)) / eps
+        else:
+            n = np.arange(2.0, _BLOCK)  # log h = eps a(eps): a is psi(3/2) - psi(1), then these
+            taylor = (hurwitz_zeta(n, 1.0) - n % 2 * 2.0 ** (1.0 - n) * hurwitz_zeta(n, 1.5)) / n
+            a = np.polynomial.polynomial.polyval(eps, np.append(2.0 - 2.0 * math.log(2.0), taylor))
+            c = -a * exprel(eps * a)
+        b = np.cumprod((2.0 - m - k) / k)  # C(1 - m, k)
+        a = np.convolve(np.append(1.0, b), terms)[1:_BLOCK]
+        T = np.append(0.0, b / (k + eps))
+        F = np.append(0.0, a / k + b * (1.0 + c * k) / (k * (k + eps)))
+        return terms, T, F, c
+
+    @functools.cached_property
+    def _euler_rule(self):
+        """Gauss-Jacobi points s in (0, 1) and weights for int_0^1 s^m f(s) ds."""
+        x, w = roots_jacobi(_EULER_RULE, 0.0, self.m)
+        return 0.5 * (1.0 + x), w * 2.0 ** (-1.0 - self.m)
 
     def green_potential(self, z):
         return self._evaluate(z, False)[0]
@@ -836,126 +762,139 @@ class LensPowerDensity:
         return u, gx + 1j * gy
 
     def _evaluate(self, z, gradient):
-        """u_m, with Re G and Im G under ``gradient``, stacked on a leading axis."""
+        """u_m, with Re G and Im G under ``gradient``, stacked on a leading axis:
+        each point by its region (see the section comment), on Im z >= 0 and
+        mirrored, u_m(conj z) = u_m(z) and G(conj z) = conj G(z)."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros((3 if gradient else 1,) + z.shape)
         if self.pref == 0.0:
             return out
-        a = np.abs(z)
-        near = a < 1.0 - 1e-15
-        if self.m > 0.5:
-            rate = np.abs(2.0 * z - 1.0)
-            series = near & (a < _MULTIPOLE_REACH * np.abs(2.0 - z))
-            far = series & (_MULTIPOLE_REACH * rate > 1.0)
-            lens = series & (rate < _MULTIPOLE_REACH)
-            out[:, far] = self._far_field(z[far], gradient)
-            out[:, lens] = self._inner_field(z[lens], gradient)
-            near &= ~(far | lens)
-        out[:, near] = _in_chunks(lambda zz: self._curve_potential(zz, gradient), z[near])
+        w = z.real + 1j * np.abs(z.imag)
+        rate, near = np.abs(2.0 * w - 1.0), np.abs(w) < 1.0 - 1e-15
+        tip = near & (np.abs(1.0 - w) < _TIP_CAP)
+        lens = near & ~tip & (rate < _MULTIPOLE_REACH)
+        far = near & ~tip & (_MULTIPOLE_REACH * rate > 1.0)
+        seam = near & ~(tip | lens | far)
+        for part, field in ((tip, self._tip_field), (lens, self._inner_field),
+                            (far, self._far_field), (seam, self._seam_field)):
+            out[:, part] = _in_chunks(lambda zz: field(zz, gradient), w[part])
+        if gradient:  # u_y vanishes on the axis
+            out[2] *= np.sign(z.imag)
         return out
 
     def _far_field(self, z, gradient):
-        """u_m, with Re G and Im G under ``gradient``, by the multipole series:
-        S(zeta) = int log(zeta - w) dsigma_m = M_0 log(zeta - 1/2) - sum_k
-        (A_k/k) q^k gives u_m = Re S(z) - Re S(1/conj z) - M_0 log|z| and
-        G = 2 d_z u_m; real moments put the reflection at 1/z, q = z/(2 - z)."""
-        A0, n = self._moments[0], z.size
-        log_terms, next_terms = self._outer_terms
+        """u_m, with Re G and Im G under ``gradient``, off the lens by the
+        series of the finite parts in q = 1/(2z - 1) and q' = z/(2 - z)."""
+        n, (_, B_k, ell) = z.size, self._finite_terms
         q = np.concatenate([1.0 / (2.0 * z - 1.0), z / (2.0 - z)])
-        T = _series(q, log_terms)
-        u = (A0 * (np.log(np.abs(2.0 * z - 1.0)) - np.log(np.abs(2.0 - z)))
-             + (T[:n] - T[n:]).real)
+        T = _series(q, B_k)
+        u = (T[n:] - T[:n]).real
         if not gradient:
             return u[None]
-        R = _series(q, next_terms)  # sum_k A_(k+1) q^k
-        q1, rz = q[:n], 1.0 / (2.0 - z)
-        G = 2.0 * q1 * (A0 + q1 * R[:n]) + (A0 + 2.0 * rz * R[n:]) * rz
+        L = _series(q, ell)
+        G = self._scale / (z - 1.0) * (q[:n] * L[:n] - L[n:] / (2.0 - z))
         return np.stack([u, G.real, G.imag])
 
     def _inner_field(self, z, gradient):
         """u_m, with Re G and Im G under ``gradient``, inside the lens by the
-        series in zeta = 2z - 1 of the direct half and in q = z/(2 - z) of the
-        reflected one (see the section comment)."""
-        m, A0, (lam, slope) = self.m, self._moments[0], self._inner_terms
+        series in zeta = 2z - 1 of the direct half and in q' = z/(2 - z) of
+        the reflected one."""
+        m, (lam, slope), (_, B_k, ell) = self.m, self._inner_terms, self._finite_terms
         zeta, q, omx = 2.0 * z - 1.0, z / (2.0 - z), 1.0 - z.real
-        u = (_series(zeta, lam).real - omx ** m
-             + _series(q, self._finite_terms[1]).real)
+        u = _series(zeta, lam).real - omx ** m + _series(q, B_k).real
         if not gradient:
             return u[None]
-        rz = 1.0 / (2.0 - z)
-        R = _series(q, self._outer_terms[1])
         G = (m * omx ** (m - 1.0) + 2.0 * _series(zeta, slope)
-             + (A0 + 2.0 * rz * R) * rz)
+             + self._scale * _series(q, ell) / ((2.0 - z) * (1.0 - z)))
         return np.stack([u, G.real, G.imag])
 
-    def _curve_potential(self, z, gradient):
-        """u_m, with Re G and Im G under ``gradient``, by the lens-circle rule.
-
-        Green's identity holds for s + H, H harmonic, as for s.  With
-        H = S*^m + b (1 - Re w - S*), S* = S(theta*) and b = m S*^m, s + H
-        and its normal derivative nearly vanish by z, so no O(1) terms cancel
-        to u there: its rounding noise by the circle is 3e-17, not 4e-16.
-        The tip panels take H's part, which is analytic, on Legendre points.
-        """
-        m, x, y = self.m, z.real, z.imag
-        star = np.angle(2.0 * z - 1.0)
-        st, ct = np.sin(0.5 * star), np.cos(0.5 * star)
-        S_star, cos_star = st * st, np.cos(star)
-        d = (y * y - x * (1.0 - x)) / (np.abs(z - 0.5) + 0.5)
-        inside = np.where(d == 0.0, 0.5, d < 0.0)  # each jump term's share
-        with np.errstate(divide="ignore"):  # z = 1/2 and z = 0 send a pole off
-            image = (np.angle(2.0 * z - np.abs(z) ** 2), np.log(np.abs(2.0 - z) / np.abs(z)))
-            owner, S, n, omw, pw, weight, (sh, sp, cp, ends) = _lens_rule(
-                star, d, np.abs(np.log1p(2.0 * d)), self._tip_rule, image)
-        tips, plain, rest = slice(0, ends[0]), slice(ends[0], ends[1]), slice(ends[1], None)
-        p = z[owner]
-        r1 = (1.0 - p.conjugate()) + p.conjugate() * omw  # 1 - conj(z) w
-        q = 1.0 - (p.real ** 2 + p.imag ** 2)
-        X = -q * S / (r1.real ** 2 + r1.imag ** 2)
-        small = X > -0.5
-        g = np.empty_like(X)
-        g[small] = 0.5 * np.log1p(X[small])
-        g[~small] = np.log(np.abs(pw[~small]) / np.abs(r1[~small]))
-        dng, cos, Sm = q * (n / (-pw * r1)).real, 1.0 - 2.0 * S, S ** m
-        Sm_star = S_star ** m
-        b = m * Sm_star
-        on, bo = owner[rest], b[owner]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # S - S* = sin(h/2) sin((psi + theta*)/2), 1 - Re z - S* = -d cos theta*
-            dS = sh * (sp * ct[owner] + cp * st[owner])
-            s_H = (_power_gap(S_star[on], Sm_star[on], Sm[rest], dS[rest], m)
-                   - bo[rest] * dS[rest])
-            jump = (_power_gap(1.0 - x, (1.0 - x) ** m, Sm_star, d * cos_star, m)
-                    - b * d * cos_star)
-        f = np.empty_like(S)
-        f[tips] = m * cos[tips] * (Sm[tips] / S[tips]) * g[tips] + Sm[tips] * dng[tips]
-        f[plain] = -(bo[plain] * cos[plain] * g[plain]
-                     + (Sm_star[owner[plain]] + bo[plain] * dS[plain]) * dng[plain])
-        f[rest] = (m * cos[rest] * (Sm[rest] / S[rest]) * g[rest]
-                   - bo[rest] * cos[rest] * g[rest] + s_H * dng[rest])
-        u = inside * jump + _sum_by(owner, weight * f, z.size) / (4.0 * math.pi)
+    def _seam_field(self, z, gradient):
+        """u_m, with Re G and Im G under ``gradient``, about the lens circle: G
+        by Euler's integral, u by the series at the switch circle on the ray
+        from 1/2 plus Re int G dz along the ray, on Gauss-Legendre points."""
+        zeta = 2.0 * z - 1.0
+        inside = np.abs(zeta) < 1.0
+        start = 0.5 + 0.5 * np.where(inside, _MULTIPOLE_REACH, 1.0 / _MULTIPOLE_REACH) * (
+            zeta / np.abs(zeta))
+        ext = start.astype(np.clongdouble)  # extended sums keep u smooth in z to 1e-17
+        u = np.empty(z.size)
+        u[inside] = self._inner_field(ext[inside], False)[0]
+        u[~inside] = self._far_field(ext[~inside], False)[0]
+        x, w = _RAY
+        path = start + 0.5 * (1.0 + x[:, None]) * (z - start)
+        G = self._euler_gradient(np.append(path, z))
+        u += (0.5 * (z - start) * (w @ G[:path.size].reshape(path.shape))).real
         if not gradient:
             return u[None]
-        fG = np.zeros(S.size, dtype=complex)  # the Legendre copies take none
-        for part in (tips, rest):
-            # conj(w n)(w - z) - n(1 - z conj w), free of cancellation at the tip
-            nn, nb, pp = n[part], n[part].conjugate(), p[part]
-            num = (1j * nn.imag * ((pp - 1.0) * (1.0 + nb) - 2.0 * omw[part].conjugate())
-                   - S[part] * nb)
-            fG[part] = ((Sm[part] / S[part]) * num / (r1[part].conjugate() * -pw[part])
-                        * weight[part])
-        G = (inside * m * (1.0 - x) ** (m - 1.0) + m / (4.0 * math.pi)
-             * (_sum_by(owner, fG.real, z.size) + 1j * _sum_by(owner, fG.imag, z.size)))
+        return np.stack([u, G[path.size:].real, G[path.size:].imag])
+
+    def _euler_gradient(self, z):
+        """G at z, Im z >= 0, from Euler's integral (see the section comment)."""
+        m, zeta = self.m, 2.0 * z - 1.0
+        G = self._scale / (z - 1.0) * (
+            zeta ** (1.0 - m) * self._euler(np.ones(z.shape), 2.0 * z - 2.0)
+            - (2.0 - z) ** (1.0 - m) * self._euler(z, 2.0 - 2.0 * z))
+        inside = np.abs(zeta) < 1.0
+        p = z[inside]
+        G[inside] += m * ((1.0 - p.real) ** (m - 1.0) - (1.0 - p) ** (2.0 * m - 2.0)
+                          * (2.0 * p - 1.0) ** (1.0 - m) * np.exp(1j * math.pi * (m - 1.0)))
+        return G
+
+    def _euler(self, a, b):
+        """int_0^1 s^m (a s + b)^(m-2) ds: a^(m-2) I(b/a) by the series where
+        |b| < |a|/2, else by the Gauss-Jacobi rule in s."""
+        out = np.empty(b.shape, dtype=complex)
+        near = np.abs(b) < 0.5 * np.abs(a)
+        out[near] = a[near] ** (self.m - 2.0) * self._euler_series(b[near] / a[near])
+        s, w = self._euler_rule
+        out[~near] = w @ (a[~near] * s[:, None] + b[~near]) ** (self.m - 2.0)
+        return out
+
+    def _euler_series(self, y):
+        """I(y) = int_0^1 s^m (s + y)^(m-2) ds by its series, |y| < 1/2."""
+        eps, (terms, _, _, c) = 2.0 * self.m - 1.0, self._tip_terms
+        x = eps * np.log(y)
+        gap = np.log(y) if eps == 0.0 else np.expm1(x) / eps  # (y^eps - 1)/eps
+        return _series(y, terms) - gap + c * np.exp(x)
+
+    def _tip_field(self, z, gradient):
+        """u_m, with Re G and Im G under ``gradient``, in the tip cap
+        |1 - z| < _TIP_CAP, Im z >= 0, in closed form (see the section comment)."""
+        m, K, eps, n = self.m, self._scale, 2.0 * self.m - 1.0, z.size
+        terms, T_k, F_k, c = self._tip_terms
+        h, t = 1.0 - c * eps, 1.0 - z
+        y = np.concatenate([-2.0 * t, 2.0 * t / z])
+        lam, log2t = -_log1p(-t), np.log(2.0 * t)
+        E1, g = _exprel(eps * lam), log2t * _exprel(eps * log2t)
+        E2 = np.polynomial.polynomial.polyval(eps * lam, _E2)
+        F, T = _series(y, F_k), _series(y, T_k)
+        u = K * (F[:n] - F[n:] - h * g * (T[:n] - T[n:])
+                 - np.exp(eps * log2t) * lam * E1 * (c - h * T[n:])
+                 + lam * (g * E1 + lam * E2)).real
+        inside = t.real > t.real ** 2 + t.imag ** 2  # |2z - 1| < 1
+        phi = np.arctan2(t.real, -t.imag)
+        u += np.where(inside, -t.real ** m,
+                      -m * np.abs(t) ** eps * phi * np.sinc(eps * phi / math.pi)
+                      + (1j * m * np.exp(0.5j * math.pi * eps) * t ** eps * T[:n]).real)
+        if not gradient:
+            return u[None]
+        P = _series(y, terms)
+        lead, top = (1.0 - m) * _log1p(-2.0 * t), (1.0 - m) * _log1p(t) + (1.0 + m) * lam
+        a1, a2 = np.exp(lead), np.exp(top - eps * lam)
+        gap = np.exp(top) * np.expm1(lead - top)  # a1 - a2 e^{eps lambda}
+        G = -(K / t) * (a1 * P[:n] - a2 * P[n:] + a2 * lam * E1 + gap * (c - h * g))
+        G += np.where(inside, m * t.real ** (m - 1.0),
+                      m * t ** (2.0 * m - 2.0) * a1 * np.exp(1j * math.pi * (m - 1.0)))
         return np.stack([u, G.real, G.imag])
 
     def balayage(self, t):
         t = np.asarray(t, dtype=float)
         if self.pref == 0.0:
             return np.zeros(t.shape)
-        zeta = np.exp(1j * np.where(np.isfinite(t), t, 0.0))
-        far = _MULTIPOLE_REACH * np.abs(2.0 * zeta - 1.0) > 1.0
+        s = np.where(np.isfinite(t), t, 0.0)
+        far = 4.0 * np.abs(np.sin(0.5 * s)) >= 0.5  # |y| >= 1/2
         out = np.empty(t.shape)
-        out[far] = self._far_balayage(zeta[far])
+        out[far] = self._far_balayage(np.exp(1j * s[far]))
         out[~far] = self._tip_balayage(t[~far])
         return out
 
@@ -964,30 +903,15 @@ class LensPowerDensity:
         q = 1.0 / (2.0 * zeta - 1.0)
         return (4.0 * zeta * q * _series(q, self._finite_terms[0])).real
 
-    @functools.cached_property
-    def _tip_terms(self):
-        """C(m - 2, k)/(eps - k), k < _BLOCK (0 at k = 0), and c: V by the tip."""
-        m, eps, k = self.m, 2.0 * self.m - 1.0, np.arange(1.0, _BLOCK)  # |y| <= 0.2016: tail 1e-40
-        terms = np.append(0.0, np.cumprod((m - 1.0 - k) / k) / (eps - k))
-        if abs(eps) > 0.5:
-            return terms, (1.0 - gamma(1.0 + m) * gamma(2.0 - 2.0 * m) / gamma(2.0 - m)) / eps
-        n = np.arange(2.0, _BLOCK)  # log h = eps a(eps): a is psi(3/2) - psi(1), then these
-        taylor = (hurwitz_zeta(n, 1.0) - n % 2 * 2.0 ** (1.0 - n) * hurwitz_zeta(n, 1.5)) / n
-        a = np.polynomial.polynomial.polyval(eps, np.append(2.0 - 2.0 * math.log(2.0), taylor))
-        return terms, -a * exprel(eps * a)
-
     def _tip_balayage(self, t):
         """V by the tip in closed form (see the section comment), inf at t = 0."""
-        m, eps, (terms, c) = self.m, 2.0 * self.m - 1.0, self._tip_terms
         out = np.where(np.isfinite(t), np.inf, np.nan)
         s = np.abs(np.where(np.isfinite(t), t, 0.0))
         ok = np.sin(0.5 * s) > 0.0
         y = 4j * np.sin(0.5 * s[ok]) * np.exp(0.5j * s[ok])  # 2(zeta - 1)
-        x = eps * np.log(y)
-        gap = np.log(y) if eps == 0.0 else np.expm1(x) / eps  # (y^eps - 1)/eps
-        W = (1.0 + y) ** (1.0 - m) * (_series(y, terms) - gap + c * np.exp(x))
+        W = (1.0 + y) ** (1.0 - self.m) * self._euler_series(y)
         with np.errstate(over="ignore"):  # V ~ m |t|^(2m - 2) may leave the doubles
-            out[ok] = _finite_scale(m) * (W.real + W.imag / np.tan(0.5 * s[ok]))
+            out[ok] = self._scale * (W.real + W.imag / np.tan(0.5 * s[ok]))
         return out
 
 
@@ -1025,18 +949,21 @@ def _series(z, coeffs) -> np.ndarray:
     Horner pass in z^_BLOCK over the rows sums them: numpy pays rows calls
     per chunk of points instead of one per term.  The table doubles up
     from z (z^(k+j) = z^k z^j), so each power in it takes at most
-    log2(_BLOCK) rounded products.  Returns the complex sum; the harmonic
-    callers take its real part.
+    log2(_BLOCK) rounded products.  Returns the complex sum, in extended
+    precision where z is np.clongdouble; the harmonic callers take its real
+    part.
     """
-    a = np.asarray(coeffs, dtype=complex)
+    z = np.asarray(z)
+    kind = np.result_type(z, 1j)
+    a = np.asarray(coeffs, dtype=kind)
     width = min(_BLOCK, a.size)
     rows = -(-a.size // width)
-    mat = np.zeros(rows * width, dtype=complex)
+    mat = np.zeros(rows * width, dtype=kind)
     mat[:a.size] = a
     mat = mat.reshape(rows, width)
 
     def block(w):
-        powers = np.empty((width + 1, w.size), dtype=complex)
+        powers = np.empty((width + 1, w.size), dtype=kind)
         powers[0] = 1.0
         powers[1] = w
         k = 1
@@ -1050,7 +977,7 @@ def _series(z, coeffs) -> np.ndarray:
             out = out * powers[width] + row
         return out
 
-    return _in_chunks(block, np.asarray(z, dtype=complex))
+    return _in_chunks(block, z.astype(kind, copy=False))
 
 
 def poisson_extension(values):

@@ -703,12 +703,12 @@ def test_warm_rungs_match_cold_traces(ladder256):
                              min_value=u.min_value, min_point=u.min_point,
                              value_error=u.value_error)
     frozen = {
-        6: (0.31658936475158533, 0.5591812529846913, 1.0556034333292101,
-            0.5591812529846913),
-        9: (0.3242387101190042, 0.7095298370716261, 1.5688831127868883,
-            0.709529837071626),
-        12: (0.32454682637811133, 0.7338145931737318, 1.661464904194927,
-             0.7338145931737318),
+        6: (0.31658936475158955, 0.5591812529846933, 1.055603433329208,
+            0.5591812529846933),
+        9: (0.3242387101190069, 0.7095298370716285, 1.5688831127868854,
+            0.7095298370716285),
+        12: (0.3245468263781141, 0.7338145931737345, 1.6614649041949265,
+             0.7338145931737345),
     }
     roots = {6: -0.380167667798609219290047206855793,
              9: -0.893447347256303225363554887248376,

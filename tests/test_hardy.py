@@ -675,10 +675,10 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
     # none; read afterwards on one rung, it and the report built on it
     # have the values frozen below (a snapshot of the INCONCLUSIVE area
     # quadrature, not an oracle).  The ladder traces the 129 rays of the
-    # upper half of each level, 5,972 points, and u_m takes its multipole
-    # series off the lens and its series inside it, so it sends 453 of
-    # them to the lens-circle rule (the annulus about the lens circle and
-    # the tip), to the same norm
+    # upper half of each level, 5,972 points, and u_m takes its series off
+    # the lens and inside it and its closed forms by the tip, so it sends
+    # 78 of them to the seam about the lens circle (Euler's integral on
+    # Gauss-Jacobi points), to the same norm
     calls, rows = [], []
     original = RieszMeasure.pair
 
@@ -687,15 +687,15 @@ def test_cold_ladder_computes_no_direct_mass(monkeypatch):
             calls.append(level.c)
         return original(measure, h, level=level, **kwargs)
 
-    curve = LensPowerDensity._curve_potential
+    seam = LensPowerDensity._seam_field
 
-    def curve_rows(self, zz, gradient):
+    def seam_rows(self, zz, gradient):
         rows.append(zz.size)
-        return curve(self, zz, gradient)
+        return seam(self, zz, gradient)
 
     monkeypatch.setattr(RieszMeasure, "pair", counted)
     u = X.make_example("um", 0.75)
-    monkeypatch.setattr(LensPowerDensity, "_curve_potential", curve_rows)
+    monkeypatch.setattr(LensPowerDensity, "_seam_field", seam_rows)
     rep = H.hardy_norm(Poly([1.0, -1.0]), 2.0, u, level_samples=256)
     assert rep.value == 0.2441642941996277
     M0, M1 = (0.1875 * scipy_beta(b, 0.25) / math.pi for b in (1.5, 2.5))
@@ -1019,6 +1019,21 @@ def test_lens_bulk_route_pairs_with_moments_not_disk_quadrature(u075, u05, monke
     two = H._route_bulk(f, 2.0, twice, H.boundary_weight(twice), maj)
     assert (two.value, two.error) == (2.0 * one.value, 2.0 * one.error)
     assert calls == []
+
+
+def test_majorant_far_share_is_built_once_per_angles():
+    # 1 - chi on the majorant grid, the far part of the bulk route, is
+    # built once per tuple of singular angles: bit for bit a fresh cutoff,
+    # read-only, and the same array when the angles come again
+    angles = (0.0, 2.5)
+    share = H._majorant_far_share(angles)
+    fresh = 1.0 - H._cutoff(H._MAJORANT_THETAS, angles)
+    assert share.tobytes() == fresh.tobytes()
+    assert not share.flags.writeable
+    with pytest.raises(ValueError):
+        share[0] = 0.5
+    assert H._majorant_far_share(angles) is share
+    assert np.all(H._majorant_far_share(()) == 1.0)
 
 
 def test_small_p_skips_level_route(u075):

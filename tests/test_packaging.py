@@ -23,6 +23,16 @@ def test_declared_console_scripts_import():
         assert callable(func), name
 
 
+def test_python_floor_is_the_tested_version():
+    # the declared floor is the one version the tier-1 job installs; the
+    # tests themselves need 3.11 (tomllib)
+    floor = _metadata()["project"]["requires-python"]
+    ci = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    versions = re.findall(r'python-version:\s*"([0-9.]+)"', ci)
+    assert floor == ">=3.11"
+    assert versions == [floor.removeprefix(">=")]
+
+
 def _top_level_imports(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -262,16 +272,20 @@ _CHORD_GRID = {
 }
 
 
-# the quadrature rules and engines of the package; the lens balayage reaches none
-_QUADRATURES = {"_lens_rule", "roots_jacobi", "integrate_interval",
-                "integrate_disk_area", "integrate_boundary_arc"}
+# the lens-circle rule and what only it read; none may come back
+_LENS_RULE = {"_lens_rule", "_half_width", "_power_gap", "_sum_by",
+              "_curve_potential", "_tip_rule", "_ORDER", "_GAUSS", "_GRADING"}
+
+# the adaptive engines of the package; no evaluator of the lens reaches them
+_ENGINES = {"integrate_interval", "integrate_disk_area", "integrate_boundary_arc"}
 
 
 def test_one_lens_kernel():
-    # the lens density has one quadrature: _lens_rule, defined once, is
-    # what green_potential and green_gradient reach; balayage is series and
-    # closed forms, reaching no quadrature, and the rule's V path is gone;
-    # nothing of the chord grid is defined anywhere in the package
+    # the lens density is evaluated by region, the same for every m: closed
+    # forms by the tip, series inside and off the lens and Euler's integral
+    # on the seam between; no lens-circle rule and no chord grid is defined
+    # anywhere in the package, no evaluator reaches an adaptive engine, and
+    # balayage is series and closed forms, reaching no quadrature rule
     defined, refs = {}, {}
     for path in sorted((ROOT / "src" / "pshardy").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -286,7 +300,7 @@ def test_one_lens_kernel():
             if isinstance(node, ast.FunctionDef) and path.stem == "potential":
                 refs[node.name] = {getattr(inner, "attr", getattr(inner, "id", None))
                                    for inner in ast.walk(node)} - {node.name}
-    assert defined["_lens_rule"] == ["potential"]
+    assert not _LENS_RULE & defined.keys(), sorted(_LENS_RULE & defined.keys())
     assert not _CHORD_GRID & defined.keys(), sorted(_CHORD_GRID & defined.keys())
     assert not {"_curve_balayage", "_AT_TIP"} & defined.keys()
 
@@ -299,7 +313,10 @@ def test_one_lens_kernel():
                 todo.extend(refs.get(name, ()))
         return seen
 
+    fields = {"_tip_field", "_inner_field", "_far_field", "_seam_field", "_euler"}
+    for evaluator in ("green_potential", "green_gradient", "balayage"):
+        assert not _ENGINES & reaches(evaluator), (evaluator, _ENGINES & reaches(evaluator))
     for evaluator in ("green_potential", "green_gradient"):
-        assert "_lens_rule" in reaches(evaluator), evaluator
+        assert fields <= reaches(evaluator), evaluator
     assert {"_far_balayage", "_tip_balayage"} <= reaches("balayage")
-    assert not _QUADRATURES & reaches("balayage"), sorted(_QUADRATURES & reaches("balayage"))
+    assert "roots_jacobi" not in reaches("balayage")

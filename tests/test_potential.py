@@ -364,8 +364,7 @@ def test_lens_moments_match_gamma_ratios(m):
     # M_0 Gamma(k+2-m) Gamma(1+m)/(Gamma(2-m) Gamma(k+1+m)), and the mass
     # M_0 against the chord integral of the density, in sigma = sqrt(x)
     # below x = 1/2 and lambda = -log(1 - x) above
-    A = P.LensPowerDensity(m)._moments
-    assert A.size == 4001
+    A = (P._lens_mass(m) * P._lens_ratios(m, 4001)).astype(float)
     with mpmath.workdps(30):
         mm = mpmath.mpf(m)
         pref = mm * (1 - mm) / (2 * mpmath.pi)
@@ -500,55 +499,75 @@ def test_lens_moments_do_not_depend_on_how_many_are_asked_for():
         assert lens.moments(1)[0] == short[0]
 
 
-def test_lens_far_field_meets_the_curve_rule_at_the_switch():
-    # just inside rho = 0.99 the evaluators take the series, just outside
-    # the lens-circle rule; on 12 angles the two agree on both sides
-    lens = P.LensPowerDensity(0.75)
-    th = np.linspace(0.25, math.pi, 12)
-    th[1::2] *= -1.0
-    for d, side in ((-1e-9, 0), (1e-9, 1)):
-        z = 0.5 + np.exp(1j * th) / (2.0 * (0.99 + d))
-        assert np.all(np.abs(z) < 1.0) and np.all(np.abs(_rho(z) - 0.99 - d) < 1e-15)
-        far = lens._far_field(z, True)
-        curve = lens._curve_potential(z, True)
-        u, G = lens.green_gradient(z)
-        assert np.array_equal(lens.green_potential(z), u)
-        assert np.array_equal(np.stack([u, G.real, G.imag]), (far, curve)[side])
-        G_far, G_curve = far[1] + 1j * far[2], curve[1] + 1j * curve[2]
-        assert np.max(np.abs(far[0] - curve[0])) <= 1e-15
-        assert np.max(np.abs(G_far - G_curve) / np.abs(G_curve)) <= 1e-13
+def _regions(z):
+    # each point's evaluator by its region, as _evaluate picks them
+    rate, tip = np.abs(2.0 * z - 1.0), np.abs(1.0 - z) < 0.2
+    lens, far = ~tip & (rate < 0.99), ~tip & (0.99 * rate > 1.0)
+    return np.select([tip, lens, far], ["_tip_field", "_inner_field", "_far_field"],
+                     "_seam_field")
 
 
-@pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
-def test_lens_inner_series_meets_the_curve_rule_at_the_switch(m):
+def _meet_at_a_switch(lens, pairs):
+    # pairs of points just inside and just outside a switch, on Im z >= 0:
+    # each is its region's evaluator bit for bit, and at both the evaluators
+    # of the two sides agree, u within 1e-15 and G within 1e-13 relative
+    for near, far in pairs:
+        names = _regions(np.array([near, far]))
+        assert names[0] != names[1], names
+        for z, name in ((near, names[0]), (far, names[1])):
+            z = np.array([z])
+            u, G = lens.green_gradient(z)
+            assert np.array_equal(lens.green_potential(z), u)
+            assert np.array_equal(np.stack([u, G.real, G.imag]),
+                                  getattr(lens, name)(z, True))
+            a, b = (getattr(lens, n)(z, True) for n in names)
+            assert abs(a[0, 0] - b[0, 0]) <= 1e-15, (name, z)
+            Ga, Gb = a[1, 0] + 1j * a[2, 0], b[1, 0] + 1j * b[2, 0]
+            assert abs(Ga - Gb) <= 1e-13 * abs(Gb), (name, z)
+
+
+@pytest.mark.parametrize("m", [0.25, 0.5, 0.75, 0.9])
+def test_lens_far_field_meets_the_seam_at_the_switch(m):
+    # just outside |2z - 1| = 1/0.99 the evaluators take the series off the
+    # lens, just inside it the seam's Euler integral; on 12 angles off the
+    # tip cap the two agree on both sides
+    th = np.linspace(0.45, math.pi, 12)
+    pairs = [0.5 + np.exp(1j * th) / (2.0 * (0.99 + d)) for d in (1e-9, -1e-9)]
+    assert np.all(np.abs(pairs[1]) < 1.0)
+    _meet_at_a_switch(P.LensPowerDensity(m), zip(*pairs))
+
+
+@pytest.mark.parametrize("m", [0.25, 0.5, 0.6, 0.75, 0.9])
+def test_lens_inner_series_meets_the_seam_at_the_switch(m):
     # just inside |2z - 1| = 0.99 the evaluators take the series inside the
-    # lens, just outside the lens-circle rule; on 12 angles the two agree
-    # on both sides
-    lens = P.LensPowerDensity(m)
-    th = np.linspace(0.25, math.pi, 12)
-    th[1::2] *= -1.0
-    for d, side in ((-1e-9, 0), (1e-9, 1)):
-        z = 0.5 + 0.5 * (0.99 + d) * np.exp(1j * th)
-        assert np.all(np.abs(np.abs(2.0 * z - 1.0) - 0.99 - d) < 1e-15)
-        assert np.all(np.abs(z) < 0.99 * np.abs(2.0 - z))
-        inner = lens._inner_field(z, True)
-        curve = lens._curve_potential(z, True)
-        u, G = lens.green_gradient(z)
-        assert np.array_equal(lens.green_potential(z), u)
-        assert np.array_equal(np.stack([u, G.real, G.imag]), (inner, curve)[side])
-        G_inner, G_curve = inner[1] + 1j * inner[2], curve[1] + 1j * curve[2]
-        assert np.max(np.abs(inner[0] - curve[0])) <= 1e-15
-        assert np.max(np.abs(G_inner - G_curve) / np.abs(G_curve)) <= 1e-13
+    # lens, just outside it the seam's Euler integral; on 12 angles off the
+    # tip cap the two agree on both sides
+    th = np.linspace(0.45, math.pi, 12)
+    pairs = [0.5 + 0.5 * (0.99 + d) * np.exp(1j * th) for d in (-1e-9, 1e-9)]
+    _meet_at_a_switch(P.LensPowerDensity(m), zip(*pairs))
+
+
+@pytest.mark.parametrize("m", [0.25, 0.5, 0.75, 0.9])
+def test_lens_tip_cap_meets_its_neighbours_at_the_switch(m):
+    # just inside |1 - z| = 0.2 the evaluators take the closed forms by the
+    # tip, just outside the series inside the lens, the seam's Euler
+    # integral or the series off the lens; the two agree on both sides
+    phi = np.append(np.linspace(0.1, 1.4, 12), 1.369)  # 1.369: the seam
+    pairs = [1.0 - (0.2 + d) * np.exp(-1j * phi) for d in (-1e-9, 1e-9)]
+    names = set(_regions(pairs[1]))
+    assert names == {"_inner_field", "_seam_field", "_far_field"}
+    assert np.all(np.abs(pairs[1]) < 1.0)
+    _meet_at_a_switch(P.LensPowerDensity(m), zip(*pairs))
 
 
 @pytest.mark.parametrize("m", [0.25, 0.5, 0.75])
 def test_lens_balayage_series_meets_the_tip_form_at_the_switch(m):
-    # |2 e^{it} - 1| = 1/0.99 at |t| = 0.1008: beyond it V takes the series
-    # of the finite parts, below it the tip's closed form; at 1e-9 to either
-    # side the two agree
+    # |y| = |2 (e^{it} - 1)| = 4 |sin(t/2)| = 1/2 at |t| = 0.2507: beyond it
+    # V takes the series of the finite parts, below it the tip's closed
+    # form; at 1e-9 to either side the two agree
     lens = P.LensPowerDensity(m)
-    switch = math.acos((5.0 - 0.99 ** -2) / 4.0)
-    assert abs(switch - 0.1008) < 1e-4
+    switch = 2.0 * math.asin(0.125)
+    assert abs(switch - 0.2507) < 1e-4
     for d, side in ((1e-9, 0), (-1e-9, 1)):
         t = np.array([switch + d, -switch - d])
         series = lens._far_balayage(np.exp(1j * t))
@@ -569,8 +588,8 @@ def test_lens_inner_coefficients_match_mpmath_quadrature(m):
     - m log 2 I_0)/(4 pi) and kappa_k = (2 J_k(m) - (m/k) I_k)/(4 pi).  The
     mass m I_0/(4 pi) is M_0 from mpmath's Beta function; u takes lambda_k
     = kappa_k + M_0/k (lambda_0 = kappa_0 + M_0 log 2) and G takes
-    k kappa_k.  The largest gaps are 8.4e-16 relative in lambda_k (k = 7,
-    m = 3/4) and 8.1e-17 in k kappa_k; each is held at about twice that.
+    k lambda_k.  The largest gap is 8.4e-16 relative in lambda_k (k = 7,
+    m = 3/4), and k lambda_k has the same; each is held at about twice that.
     """
     lens = P.LensPowerDensity(m)
     lam, slope = lens._inner_terms
@@ -601,7 +620,7 @@ def test_lens_inner_coefficients_match_mpmath_quadrature(m):
             else:
                 kappa = (2 * Jm - mm / k * I) / (4 * mpmath.pi)
                 want = kappa + M0 / k
-                assert abs(slope[k - 1] - k * kappa) <= 4e-16 * abs(k * kappa), k
+                assert abs(slope[k - 1] - k * want) <= 2e-15 * abs(k * want), k
             assert abs(lam[k] - want) <= 2e-15 * abs(want), k
 
 
@@ -610,15 +629,14 @@ def test_lens_kernel_is_exactly_mirror_symmetric(m):
     # the lens and its density are fixed by w -> conj(w), and the kernel
     # keeps that to the last bit: V(-t) = V(t), by the tip (the closed form)
     # and off it (the series of the finite parts), and u(conj z) =
-    # u(z) with G(conj z) = conj G(z), inside the lens, off it (for m > 1/2
-    # the series inside the lens and the multipole series) and by its
+    # u(z) with G(conj z) = conj G(z), inside the lens, off it and by its
     # circle.  The boundary weight, the level trace and the support probes
     # of u_m evaluate one half and mirror it
     lens = P.LensPowerDensity(m)
     rng = np.random.default_rng(61)
     t = np.concatenate([np.geomspace(1e-14, math.pi, 2000),
                         rng.uniform(0.0, math.pi, 300)])
-    assert np.any(t < 0.1008) and np.any(t > 0.1008)
+    assert np.any(t < 0.2507) and np.any(t > 0.2507)
     V = lens.balayage(t)
     assert np.all(np.isfinite(V))
     assert np.array_equal(lens.balayage(-t), V)
@@ -638,26 +656,164 @@ def test_lens_kernel_is_exactly_mirror_symmetric(m):
 
 
 @pytest.mark.parametrize("m", [0.5, 0.25])
-def test_lens_at_or_below_half_takes_the_curve_rule(m):
-    # the mass diverges at the tip for m <= 1/2, so u has no series: every
-    # point, far ones included, is the lens-circle rule's, bit for bit.  V
-    # takes the series of the finite parts off the tip and the closed form
-    # by it all the same
+def test_lens_at_or_below_half_takes_the_same_regions(m):
+    # the mass diverges at the tip for m <= 1/2, but u and G take the same
+    # evaluators as for every m: each point is its region's, bit for bit,
+    # far ones by the series off the lens.  V takes the series of the
+    # finite parts off the tip and the closed form by it all the same
     lens = P.LensPowerDensity(m)
     rng = np.random.default_rng(3)
-    z = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * math.pi * rng.uniform(size=200))
-    assert np.mean(_rho(z) < 0.99) > 0.5
-    u, gx, gy = lens._curve_potential(z, True)
+    z = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(1j * math.pi * rng.uniform(size=200))
+    names = _regions(z)
+    assert np.mean(names == "_far_field") > 0.5
+    assert set(names) == {"_tip_field", "_inner_field", "_far_field", "_seam_field"}
+    u, G = lens.green_gradient(z)
     assert np.array_equal(lens.green_potential(z), u)
-    same, G = lens.green_gradient(z)
-    assert np.array_equal(same, u)
-    assert np.array_equal(G, gx + 1j * gy)
+    for name in set(names):
+        part = names == name
+        assert np.array_equal(np.stack([u[part], G[part].real, G[part].imag]),
+                              getattr(lens, name)(z[part], True)), name
     t = np.linspace(-math.pi, math.pi, 401)
-    off = np.abs(t) > 0.1008
+    off = np.abs(t) > 0.2507
     assert 0 < np.count_nonzero(~off) < 401
     V = lens.balayage(t)
     assert np.array_equal(V[off], lens._far_balayage(np.exp(1j * t[off])))
     assert np.array_equal(V[~off], lens._tip_balayage(t[~off]))
+
+
+# seeded points of u_m by region, and (u, G) at them to 17 digits of the
+# 40-digit references of the test below, by m
+_LENS_POINTS = (
+    ("inside", (0.7342879986633961+0.23389948572804595j)),
+    ("inside", (0.3345405756378636+0.3676400135475667j)),
+    ("off", (0.009769315635496115+0.9137805444886214j)),
+    ("off", (0.03204213830746874+0.6611539797918892j)),
+    ("seam", (0.7924524862280817+0.4030825514693159j)),
+    ("seam", (0.8543938998402516+0.35554038273593863j)),
+    ("tip", (0.9999999999990447+2.9552020666133955e-13j)),
+    ("tip", (0.9999999994596976+8.414709848078965e-10j)),
+    ("tip", (0.9999992351578127+6.44217687237691e-07j)),
+    ("tip", (0.9997325011713755+0.000963558185417193j)),
+    ("tip", (0.9539469502998558+0.01947091711543253j)),
+    ("tip", (0.8818941060285738+0.14883211282922185j)),
+    ("cusp", (0.99999925+0.0009999997187499605j)),
+    ("cusp", (0.999999999925+9.99999999971875e-06j)),
+)
+_LENS_REFERENCE = {
+    0.25: (
+        (-0.130182280908613, (0.009172834683373718-0.3279546762265644j)),
+        (-0.07654450771539563, (-0.08572159915421995-0.14786481256862508j)),
+        (-0.005470746085129414, (-0.00520757120333915-0.06614667831185761j)),
+        (-0.0246579595963579, (-0.03135003812487792-0.08207154011352688j)),
+        (-0.055815689876165656, (0.32330953894353837-0.41632598695822726j)),
+        (-0.05143372048484672, (0.5292454797413552-0.4827197565452463j)),
+        (-0.0009874212288143273, (258101785.4884329-92458.72465101747j)),
+        (-0.004786904566128913, (2213638.914807767-9380.245306851162j)),
+        (-0.028410784938725633, (9085.588283013092-212.15703549035467j)),
+        (-0.09686743948130366, (104.41152747028531-11.83239638456395j)),
+        (-0.2115275547615144, (0.19607706940333916-0.5359706716209575j)),
+        (-0.15051068486607455, (0.3034550040856617-0.573253934739463j)),
+        (-0.00197308257231878, (7892.322762981921-10.855234797349793j)),
+        (-0.00019763895598155247, (7905556.276182619-108.70175025375978j)),
+    ),
+    0.5: (
+        (-0.10830805891724435, (0.06227934545193381-0.23813918850953347j)),
+        (-0.07302663866239963, (-0.07161783043688144-0.13887961813450794j)),
+        (-0.00526673660586066, (-0.004878368667470869-0.06369405752859027j)),
+        (-0.023774346632131946, (-0.029522768673734934-0.07950013587237761j)),
+        (-0.04792104025464934, (0.29392116384571504-0.34427340530155737j)),
+        (-0.04244565561005311, (0.4533585905061782-0.3795716409822216j)),
+        (-9.774052278049968e-07, (511538.24094377947-0.1432379780234168j)),
+        (-2.3238306220460146e-05, (21500.48643287438-0.4774648001542888j)),
+        (-0.0008687954448369871, (564.9526999509187-0.3342214297149203j)),
+        (-0.014702690045182461, (27.099490721892945-0.6177542315561612j)),
+        (-0.1135059441984326, (0.657971833899291-0.17055554871142073j)),
+        (-0.10787641216422303, (0.33601576109863485-0.3323661218818836j)),
+        (-0.000124132436595992, (496.5293524272406-0.6214103748154375j)),
+        (-1.249858589793796e-06, (49994.33117814528-0.6249421491857817j)),
+    ),
+    0.5001: (
+        (-0.10828932814882532, (0.06229083564528122-0.2380863866653542j)),
+        (-0.07301795032163338, (-0.0716051496056239-0.13886245832220154j)),
+        (-0.0052661295542102094, (-0.0048777489675504064-0.06368672197866167j)),
+        (-0.023771621459177057, (-0.02951908412717304-0.07949117912989467j)),
+        (-0.047913220184525165, (0.29387984133549105-0.3442117495467984j)),
+        (-0.042438044608706364, (0.453283912783837-0.37949582635174867j)),
+        (-9.747038317032777e-07, (510226.45443297224-0.1424675926374513j)),
+        (-2.3188771219312034e-05, (21458.94628944845-0.47555336643892726j)),
+        (-0.0008675725430762056, (564.2704662296967-0.3333436501540291j)),
+        (-0.014690761307052104, (27.08222134955052-0.6169811490827886j)),
+        (-0.11346797550626106, (0.6579596711242371-0.17046575520283636j)),
+        (-0.10785149645396548, (0.3359875245896745-0.3322635523078679j)),
+        (-0.00012398525798193815, (495.94063846862804-0.6206492296653172j)),
+        (-1.247233230833071e-06, (49889.31684579168-0.6236045113667329j)),
+    ),
+    0.75: (
+        (-0.05430266112329886, (0.05906481948533732-0.1070007421144667j)),
+        (-0.04178623207649934, (-0.034953463586481624-0.07880828970026747j)),
+        (-0.0030424830839193427, (-0.0027321471168333038-0.036803493136291936j)),
+        (-0.013756264234051187, (-0.016629945891452374-0.046232608457009196j)),
+        (-0.02449163776500827, (0.158634385315837-0.16882348722226467j)),
+        (-0.020839078697400426, (0.2304916954191209-0.17675324600514744j)),
+        (-9.64924312694855e-10, (757.1536385015603-1.9812737984313597e-07j)),
+        (-1.1127781251080836e-07, (154.10091310198763-2.009929724553148e-05j)),
+        (-2.4746312074638924e-05, (23.901760096714497-0.00045368305251799324j)),
+        (-0.0016912120993196026, (4.436868613027429-0.024013552316393537j)),
+        (-0.03920693748351447, (0.3942517254181276-0.0383238671861201j)),
+        (-0.04703675251758667, (0.2005297127319087-0.1214391266318257j)),
+        (-5.5715309798557605e-06, (22.28610944555163-0.025247055982046615j)),
+        (-5.892831266900848e-09, (235.7131921519222-0.0026535918201316066j)),
+    ),
+    0.9: (
+        (-0.020961665378290997, (0.029103889777977177-0.039096129186578274j)),
+        (-0.017407154578369183, (-0.013038539583872383-0.03274502209458j)),
+        (-0.0012749647970697862, (-0.0011224873290216594-0.015424903507021057j)),
+        (-0.005770324525627764, (-0.006856876913651028-0.01945309006205046j)),
+        (-0.00952556025381298, (0.0635941051765246-0.06397847340805872j)),
+        (-0.007916884633232226, (0.08925807269871901-0.06497644423614261j)),
+        (-1.4147693503609594e-11, (13.216809590191351-6.182419980086994e-11j)),
+        (-3.963182857200393e-09, (6.490354689663436-4.617931586704554e-08j)),
+        (-2.2767120029068016e-06, (2.5677935723836836-8.046765053926044e-06j)),
+        (-0.000310232696706798, (0.9381108606413683-0.002505249846487269j)),
+        (-0.012454375021565017, (0.1529378459375639-0.009906272059779883j)),
+        (-0.0167979303524563, (0.08286957353634748-0.03965062262845022j)),
+        (-6.179267282112085e-07, (2.471705480249103-0.0026505994731821424j)),
+        (-1.9718741844514475e-10, (7.8874947795191845-8.337488458392471e-05j)),
+    ),
+}
+
+
+@pytest.mark.parametrize("m", [0.25, 0.5, 0.5001, 0.75, 0.9])
+def test_lens_potential_matches_frozen_mpmath_reference(m):
+    """u and G at seeded points of every region against 40-digit references.
+
+    Recipe (mpmath 1.3, mp.dps = 40, on Im z >= 0): K = -2m(1-m)(1+m)
+    B(3/2, m + 1/2)/pi and L(w) = hyp2f1(2 - m, 1, 2 + m, w)/(1 + m), the
+    analytic continuation of Euler's integral int_0^1 (1 - s)^m (1 - ws)^(m-2)
+    ds.  G off the lens is K/(z - 1) [L(q)/(2z - 1) - L(q')/(2 - z)], q = 1/(2z
+    - 1), q' = z/(2 - z); inside it G adds m(1 - x)^(m-1) - m (1 - z)^(2m-2)
+    (2z - 1)^(1-m) e^{i pi (m - 1)}.  u off the lens is -Re int K L(w)/(1 - w)
+    dw by mp.quad along the segments from q' to p = max(0, 1 - 3|1 - q'|) and
+    on to q, which keep away from w = 1; inside it, u at the point of the lens
+    circle on the ray from 1/2 through z, plus Re int G dz along the ray.  At
+    mp.dps = 60 the references at m = 1/4 and 0.5001 of six of the points
+    (inside, off, seam, tip at 1e-12 and 0.19, cusp at 1e-5) round to the
+    same doubles.  The points: two inside the lens and two off it,
+    two 0.004 to either side of the lens circle, six of the tip cap inside
+    the lens at |1 - z| = 1e-12 to 0.19, and two in the cusp between the lens
+    circle and the unit circle at |1 - z| = 1e-3 and 1e-5, where 1 - |z|^2
+    is far below |1 - z|.  The largest gaps are 2.9e-16 in u and 1.0e-15 in G.
+    """
+    lens = P.LensPowerDensity(m)
+    z = np.array([p for _, p in _LENS_POINTS])
+    want_u, want_G = (np.array(v) for v in zip(*_LENS_REFERENCE[m]))
+    u, G = lens.green_gradient(z)
+    assert np.array_equal(lens.green_potential(z), u)
+    assert np.max(np.abs(u - want_u)) <= lens.value_error
+    assert np.max(np.abs(G - want_G) / np.maximum(1.0, np.abs(want_G))) <= 1e-13
+    u_c, G_c = lens.green_gradient(z.conj())  # the lower half, mirrored
+    assert np.array_equal(u_c, u) and np.array_equal(G_c, G.conj())
+    assert np.all(lens.green_gradient(z.real)[1].imag == 0.0)  # u_y = 0 on the axis
 
 
 # ---------------------------------------------------------------------------
