@@ -10,6 +10,7 @@ read on the traced rays, which makes the two-sided Jensen-Lelong
 bookkeeping checkable at desk scale.
 """
 
+import copy
 import functools
 import math
 from dataclasses import replace
@@ -41,6 +42,7 @@ __all__ = [
     "ExhaustionSpec",
     "LevelSet",
     "DemaillyMeasure",
+    "LevelLadder",
     "radial_log",
     "radial_smooth",
     "green_exhaustion",
@@ -123,6 +125,12 @@ class ExhaustionSpec:
     (``RieszMeasure.is_mirror_symmetric``), which halves the rays of a level
     about a real min_point, and its support, which ``sublevel_set`` checks
     every level against (u on it cached per spec).
+
+    The spec keeps what it traces: its levels and swept measures by the
+    exact level c and ray count (``sublevel``, ``demailly``), and one
+    ``LevelLadder`` per ray count and depth (``ladder``), the rungs the
+    level-sup norm pairs every |f|^p with.  The exhaustion a * u of
+    ``scaled_exhaustion`` reads its levels from u's.
     """
 
     def __init__(self, label, evaluate, measure, *, min_value, min_point,
@@ -136,6 +144,8 @@ class ExhaustionSpec:
         self.value_error = float(value_error)
         self._levels = {}
         self._demailly = {}
+        self._ladders = {}
+        self._scale = None  # (a, inner) when this is a * inner, whose levels it reads
         self._rims = {}  # u at the ends of the rays from min_point, by count
         self._weight = None  # the boundary weight, built on first use
         self._probes = None  # grid points on supp Lambda u, with u there
@@ -147,7 +157,7 @@ class ExhaustionSpec:
         return f"ExhaustionSpec({self.label!r})"
 
     def _cached(self, cache, build, c, samples):
-        key = (round(float(c), 15), int(samples))
+        key = (float(c), int(samples))
         if key not in cache:
             cache[key] = build(self, c, samples=samples)
         return cache[key]
@@ -158,11 +168,39 @@ class ExhaustionSpec:
     def demailly(self, c, samples=512):
         return self._cached(self._demailly, demailly_measure, c, samples)
 
+    def ladder(self, samples, deepest):
+        """The ``LevelLadder`` of rungs c_k = -2^{-k}, k = 0 ... deepest."""
+        key = (int(samples), int(deepest))
+        if key not in self._ladders:
+            self._ladders[key] = _dyadic_ladder(self, *key)
+        return self._ladders[key]
+
 
 def radial_log():
     """u = log|z|, the Green potential of the unit point mass at the origin."""
     return green_exhaustion(RieszMeasure(atoms=((0j, 1.0),), label="log"),
                             label="log")
+
+
+def _radial_rule():
+    """The profile-independent tables of ``radial_smooth``: the edges of 400
+    panels on [0, 1], their 12-point Gauss-Legendre nodes, weights and log
+    nodes, and the 12-point rule on [0, 1] with its x dx and xy dx dy weights
+    (x, wx and the flattened products xy, wxy)."""
+    glx, glw = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(0.0, 1.0, 401)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mids[:, None] + halfs[:, None] * glx[None, :]
+    with np.errstate(divide="ignore"):
+        logs = np.where(nodes > 0, np.log(np.where(nodes > 0, nodes, 1.0)), 0.0)
+    x = 0.5 * (glx + 1.0)
+    wx = 0.5 * glw * x
+    return (edges, nodes, halfs[:, None] * glw[None, :], logs, x, wx,
+            np.outer(x, x).ravel(), np.outer(wx, wx).ravel())
+
+
+_RADIAL_RULE = _radial_rule()
 
 
 def radial_smooth(profile, label):
@@ -180,15 +218,8 @@ def radial_smooth(profile, label):
     """
     from scipy.interpolate import CubicSpline
 
-    glx, glw = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(0.0, 1.0, 401)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mids[:, None] + halfs[:, None] * glx[None, :]
-    wts = halfs[:, None] * glw[None, :]
+    edges, nodes, wts, logs, x, wx, xy, wxy = _RADIAL_RULE
     svals = profile(nodes.ravel()).reshape(nodes.shape)
-    with np.errstate(divide="ignore"):
-        logs = np.where(nodes > 0, np.log(np.where(nodes > 0, nodes, 1.0)), 0.0)
     m_pan = np.sum(nodes * svals * wts, axis=1)
     t_pan = np.sum(nodes * svals * logs * wts, axis=1)
     M_edges = np.concatenate([[0.0], np.cumsum(m_pan)])
@@ -196,9 +227,6 @@ def radial_smooth(profile, label):
     M_sp = CubicSpline(edges, M_edges)
     T_sp = CubicSpline(edges, T_edges)
     total = M_edges[-1]
-    x = 0.5 * (glx + 1.0)
-    wx = 0.5 * glw * x
-    xy, wxy = np.outer(x, x).ravel(), np.outer(wx, wx).ravel()
 
     def near_origin(r, out, nodes, weights, base=0.0):
         # out at r < 0.02 set to base + r^2 sum_i weights_i profile(r nodes_i)
@@ -316,7 +344,12 @@ def green_exhaustion(measure, label=None):
 
 
 def scaled_exhaustion(a, inner):
-    """a * u for a > 0; sublevels obey B_{c, a u} = B_{c/a, u}."""
+    """a * u for a > 0; sublevels obey B_{c, a u} = B_{c/a, u}.
+
+    So its level at c is the inner level at c/a, read from the inner
+    exhaustion (and traced there if it is not yet): the same radii and
+    vertices, with ``u_values``, ``du_dr`` and ``achieved_tolerance`` times a.
+    """
     a = float(a)
     if not a > 0.0 or not math.isfinite(a):
         raise InvalidParameter("scale factor must be positive and finite")
@@ -332,11 +365,13 @@ def scaled_exhaustion(a, inner):
             u, G = inner_grad(z)
             return a * u, a * G
 
-    return ExhaustionSpec(
+    spec = ExhaustionSpec(
         f"scaled:{a:g}:{inner.label}", ev, inner.measure.scaled(a),
         min_value=a * inner.min_value, min_point=inner.min_point,
         value_error=a * inner.value_error, gradient=grad,
     )
+    spec._scale = (a, inner)
+    return spec
 
 
 def pullback_exhaustion(automorphism, inner):
@@ -559,6 +594,17 @@ class LevelSet:
         ang = np.angle(rel)
         return np.abs(rel) < self.radius_at(ang)
 
+    def _scaled(self, a, c, spec_label):
+        """This level as the level c of a * u: the same curve, its radii and
+        vertices shared, with u_values, du_dr and achieved_tolerance times a."""
+        out = copy.copy(self)
+        out.c, out.spec_label = float(c), spec_label
+        out.level_tolerance = _LEVEL_TOL * abs(out.c)
+        out.u_values = a * self.u_values
+        out.du_dr = None if self.du_dr is None else a * self.du_dr
+        out.achieved_tolerance = a * self.achieved_tolerance
+        return out
+
 
 def _support_probes(spec):
     """The points of a 96 x 96 grid in the ``support_disk`` of the area part
@@ -647,10 +693,133 @@ def _deeper_level(spec, c, samples):
     return spec._levels[max(keys)] if keys else None
 
 
+def _level_tolerance(spec, c):
+    """tol_u = 1e-4 |c| of the level c and ``need``, the slack a vertex's
+    |u - c| must meet, after refusing before any evaluation a level that is
+    not negative, that lies at or below the minimum of u (EmptyLevel), or
+    that the evaluator is not accurate enough to place (UnsupportedRegion)."""
+    if not (math.isfinite(c) and c < 0.0):
+        raise InvalidParameter("the level must be a negative real number")
+    if math.isfinite(spec.min_value) and c <= spec.min_value:
+        raise EmptyLevel(
+            f"level {c:g} is at or below the minimum {spec.min_value:.6g} "
+            f"of {spec.label}"
+        )
+    tol_u = _LEVEL_TOL * abs(c)
+    need = 0.5 * tol_u - spec.value_error
+    if not need > 0.0:
+        raise UnsupportedRegion(
+            f"{spec.label} is evaluated to {spec.value_error:.3g}, not within "
+            f"half the value tolerance {tol_u:.3g} of the level {c:g}"
+        )
+    return tol_u, need
+
+
+def _is_circular(spec):
+    """Whether every level of spec is a circle about 0."""
+    return spec.measure.is_rotation_invariant() and abs(spec.min_point) < 1e-14
+
+
+_CIRCLE_ENDS = np.array([1e-14, 1.0 - 1e-14])  # the bracket of every circle radius
+_CIRCLE_STEPS = 100  # evaluations a circle radius gets
+
+
+def _circle_levels(spec, cs, samples):
+    """The circle levels {u = c} of a rotation-invariant u about 0, solved
+    together, one for each c in cs.
+
+    u(r) increases and is convex in s = log r (Hadamard's three-circles
+    theorem), so Newton's steps in s, s <- s - (u - c)/d_s u with
+    d_s u = r Re G(r) (G is real on the positive axis), taken from the outer
+    end of the bracket [1e-14, 1 - 1e-14], stay above the root and fall
+    onto it; a step that leaves the bracket, which only rounding or the
+    evaluator's error can make, bisects it in s instead.  Without a ``gradient``, d_s u is the secant
+    slope through the last two iterates (the bracket's ends at first).
+    Every radius takes its steps in the same evaluations and stops once its
+    step is at most one ulp, or its bracket is at rounding.  Then one
+    ``gradient`` call on the vertices of every circle gives d_r u there.
+
+    Returns, for each c, its LevelSet or the UnsupportedRegion of a level
+    that u at the ends of the bracket does not bracket, or whose radius has
+    not settled in _CIRCLE_STEPS steps.
+    """
+    cs = np.asarray(cs, dtype=float)
+    if not cs.size:
+        return []
+    evaluate, grad = spec._evaluate, spec.gradient
+
+    def at(r):
+        # u and d_s u = r d_r u on the positive axis, nan without a gradient
+        if grad is None:
+            return evaluate(r + 0j), np.full(r.size, np.nan)
+        u, G = grad(r + 0j)
+        return u, r * G.real
+
+    u_ends, slope_ends = at(_CIRCLE_ENDS)
+    if grad is None:
+        slope_ends[1] = (u_ends[1] - u_ends[0]) / math.log(_CIRCLE_ENDS[1] / _CIRCLE_ENDS[0])
+    lo, hi = (np.full(cs.size, end) for end in _CIRCLE_ENDS)
+    r, u, slope = hi.copy(), np.full(cs.size, u_ends[1]), np.full(cs.size, slope_ends[1])
+    bracketed = (u_ends[0] < cs) & (cs < u_ends[1])
+    live = bracketed.copy()
+    for _ in range(_CIRCLE_STEPS):
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        ri, fi, a, b = r[idx], u[idx] - cs[idx], lo[idx], hi[idx]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = ri * np.exp(-fi / slope[idx])
+        done = (np.abs(step - ri) <= np.spacing(ri)) | (fi == 0.0) | (b - a <= 4e-16 * b)
+        step = np.where((step > a) & (step < b), step, np.sqrt(a * b))
+        live[idx[done]] = False
+        idx, ri, fi, step = idx[~done], ri[~done], fi[~done], step[~done]
+        if not idx.size:
+            break
+        u_new, s_new = at(step)
+        f_new = u_new - cs[idx]
+        if grad is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s_new = (f_new - fi) / np.log(step / ri)
+        below = f_new < 0.0
+        lo[idx] = np.where(below, step, lo[idx])
+        hi[idx] = np.where(below, hi[idx], step)
+        r[idx], u[idx], slope[idx] = step, u_new, s_new
+
+    worst = np.abs(u - cs) + spec.value_error
+    good = bracketed & ~live
+    ang = 2.0 * math.pi * np.arange(samples) / samples
+    ray = np.exp(1j * ang)
+    du_dr = None
+    if grad is not None and good.any():
+        du_dr = np.real(grad(r[good, None] * ray)[1] * ray)
+    row = np.cumsum(good) - 1
+    levels = []
+    for k, c in enumerate(cs.tolist()):
+        if not bracketed[k]:
+            levels.append(UnsupportedRegion(
+                f"could not bracket the level {c:g} on the radius of {spec.label}: "
+                f"u is {u_ends[0]:.6g} at r = 1e-14 and {u_ends[1]:.3g} at the rim "
+                "r = 1 - 1e-14"))
+        elif not good[k]:
+            levels.append(UnsupportedRegion(
+                f"the radius of the level {c:g} of {spec.label} did not settle "
+                f"in {_CIRCLE_STEPS} steps"))
+        else:
+            levels.append(LevelSet(
+                c=c, center=0.0, angles=ang, radii=np.full(samples, r[k]),
+                u_values=np.full(samples, u[k]), spec_label=spec.label,
+                is_circle=True, achieved_tolerance=worst[k],
+                du_dr=None if du_dr is None else du_dr[row[k]]))
+    return levels
+
+
 def sublevel_set(spec, c, *, samples=512):
     """Trace S_c = {u = c} as a star-shaped polyline about the minimum.
 
-    Rotation-invariant exhaustions solve one radius.  Otherwise every ray
+    A rotation-invariant exhaustion about 0 has circles for levels, solved
+    by ``_circle_levels`` (which solves every circle rung of a ladder in one
+    batch), and the level of a * u (``scaled_exhaustion``) is the inner
+    level at c/a.  Otherwise every ray
     from the minimum is bracketed and solved on the exhaustion's evaluator
     (``_bracketed_roots``), to 1e-6 of tol_u = 1e-4 |c| where its steps
     allow; a ray whose |u - c| plus ``spec.value_error`` is still above
@@ -690,43 +859,18 @@ def sublevel_set(spec, c, *, samples=512):
     evaluator is not accurate enough to place the level at all.
     """
     c = float(c)
-    if not (math.isfinite(c) and c < 0.0):
-        raise InvalidParameter("the level must be a negative real number")
-    if math.isfinite(spec.min_value) and c <= spec.min_value:
-        raise EmptyLevel(
-            f"level {c:g} is at or below the minimum {spec.min_value:.6g} "
-            f"of {spec.label}"
-        )
-    tol_u = _LEVEL_TOL * abs(c)
-    need = 0.5 * tol_u - spec.value_error
-    if not need > 0.0:
-        raise UnsupportedRegion(
-            f"{spec.label} is evaluated to {spec.value_error:.3g}, not within "
-            f"half the value tolerance {tol_u:.3g} of the level {c:g}"
-        )
+    tol_u, need = _level_tolerance(spec, c)
+    if spec._scale is not None:
+        a, inner = spec._scale
+        return inner.sublevel(c / a, samples=samples)._scaled(a, c, spec.label)
+    if _is_circular(spec):
+        level, = _circle_levels(spec, [c], samples)
+        if isinstance(level, UnsupportedRegion):
+            raise level
+        return level
 
     ang = 2.0 * math.pi * np.arange(samples) / samples
     ray = np.exp(1j * ang)
-    if spec.measure.is_rotation_invariant() and abs(spec.min_point) < 1e-14:
-        # the level is a circle: one solve along the positive real axis.
-        # brentq's wrapper refers to itself, so its cycle would keep alive
-        # what ur holds until the next full garbage collection: the
-        # evaluator, not the spec with every level it caches
-        evaluate = spec._evaluate
-        ur = lambda r: float(evaluate(np.array([r + 0j]))[0])
-        rc = brentq(lambda r: ur(r) - c,
-                    1e-14, 1.0 - 1e-14, xtol=1e-15, rtol=8.9e-16)
-        uv = ur(rc)
-        du_dr = (None if spec.gradient is None
-                 else np.real(spec.gradient(rc * ray)[1] * ray))
-        return LevelSet(
-            c=c, center=0.0, angles=ang,
-            radii=np.full(samples, rc),
-            u_values=np.full(samples, uv),
-            spec_label=spec.label, is_circle=True,
-            achieved_tolerance=abs(uv - c) + spec.value_error, du_dr=du_dr,
-        )
-
     z0 = spec.min_point
     # about a real minimum of a mirror-symmetric u, u(conj z) = u(z): the
     # rays 0 ... n/2 are solved, the others are their mirror images
@@ -866,11 +1010,7 @@ class DemaillyMeasure:
 
     def pair_spectral(self, fn):
         """Integral of fn against mu_c, the trapezoid rule over the rays."""
-        return self.pair_values(np.real(fn(self.boundary_points)))
-
-    def pair_values(self, values):
-        """``pair_spectral`` of a function given by its values at boundary_points."""
-        return float(np.mean(values * self.w_values))
+        return float(np.mean(np.real(fn(self.boundary_points)) * self.w_values))
 
     def to_json_dict(self):
         return {
@@ -918,6 +1058,85 @@ def demailly_measure(spec, c, *, samples=512):
         spec_label=spec.label, c=c, level=level, measure=spec.measure,
         w_values=level.du_dr * speed2 / r, speed=np.sqrt(speed2),
     )
+
+
+# ---------------------------------------------------------------------------
+# The dyadic level ladder.
+# ---------------------------------------------------------------------------
+
+
+class LevelLadder:
+    """The swept measures mu_c of one exhaustion at c_k = -2^{-k}, k <= deepest.
+
+    ``measures`` are the rungs in the order of k, and ``levels`` their c.
+    A level at or below the minimum of u is no rung.  ``skipped`` holds the
+    levels before the first rung that did not trace; a level that does not
+    trace past it ends the ladder, so the rungs stay contiguous, and
+    ``stop`` is its note (None when the ladder reaches k = deepest).
+    ``points`` and ``weights`` stack the rungs' boundary points and flux
+    densities against d phi/(2 pi) as rungs x samples arrays; each rung's
+    ``boundary_points`` (its level's ``vertices``) and ``w_values`` are rows
+    of them, so the ladder is stored once, and the pairings of h with every
+    rung are one product: mean(h(points) * weights, axis=1).
+    """
+
+    def __init__(self, measures, skipped, stop, samples):
+        self.measures = tuple(measures)
+        self.levels = np.array([mu.c for mu in self.measures])
+        self.skipped = tuple(skipped)
+        self.stop = stop
+        self.points = np.empty((len(self.measures), samples), dtype=complex)
+        self.weights = np.empty((len(self.measures), samples))
+        for mu, z, w in zip(self.measures, self.points, self.weights):
+            z[:], w[:] = mu.boundary_points, mu.w_values
+            mu.boundary_points = mu.level.vertices = z
+            mu.w_values = w
+
+
+def _trace_circles(spec, cs, samples):
+    """Trace in one batch the circle levels among cs that spec has not
+    cached, on the inner exhaustion at c/a when spec is a * inner."""
+    while spec._scale is not None:
+        a, spec = spec._scale
+        cs = [c / a for c in cs]
+    if not _is_circular(spec):
+        return
+    todo = []
+    for c in cs:
+        try:
+            _level_tolerance(spec, c)
+        except (ValueError, UnsupportedRegion):
+            continue
+        if (c, samples) not in spec._levels:
+            todo.append(c)
+    for c, level in zip(todo, _circle_levels(spec, todo, samples)):
+        if isinstance(level, LevelSet):
+            spec._levels[(c, samples)] = level
+
+
+def _dyadic_ladder(spec, samples, deepest):
+    """Build the ``LevelLadder`` of spec: its circle rungs traced together
+    (``_trace_circles``), then each rung's swept measure, in the order of k,
+    from the spec's caches (``ExhaustionSpec.demailly``)."""
+    cs = [c for c in (-(2.0 ** -k) for k in range(deepest + 1)) if c > spec.min_value]
+    _trace_circles(spec, cs, samples)
+    measures, skipped, stop = [], [], None
+    for c in cs:
+        try:
+            mu = spec.demailly(c, samples=samples)
+        except EmptyLevel:
+            continue
+        except (UnsupportedRegion, ValueError) as exc:
+            # deep levels may not trace (several components, not star-
+            # shaped); past the first traced rung a failure ends the
+            # ladder so the rungs of the Richardson step stay contiguous
+            if not measures:
+                skipped.append(c)
+                continue
+            stop = f"ladder stopped at c={c:g}: {exc}"
+            break
+        measures.append(mu)
+    return LevelLadder(measures, skipped, stop, samples)
 
 
 def djl_both_sides(spec, v, lap_v, c, *, samples=512, v_singularities=(),

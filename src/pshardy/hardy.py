@@ -61,7 +61,6 @@ from .potential import (
     poisson_extension,
 )
 from .exhaustion import (
-    EmptyLevel,
     ExhaustionSpec,
     InvalidParameter,
     UnsupportedRegion,
@@ -535,8 +534,10 @@ def _route_level(f, p, u, weight, *, samples=512):
 
     Returns (QuadratureResult or None, info dict).  Every rung pairs
     |f|^p with mu_c, the flux of u through the traced level, by the
-    trapezoid rule over its rays (``DemaillyMeasure.pair_values``) of |f|^p
-    read once on the points of every traced rung; a rung whose pairing is
+    trapezoid rule over its rays.  The rungs are the exhaustion's
+    ``LevelLadder``, traced on the first query and kept on it, so a query
+    reads |f|^p once on the stacked points of every rung and pairs them all
+    in one product with the stacked flux weights; a rung whose pairing is
     not finite ends the ladder, its note replacing a deeper stop note.
     Rungs off circles are capped at k = 12: thinner crescents are limited
     by the ray count (the u_{3/4} flux mass at k = 12, on the exact d_r u,
@@ -556,45 +557,22 @@ def _route_level(f, p, u, weight, *, samples=512):
         info["note"] = "ladder skipped: infinite Riesz mass"
         return None, info
 
-    deepest = 20 if radial else 12
-    measures, skipped = [], []
-    for k in range(deepest + 1):
-        c = -(2.0 ** (-k))
-        if c <= u.min_value:
-            continue
-        try:
-            mu = u.demailly(c, samples=samples)
-        except EmptyLevel:
-            continue
-        except (UnsupportedRegion, ValueError) as exc:
-            # deep levels may not trace (several components, not star-
-            # shaped); past the first traced rung a failure ends the
-            # ladder so the rungs of the Richardson step stay contiguous
-            if not measures:
-                skipped.append(c)
-                continue
-            info["note"] = f"ladder stopped at c={c:g}: {exc}"
-            break
-        measures.append(mu)
-
-    points = [mu.boundary_points for mu in measures]
+    ladder = u.ladder(samples, 20 if radial else 12)
+    points = ladder.points
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        power = f.modulus(np.concatenate(points or [np.empty(0)])) ** p
-    power = np.where(np.isfinite(power), power, np.inf)
-    rungs, cs = [], []
-    ends = np.cumsum([z.size for z in points])
-    for mu, vals in zip(measures, np.split(power, ends[:-1])):
-        val = mu.pair_values(vals)
-        if not math.isfinite(val):
-            info["note"] = f"non-finite pairing at c={mu.c:g}"
-            break
-        rungs.append(val)
-        cs.append(mu.c)
-    info["ladder"] = tuple(zip(cs, rungs))
-    if skipped:
-        msg = "ladder skipped untraceable rungs c=" + ", ".join(f"{c:g}" for c in skipped)
-        info["note"] = msg if info["note"] is None else f"{msg}; {info['note']}"
-    if not rungs:
+        power = f.modulus(points.ravel()).reshape(points.shape) ** p
+        power = np.where(np.isfinite(power), power, np.inf)
+        pairs = np.mean(power * ladder.weights, axis=1)
+    finite = np.isfinite(pairs)
+    n = pairs.size if finite.all() else int(np.argmin(finite))
+    note = ladder.stop if n == pairs.size else f"non-finite pairing at c={ladder.levels[n]:g}"
+    rungs = pairs[:n]
+    info["ladder"] = tuple(zip(ladder.levels[:n].tolist(), rungs.tolist()))
+    if ladder.skipped:
+        msg = "ladder skipped untraceable rungs c=" + ", ".join(f"{c:g}" for c in ladder.skipped)
+        note = msg if note is None else f"{msg}; {note}"
+    info["note"] = note
+    if not rungs.size:
         if info["note"] is None:
             info["note"] = "no traceable levels on the ladder"
         return None, info

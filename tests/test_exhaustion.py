@@ -79,6 +79,63 @@ def test_radial_log_levels_are_circles():
         assert abs(lv.radii.max() - r) < 1e-12
 
 
+def test_level_cache_is_keyed_on_the_exact_level():
+    # levels 4e-16 apart are two levels, each with its own c and radius
+    rl = X.radial_log()
+    first = rl.sublevel(-5e-13)
+    second = rl.sublevel(-5.004e-13)
+    assert second is not first
+    assert (first.c, second.c) == (-5e-13, -5.004e-13)
+    for lv in (first, second):
+        want = math.exp(lv.c)
+        assert abs(lv.radii[0] - want) <= 2.0 * np.spacing(want)
+
+
+def test_circle_level_with_no_bracket_is_an_unsupported_region():
+    # log|z| is -1e-14 at the rim r = 1 - 1e-14, below the level -3e-16
+    with pytest.raises(X.UnsupportedRegion, match=r"level -3e-16 .* -9.99e-15 at the rim"):
+        X.radial_log().sublevel(-3e-16)
+    with pytest.raises(X.UnsupportedRegion, match=r"-40.*-32.2362 at r = 1e-14"):
+        X.radial_log().sublevel(-40.0)
+
+
+def test_jointly_solved_circles_sit_on_their_levels():
+    # the ladder solves its circle rungs in one batch, to the accuracy of a
+    # single level's solve: log|z| within 2 ulp of e^c, the radial cubic
+    # u = (2/9)(r^3 - 1) within 1e-11 of (1 + 9c/2)^(1/3), its spline error
+    rl = X.radial_log()
+    ladder = rl.ladder(512, 20)
+    assert ladder.levels.tolist() == [-(2.0 ** -k) for k in range(21)]
+    assert ladder.skipped == () and ladder.stop is None
+    for mu in ladder.measures:
+        want = math.exp(mu.c)
+        assert mu.level.is_circle
+        assert abs(mu.level.radii[0] - want) <= 2.0 * np.spacing(want), mu.c
+        assert np.array_equal(mu.level.radii, X.radial_log().sublevel(mu.c).radii)
+    cubic = X.radial_smooth(lambda s: 2.0 * s, "radial-cubic")
+    ladder = cubic.ladder(512, 20)
+    assert ladder.levels.tolist() == [-(2.0 ** -k) for k in range(3, 19)]
+    assert "not within half the value tolerance" in ladder.stop
+    for mu in ladder.measures:
+        want = (1.0 + 4.5 * mu.c) ** (1.0 / 3.0)
+        assert abs(mu.level.radii[0] - want) <= 1e-11, mu.c
+        assert abs(mu.level.u_values[0] - mu.c) <= 1e-15
+
+
+def test_circles_without_a_gradient_solve_on_secant_slopes():
+    # the same circles from the evaluator alone: no d_r u, the same radii
+    # to rounding
+    for u in (X.radial_log(), X.radial_smooth(lambda s: 2.0 * s, "2r")):
+        plain = X.ExhaustionSpec(
+            "plain", u._evaluate, u.measure, min_value=u.min_value,
+            min_point=0.0, value_error=u.value_error)
+        for c in (-2.0 ** -3, -2.0 ** -10, -2.0 ** -16):
+            lv = plain.sublevel(c)
+            assert lv.is_circle and lv.du_dr is None
+            assert abs(lv.radii[0] - u.sublevel(c).radii[0]) <= 4e-16, c
+            assert abs(lv.u_values[0] - c) <= 2.3e-16 + u.value_error
+
+
 def test_radial_log_swept_measure_is_uniform():
     rl = X.radial_log()
     dm = rl.demailly(-0.7)
@@ -803,6 +860,25 @@ def test_scaled_exhaustion_log():
     assert abs(sc.measure.total_mass().value - 2.0) < 1e-12
     with pytest.raises(X.InvalidParameter):
         X.scaled_exhaustion(-1.0, X.radial_log())
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0])
+def test_scaled_exhaustion_reads_the_inner_levels(a):
+    # the level of a u at c is u's at c/a: the same radii, u and d_r u
+    # times a
+    inner = X.radial_log()
+    sc = X.scaled_exhaustion(a, inner)
+    for k in range(21):
+        c = -(2.0 ** -k)
+        lv, part = sc.sublevel(c), inner.sublevel(c / a)
+        assert lv.c == c and lv.spec_label == sc.label
+        assert np.array_equal(lv.radii, part.radii)
+        assert np.array_equal(lv.u_values, a * part.u_values)
+        assert np.array_equal(lv.du_dr, a * part.du_dr)
+        assert lv.achieved_tolerance == a * part.achieved_tolerance
+        assert lv.level_tolerance == 1e-4 * abs(c)
+    with pytest.raises(X.EmptyLevel):
+        X.scaled_exhaustion(2.0, X.radial_smooth(lambda s: 2.0 * s, "2r")).sublevel(-0.5)
 
 
 def test_scaled_exhaustion_levels_match_rescaled_levels(um):

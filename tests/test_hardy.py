@@ -756,6 +756,58 @@ def test_level_route_reads_the_modulus_once_per_ladder(monkeypatch, name, sample
     assert sizes == [points]
 
 
+@pytest.mark.parametrize("name", ["half-pair", "log"])
+def test_second_query_reads_the_kept_ladder(monkeypatch, name):
+    # the first query traces the ladder, and skips the level c = -1 on
+    # which the half atoms at +-0.4 are two islands; a second query on the
+    # same exhaustion evaluates neither u nor its gradient in the level route
+    if name == "log":
+        u = X.radial_log()
+    else:
+        u = X.green_exhaustion(RieszMeasure(
+            atoms=((0.4 + 0.0j, 0.5), (-0.4 + 0.0j, 0.5)), label="half-pair"))
+    calls, inside = [], []
+    value, gradient = u._evaluate, u.gradient
+
+    def spied(fn):
+        def call(z):
+            if inside:
+                calls.append(np.size(z))
+            return fn(z)
+        return call
+
+    def level_route(*args, **kwargs):
+        inside.append(True)
+        try:
+            return route(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    route = H._route_level
+    monkeypatch.setattr(H, "_route_level", level_route)
+    u._evaluate, u.gradient = spied(value), spied(gradient)
+    first = H.hardy_norm(Poly([0.0, 1.0]), 2.0, u)
+    assert calls
+    calls.clear()
+    second = H.hardy_norm(Poly([0.5, 1.0]), 2.0, u)
+    assert calls == []
+    assert len(second.ladder) == len(first.ladder) == (12 if name != "log" else 21)
+
+
+def test_scaled_exhaustion_ladder_is_twice_the_inner_one():
+    # 2u's rung at c pairs |f|^p on u's level at c/2 with twice its flux
+    inner = X.radial_log()
+    sc = X.scaled_exhaustion(2.0, inner)
+    f, p = AffinePower(0.8, 1.25), 2.0
+    _, info = H._route_level(f, p, inner, H.boundary_weight(inner))
+    _, scaled = H._route_level(f, p, sc, H.boundary_weight(sc))
+    assert len(info["ladder"]) == len(scaled["ladder"]) == 21
+    for (c, val), (c2, val2) in zip(scaled["ladder"], info["ladder"][1:]):
+        assert c2 == c / 2.0
+        assert val == 2.0 * val2, c
+        assert np.array_equal(sc.sublevel(c).radii, inner.sublevel(c2).radii)
+
+
 def test_blaschke_factor_is_an_isometry_under_um(u075):
     # |B| = 1 on the circle, so multiplying by B keeps every boundary norm
     B = BlaschkeProduct([0.5, 0.3j])
